@@ -35,7 +35,7 @@ def builders():
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--points", type=int, default=32, help="sample count per check")
+    ap.add_argument("--points", type=int, default=64, help="sample count per check (default 64)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--tol", type=float, default=1e-8)
     args = ap.parse_args(argv)

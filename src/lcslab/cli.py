@@ -9,6 +9,7 @@ parse or validation problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,6 +38,7 @@ _GALLERY_BLURBS = {
 }
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lcslab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

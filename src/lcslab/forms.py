@@ -470,11 +470,6 @@ def compose(f: ScalarField, m: SmoothMap) -> ScalarField:
     return ScalarField(m.source, lambda p, _f=f.fn, _m=m: _f(_m(p)))
 
 
-def compose_map(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
-    """outer ∘ inner (apply ``inner`` first)."""
-    return inner.then(outer)
-
-
 def pullback(m: SmoothMap, form: DifferentialForm) -> DifferentialForm:
     check_same_chart(m.target, form.chart, "pullback")
     src = m.source
@@ -502,19 +497,6 @@ def pullback(m: SmoothMap, form: DifferentialForm) -> DifferentialForm:
             return total
         coeffs[J] = ScalarField(src, fn)
     return DifferentialForm(src, k, coeffs)
-
-
-def pushforward_vector(m: SmoothMap, X: VectorField, point):
-    """Values of dm(X) at m(point) — used by tangency checks."""
-    p = [float(c) for c in point]
-    xv = [c(p) for c in X.components]
-    out = []
-    for comp in m.components:
-        total = 0.0
-        for j in range(m.source.dim):
-            total += dual.partial(comp.fn, p, j) * xv[j]
-        out.append(total)
-    return np.array(out)
 
 
 def differential_1form(f: ScalarField) -> DifferentialForm:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -137,13 +136,6 @@ def _jsonable(obj):
 # residual helpers
 
 
-def _finite_rows(arrays: Iterable[np.ndarray], n: int) -> np.ndarray:
-    mask = np.ones(n, dtype=bool)
-    for a in arrays:
-        mask &= np.isfinite(a)
-    return mask
-
-
 def form_values(form: DifferentialForm, points: np.ndarray) -> dict:
     cols = columns(points)
     n = len(cols[0]) if cols else len(points)
@@ -162,26 +154,42 @@ def form_residual(a: DifferentialForm, b: DifferentialForm | None, points: np.nd
     Returns (residual, skipped) where ``skipped`` counts points at which some
     coefficient failed to evaluate to a finite number.
     """
-    n = np.asarray(points).shape[0]
-    va = form_values(a, points)
     vb = form_values(b, points) if b is not None else {}
+    return worst_residual(scaled_residuals(form_values(a, points), vb, np.asarray(points).shape[0]))
+
+
+def scaled_residuals(va: dict, vb: dict, n: int) -> np.ndarray:
+    """Per point ``max_I |a_I - b_I| / (1 + max(1, max_I |a_I|, max_I |b_I|))``.
+
+    ``va`` and ``vb`` are coefficient columns from :func:`form_values`; a
+    point where any coefficient is non-finite gets a non-finite residual.
+    """
     keys = set(va) | set(vb)
     if not keys:
-        return 0.0, 0
-    diffs, scales = [], [np.ones(n)]
-    for I in keys:
-        x = va.get(I, np.zeros(n))
-        y = vb.get(I, np.zeros(n))
-        diffs.append(np.abs(x - y))
-        scales.append(np.abs(x))
-        scales.append(np.abs(y))
-    mask = _finite_rows(diffs + scales, n)
-    skipped = int(n - mask.sum())
-    if mask.sum() == 0:
+        return np.zeros(n)
+    zero = np.zeros(n)
+    x = np.vstack([va.get(I, zero) for I in keys])
+    y = np.vstack([vb.get(I, zero) for I in keys])
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)).max(axis=0))
+        return np.max(np.abs(x - y), axis=0) / (1.0 + scale)
+
+
+def worst_residual(values) -> tuple[float, int]:
+    """Max ``|value|`` over the points whose values are all finite.
+
+    ``values`` has one leading axis of sample points; any trailing axes
+    (components, pairs) belong to that point.  Returns (worst, skipped) where
+    ``skipped`` counts points with a non-finite value; ``worst`` is inf when
+    no point is left, so a non-finite value can never make a row pass.
+    """
+    v = np.abs(np.asarray(values, dtype=float))
+    v = v.reshape(v.shape[0], int(np.prod(v.shape[1:])))
+    mask = np.isfinite(v).all(axis=1)
+    skipped = int(v.shape[0] - mask.sum())
+    if not mask.any():
         return math.inf, skipped
-    res = np.max(np.vstack(diffs)[:, mask], axis=0)
-    scale = 1.0 + np.max(np.vstack(scales)[:, mask], axis=0)
-    return float(np.max(res / scale)), skipped
+    return float(v[mask].max(initial=0.0)), skipped
 
 
 def form_max(form: DifferentialForm, points: np.ndarray) -> float:
@@ -195,23 +203,6 @@ def form_max(form: DifferentialForm, points: np.ndarray) -> float:
         if v.size:
             best = max(best, float(np.max(np.abs(v))))
     return best
-
-
-def scalar_residual(a: np.ndarray, b: np.ndarray | float = 0.0) -> tuple[float, int]:
-    """Scaled max residual of pointwise values ``a`` against ``b``.
-
-    Same convention as :func:`form_residual`: the difference at each point is
-    divided by ``1 + max(|a|, |b|)`` there.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
-    mask = np.isfinite(a) & np.isfinite(b)
-    skipped = int(a.size - mask.sum())
-    if mask.sum() == 0:
-        return math.inf, skipped
-    diff = np.abs(a[mask] - b[mask])
-    scale = 1.0 + np.maximum(np.abs(a[mask]), np.abs(b[mask]))
-    return float(np.max(diff / scale)), skipped
 
 
 def spread(values: np.ndarray) -> float:

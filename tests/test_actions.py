@@ -29,7 +29,6 @@ from lcslab.forms import (
     SmoothMap,
     VectorField,
     basis_vector,
-    compose_map,
     constant,
     coordinate,
 )
@@ -251,7 +250,7 @@ class TestSolvDecks:
         cover = data["cover_form"]
         pts = data["deck_box"].sample(48, seed=5)
         g0, g1 = data["deck_maps"]["g0"], data["deck_maps"]["g1"]
-        composed = compose_map(g0, g1)  # g0 after g1
+        composed = g1.then(g0)  # g0 after g1
         deck = deck_homothety(composed, cover, points=pts, name="g0g1")
         assert deck.factor == pytest.approx(0.5, abs=1e-10)
 
@@ -264,7 +263,7 @@ class TestSolvDecks:
         cover, ham = data["cover_form"], data["hamiltonian"]
         pts = data["deck_box"].sample(48, seed=7)
         g0, g1 = data["deck_maps"]["g0"], data["deck_maps"]["g1"]
-        deck = deck_homothety(compose_map(g0, g1), cover, points=pts, name="g0g1")
+        deck = deck_homothety(g1.then(g0), cover, points=pts, name="g0g1")
         rep = automorphic_constants({"g0g1": deck}, ham, points=pts)
         row = rep["a[g0g1]"]
         assert row.passed

@@ -72,6 +72,17 @@ COUPLING_DOC = json.dumps(
 )
 
 
+# sqrt(u) is undefined on half of the default sampling box
+SINGULAR_COUPLING_DOC = json.dumps(
+    {
+        "base": {"name": "disk", "coords": ["u", "v"]},
+        "gauge": {"A": [{"0": "v", "1": "sqrt(u)"}]},
+        "fiber": json.loads(GOOD_DOC),
+        "momentum": "auto",
+    }
+)
+
+
 @pytest.fixture(autouse=True)
 def _no_seed_env(monkeypatch):
     monkeypatch.delenv("LCSLAB_SEED", raising=False)
@@ -252,6 +263,27 @@ def test_coupling_document_passes(capsys):
     assert code == 0
     assert "closed[vvv]" in out
     assert "bianchi" in out.lower()
+
+
+def test_singular_coupling_document_keeps_the_exit_code_contract(capsys):
+    """Non-finite sample points are skipped and counted; they never make a row pass."""
+    code, out, err = run(capsys, "coupling", SINGULAR_COUPLING_DOC, "--format", "json")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "Warning" not in err
+    rows = [c for rep in json.loads(out)["reports"].values() for c in rep["checks"]]
+    for row in rows:
+        if row["verdict"] != "pass":
+            continue
+        assert row["residual"] != "nan", row["id"]
+        details = row.get("details", {})
+        assert details.get("skipped", 0) <= 0.2 * details.get("points", 64), row["id"]
+    by_id = {row["id"]: row for row in rows}
+    for row_id in [f"closed[{p}]" for p in ("vvv", "vvh", "vhv", "hvv", "vhh", "hvh", "hhv", "hhh")] + [
+        "hor-vert",
+        "lift-bracket",
+    ]:
+        assert by_id[row_id]["verdict"] == "inconclusive", row_id
+        assert by_id[row_id]["details"]["skipped"] > 0.2 * by_id[row_id]["details"]["points"], row_id
 
 
 def test_reduce_document_passes(capsys):

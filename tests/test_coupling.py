@@ -9,6 +9,9 @@ from lcslab.charts import Chart
 from lcslab.coupling import (
     CouplingChart,
     EndomorphismField,
+    _draw_arguments,
+    _evaluate,
+    _lift_operators,
     GaugeChart,
     build_coupling,
     circle_fat_from_symplectic,
@@ -28,17 +31,21 @@ from lcslab.actions import ActionSpec, MomentumMap
 from lcslab.errors import InvalidStructureError, PreconditionError, UsageError
 from lcslab.forms import (
     DifferentialForm,
+    ScalarField,
     SmoothMap,
     VectorField,
     basis_vector,
     constant,
     coordinate,
+    eval_form,
     exterior_derivative,
+    lie_bracket,
 )
-from lcslab.lcs import LCSStructure
-from lcslab.report import form_residual
+from lcslab.gallery import coupling_example_s2
+from lcslab.lcs import LCSStructure, twisted_derivative
+from lcslab.report import form_residual, form_values
 from tests.test_actions import sl2_constants
-from tests.test_exterior import rand_form
+from tests.test_exterior import rand_form, rand_vf
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +65,11 @@ def flat(uv):
     A = DifferentialForm(uv, 1, {(1,): coordinate(uv, 0)})
     gauge = GaugeChart(uv, (A,))
     return build_coupling(gauge, structure, act, mu, n=24)
+
+
+@pytest.fixture(scope="module")
+def s2():
+    return coupling_example_s2()
 
 
 def test_gauge_chart_validation(uv):
@@ -148,6 +160,31 @@ def test_corrupted_form_fails_the_class_that_uses_it(flat):
     assert rep["fiber-block"].passed
 
 
+@pytest.mark.parametrize("example", ["flat", "s2"])
+def test_batched_contraction_matches_pointwise(example, flat, s2):
+    """The batched argument classes and contraction agree with eval_form and the symbolic lift."""
+    c = flat if example == "flat" else s2.objects["coupling"]
+    m = c.base_dim
+    pts = c.total.sample(8, seed=2)
+    rng = np.random.default_rng(5)
+    closed3 = twisted_derivative(c.Theta, c.Omega)
+    forms = (closed3, rand_form(c.total, rng, 3))
+    H = _lift_operators(c, pts)
+    for pattern in ("vvv", "vhv", "hhv", "hhh"):
+        vecs = _draw_arguments(pattern, H, rng)
+        for i, p in enumerate(pts):
+            for s, kind in enumerate(pattern):
+                if kind == "h":
+                    lifted = c.lift(VectorField(c.base, list(vecs[i, :m, s]))).at(p)
+                    np.testing.assert_allclose(vecs[i, :, s], lifted, atol=1e-12)
+                else:
+                    assert np.all(vecs[i, :m, s] == 0.0)
+        for form in forms:
+            got = _evaluate(form_values(form, pts), vecs)
+            want = [eval_form(form, p, list(vecs[i].T), check_domain=False) for i, p in enumerate(pts)]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_horizontal_lift_subtracts_gauge(flat, uv):
     X = basis_vector(uv, 1)  # d/dv, paired with A to the value u
     lifted = flat.lift(X)
@@ -222,26 +259,73 @@ def test_nijenhuis_vanishes_for_constant_structure(r4, rng):
     assert nijenhuis_tensoriality(J, X, Y, p) < 1e-9
 
 
+def nonintegrable_structure(chart):
+    """J d1 = d2, J d2 = -d1, J d3 = y d1 + d4, J d4 = -d3 - y d2."""
+
+    def rows(p):
+        y = p[1]
+        return [
+            [0.0, -1.0, y, 0.0],
+            [1.0, 0.0, 0.0, -y],
+            [0.0, 0.0, 0.0, -1.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
+
+    return EndomorphismField(chart, rows)
+
+
 def test_nijenhuis_detects_nonintegrable(r4):
     """J with J(d3) = y d1 + d4 has N(d1, d3) = -d1 at every point."""
-    y = coordinate(r4, 1)
-    zero = constant(r4, 0.0)
-    one = constant(r4, 1.0)
-    entries = [[zero] * 4 for _ in range(4)]
-    # J d1 = d2, J d2 = -d1, J d3 = y d1 + d4, J d4 = -d3 - y d2
-    entries[1][0] = one
-    entries[0][1] = -one
-    entries[0][2] = y
-    entries[3][2] = one
-    entries[2][3] = -one
-    entries[1][3] = -y
-    J = EndomorphismField(r4, entries)
+    J = nonintegrable_structure(r4)
     p = (0.4, 0.7, -0.3, 0.2)
     np.testing.assert_allclose(J.at(p) @ J.at(p), -np.eye(4), atol=1e-12)
     got = nijenhuis(J, basis_vector(r4, 0), basis_vector(r4, 2), p)
     np.testing.assert_allclose(got, [-1.0, 0.0, 0.0, 0.0], atol=1e-10)
     # tensoriality holds even without integrability
     assert nijenhuis_tensoriality(J, basis_vector(r4, 0), basis_vector(r4, 2), p) < 1e-9
+
+
+def bracket_nijenhuis(J, X, Y, p):
+    """The defining formula, with J X as an explicit field and brackets by lie_bracket."""
+    n = J.chart.dim
+    entry = [[ScalarField(J.chart, lambda q, i=i, j=j: J.fn(q)[i][j]) for j in range(n)] for i in range(n)]
+
+    def turn(Z):
+        comps = []
+        for i in range(n):
+            acc = constant(J.chart, 0.0)
+            for j in range(n):
+                acc = acc + entry[i][j] * Z.components[j]
+            comps.append(acc)
+        return VectorField(J.chart, comps)
+
+    JX, JY = turn(X), turn(Y)
+    Jp = J.at(p)
+    return (
+        lie_bracket(X, Y).at(p)
+        - lie_bracket(JX, JY).at(p)
+        + Jp @ lie_bracket(JX, Y).at(p)
+        + Jp @ lie_bracket(X, JY).at(p)
+    )
+
+
+@pytest.mark.parametrize("which", ["rotation", "nonintegrable", "s2-fiber"])
+def test_jet_nijenhuis_matches_bracket_formula(which, r4, s2, rng):
+    if which == "s2-fiber":
+        J = s2.objects["J_fiber"]
+        pts = s2.objects["fiber"].chart.sample(5, seed=4)
+    else:
+        J = rotation_structure(r4) if which == "rotation" else nonintegrable_structure(r4)
+        pts = r4.sample(5, seed=4)
+    X, Y = rand_vf(J.chart, rng), rand_vf(J.chart, rng)
+    got = nijenhuis(J, X, Y, pts)
+    assert got.shape == pts.shape
+    for p, value in zip(pts, got):
+        want = bracket_nijenhuis(J, X, Y, p)
+        np.testing.assert_allclose(value, want, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(nijenhuis(J, X, Y, p), value, rtol=1e-12, atol=1e-12)
+    if which == "nonintegrable":
+        assert np.abs(got).max() > 1e-3  # the oracle is compared on nonzero values
 
 
 def test_nijenhuis_rejects_non_complex(r4):
@@ -261,6 +345,27 @@ def test_conjugate_structure_by_linear_map(plane):
     S = np.array([[1.0, 0.5], [0.0, 1.0]])
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
     np.testing.assert_allclose(M, np.linalg.inv(S) @ R @ S, atol=1e-10)
+
+
+def test_conjugate_structure_by_nonlinear_map(s2):
+    """J_fiber of coupling-s2 equals inv(d psi) R d psi with the Jacobian written out by hand."""
+    J = s2.objects["J_fiber"]
+    pts = s2.objects["fiber"].chart.sample(6, seed=7)
+    R = np.zeros((4, 4))
+    R[1, 0] = R[3, 2] = 1.0
+    R[0, 1] = R[2, 3] = -1.0
+    got = J.batch(pts)
+    for p, M in zip(pts, got):
+        scale = np.exp(-p[0])
+        radial = np.sqrt(1.0 - np.sum(p[1:] ** 2))
+        image = scale * np.array([p[1], p[2], p[3], radial])
+        D = np.zeros((4, 4))
+        D[:, 0] = -image
+        D[:3, 1:] = scale * np.eye(3)
+        D[3, 1:] = -scale * p[1:] / radial
+        np.testing.assert_allclose(M, np.linalg.inv(D) @ R @ D, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(J.at(p), M, atol=1e-12)
+        np.testing.assert_allclose(M @ M, -np.eye(4), atol=1e-10)
 
 
 def test_coupled_structure_preserves_blocks(flat):

@@ -167,7 +167,7 @@ def test_hopf4_structure_verifies():
 @pytest.fixture(scope="module")
 def s2_reports():
     man = coupling_example_s2()
-    return man, run_manifest(man, points=12, seed=0)
+    return man, run_manifest(man, points=64, seed=0)
 
 
 def test_coupling_manifest_meets_expectations(s2_reports):
