@@ -5,6 +5,12 @@ constants plus (optionally) named finite maps — never an abstract group.
 The bracket convention is ``[rho_b, rho_c] = -sum_a c^a_{bc} rho_a``
 (fundamental fields are an anti-homomorphism), and ``constants[a, b, c]``
 stores ``c^a_{bc}``.
+
+Every residual row evaluates its forms and fields once on the whole point
+batch and reports the raw max magnitude over the points; a sample point where
+some value is not finite is skipped and counted, and a row with too many
+skipped points is inconclusive rather than passed.  Deck maps send the whole
+batch through one evaluation, with one domain test for all the images.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .forms import (
     lie_derivative,
 )
 from .lcs import LCSStructure, residual_check, twisted_derivative
-from .report import DEFAULT_TOL, CheckResult, Report, form_max, form_values, spread
+from .report import DEFAULT_TOL, CheckResult, Report, form_array, form_max, form_values, residual_row, spread
 
 # Structure constants are exact user input, so their algebraic identities are
 # held to near machine precision rather than the sampling tolerance.
@@ -139,23 +145,8 @@ def bracket_relation_check(
                 coef = float(act.constants[a, b, c])
                 if coef != 0.0:
                     defect = defect + coef * act.fields[a]
-            worst = max((_field_max(comp, pts) for comp in defect.components), default=0.0)
-            rep.add(
-                CheckResult.from_residual(
-                    f"bracket[{b},{c}]",
-                    "[rho_b, rho_c] + c^a_bc rho_a = 0",
-                    worst,
-                    tol,
-                    points=len(pts),
-                )
-            )
+            rep.add(residual_row(f"bracket[{b},{c}]", "[rho_b, rho_c] + c^a_bc rho_a = 0", defect.batch(pts), tol))
     return rep
-
-
-def _field_max(f: ScalarField, pts: np.ndarray) -> float:
-    vals = np.asarray(f.batch(pts), dtype=float)
-    vals = vals[np.isfinite(vals)]
-    return float(np.abs(vals).max()) if vals.size else 0.0
 
 
 # --------------------------------------------------------------------------
@@ -213,20 +204,9 @@ def invariance_defect(
     lx = lie_derivative(X, s.omega)
     theta_x = contract(s.lee, X)
     rep = Report("invariance_defect")
-    rep.add(
-        CheckResult.from_residual(
-            "twisted-defect",
-            "L_X omega - theta(X) omega = 0",
-            form_max(lx - s.omega * theta_x, pts),
-            tol,
-            points=len(pts),
-        )
-    )
-    rep.add(
-        CheckResult.from_residual(
-            "strict-defect", "L_X omega = 0", form_max(lx, pts), tol, points=len(pts)
-        )
-    )
+    twisted = form_array(lx - s.omega * theta_x, pts)
+    rep.add(residual_row("twisted-defect", "L_X omega - theta(X) omega = 0", twisted, tol))
+    rep.add(residual_row("strict-defect", "L_X omega = 0", form_array(lx, pts), tol))
     return rep
 
 
@@ -256,21 +236,11 @@ def momentum_from_potential(
     hypo = Report("momentum hypotheses")
     for a, rho in enumerate(act.fields):
         hypo.add(
-            CheckResult.from_residual(
-                f"eta-invariant[{a}]",
-                "L_rho eta = 0",
-                form_max(lie_derivative(rho, s.potential), pts),
-                tol,
+            residual_row(
+                f"eta-invariant[{a}]", "L_rho eta = 0", form_array(lie_derivative(rho, s.potential), pts), tol
             )
         )
-        hypo.add(
-            CheckResult.from_residual(
-                f"lee-zero[{a}]",
-                "theta(rho) = 0",
-                _field_max(contract(s.lee, rho), pts),
-                tol,
-            )
-        )
+        hypo.add(residual_row(f"lee-zero[{a}]", "theta(rho) = 0", contract(s.lee, rho).batch(pts), tol))
     if not hypo.passed:
         raise PreconditionError(
             "potential is not invariant enough to define a momentum map", report=hypo
@@ -321,18 +291,9 @@ def verify_twisted_hamiltonian(
             )
         )
         rep.add(
-            CheckResult.from_residual(
-                f"invariance[{a}]", "L_rho omega = 0", form_max(lie_derivative(rho, s.omega), pts), tol
-            )
+            residual_row(f"invariance[{a}]", "L_rho omega = 0", form_array(lie_derivative(rho, s.omega), pts), tol)
         )
-        rep.add(
-            CheckResult.from_residual(
-                f"lee-hom[{a}]",
-                "theta(rho) = 0",
-                _field_max(contract(s.lee, rho), pts),
-                tol,
-            )
-        )
+        rep.add(residual_row(f"lee-hom[{a}]", "theta(rho) = 0", contract(s.lee, rho).batch(pts), tol))
     return rep
 
 
@@ -355,15 +316,11 @@ def bracket_hamiltonian_check(
     rep = Report("bracket_hamiltonian")
     for label, Z in (("X", X), ("Y", Y)):
         rep.add(
-            CheckResult.recorded(
-                f"pre-invariance-{label}", "L omega = 0", form_max(lie_derivative(Z, s.omega), pts)
+            residual_row(
+                f"pre-invariance-{label}", "L omega = 0", form_array(lie_derivative(Z, s.omega), pts), tol=None
             )
         )
-        rep.add(
-            CheckResult.recorded(
-                f"pre-lee-{label}", "theta pairing = 0", _field_max(contract(s.lee, Z), pts)
-            )
-        )
+        rep.add(residual_row(f"pre-lee-{label}", "theta pairing = 0", contract(s.lee, Z).batch(pts), tol=None))
     wxy = contract(s.omega, X, Y)
     rep.add(
         residual_check(
@@ -375,7 +332,7 @@ def bracket_hamiltonian_check(
             tol,
         )
     )
-    rep.add(CheckResult.recorded("omega(X,Y)", "pairing magnitude", _field_max(wxy, pts)))
+    rep.add(residual_row("omega(X,Y)", "pairing magnitude", wxy.batch(pts), tol=None))
     return rep
 
 
@@ -387,9 +344,7 @@ def lie_algebra_perfect(constants: np.ndarray, rank_tol: float = 1e-9) -> bool:
     if d == 0:
         return True
     span = C.reshape(d, d * d).T  # rows indexed by (b, c), columns by a
-    sv = np.linalg.svd(span, compute_uv=False)
-    rank = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
-    return rank == d
+    return int(np.linalg.matrix_rank(span, rtol=rank_tol)) == d
 
 
 # --------------------------------------------------------------------------
@@ -415,8 +370,7 @@ def deck_homothety(
 
     check_same_chart(gamma.source, Omega.chart, "deck transformation and form")
     pts = Omega.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
-    images = np.array([gamma.at(p) for p in pts])
-    keep = np.array([Omega.chart.contains(q) for q in images], dtype=bool)
+    keep = Omega.chart.contains(gamma.batch(pts))
     pts = pts[keep]
     if len(pts) < max(4, n // 4):
         raise DomainError(
@@ -465,12 +419,12 @@ def automorphic_constants(
     for gname, g in sorted(decks.items()):
         chart = f.chart
         pts = chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
-        images = np.array([g.map.at(p) for p in pts])
-        keep = np.array([chart.contains(q) for q in images], dtype=bool)
+        images = g.map.batch(pts)
+        keep = chart.contains(images)
         if not np.any(keep):
             raise DomainError(f"deck element {gname!r} maps every sample outside the chart")
         pts, images = pts[keep], images[keep]
-        vals = np.array([f.at(q) for q in images]) - g.factor * np.array([f.at(p) for p in pts])
+        vals = f.batch(images) - g.factor * f.batch(pts)
         vals = vals[np.isfinite(vals)]
         dev = spread(vals)
         a_mean = float(vals.mean())

@@ -46,11 +46,18 @@ class Chart:
         except ValueError:
             raise KeyError(f"chart {self.name!r} has no coordinate {name!r}") from None
 
-    def contains(self, point: Sequence[float]) -> bool:
-        if self.predicate is None:
-            return True
-        cols = [np.asarray([float(c)]) for c in point]
-        return bool(np.asarray(self.predicate(cols)).ravel()[0])
+    def contains(self, point):
+        """Domain test of one point, or of every row of an (n, dim) batch.
+
+        One point gives a bool, a batch a boolean array of shape (n,).  A
+        point with a non-finite coordinate is outside every chart.
+        """
+        pts = np.asarray(point, dtype=float)
+        inside = np.isfinite(np.atleast_2d(pts)).all(axis=1)
+        if self.predicate is not None:
+            with np.errstate(all="ignore"):
+                inside &= np.asarray(self.predicate(columns(pts)), dtype=bool)
+        return inside if pts.ndim == 2 else bool(inside[0])
 
     def require(self, point: Sequence[float]) -> None:
         if not self.contains(point):

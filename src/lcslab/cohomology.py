@@ -139,22 +139,13 @@ def apply_coboundary(K: TwistedComplex, c: Cochain) -> Cochain:
     return Cochain(c.degree + 1, twisted_coboundary(K, c.degree) @ c.values)
 
 
-def _rank(M: np.ndarray) -> int:
-    if M.size == 0:
-        return 0
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > _RANK_TOL * sv[0]))
-
-
 def betti(K: TwistedComplex) -> list[int]:
     """``b_k = dim ker delta_k - rank delta_{k-1}`` for k up to the top dimension."""
     out = []
     prev_rank = 0
     for k in range(K.top + 1):
         d = twisted_coboundary(K, k)
-        r = _rank(d)
+        r = int(np.linalg.matrix_rank(d, rtol=_RANK_TOL))
         out.append(K.count(k) - r - prev_rank)
         prev_rank = r
     return out

@@ -54,15 +54,17 @@ from .forms import (
     wedge,
 )
 from . import dual
-from .lcs import LCSStructure, _demote_if_sparse, _nondegeneracy_check, residual_check, twisted_derivative
+from .lcs import LCSStructure, nondegeneracy_check, residual_check, skew_matrices, twisted_derivative
 from .report import (
     DEFAULT_TOL,
     CheckResult,
     Report,
+    demote_if_sparse,
+    evaluate_form,
     form_residual,
     form_values,
+    residual_row,
     scaled_residuals,
-    worst_residual,
 )
 
 # --------------------------------------------------------------------------
@@ -344,7 +346,7 @@ def _lift_operators(c: CouplingChart, pts: np.ndarray) -> np.ndarray:
     vector X lifts to ``X* = H X``.
     """
     lifts = [c.lift(basis_vector(c.base, j)) for j in range(c.base_dim)]
-    return np.stack([np.stack([comp.batch(pts) for comp in X.components], axis=-1) for X in lifts], axis=-1)
+    return np.stack([X.batch(pts) for X in lifts], axis=-1)
 
 
 def _draw_arguments(pattern: str, H: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -367,28 +369,6 @@ def _draw_arguments(pattern: str, H: np.ndarray, rng: np.random.Generator) -> np
             out[:, m:, s] = V
         start += w
     return out
-
-
-def _evaluate(values: dict, vecs: np.ndarray) -> np.ndarray:
-    """``form(v_1, ..., v_k)`` at every point, shape (n,).
-
-    ``values`` holds the form's coefficient columns (see :func:`form_values`)
-    and ``vecs`` the arguments, shape (n, dim, k); each coefficient multiplies
-    the determinant of the argument rows its index selects.
-    """
-    if not values:
-        return np.zeros(len(vecs))
-    index = np.array(list(values))
-    coeffs = np.stack(list(values.values()), axis=-1)
-    return np.einsum("nt,nt->n", coeffs, np.linalg.det(vecs[:, index, :]))
-
-
-def _residual_row(check_id: str, claim: str, values, tol: float, **details) -> CheckResult:
-    """A row on per-point residuals; non-finite points are skipped and counted."""
-    worst, skipped = worst_residual(values)
-    n = len(values)
-    row = CheckResult.from_residual(check_id, claim, worst, tol, skipped=skipped, points=n, **details)
-    return _demote_if_sparse(row, skipped, n)
 
 
 _PATTERNS = ("vvv", "vvh", "vhv", "hvv", "vhh", "hvh", "hhv", "hhh")
@@ -417,7 +397,7 @@ def verify_coupling(
 
     closed3 = form_values(twisted_derivative(c.Theta, c.Omega), pts)
     rep.add(
-        _residual_row(
+        residual_row(
             "closed[coeffs]", "d_Theta Omega = 0 (all coefficients)", scaled_residuals(closed3, {}, len(pts)), tol
         )
     )
@@ -427,8 +407,8 @@ def verify_coupling(
     for pattern in _PATTERNS:
         vecs = _draw_arguments(pattern, H, rng)
         rep.add(
-            _residual_row(
-                f"closed[{pattern}]", "d_Theta Omega = 0 on this argument class", _evaluate(closed3, vecs), tol
+            residual_row(
+                f"closed[{pattern}]", "d_Theta Omega = 0 on this argument class", evaluate_form(closed3, vecs), tol
             )
         )
 
@@ -457,11 +437,11 @@ def verify_coupling(
     )
 
     h1, _, v1 = np.moveaxis(_draw_arguments("hhv", H, rng), -1, 0)
-    theta_h = _evaluate(form_values(c.Theta, pts), h1[:, :, None])
-    omega_hv = _evaluate(form_values(c.Omega, pts), np.stack([h1, v1], axis=-1))
-    rep.add(_residual_row("theta-horizontal", "Theta annihilates horizontal lifts", theta_h, tol))
-    rep.add(_residual_row("hor-vert", "Omega(horizontal lift, vertical) = 0", omega_hv, tol))
-    rep.add(_nondegeneracy_check(c.Omega, pts, tol))
+    theta_h = evaluate_form(form_values(c.Theta, pts), h1[:, :, None])
+    omega_hv = evaluate_form(form_values(c.Omega, pts), np.stack([h1, v1], axis=-1))
+    rep.add(residual_row("theta-horizontal", "Theta annihilates horizontal lifts", theta_h, tol))
+    rep.add(residual_row("hor-vert", "Omega(horizontal lift, vertical) = 0", omega_hv, tol))
+    rep.add(nondegeneracy_check(c.Omega, pts, tol))
     return rep
 
 
@@ -499,7 +479,7 @@ def lift_bracket_diagnostic(
         rhs = contract(c.Omega, lie_bracket(Xs, Ys), Z)
         values.append(-term1.batch(pts) + term2.batch(pts) - rhs.batch(pts))
     rep.add(
-        _residual_row(
+        residual_row(
             "lift-bracket",
             "-d_Theta(Omega(Y,X))(Z) + d_Theta Omega(Y,X,Z) = Omega([X,Y],Z)",
             np.stack(values, axis=-1),
@@ -528,11 +508,17 @@ def fatness_check(
     A determinant bounded away from zero on the sampled region is the chart
     statement of fatness along the momentum image: the curvature pairing
     stays nondegenerate, which is what feeds horizontal nondegeneracy of the
-    coupling form.
+    coupling form.  Curvature matrices and momenta are evaluated once per
+    batch; a pair with a non-finite entry is skipped and counted.
     """
     m = g.base.dim
     rep = Report("fatness_check")
+    note = None
     if m % 2 == 1:
+        note = "odd base dimension: skew determinants vanish identically"
+    elif g.dim == 0:
+        note = "no gauge potentials"
+    if note is not None:
         rep.add(
             CheckResult(
                 "fat",
@@ -540,86 +526,43 @@ def fatness_check(
                 residual=0.0,
                 threshold=threshold,
                 passed=False,
-                details={"note": "odd base dimension: skew determinants vanish identically"},
+                details={"note": note},
             )
         )
         return rep
     bpts = g.base.sample(n, seed) if base_points is None else np.asarray(base_points, dtype=float)
     fpts = np.asarray(fiber_points, dtype=float)
     F, _ = gauge_curvature(g, n=4, seed=seed)
-    Fmats = np.array([[Fa.coeff_matrix(u) for u in bpts] for Fa in F])  # (d, nb, m, m)
-    muvals = np.array([np.asarray(comp.batch(fpts), dtype=float) for comp in mu.components])  # (d, nf)
-    if Fmats.size == 0:
-        rep.add(
-            CheckResult(
-                "fat",
-                "curvature-momentum pairing nondegenerate",
-                residual=0.0,
-                threshold=threshold,
-                passed=False,
-                details={"note": "no gauge potentials"},
-            )
-        )
-        return rep
-    stack = np.einsum("af,abij->fbij", muvals, Fmats)  # (nf, nb, m, m)
-    dets = np.abs(np.linalg.det(stack))
-    worst = float(dets.min())
+    Fmats = np.stack([skew_matrices(Fa, bpts) for Fa in F])  # (d, nb, m, m)
+    muvals = np.stack([comp.batch(fpts) for comp in mu.components])  # (d, nf)
+    with np.errstate(all="ignore"):
+        stack = np.einsum("af,abij->fbij", muvals, Fmats)  # (nf, nb, m, m)
+    finite = np.isfinite(stack).all(axis=(2, 3))
+    dets = np.abs(np.linalg.det(np.where(finite[..., None, None], stack, 0.0)))
+    dets[~finite] = np.inf
     fi, bi = np.unravel_index(int(dets.argmin()), dets.shape)
-    rep.add(
-        CheckResult(
-            "fat",
-            "min |det(mu . F)| over sampled pairs",
-            residual=worst,
-            threshold=threshold,
-            passed=bool(worst > threshold),
-            details={
-                "min_det": worst,
-                "base_point": [float(v) for v in bpts[bi]],
-                "fiber_point": [float(v) for v in fpts[fi]],
-                "pairs": int(dets.size),
-            },
-        )
+    worst = float(dets[fi, bi]) if finite.any() else 0.0
+    skipped = int(dets.size - finite.sum())
+    row = CheckResult(
+        "fat",
+        "min |det(mu . F)| over sampled pairs",
+        residual=worst,
+        threshold=threshold,
+        passed=bool(worst > threshold),
+        details={
+            "min_det": worst,
+            "base_point": [float(v) for v in bpts[bi]],
+            "fiber_point": [float(v) for v in fpts[fi]],
+            "pairs": int(dets.size),
+            "skipped": skipped,
+        },
     )
+    rep.add(demote_if_sparse(row, skipped, int(dets.size)))
     return rep
 
 
 # --------------------------------------------------------------------------
 # almost complex structures
-
-
-def _point_array(value, n: int, leaf=None) -> np.ndarray:
-    """Nested lists of scalars or (n,) columns as one array, points axis first.
-
-    ``leaf``, when given, maps each scalar first (to strip or read a dual layer).
-    """
-
-    def stack(v):
-        if isinstance(v, (list, tuple)):
-            return np.stack([stack(e) for e in v])
-        return np.broadcast_to(np.asarray(v if leaf is None else leaf(v), dtype=float), (n,))
-
-    return np.moveaxis(stack(value), -1, 0)
-
-
-def _jet(fn, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and first derivatives of ``fn`` at every point, one dual lift per coordinate.
-
-    ``fn`` maps coordinate columns to nested lists of scalars (the components
-    of a vector field, the rows of an endomorphism).  Returns the value with
-    the points axis first and the derivatives with one more, trailing axis
-    over the coordinates: ``D[..., j] = d value / d x_j``.
-    """
-    cols = columns(pts)
-    value, grads = None, []
-    for j in range(len(cols)):
-        tag = dual.fresh_tag()
-        lifted = list(cols)
-        lifted[j] = dual.lift(cols[j], tag)
-        out = fn(lifted)
-        if value is None:
-            value = _point_array(out, len(pts), dual.value)
-        grads.append(_point_array(out, len(pts), lambda v: dual.eps(v, tag)))
-    return value, np.stack(grads, axis=-1)
 
 
 class EndomorphismField:
@@ -647,7 +590,8 @@ class EndomorphismField:
     def batch(self, points: np.ndarray) -> np.ndarray:
         """The matrices at every point, shape (n, dim, dim)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = _point_array(self.fn(columns(pts)), len(pts))
+        with np.errstate(all="ignore"):
+            out = dual.point_array(self.fn(columns(pts)), len(pts))
         n = self.chart.dim
         if out.shape[1:] != (n, n):
             raise UsageError(f"endomorphism on {self.chart.name!r} needs {n} rows of {n} entries")
@@ -692,10 +636,10 @@ def nijenhuis(
     check_same_chart(J.chart, X.chart, "Nijenhuis arguments")
     check_same_chart(J.chart, Y.chart, "Nijenhuis arguments")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    Jv, dJ = _jet(J.fn, pts)
+    Jv, dJ = dual.jet(J.fn, pts)
     _check_square(Jv, pts, tol)
-    Xv, DX = _jet(X, pts)
-    Yv, DY = _jet(Y, pts)
+    Xv, DX = dual.jet(X, pts)
+    Yv, DY = dual.jet(Y, pts)
 
     def bracket(A, DA, B, DB):
         return np.einsum("nij,nj->ni", DB, A) - np.einsum("nij,nj->ni", DA, B)
@@ -848,13 +792,13 @@ def horizontal_nijenhuis_identity(
     u, x = pts[:, :m], pts[:, m:]
     J1, Jf = J_base.batch(u), J_fiber.batch(x)
     curvature = [form_values(Fa, u) for Fa in c.curvature]
-    rho = [np.stack([comp.batch(x) for comp in r.components], axis=-1) for r in c.action.fields]
+    rho = [r.batch(x) for r in c.action.fields]
 
     def R(U, V):
         args = np.stack([U, V], axis=-1)
         out = np.zeros((len(pts), k))
         for Fa, r in zip(curvature, rho):
-            out -= _evaluate(Fa, args)[:, None] * r
+            out -= evaluate_form(Fa, args)[:, None] * r
         return out
 
     residuals = []
@@ -868,7 +812,7 @@ def horizontal_nijenhuis_identity(
         vert = np.einsum("nij,nj->ni", Jf, R(JX, Y) + R(X, JY)) + R(X, Y) - R(JX, JY)
         residuals.append(np.abs(lhs - np.concatenate([np.zeros_like(u), vert], axis=1)))
     rep.add(
-        _residual_row(
+        residual_row(
             "horizontal-identity",
             "N(X*, Y*) equals the curvature expression",
             np.stack(residuals, axis=1),
@@ -884,10 +828,6 @@ def horizontal_nijenhuis_identity(
     probe = []
     for r in range(2):
         args = np.moveaxis(UV[:, r], 1, 2)
-        probe.append(np.abs(_evaluate(omega, Jp @ args) - _evaluate(omega, args)))
-    worst, skipped = worst_residual(np.stack(probe, axis=1))
-    row = CheckResult.recorded(
-        "type-11", "Omega(J~ ., J~ .) = Omega at samples", worst, skipped=skipped, points=len(pts)
-    )
-    rep.add(_demote_if_sparse(row, skipped, len(pts)))
+        probe.append(np.abs(evaluate_form(omega, Jp @ args) - evaluate_form(omega, args)))
+    rep.add(residual_row("type-11", "Omega(J~ ., J~ .) = Omega at samples", np.stack(probe, axis=1), tol=None))
     return rep

@@ -223,3 +223,42 @@ def partial(fn, coords, i):
     lifted = list(coords)
     lifted[i] = lift(lifted[i], tag)
     return eps(fn(lifted), tag)
+
+
+def point_array(value, n: int, leaf=None) -> np.ndarray:
+    """Nested lists of scalars or (n,) columns as one array, points axis first.
+
+    ``leaf``, when given, maps each scalar first (to strip or read a dual layer).
+    """
+
+    def stack(v):
+        if isinstance(v, (list, tuple)):
+            return np.stack([stack(e) for e in v])
+        return np.broadcast_to(np.asarray(v if leaf is None else leaf(v), dtype=float), (n,))
+
+    return np.moveaxis(stack(value), -1, 0)
+
+
+def jet(fn, points) -> tuple[np.ndarray, np.ndarray]:
+    """Value and first derivatives of ``fn`` on an (n, dim) batch, one lift per coordinate.
+
+    ``fn`` maps coordinate columns to nested lists of scalars (the components
+    of a vector field or map, the rows of an endomorphism).  Returns the value
+    with the points axis first and the derivatives with one more, trailing
+    axis over the coordinates: ``D[..., j] = d value / d x_j``.  Evaluation
+    runs with numpy's floating-point warnings silenced; a point outside the
+    domain yields non-finite entries.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    cols = list(pts.T)
+    val, grads = None, []
+    with np.errstate(all="ignore"):
+        for j in range(len(cols)):
+            tag = fresh_tag()
+            lifted = list(cols)
+            lifted[j] = lift(cols[j], tag)
+            out = fn(lifted)
+            if val is None:
+                val = point_array(out, len(pts), value)
+            grads.append(point_array(out, len(pts), lambda v: eps(v, tag)))
+    return val, np.stack(grads, axis=-1)

@@ -48,7 +48,9 @@ class ScalarField:
         return float(self.fn([float(c) for c in point]))
 
     def batch(self, points: np.ndarray) -> np.ndarray:
-        out = self.fn(columns(points))
+        """Evaluate on an (n, dim) batch; a point outside the domain gives a non-finite value."""
+        with np.errstate(all="ignore"):
+            out = self.fn(columns(points))
         if not isinstance(out, np.ndarray):
             out = np.full(np.asarray(points).shape[0] or 1, float(out))
         return out
@@ -159,6 +161,10 @@ class VectorField:
 
     def at(self, point: Sequence[float]) -> np.ndarray:
         return np.array([c.at(point) for c in self.components])
+
+    def batch(self, points: np.ndarray) -> np.ndarray:
+        """The components at every point, shape (n, dim)."""
+        return np.stack([c.batch(points) for c in self.components], axis=-1)
 
     def __add__(self, other):
         check_same_chart(self.chart, other.chart, "vector fields")
@@ -274,19 +280,6 @@ class DifferentialForm:
     def coefficient(self, I) -> ScalarField:
         I = tuple(I)
         return self.coeffs.get(I, constant(self.chart, 0.0))
-
-    def coeff_matrix(self, point) -> np.ndarray:
-        """For a 2-form: the full antisymmetric matrix of values at ``point``."""
-        if self.degree != 2:
-            raise UsageError("coeff_matrix is defined for 2-forms only")
-        n = self.chart.dim
-        M = np.zeros((n, n))
-        p = [float(c) for c in point]
-        for (i, j), f in self.coeffs.items():
-            v = float(f(p))
-            M[i, j] = v
-            M[j, i] = -v
-        return M
 
 
 # --------------------------------------------------------------------------
@@ -453,6 +446,10 @@ class SmoothMap:
 
     def at(self, point: Sequence[float]) -> np.ndarray:
         return np.array([c.at(point) for c in self.components])
+
+    def batch(self, points: np.ndarray) -> np.ndarray:
+        """The images of an (n, source dim) batch, shape (n, target dim)."""
+        return np.stack([c.batch(points) for c in self.components], axis=-1)
 
     @staticmethod
     def identity(chart: Chart) -> "SmoothMap":

@@ -9,7 +9,7 @@ manifests; the test suite reaches into ``objects`` for sharper assertions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -26,7 +26,6 @@ from .actions import (
 )
 from .charts import Chart
 from .coupling import (
-    CouplingChart,
     GaugeChart,
     build_coupling,
     circle_fat_from_symplectic,
@@ -49,9 +48,8 @@ from .forms import (
     exterior_derivative,
     interior_product,
     pullback,
-    wedge,
 )
-from .lcs import LCSStructure, solve_lee_form, twisted_derivative, verify_lcs
+from .lcs import LCSStructure, residual_check, solve_lee_form, twisted_derivative, verify_lcs
 from .reduction import (
     LevelSlice,
     bundle_momentum_check,
@@ -59,7 +57,7 @@ from .reduction import (
     level_scan,
     reduced_form_check,
 )
-from .report import DEFAULT_TOL, CheckResult, Report, form_residual
+from .report import DEFAULT_TOL, CheckResult, Report, form_residual, residual_row
 
 RunFn = Callable[[int, int, float], Report]
 
@@ -367,17 +365,15 @@ def _sphere_restriction_report(pts: int, seed: int, tol: float) -> Report:
     pad = SmoothMap(r4, r8, [coordinate(r4, i) for i in range(4)] + [0.0] * 4)
     ambient = pullback(into_r4.then(pad), _ambient_contact_form(r8))
     direct = pullback(into_r4, _ambient_contact_form(r4))
-    sample = s3.sample(pts, seed)
-    res, skipped = form_residual(ambient, direct, sample)
     rep = Report("restriction")
     rep.add(
-        CheckResult.from_residual(
+        residual_check(
             "restriction",
             "ambient-sphere potential restricts to the small-sphere potential",
-            res,
+            ambient,
+            direct,
+            s3.sample(pts, seed),
             tol,
-            skipped=skipped,
-            points=len(sample),
         )
     )
     return rep
@@ -454,41 +450,31 @@ def inoue(
 
     def lee_run(pts, seed, tol) -> Report:
         sample = np.vstack([lee_points, chart.sample(max(4, pts // 8), seed)])
-        worst = 0.0
-        for p in sample:
-            sol = solve_lee_form(omega, p)
-            expected = np.zeros(4)
-            expected[1] = 1.0 / p[1]
-            worst = max(worst, float(np.abs(sol.coefficients - expected).max()))
+        recovered = np.array([solve_lee_form(omega, p).coefficients for p in sample])
+        expected = np.zeros_like(sample)
+        expected[:, 1] = 1.0 / sample[:, 1]
         rep = Report("lee")
         rep.add(
-            CheckResult.from_residual(
+            residual_row(
                 "lee-recovery",
                 "Lee form recovered from the 2-form alone matches dw2/w2",
-                worst,
+                recovered - expected,
                 max(tol, 1e-7),
-                points=len(sample),
             )
         )
         return rep
 
     def ham_run(pts, seed, tol) -> Report:
-        sample = chart.sample(pts, seed)
         dz1 = basis_vector(chart, 2)
-        res, skipped = form_residual(
-            interior_product(dz1, cover_form),
-            exterior_derivative(DifferentialForm.from_scalar(ham)),
-            sample,
-        )
         rep = Report("hamiltonian")
         rep.add(
-            CheckResult.from_residual(
+            residual_check(
                 "translation-hamiltonian",
                 "the z1 translation field is Hamiltonian for the cover 2-form",
-                res,
+                interior_product(dz1, cover_form),
+                exterior_derivative(DifferentialForm.from_scalar(ham)),
+                chart.sample(pts, seed),
                 max(tol, 1e-9),
-                skipped=skipped,
-                points=len(sample),
             )
         )
         return rep
@@ -643,16 +629,12 @@ def cotangent(m: int = 2, scale: float = 0.3, alpha: DifferentialForm | None = N
         def momentum_run(pts, seed, tol) -> Report:
             mu, rep = momentum_from_potential(structure, act, n=pts, seed=seed, tol=tol)
             sample = total.sample(pts, seed)
-            worst = max(
-                abs(float(mu.components[0].at(p)) - float(closed_mu.at(p))) for p in sample
-            )
             rep.add(
-                CheckResult.from_residual(
+                residual_row(
                     "closed-form",
                     "derived momentum matches p1 q2 - p2 q1",
-                    worst,
+                    mu.components[0].batch(sample) - closed_mu.batch(sample),
                     tol,
-                    points=len(sample),
                 )
             )
             return rep

@@ -2,14 +2,18 @@
 
 A structure is a pair (omega, theta) with ``d omega = theta ^ omega`` and
 ``d theta = 0``; ``twisted_derivative`` is the operator ``d_theta = d - theta ^ .``
-All verification is pointwise over seeded samples and returns a
+Verification checks pointwise identities over seeded samples and returns a
 :class:`~lcslab.report.Report` rather than raising, except where an operation
-is genuinely unusable (odd dimension, degenerate input).
+is genuinely unusable (odd dimension, degenerate input).  Each row evaluates
+its forms once on the whole point batch (nondegeneracy from one stack of skew
+coefficient matrices); a sample point where some value is not finite is
+skipped and counted, and a row with too many skipped points is inconclusive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -24,11 +28,15 @@ from .forms import (
     exterior_derivative,
     wedge,
 )
-from .report import DEFAULT_TOL, CheckResult, Report, form_residual
-
-# fraction of sample points allowed to fail evaluation before a check is
-# demoted from pass/fail to "inconclusive"
-_SKIP_FRACTION = 0.2
+from .report import (
+    DEFAULT_TOL,
+    CheckResult,
+    Report,
+    demote_if_sparse,
+    form_values,
+    residual_row,
+    scaled_residuals,
+)
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,27 @@ class Nondegeneracy(NamedTuple):
         return float(self.determinant)
 
 
+_ODD_NOTE = "odd-dimensional chart: skew matrices of odd size are singular"
+
+
+def skew_matrices(omega: DifferentialForm, points) -> np.ndarray:
+    """The skew coefficient matrices of a 2-form at every point, shape (n, dim, dim).
+
+    ``points`` is one point or an (n, dim) batch; the coefficients are
+    evaluated once on the whole batch, and a point outside a coefficient's
+    domain gets non-finite entries.
+    """
+    if omega.degree != 2:
+        raise UsageError("skew coefficient matrices are defined for 2-forms only")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    d = omega.chart.dim
+    M = np.zeros((len(pts), d, d))
+    for (i, j), v in form_values(omega, pts).items():
+        M[:, i, j] = v
+        M[:, j, i] = -v
+    return M
+
+
 def nondegeneracy(omega: DifferentialForm, p) -> Nondegeneracy:
     """Determinant of the skew coefficient matrix of ``omega`` at ``p``.
 
@@ -90,34 +119,42 @@ def nondegeneracy(omega: DifferentialForm, p) -> Nondegeneracy:
     """
     if omega.degree != 2:
         raise UsageError("nondegeneracy applies to 2-forms")
-    n = omega.chart.dim
-    if n % 2 == 1:
-        return Nondegeneracy(0.0, "odd-dimensional chart: skew matrices of odd size are singular")
-    return Nondegeneracy(float(np.linalg.det(omega.coeff_matrix(p))))
+    if omega.chart.dim % 2 == 1:
+        return Nondegeneracy(0.0, _ODD_NOTE)
+    return Nondegeneracy(float(np.linalg.det(skew_matrices(omega, p)[0])))
 
 
-def normalized_determinant(M: np.ndarray) -> float:
+def normalized_determinant(M: np.ndarray) -> float | np.ndarray:
     """Determinant after dividing every row by its largest absolute entry.
 
     Scale-free nondegeneracy score used by the verify routines: the raw
     determinant of a 2-form with coefficients ~1e3 would dwarf any fixed
-    threshold, the normalized one stays in [-1, 1]-ish territory.
+    threshold, the normalized one stays in [-1, 1]-ish territory.  ``M`` is
+    one matrix (returns a float) or a stack of shape (..., d, d) (returns an
+    array); a matrix of odd size, with a zero row or with a non-finite entry
+    scores 0.
     """
     M = np.asarray(M, dtype=float)
-    scales = np.abs(M).max(axis=1)
-    if M.shape[0] != M.shape[1] or M.shape[0] % 2 == 1:
-        return 0.0
-    if np.any(scales == 0.0) or not np.all(np.isfinite(scales)):
-        return 0.0
-    return float(np.linalg.det(M / scales[:, None]))
+    if M.shape[-1] != M.shape[-2] or M.shape[-1] % 2 == 1:
+        out = np.zeros(M.shape[:-2])
+    else:
+        with np.errstate(all="ignore"):
+            scales = np.abs(M).max(axis=-1, keepdims=True)
+            ok = np.all((scales > 0.0) & np.isfinite(scales), axis=(-2, -1))
+            rows = np.where(ok[..., None, None], M / scales, np.eye(M.shape[-1]))
+        out = np.where(ok, np.linalg.det(rows), 0.0)
+    return float(out) if M.ndim == 2 else out
 
 
-def _nondegeneracy_check(
+def nondegeneracy_check(
     omega: DifferentialForm, points: np.ndarray, tol: float, check_id: str = "nondegenerate"
 ) -> CheckResult:
-    """Minimum normalized determinant over the samples, as a check row."""
-    n = omega.chart.dim
-    if n % 2 == 1:
+    """Minimum normalized determinant over the samples, as a check row.
+
+    The skew matrices are built once for the whole batch; a point with a
+    non-finite coefficient is skipped and counted.
+    """
+    if omega.chart.dim % 2 == 1:
         return CheckResult(
             check_id,
             "2-form nondegenerate at samples",
@@ -125,43 +162,22 @@ def _nondegeneracy_check(
             threshold=tol,
             passed=False,
             verdict="fail",
-            details={"note": nondegeneracy(omega, np.asarray(points)[0]).note},
+            details={"note": _ODD_NOTE},
         )
-    dets, skipped = [], 0
-    for p in np.asarray(points, dtype=float):
-        try:
-            d = normalized_determinant(omega.coeff_matrix(p))
-        except (ZeroDivisionError, FloatingPointError, ValueError, OverflowError):
-            skipped += 1
-            continue
-        if not np.isfinite(d):
-            skipped += 1
-            continue
-        dets.append(abs(d))
-    worst = min(dets) if dets else 0.0
+    M = skew_matrices(omega, points)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    dets = np.abs(normalized_determinant(M[finite]))
+    worst = float(dets.min()) if dets.size else 0.0
+    skipped = int(len(M) - finite.sum())
     result = CheckResult(
         check_id,
         "2-form nondegenerate at samples (min normalized |det|)",
         residual=worst,
         threshold=tol,
         passed=bool(worst > tol),
-        details={"min_abs_det": worst, "skipped": skipped, "points": len(points)},
+        details={"min_abs_det": worst, "skipped": skipped, "points": len(M)},
     )
-    return _demote_if_sparse(result, skipped, len(points))
-
-
-def _demote_if_sparse(check: CheckResult, skipped: int, total: int) -> CheckResult:
-    if total and skipped > _SKIP_FRACTION * total:
-        return CheckResult(
-            check.id,
-            check.claim,
-            residual=check.residual,
-            threshold=check.threshold,
-            passed=False,
-            verdict="inconclusive",
-            details={**check.details, "skipped": skipped, "points": total},
-        )
-    return check
+    return demote_if_sparse(result, skipped, len(M))
 
 
 def residual_check(
@@ -173,9 +189,8 @@ def residual_check(
     tol: float = DEFAULT_TOL,
 ) -> CheckResult:
     """Pointwise scaled residual of ``a - b`` (or ``a`` alone) as a check row."""
-    res, skipped = form_residual(a, b, points)
-    out = CheckResult.from_residual(check_id, claim, res, tol, skipped=skipped, points=len(points))
-    return _demote_if_sparse(out, skipped, len(points))
+    vb = form_values(b, points) if b is not None else {}
+    return residual_row(check_id, claim, scaled_residuals(form_values(a, points), vb, len(points)), tol)
 
 
 # --------------------------------------------------------------------------
@@ -202,7 +217,7 @@ def verify_lcs(
             "lcs-identity", "d(omega) = lee ^ omega", exterior_derivative(s.omega), wedge(s.lee, s.omega), pts, tol
         )
     )
-    rep.add(_nondegeneracy_check(s.omega, pts, tol))
+    rep.add(nondegeneracy_check(s.omega, pts, tol))
     if s.potential is not None:
         rep.add(
             residual_check(
@@ -244,32 +259,25 @@ def solve_lee_form(omega: DifferentialForm, p, tol: float = DEFAULT_TOL) -> LeeS
         )
     if nd % 2 == 1:
         raise UsageError("Lee form recovery needs an even-dimensional chart")
-    M = omega.coeff_matrix(p)
+    M = skew_matrices(omega, p)[0]
     if abs(normalized_determinant(M)) <= tol:
         raise DegenerateInputError(f"2-form is degenerate at {list(p)!r}; cannot recover a Lee form")
 
-    dw = exterior_derivative(omega)
-    pp = [float(c) for c in p]
-    triples = [K for K in _increasing_triples(nd)]
+    dw = form_values(exterior_derivative(omega), [p])
+    triples = list(combinations(range(nd), 3))
     A = np.zeros((len(triples), nd))
     b = np.zeros(len(triples))
-    omega_at = {I: float(f(pp)) for I, f in omega.coeffs.items()}
     for r, K in enumerate(triples):
-        b[r] = float(dw.coefficient(K)(pp)) if K in dw.coeffs else 0.0
+        if K in dw:
+            b[r] = dw[K][0]
         for t, i in enumerate(K):
             rest = K[:t] + K[t + 1 :]
-            A[r, i] += (-1.0) ** t * omega_at.get(rest, 0.0)
+            A[r, i] += (-1.0) ** t * M[rest]
     theta, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
     if rank < nd:
         raise DegenerateInputError("normal system for the Lee form is singular")
     res = float(np.abs(A @ theta - b).max()) / (1.0 + float(np.abs(b).max(initial=0.0)))
     return LeeSolution(theta, res)
-
-
-def _increasing_triples(n: int):
-    from itertools import combinations
-
-    return combinations(range(n), 3)
 
 
 # --------------------------------------------------------------------------

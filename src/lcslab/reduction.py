@@ -6,11 +6,17 @@ a pointwise identity along that slice — the momentum vanishes on it, the
 generators contract trivially with level-tangent vectors, and the pulled-back
 pair (theta, omega) is again LCS (or symplectic when theta dies).  For
 associated bundles the extra claim is a block split of the coupling form.
+
+Every row is evaluated once on the whole point batch: the slice images and
+Jacobians come from one first-order jet of the parametrization, and the
+transversality test is one stacked rank computation.  A sample point where
+some value is not finite is skipped and counted, and a row with too many
+skipped points is inconclusive rather than passed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +31,13 @@ from .forms import (
     SmoothMap,
     VectorField,
     coordinate,
-    eval_form,
     exterior_derivative,
     interior_product,
     pullback,
     wedge,
 )
-from .lcs import LCSStructure, _demote_if_sparse, _nondegeneracy_check, residual_check
-from .report import DEFAULT_TOL, CheckResult, Report, form_max
+from .lcs import LCSStructure, nondegeneracy_check, residual_check
+from .report import DEFAULT_TOL, CheckResult, Report, evaluate_form, form_max, form_values, residual_row
 
 _RANK_TOL = 1e-9
 
@@ -76,21 +81,6 @@ def _combined_momentum(mu: MomentumMap, v) -> ScalarField:
     return out
 
 
-def _map_jacobian(m: SmoothMap, point) -> np.ndarray:
-    rows = [
-        [dual.partial(comp.fn, point, j) for j in range(m.source.dim)]
-        for comp in m.components
-    ]
-    return np.array(rows, dtype=float)
-
-
-def _rank(M: np.ndarray) -> int:
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > _RANK_TOL * sv[0]))
-
-
 def invariant_hamiltonian_check(
     act: ActionSpec,
     mu: MomentumMap,
@@ -113,27 +103,19 @@ def invariant_hamiltonian_check(
         rep.add(CheckResult.recorded("elements", "no finite elements supplied", 0.0))
         return rep
     for gname, g in act.elements.items():
+        images = g.batch(pts)
+        outside = ~act.chart.contains(images)
         for a, m in enumerate(mu.components):
-            worst, skipped = 0.0, 0
-            for p in pts:
-                img = g.at(p)
-                if not act.chart.contains(img):
-                    skipped += 1
-                    continue
-                diff = m.at(img) - m.at(p)
-                if np.isfinite(diff):
-                    worst = max(worst, abs(float(diff)))
-                else:
-                    skipped += 1
-            row = CheckResult.from_residual(
-                f"invariant[{a}][{gname}]",
-                "Hamiltonian component is unchanged by the finite element",
-                worst,
-                tol,
-                skipped=skipped,
-                points=len(pts),
+            # an image outside the chart is a skipped point
+            diff = np.where(outside, np.nan, m.batch(images) - m.batch(pts))
+            rep.add(
+                residual_row(
+                    f"invariant[{a}][{gname}]",
+                    "Hamiltonian component is unchanged by the finite element",
+                    diff,
+                    tol,
+                )
             )
-            rep.add(_demote_if_sparse(row, skipped, len(pts)))
     return rep
 
 
@@ -185,19 +167,12 @@ def bundle_momentum_check(
                 tol,
             )
         )
-        level_gap = 0.0
-        for p in pts:
-            level_gap = max(
-                level_gap,
-                abs(float(mu_hat.at(p)) - float(mu.components[a].at(p[base.dim :]))),
-            )
         rep.add(
-            CheckResult.from_residual(
+            residual_row(
                 f"level-product[{a}]",
                 "zero level of the bundle momentum is base times the fiber zero level",
-                level_gap,
+                mu_hat.batch(pts) - mu.components[a].batch(pts[:, base.dim :]),
                 tol,
-                points=len(pts),
             )
         )
     for gname, g in c.action.elements.items():
@@ -232,7 +207,7 @@ def level_scan(
     check_same_chart(chart, mu.chart, "chart and momentum")
     f = _combined_momentum(mu, direction)
     pts = chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
-    vals = np.array([abs(float(f.at(p))) for p in pts])
+    vals = np.abs(f.batch(pts))
     finite = vals[np.isfinite(vals)]
     if finite.size == 0:
         raise UsageError("momentum combination evaluated nowhere finite on the chart")
@@ -286,53 +261,22 @@ def reduced_form_check(
 
     gen_fields = [_combined_generator(act, v) for v in slc.directions]
     mom_fields = [_combined_momentum(mu, v) for v in slc.directions]
-
-    for p in pts:
-        J = _map_jacobian(param, p)
-        img = param(list(p))
-        cols = [J]
-        active = 0
-        for rho in gen_fields:
-            vec = np.array(rho.at(img), dtype=float)
-            if np.max(np.abs(vec)) > 1e-12:
-                cols.append(vec[:, None])
-                active += 1
-        M = np.hstack(cols)
-        needed = src.dim + active
-        r = _rank(M)
-        if r < needed:
-            raise PreconditionError(
-                f"slice is not transverse at {[round(float(x), 6) for x in p]}: "
-                f"rank {r} of [tangent | generators] is below {needed}"
-            )
+    image, J = dual.jet(param, pts)  # (n, fiber dim), (n, fiber dim, slice dim)
+    _require_transverse(pts, J, [rho.batch(image) for rho in gen_fields])
 
     rep = Report("reduced_form_check")
     for idx, f in enumerate(mom_fields):
-        worst = max(abs(float(f.at(param(list(p))))) for p in pts)
         rep.add(
-            CheckResult.from_residual(
-                f"level[{idx}]",
-                "claimed momentum combination vanishes along the slice",
-                worst,
-                tol,
-                points=len(pts),
+            residual_row(
+                f"level[{idx}]", "claimed momentum combination vanishes along the slice", f.batch(image), tol
             )
         )
     for idx, rho in enumerate(gen_fields):
-        w = interior_product(rho, fiber.omega)
-        worst = 0.0
-        for p in pts:
-            img = param(list(p))
-            J = _map_jacobian(param, p)
-            for j in range(src.dim):
-                worst = max(worst, abs(float(eval_form(w, img, [J[:, j]], check_domain=False))))
+        w = form_values(interior_product(rho, fiber.omega), image)
+        pairings = np.stack([evaluate_form(w, J[:, :, j : j + 1]) for j in range(src.dim)], axis=-1)
         rep.add(
-            CheckResult.from_residual(
-                f"level-isotropy[{idx}]",
-                "generator contracts to zero with slice-tangent vectors",
-                worst,
-                tol,
-                points=len(pts),
+            residual_row(
+                f"level-isotropy[{idx}]", "generator contracts to zero with slice-tangent vectors", pairings, tol
             )
         )
 
@@ -353,7 +297,7 @@ def reduced_form_check(
                            exterior_derivative(omega_s) - wedge(theta_s, omega_s), None, pts, tol)
         )
     if src.dim % 2 == 0:
-        rep.add(_nondegeneracy_check(omega_s, pts, tol, check_id="reduced-nondegenerate"))
+        rep.add(nondegeneracy_check(omega_s, pts, tol, check_id="reduced-nondegenerate"))
     else:
         rep.add(
             CheckResult.recorded(
@@ -379,41 +323,55 @@ def _product_split_rows(c: CouplingChart, slc: LevelSlice, n: int, seed: int, to
         comps.append(ScalarField(total_src, lambda p, _f=comp.fn, _m=m: _f(p[_m:])))
     big = SmoothMap(total_src, c.total, comps)
     pts = total_src.sample(n, seed + 1)
-    pulled = pullback(big, c.Omega)
-    omega_s = pullback(param, c.fiber.omega)
+    pulled = form_values(pullback(big, c.Omega), pts)
+    reduced = form_values(pullback(param, c.fiber.omega), pts[:, m:])
 
-    cross = 0.0
-    base_block = 0.0
-    fiber_gap = 0.0
-    for p in pts:
-        for (i, j), f in pulled.coeffs.items():
-            v = float(f.at(p))
-            if i < m and j >= m:
-                cross = max(cross, abs(v))
-            elif i < m and j < m:
-                base_block = max(base_block, abs(v))
-            else:
-                ref = omega_s.coefficient((i - m, j - m)).at(p[m:])
-                fiber_gap = max(fiber_gap, abs(v - float(ref)))
-    rows = [
-        CheckResult.from_residual(
+    zero = np.zeros(len(pts))  # leads every block, so an empty block reads 0
+    cross = [v for (i, j), v in pulled.items() if i < m <= j]
+    base_block = [v for (i, j), v in pulled.items() if j < m]
+    fiber_gap = [v - reduced.get((i - m, j - m), zero) for (i, j), v in pulled.items() if i >= m]
+    return [
+        residual_row(
             "product-cross",
             "pulled-back coupling form has no base-slice cross terms",
-            cross,
+            np.column_stack([zero, *cross]),
             tol,
-            points=len(pts),
         ),
-        CheckResult.from_residual(
+        residual_row(
             "product-fiber",
             "slice block of the coupling form is the reduced fiber form",
-            fiber_gap,
+            np.column_stack([zero, *fiber_gap]),
             tol,
-            points=len(pts),
         ),
-        CheckResult.recorded(
+        residual_row(
             "product-base",
             "magnitude of the base block along the level",
-            base_block,
+            np.column_stack([zero, *base_block]),
+            tol=None,
         ),
     ]
-    return rows
+
+
+def _require_transverse(pts: np.ndarray, J: np.ndarray, generators: list) -> None:
+    """Raise unless ``[slice tangent | active generators]`` has full rank at every point.
+
+    ``J`` holds the slice Jacobians, shape (n, dim, k), and ``generators`` one
+    (n, dim) array per combined generator.  A generator is active at a point
+    where it does not vanish; inactive columns are zeroed, so the rank needed
+    is ``k`` plus the number of active generators.  Points with a non-finite
+    entry are left out of the test.
+    """
+    G = np.stack(generators, axis=-1)  # (n, dim, generators)
+    finite = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(G).all(axis=(1, 2))
+    active = np.abs(G).max(axis=1) > 1e-12
+    M = np.concatenate([J, np.where(active[:, None, :], G, 0.0)], axis=-1)
+    rank = np.zeros(len(pts), dtype=int)
+    rank[finite] = np.linalg.matrix_rank(M[finite], rtol=_RANK_TOL)
+    needed = J.shape[-1] + active.sum(axis=1)
+    bad = np.flatnonzero(finite & (rank < needed))
+    if bad.size:
+        i = bad[0]
+        raise PreconditionError(
+            f"slice is not transverse at {[round(float(x), 6) for x in pts[i]]}: "
+            f"rank {rank[i]} of [tangent | generators] is below {needed[i]}"
+        )

@@ -133,19 +133,57 @@ def _jsonable(obj):
 
 
 # --------------------------------------------------------------------------
-# residual helpers
+# batched evaluation
 
 
 def form_values(form: DifferentialForm, points: np.ndarray) -> dict:
+    """Every coefficient of ``form`` on the whole batch, as (n,) columns.
+
+    Evaluation runs with numpy's floating-point warnings silenced: a point
+    outside a coefficient's domain yields a non-finite value, which the
+    aggregators below skip and count.
+    """
     cols = columns(points)
     n = len(cols[0]) if cols else len(points)
     out = {}
-    for I, f in form.coeffs.items():
-        v = f(cols)
-        if not isinstance(v, np.ndarray):
-            v = np.full(n, float(v))
-        out[I] = v
+    with np.errstate(all="ignore"):
+        for I, f in form.coeffs.items():
+            v = f(cols)
+            if not isinstance(v, np.ndarray):
+                v = np.full(n, float(v))
+            out[I] = v
     return out
+
+
+def form_array(form: DifferentialForm, points: np.ndarray) -> np.ndarray:
+    """The coefficient columns of ``form`` side by side, shape (n, #coefficients)."""
+    vals = form_values(form, points)
+    if not vals:
+        return np.zeros((len(np.atleast_2d(points)), 0))
+    return np.stack(list(vals.values()), axis=-1)
+
+
+def evaluate_form(values: dict, vecs: np.ndarray) -> np.ndarray:
+    """``form(v_1, ..., v_k)`` at every point, shape (n,).
+
+    ``values`` holds the form's coefficient columns (see :func:`form_values`)
+    and ``vecs`` the arguments, shape (n, dim, k); each coefficient multiplies
+    the determinant of the argument rows its index selects.
+    """
+    if not values:
+        return np.zeros(len(vecs))
+    index = np.array(list(values))
+    coeffs = np.stack(list(values.values()), axis=-1)
+    with np.errstate(all="ignore"):
+        return np.einsum("nt,nt->n", coeffs, np.linalg.det(vecs[:, index, :]))
+
+
+# --------------------------------------------------------------------------
+# residual aggregation
+
+# fraction of sample points allowed to fail evaluation before a check is
+# demoted from pass/fail to "inconclusive"
+_SKIP_FRACTION = 0.2
 
 
 def form_residual(a: DifferentialForm, b: DifferentialForm | None, points: np.ndarray) -> tuple[float, int]:
@@ -192,17 +230,42 @@ def worst_residual(values) -> tuple[float, int]:
     return float(v[mask].max(initial=0.0)), skipped
 
 
+def demote_if_sparse(check: CheckResult, skipped: int, total: int) -> CheckResult:
+    """``check`` as "inconclusive" when more than ``_SKIP_FRACTION`` of its points were skipped."""
+    if total and skipped > _SKIP_FRACTION * total:
+        return CheckResult(
+            check.id,
+            check.claim,
+            residual=check.residual,
+            threshold=check.threshold,
+            passed=False,
+            verdict="inconclusive",
+            details={**check.details, "skipped": skipped, "points": total},
+        )
+    return check
+
+
+def residual_row(check_id: str, claim: str, values, tol: float | None, **details) -> CheckResult:
+    """The row for a residual that is a max over sample points.
+
+    ``values`` has one leading axis of points (see :func:`worst_residual`);
+    the row records ``skipped`` and ``points`` and is demoted when too many
+    points were skipped.  With ``tol=None`` the max is a recorded
+    measurement that carries no verdict of its own.
+    """
+    worst, skipped = worst_residual(values)
+    n = len(values)
+    if tol is None:
+        row = CheckResult.recorded(check_id, claim, worst, skipped=skipped, points=n, **details)
+    else:
+        row = CheckResult.from_residual(check_id, claim, worst, tol, skipped=skipped, points=n, **details)
+    return demote_if_sparse(row, skipped, n)
+
+
 def form_max(form: DifferentialForm, points: np.ndarray) -> float:
     """Raw max coefficient magnitude of ``form`` over finite samples."""
-    vals = form_values(form, points)
-    if not vals:
-        return 0.0
-    best = 0.0
-    for v in vals.values():
-        v = v[np.isfinite(v)]
-        if v.size:
-            best = max(best, float(np.max(np.abs(v))))
-    return best
+    v = np.abs(form_array(form, points))
+    return float(v[np.isfinite(v)].max(initial=0.0))
 
 
 def spread(values: np.ndarray) -> float:

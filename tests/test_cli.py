@@ -1,8 +1,13 @@
 """Command-line driver: exit codes, output formats, determinism."""
 
+import contextlib
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+import hypothesis.strategies as st
 
 from lcslab.cli import main
 
@@ -299,3 +304,51 @@ def test_reduce_needs_all_sections(capsys):
     code, _, err = run(capsys, "reduce", GOOD_DOC)
     assert code == 2
     assert "slice" in err
+
+
+# ---------------------------------------------- singular documents, any command
+
+
+def singular_document(command: str, site: str, fn: str) -> str:
+    """``REDUCE_DOC`` (as the fiber of a coupling) with ``fn`` of a sign-changing argument at ``site``."""
+    doc = json.loads(REDUCE_DOC)
+    if site == "omega":
+        doc["forms"]["omega"]["coeffs"]["2,3"] = f"-1 - 0.1 * {fn}(q2)"
+    elif site == "eta":
+        doc["forms"]["eta"]["coeffs"]["2"] = f"p2 + 0.1 * {fn}(q2)"
+    elif site == "slice":
+        doc["slice"]["map"][3] = f"{fn}(s2)"
+    elif site == "element":
+        doc["action"]["elements"]["slide"]["map"][3] = f"{fn}(p2)"
+    if command == "coupling":
+        gauge = {"0": "v", "1": f"{fn}(u)" if site == "gauge" else "0"}
+        base = {"name": "disk", "coords": ["u", "v"]}
+        doc = {"base": base, "gauge": {"A": [gauge]}, "fiber": doc, "momentum": "auto"}
+    return json.dumps(doc)
+
+
+@settings(
+    derandomize=True, max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    command=st.sampled_from(("verify", "reduce", "coupling")),
+    site=st.sampled_from(("omega", "eta", "slice", "element", "gauge")),
+    fn=st.sampled_from(("sqrt", "log")),
+)
+def test_singular_documents_keep_the_exit_code_contract(command, site, fn):
+    """Expressions undefined on part of the box never crash, warn or pass on non-finite points."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")  # a warning escaping the evaluation boundary fails the test
+        code = main([command, singular_document(command, site, fn), "--points", "32", "--format", "json"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == 2:
+        return
+    for rep in json.loads(out.getvalue())["reports"].values():
+        for row in rep["checks"]:
+            if row["verdict"] != "pass":
+                continue
+            assert row["residual"] != "nan", row["id"]
+            details = row.get("details", {})
+            assert details.get("skipped", 0) <= 0.2 * details.get("points", 32), row["id"]

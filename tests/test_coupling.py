@@ -10,7 +10,6 @@ from lcslab.coupling import (
     CouplingChart,
     EndomorphismField,
     _draw_arguments,
-    _evaluate,
     _lift_operators,
     GaugeChart,
     build_coupling,
@@ -43,9 +42,10 @@ from lcslab.forms import (
 )
 from lcslab.gallery import coupling_example_s2
 from lcslab.lcs import LCSStructure, twisted_derivative
-from lcslab.report import form_residual, form_values
+from lcslab.report import evaluate_form, form_residual, form_values
 from tests.test_actions import sl2_constants
-from tests.test_exterior import rand_form, rand_vf
+from lcslab.parser import parse_field
+from tests.test_exterior import rand_form, rand_vf, skew_matrix_at
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +180,7 @@ def test_batched_contraction_matches_pointwise(example, flat, s2):
                 else:
                     assert np.all(vecs[i, :m, s] == 0.0)
         for form in forms:
-            got = _evaluate(form_values(form, pts), vecs)
+            got = evaluate_form(form_values(form, pts), vecs)
             want = [eval_form(form, p, list(vecs[i].T), check_domain=False) for i, p in enumerate(pts)]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -233,6 +233,37 @@ def test_fatness_positive_for_area_curvature(uv):
     assert rep.passed
     # det of the 2x2 pairing is mu^2 and mu = x >= 0.5 on the fiber box
     assert rep["fat"].residual >= 0.25
+
+
+@pytest.mark.parametrize("term", ["sin(u) * v", "sqrt(u)"])
+def test_fatness_matches_pointwise_pairs(uv, term):
+    """The batched determinants against one (fiber, base) pair at a time through ``.at``.
+
+    ``sqrt(u)`` in the gauge is undefined on half the base box: the oracle's
+    ``math.sqrt`` raises there, and the row counts those pairs as skipped.
+    """
+    fiber = Chart("xy", ("x", "y"))
+    A1 = DifferentialForm(uv, 1, {(1,): coordinate(uv, 0)})
+    A2 = DifferentialForm(uv, 1, {(0,): coordinate(uv, 1), (1,): parse_field(term, uv)})
+    g = GaugeChart(uv, (A1, A2))
+    mu = MomentumMap(fiber, (coordinate(fiber, 0), coordinate(fiber, 1)))
+    bpts, fpts = uv.sample(12, seed=3), fiber.sample(10, seed=4)
+    F, _ = gauge_curvature(g, n=4)
+    dets, skipped = [], 0
+    for x in fpts:
+        for u in bpts:
+            try:
+                pairing = sum(m.at(x) * skew_matrix_at(Fa, u) for m, Fa in zip(mu.components, F))
+            except (ValueError, ZeroDivisionError):
+                skipped += 1
+                continue
+            dets.append(abs(np.linalg.det(pairing)))
+    row = fatness_check(g, mu, fpts, base_points=bpts)["fat"]
+    assert row.details["pairs"] == 120
+    assert row.details["skipped"] == skipped
+    assert row.residual == pytest.approx(min(dets), rel=1e-12)
+    if term == "sqrt(u)":
+        assert skipped > 24 and row.verdict == "inconclusive"
 
 
 # -- complex structures -----------------------------------------------------

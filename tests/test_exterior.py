@@ -57,6 +57,16 @@ def rand_vf(chart, rng, scale=2.0):
     return VectorField(chart, [rand_poly(chart, rng, terms=2, scale=scale) for _ in range(chart.dim)])
 
 
+def skew_matrix_at(form, p):
+    """The skew coefficient matrix of a 2-form at one point, entry by entry through ``.at``."""
+    n = form.chart.dim
+    M = np.zeros((n, n))
+    for (i, j), f in form.coeffs.items():
+        M[i, j] = f.at(p)
+        M[j, i] = -M[i, j]
+    return M
+
+
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_d_squared_vanishes(r4, rng, degree):
     pts = r4.sample(48, seed=3)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from lcslab.errors import ParseError, UsageError
@@ -88,12 +89,19 @@ def test_chart_domain_expression_becomes_a_predicate():
     assert not chart.contains((1.4, 0.0))
     pts = chart.sample(32, seed=3)
     assert all(chart.contains(p) for p in pts)
+    # a batch answers row by row, as the one-point form does
+    batch = np.vstack([pts[:4], [[1.4, 0.0], [0.0, -0.99], [np.nan, 0.0], [0.1, np.inf]]])
+    assert chart.contains(batch).tolist() == [chart.contains(p) for p in batch]
+    assert chart.contains(batch).tolist() == [True] * 4 + [False, True, False, False]
 
 
 def test_chart_without_domain_accepts_everything():
     chart = chart_from_decl({"name": "c", "coords": ["x"], "box": [[0, 1]]})
     assert chart.contains((100.0,))
     assert chart.box == ((0.0, 1.0),)
+    # every finite point is inside; a non-finite one is inside no chart
+    batch = np.array([[100.0], [-3.0], [np.nan]])
+    assert chart.contains(batch).tolist() == [chart.contains(p) for p in batch] == [True, True, False]
 
 
 @pytest.mark.parametrize(

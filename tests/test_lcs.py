@@ -21,6 +21,7 @@ from lcslab.lcs import (
 )
 from lcslab.parser import parse_field
 from lcslab.report import form_residual
+from tests.test_exterior import skew_matrix_at
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,31 @@ def test_normalized_determinant_scale_free():
     assert normalized_determinant(M) == pytest.approx(1.0)
     assert normalized_determinant(1e-7 * M) == pytest.approx(1.0)
     assert normalized_determinant(np.zeros((2, 2))) == 0.0
+    # a stack scores matrix by matrix, with the same numbers as one at a time
+    stack = np.stack([M, 1e-7 * M, np.zeros((2, 2)), np.array([[0.0, np.nan], [np.nan, 0.0]])])
+    assert list(normalized_determinant(stack)) == [normalized_determinant(A) for A in stack]
+    assert list(normalized_determinant(stack)) == pytest.approx([1.0, 1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("extra", ["0", "sqrt(w1)"])
+def test_nondegenerate_row_matches_pointwise_determinants(solv_structure, halfspace, extra):
+    """The batched row against one normalized determinant per point, built through ``.at``.
+
+    ``sqrt(w1)`` is undefined on half the box: the oracle's ``math.sqrt``
+    raises there, and the row must skip exactly those points.
+    """
+    omega = solv_structure.omega + DifferentialForm(halfspace, 2, {(0, 2): parse_field(extra, halfspace)})
+    pts = halfspace.sample(48, seed=2)
+    dets, skipped = [], 0
+    for p in pts:
+        try:
+            dets.append(abs(normalized_determinant(skew_matrix_at(omega, p))))
+        except ValueError:
+            skipped += 1
+    row = verify_lcs(LCSStructure(halfspace, omega, solv_structure.lee), points=pts)["nondegenerate"]
+    assert row.details["skipped"] == skipped
+    assert row.residual == pytest.approx(min(dets), rel=1e-12)
+    assert row.verdict == ("pass" if extra == "0" else "inconclusive")
 
 
 def test_verify_solv_structure(solv_structure):

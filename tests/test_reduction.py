@@ -14,7 +14,10 @@ from lcslab.forms import (
     basis_vector,
     constant,
     coordinate,
+    eval_form,
+    interior_product,
 )
+from lcslab.gallery import hopf
 from lcslab.lcs import LCSStructure
 from lcslab.reduction import (
     LevelSlice,
@@ -79,6 +82,38 @@ def test_reduction_on_translation_level(symplectic, shift_action, shift_momentum
     assert rep["reduced-closed"].passed  # theta pulls back to zero: symplectic branch
     assert rep["reduced-nondegenerate"].passed
     assert "reduced-lcs" not in [c.id for c in rep.checks]
+
+
+@pytest.mark.parametrize("direction", [(1.0, -1.0), (1.0, 0.0)])
+def test_level_isotropy_matches_pointwise_eval_form(direction):
+    """The batched row against ``eval_form`` point by point on the Hopf torus slice.
+
+    The torus is the level of mu_1 - mu_2, so that direction contracts to
+    zero; for mu_1 alone the Lee form term leaves a pairing of order one
+    along the circle factor, which the two evaluations must agree on.
+    """
+    man = hopf(2)
+    structure, act, mu = man.objects["structure"], man.objects["action"], man.objects["momentum"]
+    slc = LevelSlice.single(man.objects["torus_slice"].parametrization, direction)
+    param = slc.parametrization
+    pts = param.source.sample(32, seed=4)
+    rho = direction[0] * act.fields[0] + direction[1] * act.fields[1]
+    w = interior_product(rho, structure.omega)
+    r = 1.0 / np.sqrt(2.0)
+    worst = 0.0
+    for tau, sigma in pts:
+        # hand-written Jacobian of (tau, r cos sigma, r sin sigma, r cos sigma)
+        d_tau = np.array([1.0, 0.0, 0.0, 0.0])
+        d_sigma = r * np.array([0.0, -np.sin(sigma), np.cos(sigma), -np.sin(sigma)])
+        img = param.at((tau, sigma))
+        worst = max(worst, *(abs(eval_form(w, img, [v], check_domain=False)) for v in (d_tau, d_sigma)))
+    row = reduced_form_check(structure, act, slc, mu, points=pts)["level-isotropy[0]"]
+    assert row.details == {"skipped": 0, "points": 32}
+    if direction == (1.0, -1.0):
+        assert worst < 1e-14 and row.residual < 1e-14
+    else:
+        assert worst > 0.1
+        assert row.residual == pytest.approx(worst, rel=1e-12)
 
 
 def test_reduction_rejects_slice_containing_orbit(symplectic, shift_action, shift_momentum, sheet, phase):
