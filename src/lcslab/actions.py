@@ -39,9 +39,21 @@ from .forms import (
     interior_product,
     lie_bracket,
     lie_derivative,
+    pullback,
 )
 from .lcs import LCSStructure, residual_check, twisted_derivative
-from .report import DEFAULT_TOL, CheckResult, Report, form_array, form_max, form_values, residual_row, spread
+from .report import (
+    DEFAULT_TOL,
+    CheckResult,
+    Report,
+    demote_if_sparse,
+    finite_points,
+    form_array,
+    form_max,
+    form_values,
+    residual_row,
+    spread,
+)
 
 # Structure constants are exact user input, so their algebraic identities are
 # held to near machine precision rather than the sampling tolerance.
@@ -170,8 +182,8 @@ def lee_homomorphism(
     if theta.degree != 1:
         raise UsageError("the Lee homomorphism contracts a 1-form")
     pts = theta.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
-    vals = np.asarray(contract(theta, X).batch(pts), dtype=float)
-    vals = vals[np.isfinite(vals)]
+    vals = contract(theta, X).batch(pts)
+    vals = vals[finite_points(vals)]
     if not vals.size:
         raise DomainError("no finite evaluations of theta(X) on the sample")
     dev = spread(vals)
@@ -214,6 +226,18 @@ def invariance_defect(
 # momentum maps
 
 
+def _momentum_row(s: LCSStructure, a: int, rho: VectorField, mu_a: ScalarField, pts, tol: float) -> CheckResult:
+    """The defining identity ``i_rho omega = d_theta mu`` of one momentum component."""
+    return residual_check(
+        f"momentum[{a}]",
+        "i_rho omega = d_theta mu",
+        interior_product(rho, s.omega),
+        twisted_derivative(s.lee, DifferentialForm.from_scalar(mu_a)),
+        pts,
+        tol,
+    )
+
+
 def momentum_from_potential(
     s: LCSStructure,
     act: ActionSpec,
@@ -250,16 +274,7 @@ def momentum_from_potential(
     rep = Report("momentum_from_potential")
     rep.extend(hypo)
     for a, rho in enumerate(act.fields):
-        rep.add(
-            residual_check(
-                f"momentum[{a}]",
-                "i_rho omega = d_theta mu",
-                interior_product(rho, s.omega),
-                twisted_derivative(s.lee, DifferentialForm.from_scalar(mu.components[a])),
-                pts,
-                tol,
-            )
-        )
+        rep.add(_momentum_row(s, a, rho, mu.components[a], pts, tol))
     return mu, rep
 
 
@@ -280,16 +295,7 @@ def verify_twisted_hamiltonian(
     pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
     rep = Report("verify_twisted_hamiltonian")
     for a, rho in enumerate(act.fields):
-        rep.add(
-            residual_check(
-                f"momentum[{a}]",
-                "i_rho omega = d_theta mu",
-                interior_product(rho, s.omega),
-                twisted_derivative(s.lee, DifferentialForm.from_scalar(mu.components[a])),
-                pts,
-                tol,
-            )
-        )
+        rep.add(_momentum_row(s, a, rho, mu.components[a], pts, tol))
         rep.add(
             residual_row(f"invariance[{a}]", "L_rho omega = 0", form_array(lie_derivative(rho, s.omega), pts), tol)
         )
@@ -366,8 +372,6 @@ def deck_homothety(
     values; a spread above tolerance means gamma is no homothety of Omega.
     Sample points whose image leaves the chart are dropped.
     """
-    from .forms import pullback
-
     check_same_chart(gamma.source, Omega.chart, "deck transformation and form")
     pts = Omega.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
     keep = Omega.chart.contains(gamma.batch(pts))
@@ -425,25 +429,25 @@ def automorphic_constants(
             raise DomainError(f"deck element {gname!r} maps every sample outside the chart")
         pts, images = pts[keep], images[keep]
         vals = f.batch(images) - g.factor * f.batch(pts)
-        vals = vals[np.isfinite(vals)]
-        dev = spread(vals)
-        a_mean = float(vals.mean())
-        details = {"a": a_mean, "factor": g.factor, "points": int(len(vals))}
+        finite = finite_points(vals)
+        skipped = int(len(vals) - finite.sum())
+        dev = spread(vals[finite])
+        a_mean = float(vals[finite].mean()) if finite.any() else np.nan
+        details = {"a": a_mean, "factor": g.factor, "points": len(pts), "skipped": skipped}
         if abs(1.0 - g.factor) <= 1e-9:
             details["excluded"] = "homothety factor is 1; k undefined"
-        else:
+        elif finite.any():
             details["k"] = ks[gname] = a_mean / (1.0 - g.factor)
-        rep.add(
-            CheckResult(
-                f"a[{gname}]",
-                "gamma*f - c f constant across samples",
-                residual=dev,
-                threshold=tol,
-                passed=bool(dev <= tol),
-                verdict="" if dev <= tol else "obstructed",
-                details=details,
-            )
+        row = CheckResult(
+            f"a[{gname}]",
+            "gamma*f - c f constant across samples",
+            residual=dev,
+            threshold=tol,
+            passed=bool(dev <= tol),
+            verdict="" if dev <= tol else "obstructed",
+            details=details,
         )
+        rep.add(demote_if_sparse(row, skipped, len(pts)))
     if ks:
         kvals = np.array(list(ks.values()))
         rep.add(

@@ -4,6 +4,9 @@ A chart is the ambient bookkeeping for every field and form in the package.
 Charts never store transition maps; each verification runs inside a single
 fixed chart and global statements are only ever probed through explicitly
 constructed maps between charts.
+
+The domain predicate runs through :func:`lcslab.dual.evaluate` like every
+other expression; this module carries no floating-point guard of its own.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import dual
 from .errors import ChartMismatchError, DomainError
 
 
@@ -55,8 +59,7 @@ class Chart:
         pts = np.asarray(point, dtype=float)
         inside = np.isfinite(np.atleast_2d(pts)).all(axis=1)
         if self.predicate is not None:
-            with np.errstate(all="ignore"):
-                inside &= np.asarray(self.predicate(columns(pts)), dtype=bool)
+            inside &= dual.evaluate(self.predicate, pts).astype(bool)
         return inside if pts.ndim == 2 else bool(inside[0])
 
     def require(self, point: Sequence[float]) -> None:
@@ -69,15 +72,10 @@ class Chart:
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
         out = []
-        have = 0
         for _ in range(max_tries):
             chunk = rng.uniform(lo, hi, size=(max(4 * n, 16), self.dim))
-            if self.predicate is not None:
-                mask = np.asarray(self.predicate([chunk[:, i] for i in range(self.dim)]))
-                chunk = chunk[mask]
-            out.append(chunk)
-            have += len(chunk)
-            if have >= n:
+            out.append(chunk if self.predicate is None else chunk[self.contains(chunk)])
+            if sum(map(len, out)) >= n:
                 break
         pts = np.concatenate(out, axis=0)
         if len(pts) < n:
@@ -87,11 +85,6 @@ class Chart:
             )
         return pts[:n]
 
-    def sample_vectors(self, n: int, seed: int = 0) -> np.ndarray:
-        """Deterministic tangent vectors (standard normal), shape (n, dim)."""
-        rng = np.random.default_rng(seed + 0x9E37)
-        return rng.standard_normal((n, self.dim))
-
 
 def same_chart(a: Chart, b: Chart) -> bool:
     return a is b or (a.name == b.name and a.coords == b.coords)
@@ -100,11 +93,3 @@ def same_chart(a: Chart, b: Chart) -> bool:
 def check_same_chart(a: Chart, b: Chart, what: str = "operands") -> None:
     if not same_chart(a, b):
         raise ChartMismatchError(f"{what} live on different charts: {a.name!r} vs {b.name!r}")
-
-
-def columns(points: np.ndarray) -> list[np.ndarray]:
-    """Split an (n, dim) array of points into per-coordinate columns."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    return [pts[:, i] for i in range(pts.shape[1])]

@@ -9,6 +9,12 @@ on the highest tag and treats lower-tagged values as constants for it.
 
 Derivatives obtained this way are algebraic, not finite differences: the only
 error is ordinary floating-point rounding.
+
+This module is also the package's evaluation boundary: closures run on point
+batches only through :func:`evaluate` and :func:`jet`, the one place numpy's
+floating-point warnings are silenced during evaluation.  A point outside an
+expression's domain yields a non-finite value; :mod:`lcslab.report` decides
+what that means for a check.
 """
 
 from __future__ import annotations
@@ -165,7 +171,9 @@ def log(x):
     t, v, e = _split(x)
     if t is None:
         return np.log(v) if isinstance(v, np.ndarray) else math.log(v)
-    return Dual(t, log(v), e / v)
+    base = log(v)
+    # ``0.0 * base`` carries log's domain into the derivative, as sqrt's does
+    return Dual(t, base, e / v + 0.0 * base)
 
 
 def sqrt(x):
@@ -234,9 +242,21 @@ def point_array(value, n: int, leaf=None) -> np.ndarray:
     def stack(v):
         if isinstance(v, (list, tuple)):
             return np.stack([stack(e) for e in v])
-        return np.broadcast_to(np.asarray(v if leaf is None else leaf(v), dtype=float), (n,))
+        a = np.asarray(v if leaf is None else leaf(v), dtype=float)
+        return a if a.shape == (n,) else np.broadcast_to(a, (n,))
 
     return np.moveaxis(stack(value), -1, 0)
+
+
+def evaluate(fn, points) -> np.ndarray:
+    """``fn`` on one point or an (n, dim) batch, points axis first, constants broadcast.
+
+    ``fn`` maps coordinate columns to a scalar or nested lists of scalars and
+    is called once; a point outside its domain yields non-finite entries.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    with np.errstate(all="ignore"):
+        return point_array(fn(list(pts.T)), len(pts))
 
 
 def jet(fn, points) -> tuple[np.ndarray, np.ndarray]:

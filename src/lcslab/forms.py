@@ -13,6 +13,9 @@ Representation choices:
 Forms of degree larger than the chart dimension are permitted only as
 canonical zero forms (no increasing index tuple exists), which is what
 ``d`` of a top-degree form returns.
+
+``.batch`` evaluates through :func:`lcslab.dual.evaluate`, the evaluation
+boundary; this module carries no floating-point guard of its own.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dual
-from .charts import Chart, check_same_chart, columns
+from .charts import Chart, check_same_chart
 from .errors import UsageError
 
 
@@ -49,11 +52,7 @@ class ScalarField:
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on an (n, dim) batch; a point outside the domain gives a non-finite value."""
-        with np.errstate(all="ignore"):
-            out = self.fn(columns(points))
-        if not isinstance(out, np.ndarray):
-            out = np.full(np.asarray(points).shape[0] or 1, float(out))
-        return out
+        return dual.evaluate(self.fn, points)
 
     def partial(self, i: int) -> "ScalarField":
         if not 0 <= i < self.chart.dim:
@@ -164,7 +163,7 @@ class VectorField:
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """The components at every point, shape (n, dim)."""
-        return np.stack([c.batch(points) for c in self.components], axis=-1)
+        return dual.evaluate(self, points)
 
     def __add__(self, other):
         check_same_chart(self.chart, other.chart, "vector fields")
@@ -449,7 +448,7 @@ class SmoothMap:
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """The images of an (n, source dim) batch, shape (n, target dim)."""
-        return np.stack([c.batch(points) for c in self.components], axis=-1)
+        return dual.evaluate(self, points)
 
     @staticmethod
     def identity(chart: Chart) -> "SmoothMap":

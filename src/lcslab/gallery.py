@@ -297,7 +297,7 @@ def _hopf_elements(chart: Chart, n: int) -> dict[str, SmoothMap]:
 
 def _pole_report(mu: MomentumMap, pole, weights, tol: float) -> Report:
     rep = Report("pole")
-    val = float(mu.components[0].at(pole))
+    val = float(mu.components[0].batch(pole)[0])
     rep.add(
         CheckResult.from_residual(
             "mu-pole",
@@ -479,11 +479,16 @@ def inoue(
         )
         return rep
 
-    def decks_run(pts, seed, tol) -> Report:
+    def _decks(pts, seed, tol):
         sample = deck_box.sample(pts, seed)
+        return sample, {
+            name: deck_homothety(m, cover_form, points=sample, tol=tol, name=name) for name, m in deck_maps.items()
+        }
+
+    def decks_run(pts, seed, tol) -> Report:
         rep = Report("decks")
-        for name, m in deck_maps.items():
-            el = deck_homothety(m, cover_form, points=sample, tol=tol, name=name)
+        _, decks = _decks(pts, seed, tol)
+        for name, el in decks.items():
             rep.add(
                 CheckResult.from_residual(
                     f"homothety[{name}]",
@@ -493,32 +498,24 @@ def inoue(
                     factor=el.factor,
                 )
             )
-        g0 = deck_homothety(deck_maps["g0"], cover_form, points=sample, tol=tol, name="g0")
         rep.add(
             CheckResult.from_residual(
                 "g0-factor",
                 "expansion scales the cover form by the reciprocal of alpha",
-                abs(g0.factor - 1.0 / alpha),
+                abs(decks["g0"].factor - 1.0 / alpha),
                 tol,
-                factor=g0.factor,
+                factor=decks["g0"].factor,
             )
         )
         return rep
 
-    def _decks(sample, tol):
-        return [
-            deck_homothety(m, cover_form, points=sample, tol=tol, name=name)
-            for name, m in deck_maps.items()
-        ]
-
     def automorphic_run(pts, seed, tol) -> Report:
-        sample = deck_box.sample(pts, seed)
-        return automorphic_constants(_decks(sample, tol), ham, points=sample, tol=tol)
+        sample, decks = _decks(pts, seed, tol)
+        return automorphic_constants(decks, ham, points=sample, tol=tol)
 
     def descent_run(pts, seed, tol) -> Report:
-        sample = deck_box.sample(pts, seed)
-        decks = [d for d in _decks(sample, tol) if d.name in ("g2", "g3")]
-        return automorphic_constants(decks, descent, points=sample, tol=tol)
+        sample, decks = _decks(pts, seed, tol)
+        return automorphic_constants({k: decks[k] for k in ("g2", "g3")}, descent, points=sample, tol=tol)
 
     objects = {
         "chart": chart,

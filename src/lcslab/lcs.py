@@ -33,6 +33,7 @@ from .report import (
     CheckResult,
     Report,
     demote_if_sparse,
+    finite_points,
     form_values,
     residual_row,
     scaled_residuals,
@@ -138,11 +139,11 @@ def normalized_determinant(M: np.ndarray) -> float | np.ndarray:
     if M.shape[-1] != M.shape[-2] or M.shape[-1] % 2 == 1:
         out = np.zeros(M.shape[:-2])
     else:
-        with np.errstate(all="ignore"):
-            scales = np.abs(M).max(axis=-1, keepdims=True)
-            ok = np.all((scales > 0.0) & np.isfinite(scales), axis=(-2, -1))
-            rows = np.where(ok[..., None, None], M / scales, np.eye(M.shape[-1]))
-        out = np.where(ok, np.linalg.det(rows), 0.0)
+        scales = np.abs(M).max(axis=-1, keepdims=True)
+        ok = np.all((scales > 0.0) & np.isfinite(scales), axis=-2, keepdims=True)
+        # a masked scale: det only ever sees finite matrices
+        rows = np.where(ok, M / np.where(ok, scales, 1.0), np.eye(M.shape[-1]))
+        out = np.where(ok[..., 0, 0], np.linalg.det(rows), 0.0)
     return float(out) if M.ndim == 2 else out
 
 
@@ -165,7 +166,7 @@ def nondegeneracy_check(
             details={"note": _ODD_NOTE},
         )
     M = skew_matrices(omega, points)
-    finite = np.isfinite(M).all(axis=(1, 2))
+    finite = finite_points(M)
     dets = np.abs(normalized_determinant(M[finite]))
     worst = float(dets.min()) if dets.size else 0.0
     skipped = int(len(M) - finite.sum())

@@ -36,8 +36,8 @@ from .forms import (
     pullback,
     wedge,
 )
-from .lcs import LCSStructure, nondegeneracy_check, residual_check
-from .report import DEFAULT_TOL, CheckResult, Report, evaluate_form, form_max, form_values, residual_row
+from .lcs import LCSStructure, nondegeneracy_check, residual_check, twisted_derivative
+from .report import DEFAULT_TOL, CheckResult, Report, evaluate_form, finite_points, form_max, form_values, residual_row
 
 _RANK_TOL = 1e-9
 
@@ -155,14 +155,12 @@ def bundle_momentum_check(
     for a, rho in enumerate(c.action.fields):
         rho_hat = embed_fiber_vector(c.total, base, rho)
         mu_hat = embed_fiber_field(c.total, base, mu.components[a])
-        lhs = interior_product(rho_hat, c.Omega)
-        rhs = exterior_derivative(DifferentialForm.from_scalar(mu_hat)) - mu_hat * c.Theta
         rep.add(
             residual_check(
                 f"bundle-momentum[{a}]",
                 "vertical generator contracts to the twisted differential of the pulled-back Hamiltonian",
-                lhs,
-                rhs,
+                interior_product(rho_hat, c.Omega),
+                twisted_derivative(c.Theta, DifferentialForm.from_scalar(mu_hat)),
                 pts,
                 tol,
             )
@@ -208,21 +206,21 @@ def level_scan(
     f = _combined_momentum(mu, direction)
     pts = chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
     vals = np.abs(f.batch(pts))
-    finite = vals[np.isfinite(vals)]
+    finite = np.flatnonzero(finite_points(vals))
     if finite.size == 0:
         raise UsageError("momentum combination evaluated nowhere finite on the chart")
-    best = int(np.nanargmin(vals))
-    verdict = "present in chart" if finite.min() <= margin else "no zero level in chart"
+    best = finite[vals[finite].argmin()]
+    verdict = "present in chart" if vals[best] <= margin else "no zero level in chart"
     rep = Report("level_scan")
     rep.add(
         CheckResult(
             "zero-level",
             "minimum magnitude of the momentum combination over chart samples",
-            float(finite.min()),
+            float(vals[best]),
             margin,
             True,
             verdict,
-            {"point": [float(x) for x in pts[best]], "points": len(pts)},
+            {"point": [float(x) for x in pts[best]], "points": len(pts), "skipped": len(pts) - finite.size},
         )
     )
     return rep
@@ -362,7 +360,7 @@ def _require_transverse(pts: np.ndarray, J: np.ndarray, generators: list) -> Non
     entry are left out of the test.
     """
     G = np.stack(generators, axis=-1)  # (n, dim, generators)
-    finite = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(G).all(axis=(1, 2))
+    finite = finite_points(np.concatenate([J, G], axis=-1))
     active = np.abs(G).max(axis=1) > 1e-12
     M = np.concatenate([J, np.where(active[:, None, :], G, 0.0)], axis=-1)
     rank = np.zeros(len(pts), dtype=int)

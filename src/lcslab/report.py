@@ -3,6 +3,10 @@
 A "residual" everywhere in this package is scale-aware: a difference is
 divided by ``1 + max coefficient magnitude at the point``, so tolerances mean
 the same thing for forms with coefficients of order 1 and of order 1e6.
+
+It also owns the skipped-point rule: :func:`finite_points` alone defines a
+skipped point (one with a non-finite value); rows count them as ``skipped``
+and :func:`demote_if_sparse` makes a row with too many inconclusive.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import columns
+from . import dual
 from .forms import DifferentialForm
 
 DEFAULT_TOL = 1e-8
@@ -139,28 +143,18 @@ def _jsonable(obj):
 def form_values(form: DifferentialForm, points: np.ndarray) -> dict:
     """Every coefficient of ``form`` on the whole batch, as (n,) columns.
 
-    Evaluation runs with numpy's floating-point warnings silenced: a point
-    outside a coefficient's domain yields a non-finite value, which the
-    aggregators below skip and count.
+    A point outside a coefficient's domain yields a non-finite value, which
+    the aggregators below skip and count.
     """
-    cols = columns(points)
-    n = len(cols[0]) if cols else len(points)
-    out = {}
-    with np.errstate(all="ignore"):
-        for I, f in form.coeffs.items():
-            v = f(cols)
-            if not isinstance(v, np.ndarray):
-                v = np.full(n, float(v))
-            out[I] = v
-    return out
+    return dict(zip(form.coeffs, form_array(form, points).T))
 
 
 def form_array(form: DifferentialForm, points: np.ndarray) -> np.ndarray:
     """The coefficient columns of ``form`` side by side, shape (n, #coefficients)."""
-    vals = form_values(form, points)
-    if not vals:
+    if not form.coeffs:
         return np.zeros((len(np.atleast_2d(points)), 0))
-    return np.stack(list(vals.values()), axis=-1)
+    fns = [f.fn for f in form.coeffs.values()]
+    return dual.evaluate(lambda p: [fn(p) for fn in fns], points)
 
 
 def evaluate_form(values: dict, vecs: np.ndarray) -> np.ndarray:
@@ -213,21 +207,27 @@ def scaled_residuals(va: dict, vb: dict, n: int) -> np.ndarray:
         return np.max(np.abs(x - y), axis=0) / (1.0 + scale)
 
 
+def finite_points(values) -> np.ndarray:
+    """Mask of the points (leading axis) whose values, over all trailing axes, are finite.
+
+    Every other point is a skipped point.
+    """
+    v = np.asarray(values, dtype=float)
+    return np.isfinite(v).all(axis=tuple(range(1, v.ndim)))
+
+
 def worst_residual(values) -> tuple[float, int]:
     """Max ``|value|`` over the points whose values are all finite.
 
-    ``values`` has one leading axis of sample points; any trailing axes
-    (components, pairs) belong to that point.  Returns (worst, skipped) where
-    ``skipped`` counts points with a non-finite value; ``worst`` is inf when
-    no point is left, so a non-finite value can never make a row pass.
+    ``values`` is laid out as for :func:`finite_points`.  Returns (worst,
+    skipped); ``worst`` is inf when no point is left, so a non-finite value
+    can never make a row pass.
     """
     v = np.abs(np.asarray(values, dtype=float))
-    v = v.reshape(v.shape[0], int(np.prod(v.shape[1:])))
-    mask = np.isfinite(v).all(axis=1)
-    skipped = int(v.shape[0] - mask.sum())
+    mask = finite_points(v)
     if not mask.any():
-        return math.inf, skipped
-    return float(v[mask].max(initial=0.0)), skipped
+        return math.inf, len(v)
+    return float(v[mask].max(initial=0.0)), int(len(v) - mask.sum())
 
 
 def demote_if_sparse(check: CheckResult, skipped: int, total: int) -> CheckResult:

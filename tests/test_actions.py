@@ -5,6 +5,7 @@ import pytest
 
 from lcslab.actions import (
     ActionSpec,
+    DeckElement,
     MomentumMap,
     automorphic_constants,
     bracket_hamiltonian_check,
@@ -34,6 +35,7 @@ from lcslab.forms import (
 )
 from lcslab.gallery import inoue
 from lcslab.lcs import LCSStructure
+from lcslab.parser import parse_field
 
 
 def sl2_constants():
@@ -226,6 +228,18 @@ def test_deck_homothety_rejects_non_homothety(plane):
     with pytest.raises(NotHomothetyError) as ei:
         deck_homothety(shift, w, n=40)
     assert ei.value.spread > 1e-3
+
+
+def test_automorphic_constant_counts_skipped_points():
+    """Points where f is undefined are skipped and counted, never a pass on the few left."""
+    box = Chart("box", ("x", "y"), box=((-1.0, 1.0), (-1.0, 1.0)))
+    f = parse_field("sqrt(x - 0.9) + y", box)  # undefined for x < 0.9
+    shift = SmoothMap(box, box, [coordinate(box, 0), coordinate(box, 1) + 0.1])
+    rep = automorphic_constants([DeckElement("shift", shift, 1.0)], f)
+    row = rep["a[shift]"]
+    assert row.verdict == "inconclusive" and not row.passed
+    assert (row.details["skipped"], row.details["points"]) == (61, 64)
+    assert row.details["a"] == pytest.approx(0.1, abs=1e-12)  # from the 3 points left
 
 
 @pytest.fixture(scope="module")

@@ -320,6 +320,8 @@ def singular_document(command: str, site: str, fn: str) -> str:
         doc["slice"]["map"][3] = f"{fn}(s2)"
     elif site == "element":
         doc["action"]["elements"]["slide"]["map"][3] = f"{fn}(p2)"
+    elif site == "domain":
+        doc["chart"]["domain"] = f"{fn}(q2) + 1"
     if command == "coupling":
         gauge = {"0": "v", "1": f"{fn}(u)" if site == "gauge" else "0"}
         base = {"name": "disk", "coords": ["u", "v"]}
@@ -332,7 +334,7 @@ def singular_document(command: str, site: str, fn: str) -> str:
 )
 @given(
     command=st.sampled_from(("verify", "reduce", "coupling")),
-    site=st.sampled_from(("omega", "eta", "slice", "element", "gauge")),
+    site=st.sampled_from(("omega", "eta", "slice", "element", "gauge", "domain")),
     fn=st.sampled_from(("sqrt", "log")),
 )
 def test_singular_documents_keep_the_exit_code_contract(command, site, fn):
@@ -352,3 +354,17 @@ def test_singular_documents_keep_the_exit_code_contract(command, site, fn):
             assert row["residual"] != "nan", row["id"]
             details = row.get("details", {})
             assert details.get("skipped", 0) <= 0.2 * details.get("points", 32), row["id"]
+
+
+def test_log_potential_fails_the_precondition_like_sqrt(capsys):
+    """The derivative of log is non-finite wherever log is, as that of sqrt is.
+
+    So a potential with ``log(q2)`` is skipped where ``q2 < 0`` and fails the
+    momentum precondition exactly as the ``sqrt(q2)`` document does.
+    """
+    outcomes = {}
+    for fn in ("sqrt", "log"):
+        code, _, err = run(capsys, "verify", singular_document("verify", "eta", fn), "--points", "32")
+        outcomes[fn] = (code, err)
+    assert outcomes["log"] == outcomes["sqrt"]
+    assert outcomes["log"][0] == 2 and "potential is not invariant enough" in outcomes["log"][1]

@@ -19,6 +19,7 @@ from lcslab.forms import (
 )
 from lcslab.gallery import hopf
 from lcslab.lcs import LCSStructure
+from lcslab.parser import parse_field
 from lcslab.reduction import (
     LevelSlice,
     bundle_momentum_check,
@@ -225,6 +226,15 @@ def test_level_scan_reports_empty_level(plane):
     row = rep["zero-level"]
     assert row.passed and row.verdict == "no zero level in chart"
     assert row.residual >= 1.0
+    assert row.details["skipped"] == 0
+
+    # a momentum undefined for x < 0.9: the same classification, skipped points counted
+    box = Chart("box", ("x", "y"), box=((-1.0, 1.0), (-1.0, 1.0)))
+    mu = MomentumMap(box, (parse_field("sqrt(x - 0.9) + y", box),))
+    row = level_scan(box, mu, (1.0,), n=64, seed=0)["zero-level"]
+    assert row.passed and row.verdict == "no zero level in chart"
+    assert (row.details["skipped"], row.details["points"]) == (61, 64)
+    assert row.details["point"][0] >= 0.9
 
 
 # -- momenta on the assembled product ---------------------------------------
