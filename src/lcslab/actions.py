@@ -9,8 +9,13 @@ stores ``c^a_{bc}``.
 Every residual row evaluates its forms and fields once on the whole point
 batch and reports the raw max magnitude over the points; a sample point where
 some value is not finite is skipped and counted, and a row with too many
-skipped points is inconclusive rather than passed.  Deck maps send the whole
-batch through one evaluation, with one domain test for all the images.
+skipped points is inconclusive rather than passed.  The Lie-derivative rows
+(``invariance``, ``eta-invariant``, ``pre-invariance``, the defects) take all
+generators of a report in one :func:`~lcslab.report.lie_derivative_arrays`
+call, so one first-order lift per coordinate serves every generator.  Deck
+maps send the whole batch through one evaluation, with one domain test for
+all the images; a fitted homothety counts the points where a coefficient is
+not finite as skipped.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .forms import (
     exterior_derivative,
     interior_product,
     lie_bracket,
-    lie_derivative,
     pullback,
 )
 from .lcs import LCSStructure, residual_check, twisted_derivative
@@ -48,11 +52,12 @@ from .report import (
     Report,
     demote_if_sparse,
     finite_points,
-    form_array,
     form_max,
     form_values,
+    lie_derivative_arrays,
     residual_row,
     spread,
+    worst_residual,
 )
 
 # Structure constants are exact user input, so their algebraic identities are
@@ -132,12 +137,18 @@ class MomentumMap:
 
 @dataclass(frozen=True)
 class DeckElement:
-    """A self-map together with its fitted homothety factor ``gamma* Omega = c Omega``."""
+    """A self-map together with its fitted homothety factor ``gamma* Omega = c Omega``.
+
+    ``points`` counts the samples the fit saw (those whose image stays in
+    the chart) and ``skipped`` those among them with a non-finite coefficient.
+    """
 
     name: str
     map: SmoothMap
     factor: float
     spread: float = 0.0
+    points: int = 0
+    skipped: int = 0
 
 
 def bracket_relation_check(
@@ -189,7 +200,7 @@ def lee_homomorphism(
     dev = spread(vals)
     if dev > tol:
         closed_res = form_max(exterior_derivative(theta), pts)
-        inv_res = form_max(lie_derivative(X, theta), pts)
+        inv_res, _ = worst_residual(lie_derivative_arrays([X], theta, pts)[1][0])
         raise InvariantViolationError(
             f"theta(X) is not constant: spread {dev:.3e} "
             f"(d theta residual {closed_res:.2e}, L_X theta residual {inv_res:.2e})",
@@ -213,12 +224,12 @@ def invariance_defect(
     """
     check_same_chart(s.chart, X.chart, "invariance arguments")
     pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
-    lx = lie_derivative(X, s.omega)
-    theta_x = contract(s.lee, X)
+    # one lift per coordinate serves both rows: the strict and the twisted derivative
+    theta_x = contract(s.lee, X).batch(pts)
+    _, (strict, twisted) = lie_derivative_arrays([X, X], s.omega, pts, twist=[0.0, theta_x])
     rep = Report("invariance_defect")
-    twisted = form_array(lx - s.omega * theta_x, pts)
     rep.add(residual_row("twisted-defect", "L_X omega - theta(X) omega = 0", twisted, tol))
-    rep.add(residual_row("strict-defect", "L_X omega = 0", form_array(lx, pts), tol))
+    rep.add(residual_row("strict-defect", "L_X omega = 0", strict, tol))
     return rep
 
 
@@ -258,12 +269,9 @@ def momentum_from_potential(
     pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
 
     hypo = Report("momentum hypotheses")
+    _, lie_eta = lie_derivative_arrays(act.fields, s.potential, pts)
     for a, rho in enumerate(act.fields):
-        hypo.add(
-            residual_row(
-                f"eta-invariant[{a}]", "L_rho eta = 0", form_array(lie_derivative(rho, s.potential), pts), tol
-            )
-        )
+        hypo.add(residual_row(f"eta-invariant[{a}]", "L_rho eta = 0", lie_eta[a], tol))
         hypo.add(residual_row(f"lee-zero[{a}]", "theta(rho) = 0", contract(s.lee, rho).batch(pts), tol))
     if not hypo.passed:
         raise PreconditionError(
@@ -294,11 +302,10 @@ def verify_twisted_hamiltonian(
         raise UsageError("momentum map and action have different numbers of generators")
     pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
     rep = Report("verify_twisted_hamiltonian")
+    _, lie_omega = lie_derivative_arrays(act.fields, s.omega, pts)
     for a, rho in enumerate(act.fields):
         rep.add(_momentum_row(s, a, rho, mu.components[a], pts, tol))
-        rep.add(
-            residual_row(f"invariance[{a}]", "L_rho omega = 0", form_array(lie_derivative(rho, s.omega), pts), tol)
-        )
+        rep.add(residual_row(f"invariance[{a}]", "L_rho omega = 0", lie_omega[a], tol))
         rep.add(residual_row(f"lee-hom[{a}]", "theta(rho) = 0", contract(s.lee, rho).batch(pts), tol))
     return rep
 
@@ -320,12 +327,9 @@ def bracket_hamiltonian_check(
     """
     pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
     rep = Report("bracket_hamiltonian")
-    for label, Z in (("X", X), ("Y", Y)):
-        rep.add(
-            residual_row(
-                f"pre-invariance-{label}", "L omega = 0", form_array(lie_derivative(Z, s.omega), pts), tol=None
-            )
-        )
+    _, lie_omega = lie_derivative_arrays([X, Y], s.omega, pts)
+    for label, Z, lz in zip("XY", (X, Y), lie_omega):
+        rep.add(residual_row(f"pre-invariance-{label}", "L omega = 0", lz, tol=None))
         rep.add(residual_row(f"pre-lee-{label}", "theta pairing = 0", contract(s.lee, Z).batch(pts), tol=None))
     wxy = contract(s.omega, X, Y)
     rep.add(
@@ -370,13 +374,17 @@ def deck_homothety(
 
     The factor is fitted pointwise by least squares over the coefficient
     values; a spread above tolerance means gamma is no homothety of Omega.
-    Sample points whose image leaves the chart are dropped.
+    Sample points whose image leaves the chart are dropped; a point where a
+    coefficient of ``gamma* Omega`` or of ``Omega`` is not finite is skipped
+    and counted.  Fewer than a quarter of the samples (at least 4) left by
+    either rule raise :class:`DomainError`.
     """
     check_same_chart(gamma.source, Omega.chart, "deck transformation and form")
     pts = Omega.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
+    need = max(4, len(pts) // 4)
     keep = Omega.chart.contains(gamma.batch(pts))
     pts = pts[keep]
-    if len(pts) < max(4, n // 4):
+    if len(pts) < need:
         raise DomainError(
             f"deck map leaves the chart at {np.count_nonzero(~keep)} of {len(keep)} samples"
         )
@@ -385,6 +393,11 @@ def deck_homothety(
     keys = sorted(set(pulled) | set(base))
     A = np.column_stack([pulled.get(I, np.zeros(len(pts))) for I in keys])
     B = np.column_stack([base.get(I, np.zeros(len(pts))) for I in keys])
+    finite = finite_points(np.hstack([A, B]))
+    skipped = int(len(pts) - finite.sum())
+    if len(pts) - skipped < need:
+        raise DomainError(f"gamma* Omega or Omega is not finite at {skipped} of {len(pts)} samples")
+    A, B = A[finite], B[finite]
     norms = np.einsum("ij,ij->i", B, B)
     ok = norms > 1e-18
     if not np.any(ok):
@@ -398,7 +411,7 @@ def deck_homothety(
             f"(factor spread {dev:.3e}, fit residual {fit_residual:.3e})",
             spread=max(dev, fit_residual),
         )
-    return DeckElement(name or "gamma", gamma, float(ratios.mean()), dev)
+    return DeckElement(name or "gamma", gamma, float(ratios.mean()), dev, len(pts), skipped)
 
 
 def automorphic_constants(

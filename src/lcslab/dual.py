@@ -11,10 +11,10 @@ Derivatives obtained this way are algebraic, not finite differences: the only
 error is ordinary floating-point rounding.
 
 This module is also the package's evaluation boundary: closures run on point
-batches only through :func:`evaluate` and :func:`jet`, the one place numpy's
-floating-point warnings are silenced during evaluation.  A point outside an
-expression's domain yields a non-finite value; :mod:`lcslab.report` decides
-what that means for a check.
+batches only through :func:`evaluate` and :func:`lifts` (which :func:`jet`
+is built on), the one place numpy's floating-point warnings are silenced
+during evaluation.  A point outside an expression's domain yields a
+non-finite value; :mod:`lcslab.report` decides what that means for a check.
 """
 
 from __future__ import annotations
@@ -259,6 +259,31 @@ def evaluate(fn, points) -> np.ndarray:
         return point_array(fn(list(pts.T)), len(pts))
 
 
+def lifts(fn, points):
+    """``fn`` on an (n, dim) batch with one coordinate lifted at a time.
+
+    Yields ``(value, derivative)`` once per coordinate ``j``, in order: the
+    value with the points axis first (as :func:`evaluate` returns it, read
+    from the first lift and the same array every time) and ``d value / d x_j``
+    in the same shape.  ``fn`` is called once per coordinate, with numpy's
+    floating-point warnings silenced for that call only (never across a
+    ``yield``); a point outside the domain yields non-finite entries.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n, cols, val = len(pts), list(pts.T), None
+    for j in range(len(cols)):
+        tag = fresh_tag()
+        lifted = list(cols)
+        lifted[j] = lift(cols[j], tag)
+        with np.errstate(all="ignore"):
+            out = fn(lifted)
+        if val is None:
+            val = point_array(out, n, value)
+        # rebinding ``out`` frees its dual layers while the caller works
+        out = point_array(out, n, lambda v: eps(v, tag))
+        yield val, out
+
+
 def jet(fn, points) -> tuple[np.ndarray, np.ndarray]:
     """Value and first derivatives of ``fn`` on an (n, dim) batch, one lift per coordinate.
 
@@ -266,19 +291,8 @@ def jet(fn, points) -> tuple[np.ndarray, np.ndarray]:
     of a vector field or map, the rows of an endomorphism).  Returns the value
     with the points axis first and the derivatives with one more, trailing
     axis over the coordinates: ``D[..., j] = d value / d x_j``.  Evaluation
-    runs with numpy's floating-point warnings silenced; a point outside the
-    domain yields non-finite entries.
+    goes through :func:`lifts`; a point outside the domain yields non-finite
+    entries.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cols = list(pts.T)
-    val, grads = None, []
-    with np.errstate(all="ignore"):
-        for j in range(len(cols)):
-            tag = fresh_tag()
-            lifted = list(cols)
-            lifted[j] = lift(cols[j], tag)
-            out = fn(lifted)
-            if val is None:
-                val = point_array(out, len(pts), value)
-            grads.append(point_array(out, len(pts), lambda v: eps(v, tag)))
-    return val, np.stack(grads, axis=-1)
+    values, grads = zip(*lifts(fn, points))
+    return values[0], np.stack(grads, axis=-1)

@@ -413,7 +413,15 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 
 
 def lie_derivative(X: VectorField, form: DifferentialForm) -> DifferentialForm:
-    """Cartan's formula  L_X = i_X d + d i_X  (degree 0: just i_X d)."""
+    """Cartan's formula  L_X = i_X d + d i_X  (degree 0: just i_X d).
+
+    The symbolic, composable construction (a form that can be wedged,
+    differentiated or pulled back further) and the tests' oracle.  Report
+    rows evaluate Lie derivatives with
+    :func:`lcslab.report.lie_derivative_arrays` instead, whose coordinate
+    formula needs only first derivatives, where this nests ``d`` inside
+    ``i_X`` and re-derives every coefficient per generator.
+    """
     check_same_chart(X.chart, form.chart, "Lie derivative operands")
     term1 = interior_product(X, exterior_derivative(form))
     if form.degree == 0:

@@ -57,7 +57,7 @@ from .reduction import (
     level_scan,
     reduced_form_check,
 )
-from .report import DEFAULT_TOL, CheckResult, Report, form_residual, residual_row
+from .report import DEFAULT_TOL, CheckResult, Report, demote_if_sparse, form_residual, residual_row
 
 RunFn = Callable[[int, int, float], Report]
 
@@ -450,7 +450,7 @@ def inoue(
 
     def lee_run(pts, seed, tol) -> Report:
         sample = np.vstack([lee_points, chart.sample(max(4, pts // 8), seed)])
-        recovered = np.array([solve_lee_form(omega, p).coefficients for p in sample])
+        recovered = solve_lee_form(omega, sample).coefficients
         expected = np.zeros_like(sample)
         expected[:, 1] = 1.0 / sample[:, 1]
         rep = Report("lee")
@@ -489,15 +489,16 @@ def inoue(
         rep = Report("decks")
         _, decks = _decks(pts, seed, tol)
         for name, el in decks.items():
-            rep.add(
-                CheckResult.from_residual(
-                    f"homothety[{name}]",
-                    "per-point scale factors of the deck map agree",
-                    el.spread,
-                    tol,
-                    factor=el.factor,
-                )
+            row = CheckResult.from_residual(
+                f"homothety[{name}]",
+                "per-point scale factors of the deck map agree",
+                el.spread,
+                tol,
+                factor=el.factor,
+                skipped=el.skipped,
+                points=el.points,
             )
+            rep.add(demote_if_sparse(row, el.skipped, el.points))
         rep.add(
             CheckResult.from_residual(
                 "g0-factor",
@@ -525,6 +526,7 @@ def inoue(
         "descent_candidate": descent,
         "deck_maps": deck_maps,
         "deck_box": deck_box,
+        "lee_points": lee_points,
     }
     runs: dict[str, RunFn] = {
         "lcs": lambda pts, seed, tol: verify_lcs(structure, n=pts, seed=seed, tol=tol),

@@ -239,16 +239,21 @@ def verify_lcs(
 
 class LeeSolution(NamedTuple):
     coefficients: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
 
-def solve_lee_form(omega: DifferentialForm, p, tol: float = DEFAULT_TOL) -> LeeSolution:
-    """The covector solving ``d omega = theta ^ omega`` at one point.
+def solve_lee_form(omega: DifferentialForm, points, tol: float = DEFAULT_TOL) -> LeeSolution:
+    """The covector solving ``d omega = theta ^ omega`` at one point or at every point of a batch.
 
     Least-squares solve of the overdetermined linear system in the unknown
     coefficients of theta; for a nondegenerate 2-form in dimension >= 4 the
     solution is unique, and the returned residual is ~0 exactly when omega
-    is compatible with *some* Lee form at the point.
+    is compatible with *some* Lee form at the point.  An (n, dim) batch is
+    solved as one stack: one set of skew matrices, one evaluation of
+    ``d omega``, one stacked SVD with a stacked rank test; it raises at the
+    first point where omega is degenerate or the system is singular.  One
+    point gives coefficients of shape (dim,) and a float residual, a batch
+    (n, dim) and (n,).
     """
     if omega.degree != 2:
         raise UsageError("solve_lee_form applies to 2-forms")
@@ -260,24 +265,34 @@ def solve_lee_form(omega: DifferentialForm, p, tol: float = DEFAULT_TOL) -> LeeS
         )
     if nd % 2 == 1:
         raise UsageError("Lee form recovery needs an even-dimensional chart")
-    M = skew_matrices(omega, p)[0]
-    if abs(normalized_determinant(M)) <= tol:
-        raise DegenerateInputError(f"2-form is degenerate at {list(p)!r}; cannot recover a Lee form")
-
-    dw = form_values(exterior_derivative(omega), [p])
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    M = skew_matrices(omega, pts)
+    dw = form_values(exterior_derivative(omega), pts)
     triples = list(combinations(range(nd), 3))
-    A = np.zeros((len(triples), nd))
-    b = np.zeros(len(triples))
+    A = np.zeros((len(pts), len(triples), nd))
+    b = np.zeros((len(pts), len(triples)))
     for r, K in enumerate(triples):
         if K in dw:
-            b[r] = dw[K][0]
+            b[:, r] = dw[K]
         for t, i in enumerate(K):
-            rest = K[:t] + K[t + 1 :]
-            A[r, i] += (-1.0) ** t * M[rest]
-    theta, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank < nd:
+            j, k = K[:t] + K[t + 1 :]
+            A[:, r, i] += (-1.0) ** t * M[:, j, k]
+    degenerate = np.abs(normalized_determinant(M)) <= tol
+    U, S, Vt = np.linalg.svd(A[~degenerate], full_matrices=False)
+    singular = np.zeros(len(pts), dtype=bool)
+    # lstsq's rank rule: singular values below eps * max(rows, cols) of the largest
+    singular[~degenerate] = (S > S[:, :1] * max(A.shape[1:]) * np.finfo(float).eps).sum(axis=-1) < nd
+    if (degenerate | singular).any():
+        first = int(np.argmax(degenerate | singular))
+        if degenerate[first]:
+            raise DegenerateInputError(
+                f"2-form is degenerate at {pts[first].tolist()!r}; cannot recover a Lee form"
+            )
         raise DegenerateInputError("normal system for the Lee form is singular")
-    res = float(np.abs(A @ theta - b).max()) / (1.0 + float(np.abs(b).max(initial=0.0)))
+    theta = np.einsum("nij,ni->nj", Vt, np.einsum("nki,nk->ni", U, b) / S)
+    res = np.abs(np.einsum("nri,ni->nr", A, theta) - b).max(axis=1) / (1.0 + np.abs(b).max(axis=1, initial=0.0))
+    if np.ndim(points) == 1:
+        return LeeSolution(theta[0], float(res[0]))
     return LeeSolution(theta, res)
 
 

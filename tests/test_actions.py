@@ -19,7 +19,9 @@ from lcslab.actions import (
     verify_twisted_hamiltonian,
 )
 from lcslab.charts import Chart
+from lcslab import dual
 from lcslab.errors import (
+    DomainError,
     InvariantViolationError,
     NotHomothetyError,
     PreconditionError,
@@ -33,7 +35,7 @@ from lcslab.forms import (
     constant,
     coordinate,
 )
-from lcslab.gallery import inoue
+from lcslab.gallery import hopf, inoue
 from lcslab.lcs import LCSStructure
 from lcslab.parser import parse_field
 
@@ -230,6 +232,24 @@ def test_deck_homothety_rejects_non_homothety(plane):
     assert ei.value.spread > 1e-3
 
 
+def test_deck_homothety_skips_non_finite_points(plane):
+    """Points where the pulled-back coefficient is undefined are skipped, never a NaN factor."""
+    w = DifferentialForm(plane, 2, {(0, 1): parse_field("1 + 0 * sqrt(1 - x^2)", plane)})
+    double = SmoothMap(plane, plane, [2.0 * coordinate(plane, 0), coordinate(plane, 1)])
+    deck = deck_homothety(double, w, n=64)
+    x = plane.sample(64, seed=0)[:, 0]
+    assert deck.factor == pytest.approx(2.0, abs=1e-12)
+    assert deck.spread < 1e-12
+    assert (deck.skipped, deck.points) == (int(np.count_nonzero(np.abs(x) > 0.5)), 64)
+
+
+def test_deck_homothety_raises_when_too_few_points_are_finite(plane):
+    w = DifferentialForm(plane, 2, {(0, 1): parse_field("1 + 0 * sqrt(0.1 - x^2)", plane)})
+    double = SmoothMap(plane, plane, [2.0 * coordinate(plane, 0), coordinate(plane, 1)])
+    with pytest.raises(DomainError, match="not finite"):
+        deck_homothety(double, w, n=64)
+
+
 def test_automorphic_constant_counts_skipped_points():
     """Points where f is undefined are skipped and counted, never a pass on the few left."""
     box = Chart("box", ("x", "y"), box=((-1.0, 1.0), (-1.0, 1.0)))
@@ -299,3 +319,24 @@ class TestSolvDecks:
         assert rep["k-consistent"].details["k"] == pytest.approx(0.0, abs=1e-10)
         for name in ("g1", "g2", "g3"):
             assert "excluded" in rep[f"a[{name}]"].details
+
+
+def test_twisted_hamiltonian_dual_allocations_stay_bounded(monkeypatch):
+    """Lie-derivative rows share one first-order lift per coordinate.
+
+    Counts ``Dual`` allocations the way the benchmark's tracer does; nested
+    Cartan evaluation of ``L_rho omega`` took about 374k on this call, the
+    coordinate formula about 32k.
+    """
+    objects = hopf(4, (1.0, 1.0, 1.0, 1.0)).objects
+    count = [0]
+    init = dual.Dual.__init__
+
+    def counted(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(dual.Dual, "__init__", counted)
+    rep = verify_twisted_hamiltonian(objects["structure"], objects["action"], objects["momentum"], n=64, seed=0)
+    assert rep.passed
+    assert count[0] < 100_000

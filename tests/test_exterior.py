@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from lcslab.actions import momentum_from_potential, verify_twisted_hamiltonian
 from lcslab.charts import Chart
 from lcslab.forms import (
     DifferentialForm,
@@ -27,8 +28,17 @@ from lcslab.forms import (
     pullback,
     wedge,
 )
+from lcslab.gallery import hopf
 from lcslab.parser import parse_field
-from lcslab.report import form_max, form_residual
+from lcslab.report import (
+    finite_points,
+    form_array,
+    form_max,
+    form_residual,
+    form_values,
+    lie_derivative_arrays,
+    worst_residual,
+)
 
 TIGHT = 1e-10
 
@@ -145,6 +155,66 @@ def test_lie_derivative_against_bracket_expansion(r4, rng):
             - contract(w, Y, lie_bracket(X, Z)).at(p)
         )
         assert contract(lw, Y, Z).at(p) == pytest.approx(expect, rel=1e-9, abs=1e-9)
+
+
+def cartan_columns(X, w, pts, keys):
+    """``form_values(lie_derivative(X, w))`` as an (n, #keys) array, zero where Cartan has no column."""
+    ref = form_values(lie_derivative(X, w), pts)
+    assert set(ref) <= set(keys)
+    return np.column_stack([ref.get(K, np.zeros(len(pts))) for K in keys])
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_batched_lie_derivative_matches_cartan(r4, rng, degree):
+    """The coordinate formula, three fields in one call, against i_X d + d i_X per field."""
+    pts = r4.sample(40, seed=5)
+    w = rand_form(r4, rng, degree)
+    fields = [rand_vf(r4, rng) for _ in range(3)]
+    keys, values = lie_derivative_arrays(fields, w, pts)
+    assert values.shape == (3, len(pts), len(keys))
+    for X, got in zip(fields, values):
+        np.testing.assert_allclose(got, cartan_columns(X, w, pts, keys), rtol=1e-12, atol=1e-12)
+
+
+def test_batched_twisted_lie_derivative(r4, rng):
+    """``twist`` subtracts ``c * w`` from the block of its field only."""
+    pts = r4.sample(24, seed=6)
+    w = rand_form(r4, rng, 2)
+    X = rand_vf(r4, rng)
+    c = rand_poly(r4, rng)
+    keys, (strict, twisted) = lie_derivative_arrays([X, X], w, pts, twist=[0.0, c.batch(pts)])
+    wv = form_values(w, pts)
+    expect = strict - c.batch(pts)[:, None] * np.column_stack([wv.get(K, np.zeros(len(pts))) for K in keys])
+    np.testing.assert_allclose(twisted, expect, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(strict, cartan_columns(X, w, pts, keys), rtol=1e-12, atol=1e-12)
+
+
+def test_batched_lie_derivative_skips_like_cartan(r4, rng):
+    """A ``sqrt`` coefficient leaves non-finite entries at the same points on both paths."""
+    pts = r4.sample(64, seed=7)
+    w = DifferentialForm(r4, 2, {(0, 1): parse_field("sqrt(a - 0.5) * b", r4), (1, 3): rand_poly(r4, rng)})
+    fields = [rand_vf(r4, rng) for _ in range(2)]
+    keys, values = lie_derivative_arrays(fields, w, pts)
+    for X, got in zip(fields, values):
+        ref = cartan_columns(X, w, pts, keys)
+        mask = finite_points(got)
+        np.testing.assert_array_equal(mask, finite_points(ref))
+        assert 0 < mask.sum() < len(pts)
+        np.testing.assert_allclose(got[mask], ref[mask], rtol=1e-12, atol=1e-12)
+
+
+def test_hopf4_lie_rows_match_the_symbolic_path():
+    """``invariance[a]`` and ``eta-invariant[a]`` on hopf(4) against ``form_array(lie_derivative(...))``."""
+    objects = hopf(4, (1.0, 1.0, 1.0, 1.0)).objects
+    s, act, mu = objects["structure"], objects["action"], objects["momentum"]
+    pts = s.chart.sample(16, seed=3)
+    ham = verify_twisted_hamiltonian(s, act, mu, points=pts)
+    _, hyp = momentum_from_potential(s, act, points=pts)
+    for a, rho in enumerate(act.fields):
+        for row, form in ((ham[f"invariance[{a}]"], s.omega), (hyp[f"eta-invariant[{a}]"], s.potential)):
+            worst, skipped = worst_residual(form_array(lie_derivative(rho, form), pts))
+            assert row.residual == pytest.approx(worst, abs=1e-15)
+            assert (row.details["skipped"], row.details["points"]) == (skipped, len(pts))
 
 
 def test_lie_bracket_jacobi(r4, rng):

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from lcslab.charts import Chart
 from lcslab.errors import DegenerateInputError, UsageError
 from lcslab.forms import DifferentialForm, constant, coordinate, differential_1form
+from lcslab.gallery import inoue
 from lcslab.lcs import (
     LCSStructure,
     Nondegeneracy,
@@ -158,6 +159,27 @@ def test_lee_recovery_from_form_alone(solv_structure):
         expected = np.array([0.0, 1.0 / p[1], 0.0, 0.0])
         np.testing.assert_allclose(sol.coefficients, expected, atol=1e-10)
         assert sol.residual < 1e-10
+
+
+def test_batched_lee_recovery_matches_pointwise():
+    """One stacked solve on the surface example's Lee points and a sample, against one call per point."""
+    objects = inoue().objects
+    omega = objects["structure"].omega
+    pts = np.vstack([objects["lee_points"], objects["chart"].sample(28, seed=2)])
+    batch = solve_lee_form(omega, pts)
+    assert batch.coefficients.shape == pts.shape and batch.residual.shape == (len(pts),)
+    for p, theta, res in zip(pts, batch.coefficients, batch.residual):
+        one = solve_lee_form(omega, p)
+        np.testing.assert_allclose(theta, one.coefficients, rtol=1e-12, atol=1e-14)
+        assert res == pytest.approx(one.residual, abs=1e-14)
+    np.testing.assert_allclose(batch.coefficients[:, 1], 1.0 / pts[:, 1], rtol=1e-10)
+
+
+def test_batched_lee_recovery_raises_at_first_degenerate_point(r4):
+    w = DifferentialForm(r4, 2, {(0, 1): coordinate(r4, 0), (2, 3): 1.0})  # degenerate where a = 0
+    pts = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(DegenerateInputError, match=r"\[0\.0, 2\.0, 0\.0, 0\.0\]"):
+        solve_lee_form(w, pts)
 
 
 def test_lee_recovery_rejects_degenerate(r4):
