@@ -2,8 +2,11 @@
 
 Builds each manifest (sweeping a few weight choices for the weighted
 products), executes its full check suite, and compares the outcomes against
-the manifest's expected rows.  Exit status is nonzero when any expectation
-is missed, so this doubles as a slow smoke test:
+the manifest's expected rows.  The build and run columns are each
+example's cost in milliseconds in this fresh process, the total on the last
+line: the cold cost (first construction, first evaluation) that repeated
+runs do not show.  Exit status is nonzero when any expectation is missed,
+so this doubles as a slow smoke test:
 
     python3 scripts/run_all_examples.py --points 48
 """
@@ -40,14 +43,17 @@ def main(argv=None) -> int:
     ap.add_argument("--tol", type=float, default=1e-8)
     args = ap.parse_args(argv)
 
-    print(f"{'example':<16} {'checks':>6} {'failed':>6} {'expected':>10} {'time':>7}")
+    print(f"{'example':<16} {'checks':>6} {'failed':>6} {'expected':>10} {'build':>9} {'run':>9}")
     missed_total = 0
+    total = 0.0
     for label, build in builders():
-        t0 = time.monotonic()
+        t0 = time.perf_counter()
         man = build()
+        t1 = time.perf_counter()
         reports = run_manifest(man, points=args.points, seed=args.seed, tol=args.tol)
         verdicts = evaluate_manifest(man, reports)
-        dt = time.monotonic() - t0
+        t2 = time.perf_counter()
+        total += t2 - t0
 
         checks = sum(len(r.checks) for r in reports.values())
         failed = sum(1 for r in reports.values() for c in r.checks if not c.passed)
@@ -55,12 +61,14 @@ def main(argv=None) -> int:
         missed = len(verdicts.checks) - met
         missed_total += missed
         print(
-            f"{label:<16} {checks:>6} {failed:>6} {met:>5}/{len(verdicts.checks):<4} {dt:>6.1f}s"
+            f"{label:<16} {checks:>6} {failed:>6} {met:>5}/{len(verdicts.checks):<4}"
+            f" {(t1 - t0) * 1e3:>7.1f}ms {(t2 - t1) * 1e3:>7.1f}ms"
         )
         for c in verdicts.checks:
             if not c.passed:
                 print(f"    missed: {c.id} (wanted {c.details['expected']!r}, got {c.verdict!r})")
 
+    print(f"{'total':<39} {total * 1e3:>19.1f}ms")
     if missed_total:
         print(f"\n{missed_total} expectation(s) missed")
         return 1

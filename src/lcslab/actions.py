@@ -10,9 +10,11 @@ Every residual row evaluates its forms and fields once on the whole point
 batch and reports the raw max magnitude over the points; a sample point where
 some value is not finite is skipped and counted, and a row with too many
 skipped points is inconclusive rather than passed.  The Lie-derivative rows
-(``invariance``, ``eta-invariant``, ``pre-invariance``, the defects) take all
-generators of a report in one :func:`~lcslab.report.lie_derivative_arrays`
-call, so one first-order lift per coordinate serves every generator.  Deck
+(``invariance``, ``eta-invariant``, ``pre-invariance``, the defects) use
+Cartan's formula (:func:`~lcslab.forms.lie_derivative`), and a report
+replays every form it needs at once (:func:`~lcslab.report.batch_values`),
+so the second derivatives of the form are evaluated once for all
+generators.  Deck
 maps send the whole batch through one evaluation, with one domain test for
 all the images; a fitted homothety counts the points where a coefficient is
 not finite as skipped.
@@ -43,6 +45,7 @@ from .forms import (
     exterior_derivative,
     interior_product,
     lie_bracket,
+    lie_derivative,
     pullback,
 )
 from .lcs import LCSStructure, residual_check, twisted_derivative
@@ -50,13 +53,16 @@ from .report import (
     DEFAULT_TOL,
     CheckResult,
     Report,
+    batch_values,
     demote_if_sparse,
     finite_points,
+    form_array,
     form_max,
     form_values,
-    lie_derivative_arrays,
     residual_row,
+    scaled_residuals,
     spread,
+    value_array,
     worst_residual,
 )
 
@@ -200,7 +206,7 @@ def lee_homomorphism(
     dev = spread(vals)
     if dev > tol:
         closed_res = form_max(exterior_derivative(theta), pts)
-        inv_res, _ = worst_residual(lie_derivative_arrays([X], theta, pts)[1][0])
+        inv_res, _ = worst_residual(form_array(lie_derivative(X, theta), pts))
         raise InvariantViolationError(
             f"theta(X) is not constant: spread {dev:.3e} "
             f"(d theta residual {closed_res:.2e}, L_X theta residual {inv_res:.2e})",
@@ -224,12 +230,11 @@ def invariance_defect(
     """
     check_same_chart(s.chart, X.chart, "invariance arguments")
     pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
-    # one lift per coordinate serves both rows: the strict and the twisted derivative
-    theta_x = contract(s.lee, X).batch(pts)
-    _, (strict, twisted) = lie_derivative_arrays([X, X], s.omega, pts, twist=[0.0, theta_x])
+    strict = lie_derivative(X, s.omega)
+    twisted, strict = batch_values([strict - contract(s.lee, X) * s.omega, strict], pts)
     rep = Report("invariance_defect")
-    rep.add(residual_row("twisted-defect", "L_X omega - theta(X) omega = 0", twisted, tol))
-    rep.add(residual_row("strict-defect", "L_X omega = 0", strict, tol))
+    rep.add(residual_row("twisted-defect", "L_X omega - theta(X) omega = 0", value_array(twisted, len(pts)), tol))
+    rep.add(residual_row("strict-defect", "L_X omega = 0", value_array(strict, len(pts)), tol))
     return rep
 
 
@@ -237,16 +242,13 @@ def invariance_defect(
 # momentum maps
 
 
-def _momentum_row(s: LCSStructure, a: int, rho: VectorField, mu_a: ScalarField, pts, tol: float) -> CheckResult:
-    """The defining identity ``i_rho omega = d_theta mu`` of one momentum component."""
-    return residual_check(
-        f"momentum[{a}]",
-        "i_rho omega = d_theta mu",
-        interior_product(rho, s.omega),
-        twisted_derivative(s.lee, DifferentialForm.from_scalar(mu_a)),
-        pts,
-        tol,
-    )
+def _momentum_forms(s: LCSStructure, rho: VectorField, mu_a: ScalarField) -> list[DifferentialForm]:
+    """The two sides of the defining identity ``i_rho omega = d_theta mu`` of one momentum component."""
+    return [interior_product(rho, s.omega), twisted_derivative(s.lee, DifferentialForm.from_scalar(mu_a))]
+
+
+def _momentum_row(a: int, sides: list, n: int, tol: float) -> CheckResult:
+    return residual_row(f"momentum[{a}]", "i_rho omega = d_theta mu", scaled_residuals(*sides, n), tol)
 
 
 def momentum_from_potential(
@@ -269,10 +271,12 @@ def momentum_from_potential(
     pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
 
     hypo = Report("momentum hypotheses")
-    _, lie_eta = lie_derivative_arrays(act.fields, s.potential, pts)
-    for a, rho in enumerate(act.fields):
-        hypo.add(residual_row(f"eta-invariant[{a}]", "L_rho eta = 0", lie_eta[a], tol))
-        hypo.add(residual_row(f"lee-zero[{a}]", "theta(rho) = 0", contract(s.lee, rho).batch(pts), tol))
+    lie_eta = [lie_derivative(rho, s.potential) for rho in act.fields]
+    pairings = [DifferentialForm.from_scalar(contract(s.lee, rho)) for rho in act.fields]
+    values = batch_values(lie_eta + pairings, pts)
+    for a in range(act.dim):
+        hypo.add(residual_row(f"eta-invariant[{a}]", "L_rho eta = 0", value_array(values[a], len(pts)), tol))
+        hypo.add(residual_row(f"lee-zero[{a}]", "theta(rho) = 0", values[act.dim + a][()], tol))
     if not hypo.passed:
         raise PreconditionError(
             "potential is not invariant enough to define a momentum map", report=hypo
@@ -281,8 +285,9 @@ def momentum_from_potential(
     mu = MomentumMap(s.chart, tuple(-contract(s.potential, rho) for rho in act.fields))
     rep = Report("momentum_from_potential")
     rep.extend(hypo)
-    for a, rho in enumerate(act.fields):
-        rep.add(_momentum_row(s, a, rho, mu.components[a], pts, tol))
+    sides = batch_values([f for a, rho in enumerate(act.fields) for f in _momentum_forms(s, rho, mu.components[a])], pts)
+    for a in range(act.dim):
+        rep.add(_momentum_row(a, sides[2 * a : 2 * a + 2], len(pts), tol))
     return mu, rep
 
 
@@ -302,11 +307,17 @@ def verify_twisted_hamiltonian(
         raise UsageError("momentum map and action have different numbers of generators")
     pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
     rep = Report("verify_twisted_hamiltonian")
-    _, lie_omega = lie_derivative_arrays(act.fields, s.omega, pts)
-    for a, rho in enumerate(act.fields):
-        rep.add(_momentum_row(s, a, rho, mu.components[a], pts, tol))
-        rep.add(residual_row(f"invariance[{a}]", "L_rho omega = 0", lie_omega[a], tol))
-        rep.add(residual_row(f"lee-hom[{a}]", "theta(rho) = 0", contract(s.lee, rho).batch(pts), tol))
+    forms = []
+    for rho, mu_a in zip(act.fields, mu.components):
+        forms += _momentum_forms(s, rho, mu_a)
+        forms += [lie_derivative(rho, s.omega), DifferentialForm.from_scalar(contract(s.lee, rho))]
+    # one replay for every row: omega and its second derivatives are evaluated once
+    values = batch_values(forms, pts)
+    for a in range(act.dim):
+        ip, dmu, lie, pairing = values[4 * a : 4 * a + 4]
+        rep.add(_momentum_row(a, [ip, dmu], len(pts), tol))
+        rep.add(residual_row(f"invariance[{a}]", "L_rho omega = 0", value_array(lie, len(pts)), tol))
+        rep.add(residual_row(f"lee-hom[{a}]", "theta(rho) = 0", pairing[()], tol))
     return rep
 
 
@@ -327,9 +338,9 @@ def bracket_hamiltonian_check(
     """
     pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
     rep = Report("bracket_hamiltonian")
-    _, lie_omega = lie_derivative_arrays([X, Y], s.omega, pts)
+    lie_omega = batch_values([lie_derivative(X, s.omega), lie_derivative(Y, s.omega)], pts)
     for label, Z, lz in zip("XY", (X, Y), lie_omega):
-        rep.add(residual_row(f"pre-invariance-{label}", "L omega = 0", lz, tol=None))
+        rep.add(residual_row(f"pre-invariance-{label}", "L omega = 0", value_array(lz, len(pts)), tol=None))
         rep.add(residual_row(f"pre-lee-{label}", "theta pairing = 0", contract(s.lee, Z).batch(pts), tol=None))
     wxy = contract(s.omega, X, Y)
     rep.add(

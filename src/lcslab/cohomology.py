@@ -82,6 +82,7 @@ class TwistedComplex:
         if unknown:
             raise InvalidComplexError(f"weights given on non-edges: {sorted(unknown)[:3]}")
         self.theta = th
+        self._coboundaries: dict[int, np.ndarray] = {}
         for s in self.by_dim.get(2, ()):
             u, v, w = s
             defect = th[(u, v)] + th[(v, w)] - th[(u, w)]
@@ -123,7 +124,18 @@ class Cochain:
 
 
 def twisted_coboundary(K: TwistedComplex, k: int) -> np.ndarray:
-    """Matrix of ``delta_theta`` from degree k to k+1 (rows are (k+1)-simplices)."""
+    """Matrix of ``delta_theta`` from degree k to k+1 (rows are (k+1)-simplices).
+
+    Built once per complex and degree, and returned read-only.
+    """
+    if k not in K._coboundaries:
+        M = _coboundary_matrix(K, k)
+        M.flags.writeable = False
+        K._coboundaries[k] = M
+    return K._coboundaries[k]
+
+
+def _coboundary_matrix(K: TwistedComplex, k: int) -> np.ndarray:
     rows = K.simplices(k + 1)
     cols = K.simplices(k)
     M = np.zeros((len(rows), len(cols)))
@@ -133,6 +145,14 @@ def twisted_coboundary(K: TwistedComplex, k: int) -> np.ndarray:
             face = s[:i] + s[i + 1 :]
             M[r, K.index[face]] += (-1.0) ** i
     return M
+
+
+def coboundary_defects(K: TwistedComplex) -> list[float]:
+    """``max |delta_{k+1} delta_k|`` for each degree ``k`` below the top: zero when theta is a cocycle."""
+    return [
+        float(np.abs(twisted_coboundary(K, k + 1) @ twisted_coboundary(K, k)).max(initial=0.0))
+        for k in range(K.top)
+    ]
 
 
 def apply_coboundary(K: TwistedComplex, c: Cochain) -> Cochain:

@@ -24,9 +24,10 @@ row with too many skipped points is inconclusive rather than passed.
 The chapter on almost complex structures lives here too: block structures
 ``J~`` preserving horizontal/vertical splits, the Nijenhuis tensor and the
 curvature identity for its purely horizontal values.  An
-:class:`EndomorphismField` is one matrix-valued function, and Nijenhuis
-values come from first-order jets (values and Jacobians) of ``J`` and of
-the two vector fields, taken by one dual lift per coordinate.
+:class:`EndomorphismField` is one matrix-valued function, traced into a
+matrix of coefficient nodes, and Nijenhuis values come from first-order
+jets (values and Jacobians) of ``J`` and of the two vector fields, each one
+replay of the nodes and their derivative nodes.
 """
 
 from __future__ import annotations
@@ -100,8 +101,7 @@ def product_chart(base: Chart, fiber: Chart, name: str = "") -> Chart:
 
 
 def _embedded_field(total: Chart, offset: int, width: int, f: ScalarField) -> ScalarField:
-    fn = f.fn
-    return ScalarField(total, lambda p, _fn=fn, _o=offset, _w=width: _fn(p[_o : _o + _w]))
+    return ScalarField(total, f.node([dual.var(offset + i) for i in range(width)]))
 
 
 def embed_base_field(total: Chart, base: Chart, f: ScalarField) -> ScalarField:
@@ -467,7 +467,7 @@ def lift_bracket_diagnostic(
     m, k = c.base_dim, c.fiber.chart.dim
     closed3 = twisted_derivative(c.Theta, c.Omega)
     rep = Report("lift_bracket_diagnostic")
-    values = []
+    terms = []
     for _ in range(pairs):
         X = VectorField(c.base, list(_unit_rows(rng, 1, m)[0]))
         Y = VectorField(c.base, list(_unit_rows(rng, 1, m)[0]))
@@ -477,12 +477,13 @@ def lift_bracket_diagnostic(
         term1 = contract(twisted_derivative(c.Theta, DifferentialForm.from_scalar(pairing)), Z)
         term2 = contract(closed3, Ys, Xs, Z)
         rhs = contract(c.Omega, lie_bracket(Xs, Ys), Z)
-        values.append(-term1.batch(pts) + term2.batch(pts) - rhs.batch(pts))
+        terms.append([term1.node, term2.node, rhs.node])
+    v = dual.evaluate(terms, pts)  # every pair from one replay, shape (n, pairs, 3)
     rep.add(
         residual_row(
             "lift-bracket",
             "-d_Theta(Omega(Y,X))(Z) + d_Theta Omega(Y,X,Z) = Omega([X,Y],Z)",
-            np.stack(values, axis=-1),
+            -v[:, :, 0] + v[:, :, 1] - v[:, :, 2],
             tol,
             pairs=pairs,
         )
@@ -568,18 +569,20 @@ class EndomorphismField:
     """A pointwise linear map of the tangent space, as one matrix-valued function.
 
     ``fn(p)`` returns the rows of the matrix at ``p`` as nested lists.  Like a
-    scalar-field closure it uses the generic arithmetic of :mod:`lcslab.dual`,
-    so a single call yields every entry on floats, batched columns or
-    dual-lifted columns, and work the entries share (a Jacobian, an
-    adjugate) is done once per evaluation.  Derivatives, as the Nijenhuis
-    tensor needs them, come from first-order jets of ``fn``.
+    scalar-field closure it uses the generic arithmetic of :mod:`lcslab.dual`;
+    it is traced once, when the field is built, into ``entries``, a matrix of
+    nodes of the coefficient DAG, so work the entries share (a Jacobian, an
+    adjugate) is one set of nodes.  Derivatives, as the Nijenhuis tensor
+    needs them, come from first-order jets of the entries.  A closure that
+    cannot be traced leaves one opaque entry per position.
     """
 
-    __slots__ = ("chart", "fn")
+    __slots__ = ("chart", "fn", "entries")
 
     def __init__(self, chart: Chart, fn: Callable):
         self.chart = chart
         self.fn = fn
+        self.entries = _traced_rows(fn, chart.dim)
 
     @staticmethod
     def from_matrix(chart: Chart, M: np.ndarray) -> "EndomorphismField":
@@ -588,14 +591,22 @@ class EndomorphismField:
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """The matrices at every point, shape (n, dim, dim)."""
-        out = dual.evaluate(self.fn, points)
+        out = dual.evaluate(self.entries, points)
         n = self.chart.dim
         if out.shape[1:] != (n, n):
             raise UsageError(f"endomorphism on {self.chart.name!r} needs {n} rows of {n} entries")
         return out
 
-    def at(self, point) -> np.ndarray:
-        return self.batch(point)[0]
+
+def _traced_rows(fn: Callable, dim: int) -> list:
+    """The rows ``fn`` returns on coordinate nodes, as a matrix of nodes."""
+    try:
+        rows = [[dual.as_node(v) for v in row] for row in fn([dual.var(i) for i in range(dim)])]
+    except Exception:  # any failure on symbolic input means the closure stays opaque
+        rows = None
+    if rows is None or any(v is None for row in rows for v in row):
+        return [[dual.trace(lambda p, i=i, j=j: fn(p)[i][j], dim) for j in range(dim)] for i in range(dim)]
+    return rows
 
 
 def rotation_structure(chart: Chart) -> EndomorphismField:
@@ -633,10 +644,10 @@ def nijenhuis(
     check_same_chart(J.chart, X.chart, "Nijenhuis arguments")
     check_same_chart(J.chart, Y.chart, "Nijenhuis arguments")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    Jv, dJ = dual.jet(J.fn, pts)
+    Jv, dJ = dual.jet(J.entries, pts)
     _check_square(Jv, pts, tol)
-    Xv, DX = dual.jet(X, pts)
-    Yv, DY = dual.jet(Y, pts)
+    Xv, DX = dual.jet([c.node for c in X.components], pts)
+    Yv, DY = dual.jet([c.node for c in Y.components], pts)
 
     def bracket(A, DA, B, DB):
         return np.einsum("nij,nj->ni", DB, A) - np.einsum("nij,nj->ni", DA, B)
@@ -725,10 +736,11 @@ def conjugate_structure(psi: SmoothMap, J_target: EndomorphismField) -> Endomorp
     n = src.dim
     if psi.target.dim != n:
         raise UsageError("conjugation needs a diffeomorphism between equal dimensions")
-    comps = [comp.fn for comp in psi.components]
+    comps = [comp.node for comp in psi.components]
+    jacobian = [[f.partial(s) for s in range(n)] for f in comps]
 
     def fn(p):
-        jac = [[dual.partial(f, p, s) for s in range(n)] for f in comps]
+        jac = [[d(p) for d in row] for row in jacobian]
         JJ = _matmul(J_target.fn([f(p) for f in comps]), jac)
         det = det_generic(jac)
         return [[v / det for v in row] for row in _matmul(_adjugate(jac), JJ)]

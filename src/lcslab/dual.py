@@ -1,26 +1,35 @@
-"""Forward-mode dual numbers with tagged nesting.
+"""Coefficient expressions: a hash-consed DAG, dual numbers, the evaluation boundary.
 
-Every differentiation in this package goes through :class:`Dual`: a truncated
-number ``a + b*eps`` whose components may be floats, numpy arrays (for batched
-point evaluation) or further ``Dual`` values (for higher derivatives).  Each
-lift carries a fresh integer tag so that nested derivatives of the same
-coordinate do not collide ("perturbation confusion"); arithmetic always aligns
-on the highest tag and treats lower-tagged values as constants for it.
+Every coefficient is a :class:`Node` of one expression DAG.  Nodes are
+interned by structure, so a subexpression that many coefficients share (a
+weighted denominator, a second derivative) exists once.  ``node.partial(j)``
+is the derivative in coordinate ``j``, another node, built on first use and
+memoized per (node, coordinate) by the rules of :class:`Dual`, term for
+term: forward-mode differentiation is symbolic differentiation with sharing,
+exact to rounding.  A :class:`Tape` lists the nodes some roots need, each
+once, arguments first, and replays them on point columns; calling a node
+interprets it generically (on floats, columns, dual numbers, or nodes,
+which substitutes them for the coordinates).
 
-Derivatives obtained this way are algebraic, not finite differences: the only
-error is ordinary floating-point rounding.
+:class:`Dual` is a truncated number ``a + b*eps`` over floats, arrays or
+further duals, each lift with a fresh tag so that nested derivatives of one
+coordinate do not collide.  It differentiates closures that cannot be traced
+into nodes (they branch on values or call ``math``): opaque leaves.
 
-This module is also the package's evaluation boundary: closures run on point
-batches only through :func:`evaluate` and :func:`lifts` (which :func:`jet`
-is built on), the one place numpy's floating-point warnings are silenced
-during evaluation.  A point outside an expression's domain yields a
-non-finite value; :mod:`lcslab.report` decides what that means for a check.
+This module is the evaluation boundary: expressions run on point batches
+only through :func:`evaluate` and :func:`jet`, the one place numpy's
+floating-point warnings are silenced during evaluation.  A point outside an
+expression's domain yields a non-finite value; :mod:`lcslab.report` decides
+what that means for a check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+import weakref
 
 import numpy as np
 
@@ -156,10 +165,12 @@ def _split(x):
     return None, x, None
 
 
-# -- elementary functions, generic over float / ndarray / Dual -------------
+# -- elementary functions, generic over float / ndarray / Dual / Node -------
 
 
 def exp(x):
+    if isinstance(x, Node):
+        return _node("exp", (x,))
     t, v, e = _split(x)
     if t is None:
         return np.exp(v) if isinstance(v, np.ndarray) else math.exp(v)
@@ -168,6 +179,8 @@ def exp(x):
 
 
 def log(x):
+    if isinstance(x, Node):
+        return _node("log", (x,))
     t, v, e = _split(x)
     if t is None:
         return np.log(v) if isinstance(v, np.ndarray) else math.log(v)
@@ -177,6 +190,8 @@ def log(x):
 
 
 def sqrt(x):
+    if isinstance(x, Node):
+        return _node("sqrt", (x,))
     t, v, e = _split(x)
     if t is None:
         return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
@@ -185,6 +200,8 @@ def sqrt(x):
 
 
 def sin(x):
+    if isinstance(x, Node):
+        return _node("sin", (x,))
     t, v, e = _split(x)
     if t is None:
         return np.sin(v) if isinstance(v, np.ndarray) else math.sin(v)
@@ -192,6 +209,8 @@ def sin(x):
 
 
 def cos(x):
+    if isinstance(x, Node):
+        return _node("cos", (x,))
     t, v, e = _split(x)
     if t is None:
         return np.cos(v) if isinstance(v, np.ndarray) else math.cos(v)
@@ -199,6 +218,8 @@ def cos(x):
 
 
 def atan2(y, x):
+    if isinstance(y, Node) or isinstance(x, Node):
+        return _binop("atan2", y, x)
     ty = y.tag if isinstance(y, Dual) else 0
     tx = x.tag if isinstance(x, Dual) else 0
     t = max(ty, tx)
@@ -219,6 +240,13 @@ def atan2(y, x):
     return Dual(t, base, deriv)
 
 
+def power(x, n: int):
+    """``x ** n`` for an integer ``n``: repeated products on dual numbers, ``1 / x ** -n`` below zero."""
+    if isinstance(x, (Dual, Node)):
+        return x**n
+    return x**n if n >= 0 else 1.0 / x ** (-n)
+
+
 def derivative(fn, x):
     """d/dx of a scalar callable, exact to rounding."""
     tag = fresh_tag()
@@ -233,66 +261,378 @@ def partial(fn, coords, i):
     return eps(fn(lifted), tag)
 
 
-def point_array(value, n: int, leaf=None) -> np.ndarray:
-    """Nested lists of scalars or (n,) columns as one array, points axis first.
+# --------------------------------------------------------------------------
+# the expression DAG
 
-    ``leaf``, when given, maps each scalar first (to strip or read a dual layer).
+# Interned nodes by structure, held weakly: a node lives as long as a field,
+# form or larger node refers to it, and its entry leaves with it.
+_NODES: dict = {}
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
+
+
+class Node:
+    """One expression of the chart coordinates, hash-consed.
+
+    Build nodes with :func:`const`, :func:`var`, :func:`trace`, arithmetic
+    and the elementary functions of this module.  A node has no truth value
+    and no comparisons, so a closure that branches on one is not traced.
     """
 
-    def stack(v):
-        if isinstance(v, (list, tuple)):
-            return np.stack([stack(e) for e in v])
-        a = np.asarray(v if leaf is None else leaf(v), dtype=float)
-        return a if a.shape == (n,) else np.broadcast_to(a, (n,))
+    __slots__ = ("op", "args", "data", "_partials", "_tape", "__weakref__")
+    __array_ufunc__ = None
+    __hash__ = object.__hash__
 
-    return np.moveaxis(stack(value), -1, 0)
+    def __call__(self, point):
+        """Generic interpretation on one point, columns, dual numbers or nodes."""
+        if self._tape is None:
+            self._tape = Tape([self])
+        return self._tape.run(list(point))[0]
+
+    def partial(self, j: int) -> "Node":
+        """The derivative in coordinate ``j``; the nodes behind it are built when first needed."""
+        if self.op in ("c", "x"):
+            return _ONE if self.op == "x" and self.data == j else _ZERO
+        return _node("d", (self,), j)
+
+    def __add__(self, other):
+        return _binop("+", self, other)
+
+    def __sub__(self, other):
+        return _binop("-", self, other)
+
+    def __rsub__(self, other):
+        return _binop("-", other, self)
+
+    def __mul__(self, other):
+        return _binop("*", self, other)
+
+    def __truediv__(self, other):
+        return _binop("/", self, other)
+
+    def __rtruediv__(self, other):
+        return _binop("/", other, self)
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            raise TypeError("powers must be integers; use sqrt/exp/log for the rest")
+        return _node("pow", (self,), n)
+
+    def __neg__(self):
+        return _node("neg", (self,))
+
+    def __pos__(self):
+        return self
+
+    def _no_value(self, *_):
+        raise TypeError("an expression node has no value to compare or branch on")
+
+    __radd__, __rmul__ = __add__, __mul__
+    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _no_value
 
 
-def evaluate(fn, points) -> np.ndarray:
-    """``fn`` on one point or an (n, dim) batch, points axis first, constants broadcast.
+def _intern(key, op, args, data) -> Node:
+    ref = _NODES.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(Node)
+        node.op, node.args, node.data, node._partials, node._tape = op, args, data, None, None
+        _NODES[key] = weakref.KeyedRef(node, _forget, key)
+    return node
 
-    ``fn`` maps coordinate columns to a scalar or nested lists of scalars and
-    is called once; a point outside its domain yields non-finite entries.
+
+def _node(op: str, args: tuple, data=None) -> Node:
+    """The interned node ``op(*args)``.
+
+    ``+`` and ``*`` take their arguments in one order (IEEE addition and
+    multiplication commute exactly).  Only the bit-exact identities ``x*1``,
+    ``x/1`` and ``x-0.0`` fold: ``x+0.0`` changes the sign of a zero, and
+    ``0*x`` must carry a non-finite ``x``.
     """
+    if op in ("+", "*") and id(args[0]) > id(args[1]):
+        args = (args[1], args[0])
+    if op in ("*", "/") and args[1] is _ONE or op == "-" and args[1] is _ZERO:
+        return args[0]
+    if op == "*" and args[0] is _ONE:
+        return args[1]
+    return _intern((op, data, *map(id, args)), op, args, data)
+
+
+def const(c) -> Node:
+    """The constant ``c``; keyed by its sign too, so ``0.0`` and ``-0.0`` stay distinct."""
+    c = float(c)
+    return _intern(("c", c, math.copysign(1.0, c)), "c", (), c)
+
+
+def var(i: int) -> Node:
+    """Coordinate ``i``."""
+    return _intern(("x", i), "x", (), i)
+
+
+# held for the life of the module: folding tests them by identity
+_ZERO, _ONE, _TWO = const(0.0), const(1.0), const(2.0)
+
+
+def as_node(x):
+    """``x`` as a node when it is a node or a number, else None."""
+    if isinstance(x, Node):
+        return x
+    return const(x) if isinstance(x, (int, float, np.number)) else None
+
+
+def _binop(op: str, a, b):
+    a, b = as_node(a), as_node(b)
+    return NotImplemented if a is None or b is None else _node(op, (a, b))
+
+
+def trace(fn, dim: int) -> Node:
+    """``fn`` (a closure over ``dim`` coordinates, a number or a node) as one node.
+
+    A closure runs once, on coordinate nodes.  One that cannot, because it
+    branches on a value, calls ``math`` or returns no number, becomes an
+    opaque leaf: called on the columns and differentiated with :class:`Dual`.
+    """
+    node = as_node(fn)
+    if node is not None:
+        return node
+    coords = tuple(var(i) for i in range(dim))
+    try:
+        node = as_node(fn(list(coords)))
+    except Exception:  # any failure on symbolic input means the closure stays opaque
+        node = None
+    return _node("leaf", coords, fn) if node is None else node
+
+
+# -- derivatives: the rules of Dual, term for term; None is a structural zero
+
+
+def _plus(x, y):
+    return y if x is None else x if y is None else x + y
+
+
+def _minus(x, y):
+    return -y if x is None else x if y is None else x - y
+
+
+def _times(x, y):
+    return None if x is None or y is None else x * y
+
+
+def _partial(n: Node, j: int):
+    """The derivative of ``n`` in coordinate ``j``, memoized, or None where it is structurally zero."""
+    memo = n._partials
+    if memo is None:
+        memo = n._partials = {}
+    elif j in memo:
+        return memo[j]
+    op, args = n.op, n.args
+    if op in ("c", "x"):
+        d = _ONE if op == "x" and n.data == j else None
+    elif op == "d":
+        d = _partial(_resolve(n), j)
+    elif op == "pow":  # as Dual computes a power: repeated products, 1 / a ** -n below zero
+        out = _ONE
+        for _ in range(abs(n.data)):
+            out = out * args[0]
+        d = _partial(out if n.data >= 0 else _ONE / out, j)
+    elif op == "leaf":  # the chain rule through dual lifts of the closure
+        d = None
+        for k, a in enumerate(args):
+            e = _partial(a, j)
+            if e is not None:
+                d = _plus(d, _node("leaf", args, functools.partial(partial, n.data, i=k)) * e)
+    else:
+        a, b = args[0], args[-1]
+        ea, eb = _partial(a, j), _partial(b, j)
+        if ea is None and eb is None:
+            d = None
+        elif op == "+":
+            d = _plus(ea, eb)
+        elif op == "-":
+            d = _minus(ea, eb)
+        elif op == "*":
+            d = _plus(_times(ea, b), _times(a, eb))
+        elif op == "/":
+            d = ea / b if eb is None else _minus(_times(ea, b), a * eb) / (b * b)
+        elif op == "atan2":  # atan2(y, x) with y = a, x = b
+            d = _minus(_times(ea, b), _times(a, eb)) / (b * b + a * a)
+        elif op == "neg":
+            d = -ea
+        elif op == "exp":
+            d = ea * n
+        elif op == "log":  # ``0.0 * log(a)`` carries log's domain into the derivative
+            d = ea / a + _ZERO * n
+        elif op == "sqrt":
+            d = ea / (_TWO * n)
+        elif op == "sin":
+            d = ea * cos(a)
+        else:  # cos
+            d = -(ea * sin(a))
+    memo[j] = d
+    return d
+
+
+def _resolve(n: Node) -> Node:
+    """The node a derivative placeholder stands for: zero where the derivative is structurally zero."""
+    while n.op == "d":
+        d = _partial(n.args[0], n.data)
+        n = _ZERO if d is None else d
+    return n
+
+
+# -- replay ------------------------------------------------------------------
+
+_UNARY = {"neg": operator.neg, "exp": exp, "log": log, "sqrt": sqrt, "sin": sin, "cos": cos}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "atan2": atan2}
+
+
+class Tape:
+    """The nodes that ``roots`` need, each once, arguments before their users.
+
+    :meth:`run` evaluates them on coordinate inputs; ``len`` is the number
+    of nodes one replay evaluates.
+    """
+
+    __slots__ = ("steps", "last", "outputs")
+
+    def __init__(self, roots):
+        pos: dict[int, int] = {}
+        steps: list[tuple] = []  # (code, function or value, first argument, second argument)
+        last: list[int] = []  # the step that uses each value last
+
+        def visit(n: Node) -> int:  # recursion as deep as the DAG
+            if n.op == "d":
+                n = _resolve(n)
+            k = pos.get(id(n))
+            if k is not None:
+                return k
+            f = _BINARY.get(n.op)
+            if f is not None:  # the common case, kept short
+                a, b = visit(n.args[0]), visit(n.args[1])
+                k = pos[id(n)] = len(steps)
+                last[a] = last[b] = k
+                steps.append((2, f, a, b))
+            else:
+                at = [visit(a) for a in n.args]
+                k = pos[id(n)] = len(steps)
+                for i in at:
+                    last[i] = k
+                if n.op in _UNARY or n.op == "pow":
+                    steps.append((1, _UNARY.get(n.op) or functools.partial(power, n=n.data), at[0], None))
+                elif n.op == "c":
+                    steps.append((0, n.data, None, None))
+                elif n.op == "x":
+                    steps.append((3, None, n.data, None))
+                else:  # an opaque leaf on its inputs
+                    steps.append((4, n.data, at, None))
+            last.append(k)
+            return k
+
+        self.outputs = [visit(r) for r in roots]
+        for k in self.outputs:
+            last[k] = len(steps)
+        self.steps, self.last = steps, last
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def run(self, inputs) -> list:
+        """The roots' values, with ``inputs[i]`` for coordinate ``i``; each intermediate is freed after its last use."""
+        vals: list = [None] * len(self.steps)
+        last = self.last
+        for k, (code, f, a, b) in enumerate(self.steps):
+            if code == 2:
+                vals[k] = f(vals[a], vals[b])
+                if last[b] == k:
+                    vals[b] = None
+            elif code == 1:
+                vals[k] = f(vals[a])
+            elif code == 0:
+                vals[k] = f
+                continue
+            elif code == 3:
+                vals[k] = inputs[a]
+                continue
+            else:
+                vals[k] = f([vals[i] for i in a])
+                for i in a:
+                    if last[i] == k:
+                        vals[i] = None
+                continue
+            if last[a] == k:
+                vals[a] = None
+        return [vals[k] for k in self.outputs]
+
+
+# -- the evaluation boundary ---------------------------------------------------
+
+
+# Points per replay of a tape: a large batch runs in slices, so the hundreds
+# of intermediates a Lie derivative keeps alive stay a few megabytes (peak
+# RSS of the 4096-point gallery runs: 2048 points would add about 7 MB).
+_SLICE = 1024
+
+
+def _replay(values, points) -> list:
+    """Each nested value in ``values`` on an (n, dim) batch, from one tape replayed slice by slice."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    shapes, leaves = zip(*map(_flatten, values))
+    roots = [x for xs in leaves for x in xs if isinstance(x, Node)]
+    if len(roots) == 1:  # one root is one node, whose tape is kept with it
+        tape = roots[0]._tape = roots[0]._tape or Tape(roots)
+    else:
+        tape = Tape(roots)
+    # one row per leaf, points last, laid out as a stack of (n,) columns
+    outs = [np.empty((len(xs), len(pts))) for xs in leaves]
     with np.errstate(all="ignore"):
-        return point_array(fn(list(pts.T)), len(pts))
+        for start in range(0, len(pts), _SLICE):
+            got = dict(zip(map(id, roots), tape.run(list(pts[start : start + _SLICE].T))))
+            for out, xs in zip(outs, leaves):
+                for row, x in zip(out, xs):
+                    row[start : start + _SLICE] = got[id(x)] if isinstance(x, Node) else x
+    return [np.moveaxis(out.reshape(*shape, len(pts)), -1, 0) for out, shape in zip(outs, shapes)]
 
 
-def lifts(fn, points):
-    """``fn`` on an (n, dim) batch with one coordinate lifted at a time.
+def _flatten(value) -> tuple[tuple, list]:
+    """The shape of nested lists (rectangular, as the first entries show it) and their leaves in order."""
+    if not isinstance(value, (list, tuple)):
+        return (), [value]
+    parts = [_flatten(v) for v in value]
+    return (len(value), *(parts[0][0] if parts else ())), [x for _, xs in parts for x in xs]
 
-    Yields ``(value, derivative)`` once per coordinate ``j``, in order: the
-    value with the points axis first (as :func:`evaluate` returns it, read
-    from the first lift and the same array every time) and ``d value / d x_j``
-    in the same shape.  ``fn`` is called once per coordinate, with numpy's
-    floating-point warnings silenced for that call only (never across a
-    ``yield``); a point outside the domain yields non-finite entries.
+
+def evaluate(value, points) -> np.ndarray:
+    """``value`` on one point or an (n, dim) batch, points axis first, constants broadcast.
+
+    ``value`` is a node, a number or nested lists of them, replayed on the
+    coordinate columns; or a closure mapping the columns to one column, such
+    as a chart's domain test, called once.  A point outside the domain
+    yields non-finite entries.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n, cols, val = len(pts), list(pts.T), None
-    for j in range(len(cols)):
-        tag = fresh_tag()
-        lifted = list(cols)
-        lifted[j] = lift(cols[j], tag)
+    if callable(value) and not isinstance(value, Node):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         with np.errstate(all="ignore"):
-            out = fn(lifted)
-        if val is None:
-            val = point_array(out, n, value)
-        # rebinding ``out`` frees its dual layers while the caller works
-        out = point_array(out, n, lambda v: eps(v, tag))
-        yield val, out
+            return np.broadcast_to(np.asarray(value(list(pts.T)), dtype=float), (len(pts),))
+    return _replay([value], points)[0]
 
 
-def jet(fn, points) -> tuple[np.ndarray, np.ndarray]:
-    """Value and first derivatives of ``fn`` on an (n, dim) batch, one lift per coordinate.
+def jet(value, points) -> tuple[np.ndarray, np.ndarray]:
+    """Value and first derivatives of nested nodes on an (n, dim) batch, from one replay.
 
-    ``fn`` maps coordinate columns to nested lists of scalars (the components
-    of a vector field or map, the rows of an endomorphism).  Returns the value
+    ``value`` holds nodes or numbers in nested lists (the components of a
+    vector field or map, the rows of an endomorphism).  Returns the value
     with the points axis first and the derivatives with one more, trailing
-    axis over the coordinates: ``D[..., j] = d value / d x_j``.  Evaluation
-    goes through :func:`lifts`; a point outside the domain yields non-finite
-    entries.
+    axis over the coordinates: ``D[..., j] = d value / d x_j``.
     """
-    values, grads = zip(*lifts(fn, points))
-    return values[0], np.stack(grads, axis=-1)
+    dim = np.atleast_2d(np.asarray(points)).shape[1]
+
+    def grads(v):
+        if isinstance(v, (list, tuple)):
+            return [grads(e) for e in v]
+        return [v.partial(j) if isinstance(v, Node) else 0.0 for j in range(dim)]
+
+    values, derivatives = _replay([value, grads(value)], points)
+    return values, derivatives

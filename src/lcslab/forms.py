@@ -2,13 +2,16 @@
 
 Representation choices:
 
-* a :class:`ScalarField` wraps a closure over the coordinate tuple; closures
-  must use the generic arithmetic from :mod:`lcslab.dual` so they evaluate on
-  floats, batched numpy columns and nested dual numbers alike;
+* a :class:`ScalarField` is one node of the coefficient DAG of
+  :mod:`lcslab.dual`; a closure over the coordinate tuple, written with the
+  generic arithmetic of that module, is traced into nodes once, when the
+  field is built;
 * a :class:`DifferentialForm` of degree k stores coefficients on strictly
   increasing index tuples only;
-* every derivative (exterior derivative, Lie bracket, Jacobians for
-  pullbacks) is taken by dual-number lifting — never finite differences.
+* the exterior operations (wedge, ``d``, interior product, Lie bracket,
+  pullback and composition by substitution, contraction) build their
+  coefficients as nodes directly; every derivative they take is a
+  memoized derivative node, exact to rounding — never finite differences.
 
 Forms of degree larger than the chart dimension are permitted only as
 canonical zero forms (no increasing index tuple exists), which is what
@@ -20,8 +23,9 @@ boundary; this module carries no floating-point guard of its own.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,102 +39,80 @@ from .errors import UsageError
 
 
 class ScalarField:
-    """A function of the chart coordinates, closed under dual-number lifting."""
+    """A function of the chart coordinates: one node of the coefficient DAG.
 
-    __slots__ = ("chart", "fn")
+    Built from a node, a number, or a closure over the coordinate sequence
+    that uses the generic arithmetic of :mod:`lcslab.dual`; a closure is
+    traced once, here (see :func:`lcslab.dual.trace`).  ``fn`` is the node,
+    callable on floats, numpy columns, dual numbers and nodes alike.
+    """
 
-    def __init__(self, chart: Chart, fn: Callable):
+    __slots__ = ("chart", "node")
+
+    def __init__(self, chart: Chart, fn):
         self.chart = chart
-        self.fn = fn
+        self.node = dual.trace(fn, chart.dim)
+
+    @property
+    def fn(self) -> dual.Node:
+        return self.node
 
     def __call__(self, point):
-        return self.fn(point)
-
-    def at(self, point: Sequence[float]) -> float:
-        """Evaluate at a single concrete point."""
-        return float(self.fn([float(c) for c in point]))
+        return self.node(point)
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on an (n, dim) batch; a point outside the domain gives a non-finite value."""
-        return dual.evaluate(self.fn, points)
+        return dual.evaluate(self.node, points)
 
     def partial(self, i: int) -> "ScalarField":
         if not 0 <= i < self.chart.dim:
             raise UsageError(f"partial index {i} out of range for chart {self.chart.name!r}")
-        fn = self.fn
-        return ScalarField(self.chart, lambda p, _fn=fn, _i=i: dual.partial(_fn, p, _i))
+        return ScalarField(self.chart, self.node.partial(i))
 
     # arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
+    def _with(self, other, op, reflected=False):
         if isinstance(other, ScalarField):
             check_same_chart(self.chart, other.chart, "scalar fields")
-            return other.fn
-        if isinstance(other, (int, float)):
-            c = float(other)
-            return lambda p: c
-        return None
+            other = other.node
+        elif isinstance(other, (int, float)):
+            other = dual.const(other)
+        else:
+            return NotImplemented
+        return ScalarField(self.chart, op(other, self.node) if reflected else op(self.node, other))
 
     def __add__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        f = self.fn
-        return ScalarField(self.chart, lambda p: f(p) + g(p))
-
-    __radd__ = __add__
+        return self._with(other, operator.add)
 
     def __sub__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        f = self.fn
-        return ScalarField(self.chart, lambda p: f(p) - g(p))
+        return self._with(other, operator.sub)
 
     def __rsub__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        f = self.fn
-        return ScalarField(self.chart, lambda p: g(p) - f(p))
+        return self._with(other, operator.sub, reflected=True)
 
     def __mul__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        f = self.fn
-        return ScalarField(self.chart, lambda p: f(p) * g(p))
-
-    __rmul__ = __mul__
+        return self._with(other, operator.mul)
 
     def __truediv__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        f = self.fn
-        return ScalarField(self.chart, lambda p: f(p) / g(p))
+        return self._with(other, operator.truediv)
 
     def __rtruediv__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        f = self.fn
-        return ScalarField(self.chart, lambda p: g(p) / f(p))
+        return self._with(other, operator.truediv, reflected=True)
 
     def __neg__(self):
-        f = self.fn
-        return ScalarField(self.chart, lambda p: -f(p))
+        return ScalarField(self.chart, -self.node)
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
 def constant(chart: Chart, c: float) -> ScalarField:
-    c = float(c)
-    return ScalarField(chart, lambda p: c)
+    return ScalarField(chart, dual.const(c))
 
 
 def coordinate(chart: Chart, i) -> ScalarField:
     if isinstance(i, str):
         i = chart.index(i)
-    return ScalarField(chart, lambda p, _i=i: p[_i])
+    return ScalarField(chart, dual.var(i))
 
 
 # --------------------------------------------------------------------------
@@ -158,12 +140,9 @@ class VectorField:
     def __call__(self, point):
         return [c(point) for c in self.components]
 
-    def at(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([c.at(point) for c in self.components])
-
     def batch(self, points: np.ndarray) -> np.ndarray:
         """The components at every point, shape (n, dim)."""
-        return dual.evaluate(self, points)
+        return dual.evaluate([c.node for c in self.components], points)
 
     def __add__(self, other):
         check_same_chart(self.chart, other.chart, "vector fields")
@@ -305,24 +284,12 @@ def det_generic(M):
 # the exterior operations
 
 
-def eval_form(form: DifferentialForm, point, vectors, check_domain: bool = True):
-    """Multilinear evaluation of ``form`` at ``point`` on ``vectors``."""
-    if len(vectors) != form.degree:
-        raise UsageError(f"degree-{form.degree} form applied to {len(vectors)} vectors")
-    if check_domain:
-        form.chart.require(point)
-    p = [float(c) for c in point]
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    for v in vecs:
-        if v.shape != (form.chart.dim,):
-            raise UsageError("vector arguments must match the chart dimension")
-    if form.degree == 0:
-        return float(form.coefficient(())(p))
-    total = 0.0
-    for I, f in form.coeffs.items():
-        M = [[vecs[s][i] for s in range(form.degree)] for i in I]
-        total += float(f(p)) * float(det_generic(M))
-    return total
+def _signed_sum(chart: Chart, terms) -> ScalarField:
+    """``0.0 ± t_1 ± t_2 ...`` over ``(sign, node)`` terms, left to right."""
+    total = dual.const(0.0)
+    for sign, t in terms:
+        total = total + t if sign > 0 else total - t
+    return ScalarField(chart, total)
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
@@ -337,17 +304,8 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
             if m is None:
                 continue
             K, sign = m
-            groups.setdefault(K, []).append((sign, f, g))
-    coeffs = {}
-    for K, terms in groups.items():
-        def fn(p, _terms=tuple(terms)):
-            total = 0.0
-            for sign, f, g in _terms:
-                prod = f(p) * g(p)
-                total = total + prod if sign > 0 else total - prod
-            return total
-        coeffs[K] = ScalarField(a.chart, fn)
-    return DifferentialForm(a.chart, deg, coeffs)
+            groups.setdefault(K, []).append((sign, f.node * g.node))
+    return DifferentialForm(a.chart, deg, {K: _signed_sum(a.chart, terms) for K, terms in groups.items()})
 
 
 def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
@@ -361,17 +319,8 @@ def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
             if j in I:
                 continue
             K, sign = _insert(j, I)
-            groups.setdefault(K, []).append((sign, f.partial(j)))
-    coeffs = {}
-    for K, terms in groups.items():
-        def fn(p, _terms=tuple(terms)):
-            total = 0.0
-            for sign, df in _terms:
-                v = df(p)
-                total = total + v if sign > 0 else total - v
-            return total
-        coeffs[K] = ScalarField(chart, fn)
-    return DifferentialForm(chart, deg, coeffs)
+            groups.setdefault(K, []).append((sign, f.node.partial(j)))
+    return DifferentialForm(chart, deg, {K: _signed_sum(chart, terms) for K, terms in groups.items()})
 
 
 def interior_product(X: VectorField, form: DifferentialForm) -> DifferentialForm:
@@ -382,16 +331,8 @@ def interior_product(X: VectorField, form: DifferentialForm) -> DifferentialForm
     for I, f in form.coeffs.items():
         for t, i in enumerate(I):
             K = I[:t] + I[t + 1 :]
-            groups.setdefault(K, []).append(((-1) ** t, X.components[i], f))
-    coeffs = {}
-    for K, terms in groups.items():
-        def fn(p, _terms=tuple(terms)):
-            total = 0.0
-            for sign, xc, f in _terms:
-                prod = xc(p) * f(p)
-                total = total + prod if sign > 0 else total - prod
-            return total
-        coeffs[K] = ScalarField(form.chart, fn)
+            groups.setdefault(K, []).append(((-1) ** t, X.components[i].node * f.node))
+    coeffs = {K: _signed_sum(form.chart, terms) for K, terms in groups.items()}
     return DifferentialForm(form.chart, form.degree - 1, coeffs)
 
 
@@ -400,27 +341,21 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     chart = X.chart
     comps = []
     for i in range(chart.dim):
-        def fn(p, _i=i, _X=X, _Y=Y):
-            total = 0.0
-            for j in range(chart.dim):
-                xj = _X.components[j](p)
-                yj = _Y.components[j](p)
-                total = total + xj * dual.partial(_Y.components[_i].fn, p, j)
-                total = total - yj * dual.partial(_X.components[_i].fn, p, j)
-            return total
-        comps.append(ScalarField(chart, fn))
+        terms = []
+        for j in range(chart.dim):
+            terms.append((1, X.components[j].node * Y.components[i].node.partial(j)))
+            terms.append((-1, Y.components[j].node * X.components[i].node.partial(j)))
+        comps.append(_signed_sum(chart, terms))
     return VectorField(chart, comps)
 
 
 def lie_derivative(X: VectorField, form: DifferentialForm) -> DifferentialForm:
     """Cartan's formula  L_X = i_X d + d i_X  (degree 0: just i_X d).
 
-    The symbolic, composable construction (a form that can be wedged,
-    differentiated or pulled back further) and the tests' oracle.  Report
-    rows evaluate Lie derivatives with
-    :func:`lcslab.report.lie_derivative_arrays` instead, whose coordinate
-    formula needs only first derivatives, where this nests ``d`` inside
-    ``i_X`` and re-derives every coefficient per generator.
+    Composable like every exterior operation (the result can be wedged,
+    differentiated or pulled back further), and what the report rows
+    evaluate: ``d`` inside ``i_X`` needs second derivatives of the form's
+    coefficients, which the DAG builds once and shares between generators.
     """
     check_same_chart(X.chart, form.chart, "Lie derivative operands")
     term1 = interior_product(X, exterior_derivative(form))
@@ -451,12 +386,9 @@ class SmoothMap:
     def __call__(self, point):
         return [c(point) for c in self.components]
 
-    def at(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([c.at(point) for c in self.components])
-
     def batch(self, points: np.ndarray) -> np.ndarray:
         """The images of an (n, source dim) batch, shape (n, target dim)."""
-        return dual.evaluate(self, points)
+        return dual.evaluate([c.node for c in self.components], points)
 
     @staticmethod
     def identity(chart: Chart) -> "SmoothMap":
@@ -470,8 +402,9 @@ class SmoothMap:
 
 
 def compose(f: ScalarField, m: SmoothMap) -> ScalarField:
+    """``f`` after ``m``: the components of ``m`` substituted for the coordinates of ``f``."""
     check_same_chart(f.chart, m.target, "composition")
-    return ScalarField(m.source, lambda p, _f=f.fn, _m=m: _f(_m(p)))
+    return ScalarField(m.source, f.node([c.node for c in m.components]))
 
 
 def pullback(m: SmoothMap, form: DifferentialForm) -> DifferentialForm:
@@ -482,24 +415,15 @@ def pullback(m: SmoothMap, form: DifferentialForm) -> DifferentialForm:
         return DifferentialForm.from_scalar(compose(form.coefficient(()), m))
     if k > src.dim:
         return DifferentialForm.zero(src, k)
-    items = tuple(form.coeffs.items())
-    comps = m.components
+    image = [c.node for c in m.components]
+    pulled = [(I, f.node(image)) for I, f in form.coeffs.items()]
+    jac = [[c.partial(j) for j in range(src.dim)] for c in image]
     coeffs = {}
     for J in combinations(range(src.dim), k):
-        def fn(p, _J=J, _items=items, _comps=comps):
-            img = [c(p) for c in _comps]
-            cache = {}
-            def dpart(i, j):
-                key = (i, j)
-                if key not in cache:
-                    cache[key] = dual.partial(_comps[i].fn, p, j)
-                return cache[key]
-            total = 0.0
-            for I, f in _items:
-                M = [[dpart(i, j) for j in _J] for i in I]
-                total = total + f(img) * det_generic(M)
-            return total
-        coeffs[J] = ScalarField(src, fn)
+        total = dual.const(0.0)
+        for I, f in pulled:
+            total = total + f * det_generic([[jac[i][j] for j in J] for i in I])
+        coeffs[J] = ScalarField(src, total)
     return DifferentialForm(src, k, coeffs)
 
 
@@ -508,17 +432,14 @@ def differential_1form(f: ScalarField) -> DifferentialForm:
 
 
 def contract(form: DifferentialForm, *fields: VectorField) -> ScalarField:
-    """Full contraction ω(X, Y, ...) as a scalar field (dual-liftable)."""
+    """Full contraction ω(X, Y, ...) as a scalar field."""
     if len(fields) != form.degree:
         raise UsageError("contract needs exactly one vector field per form slot")
     for X in fields:
         check_same_chart(form.chart, X.chart, "contraction operands")
-    items = tuple(form.coeffs.items())
-    def fn(p, _items=items, _fields=fields):
-        vals = [[c(p) for c in X.components] for X in _fields]
-        total = 0.0
-        for I, f in _items:
-            M = [[vals[s][i] for s in range(len(_fields))] for i in I]
-            total = total + f(p) * det_generic(M)
-        return total
-    return ScalarField(form.chart, fn)
+    vals = [[c.node for c in X.components] for X in fields]
+    total = dual.const(0.0)
+    for I, f in form.coeffs.items():
+        M = [[vals[s][i] for s in range(len(fields))] for i in I]
+        total = total + f.node * det_generic(M)
+    return ScalarField(form.chart, total)

@@ -59,7 +59,9 @@ from .reduction import (
 )
 from .report import DEFAULT_TOL, CheckResult, Report, demote_if_sparse, form_residual, residual_row
 
-RunFn = Callable[[int, int, float], Report]
+# a string forward reference: typing caches the alias, and with the class in it
+# every earlier import of this package would stay alive
+RunFn = Callable[[int, int, float], "Report"]
 
 
 class Expectation(NamedTuple):
@@ -164,14 +166,12 @@ def hopf(n: int = 2, weights=(1.0, 1.0)) -> ExampleManifest:
 
     g = ScalarField(chart, gfn)
 
-    def denfn(p, _w=weights):
-        total = 0.0
-        for i in range(n - 1):
-            total = total + _w[i] * (p[xi[i]] * p[xi[i]] + p[yi[i]] * p[yi[i]])
-        total = total + _w[-1] * (p[xi[-1]] * p[xi[-1]] + 1.0 - _sq(p[1:]))
-        return total
-
-    den = ScalarField(chart, denfn)
+    # |z_i|^2 on the graph chart: the weighted denominator and every momentum share them
+    moduli = [ScalarField(chart, lambda p, a=xi[i], b=yi[i]: p[a] * p[a] + p[b] * p[b]) for i in range(n - 1)]
+    moduli.append(ScalarField(chart, lambda p: p[xi[-1]] * p[xi[-1]] + 1.0 - _sq(p[1:])))
+    den = 0.0
+    for w, m in zip(weights, moduli):
+        den = den + w * m
 
     # contact potential of the round sphere, written on the graph chart
     eta0_coeffs = {}
@@ -200,18 +200,7 @@ def hopf(n: int = 2, weights=(1.0, 1.0)) -> ExampleManifest:
     fields.append(VectorField(chart, [(-1.0) * g if j == xi[-1] else 0.0 for j in range(chart.dim)]))
     act = ActionSpec(chart, tuple(fields), elements=_hopf_elements(chart, n))
 
-    mus = []
-    for i in range(n - 1):
-        mus.append(
-            ScalarField(
-                chart,
-                lambda p, _a=xi[i], _b=yi[i]: (p[_a] * p[_a] + p[_b] * p[_b]) / denfn(p),
-            )
-        )
-    mus.append(
-        ScalarField(chart, lambda p: (p[xi[-1]] * p[xi[-1]] + 1.0 - _sq(p[1:])) / denfn(p))
-    )
-    mu = MomentumMap(chart, tuple(mus))
+    mu = MomentumMap(chart, tuple(m / den for m in moduli))
 
     pole = np.zeros(chart.dim)
     pole[xi[0]] = 1.0

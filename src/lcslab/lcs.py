@@ -4,10 +4,11 @@ A structure is a pair (omega, theta) with ``d omega = theta ^ omega`` and
 ``d theta = 0``; ``twisted_derivative`` is the operator ``d_theta = d - theta ^ .``
 Verification checks pointwise identities over seeded samples and returns a
 :class:`~lcslab.report.Report` rather than raising, except where an operation
-is genuinely unusable (odd dimension, degenerate input).  Each row evaluates
-its forms once on the whole point batch (nondegeneracy from one stack of skew
-coefficient matrices); a sample point where some value is not finite is
-skipped and counted, and a row with too many skipped points is inconclusive.
+is genuinely unusable (odd dimension, degenerate input).  A report evaluates
+all its forms in one replay on the whole point batch (nondegeneracy from one
+stack of skew coefficient matrices); a sample point where some value is not
+finite is skipped and counted, and a row with too many skipped points is
+inconclusive.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .report import (
     DEFAULT_TOL,
     CheckResult,
     Report,
+    batch_values,
     demote_if_sparse,
     finite_points,
     form_values,
@@ -103,9 +105,12 @@ def skew_matrices(omega: DifferentialForm, points) -> np.ndarray:
     if omega.degree != 2:
         raise UsageError("skew coefficient matrices are defined for 2-forms only")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = omega.chart.dim
-    M = np.zeros((len(pts), d, d))
-    for (i, j), v in form_values(omega, pts).items():
+    return _skew(form_values(omega, pts), omega.chart.dim, len(pts))
+
+
+def _skew(values: dict, d: int, n: int) -> np.ndarray:
+    M = np.zeros((n, d, d))
+    for (i, j), v in values.items():
         M[:, i, j] = v
         M[:, j, i] = -v
     return M
@@ -142,7 +147,8 @@ def normalized_determinant(M: np.ndarray) -> float | np.ndarray:
         scales = np.abs(M).max(axis=-1, keepdims=True)
         ok = np.all((scales > 0.0) & np.isfinite(scales), axis=-2, keepdims=True)
         # a masked scale: det only ever sees finite matrices
-        rows = np.where(ok, M / np.where(ok, scales, 1.0), np.eye(M.shape[-1]))
+        rows = M / np.where(ok, scales, 1.0)
+        rows[~ok[..., 0, 0]] = np.eye(M.shape[-1])
         out = np.where(ok[..., 0, 0], np.linalg.det(rows), 0.0)
     return float(out) if M.ndim == 2 else out
 
@@ -155,6 +161,14 @@ def nondegeneracy_check(
     The skew matrices are built once for the whole batch; a point with a
     non-finite coefficient is skipped and counted.
     """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return _nondegeneracy_row(omega, form_values(omega, pts), len(pts), tol, check_id)
+
+
+def _nondegeneracy_row(
+    omega: DifferentialForm, values: dict, n: int, tol: float, check_id: str = "nondegenerate"
+) -> CheckResult:
+    """:func:`nondegeneracy_check` on the coefficient columns ``values`` of ``omega``."""
     if omega.chart.dim % 2 == 1:
         return CheckResult(
             check_id,
@@ -165,9 +179,9 @@ def nondegeneracy_check(
             verdict="fail",
             details={"note": _ODD_NOTE},
         )
-    M = skew_matrices(omega, points)
+    M = _skew(values, omega.chart.dim, n)
     finite = finite_points(M)
-    dets = np.abs(normalized_determinant(M[finite]))
+    dets = np.abs(normalized_determinant(M if finite.all() else M[finite]))
     worst = float(dets.min()) if dets.size else 0.0
     skipped = int(len(M) - finite.sum())
     result = CheckResult(
@@ -190,8 +204,8 @@ def residual_check(
     tol: float = DEFAULT_TOL,
 ) -> CheckResult:
     """Pointwise scaled residual of ``a - b`` (or ``a`` alone) as a check row."""
-    vb = form_values(b, points) if b is not None else {}
-    return residual_row(check_id, claim, scaled_residuals(form_values(a, points), vb, len(points)), tol)
+    va, vb = batch_values([a, b], points) if b is not None else (form_values(a, points), {})
+    return residual_row(check_id, claim, scaled_residuals(va, vb, len(points)), tol)
 
 
 # --------------------------------------------------------------------------
@@ -212,22 +226,19 @@ def verify_lcs(
     """
     pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
     rep = Report(f"verify_lcs({s.name or s.chart.name})")
-    rep.add(residual_check("lee-closed", "d(lee form) = 0", exterior_derivative(s.lee), None, pts, tol))
-    rep.add(
-        residual_check(
-            "lcs-identity", "d(omega) = lee ^ omega", exterior_derivative(s.omega), wedge(s.lee, s.omega), pts, tol
-        )
-    )
-    rep.add(nondegeneracy_check(s.omega, pts, tol))
+    forms = [exterior_derivative(s.lee), exterior_derivative(s.omega), wedge(s.lee, s.omega), s.omega]
     if s.potential is not None:
+        forms.append(twisted_derivative(s.lee, s.potential))
+    # one replay for every row, so omega and its derivatives are evaluated once
+    dlee, domega, lee_omega, omega, *potential = batch_values(forms, pts)
+    n = len(pts)
+    rep.add(residual_row("lee-closed", "d(lee form) = 0", scaled_residuals(dlee, {}, n), tol))
+    rep.add(residual_row("lcs-identity", "d(omega) = lee ^ omega", scaled_residuals(domega, lee_omega, n), tol))
+    rep.add(_nondegeneracy_row(s.omega, omega, n, tol))
+    if potential:
         rep.add(
-            residual_check(
-                "potential",
-                "omega = d(eta) - lee ^ eta",
-                s.omega,
-                twisted_derivative(s.lee, s.potential),
-                pts,
-                tol,
+            residual_row(
+                "potential", "omega = d(eta) - lee ^ eta", scaled_residuals(omega, potential[0], n), tol
             )
         )
     return rep
@@ -300,11 +311,6 @@ def solve_lee_form(omega: DifferentialForm, points, tol: float = DEFAULT_TOL) ->
 # conformal rescaling and exact structures
 
 
-def exp_field(f: ScalarField) -> ScalarField:
-    fn = f.fn
-    return ScalarField(f.chart, lambda p: dual.exp(fn(p)))
-
-
 def conformal_rescale(s: LCSStructure, f: ScalarField) -> LCSStructure:
     """Replace omega by e^f omega and the Lee form by theta + df.
 
@@ -313,7 +319,7 @@ def conformal_rescale(s: LCSStructure, f: ScalarField) -> LCSStructure:
     A potential, when present, rescales to e^f eta.
     """
     check_same_chart(s.chart, f.chart, "rescaling factor")
-    ef = exp_field(f)
+    ef = ScalarField(f.chart, dual.exp(f.node))
     return LCSStructure(
         chart=s.chart,
         omega=s.omega * ef,

@@ -4,10 +4,15 @@ Grammar: float literals, identifiers (chart coordinates or named parameters),
 ``+ - * /``, integer powers via ``^``, unary minus, parentheses, and the
 function set sqrt, exp, log, sin, cos, atan2.  Errors carry the offending
 position in the source string.
+
+A parsed expression compiles straight into nodes of the coefficient DAG of
+:mod:`lcslab.dual` (coordinates, constants, arithmetic and function nodes),
+so equal subexpressions of one document are one node.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Sequence
 
@@ -167,44 +172,23 @@ class _Parser:
         return node
 
 
-def _compile(node, binding):
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
+def _compile(node, binding) -> dual.Node:
+    """The syntax tree as a node of the coefficient DAG."""
     op = node[0]
     if op == "const":
-        c = node[1]
-        return lambda p: c
+        return dual.const(node[1])
     if op == "var":
         return binding(node[1], node[2])
     if op == "neg":
-        f = _compile(node[1], binding)
-        return lambda p: -f(p)
+        return -_compile(node[1], binding)
     if op == "pow":
-        f = _compile(node[1], binding)
-        n = node[2]
-        def pw(p, _f=f, _n=n):
-            base = _f(p)
-            if isinstance(base, dual.Dual):
-                return base**_n
-            return base**_n if _n >= 0 else 1.0 / base ** (-_n)
-        return pw
+        return dual.power(_compile(node[1], binding), node[2])
     if op == "call":
-        fn = node[1]
-        args = [_compile(a, binding) for a in node[2]]
-        if len(args) == 1:
-            a0 = args[0]
-            return lambda p: fn(a0(p))
-        a0, a1 = args
-        return lambda p: fn(a0(p), a1(p))
-    lhs = _compile(node[1], binding)
-    rhs = _compile(node[2], binding)
-    if op == "add":
-        return lambda p: lhs(p) + rhs(p)
-    if op == "sub":
-        return lambda p: lhs(p) - rhs(p)
-    if op == "mul":
-        return lambda p: lhs(p) * rhs(p)
-    if op == "div":
-        return lambda p: lhs(p) / rhs(p)
-    raise AssertionError(f"unreachable node {op}")
+        return node[1](*[_compile(a, binding) for a in node[2]])
+    return _BINARY[op](_compile(node[1], binding), _compile(node[2], binding))
 
 
 def parse_field(expr: str, chart: Chart, params: dict[str, float] | None = None) -> ScalarField:
@@ -218,15 +202,12 @@ def parse_field(expr: str, chart: Chart, params: dict[str, float] | None = None)
 
     def binding(name: str, pos: int):
         if name in chart.coords:
-            idx = chart.coords.index(name)
-            return lambda p, _i=idx: p[_i]
+            return dual.var(chart.coords.index(name))
         if name in params:
-            c = float(params[name])
-            return lambda p, _c=c: _c
+            return dual.const(params[name])
         raise ParseError(f"unknown identifier {name!r}", pos, expr)
 
-    fn = _compile(tree, binding)
-    return ScalarField(chart, fn)
+    return ScalarField(chart, _compile(tree, binding))
 
 
 def parse_fields(exprs: Sequence[str], chart: Chart, params=None) -> list[ScalarField]:

@@ -259,7 +259,7 @@ def reduced_form_check(
 
     gen_fields = [_combined_generator(act, v) for v in slc.directions]
     mom_fields = [_combined_momentum(mu, v) for v in slc.directions]
-    image, J = dual.jet(param, pts)  # (n, fiber dim), (n, fiber dim, slice dim)
+    image, J = dual.jet([c.node for c in param.components], pts)  # (n, fiber dim), (n, fiber dim, slice dim)
     _require_transverse(pts, J, [rho.batch(image) for rho in gen_fields])
 
     rep = Report("reduced_form_check")

@@ -5,10 +5,10 @@ divided by ``1 + max coefficient magnitude at the point``, so tolerances mean
 the same thing for forms with coefficients of order 1 and of order 1e6.
 
 It also owns the batched evaluations the rows share: a form's coefficient
-columns (:func:`form_values`, :func:`form_array`), its contraction with
-argument vectors (:func:`evaluate_form`) and the Lie derivatives of one form
-along several fields (:func:`lie_derivative_arrays`, first derivatives only,
-one lift per coordinate shared by every field).
+columns (:func:`form_values`, :func:`form_array`), those of every form a
+report needs from one replay of the coefficient DAG (:func:`batch_values`,
+so a shared subexpression is evaluated once), and a form's contraction with
+argument vectors (:func:`evaluate_form`).
 
 And it owns the skipped-point rule: :func:`finite_points` alone defines a
 skipped point (one with a non-finite value); rows count them as ``skipped``
@@ -17,18 +17,15 @@ and :func:`demote_if_sparse` makes a row with too many inconclusive.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from . import dual
-from .charts import check_same_chart
-from .forms import DifferentialForm, VectorField
+from .forms import DifferentialForm
 
 DEFAULT_TOL = 1e-8
 
@@ -156,15 +153,32 @@ def form_values(form: DifferentialForm, points: np.ndarray) -> dict:
     A point outside a coefficient's domain yields a non-finite value, which
     the aggregators below skip and count.
     """
-    return dict(zip(form.coeffs, form_array(form, points).T))
+    return batch_values([form], points)[0]
+
+
+def batch_values(forms: Sequence[DifferentialForm], points: np.ndarray) -> list[dict]:
+    """:func:`form_values` of every form in ``forms``, from one replay of the DAG.
+
+    A subexpression the forms share, such as ``omega`` inside ``d omega`` and
+    ``L_X omega``, is evaluated once.
+    """
+    nodes = [f.node for form in forms for f in form.coeffs.values()]
+    cols = dual.evaluate(nodes, points).T if nodes else ()
+    out, start = [], 0
+    for form in forms:
+        out.append(dict(zip(form.coeffs, cols[start : start + len(form.coeffs)])))
+        start += len(form.coeffs)
+    return out
 
 
 def form_array(form: DifferentialForm, points: np.ndarray) -> np.ndarray:
     """The coefficient columns of ``form`` side by side, shape (n, #coefficients)."""
-    if not form.coeffs:
-        return np.zeros((len(np.atleast_2d(points)), 0))
-    fns = [f.fn for f in form.coeffs.values()]
-    return dual.evaluate(lambda p: [fn(p) for fn in fns], points)
+    return value_array(form_values(form, points), len(np.atleast_2d(points)))
+
+
+def value_array(values: dict, n: int) -> np.ndarray:
+    """Coefficient columns from :func:`batch_values` side by side, shape (n, #coefficients)."""
+    return np.stack(list(values.values()), axis=-1) if values else np.zeros((n, 0))
 
 
 def evaluate_form(values: dict, vecs: np.ndarray) -> np.ndarray:
@@ -180,79 +194,6 @@ def evaluate_form(values: dict, vecs: np.ndarray) -> np.ndarray:
     coeffs = np.stack(list(values.values()), axis=-1)
     with np.errstate(all="ignore"):
         return np.einsum("nt,nt->n", coeffs, np.linalg.det(vecs[:, index, :]))
-
-
-def lie_derivative_arrays(
-    fields: Sequence[VectorField], form: DifferentialForm, points, twist=None
-) -> tuple[tuple, np.ndarray]:
-    """``L_X form`` for every field ``X`` in ``fields``, shape (#fields, n, #keys).
-
-    Uses the coordinate formula
-    ``(L_X w)_I = X^j d_j w_I + sum_s w_{I[s->a]} d_{I_s} X^a``, which needs
-    only first derivatives.  Each coordinate ``j`` is lifted once for all of
-    ``w``'s coefficients and once for all the fields (:func:`dual.lifts`);
-    ``X^j d_j w`` goes into every field's block and the ``w d_j X`` terms
-    follow through a signed index table, so no stack of all derivatives is
-    ever held.  Returns ``(keys, values)``: the index tuples of the
-    coefficient columns and one block per field, laid out as
-    :func:`form_array`'s.  ``twist``, one (n,) column or scalar per field
-    such as ``theta(X)``, makes block ``i`` the twisted ``L_X w - twist[i] w``
-    instead.  A point outside an expression's domain yields non-finite
-    entries.
-    """
-    for X in fields:
-        check_same_chart(X.chart, form.chart, "Lie derivative operands")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    keys, cols, terms = _lie_table(form.chart.dim, form.degree, tuple(form.coeffs))
-    # accumulated with the points axis last, the axis point_array's results are contiguous along
-    out = np.zeros((len(fields), len(keys), len(pts)))
-    if form.coeffs and fields:
-        fns = [f.fn for f in form.coeffs.values()]
-        coeff_lifts = dual.lifts(lambda p: [fn(p) for fn in fns], pts)
-        field_lifts = dual.lifts(lambda p: [X(p) for X in fields], pts)
-        for j, ((w, dw), (x, dx)) in enumerate(zip(coeff_lifts, field_lifts)):
-            # points axis last: dw[c] = d_j w_c, x[i, a] = X_i^a, dx[i, a] = d_j X_i^a
-            w, dw, x, dx = w.T, dw.T, x.transpose(1, 2, 0), dx.transpose(1, 2, 0)
-            with np.errstate(all="ignore"):
-                for i in range(len(fields)):
-                    out[i, cols] += x[i, j] * dw
-                for a, rows, src, sign in terms[j]:
-                    out[:, rows] += dx[:, a, None] * (w[src] * sign)
-        with np.errstate(all="ignore"):
-            for i, c in enumerate(() if twist is None else twist):
-                out[i, cols] -= np.asarray(c) * w
-    return keys, out.transpose(0, 2, 1)
-
-
-@functools.cache
-def _lie_table(dim: int, degree: int, keys: tuple) -> tuple:
-    """The index table of the ``w dX`` terms of ``L_X w`` for a form with coefficients on ``keys``.
-
-    Returns ``(out_keys, cols, terms)``: the output index tuples (``keys``
-    and every tuple a term reaches, in increasing order), the output columns
-    of ``keys`` (a slice when they are all of them), and for each coordinate
-    ``b`` the entries ``(a, rows, src, sign)`` that add
-    ``sign * w[:, src] * d_b X^a`` to the output columns ``rows`` (no column
-    twice within an entry).
-    """
-    pos = {K: c for c, K in enumerate(keys)}
-    found: dict[tuple, list] = {}
-    for I in combinations(range(dim), degree):
-        for s in range(degree):
-            rest = I[:s] + I[s + 1 :]
-            for a in range(dim):
-                K = tuple(sorted(rest + (a,)))
-                if a not in rest and K in pos:
-                    # the sign of moving a from slot s to its place in K
-                    found.setdefault((I[s], a), []).append((I, pos[K], (-1.0) ** (s + K.index(a))))
-    out_keys = tuple(sorted(set(keys) | {I for entries in found.values() for I, _, _ in entries}))
-    col = {I: c for c, I in enumerate(out_keys)}
-    terms = [[] for _ in range(dim)]
-    for (b, a), e in sorted(found.items()):
-        rows, src, sign = zip(*e)
-        terms[b].append((a, np.array([col[I] for I in rows]), np.array(src), np.array(sign)[:, None]))
-    cols = slice(None) if out_keys == keys else np.array([col[K] for K in keys])
-    return out_keys, cols, tuple(map(tuple, terms))
 
 
 # --------------------------------------------------------------------------
@@ -279,15 +220,15 @@ def scaled_residuals(va: dict, vb: dict, n: int) -> np.ndarray:
     ``va`` and ``vb`` are coefficient columns from :func:`form_values`; a
     point where any coefficient is non-finite gets a non-finite residual.
     """
-    keys = set(va) | set(vb)
-    if not keys:
-        return np.zeros(n)
     zero = np.zeros(n)
-    x = np.vstack([va.get(I, zero) for I in keys])
-    y = np.vstack([vb.get(I, zero) for I in keys])
+    worst, scale = np.zeros(n), np.ones(n)
+    # one coefficient at a time, so no (#coefficients, n) stack is held
     with np.errstate(invalid="ignore"):
-        scale = np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)).max(axis=0))
-        return np.max(np.abs(x - y), axis=0) / (1.0 + scale)
+        for I in set(va) | set(vb):
+            x, y = va.get(I, zero), vb.get(I, zero)
+            np.maximum(worst, np.abs(x - y), out=worst)
+            np.maximum(scale, np.maximum(np.abs(x), np.abs(y)), out=scale)
+        return worst / (1.0 + scale)
 
 
 def finite_points(values) -> np.ndarray:

@@ -1,0 +1,158 @@
+"""The tests' reference path: one concrete point at a time, no batches.
+
+``at`` evaluates a scalar field, vector field, smooth map or endomorphism at
+one point (a scalar field through its node called on Python floats);
+``eval_form`` contracts a form with vectors at one point.  Neither goes
+through a replayed tape.
+
+``lie_derivative_arrays`` is the coordinate formula for Lie derivatives,
+with first derivatives from one dual lift per coordinate: the independent
+oracle for the report rows, which replay Cartan's formula on the DAG.
+"""
+
+from __future__ import annotations
+
+import functools
+from collections.abc import Sequence
+from itertools import combinations
+
+import numpy as np
+
+from lcslab import dual
+from lcslab.charts import check_same_chart
+from lcslab.coupling import EndomorphismField
+from lcslab.errors import UsageError
+from lcslab.forms import DifferentialForm, ScalarField, SmoothMap, VectorField, det_generic
+
+
+def at(obj, point):
+    """``obj`` at a single concrete point."""
+    if isinstance(obj, ScalarField):
+        return float(obj.fn([float(c) for c in point]))
+    if isinstance(obj, (VectorField, SmoothMap)):
+        return np.array([at(c, point) for c in obj.components])
+    if isinstance(obj, EndomorphismField):
+        return obj.batch(point)[0]
+    raise TypeError(f"no pointwise evaluation for {type(obj).__name__}")
+
+
+def eval_form(form: DifferentialForm, point, vectors, check_domain: bool = True):
+    """Multilinear evaluation of ``form`` at ``point`` on ``vectors``."""
+    if len(vectors) != form.degree:
+        raise UsageError(f"degree-{form.degree} form applied to {len(vectors)} vectors")
+    if check_domain:
+        form.chart.require(point)
+    p = [float(c) for c in point]
+    vecs = [np.asarray(v, dtype=float) for v in vectors]
+    for v in vecs:
+        if v.shape != (form.chart.dim,):
+            raise UsageError("vector arguments must match the chart dimension")
+    if form.degree == 0:
+        return float(form.coefficient(())(p))
+    total = 0.0
+    for I, f in form.coeffs.items():
+        M = [[vecs[s][i] for s in range(form.degree)] for i in I]
+        total += float(f(p)) * float(det_generic(M))
+    return total
+
+
+def point_array(value, n: int, leaf=None) -> np.ndarray:
+    """Nested lists of scalars or (n,) columns as one array, points axis first; ``leaf`` maps each scalar first."""
+
+    def stack(v):
+        if isinstance(v, (list, tuple)):
+            return np.stack([stack(e) for e in v])
+        a = np.asarray(v if leaf is None else leaf(v), dtype=float)
+        return a if a.shape == (n,) else np.broadcast_to(a, (n,))
+
+    return np.moveaxis(stack(value), -1, 0)
+
+
+def _lifts(fn, points):
+    """``fn`` on an (n, dim) batch with one coordinate lifted at a time.
+
+    Yields ``(value, derivative)`` once per coordinate ``j``: the value with
+    the points axis first and ``d value / d x_j`` in the same shape.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n, cols, val = len(pts), list(pts.T), None
+    for j in range(len(cols)):
+        tag = dual.fresh_tag()
+        lifted = list(cols)
+        lifted[j] = dual.lift(cols[j], tag)
+        with np.errstate(all="ignore"):
+            out = fn(lifted)
+        if val is None:
+            val = point_array(out, n, dual.value)
+        yield val, point_array(out, n, lambda v: dual.eps(v, tag))
+
+
+def lie_derivative_arrays(
+    fields: Sequence[VectorField], form: DifferentialForm, points, twist=None
+) -> tuple[tuple, np.ndarray]:
+    """``L_X form`` for every field ``X`` in ``fields``, shape (#fields, n, #keys).
+
+    Uses the coordinate formula
+    ``(L_X w)_I = X^j d_j w_I + sum_s w_{I[s->a]} d_{I_s} X^a``, which needs
+    only first derivatives.  Each coordinate ``j`` is lifted once for all of
+    ``w``'s coefficients and once for all the fields; ``X^j d_j w`` goes into
+    every field's block and the ``w d_j X`` terms follow through a signed
+    index table.  Returns ``(keys, values)``: the index tuples of the
+    coefficient columns and one block per field.  ``twist``, one (n,) column
+    or scalar per field such as ``theta(X)``, makes block ``i`` the twisted
+    ``L_X w - twist[i] w`` instead.  A point outside an expression's domain
+    yields non-finite entries.
+    """
+    for X in fields:
+        check_same_chart(X.chart, form.chart, "Lie derivative operands")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    keys, cols, terms = _lie_table(form.chart.dim, form.degree, tuple(form.coeffs))
+    # accumulated with the points axis last, the axis point_array's results are contiguous along
+    out = np.zeros((len(fields), len(keys), len(pts)))
+    if form.coeffs and fields:
+        fns = [f.fn for f in form.coeffs.values()]
+        coeff_lifts = _lifts(lambda p: [fn(p) for fn in fns], pts)
+        field_lifts = _lifts(lambda p: [X(p) for X in fields], pts)
+        for j, ((w, dw), (x, dx)) in enumerate(zip(coeff_lifts, field_lifts)):
+            # points axis last: dw[c] = d_j w_c, x[i, a] = X_i^a, dx[i, a] = d_j X_i^a
+            w, dw, x, dx = w.T, dw.T, x.transpose(1, 2, 0), dx.transpose(1, 2, 0)
+            with np.errstate(all="ignore"):
+                for i in range(len(fields)):
+                    out[i, cols] += x[i, j] * dw
+                for a, rows, src, sign in terms[j]:
+                    out[:, rows] += dx[:, a, None] * (w[src] * sign)
+        with np.errstate(all="ignore"):
+            for i, c in enumerate(() if twist is None else twist):
+                out[i, cols] -= np.asarray(c) * w
+    return keys, out.transpose(0, 2, 1)
+
+
+@functools.cache
+def _lie_table(dim: int, degree: int, keys: tuple) -> tuple:
+    """The index table of the ``w dX`` terms of ``L_X w`` for a form with coefficients on ``keys``.
+
+    Returns ``(out_keys, cols, terms)``: the output index tuples (``keys``
+    and every tuple a term reaches, in increasing order), the output columns
+    of ``keys`` (a slice when they are all of them), and for each coordinate
+    ``b`` the entries ``(a, rows, src, sign)`` that add
+    ``sign * w[:, src] * d_b X^a`` to the output columns ``rows`` (no column
+    twice within an entry).
+    """
+    pos = {K: c for c, K in enumerate(keys)}
+    found: dict[tuple, list] = {}
+    for I in combinations(range(dim), degree):
+        for s in range(degree):
+            rest = I[:s] + I[s + 1 :]
+            for a in range(dim):
+                K = tuple(sorted(rest + (a,)))
+                if a not in rest and K in pos:
+                    # the sign of moving a from slot s to its place in K
+                    found.setdefault((I[s], a), []).append((I, pos[K], (-1.0) ** (s + K.index(a))))
+    out_keys = tuple(sorted(set(keys) | {I for entries in found.values() for I, _, _ in entries}))
+    col = {I: c for c, I in enumerate(out_keys)}
+    terms = [[] for _ in range(dim)]
+    for (b, a), e in sorted(found.items()):
+        rows, src, sign = zip(*e)
+        terms[b].append((a, np.array([col[I] for I in rows]), np.array(src), np.array(sign)[:, None]))
+    cols = slice(None) if out_keys == keys else np.array([col[K] for K in keys])
+    return out_keys, cols, tuple(map(tuple, terms))

@@ -59,6 +59,7 @@ from lcslab.reduction import bundle_momentum_check, level_scan, reduced_form_che
 from lcslab.report import form_max, form_residual
 
 from tests.test_exterior import rand_form, rand_poly, rand_vf
+from tests.pointwise import at
 
 POINTS = 64
 KERNEL_TOL = 1e-9
@@ -132,11 +133,11 @@ def test_derived_lie_derivative_matches_bracket_expansion(space, pts):
         worst = 0.0
         for p in pts:
             xw = sum(
-                X.components[j].at(p) * paired.partial(j).at(p)
+                at(X.components[j], p) * at(paired.partial(j), p)
                 for j in range(space.dim)
             )
-            expect = xw - term_y.at(p) - term_z.at(p)
-            worst = max(worst, abs(direct.at(p) - expect))
+            expect = xw - at(term_y, p) - at(term_z, p)
+            worst = max(worst, abs(at(direct, p) - expect))
         assert worst < KERNEL_TOL
 
 
@@ -239,7 +240,7 @@ def test_weighted_product_structure(weights):
 def test_momentum_value_at_the_pole():
     man = hopf(2, (1.0, 2.0))
     mu = man.objects["momentum"]
-    assert abs(mu.components[0].at(man.objects["pole"]) - 1.0) < 1e-9
+    assert abs(at(mu.components[0], man.objects["pole"]) - 1.0) < 1e-9
 
 
 def test_seven_sphere_contact_restriction():

@@ -38,6 +38,7 @@ from lcslab.forms import (
 from lcslab.gallery import hopf, inoue
 from lcslab.lcs import LCSStructure
 from lcslab.parser import parse_field
+from tests.pointwise import at
 
 
 def sl2_constants():
@@ -163,7 +164,7 @@ def test_momentum_from_potential(qp, harmonic):
     mu, rep = momentum_from_potential(harmonic, act, n=32)
     assert rep.passed
     # mu = -eta(d/dq) = -p
-    assert mu.components[0].at((0.7, 1.3)) == pytest.approx(-1.3)
+    assert at(mu.components[0], (0.7, 1.3)) == pytest.approx(-1.3)
 
 
 def test_momentum_needs_invariant_potential(qp, harmonic):

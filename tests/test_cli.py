@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import warnings
 
@@ -215,6 +216,23 @@ def test_cohomology_json_config(capsys):
     doc = json.loads(out)
     assert doc["config"]["betti"] == [1, 1]
     assert doc["summary"]["verdict"] == "pass"
+
+
+def test_cohomology_builds_each_coboundary_once(capsys, monkeypatch):
+    """``betti`` and the ``delta-squared`` rows share one coboundary matrix per degree."""
+    from lcslab import cohomology
+
+    built = []
+    build = cohomology._coboundary_matrix
+    monkeypatch.setattr(cohomology, "_coboundary_matrix", lambda K, k: built.append(k) or build(K, k))
+    faces = [list(s) for k in (1, 2, 3) for s in itertools.combinations(range(4), k)]
+    sphere = json.dumps({"vertices": 4, "simplices": faces})  # the boundary of a tetrahedron
+    _, out, _ = run(capsys, "cohomology", sphere, "--format", "json")
+    doc = json.loads(out)
+    assert sorted(built) == [0, 1, 2]
+    assert doc["config"]["betti"] == [1, 0, 1]
+    rows = {c["id"]: c for c in doc["reports"]["cohomology"]["checks"]}
+    assert [rows[f"delta-squared[{k}]"]["residual"] for k in range(2)] == [0.0, 0.0]
 
 
 # -------------------------------------------------------------------- gallery

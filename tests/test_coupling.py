@@ -36,7 +36,6 @@ from lcslab.forms import (
     basis_vector,
     constant,
     coordinate,
-    eval_form,
     exterior_derivative,
     lie_bracket,
 )
@@ -46,6 +45,7 @@ from lcslab.report import evaluate_form, form_residual, form_values
 from tests.test_actions import sl2_constants
 from lcslab.parser import parse_field
 from tests.test_exterior import rand_form, rand_vf, skew_matrix_at
+from tests.pointwise import at, eval_form
 
 
 @pytest.fixture(scope="module")
@@ -107,9 +107,9 @@ def test_nonabelian_curvature_quadratic_term(uv):
     F, rep = gauge_curvature(g, n=8)
     # c^2_{01} = -2: F^2 = 1/2(c^2_{01} du^dv + c^2_{10} dv^du) = -2 du^dv
     p = (0.3, -0.7)
-    assert F[2].coefficient((0, 1)).at(p) == pytest.approx(-2.0)
-    assert F[0].coefficient((0, 1)).at(p) == 0.0
-    assert F[1].coefficient((0, 1)).at(p) == 0.0
+    assert at(F[2].coefficient((0, 1)), p) == pytest.approx(-2.0)
+    assert at(F[0].coefficient((0, 1)), p) == 0.0
+    assert at(F[1].coefficient((0, 1)), p) == 0.0
 
 
 def test_circle_fat_requires_primitive(uv):
@@ -128,9 +128,9 @@ def test_circle_fat_requires_primitive(uv):
 def test_coupling_form_coefficients_by_hand(flat):
     """Omega = dx^dy - u dv^dx + x du^dv on coordinates (u, v, x, y)."""
     for p in [(0.2, -0.4, 0.8, 0.1), (1.0, 1.0, -0.5, 0.3)]:
-        assert flat.Omega.coefficient((2, 3)).at(p) == pytest.approx(1.0)
-        assert flat.Omega.coefficient((1, 2)).at(p) == pytest.approx(-p[0])
-        assert flat.Omega.coefficient((0, 1)).at(p) == pytest.approx(p[2])
+        assert at(flat.Omega.coefficient((2, 3)), p) == pytest.approx(1.0)
+        assert at(flat.Omega.coefficient((1, 2)), p) == pytest.approx(-p[0])
+        assert at(flat.Omega.coefficient((0, 1)), p) == pytest.approx(p[2])
         got = {I for I, _ in flat.Omega.coeffs.items()}
         assert got <= {(2, 3), (1, 2), (0, 1), (0, 2), (0, 3), (1, 3)}
 
@@ -175,7 +175,7 @@ def test_batched_contraction_matches_pointwise(example, flat, s2):
         for i, p in enumerate(pts):
             for s, kind in enumerate(pattern):
                 if kind == "h":
-                    lifted = c.lift(VectorField(c.base, list(vecs[i, :m, s]))).at(p)
+                    lifted = at(c.lift(VectorField(c.base, list(vecs[i, :m, s]))), p)
                     np.testing.assert_allclose(vecs[i, :, s], lifted, atol=1e-12)
                 else:
                     assert np.all(vecs[i, :m, s] == 0.0)
@@ -188,10 +188,10 @@ def test_batched_contraction_matches_pointwise(example, flat, s2):
 def test_horizontal_lift_subtracts_gauge(flat, uv):
     X = basis_vector(uv, 1)  # d/dv, paired with A to the value u
     lifted = flat.lift(X)
-    at = lifted.at((0.7, -0.2, 0.4, 0.9))
-    np.testing.assert_allclose(at, [0.0, 1.0, 0.0, -0.7], atol=1e-12)
+    got = at(lifted, (0.7, -0.2, 0.4, 0.9))
+    np.testing.assert_allclose(got, [0.0, 1.0, 0.0, -0.7], atol=1e-12)
     Y = basis_vector(uv, 0)
-    np.testing.assert_allclose(flat.lift(Y).at((0.7, -0.2, 0.4, 0.9)), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(at(flat.lift(Y), (0.7, -0.2, 0.4, 0.9)), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_build_rejects_wrong_momentum(flat, uv):
@@ -253,7 +253,7 @@ def test_fatness_matches_pointwise_pairs(uv, term):
     for x in fpts:
         for u in bpts:
             try:
-                pairing = sum(m.at(x) * skew_matrix_at(Fa, u) for m, Fa in zip(mu.components, F))
+                pairing = sum(at(m, x) * skew_matrix_at(Fa, u) for m, Fa in zip(mu.components, F))
             except (ValueError, ZeroDivisionError):
                 skipped += 1
                 continue
@@ -272,7 +272,7 @@ def test_fatness_matches_pointwise_pairs(uv, term):
 def test_rotation_structure_squares_to_minus_one(r4):
     J = rotation_structure(r4)
     p = (0.1, 0.2, 0.3, 0.4)
-    np.testing.assert_allclose(J.at(p) @ J.at(p), -np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(at(J, p) @ at(J, p), -np.eye(4), atol=1e-12)
 
 
 def test_rotation_structure_needs_even_dim(r3):
@@ -309,7 +309,7 @@ def test_nijenhuis_detects_nonintegrable(r4):
     """J with J(d3) = y d1 + d4 has N(d1, d3) = -d1 at every point."""
     J = nonintegrable_structure(r4)
     p = (0.4, 0.7, -0.3, 0.2)
-    np.testing.assert_allclose(J.at(p) @ J.at(p), -np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(at(J, p) @ at(J, p), -np.eye(4), atol=1e-12)
     got = nijenhuis(J, basis_vector(r4, 0), basis_vector(r4, 2), p)
     np.testing.assert_allclose(got, [-1.0, 0.0, 0.0, 0.0], atol=1e-10)
     # tensoriality holds even without integrability
@@ -331,12 +331,12 @@ def bracket_nijenhuis(J, X, Y, p):
         return VectorField(J.chart, comps)
 
     JX, JY = turn(X), turn(Y)
-    Jp = J.at(p)
+    Jp = at(J, p)
     return (
-        lie_bracket(X, Y).at(p)
-        - lie_bracket(JX, JY).at(p)
-        + Jp @ lie_bracket(JX, Y).at(p)
-        + Jp @ lie_bracket(X, JY).at(p)
+        at(lie_bracket(X, Y), p)
+        - at(lie_bracket(JX, JY), p)
+        + Jp @ at(lie_bracket(JX, Y), p)
+        + Jp @ at(lie_bracket(X, JY), p)
     )
 
 
@@ -371,7 +371,7 @@ def test_conjugate_structure_by_linear_map(plane):
     psi = SmoothMap(plane, plane, [x + 0.5 * y, y])
     J = conjugate_structure(psi, rotation_structure(plane))
     p = (0.3, 0.8)
-    M = J.at(p)
+    M = at(J, p)
     np.testing.assert_allclose(M @ M, -np.eye(2), atol=1e-10)
     S = np.array([[1.0, 0.5], [0.0, 1.0]])
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -395,7 +395,7 @@ def test_conjugate_structure_by_nonlinear_map(s2):
         D[:3, 1:] = scale * np.eye(3)
         D[3, 1:] = -scale * p[1:] / radial
         np.testing.assert_allclose(M, np.linalg.inv(D) @ R @ D, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(J.at(p), M, atol=1e-12)
+        np.testing.assert_allclose(at(J, p), M, atol=1e-12)
         np.testing.assert_allclose(M @ M, -np.eye(4), atol=1e-10)
 
 
@@ -404,7 +404,7 @@ def test_coupled_structure_preserves_blocks(flat):
         flat, rotation_structure(flat.base), rotation_structure(flat.fiber.chart)
     )
     p = (0.6, -0.3, 0.2, 0.9)
-    M = J.at(p)
+    M = at(J, p)
     np.testing.assert_allclose(M @ M, -np.eye(4), atol=1e-10)
     # base block is the base rotation; base rows never see fiber columns
     np.testing.assert_allclose(M[:2, :2], [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)

@@ -1,0 +1,133 @@
+"""The coefficient DAG against the generic interpretation differentiated with ``Dual``."""
+
+import gc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from lcslab import dual
+from lcslab.forms import (
+    DifferentialForm,
+    ScalarField,
+    VectorField,
+    coordinate,
+    exterior_derivative,
+    lie_derivative,
+)
+from lcslab.gallery import hopf
+from lcslab.parser import parse_field
+from lcslab.report import form_values
+
+# points on both sides of zero, so sqrt, log and division leave their domains
+POINTS = np.array([[0.3, -0.7], [1.2, 0.4], [-0.5, -1.1], [2.0, 0.0], [-1.4, 0.9], [0.0, 1.3]])
+
+atoms = st.sampled_from(["x", "y", "0.5", "2", "1.5", "0"])
+
+
+def _compound(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(children, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(st.sampled_from(["sqrt", "exp", "log", "sin", "cos"]), children).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(children, children).map(lambda t: f"atan2({t[0]}, {t[1]})"),
+        children.map(lambda c: f"-{c}"),
+    )
+
+
+expressions = st.recursive(atoms, _compound, max_leaves=8)
+
+
+def _reference(fn, cols):
+    """``fn`` on the columns, by dual lifts of the generic interpretation, broadcast to one column."""
+    with np.errstate(all="ignore"):
+        return np.broadcast_to(np.asarray(fn(cols), dtype=float), (len(cols[0]),))
+
+
+def _same(got, want):
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(expressions)
+def test_replay_and_partials_match_dual_lifts(plane, expr):
+    """Value, first and second partials of a parsed expression against nested ``dual.partial``."""
+    f = parse_field(expr, plane)
+    cols = list(POINTS.T)
+    try:
+        want = _reference(f.fn, cols)
+    except (ArithmeticError, ValueError) as err:  # a constant subexpression outside its domain
+        with pytest.raises(type(err)):
+            f.batch(POINTS)
+        return
+    _same(f.batch(POINTS), want)
+    for i in range(2):
+        _same(f.partial(i).batch(POINTS), _reference(lambda p: dual.partial(f.fn, p, i), cols))
+        for j in range(2):
+            second = _reference(lambda p: dual.partial(lambda q: dual.partial(f.fn, q, i), p, j), cols)
+            _same(f.partial(i).partial(j).batch(POINTS), second)
+
+
+def test_d_log_is_not_finite_left_of_zero(plane):
+    dlog = form_values(exterior_derivative(DifferentialForm.from_scalar(parse_field("log(x)", plane))), POINTS)
+    assert not dlog[(1,)].any()
+    np.testing.assert_array_equal(np.isfinite(dlog[(0,)]), POINTS[:, 0] > 0)
+    np.testing.assert_allclose(dlog[(0,)][POINTS[:, 0] > 0], 1.0 / POINTS[POINTS[:, 0] > 0, 0])
+
+
+def test_signed_zero_constants_stay_distinct(plane):
+    assert dual.const(0.0) is not dual.const(-0.0)
+    assert dual.const(0.0) is dual.const(0)
+    over = [ScalarField(plane, dual.var(0) / dual.const(z)).batch([[1.0, 0.0]])[0] for z in (0.0, -0.0)]
+    assert over == [np.inf, -np.inf]
+
+
+def test_untraceable_closure_evaluates_and_differentiates(plane):
+    """A closure that branches on a value stays an opaque leaf, differentiated by dual lifts."""
+
+    def branchy(p):
+        x, y = p
+        return x * x * y if np.all(dual.value(x) > 0) else y
+
+    f = ScalarField(plane, branchy)
+    assert f.node.op == "leaf"
+    pts = np.array([[0.5, 2.0], [1.5, -1.0]])
+    np.testing.assert_allclose(f.batch(pts), pts[:, 0] ** 2 * pts[:, 1])
+    np.testing.assert_allclose(f.partial(0).batch(pts), 2.0 * pts[:, 0] * pts[:, 1])
+    np.testing.assert_allclose(f.partial(1).batch(pts), pts[:, 0] ** 2)
+    np.testing.assert_allclose(f.partial(0).partial(1).batch(pts), 2.0 * pts[:, 0])
+    np.testing.assert_allclose((f * f).partial(1).batch(pts), 2.0 * pts[:, 0] ** 4 * pts[:, 1])
+
+
+def test_interning_is_weak(plane):
+    """Nodes live as long as something refers to them: dropping a form empties the table again."""
+    gc.collect()
+    before = len(dual._NODES)
+    w = DifferentialForm(plane, 1, {(0,): parse_field("3.25 * y * exp(x) / (1.75 + x^2)", plane)})
+    rotation = VectorField(plane, [-coordinate(plane, 1), coordinate(plane, 0)])
+    form_values(lie_derivative(rotation, w), POINTS)
+    assert len(dual._NODES) > before
+    del w, rotation
+    gc.collect()
+    assert len(dual._NODES) == before
+
+
+def test_hopf4_lie_derivatives_share_their_nodes():
+    """One replay of the four ``L_rho omega`` of hopf(4) evaluates each shared node once."""
+    objects = hopf(4, (1.0, 1.0, 1.0, 1.0)).objects
+    omega = objects["structure"].omega
+    roots = [f.node for rho in objects["action"].fields for f in lie_derivative(rho, omega).coeffs.values()]
+    assert len(roots) == len(set(map(id, roots))) > 100
+    assert len(dual.Tape(roots)) <= 20_000
+
+
+def test_equal_expressions_are_one_node(plane):
+    x, y = dual.var(0), dual.var(1)
+    assert (x * y + dual.sin(x)) is (dual.sin(x) + y * x)
+    assert parse_field("x * y + sin(x)", plane).node is parse_field("sin(x) + y*x", plane).node
+    assert x * 1.0 is x and x / 1.0 is x and x - 0.0 is x
+    # not bit-exact identities, so never folded
+    assert x + 0.0 is not x and x - (-0.0) is not x
+    assert (0.0 * x).op == "*"

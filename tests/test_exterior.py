@@ -20,7 +20,6 @@ from lcslab.forms import (
     contract,
     coordinate,
     differential_1form,
-    eval_form,
     exterior_derivative,
     interior_product,
     lie_bracket,
@@ -32,13 +31,12 @@ from lcslab.gallery import hopf
 from lcslab.parser import parse_field
 from lcslab.report import (
     finite_points,
-    form_array,
     form_max,
     form_residual,
     form_values,
-    lie_derivative_arrays,
     worst_residual,
 )
+from tests.pointwise import at, eval_form, lie_derivative_arrays
 
 TIGHT = 1e-10
 
@@ -72,7 +70,7 @@ def skew_matrix_at(form, p):
     n = form.chart.dim
     M = np.zeros((n, n))
     for (i, j), f in form.coeffs.items():
-        M[i, j] = f.at(p)
+        M[i, j] = at(f, p)
         M[j, i] = -M[i, j]
     return M
 
@@ -148,13 +146,13 @@ def test_lie_derivative_against_bracket_expansion(r4, rng):
     lw = lie_derivative(X, w)
     wYZ = contract(w, Y, Z)
     for p in r4.sample(12, seed=21):
-        xw = sum(X.components[j].at(p) * wYZ.partial(j).at(p) for j in range(4))
+        xw = sum(at(X.components[j], p) * at(wYZ.partial(j), p) for j in range(4))
         expect = (
             xw
-            - contract(w, lie_bracket(X, Y), Z).at(p)
-            - contract(w, Y, lie_bracket(X, Z)).at(p)
+            - at(contract(w, lie_bracket(X, Y), Z), p)
+            - at(contract(w, Y, lie_bracket(X, Z)), p)
         )
-        assert contract(lw, Y, Z).at(p) == pytest.approx(expect, rel=1e-9, abs=1e-9)
+        assert at(contract(lw, Y, Z), p) == pytest.approx(expect, rel=1e-9, abs=1e-9)
 
 
 def cartan_columns(X, w, pts, keys):
@@ -166,7 +164,7 @@ def cartan_columns(X, w, pts, keys):
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_batched_lie_derivative_matches_cartan(r4, rng, degree):
-    """The coordinate formula, three fields in one call, against i_X d + d i_X per field."""
+    """The coordinate-formula oracle, three fields in one call, against the replayed i_X d + d i_X per field."""
     pts = r4.sample(40, seed=5)
     w = rand_form(r4, rng, degree)
     fields = [rand_vf(r4, rng) for _ in range(3)]
@@ -190,7 +188,7 @@ def test_batched_twisted_lie_derivative(r4, rng):
 
 
 def test_batched_lie_derivative_skips_like_cartan(r4, rng):
-    """A ``sqrt`` coefficient leaves non-finite entries at the same points on both paths."""
+    """A ``sqrt`` coefficient leaves non-finite entries at the same points in the oracle and the replayed Cartan form."""
     pts = r4.sample(64, seed=7)
     w = DifferentialForm(r4, 2, {(0, 1): parse_field("sqrt(a - 0.5) * b", r4), (1, 3): rand_poly(r4, rng)})
     fields = [rand_vf(r4, rng) for _ in range(2)]
@@ -204,7 +202,7 @@ def test_batched_lie_derivative_skips_like_cartan(r4, rng):
 
 
 def test_hopf4_lie_rows_match_the_symbolic_path():
-    """``invariance[a]`` and ``eta-invariant[a]`` on hopf(4) against ``form_array(lie_derivative(...))``."""
+    """``invariance[a]`` and ``eta-invariant[a]`` on hopf(4), replayed Cartan rows, against the coordinate formula."""
     objects = hopf(4, (1.0, 1.0, 1.0, 1.0)).objects
     s, act, mu = objects["structure"], objects["action"], objects["momentum"]
     pts = s.chart.sample(16, seed=3)
@@ -212,7 +210,7 @@ def test_hopf4_lie_rows_match_the_symbolic_path():
     _, hyp = momentum_from_potential(s, act, points=pts)
     for a, rho in enumerate(act.fields):
         for row, form in ((ham[f"invariance[{a}]"], s.omega), (hyp[f"eta-invariant[{a}]"], s.potential)):
-            worst, skipped = worst_residual(form_array(lie_derivative(rho, form), pts))
+            worst, skipped = worst_residual(lie_derivative_arrays([rho], form, pts)[1][0])
             assert row.residual == pytest.approx(worst, abs=1e-15)
             assert (row.details["skipped"], row.details["points"]) == (skipped, len(pts))
 
@@ -225,7 +223,7 @@ def test_lie_bracket_jacobi(r4, rng):
         + lie_bracket(Z, lie_bracket(X, Y))
     )
     for p in r4.sample(8, seed=13):
-        np.testing.assert_allclose(s.at(p), 0.0, atol=1e-9)
+        np.testing.assert_allclose(at(s, p), 0.0, atol=1e-9)
 
 
 def test_pullback_commutes_with_d(plane, r4, rng):
@@ -298,6 +296,6 @@ def test_top_degree_truncation(plane, rng):
 def test_basis_vector_pairing(r3):
     w = DifferentialForm(r3, 1, {(0,): coordinate(r3, 1), (2,): 4.0})
     p = (0.5, 2.0, 0.0)
-    assert contract(w, basis_vector(r3, 0)).at(p) == pytest.approx(2.0)
-    assert contract(w, basis_vector(r3, 1)).at(p) == pytest.approx(0.0)
-    assert contract(w, basis_vector(r3, 2)).at(p) == pytest.approx(4.0)
+    assert at(contract(w, basis_vector(r3, 0)), p) == pytest.approx(2.0)
+    assert at(contract(w, basis_vector(r3, 1)), p) == pytest.approx(0.0)
+    assert at(contract(w, basis_vector(r3, 2)), p) == pytest.approx(4.0)

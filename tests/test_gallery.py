@@ -18,6 +18,7 @@ from lcslab.gallery import (
     run_manifest,
     _hopf_torus_slice,
 )
+from tests.pointwise import at
 
 
 def test_gallery_names():
@@ -67,8 +68,8 @@ def test_cotangent_rejects_wrong_chart_alpha(plane):
 def test_hopf_pole_momentum():
     man = hopf(2, (1.0, 2.0))
     mu, pole = man.objects["momentum"], man.objects["pole"]
-    assert mu.components[0].at(pole) == pytest.approx(1.0, abs=1e-14)
-    assert mu.components[1].at(pole) == pytest.approx(0.0, abs=1e-14)
+    assert at(mu.components[0], pole) == pytest.approx(1.0, abs=1e-14)
+    assert at(mu.components[1], pole) == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -86,7 +87,7 @@ def test_reduced_coefficient_value(weights, coefficient):
     slc = _hopf_torus_slice(man.objects["chart"])
     omega_s = pullback(slc.parametrization, man.objects["structure"].omega)
     vals = [
-        omega_s.coefficient((0, 1)).at(p)
+        at(omega_s.coefficient((0, 1)), p)
         for p in slc.parametrization.source.sample(16, seed=2)
     ]
     np.testing.assert_allclose(vals, coefficient, atol=1e-10)
@@ -96,7 +97,7 @@ def test_hopf_momentum_sum_bounded_below():
     man = hopf(2, (1.0, 2.0))
     mu, chart = man.objects["momentum"], man.objects["chart"]
     total = mu.components[0] + mu.components[1]
-    vals = [total.at(p) for p in chart.sample(128, seed=1)]
+    vals = [at(total, p) for p in chart.sample(128, seed=1)]
     assert min(vals) >= 1.0 / 2.0  # 1/max weight
 
 

@@ -20,6 +20,7 @@ from lcslab.jsonio import (
     parse_theta_text,
     slice_from_decl,
 )
+from tests.pointwise import at
 
 # A complete document exercising every section: harmonic-oscillator phase
 # plane with the translation generator, automatic momentum, and a slice of
@@ -128,7 +129,7 @@ def test_forms_round_trip(plane):
     )
     w = out["w"]
     assert w.degree == 2
-    assert w.coeffs[(0, 1)].at((0.5, 2.0)) == pytest.approx(1.0)
+    assert at(w.coeffs[(0, 1)], (0.5, 2.0)) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(
@@ -150,7 +151,7 @@ def test_fields_check_component_count(plane):
     with pytest.raises(UsageError, match="component expressions"):
         fields_from_decl(plane, {"v": ["x"]})
     out = fields_from_decl(plane, {"v": ["-y", "x"]})
-    assert out["v"].components[0].at((0.3, 0.7)) == pytest.approx(-0.7)
+    assert at(out["v"].components[0], (0.3, 0.7)) == pytest.approx(-0.7)
 
 
 # ---------------------------------------------------------------------- lcs
@@ -300,7 +301,7 @@ def test_explicit_momentum_overrides_auto():
     decl = load_declaration(doc)
     assert decl.momentum is not None
     assert decl.momentum.dim == 1
-    assert decl.momentum.components[0].at((0.3, 0.8)) == pytest.approx(-0.8)
+    assert at(decl.momentum.components[0], (0.3, 0.8)) == pytest.approx(-0.8)
 
 
 def test_minimal_declaration_is_just_a_chart():
@@ -375,7 +376,7 @@ def test_coupling_from_decl():
     gauge, fiber, act, momentum = coupling_from_decl(COUPLING_DOC)
     assert gauge.base.coords == ("u", "v")
     assert len(gauge.potentials) == 1
-    assert gauge.potentials[0].coeffs[(0,)].at((0.2, 0.9)) == pytest.approx(0.9)
+    assert at(gauge.potentials[0].coeffs[(0,)], (0.2, 0.9)) == pytest.approx(0.9)
     assert fiber.chart.name == "phase"
     assert act.dim == 1
     assert momentum is None  # "auto" everywhere
@@ -385,7 +386,7 @@ def test_coupling_momentum_override():
     doc = dict(COUPLING_DOC, momentum=["-p"])
     *_, momentum = coupling_from_decl(doc)
     assert momentum is not None
-    assert momentum.components[0].at((0.0, 1.5)) == pytest.approx(-1.5)
+    assert at(momentum.components[0], (0.0, 1.5)) == pytest.approx(-1.5)
 
 
 @pytest.mark.parametrize(

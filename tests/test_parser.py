@@ -9,10 +9,11 @@ import hypothesis.strategies as st
 
 from lcslab.errors import ParseError
 from lcslab.parser import parse_field, parse_fields
+from tests.pointwise import at
 
 
 def ev(expr, chart, point, params=None):
-    return parse_field(expr, chart, params).at(point)
+    return at(parse_field(expr, chart, params), point)
 
 
 def test_arithmetic_and_precedence(plane):
@@ -45,7 +46,7 @@ def test_functions(plane):
 
 def test_parameters_resolve_before_coordinates(plane):
     f = parse_field("k * x + c", plane, {"k": 3.0, "c": -1.0})
-    assert f.at((2.0, 0.0)) == 5.0
+    assert at(f, (2.0, 0.0)) == 5.0
 
 
 def test_parse_fields_batch(plane):
@@ -59,13 +60,13 @@ def test_batched_evaluation_matches_pointwise(plane):
     pts = np.random.default_rng(7).uniform(-1.4, 1.4, size=(40, 2))
     vals = f.batch(pts)
     for p, v in zip(pts, vals):
-        assert v == pytest.approx(f.at(p), rel=1e-14, abs=1e-14)
+        assert v == pytest.approx(at(f, p), rel=1e-14, abs=1e-14)
 
 
 def test_derivatives_of_parsed_fields(plane):
     f = parse_field("x^2 * y + sin(x)", plane)
-    assert f.partial(0).at((1.0, 3.0)) == pytest.approx(6.0 + math.cos(1.0))
-    assert f.partial(1).at((1.0, 3.0)) == pytest.approx(1.0)
+    assert at(f.partial(0), (1.0, 3.0)) == pytest.approx(6.0 + math.cos(1.0))
+    assert at(f.partial(1), (1.0, 3.0)) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(
@@ -112,7 +113,7 @@ def test_polynomial_agreement(plane, terms):
     f = parse_field(expr, plane)
     for px, py in [(0.5, -1.25), (1.0, 1.0), (-0.75, 0.3)]:
         direct = sum(c * px**i * py**j for c, i, j in terms)
-        assert f.at((px, py)) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+        assert at(f, (px, py)) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 @given(st.floats(min_value=-5, max_value=5), st.floats(min_value=-5, max_value=5))

@@ -14,7 +14,6 @@ from lcslab.forms import (
     basis_vector,
     constant,
     coordinate,
-    eval_form,
     interior_product,
 )
 from lcslab.gallery import hopf
@@ -27,6 +26,7 @@ from lcslab.reduction import (
     level_scan,
     reduced_form_check,
 )
+from tests.pointwise import at, eval_form
 
 # -- a four-dimensional symplectic playground -------------------------------
 
@@ -106,7 +106,7 @@ def test_level_isotropy_matches_pointwise_eval_form(direction):
         # hand-written Jacobian of (tau, r cos sigma, r sin sigma, r cos sigma)
         d_tau = np.array([1.0, 0.0, 0.0, 0.0])
         d_sigma = r * np.array([0.0, -np.sin(sigma), np.cos(sigma), -np.sin(sigma)])
-        img = param.at((tau, sigma))
+        img = at(param, (tau, sigma))
         worst = max(worst, *(abs(eval_form(w, img, [v], check_domain=False)) for v in (d_tau, d_sigma)))
     row = reduced_form_check(structure, act, slc, mu, points=pts)["level-isotropy[0]"]
     assert row.details == {"skipped": 0, "points": 32}
