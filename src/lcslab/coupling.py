@@ -24,16 +24,19 @@ row with too many skipped points is inconclusive rather than passed.
 The chapter on almost complex structures lives here too: block structures
 ``J~`` preserving horizontal/vertical splits, the Nijenhuis tensor and the
 curvature identity for its purely horizontal values.  An
-:class:`EndomorphismField` is one matrix-valued function, traced into a
-matrix of coefficient nodes, and Nijenhuis values come from first-order
-jets (values and Jacobians) of ``J`` and of the two vector fields, each one
-replay of the nodes and their derivative nodes.
+:class:`EndomorphismField` is a matrix of coefficient nodes.  ``J~`` is
+assembled from the nodes of ``J_base``, ``J_fiber`` and the horizontal
+lift, so :func:`horizontal_lift` is the one place the gauge term
+``-A(X) rho`` is built.  Nijenhuis values come from first-order jets
+(values and Jacobians) of ``J`` and of the vector fields, each one replay
+of the nodes and their derivative nodes.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -566,47 +569,40 @@ def fatness_check(
 
 
 class EndomorphismField:
-    """A pointwise linear map of the tangent space, as one matrix-valued function.
+    """A pointwise linear map of the tangent space: a matrix of coefficient nodes.
 
-    ``fn(p)`` returns the rows of the matrix at ``p`` as nested lists.  Like a
-    scalar-field closure it uses the generic arithmetic of :mod:`lcslab.dual`;
-    it is traced once, when the field is built, into ``entries``, a matrix of
-    nodes of the coefficient DAG, so work the entries share (a Jacobian, an
-    adjugate) is one set of nodes.  Derivatives, as the Nijenhuis tensor
-    needs them, come from first-order jets of the entries.  A closure that
-    cannot be traced leaves one opaque entry per position.
+    ``entries`` holds the rows of the matrix, one node of the coefficient DAG
+    per position, so work the entries share (a Jacobian, an adjugate, a
+    horizontal lift) is one set of nodes.  The constructor takes the rows
+    as nodes, scalar fields or numbers, or a closure over the coordinate
+    sequence returning them, traced once as a scalar-field closure is; a
+    closure that cannot be traced leaves one opaque entry per position.
+    Derivatives, as the Nijenhuis tensor needs them, come from first-order
+    jets of the entries.
     """
 
-    __slots__ = ("chart", "fn", "entries")
+    __slots__ = ("chart", "entries")
 
-    def __init__(self, chart: Chart, fn: Callable):
+    def __init__(self, chart: Chart, entries):
+        n = chart.dim
+        if callable(entries):
+            fn = entries
+            try:
+                entries = fn([dual.var(i) for i in range(n)])
+            except Exception:  # any failure on symbolic input means the closure stays opaque
+                entries = [[lambda p, i=i, j=j: fn(p)[i][j] for j in range(n)] for i in range(n)]
+        if len(entries) != n or any(len(row) != n for row in entries):
+            raise UsageError(f"endomorphism on {chart.name!r} needs {n} rows of {n} entries")
         self.chart = chart
-        self.fn = fn
-        self.entries = _traced_rows(fn, chart.dim)
+        self.entries = [[dual.trace(v.node if isinstance(v, ScalarField) else v, n) for v in row] for row in entries]
 
     @staticmethod
     def from_matrix(chart: Chart, M: np.ndarray) -> "EndomorphismField":
-        rows = np.asarray(M, dtype=float).tolist()
-        return EndomorphismField(chart, lambda p: rows)
+        return EndomorphismField(chart, np.asarray(M, dtype=float).tolist())
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """The matrices at every point, shape (n, dim, dim)."""
-        out = dual.evaluate(self.entries, points)
-        n = self.chart.dim
-        if out.shape[1:] != (n, n):
-            raise UsageError(f"endomorphism on {self.chart.name!r} needs {n} rows of {n} entries")
-        return out
-
-
-def _traced_rows(fn: Callable, dim: int) -> list:
-    """The rows ``fn`` returns on coordinate nodes, as a matrix of nodes."""
-    try:
-        rows = [[dual.as_node(v) for v in row] for row in fn([dual.var(i) for i in range(dim)])]
-    except Exception:  # any failure on symbolic input means the closure stays opaque
-        rows = None
-    if rows is None or any(v is None for row in rows for v in row):
-        return [[dual.trace(lambda p, i=i, j=j: fn(p)[i][j], dim) for j in range(dim)] for i in range(dim)]
-    return rows
+        return dual.evaluate(self.entries, points)
 
 
 def rotation_structure(chart: Chart) -> EndomorphismField:
@@ -621,7 +617,9 @@ def rotation_structure(chart: Chart) -> EndomorphismField:
     return EndomorphismField.from_matrix(chart, M)
 
 
-def _check_square(Jv: np.ndarray, pts: np.ndarray, tol: float) -> None:
+def _structure_jet(J: EndomorphismField, pts: np.ndarray, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Value and first derivatives of ``J`` on a batch, from one replay; refused where ``J`` does not square to -id."""
+    Jv, dJ = dual.jet(J.entries, pts)
     defect = np.abs(Jv @ Jv + np.eye(Jv.shape[-1])).max(axis=(1, 2))
     bad = np.flatnonzero(defect > tol)
     if bad.size:
@@ -629,6 +627,31 @@ def _check_square(Jv: np.ndarray, pts: np.ndarray, tol: float) -> None:
         raise InvalidStructureError(
             f"endomorphism does not square to -id at {list(map(float, pts[i]))!r} (defect {defect[i]:.3e})"
         )
+    return Jv, dJ
+
+
+def _field_jets(fields, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and Jacobians of vector fields on a batch, from one replay: (n, #fields, dim) and (n, #fields, dim, dim)."""
+    return dual.jet([[c.node for c in Z.components] for Z in fields], pts)
+
+
+def _nijenhuis_values(Jv, dJ, X, DX, Y, DY) -> np.ndarray:
+    """``N_J(X, Y)`` at every point from the jets of J, X and Y, shape (n, dim).
+
+    With ``DA`` the Jacobian of a field A, ``[A, B] = DB A - DA B`` and
+    ``D(JA) = (dJ) A + J DA``.
+    """
+
+    def bracket(A, DA, B, DB):
+        return np.einsum("nij,nj->ni", DB, A) - np.einsum("nij,nj->ni", DA, B)
+
+    def turn(A, DA):
+        return np.einsum("nij,nj->ni", Jv, A), np.einsum("nijk,nj->nik", dJ, A) + Jv @ DA
+
+    JX, DJX = turn(X, DX)
+    JY, DJY = turn(Y, DY)
+    inner = bracket(JX, DJX, Y, DY) + bracket(X, DX, JY, DJY)
+    return bracket(X, DX, Y, DY) - bracket(JX, DJX, JY, DJY) + np.einsum("nij,nj->ni", Jv, inner)
 
 
 def nijenhuis(
@@ -637,28 +660,15 @@ def nijenhuis(
     """``N_J(X,Y) = [X,Y] - [JX,JY] + J[JX,Y] + J[X,JY]`` at one point or a batch.
 
     Returns shape (dim,) for one point and (n, dim) for an (n, dim) batch.
-    The value comes from the first-order jets of J, X and Y at all points at
-    once: with ``DA`` the Jacobian of a field A, ``[A, B] = DB A - DA B`` and
-    ``D(JA) = (dJ) A + J DA``.
+    The value comes from the first-order jets of J and of the two fields,
+    one replay each, at all points at once.
     """
     check_same_chart(J.chart, X.chart, "Nijenhuis arguments")
     check_same_chart(J.chart, Y.chart, "Nijenhuis arguments")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    Jv, dJ = dual.jet(J.entries, pts)
-    _check_square(Jv, pts, tol)
-    Xv, DX = dual.jet([c.node for c in X.components], pts)
-    Yv, DY = dual.jet([c.node for c in Y.components], pts)
-
-    def bracket(A, DA, B, DB):
-        return np.einsum("nij,nj->ni", DB, A) - np.einsum("nij,nj->ni", DA, B)
-
-    def turn(A, DA):
-        return np.einsum("nij,nj->ni", Jv, A), np.einsum("nijk,nj->nik", dJ, A) + Jv @ DA
-
-    JX, DJX = turn(Xv, DX)
-    JY, DJY = turn(Yv, DY)
-    inner = bracket(JX, DJX, Yv, DY) + bracket(Xv, DX, JY, DJY)
-    out = bracket(Xv, DX, Yv, DY) - bracket(JX, DJX, JY, DJY) + np.einsum("nij,nj->ni", Jv, inner)
+    Jv, dJ = _structure_jet(J, pts, tol)
+    F, DF = _field_jets([X, Y], pts)
+    out = _nijenhuis_values(Jv, dJ, F[:, 0], DF[:, 0], F[:, 1], DF[:, 1])
     return out[0] if np.ndim(points) == 1 else out
 
 
@@ -694,34 +704,23 @@ def coupled_complex_structure(
 ) -> EndomorphismField:
     """The block structure sending lifts to lifts and verticals to verticals.
 
-    ``J~ X* = (J_base X)*`` and ``J~ (0,V) = (0, J_fiber V)``; in coordinates
-    the fiber-base block compensates for the gauge potential:
-    ``-A^a(J1 e_j) rho_a + A^a_j J_fiber rho_a``.
+    ``J~ X* = (J_base X)*`` and ``J~ (0,V) = (0, J_fiber V)``.  With ``L`` the
+    vertical block of the horizontal lift, ``X* = (X, L X)``, that is
+    ``J~ = [[J_base, 0], [L J_base - J_fiber L, J_fiber]]``; column j of
+    ``L`` is read from the lift of the j-th base coordinate vector.
     """
     check_same_chart(c.base, J_base.chart, "base structure")
     check_same_chart(c.fiber.chart, J_fiber.chart, "fiber structure")
     m, k = c.base_dim, c.fiber.chart.dim
-    gauge = [
-        ([A.coefficient((i,)).fn for i in range(m)], [comp.fn for comp in rho.components])
-        for A, rho in zip(c.gauge.potentials, c.action.fields)
-    ]
-
-    def fn(p):
-        u, x = p[:m], p[m:]
-        Jb, Jf = J_base.fn(u), J_fiber.fn(x)
-        rows = [list(Jb[i]) + [0.0] * k for i in range(m)]
-        rows += [[0.0] * m + list(Jf[i]) for i in range(k)]
-        for A_fns, rho_fns in gauge:
-            A = [f(u) for f in A_fns]
-            rho = [f(x) for f in rho_fns]
-            J_rho = [_dot(Jf[i], rho) for i in range(k)]
-            for j in range(m):
-                aj1 = _dot(A, [Jb[i][j] for i in range(m)])  # A^a(J1 e_j)
-                for i in range(k):
-                    rows[m + i][j] = rows[m + i][j] - aj1 * rho[i] + A[j] * J_rho[i]
-        return rows
-
-    return EndomorphismField(c.total, fn)
+    lifts = [c.lift(basis_vector(c.base, j)) for j in range(m)]
+    L = [[X.components[m + i].node for X in lifts] for i in range(k)]
+    Jb = J_base.entries  # base coordinates come first: the same nodes on the total chart
+    fiber = [dual.var(m + i) for i in range(k)]
+    Jf = [[e(fiber) for e in row] for row in J_fiber.entries]
+    LJ, JL = _matmul(L, Jb), _matmul(Jf, L)
+    rows = [Jb[i] + [0.0] * k for i in range(m)]
+    rows += [[a - b for a, b in zip(LJ[i], JL[i])] + Jf[i] for i in range(k)]
+    return EndomorphismField(c.total, rows)
 
 
 def conjugate_structure(psi: SmoothMap, J_target: EndomorphismField) -> EndomorphismField:
@@ -729,34 +728,23 @@ def conjugate_structure(psi: SmoothMap, J_target: EndomorphismField) -> Endomorp
 
     ``J_source = (d psi)^-1 J_target(psi(p)) (d psi)`` with the inverse taken
     via adjugate/determinant so the entries stay differentiable; the
-    Jacobian, image, adjugate and determinant are computed once per call.
+    Jacobian, image, adjugate and determinant are built once, as nodes.
     """
     check_same_chart(psi.target, J_target.chart, "conjugation target")
     src = psi.source
     n = src.dim
     if psi.target.dim != n:
         raise UsageError("conjugation needs a diffeomorphism between equal dimensions")
-    comps = [comp.node for comp in psi.components]
-    jacobian = [[f.partial(s) for s in range(n)] for f in comps]
-
-    def fn(p):
-        jac = [[d(p) for d in row] for row in jacobian]
-        JJ = _matmul(J_target.fn([f(p) for f in comps]), jac)
-        det = det_generic(jac)
-        return [[v / det for v in row] for row in _matmul(_adjugate(jac), JJ)]
-
-    return EndomorphismField(src, fn)
-
-
-def _dot(a, b):
-    acc = 0.0
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
+    image = [comp.node for comp in psi.components]
+    jac = [[f.partial(s) for s in range(n)] for f in image]
+    JJ = _matmul([[e(image) for e in row] for row in J_target.entries], jac)
+    det = det_generic(jac)
+    return EndomorphismField(src, [[v / det for v in row] for row in _matmul(_adjugate(jac), JJ)])
 
 
 def _matmul(A, B):
-    return [[_dot(row, [B[s][j] for s in range(len(B))]) for j in range(len(B[0]))] for row in A]
+    """The product of two matrices of nodes or numbers, each entry summed from 0.0, left to right."""
+    return [[functools.reduce(operator.add, map(operator.mul, row, col), 0.0) for col in zip(*B)] for row in A]
 
 
 def _adjugate(M):
@@ -787,7 +775,8 @@ def horizontal_nijenhuis_identity(
     ``N(X*,Y*) = J_f(R(J1 X, Y) + R(X, J1 Y)) + R(X,Y) - R(J1 X, J1 Y)``,
     valid whenever the base structure is integrable.  Also records whether
     Omega is invariant under J~ (the "type (1,1)" probe) without asserting it.
-    Both sides are evaluated on the whole point batch, once per pair.
+    Both sides are evaluated on the whole point batch: J~ and the lifted
+    fields from one jet each, shared by every pair and by the probe.
     """
     pts = c.total.sample(n, seed) if points is None else np.asarray(points, dtype=float)
     rng = np.random.default_rng(seed + 0x9E3779B9)
@@ -807,12 +796,13 @@ def horizontal_nijenhuis_identity(
             out -= evaluate_form(Fa, args)[:, None] * r
         return out
 
+    # one jet of J~ and one of every lifted field, shared by all pairs
+    Jv, dJ = _structure_jet(Jt, pts)
+    draws = [_unit_rows(rng, 2, m) for _ in range(pairs)]
+    F, DF = _field_jets([c.lift(VectorField(c.base, list(v))) for XY in draws for v in XY], pts)
     residuals = []
-    for _ in range(pairs):
-        Xv, Yv = _unit_rows(rng, 2, m)
-        Xs = c.lift(VectorField(c.base, list(Xv)))
-        Ys = c.lift(VectorField(c.base, list(Yv)))
-        lhs = nijenhuis(Jt, Xs, Ys, pts)
+    for p, (Xv, Yv) in enumerate(draws):
+        lhs = _nijenhuis_values(Jv, dJ, F[:, 2 * p], DF[:, 2 * p], F[:, 2 * p + 1], DF[:, 2 * p + 1])
         X, Y = np.broadcast_to(Xv, u.shape), np.broadcast_to(Yv, u.shape)
         JX, JY = J1 @ Xv, J1 @ Yv
         vert = np.einsum("nij,nj->ni", Jf, R(JX, Y) + R(X, JY)) + R(X, Y) - R(JX, JY)
@@ -830,10 +820,9 @@ def horizontal_nijenhuis_identity(
     # two (U, V) draws per point, in point order
     UV = _unit_rows(rng, 4 * len(pts), m + k).reshape(len(pts), 2, 2, m + k)
     omega = form_values(c.Omega, pts)
-    Jp = Jt.batch(pts)
     probe = []
     for r in range(2):
         args = np.moveaxis(UV[:, r], 1, 2)
-        probe.append(np.abs(evaluate_form(omega, Jp @ args) - evaluate_form(omega, args)))
+        probe.append(np.abs(evaluate_form(omega, Jv @ args) - evaluate_form(omega, args)))
     rep.add(residual_row("type-11", "Omega(J~ ., J~ .) = Omega at samples", np.stack(probe, axis=1), tol=None))
     return rep

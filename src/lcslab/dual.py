@@ -557,7 +557,11 @@ class Tape:
                 vals[k] = inputs[a]
                 continue
             else:
-                vals[k] = f([vals[i] for i in a])
+                args = [vals[i] for i in a]
+                if any(isinstance(v, Node) for v in args):  # substituted nodes: the same closure on them
+                    vals[k] = _node("leaf", tuple(map(as_node, args)), f)
+                else:
+                    vals[k] = f(args)
                 for i in a:
                     if last[i] == k:
                         vals[i] = None

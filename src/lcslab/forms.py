@@ -43,7 +43,7 @@ class ScalarField:
 
     Built from a node, a number, or a closure over the coordinate sequence
     that uses the generic arithmetic of :mod:`lcslab.dual`; a closure is
-    traced once, here (see :func:`lcslab.dual.trace`).  ``fn`` is the node,
+    traced once, here (see :func:`lcslab.dual.trace`).  ``node`` is
     callable on floats, numpy columns, dual numbers and nodes alike.
     """
 
@@ -52,10 +52,6 @@ class ScalarField:
     def __init__(self, chart: Chart, fn):
         self.chart = chart
         self.node = dual.trace(fn, chart.dim)
-
-    @property
-    def fn(self) -> dual.Node:
-        return self.node
 
     def __call__(self, point):
         return self.node(point)

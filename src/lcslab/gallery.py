@@ -579,12 +579,8 @@ def cotangent(m: int = 2, scale: float = 0.3, alpha: DifferentialForm | None = N
     if closure_res > 1e-10:
         raise UsageError(f"base 1-form is not closed (residual {closure_res:.3e})")
 
-    def lift_field(f: ScalarField) -> ScalarField:
-        return ScalarField(total, lambda pt, _f=f.fn: _f(pt[:m]))
-
-    theta = DifferentialForm(
-        total, 1, {(i,): lift_field(alpha.coefficient((i,))) for (i,) in alpha.coeffs}
-    )
+    # base coordinates come first, so a base coefficient's node is the same node on the total chart
+    theta = DifferentialForm(total, 1, {I: ScalarField(total, f.node) for I, f in alpha.coeffs.items()})
     liouville = DifferentialForm(
         total, 1, {(i,): coordinate(total, m + i) for i in range(m)}
     )

@@ -119,15 +119,11 @@ def invariant_hamiltonian_check(
     return rep
 
 
-def _fiber_extension(c: CouplingChart, g: SmoothMap) -> SmoothMap:
-    """A fiber self-map acting on the product chart, identity on the base."""
-    m = c.gauge.base.dim
-    comps = [coordinate(c.total, i) for i in range(m)]
-    for comp in g.components:
-        comps.append(
-            ScalarField(c.total, lambda p, _f=comp.fn, _m=m: _f(p[_m:]))
-        )
-    return SmoothMap(c.total, c.total, comps)
+def _base_times(base: Chart, g: SmoothMap, source: Chart, target: Chart) -> SmoothMap:
+    """``id x g`` between product charts over ``base``: base coordinates kept, ``g`` on the fiber ones."""
+    comps = [coordinate(source, i) for i in range(base.dim)]
+    comps += [embed_fiber_field(source, base, f) for f in g.components]
+    return SmoothMap(source, target, comps)
 
 
 def bundle_momentum_check(
@@ -174,7 +170,7 @@ def bundle_momentum_check(
             )
         )
     for gname, g in c.action.elements.items():
-        G = _fiber_extension(c, g)
+        G = _base_times(base, g, c.total, c.total)
         rep.add(
             residual_check(
                 f"omega-invariant[{gname}]",
@@ -316,10 +312,7 @@ def _product_split_rows(c: CouplingChart, slc: LevelSlice, n: int, seed: int, to
     src = param.source
     total_src = product_chart(base, src, name=f"{base.name}x{src.name}-slice")
     m = base.dim
-    comps = [coordinate(total_src, i) for i in range(m)]
-    for comp in param.components:
-        comps.append(ScalarField(total_src, lambda p, _f=comp.fn, _m=m: _f(p[_m:])))
-    big = SmoothMap(total_src, c.total, comps)
+    big = _base_times(base, param, total_src, c.total)
     pts = total_src.sample(n, seed + 1)
     pulled = form_values(pullback(big, c.Omega), pts)
     reduced = form_values(pullback(param, c.fiber.omega), pts[:, m:])

@@ -28,7 +28,7 @@ from lcslab.forms import DifferentialForm, ScalarField, SmoothMap, VectorField, 
 def at(obj, point):
     """``obj`` at a single concrete point."""
     if isinstance(obj, ScalarField):
-        return float(obj.fn([float(c) for c in point]))
+        return float(obj.node([float(c) for c in point]))
     if isinstance(obj, (VectorField, SmoothMap)):
         return np.array([at(c, point) for c in obj.components])
     if isinstance(obj, EndomorphismField):
@@ -110,7 +110,7 @@ def lie_derivative_arrays(
     # accumulated with the points axis last, the axis point_array's results are contiguous along
     out = np.zeros((len(fields), len(keys), len(pts)))
     if form.coeffs and fields:
-        fns = [f.fn for f in form.coeffs.values()]
+        fns = [f.node for f in form.coeffs.values()]
         coeff_lifts = _lifts(lambda p: [fn(p) for fn in fns], pts)
         field_lifts = _lifts(lambda p: [X(p) for X in fields], pts)
         for j, ((w, dw), (x, dx)) in enumerate(zip(coeff_lifts, field_lifts)):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lcslab import coupling, dual
 from lcslab.charts import Chart
 from lcslab.coupling import (
     CouplingChart,
@@ -319,7 +320,7 @@ def test_nijenhuis_detects_nonintegrable(r4):
 def bracket_nijenhuis(J, X, Y, p):
     """The defining formula, with J X as an explicit field and brackets by lie_bracket."""
     n = J.chart.dim
-    entry = [[ScalarField(J.chart, lambda q, i=i, j=j: J.fn(q)[i][j]) for j in range(n)] for i in range(n)]
+    entry = [[ScalarField(J.chart, e) for e in row] for row in J.entries]
 
     def turn(Z):
         comps = []
@@ -363,6 +364,13 @@ def test_nijenhuis_rejects_non_complex(r4):
     J = EndomorphismField.from_matrix(r4, np.eye(4))
     with pytest.raises(InvalidStructureError):
         nijenhuis(J, basis_vector(r4, 0), basis_vector(r4, 1), (0.0, 0.0, 0.0, 0.0))
+
+
+def test_endomorphism_needs_a_square_matrix(r4):
+    with pytest.raises(UsageError, match="4 rows of 4 entries"):
+        EndomorphismField.from_matrix(r4, np.eye(3))
+    with pytest.raises(UsageError, match="4 rows of 4 entries"):
+        EndomorphismField(r4, lambda p: [p[:3]] * 4)
 
 
 def test_conjugate_structure_by_linear_map(plane):
@@ -409,6 +417,63 @@ def test_coupled_structure_preserves_blocks(flat):
     # base block is the base rotation; base rows never see fiber columns
     np.testing.assert_allclose(M[:2, :2], [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
     np.testing.assert_allclose(M[:2, 2:], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["flat", "s2"])
+def test_coupled_structure_matches_gauge_formula(which, flat, s2):
+    """J~ from the horizontal lift against its gauge block written out:
+    ``-A^a(J1 e_j) rho_a + A^a_j J_fiber rho_a``, from batched A, rho, J1 and J_fiber."""
+    if which == "s2":
+        c, J_base, J_fiber = s2.objects["coupling"], s2.objects["J_base"], s2.objects["J_fiber"]
+    else:
+        c, J_base, J_fiber = flat, rotation_structure(flat.base), rotation_structure(flat.fiber.chart)
+    pts = c.total.sample(16, seed=2)
+    m = c.base_dim
+    u, x = pts[:, :m], pts[:, m:]
+    J1, Jf = J_base.batch(u), J_fiber.batch(x)
+    want = np.zeros((len(pts), c.total.dim, c.total.dim))
+    want[:, :m, :m], want[:, m:, m:] = J1, Jf
+    for A, rho in zip(c.gauge.potentials, c.action.fields):
+        a = np.stack([A.coefficient((i,)).batch(u) for i in range(m)], axis=-1)  # A^a_j, (n, m)
+        r = rho.batch(x)  # rho_a, (n, k)
+        aJ = np.einsum("ni,nij->nj", a, J1)  # A^a(J1 e_j)
+        Jr = np.einsum("nik,nk->ni", Jf, r)  # J_fiber rho_a
+        want[:, m:, :m] += -r[:, :, None] * aJ[:, None, :] + Jr[:, :, None] * a[:, None, :]
+    got = coupled_complex_structure(c, J_base, J_fiber).batch(pts)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.abs(want[:, m:, :m]).max() > 0.1  # the gauge block is compared on nonzero values
+
+
+def test_coupled_structure_takes_an_untraceable_fiber_structure(flat):
+    """An opaque J_fiber (its closure branches on a value) is embedded as leaves and gives the same J~."""
+
+    def rows(p):
+        s = 1.0 if np.all(np.isfinite(dual.value(p[0]))) else -1.0
+        return [[0.0, -s], [s, 0.0]]
+
+    opaque = EndomorphismField(flat.fiber.chart, rows)
+    assert all(e.op == "leaf" for row in opaque.entries for e in row)
+    J_base = rotation_structure(flat.base)
+    pts = flat.total.sample(8, seed=1)
+    got = coupled_complex_structure(flat, J_base, opaque)
+    want = coupled_complex_structure(flat, J_base, rotation_structure(flat.fiber.chart))
+    np.testing.assert_array_equal(got.batch(pts), want.batch(pts))
+    assert horizontal_nijenhuis_identity(flat, J_base, opaque, n=6, pairs=2).passed
+
+
+def test_horizontal_identity_takes_one_jet_of_the_coupled_structure(s2, monkeypatch):
+    """J~ is replayed once per run however many pairs there are: one jet serves every pair and the probe."""
+    built, jets = [], []
+    make, jet = coupling.coupled_complex_structure, dual.jet
+    monkeypatch.setattr(coupling, "coupled_complex_structure", lambda *args: built.append(make(*args)) or built[-1])
+    monkeypatch.setattr(dual, "jet", lambda value, points: jets.append(value) or jet(value, points))
+    o = s2.objects
+    rep = horizontal_nijenhuis_identity(o["coupling"], o["J_base"], o["J_fiber"], n=6, seed=3, pairs=2)
+    assert rep.passed
+    (Jt,) = built
+    assert sum(value is Jt.entries for value in jets) == 1
+    roots = [e for row in Jt.entries for e in row]
+    assert len(dual.Tape(roots + [e.partial(j) for e in roots for j in range(Jt.chart.dim)])) <= 3000
 
 
 def test_horizontal_nijenhuis_identity(flat):

@@ -11,7 +11,9 @@ from lcslab import dual
 from lcslab.forms import (
     DifferentialForm,
     ScalarField,
+    SmoothMap,
     VectorField,
+    compose,
     coordinate,
     exterior_derivative,
     lie_derivative,
@@ -57,16 +59,16 @@ def test_replay_and_partials_match_dual_lifts(plane, expr):
     f = parse_field(expr, plane)
     cols = list(POINTS.T)
     try:
-        want = _reference(f.fn, cols)
+        want = _reference(f.node, cols)
     except (ArithmeticError, ValueError) as err:  # a constant subexpression outside its domain
         with pytest.raises(type(err)):
             f.batch(POINTS)
         return
     _same(f.batch(POINTS), want)
     for i in range(2):
-        _same(f.partial(i).batch(POINTS), _reference(lambda p: dual.partial(f.fn, p, i), cols))
+        _same(f.partial(i).batch(POINTS), _reference(lambda p: dual.partial(f.node, p, i), cols))
         for j in range(2):
-            second = _reference(lambda p: dual.partial(lambda q: dual.partial(f.fn, q, i), p, j), cols)
+            second = _reference(lambda p: dual.partial(lambda q: dual.partial(f.node, q, i), p, j), cols)
             _same(f.partial(i).partial(j).batch(POINTS), second)
 
 
@@ -99,6 +101,27 @@ def test_untraceable_closure_evaluates_and_differentiates(plane):
     np.testing.assert_allclose(f.partial(1).batch(pts), pts[:, 0] ** 2)
     np.testing.assert_allclose(f.partial(0).partial(1).batch(pts), 2.0 * pts[:, 0])
     np.testing.assert_allclose((f * f).partial(1).batch(pts), 2.0 * pts[:, 0] ** 4 * pts[:, 1])
+
+
+def test_untraceable_closure_composes(plane):
+    """Substituting nodes into an opaque leaf gives the leaf on their images, differentiated by the chain rule."""
+
+    def branchy(p):
+        x, y = p
+        return x * x * y if np.all(dual.value(x) > 0) else y
+
+    f = ScalarField(plane, branchy)
+    x, y = coordinate(plane, 0), coordinate(plane, 1)
+    m = SmoothMap(plane, plane, [2.0 * y, x + y])
+    g = compose(f, m)
+    assert g.node.op == "leaf"
+    pts = np.array([[0.5, 2.0], [1.5, 1.0], [-0.3, 0.7]])
+    images = m.batch(pts)
+    fx, fy = f.partial(0).batch(images), f.partial(1).batch(images)
+    np.testing.assert_array_equal(g.batch(pts), f.batch(images))
+    np.testing.assert_allclose(g.partial(0).batch(pts), fy)
+    np.testing.assert_allclose(g.partial(1).batch(pts), 2.0 * fx + fy)
+    np.testing.assert_allclose(g.batch(pts), images[:, 0] ** 2 * images[:, 1])
 
 
 def test_interning_is_weak(plane):
