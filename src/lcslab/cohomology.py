@@ -8,8 +8,9 @@ weight ``theta(u, v)`` on each oriented edge and transport the 0th vertex,
         + sum_{i>=1} (-1)^i c(v0...^vi...v_{k+1}).
 
 ``delta^2 = 0`` is then a theorem whenever theta satisfies the triangle
-cocycle condition, Betti numbers come from SVD ranks, and the Hodge/Green
-story is plain linear algebra — no elliptic theory, same identities.
+cocycle condition, Betti numbers come from sparse elimination ranks (checked
+against SVD ranks in the tests), and the Hodge/Green story is plain linear
+algebra — no elliptic theory, same identities.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .report import CheckResult, Report
 
 _RANK_TOL = 1e-9
 _COCYCLE_TOL = 1e-12
+_MAX_WEIGHT = math.log(np.finfo(float).max)  # largest |theta| with e^theta finite, in either orientation
 
 
 def closure(simplices) -> set[tuple[int, ...]]:
@@ -75,18 +77,23 @@ class TwistedComplex:
         for (u, v), val in (theta or {}).items():
             if u >= v:
                 raise InvalidComplexError(f"edge weights are keyed by (u, v) with u < v, got ({u}, {v})")
-            th[(u, v)] = float(val)
+            try:
+                w = th[(u, v)] = float(val)
+            except (TypeError, ValueError):
+                w = math.nan
+            if not abs(w) <= _MAX_WEIGHT:
+                raise InvalidComplexError(f"edge weight {val!r} on ({u}, {v}) is not a number of size <= {_MAX_WEIGHT:.2f}")
         for e in self.by_dim.get(1, ()):
             th.setdefault(e, 0.0)
         unknown = set(th) - set(self.by_dim.get(1, ()))
         if unknown:
             raise InvalidComplexError(f"weights given on non-edges: {sorted(unknown)[:3]}")
         self.theta = th
-        self._coboundaries: dict[int, np.ndarray] = {}
+        self._coboundaries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for s in self.by_dim.get(2, ()):
             u, v, w = s
             defect = th[(u, v)] + th[(v, w)] - th[(u, w)]
-            if abs(defect) > cocycle_tol:
+            if not abs(defect) <= cocycle_tol:
                 raise InvalidComplexError(
                     f"edge weights violate the cocycle condition on triangle {s} (defect {defect:.3e})"
                 )
@@ -123,40 +130,94 @@ class Cochain:
     values: np.ndarray
 
 
-def twisted_coboundary(K: TwistedComplex, k: int) -> np.ndarray:
-    """Matrix of ``delta_theta`` from degree k to k+1 (rows are (k+1)-simplices).
-
-    Built once per complex and degree, and returned read-only.
-    """
+def _coboundary(K: TwistedComplex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse ``delta_theta`` from degree k, built on first use and kept on the complex."""
     if k not in K._coboundaries:
-        M = _coboundary_matrix(K, k)
-        M.flags.writeable = False
-        K._coboundaries[k] = M
+        K._coboundaries[k] = _coboundary_entries(K, k)
     return K._coboundaries[k]
 
 
-def _coboundary_matrix(K: TwistedComplex, k: int) -> np.ndarray:
-    rows = K.simplices(k + 1)
-    cols = K.simplices(k)
-    M = np.zeros((len(rows), len(cols)))
-    for r, s in enumerate(rows):
-        M[r, K.index[s[1:]]] += math.exp(K.theta_of(s[0], s[1]))
-        for i in range(1, len(s)):
-            face = s[:i] + s[i + 1 :]
-            M[r, K.index[face]] += (-1.0) ** i
+def _coboundary_entries(K: TwistedComplex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only column indices and values of ``delta_theta`` from degree k, a row per (k+1)-simplex.
+
+    Row ``s`` holds its k+2 faces: face ``i`` (vertex i removed) carries
+    ``e^{theta(s0, s1)}`` for ``i = 0`` and ``(-1)^i`` otherwise.
+    """
+    rows, index = K.simplices(k + 1), K.index
+    cols = np.array([index[s[:i] + s[i + 1 :]] for s in rows for i in range(k + 2)], dtype=np.intp)
+    cols = cols.reshape(len(rows), k + 2)
+    vals = np.tile([(-1.0) ** i for i in range(k + 2)], (len(rows), 1))
+    vals[:, 0] = [math.exp(K.theta[s[:2]]) for s in rows]
+    cols.flags.writeable = vals.flags.writeable = False
+    return cols, vals
+
+
+def twisted_coboundary(K: TwistedComplex, k: int) -> np.ndarray:
+    """Dense matrix of ``delta_theta`` from degree k to k+1 (rows are (k+1)-simplices)."""
+    cols, vals = _coboundary(K, k)
+    M = np.zeros((len(cols), K.count(k)))
+    np.put_along_axis(M, cols, vals, axis=1)
     return M
 
 
 def coboundary_defects(K: TwistedComplex) -> list[float]:
     """``max |delta_{k+1} delta_k|`` for each degree ``k`` below the top: zero when theta is a cocycle."""
-    return [
-        float(np.abs(twisted_coboundary(K, k + 1) @ twisted_coboundary(K, k)).max(initial=0.0))
-        for k in range(K.top)
-    ]
+    out = []
+    for k in range(K.top):
+        c0, v0 = _coboundary(K, k)
+        c1, v1 = _coboundary(K, k + 1)
+        # row r of the product sums v1[r, j] times row c1[r, j] of delta_k
+        keys = (np.arange(len(c1))[:, None, None] * K.count(k) + c0[c1]).ravel()
+        _, at = np.unique(keys, return_inverse=True)
+        prod = np.bincount(at, (v1[:, :, None] * v0[c1]).ravel())
+        out.append(float(np.abs(prod).max(initial=0.0)))
+    return out
 
 
 def apply_coboundary(K: TwistedComplex, c: Cochain) -> Cochain:
     return Cochain(c.degree + 1, twisted_coboundary(K, c.degree) @ c.values)
+
+
+def _rank(cols: np.ndarray, vals: np.ndarray, n_cols: int) -> int:
+    """Rank by Gaussian elimination, each row pivoting on an entry at least half its largest.
+
+    Among those entries the column held by the fewest rows wins.  Entries at
+    most ``_RANK_TOL * s`` count as zero; ``s = sqrt(|M|_1 |M|_inf)`` bounds
+    the largest singular value.
+    """
+    if not vals.size:
+        return 0
+    mags = np.abs(vals)
+    s = math.sqrt(np.bincount(cols.ravel(), mags.ravel(), n_cols).max() * mags.sum(axis=1).max())
+    eps = _RANK_TOL * s
+    rows = [{c: v for c, v in zip(cs, vs) if abs(v) > eps} for cs, vs in zip(cols.tolist(), vals.tolist())]
+    holders: dict[int, set[int]] = {}  # column -> rows below the current one holding it
+    for r, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(r)
+    rank = 0
+    for r, row in enumerate(rows):
+        for c in row:
+            holders[c].discard(r)
+        if not row:
+            continue
+        big = 0.5 * max(map(abs, row.values()))
+        p = min((c for c, v in row.items() if abs(v) >= big), key=lambda c: len(holders[c]))
+        rank += 1
+        pv = row.pop(p)
+        for o in holders.pop(p):
+            other = rows[o]
+            f = other.pop(p) / pv
+            for c, v in row.items():
+                w = other.get(c, 0.0) - f * v
+                if abs(w) > eps:
+                    if c not in other:
+                        holders[c].add(o)
+                    other[c] = w
+                elif c in other:
+                    del other[c]
+                    holders[c].discard(o)
+    return rank
 
 
 def betti(K: TwistedComplex) -> list[int]:
@@ -164,8 +225,7 @@ def betti(K: TwistedComplex) -> list[int]:
     out = []
     prev_rank = 0
     for k in range(K.top + 1):
-        d = twisted_coboundary(K, k)
-        r = int(np.linalg.matrix_rank(d, rtol=_RANK_TOL))
+        r = _rank(*_coboundary(K, k), K.count(k))
         out.append(K.count(k) - r - prev_rank)
         prev_rank = r
     return out
@@ -326,10 +386,11 @@ def product_complex(K1: TwistedComplex, K2: TwistedComplex) -> TwistedComplex:
     """Staircase triangulation of the product, weights added factorwise.
 
     Vertices are pairs ordered as ``i * n2 + j``; the simplices are the
-    monotone lattice paths through each pair of factor simplices, closed
-    downward.  Both projections of any product edge are edges (or points)
-    of the factors, so the weight sum is well defined and the cocycle
-    condition is inherited.
+    monotone lattice paths through each pair of maximal factor simplices,
+    closed downward (a path through lower faces is a face of one of these).
+    Both projections of any product edge are edges (or points) of the
+    factors, so the weight sum is well defined and the cocycle condition is
+    inherited.
     """
     n2 = K2.n_vertices
     vid = lambda i, j: i * n2 + j
@@ -347,13 +408,12 @@ def product_complex(K1: TwistedComplex, K2: TwistedComplex) -> TwistedComplex:
             if b + 1 <= goal[1]:
                 stack.append(((a, b + 1), path + [(a, b + 1)]))
 
-    tops: set[tuple[int, ...]] = set()
-    for k1 in range(K1.top + 1):
-        for s1 in K1.simplices(k1):
-            for k2 in range(K2.top + 1):
-                for s2 in K2.simplices(k2):
-                    tops.update(paths(s1, s2))
-    family = closure(tops)
+    def maximal(K: TwistedComplex) -> list[tuple[int, ...]]:  # the simplices that are no facet
+        facets = {t for k in range(1, K.top + 1) for s in K.simplices(k) for t in combinations(s, k)}
+        return [s for k in range(K.top + 1) for s in K.simplices(k) if s not in facets]
+
+    tops2 = maximal(K2)
+    family = closure(p for s1 in maximal(K1) for s2 in tops2 for p in paths(s1, s2))
 
     theta = {}
     for s in family:

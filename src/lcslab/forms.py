@@ -393,14 +393,19 @@ class SmoothMap:
     def then(self, other: "SmoothMap") -> "SmoothMap":
         """other ∘ self."""
         check_same_chart(self.target, other.source, "composable maps")
-        comps = [compose(c, self) for c in other.components]
-        return SmoothMap(self.source, other.target, comps)
+        comps = _substitute([c.node for c in other.components], self)
+        return SmoothMap(self.source, other.target, [ScalarField(self.source, c) for c in comps])
+
+
+def _substitute(nodes, m: SmoothMap) -> list:
+    """``nodes`` with the components of ``m`` for the coordinates, through one shared tape."""
+    return dual.Tape(nodes).run([c.node for c in m.components])
 
 
 def compose(f: ScalarField, m: SmoothMap) -> ScalarField:
     """``f`` after ``m``: the components of ``m`` substituted for the coordinates of ``f``."""
     check_same_chart(f.chart, m.target, "composition")
-    return ScalarField(m.source, f.node([c.node for c in m.components]))
+    return ScalarField(m.source, _substitute([f.node], m)[0])
 
 
 def pullback(m: SmoothMap, form: DifferentialForm) -> DifferentialForm:
@@ -411,9 +416,8 @@ def pullback(m: SmoothMap, form: DifferentialForm) -> DifferentialForm:
         return DifferentialForm.from_scalar(compose(form.coefficient(()), m))
     if k > src.dim:
         return DifferentialForm.zero(src, k)
-    image = [c.node for c in m.components]
-    pulled = [(I, f.node(image)) for I, f in form.coeffs.items()]
-    jac = [[c.partial(j) for j in range(src.dim)] for c in image]
+    pulled = list(zip(form.coeffs, _substitute([f.node for f in form.coeffs.values()], m)))
+    jac = [[c.node.partial(j) for j in range(src.dim)] for c in m.components]
     coeffs = {}
     for J in combinations(range(src.dim), k):
         total = dual.const(0.0)

@@ -267,7 +267,7 @@ def complex_from_decl(doc: dict, theta_extra: dict | None = None) -> TwistedComp
         idx = _index_key(key, "theta")
         if len(idx) != 2:
             raise UsageError(f"theta key {key!r} is not an edge")
-        theta[(idx[0], idx[1])] = float(val)
+        theta[(idx[0], idx[1])] = val
     if theta_extra:
         theta.update(theta_extra)
     return TwistedComplex(n, [tuple(s) for s in simplices], theta)

@@ -219,12 +219,21 @@ def test_cohomology_json_config(capsys):
 
 
 def test_cohomology_builds_each_coboundary_once(capsys, monkeypatch):
-    """``betti`` and the ``delta-squared`` rows share one coboundary matrix per degree."""
+    """``betti`` and the ``delta-squared`` rows share one sparse coboundary per degree; nothing is densified."""
+    import numpy as np
+
     from lcslab import cohomology
 
     built = []
-    build = cohomology._coboundary_matrix
-    monkeypatch.setattr(cohomology, "_coboundary_matrix", lambda K, k: built.append(k) or build(K, k))
+    build = cohomology._coboundary_entries
+    monkeypatch.setattr(cohomology, "_coboundary_entries", lambda K, k: built.append(k) or build(K, k))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the cohomology command builds no dense matrix and takes no SVD")
+
+    monkeypatch.setattr(cohomology, "twisted_coboundary", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "matrix_rank", forbidden)
     faces = [list(s) for k in (1, 2, 3) for s in itertools.combinations(range(4), k)]
     sphere = json.dumps({"vertices": 4, "simplices": faces})  # the boundary of a tetrahedron
     _, out, _ = run(capsys, "cohomology", sphere, "--format", "json")
@@ -233,6 +242,23 @@ def test_cohomology_builds_each_coboundary_once(capsys, monkeypatch):
     assert doc["config"]["betti"] == [1, 0, 1]
     rows = {c["id"]: c for c in doc["reports"]["cohomology"]["checks"]}
     assert [rows[f"delta-squared[{k}]"]["residual"] for k in range(2)] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("weight", [1000, -1000, 709.8, "nan", "inf", "-inf", "x", [1]])
+def test_cohomology_rejects_unusable_edge_weight(capsys, weight):
+    """A weight whose exponential is not a positive finite number is a validation error (exit 2)."""
+    doc = json.loads(CIRCLE_DOC)
+    doc["theta"] = {"0,1": weight}
+    code, out, err = run(capsys, "cohomology", json.dumps(doc))
+    assert code == 2 and out == ""
+    assert "edge weight" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("weight", ["1000", "-1000", "nan", "inf", "-inf"])
+def test_cohomology_rejects_unusable_theta_option(capsys, weight):
+    code, out, err = run(capsys, "cohomology", CIRCLE_DOC, "--theta", f"0,1:{weight}")
+    assert code == 2 and out == ""
+    assert "edge weight" in err
 
 
 # -------------------------------------------------------------------- gallery

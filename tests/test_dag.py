@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lcslab import dual
+from lcslab import dual, forms
 from lcslab.forms import (
     DifferentialForm,
     ScalarField,
@@ -17,8 +17,9 @@ from lcslab.forms import (
     coordinate,
     exterior_derivative,
     lie_derivative,
+    pullback,
 )
-from lcslab.gallery import hopf
+from lcslab.gallery import coupling_example_s2, hopf
 from lcslab.parser import parse_field
 from lcslab.report import form_values
 
@@ -154,3 +155,20 @@ def test_equal_expressions_are_one_node(plane):
     # not bit-exact identities, so never folded
     assert x + 0.0 is not x and x - (-0.0) is not x
     assert (0.0 * x).op == "*"
+
+
+def test_pullback_substitutes_every_coefficient_through_one_tape():
+    """coupling-s2's ``Omega`` by a fiber element: one shared tape, the same nodes, no tape left behind."""
+    from lcslab.reduction import _base_times
+
+    man = coupling_example_s2()
+    c = man.objects["coupling"]
+    g = next(iter(man.objects["action"].elements.values()))
+    G = _base_times(man.objects["base"], g, c.total, c.total)
+    roots = [f.node for f in c.Omega.coeffs.values()]
+    image = [x.node for x in G.components]
+    alone = [dual.Tape([r]).run(image)[0] for r in roots]
+    assert len(dual.Tape(roots)) < sum(len(dual.Tape([r])) for r in roots)
+    assert all(a is b for a, b in zip(forms._substitute(roots, G), alone))
+    pullback(G, c.Omega)
+    assert not [r for r in roots if r._tape is not None]
