@@ -77,8 +77,8 @@ class TwistedComplex:
         for (u, v), val in (theta or {}).items():
             if u >= v:
                 raise InvalidComplexError(f"edge weights are keyed by (u, v) with u < v, got ({u}, {v})")
-            try:
-                w = th[(u, v)] = float(val)
+            try:  # a boolean is no weight, though float() takes it
+                w = th[(u, v)] = math.nan if isinstance(val, (bool, np.bool_)) else float(val)
             except (TypeError, ValueError):
                 w = math.nan
             if not abs(w) <= _MAX_WEIGHT:

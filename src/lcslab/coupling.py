@@ -17,19 +17,19 @@ curvature field ``[X*,Y*] - [X,Y]*``); the test suite freezes it.
 
 Every check evaluates its forms once on the whole point batch: argument
 classes are (n, dim, k) arrays built from the batched horizontal lift, and a
-form is contracted with them through determinants of index minors.  A
-sample point where some value is not finite is skipped and counted, and a
-row with too many skipped points is inconclusive rather than passed.
+form is contracted with them through determinants of index minors; random
+draws never become nodes.  A sample point where some value is not finite is skipped and counted, and a row with too
+many skipped points is inconclusive rather than passed.
 
 The chapter on almost complex structures lives here too: block structures
 ``J~`` preserving horizontal/vertical splits, the Nijenhuis tensor and the
 curvature identity for its purely horizontal values.  An
 :class:`EndomorphismField` is a matrix of coefficient nodes.  ``J~`` is
-assembled from the nodes of ``J_base``, ``J_fiber`` and the horizontal
-lift, so :func:`horizontal_lift` is the one place the gauge term
-``-A(X) rho`` is built.  Nijenhuis values come from first-order jets
-(values and Jacobians) of ``J`` and of the vector fields, each one replay
-of the nodes and their derivative nodes.
+built from ``J_base``, ``J_fiber`` and the lift block (as nodes by
+:func:`coupled_complex_structure`, as arrays from one jet of each block by
+the horizontal identity), so :func:`horizontal_lift` is the one place the
+gauge term ``-A(X) rho`` is built.  Nijenhuis values come from first-order
+jets (values and Jacobians) of ``J`` and of the vector fields.
 """
 
 from __future__ import annotations
@@ -55,15 +55,15 @@ from .forms import (
     det_generic,
     exterior_derivative,
     interior_product,
-    lie_bracket,
     wedge,
 )
 from . import dual
-from .lcs import LCSStructure, nondegeneracy_check, residual_check, skew_matrices, twisted_derivative
+from .lcs import LCSStructure, _skew, nondegeneracy_check, residual_check, skew_matrices, twisted_derivative
 from .report import (
     DEFAULT_TOL,
     CheckResult,
     Report,
+    batch_values,
     demote_if_sparse,
     evaluate_form,
     finite_points,
@@ -103,38 +103,30 @@ def product_chart(base: Chart, fiber: Chart, name: str = "") -> Chart:
     )
 
 
-def _embedded_field(total: Chart, offset: int, width: int, f: ScalarField) -> ScalarField:
-    return ScalarField(total, f.node([dual.var(offset + i) for i in range(width)]))
-
-
-def embed_base_field(total: Chart, base: Chart, f: ScalarField) -> ScalarField:
-    check_same_chart(base, f.chart, "embedded field")
-    return _embedded_field(total, 0, base.dim, f)
+def _embedded(total: Chart, offset: int, width: int, fields) -> list[ScalarField]:
+    """``fields`` on the product chart, coordinates shifted by ``offset``, through one shared tape."""
+    nodes = dual.Tape([f.node for f in fields]).run([dual.var(offset + i) for i in range(width)])
+    return [ScalarField(total, v) for v in nodes]
 
 
 def embed_fiber_field(total: Chart, base: Chart, f: ScalarField) -> ScalarField:
-    return _embedded_field(total, base.dim, f.chart.dim, f)
+    return _embedded(total, base.dim, f.chart.dim, [f])[0]
 
 
 def embed_base_form(total: Chart, base: Chart, form: DifferentialForm) -> DifferentialForm:
     check_same_chart(base, form.chart, "embedded form")
-    coeffs = {I: _embedded_field(total, 0, base.dim, f) for I, f in form.coeffs.items()}
-    return DifferentialForm(total, form.degree, coeffs)
+    coeffs = _embedded(total, 0, base.dim, form.coeffs.values())
+    return DifferentialForm(total, form.degree, dict(zip(form.coeffs, coeffs)))
 
 
 def embed_fiber_form(total: Chart, base: Chart, form: DifferentialForm) -> DifferentialForm:
     m = base.dim
-    coeffs = {
-        tuple(i + m for i in I): _embedded_field(total, m, form.chart.dim, f)
-        for I, f in form.coeffs.items()
-    }
-    return DifferentialForm(total, form.degree, coeffs)
+    coeffs = _embedded(total, m, form.chart.dim, form.coeffs.values())
+    return DifferentialForm(total, form.degree, {tuple(i + m for i in I): f for I, f in zip(form.coeffs, coeffs)})
 
 
 def embed_fiber_vector(total: Chart, base: Chart, X: VectorField) -> VectorField:
-    m = base.dim
-    comps = [0.0] * m + [_embedded_field(total, m, X.chart.dim, c) for c in X.components]
-    return VectorField(total, comps)
+    return VectorField(total, [0.0] * base.dim + _embedded(total, base.dim, X.chart.dim, X.components))
 
 
 # --------------------------------------------------------------------------
@@ -237,14 +229,14 @@ def horizontal_lift(
         raise UsageError("gauge and action must share their structure constants")
     total = product_chart(g.base, act.chart) if total is None else total
     m, k = g.base.dim, act.chart.dim
-    comps = [embed_base_field(total, g.base, c) for c in X.components]
+    # X and every A^a(X) from the base, every rho_a from the fiber: one tape each
+    on_base = _embedded(total, 0, m, [*X.components, *(contract(A, X) for A in g.potentials)])
+    rho = _embedded(total, m, k, [c for field in act.fields for c in field.components])
     vert = [constant(total, 0.0) for _ in range(k)]
-    for a in range(g.dim):
-        coefficient = embed_base_field(total, g.base, contract(g.potentials[a], X))
-        rho = act.fields[a]
+    for a, coefficient in enumerate(on_base[m:]):
         for j in range(k):
-            vert[j] = vert[j] - coefficient * embed_fiber_field(total, g.base, rho.components[j])
-    return VectorField(total, comps + vert)
+            vert[j] = vert[j] - coefficient * rho[a * k + j]
+    return VectorField(total, on_base[:m] + vert)
 
 
 # --------------------------------------------------------------------------
@@ -268,9 +260,6 @@ class CouplingChart:
     @property
     def base_dim(self) -> int:
         return self.base.dim
-
-    def vertical_field(self, V: VectorField) -> VectorField:
-        return embed_fiber_vector(self.total, self.base, V)
 
     def lift(self, X: VectorField) -> VectorField:
         return horizontal_lift(self.gauge, self.action, X, total=self.total)
@@ -344,14 +333,28 @@ def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return V / np.linalg.norm(V, axis=1, keepdims=True)
 
 
-def _lift_operators(c: CouplingChart, pts: np.ndarray) -> np.ndarray:
-    """The horizontal lift at every point as a matrix, shape (n, m + k, m).
+def _lift_block(c: CouplingChart) -> list:
+    """The lifts of the base coordinate vectors as nodes, (m + k) rows of m: column j lifts the j-th."""
+    lifts = [c.lift(basis_vector(c.base, j)) for j in range(c.base_dim)]
+    return [[X.components[i].node for X in lifts] for i in range(c.total.dim)]
+
+
+def _lift_operators(c: CouplingChart, pts: np.ndarray, jet: bool = False):
+    """The horizontal lift at every point as a matrix ``H``, shape (n, m + k, m).
 
     Column j is the lift of the j-th base coordinate vector, so a base
-    vector X lifts to ``X* = H X``.
+    vector X lifts to ``X* = H X``.  With ``jet``, also ``DH`` of shape
+    (n, m, m + k, m + k): ``DH[:, j]`` is the Jacobian of column j.
     """
-    lifts = [c.lift(basis_vector(c.base, j)) for j in range(c.base_dim)]
-    return np.stack([X.batch(pts) for X in lifts], axis=-1)
+    if not jet:
+        return dual.evaluate(_lift_block(c), pts)
+    H, DH = dual.jet(_lift_block(c), pts)
+    return H, np.moveaxis(DH, 2, 1)
+
+
+def _lifted(H: np.ndarray, DH: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lift ``X* = H X`` of a constant base vector and its Jacobian ``DH·X``: (n, m + k) and (n, m + k, m + k)."""
+    return H @ X, np.einsum("njil,j->nil", DH, X)
 
 
 def _draw_arguments(pattern: str, H: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -464,24 +467,16 @@ def lift_bracket_diagnostic(
     This holds for any 2-form orthogonal between lifts and verticals whose
     Lee form kills horizontals, so it is a diagnostic of the *shape* of the
     data rather than of closedness itself.
+
+    The DAG holds only the chart's forms, the lift block and ``d_Theta
+    Omega``; one jet of Omega and of the lift block serves every pair, and
+    the random X, Y, Z are contracted with it in numpy: ``X* = H X`` with
+    Jacobian ``DH·X``, ``Omega(U, V) = U^T W V``, the product rule for
+    ``Z(Omega(Y*, X*))``.
     """
     pts = c.total.sample(n, seed) if points is None else np.asarray(points, dtype=float)
-    rng = np.random.default_rng(seed + 0x2545F491)
-    m, k = c.base_dim, c.fiber.chart.dim
-    closed3 = twisted_derivative(c.Theta, c.Omega)
+    v = _lift_bracket_terms(c, pts, np.random.default_rng(seed + 0x2545F491), pairs)
     rep = Report("lift_bracket_diagnostic")
-    terms = []
-    for _ in range(pairs):
-        X = VectorField(c.base, list(_unit_rows(rng, 1, m)[0]))
-        Y = VectorField(c.base, list(_unit_rows(rng, 1, m)[0]))
-        Z = c.vertical_field(VectorField(c.fiber.chart, list(_unit_rows(rng, 1, k)[0])))
-        Xs, Ys = c.lift(X), c.lift(Y)
-        pairing = contract(c.Omega, Ys, Xs)
-        term1 = contract(twisted_derivative(c.Theta, DifferentialForm.from_scalar(pairing)), Z)
-        term2 = contract(closed3, Ys, Xs, Z)
-        rhs = contract(c.Omega, lie_bracket(Xs, Ys), Z)
-        terms.append([term1.node, term2.node, rhs.node])
-    v = dual.evaluate(terms, pts)  # every pair from one replay, shape (n, pairs, 3)
     rep.add(
         residual_row(
             "lift-bracket",
@@ -492,6 +487,33 @@ def lift_bracket_diagnostic(
         )
     )
     return rep
+
+
+def _lift_bracket_terms(c: CouplingChart, pts: np.ndarray, rng: np.random.Generator, pairs: int) -> np.ndarray:
+    """``d_Theta(Omega(Y*, X*))(Z)``, ``d_Theta Omega(Y*, X*, Z)``, ``Omega([X*, Y*], Z)``, shape (n, pairs, 3).
+
+    Each pair draws X, Y on the base and a vertical Z, in that order.
+    """
+    m, k, dim = c.base_dim, c.fiber.chart.dim, c.total.dim
+    values, derivatives = dual.jet([f.node for f in c.Omega.coeffs.values()], pts)
+    W = _skew(dict(zip(c.Omega.coeffs, values.T)), dim, len(pts))
+    dW = _skew(dict(zip(c.Omega.coeffs, np.moveaxis(derivatives, 1, 0))), dim, len(pts))
+    H, DH = _lift_operators(c, pts, jet=True)
+    theta, closed3 = batch_values([c.Theta, twisted_derivative(c.Theta, c.Omega)], pts)
+
+    def omega(U, M, V):
+        return np.einsum("ni,nij,nj->n", U, M, V)
+
+    terms = []
+    for _ in range(pairs):
+        (Xs, DX), (Ys, DY) = (_lifted(H, DH, _unit_rows(rng, 1, m)[0]) for _ in range(2))
+        z = np.concatenate([np.zeros(m), _unit_rows(rng, 1, k)[0]])
+        Z = np.broadcast_to(z, Xs.shape)
+        along_z = omega(DY @ z, W, Xs) + omega(Ys, dW @ z, Xs) + omega(Ys, W, DX @ z)
+        bracket = np.einsum("nij,nj->ni", DY, Xs) - np.einsum("nij,nj->ni", DX, Ys)
+        term1 = along_z - evaluate_form(theta, Z[:, :, None]) * omega(Ys, W, Xs)
+        terms.append([term1, evaluate_form(closed3, np.stack([Ys, Xs, Z], axis=-1)), omega(bracket, W, Z)])
+    return np.moveaxis(np.array(terms), -1, 0)
 
 
 # --------------------------------------------------------------------------
@@ -617,9 +639,8 @@ def rotation_structure(chart: Chart) -> EndomorphismField:
     return EndomorphismField.from_matrix(chart, M)
 
 
-def _structure_jet(J: EndomorphismField, pts: np.ndarray, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Value and first derivatives of ``J`` on a batch, from one replay; refused where ``J`` does not square to -id."""
-    Jv, dJ = dual.jet(J.entries, pts)
+def _require_structure(Jv: np.ndarray, pts: np.ndarray, tol: float = 1e-6) -> None:
+    """Refuse matrices ``Jv`` (one per point) that do not square to -id."""
     defect = np.abs(Jv @ Jv + np.eye(Jv.shape[-1])).max(axis=(1, 2))
     bad = np.flatnonzero(defect > tol)
     if bad.size:
@@ -627,12 +648,6 @@ def _structure_jet(J: EndomorphismField, pts: np.ndarray, tol: float = 1e-6) -> 
         raise InvalidStructureError(
             f"endomorphism does not square to -id at {list(map(float, pts[i]))!r} (defect {defect[i]:.3e})"
         )
-    return Jv, dJ
-
-
-def _field_jets(fields, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and Jacobians of vector fields on a batch, from one replay: (n, #fields, dim) and (n, #fields, dim, dim)."""
-    return dual.jet([[c.node for c in Z.components] for Z in fields], pts)
 
 
 def _nijenhuis_values(Jv, dJ, X, DX, Y, DY) -> np.ndarray:
@@ -666,8 +681,9 @@ def nijenhuis(
     check_same_chart(J.chart, X.chart, "Nijenhuis arguments")
     check_same_chart(J.chart, Y.chart, "Nijenhuis arguments")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    Jv, dJ = _structure_jet(J, pts, tol)
-    F, DF = _field_jets([X, Y], pts)
+    Jv, dJ = dual.jet(J.entries, pts)
+    _require_structure(Jv, pts, tol)
+    F, DF = dual.jet([[c.node for c in Z.components] for Z in (X, Y)], pts)
     out = _nijenhuis_values(Jv, dJ, F[:, 0], DF[:, 0], F[:, 1], DF[:, 1])
     return out[0] if np.ndim(points) == 1 else out
 
@@ -712,8 +728,7 @@ def coupled_complex_structure(
     check_same_chart(c.base, J_base.chart, "base structure")
     check_same_chart(c.fiber.chart, J_fiber.chart, "fiber structure")
     m, k = c.base_dim, c.fiber.chart.dim
-    lifts = [c.lift(basis_vector(c.base, j)) for j in range(m)]
-    L = [[X.components[m + i].node for X in lifts] for i in range(k)]
+    L = _lift_block(c)[m:]
     Jb = J_base.entries  # base coordinates come first: the same nodes on the total chart
     fiber = [dual.var(m + i) for i in range(k)]
     Jf = [[e(fiber) for e in row] for row in J_fiber.entries]
@@ -759,6 +774,22 @@ def _adjugate(M):
     return out
 
 
+def _coupled_jet(J1, dJ1, Jf, dJf, H, DH) -> tuple[np.ndarray, np.ndarray]:
+    """``J~`` of :func:`coupled_complex_structure` and its derivatives, assembled from the jets of its blocks.
+
+    ``L = H[:, m:]`` is the vertical block of the lift; ``d(L J_base - J_fiber L)`` is the product rule.
+    """
+    n, dim, m = H.shape
+    L, dL = H[:, m:], np.moveaxis(DH[:, :, m:], 1, 2)  # (n, k, m) and (n, k, m, dim)
+    J, dJ = np.zeros((n, dim, dim)), np.zeros((n, dim, dim, dim))
+    J[:, :m, :m], J[:, m:, m:], J[:, m:, :m] = J1, Jf, L @ J1 - Jf @ L
+    dJ[:, :m, :m, :m], dJ[:, m:, m:, m:] = dJ1, dJf
+    dJ[:, m:, :m] = np.einsum("nijl,njk->nikl", dL, J1) - np.einsum("nij,njkl->nikl", Jf, dL)
+    dJ[:, m:, :m, :m] += np.einsum("nij,njkl->nikl", L, dJ1)
+    dJ[:, m:, :m, m:] -= np.einsum("nijl,njk->nikl", dJf, L)
+    return J, dJ
+
+
 def horizontal_nijenhuis_identity(
     c: CouplingChart,
     J_base: EndomorphismField,
@@ -775,17 +806,22 @@ def horizontal_nijenhuis_identity(
     ``N(X*,Y*) = J_f(R(J1 X, Y) + R(X, J1 Y)) + R(X,Y) - R(J1 X, J1 Y)``,
     valid whenever the base structure is integrable.  Also records whether
     Omega is invariant under J~ (the "type (1,1)" probe) without asserting it.
-    Both sides are evaluated on the whole point batch: J~ and the lifted
-    fields from one jet each, shared by every pair and by the probe.
+    The DAG holds only ``J_base``, ``J_fiber`` and the lift block, one jet
+    of each for every pair and the probe; ``J~``, ``dJ~`` (:func:`_coupled_jet`)
+    and the lifts of the random X, Y are assembled in numpy.
     """
     pts = c.total.sample(n, seed) if points is None else np.asarray(points, dtype=float)
     rng = np.random.default_rng(seed + 0x9E3779B9)
+    check_same_chart(c.base, J_base.chart, "base structure")
+    check_same_chart(c.fiber.chart, J_fiber.chart, "fiber structure")
     m, k = c.base_dim, c.fiber.chart.dim
-    Jt = coupled_complex_structure(c, J_base, J_fiber)
+    u, x = pts[:, :m], pts[:, m:]
+    (J1, dJ1), (Jf, dJf) = dual.jet(J_base.entries, u), dual.jet(J_fiber.entries, x)
+    H, DH = _lift_operators(c, pts, jet=True)
+    Jv, dJ = _coupled_jet(J1, dJ1, Jf, dJf, H, DH)
+    _require_structure(Jv, pts)
     rep = Report("horizontal_nijenhuis")
 
-    u, x = pts[:, :m], pts[:, m:]
-    J1, Jf = J_base.batch(u), J_fiber.batch(x)
     curvature = [form_values(Fa, u) for Fa in c.curvature]
     rho = [r.batch(x) for r in c.action.fields]
 
@@ -796,13 +832,9 @@ def horizontal_nijenhuis_identity(
             out -= evaluate_form(Fa, args)[:, None] * r
         return out
 
-    # one jet of J~ and one of every lifted field, shared by all pairs
-    Jv, dJ = _structure_jet(Jt, pts)
-    draws = [_unit_rows(rng, 2, m) for _ in range(pairs)]
-    F, DF = _field_jets([c.lift(VectorField(c.base, list(v))) for XY in draws for v in XY], pts)
     residuals = []
-    for p, (Xv, Yv) in enumerate(draws):
-        lhs = _nijenhuis_values(Jv, dJ, F[:, 2 * p], DF[:, 2 * p], F[:, 2 * p + 1], DF[:, 2 * p + 1])
+    for Xv, Yv in (_unit_rows(rng, 2, m) for _ in range(pairs)):
+        lhs = _nijenhuis_values(Jv, dJ, *_lifted(H, DH, Xv), *_lifted(H, DH, Yv))
         X, Y = np.broadcast_to(Xv, u.shape), np.broadcast_to(Yv, u.shape)
         JX, JY = J1 @ Xv, J1 @ Yv
         vert = np.einsum("nij,nj->ni", Jf, R(JX, Y) + R(X, JY)) + R(X, Y) - R(JX, JY)

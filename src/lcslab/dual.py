@@ -422,57 +422,107 @@ def _times(x, y):
 
 
 def _partial(n: Node, j: int):
-    """The derivative of ``n`` in coordinate ``j``, memoized, or None where it is structurally zero."""
+    """The derivative of ``n`` in coordinate ``j``, memoized, or None where it is structurally zero.
+
+    Derivatives are taken on an explicit stack of (node, coordinate) pairs,
+    arguments first, so a DAG of any depth differentiates without recursion.
+    Arithmetic and the elementary functions apply their rule once their
+    arguments' derivatives are memoized; placeholders, powers and opaque
+    leaves run a generator (:func:`_rule`) that asks for the pairs it needs.
+    """
     memo = n._partials
-    if memo is None:
-        memo = n._partials = {}
-    elif j in memo:
+    if memo is not None and j in memo:
         return memo[j]
-    op, args = n.op, n.args
-    if op in ("c", "x"):
-        d = _ONE if op == "x" and n.data == j else None
-    elif op == "d":
-        d = _partial(_resolve(n), j)
-    elif op == "pow":  # as Dual computes a power: repeated products, 1 / a ** -n below zero
+    stack = [(n, j, None)]
+    d = None  # the derivative last found, sent to a waiting generator
+    while stack:
+        node, k, rule = stack[-1]
+        op = node.op
+        if op in _DERIVE:
+            a, b = node.args[0], node.args[-1]
+            ma, mb = a._partials, b._partials
+            if ma is None or k not in ma:
+                stack.append((a, k, None))
+                continue
+            if mb is None or k not in mb:
+                stack.append((b, k, None))
+                continue
+            d = _derive(op, node, a, b, ma[k], mb[k])
+        elif op in ("c", "x"):
+            d = _ONE if op == "x" and node.data == k else None
+        else:
+            if rule is None:
+                rule = _rule(node, k)
+                stack[-1] = (node, k, rule)
+                d = None
+            while True:
+                a, i = rule.send(d)
+                if a is None:  # the rule's answer
+                    d = i
+                    break
+                memo = a._partials
+                if memo is None or i not in memo:
+                    stack.append((a, i, None))
+                    break
+                d = memo[i]
+            if a is not None:
+                continue
+        if node._partials is None:
+            node._partials = {}
+        node._partials[k] = d
+        stack.pop()
+    return d
+
+
+def _derive(op: str, n: Node, a: Node, b: Node, ea, eb):
+    """The rules of Dual, term for term, for arithmetic and the elementary functions of ``a`` (and ``b``)."""
+    if ea is None and eb is None:
+        return None
+    if op == "+":
+        return _plus(ea, eb)
+    if op == "-":
+        return _minus(ea, eb)
+    if op == "*":
+        return _plus(_times(ea, b), _times(a, eb))
+    if op == "/":
+        return ea / b if eb is None else _minus(_times(ea, b), a * eb) / (b * b)
+    if op == "atan2":  # atan2(y, x) with y = a, x = b
+        return _minus(_times(ea, b), _times(a, eb)) / (b * b + a * a)
+    if op == "neg":
+        return -ea
+    if op == "exp":
+        return ea * n
+    if op == "log":  # ``0.0 * log(a)`` carries log's domain into the derivative
+        return ea / a + _ZERO * n
+    if op == "sqrt":
+        return ea / (_TWO * n)
+    if op == "sin":
+        return ea * cos(a)
+    return -(ea * sin(a))  # cos
+
+
+_DERIVE = frozenset(("+", "-", "*", "/", "atan2", "neg", "exp", "log", "sqrt", "sin", "cos"))
+
+
+def _rule(n: Node, j: int):
+    """The derivative of a placeholder, a power or an opaque leaf: the pairs it needs, then (None, derivative)."""
+    if n.op == "d":  # the derivative of the node the placeholder stands for
+        while n.op == "d":
+            e = yield n.args[0], n.data
+            n = _ZERO if e is None else e
+        d = yield n, j
+    elif n.op == "pow":  # as Dual computes a power: repeated products, 1 / a ** -n below zero
         out = _ONE
         for _ in range(abs(n.data)):
-            out = out * args[0]
-        d = _partial(out if n.data >= 0 else _ONE / out, j)
-    elif op == "leaf":  # the chain rule through dual lifts of the closure
+            out = out * n.args[0]
+        d = yield (out if n.data >= 0 else _ONE / out), j
+    else:  # an opaque leaf: the chain rule through dual lifts of the closure
         d = None
-        for k, a in enumerate(args):
-            e = _partial(a, j)
+        for k, a in enumerate(n.args):
+            e = yield a, j
             if e is not None:
-                d = _plus(d, _node("leaf", args, functools.partial(partial, n.data, i=k)) * e)
-    else:
-        a, b = args[0], args[-1]
-        ea, eb = _partial(a, j), _partial(b, j)
-        if ea is None and eb is None:
-            d = None
-        elif op == "+":
-            d = _plus(ea, eb)
-        elif op == "-":
-            d = _minus(ea, eb)
-        elif op == "*":
-            d = _plus(_times(ea, b), _times(a, eb))
-        elif op == "/":
-            d = ea / b if eb is None else _minus(_times(ea, b), a * eb) / (b * b)
-        elif op == "atan2":  # atan2(y, x) with y = a, x = b
-            d = _minus(_times(ea, b), _times(a, eb)) / (b * b + a * a)
-        elif op == "neg":
-            d = -ea
-        elif op == "exp":
-            d = ea * n
-        elif op == "log":  # ``0.0 * log(a)`` carries log's domain into the derivative
-            d = ea / a + _ZERO * n
-        elif op == "sqrt":
-            d = ea / (_TWO * n)
-        elif op == "sin":
-            d = ea * cos(a)
-        else:  # cos
-            d = -(ea * sin(a))
-    memo[j] = d
-    return d
+                d = _plus(d, _node("leaf", n.args, functools.partial(partial, n.data, i=k)) * e)
+    yield None, d
 
 
 def _resolve(n: Node) -> Node:
@@ -499,39 +549,65 @@ class Tape:
     __slots__ = ("steps", "last", "outputs")
 
     def __init__(self, roots):
-        pos: dict[int, int] = {}
+        # keyed by the nodes themselves: their hash is their identity, and the
+        # dict holds them, so no two keys ever compare
+        pos: dict[Node, int] = {}
         steps: list[tuple] = []  # (code, function or value, first argument, second argument)
         last: list[int] = []  # the step that uses each value last
-
-        def visit(n: Node) -> int:  # recursion as deep as the DAG
-            if n.op == "d":
-                n = _resolve(n)
-            k = pos.get(id(n))
-            if k is not None:
-                return k
-            f = _BINARY.get(n.op)
-            if f is not None:  # the common case, kept short
-                a, b = visit(n.args[0]), visit(n.args[1])
-                k = pos[id(n)] = len(steps)
-                last[a] = last[b] = k
-                steps.append((2, f, a, b))
-            else:
-                at = [visit(a) for a in n.args]
-                k = pos[id(n)] = len(steps)
-                for i in at:
-                    last[i] = k
-                if n.op in _UNARY or n.op == "pow":
-                    steps.append((1, _UNARY.get(n.op) or functools.partial(power, n=n.data), at[0], None))
-                elif n.op == "c":
-                    steps.append((0, n.data, None, None))
-                elif n.op == "x":
-                    steps.append((3, None, n.data, None))
-                else:  # an opaque leaf on its inputs
-                    steps.append((4, n.data, at, None))
-            last.append(k)
-            return k
-
-        self.outputs = [visit(r) for r in roots]
+        push, pop = (stack := []).append, stack.pop
+        roots = [_resolve(r) for r in roots]
+        for root in roots:  # depth first on an explicit stack, arguments left to right
+            push(root)
+            while stack:
+                n = pop()
+                if n.__class__ is tuple:  # met again: its arguments have their steps now
+                    if len(n) == 3:
+                        n, a, b = n
+                        ka, kb = pos[a], pos[b]
+                    else:
+                        n, args = n
+                        at = [pos[a] for a in args]
+                        k = pos[n] = len(steps)
+                        for i in at:
+                            last[i] = k
+                        last.append(k)
+                        if n.op in _UNARY or n.op == "pow":
+                            steps.append((1, _UNARY.get(n.op) or functools.partial(power, n=n.data), at[0], None))
+                        else:  # an opaque leaf on its inputs
+                            steps.append((4, n.data, at, None))
+                        continue
+                elif n in pos:
+                    continue
+                elif len(n.args) == 2:  # the common case, kept short
+                    a, b = n.args
+                    if a.op == "d":
+                        a = _resolve(a)
+                    if b.op == "d":
+                        b = _resolve(b)
+                    ka, kb = pos.get(a), pos.get(b)
+                    if ka is None or kb is None:
+                        push((n, a, b))
+                        if kb is None:
+                            push(b)
+                        if ka is None:
+                            push(a)
+                        continue
+                elif n.args:
+                    args = [_resolve(a) if a.op == "d" else a for a in n.args]
+                    push((n, args))
+                    stack.extend(a for a in reversed(args) if a not in pos)
+                    continue
+                else:
+                    k = pos[n] = len(steps)
+                    last.append(k)
+                    steps.append((0, n.data, None, None) if n.op == "c" else (3, None, n.data, None))
+                    continue
+                k = pos[n] = len(steps)
+                last[ka] = last[kb] = k
+                last.append(k)
+                f = _BINARY.get(n.op)
+                steps.append((2, f, ka, kb) if f is not None else (4, n.data, [ka, kb], None))
+        self.outputs = [pos[r] for r in roots]
         for k in self.outputs:
             last[k] = len(steps)
         self.steps, self.last = steps, last

@@ -109,7 +109,8 @@ def skew_matrices(omega: DifferentialForm, points) -> np.ndarray:
 
 
 def _skew(values: dict, d: int, n: int) -> np.ndarray:
-    M = np.zeros((n, d, d))
+    """Skew matrices from 2-form coefficient columns, (n, d, d); trailing axes of the columns stay last."""
+    M = np.zeros((n, d, d, *np.shape(next(iter(values.values()), ()))[1:]))
     for (i, j), v in values.items():
         M[:, i, j] = v
         M[:, j, i] = -v

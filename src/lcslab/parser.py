@@ -55,11 +55,17 @@ def _tokenize(text: str):
     return tokens
 
 
+# Parentheses, function calls and unary minuses nest at most this deep: the
+# parser recurses once per level, so deeper input is a parse error.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # the factors being parsed: one per nesting level, and the outermost
 
     def peek(self):
         return self.tokens[self.i]
@@ -101,11 +107,17 @@ class _Parser:
 
     # factor := '-' factor | power
     def factor(self):
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {_MAX_NESTING} levels", pos, self.text)
+        self.depth += 1
         if kind == "op" and val == "-":
             self.advance()
-            return ("neg", self.factor())
-        return self.power()
+            node = ("neg", self.factor())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     # power := atom ('^' integer)*
     def power(self):
@@ -176,19 +188,28 @@ _BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div":
 
 
 def _compile(node, binding) -> dual.Node:
-    """The syntax tree as a node of the coefficient DAG."""
+    """The syntax tree as a node of the coefficient DAG, operands left to right.
+
+    Sums, products and powers chain to the left without bound, so that spine
+    is walked on an explicit stack; every other edge is a nesting level, and
+    the parser bounds those.
+    """
+    spine = []
+    while node[0] in _BINARY or node[0] == "pow":
+        spine.append(node)
+        node = node[1]
     op = node[0]
     if op == "const":
-        return dual.const(node[1])
-    if op == "var":
-        return binding(node[1], node[2])
-    if op == "neg":
-        return -_compile(node[1], binding)
-    if op == "pow":
-        return dual.power(_compile(node[1], binding), node[2])
-    if op == "call":
-        return node[1](*[_compile(a, binding) for a in node[2]])
-    return _BINARY[op](_compile(node[1], binding), _compile(node[2], binding))
+        out = dual.const(node[1])
+    elif op == "var":
+        out = binding(node[1], node[2])
+    elif op == "neg":
+        out = -_compile(node[1], binding)
+    else:  # a function call
+        out = node[1](*[_compile(a, binding) for a in node[2]])
+    for n in reversed(spine):
+        out = dual.power(out, n[2]) if n[0] == "pow" else _BINARY[n[0]](out, _compile(n[2], binding))
+    return out
 
 
 def parse_field(expr: str, chart: Chart, params: dict[str, float] | None = None) -> ScalarField:

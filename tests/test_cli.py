@@ -136,6 +136,28 @@ def test_verify_needs_an_lcs_section(capsys):
     assert "error:" in err and "lcs" in err
 
 
+def test_a_long_coefficient_keeps_the_verdicts_of_its_short_form(capsys):
+    """A 3,000-term coefficient (a DAG 3,000 deep) is verified like its sum written short."""
+    long_doc = json.loads(GOOD_DOC)
+    long_doc["forms"]["eta"]["coeffs"]["0"] = " + ".join(["p"] + ["0 * q"] * 2999)
+    code, out, err = run(capsys, "verify", json.dumps(long_doc), "--points", "24", "--format", "json")
+    want_code, want, _ = run(capsys, "verify", GOOD_DOC, "--points", "24", "--format", "json")
+    assert code == want_code == 0 and err == ""
+
+    def verdicts(text):
+        return {(name, c["id"]): c["verdict"] for name, r in json.loads(text)["reports"].items() for c in r["checks"]}
+
+    assert verdicts(out) == verdicts(want)
+
+
+def test_deeply_nested_coefficient_exits_2(capsys):
+    doc = json.loads(GOOD_DOC)
+    doc["forms"]["eta"]["coeffs"]["0"] = "(" * 2000 + "p" + ")" * 2000
+    code, out, err = run(capsys, "verify", json.dumps(doc))
+    assert code == 2 and out == ""
+    assert "nests deeper" in err and "Traceback" not in err
+
+
 def test_malformed_document_exits_2(capsys):
     code, out, err = run(capsys, "verify", '{"chart": }')
     assert code == 2
@@ -244,7 +266,7 @@ def test_cohomology_builds_each_coboundary_once(capsys, monkeypatch):
     assert [rows[f"delta-squared[{k}]"]["residual"] for k in range(2)] == [0.0, 0.0]
 
 
-@pytest.mark.parametrize("weight", [1000, -1000, 709.8, "nan", "inf", "-inf", "x", [1]])
+@pytest.mark.parametrize("weight", [1000, -1000, 709.8, "nan", "inf", "-inf", "x", [1], True, False])
 def test_cohomology_rejects_unusable_edge_weight(capsys, weight):
     """A weight whose exponential is not a positive finite number is a validation error (exit 2)."""
     doc = json.loads(CIRCLE_DOC)

@@ -1,6 +1,7 @@
 """Gauge curvature, the assembled two-form on a product, complex structures."""
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -10,13 +11,18 @@ from lcslab.charts import Chart
 from lcslab.coupling import (
     CouplingChart,
     EndomorphismField,
+    _coupled_jet,
     _draw_arguments,
+    _lift_bracket_terms,
     _lift_operators,
+    _unit_rows,
     GaugeChart,
     build_coupling,
     circle_fat_from_symplectic,
     conjugate_structure,
     coupled_complex_structure,
+    embed_fiber_form,
+    embed_fiber_vector,
     fatness_check,
     gauge_curvature,
     horizontal_nijenhuis_identity,
@@ -36,6 +42,7 @@ from lcslab.forms import (
     VectorField,
     basis_vector,
     constant,
+    contract,
     coordinate,
     exterior_derivative,
     lie_bracket,
@@ -211,6 +218,74 @@ def test_build_rejects_mismatched_constants(flat, uv):
 def test_lift_bracket_diagnostic(flat):
     rep = lift_bracket_diagnostic(flat, n=10, seed=0, tol=1e-8, pairs=2)
     assert rep.passed
+
+
+def symbolic_lift_bracket_terms(c, pts, rng, pairs):
+    """The identity's three terms contracted symbolically: constant fields, lifted and contracted as nodes."""
+    m, k = c.base_dim, c.fiber.chart.dim
+    closed3 = twisted_derivative(c.Theta, c.Omega)
+    terms = []
+    for _ in range(pairs):
+        X = VectorField(c.base, list(_unit_rows(rng, 1, m)[0]))
+        Y = VectorField(c.base, list(_unit_rows(rng, 1, m)[0]))
+        Z = embed_fiber_vector(c.total, c.base, VectorField(c.fiber.chart, list(_unit_rows(rng, 1, k)[0])))
+        Xs, Ys = c.lift(X), c.lift(Y)
+        pairing = DifferentialForm.from_scalar(contract(c.Omega, Ys, Xs))
+        term1 = contract(twisted_derivative(c.Theta, pairing), Z)
+        term2 = contract(closed3, Ys, Xs, Z)
+        rhs = contract(c.Omega, lie_bracket(Xs, Ys), Z)
+        terms.append([term1.node, term2.node, rhs.node])
+    return dual.evaluate(terms, pts)
+
+
+@pytest.mark.parametrize("example", ["flat", "s2"])
+def test_lift_bracket_terms_match_the_symbolic_contraction(example, flat, s2):
+    """The terms contracted in numpy from jets equal the same draws contracted as nodes."""
+    c = flat if example == "flat" else s2.objects["coupling"]
+    pts = c.total.sample(12, seed=4)
+    got = _lift_bracket_terms(c, pts, np.random.default_rng(9), 3)
+    want = symbolic_lift_bracket_terms(c, pts, np.random.default_rng(9), 3)
+    assert got.shape == want.shape == (12, 3, 3)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * (1 + np.abs(want).max()))
+    assert np.abs(want).max() > 0.1  # compared on nonzero values
+
+
+def interned_by(call, monkeypatch) -> int:
+    """The number of nodes ``call()`` interns afresh; the collector is held off so the count repeats."""
+    intern, created = dual._intern, []
+
+    def counting(key, *rest):
+        ref = dual._NODES.get(key)
+        if ref is None or ref() is None:
+            created.append(key)
+        return intern(key, *rest)
+
+    gc.collect()
+    gc.disable()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(dual, "_intern", counting)
+            call()
+    finally:
+        gc.enable()
+    return len(created)
+
+
+def test_coupling_checkers_build_no_node_per_draw(s2, monkeypatch):
+    """A warm call interns the same nodes whatever ``pairs`` and ``seed``: the draws never enter the DAG."""
+    o = s2.objects
+    c = o["coupling"]
+
+    def lift_bracket(pairs, seed):
+        return lambda: lift_bracket_diagnostic(c, n=8, seed=seed, pairs=pairs)
+
+    def horizontal(pairs, seed):
+        return lambda: horizontal_nijenhuis_identity(c, o["J_base"], o["J_fiber"], n=6, seed=seed, pairs=pairs)
+
+    for run, many in ((lift_bracket, 5), (horizontal, 4)):
+        run(1, 0)()
+        counts = [interned_by(run(pairs, seed), monkeypatch) for pairs, seed in ((1, 1), (many, 2), (1, 3))]
+        assert counts[0] == counts[1] == counts[2], counts
 
 
 # -- fatness ----------------------------------------------------------------
@@ -461,19 +536,56 @@ def test_coupled_structure_takes_an_untraceable_fiber_structure(flat):
     assert horizontal_nijenhuis_identity(flat, J_base, opaque, n=6, pairs=2).passed
 
 
-def test_horizontal_identity_takes_one_jet_of_the_coupled_structure(s2, monkeypatch):
-    """J~ is replayed once per run however many pairs there are: one jet serves every pair and the probe."""
-    built, jets = [], []
-    make, jet = coupling.coupled_complex_structure, dual.jet
-    monkeypatch.setattr(coupling, "coupled_complex_structure", lambda *args: built.append(make(*args)) or built[-1])
+def test_horizontal_identity_takes_one_jet_of_each_block(s2, monkeypatch):
+    """One jet each of J_base, J_fiber and the lift block per run, shared by every pair; J~ is never built as nodes."""
+    jets, jet = [], dual.jet
+    monkeypatch.setattr(coupling, "coupled_complex_structure", None)
     monkeypatch.setattr(dual, "jet", lambda value, points: jets.append(value) or jet(value, points))
     o = s2.objects
-    rep = horizontal_nijenhuis_identity(o["coupling"], o["J_base"], o["J_fiber"], n=6, seed=3, pairs=2)
+    rep = horizontal_nijenhuis_identity(o["coupling"], o["J_base"], o["J_fiber"], n=6, seed=3, pairs=3)
     assert rep.passed
-    (Jt,) = built
-    assert sum(value is Jt.entries for value in jets) == 1
-    roots = [e for row in Jt.entries for e in row]
-    assert len(dual.Tape(roots + [e.partial(j) for e in roots for j in range(Jt.chart.dim)])) <= 3000
+    assert len(jets) == 3
+    assert jets[0] is o["J_base"].entries and jets[1] is o["J_fiber"].entries
+    assert jets[2] == coupling._lift_block(o["coupling"])
+
+
+@pytest.mark.parametrize("which", ["flat", "s2"])
+def test_assembled_coupled_structure_matches_its_jet(which, flat, s2):
+    """J~ and dJ~ assembled from the jets of its blocks equal the jet of ``coupled_complex_structure``'s nodes."""
+    if which == "s2":
+        c, J_base, J_fiber = s2.objects["coupling"], s2.objects["J_base"], s2.objects["J_fiber"]
+    else:
+        c, J_base, J_fiber = flat, rotation_structure(flat.base), rotation_structure(flat.fiber.chart)
+    pts = c.total.sample(10, seed=5)
+    m = c.base_dim
+    blocks = dual.jet(J_base.entries, pts[:, :m]) + dual.jet(J_fiber.entries, pts[:, m:])
+    got = _coupled_jet(*blocks, *_lift_operators(c, pts, jet=True))
+    want = dual.jet(coupled_complex_structure(c, J_base, J_fiber).entries, pts)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-14 * (1 + np.abs(w).max()))
+    assert np.abs(want[1][:, m:, :m]).max() > 0.1  # the gauge block's derivatives are compared on nonzero values
+
+
+def test_horizontal_identity_refuses_a_fiber_structure_that_is_not_complex(flat):
+    x = coordinate(flat.fiber.chart, 0)
+    J_fiber = EndomorphismField(flat.fiber.chart, [[0.0, -1.0], [1.0 + x * x, 0.0]])
+    with pytest.raises(InvalidStructureError, match="does not square to -id"):
+        horizontal_nijenhuis_identity(flat, rotation_structure(flat.base), J_fiber, n=6)
+
+
+def test_embedding_substitutes_through_one_shared_tape(s2):
+    """The embedded coefficients are the nodes one per-coefficient substitution gives, and no tape is left on them."""
+    c = s2.objects["coupling"]
+    omega = c.fiber.omega
+    roots = [f.node for f in omega.coeffs.values()]
+    for r in roots:
+        r._tape = None
+    shifted = [dual.var(c.base_dim + i) for i in range(omega.chart.dim)]
+    alone = [dual.Tape([r]).run(shifted)[0] for r in roots]
+    embedded = embed_fiber_form(c.total, c.base, omega)
+    assert all(f.node is a for f, a in zip(embedded.coeffs.values(), alone))
+    assert not [r for r in roots if r._tape is not None]
 
 
 def test_horizontal_nijenhuis_identity(flat):

@@ -172,3 +172,21 @@ def test_pullback_substitutes_every_coefficient_through_one_tape():
     assert all(a is b for a, b in zip(forms._substitute(roots, G), alone))
     pullback(G, c.Omega)
     assert not [r for r in roots if r._tape is not None]
+
+
+def test_a_dag_ten_thousand_deep_evaluates_and_differentiates():
+    """Tape construction and derivatives walk explicit stacks, so depth is not bounded by recursion."""
+
+    def chain(p):
+        v = p[0]
+        for i in range(10_000):
+            v = 0.5 * v + dual.sin(p[0]) * p[1] if i % 2 else v - 0.25 * p[1]
+        return v
+
+    node = chain([dual.var(0), dual.var(1)])
+    values, derivatives = dual.jet(node, POINTS)
+    np.testing.assert_array_equal(dual.evaluate(node, POINTS), values)
+    for k, p in enumerate(POINTS):
+        assert values[k] == chain(list(p))
+        for j in range(2):
+            np.testing.assert_allclose(derivatives[k, j], dual.partial(chain, list(p), j), rtol=1e-13, atol=1e-15)

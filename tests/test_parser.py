@@ -90,6 +90,29 @@ def test_error_paths_name_the_problem(plane, bad, fragment):
     assert fragment.lower() in str(ei.value).lower()
 
 
+def test_a_long_sum_compiles_left_to_right(plane):
+    """A 3,000-term sum is a syntax tree 3,000 deep; it compiles without recursion, associated from the left."""
+    f = parse_field(" + ".join(f"{i} * x" for i in range(3000)), plane)
+    total = 0.0
+    for i in range(3000):
+        total = total + i * 0.7
+    assert f.node((0.7, 0.0)) == total
+
+
+@pytest.mark.parametrize(
+    "deep",
+    ["(" * 2000 + "x" + ")" * 2000, "-" * 1200 + "x", "sin(" * 101 + "x" + ")" * 101, "(" * 101 + "x" + ")" * 101],
+    ids=["parentheses", "minuses", "calls", "one-past-the-bound"],
+)
+def test_deep_nesting_is_a_parse_error(plane, deep):
+    with pytest.raises(ParseError, match="nests deeper than 100"):
+        parse_field(deep, plane)
+
+
+def test_nesting_up_to_the_bound_parses(plane):
+    assert ev("-(" * 50 + "x" + ")" * 50, plane, (0.5, 0.0)) == 0.5
+
+
 def test_error_carries_position(plane):
     with pytest.raises(ParseError) as ei:
         parse_field("x + $", plane)

@@ -16,11 +16,14 @@ from lcslab.forms import (
     coordinate,
     interior_product,
 )
-from lcslab.gallery import hopf
-from lcslab.lcs import LCSStructure
+from lcslab.forms import pullback
+from lcslab.gallery import coupling_example_s2, hopf
+from lcslab.lcs import LCSStructure, skew_matrices
 from lcslab.parser import parse_field
 from lcslab.reduction import (
     LevelSlice,
+    _base_times,
+    _pulled_back_matrices,
     bundle_momentum_check,
     invariant_hamiltonian_check,
     level_scan,
@@ -266,6 +269,18 @@ def test_bundle_momentum_rows(bundle):
     assert rep["omega-invariant[shift-y]"].passed
     # translating x moves the Hamiltonian, so the mu F term shifts the form
     assert not rep["omega-invariant[shift-x]"].passed
+
+
+@pytest.mark.parametrize("example", ["bundle", "s2"])
+def test_invariance_matrices_match_the_pulled_back_form(example, bundle):
+    """``DG^T W(G p) DG`` from one jet of the fiber element equals the pullback of Omega by ``id x g``."""
+    c = bundle if example == "bundle" else coupling_example_s2().objects["coupling"]
+    pts = c.total.sample(12, seed=6)
+    for g in c.action.elements.values():
+        got = _pulled_back_matrices(c, g, pts)
+        want = skew_matrices(pullback(_base_times(c.base, g, c.total, c.total), c.Omega), pts)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * (1 + np.abs(want).max()))
+        assert np.abs(want).max() > 0.1
 
 
 def test_bundle_momentum_detects_wrong_hamiltonian(bundle):
