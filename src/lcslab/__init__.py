@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     InvalidComplexError,
     InvalidStructureError,
-    InvariantViolationError,
     LcsError,
     NotHomothetyError,
     ParseError,
@@ -37,9 +36,6 @@ from .forms import (
 )
 from .lcs import (
     LCSStructure,
-    conformal_rescale,
-    exact_lcs,
-    nondegeneracy,
     solve_lee_form,
     twisted_derivative,
     verify_lcs,
@@ -50,8 +46,6 @@ from .actions import (
     MomentumMap,
     automorphic_constants,
     deck_homothety,
-    invariance_defect,
-    lee_homomorphism,
     momentum_from_potential,
     verify_twisted_hamiltonian,
 )

@@ -10,12 +10,11 @@ Every residual row evaluates its forms and fields once on the whole point
 batch and reports the raw max magnitude over the points; a sample point where
 some value is not finite is skipped and counted, and a row with too many
 skipped points is inconclusive rather than passed.  The Lie-derivative rows
-(``invariance``, ``eta-invariant``, ``pre-invariance``, the defects) use
-Cartan's formula (:func:`~lcslab.forms.lie_derivative`), and a report
-replays every form it needs at once (:func:`~lcslab.report.batch_values`),
-so the second derivatives of the form are evaluated once for all
-generators.  Deck
-maps send the whole batch through one evaluation, with one domain test for
+(``invariance``, ``eta-invariant``) use Cartan's formula
+(:func:`~lcslab.forms.lie_derivative`), and a report replays every form it
+needs at once (:func:`~lcslab.report.batch_values`), so the second
+derivatives of the form are evaluated once for all generators.  Deck maps
+send the whole batch through one evaluation, with one domain test for
 all the images; a fitted homothety counts the points where a coefficient is
 not finite as skipped.
 """
@@ -29,26 +28,18 @@ from typing import Mapping
 import numpy as np
 
 from .charts import Chart, check_same_chart, same_chart
-from .errors import (
-    DomainError,
-    InvariantViolationError,
-    NotHomothetyError,
-    PreconditionError,
-    UsageError,
-)
+from .errors import DomainError, NotHomothetyError, PreconditionError, UsageError
 from .forms import (
     DifferentialForm,
     ScalarField,
     SmoothMap,
     VectorField,
     contract,
-    exterior_derivative,
     interior_product,
-    lie_bracket,
     lie_derivative,
     pullback,
 )
-from .lcs import LCSStructure, residual_check, twisted_derivative
+from .lcs import LCSStructure, twisted_derivative
 from .report import (
     DEFAULT_TOL,
     CheckResult,
@@ -56,14 +47,11 @@ from .report import (
     batch_values,
     demote_if_sparse,
     finite_points,
-    form_array,
-    form_max,
     form_values,
     residual_row,
     scaled_residuals,
     spread,
     value_array,
-    worst_residual,
 )
 
 # Structure constants are exact user input, so their algebraic identities are
@@ -72,10 +60,12 @@ _ALGEBRA_TOL = 1e-10
 
 
 def check_structure_constants(constants: np.ndarray, tol: float = _ALGEBRA_TOL) -> None:
-    """Antisymmetry in the lower pair and the Jacobi identity; raises on failure."""
+    """Finite entries, antisymmetry in the lower pair and the Jacobi identity; raises on failure."""
     C = np.asarray(constants, dtype=float)
     if C.ndim != 3 or len(set(C.shape)) > 1:
         raise UsageError("structure constants must form a cubic array c[a, b, c]")
+    if not np.isfinite(C).all():
+        raise UsageError("structure constants must be finite numbers")
     if C.size and np.abs(C + C.transpose(0, 2, 1)).max() > tol:
         raise UsageError("structure constants must be antisymmetric in the lower indices")
     if C.size:
@@ -155,87 +145,6 @@ class DeckElement:
     spread: float = 0.0
     points: int = 0
     skipped: int = 0
-
-
-def bracket_relation_check(
-    act: ActionSpec,
-    points: np.ndarray | None = None,
-    n: int = 32,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> Report:
-    """``[rho_b, rho_c] + sum_a c^a_{bc} rho_a = 0`` at samples, pair by pair."""
-    pts = act.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
-    rep = Report("bracket_relation")
-    for b in range(act.dim):
-        for c in range(b + 1, act.dim):
-            defect = lie_bracket(act.fields[b], act.fields[c])
-            for a in range(act.dim):
-                coef = float(act.constants[a, b, c])
-                if coef != 0.0:
-                    defect = defect + coef * act.fields[a]
-            rep.add(residual_row(f"bracket[{b},{c}]", "[rho_b, rho_c] + c^a_bc rho_a = 0", defect.batch(pts), tol))
-    return rep
-
-
-# --------------------------------------------------------------------------
-# the Lee homomorphism
-
-
-def lee_homomorphism(
-    theta: DifferentialForm,
-    X: VectorField,
-    points: np.ndarray | None = None,
-    n: int = 64,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """The constant ``theta(X)``; raises when the evaluations are not constant.
-
-    Constancy holds whenever theta is closed and X preserves it; both
-    residuals are quoted in the failure message when they explain a spread.
-    """
-    check_same_chart(theta.chart, X.chart, "lee homomorphism arguments")
-    if theta.degree != 1:
-        raise UsageError("the Lee homomorphism contracts a 1-form")
-    pts = theta.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
-    vals = contract(theta, X).batch(pts)
-    vals = vals[finite_points(vals)]
-    if not vals.size:
-        raise DomainError("no finite evaluations of theta(X) on the sample")
-    dev = spread(vals)
-    if dev > tol:
-        closed_res = form_max(exterior_derivative(theta), pts)
-        inv_res, _ = worst_residual(form_array(lie_derivative(X, theta), pts))
-        raise InvariantViolationError(
-            f"theta(X) is not constant: spread {dev:.3e} "
-            f"(d theta residual {closed_res:.2e}, L_X theta residual {inv_res:.2e})",
-            spread=dev,
-        )
-    return float(vals.mean())
-
-
-def invariance_defect(
-    s: LCSStructure,
-    X: VectorField,
-    points: np.ndarray | None = None,
-    n: int = 64,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> Report:
-    """Max residuals of ``L_X omega - theta(X) omega`` and of ``L_X omega`` itself.
-
-    Both small together certify that X preserves omega and pairs to zero with
-    the Lee form; a conformal-only field shows up as a matching nonzero pair.
-    """
-    check_same_chart(s.chart, X.chart, "invariance arguments")
-    pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
-    strict = lie_derivative(X, s.omega)
-    twisted, strict = batch_values([strict - contract(s.lee, X) * s.omega, strict], pts)
-    rep = Report("invariance_defect")
-    rep.add(residual_row("twisted-defect", "L_X omega - theta(X) omega = 0", value_array(twisted, len(pts)), tol))
-    rep.add(residual_row("strict-defect", "L_X omega = 0", value_array(strict, len(pts)), tol))
-    return rep
 
 
 # --------------------------------------------------------------------------
@@ -319,53 +228,6 @@ def verify_twisted_hamiltonian(
         rep.add(residual_row(f"invariance[{a}]", "L_rho omega = 0", value_array(lie, len(pts)), tol))
         rep.add(residual_row(f"lee-hom[{a}]", "theta(rho) = 0", pairing[()], tol))
     return rep
-
-
-def bracket_hamiltonian_check(
-    s: LCSStructure,
-    X: VectorField,
-    Y: VectorField,
-    points: np.ndarray | None = None,
-    n: int = 64,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> Report:
-    """``i_[X,Y] omega + d_theta(omega(X, Y)) = 0`` for invariant Lee-zero fields.
-
-    The precondition residuals (invariance of omega under X and Y, vanishing
-    Lee pairing) are recorded for context but never fail the report on their
-    own — a violated hypothesis shows up in the identity row itself.
-    """
-    pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
-    rep = Report("bracket_hamiltonian")
-    lie_omega = batch_values([lie_derivative(X, s.omega), lie_derivative(Y, s.omega)], pts)
-    for label, Z, lz in zip("XY", (X, Y), lie_omega):
-        rep.add(residual_row(f"pre-invariance-{label}", "L omega = 0", value_array(lz, len(pts)), tol=None))
-        rep.add(residual_row(f"pre-lee-{label}", "theta pairing = 0", contract(s.lee, Z).batch(pts), tol=None))
-    wxy = contract(s.omega, X, Y)
-    rep.add(
-        residual_check(
-            "bracket-identity",
-            "i_[X,Y] omega = -d_theta(omega(X,Y))",
-            interior_product(lie_bracket(X, Y), s.omega),
-            -twisted_derivative(s.lee, DifferentialForm.from_scalar(wxy)),
-            pts,
-            tol,
-        )
-    )
-    rep.add(residual_row("omega(X,Y)", "pairing magnitude", wxy.batch(pts), tol=None))
-    return rep
-
-
-def lie_algebra_perfect(constants: np.ndarray, rank_tol: float = 1e-9) -> bool:
-    """True iff the brackets span the whole algebra ([g, g] = g)."""
-    C = np.asarray(constants, dtype=float)
-    check_structure_constants(C)
-    d = C.shape[0]
-    if d == 0:
-        return True
-    span = C.reshape(d, d * d).T  # rows indexed by (b, c), columns by a
-    return int(np.linalg.matrix_rank(span, rtol=rank_tol)) == d
 
 
 # --------------------------------------------------------------------------

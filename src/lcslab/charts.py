@@ -11,22 +11,24 @@ other expression; this module carries no floating-point guard of its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import dual
-from .errors import ChartMismatchError, DomainError
+from .errors import ChartMismatchError, DomainError, UsageError
 
 
 @dataclass(frozen=True)
 class Chart:
     """An open box (with optional predicate) carrying named coordinates.
 
-    ``box`` bounds are only a sampling region; ``predicate`` (batched:
-    receives one array per coordinate, returns a boolean array) is the actual
-    domain test.  A chart with no predicate accepts every point.
+    ``box`` bounds are only a sampling region, one finite ``lo < hi`` pair
+    per coordinate; ``predicate`` (batched: receives one array per
+    coordinate, returns a boolean array) is the actual domain test.  A chart
+    with no predicate accepts every point.  Coordinate names are distinct.
     """
 
     name: str
@@ -35,10 +37,15 @@ class Chart:
     predicate: Callable | None = None
 
     def __post_init__(self):
-        if not self.box:
-            object.__setattr__(self, "box", tuple((-1.5, 1.5) for _ in self.coords))
-        if len(self.box) != len(self.coords):
-            raise ValueError("box must give one (lo, hi) pair per coordinate")
+        if len(set(self.coords)) != len(self.coords):
+            raise UsageError(f"chart {self.name!r} names a coordinate twice: {list(self.coords)}")
+        try:
+            box = tuple((float(lo), float(hi)) for lo, hi in self.box or [(-1.5, 1.5)] * len(self.coords))
+        except (TypeError, ValueError):
+            box = None
+        if box is None or len(box) != len(self.coords) or not all(-math.inf < lo < hi < math.inf for lo, hi in box):
+            raise UsageError(f"chart {self.name!r}: box must give one finite (lo, hi) pair with lo < hi per coordinate")
+        object.__setattr__(self, "box", box)
 
     @property
     def dim(self) -> int:

@@ -22,7 +22,6 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidComplexError, PreconditionError, UsageError
-from .report import CheckResult, Report
 
 _RANK_TOL = 1e-9
 _COCYCLE_TOL = 1e-12
@@ -109,9 +108,6 @@ class TwistedComplex:
             return 0.0
         return self.theta[(u, v)] if u < v else -self.theta[(v, u)]
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * self.count(k) for k in range(self.top + 1))
-
     def cochain(self, degree: int, values) -> "Cochain":
         c = Cochain(degree, np.asarray(values, dtype=float))
         if c.values.shape != (self.count(degree),):
@@ -119,9 +115,6 @@ class TwistedComplex:
                 f"degree-{degree} cochain needs {self.count(degree)} values, got {c.values.shape}"
             )
         return c
-
-    def zero_cochain(self, degree: int) -> "Cochain":
-        return Cochain(degree, np.zeros(self.count(degree)))
 
 
 @dataclass(frozen=True)
@@ -229,76 +222,6 @@ def betti(K: TwistedComplex) -> list[int]:
         out.append(K.count(k) - r - prev_rank)
         prev_rank = r
     return out
-
-
-def _components(K: TwistedComplex) -> list[int]:
-    parent = list(range(K.n_vertices))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in K.simplices(1):
-        parent[find(u)] = find(v)
-    return sorted({find(v) for v in range(K.n_vertices)})
-
-
-def h0_vanishing(K: TwistedComplex, tol: float = 1e-9) -> Report:
-    """Whether some loop carries nonzero weight, cross-checked against b_0.
-
-    On a connected complex a twisted 0-cocycle is a parallel section; it
-    exists exactly when every loop holonomy vanishes.  The report compares
-    the rank computation with a spanning-tree transport of potentials.
-    """
-    comps = _components(K)
-    if len(comps) > 1:
-        raise InvalidComplexError(f"complex is disconnected ({len(comps)} components)")
-    pot = {0: 0.0}
-    queue = [0]
-    adj: dict[int, list[int]] = {}
-    for u, v in K.simplices(1):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    while queue:
-        u = queue.pop()
-        for v in adj.get(u, ()):
-            if v not in pot:
-                pot[v] = pot[u] + K.theta_of(u, v)
-                queue.append(v)
-    defect = 0.0
-    for u, v in K.simplices(1):
-        defect = max(defect, abs(K.theta_of(u, v) - (pot[v] - pot[u])))
-    b0 = betti(K)[0]
-    expected = 0 if defect > tol else 1
-    rep = Report("h0_vanishing")
-    rep.add(
-        CheckResult.from_residual(
-            "h0",
-            "H^0 dimension matches loop-holonomy triviality",
-            float(abs(b0 - expected)),
-            0.0,
-            dim=b0,
-            max_loop_defect=defect,
-        )
-    )
-    return rep
-
-
-def gauge_shift(K: TwistedComplex, potentials) -> TwistedComplex:
-    """Shift the weights by a vertex potential: ``theta'(u,v) = theta(u,v) + p_v - p_u``.
-
-    This conjugates every coboundary by a positive diagonal matrix, so all
-    ranks and Betti numbers are unchanged — the finite version of replacing
-    the Lee form inside its cohomology class.
-    """
-    p = np.asarray(potentials, dtype=float)
-    if p.shape != (K.n_vertices,):
-        raise UsageError(f"need one potential per vertex ({K.n_vertices})")
-    theta = {(u, v): K.theta[(u, v)] + p[v] - p[u] for (u, v) in K.simplices(1)}
-    simplices = [s for k in range(K.top + 1) for s in K.simplices(k)]
-    return TwistedComplex(K.n_vertices, simplices, theta)
 
 
 # --------------------------------------------------------------------------

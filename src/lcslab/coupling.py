@@ -25,10 +25,9 @@ The chapter on almost complex structures lives here too: block structures
 ``J~`` preserving horizontal/vertical splits, the Nijenhuis tensor and the
 curvature identity for its purely horizontal values.  An
 :class:`EndomorphismField` is a matrix of coefficient nodes.  ``J~`` is
-built from ``J_base``, ``J_fiber`` and the lift block (as nodes by
-:func:`coupled_complex_structure`, as arrays from one jet of each block by
-the horizontal identity), so :func:`horizontal_lift` is the one place the
-gauge term ``-A(X) rho`` is built.  Nijenhuis values come from first-order
+assembled in numpy from one jet each of ``J_base``, ``J_fiber`` and the
+lift block, so :func:`horizontal_lift` is the one place the gauge term
+``-A(X) rho`` is built.  Nijenhuis values come from first-order
 jets (values and Jacobians) of ``J`` and of the vector fields.
 """
 
@@ -51,7 +50,6 @@ from .forms import (
     basis_vector,
     constant,
     contract,
-    coordinate,
     det_generic,
     exterior_derivative,
     interior_product,
@@ -103,30 +101,33 @@ def product_chart(base: Chart, fiber: Chart, name: str = "") -> Chart:
     )
 
 
-def _embedded(total: Chart, offset: int, width: int, fields) -> list[ScalarField]:
-    """``fields`` on the product chart, coordinates shifted by ``offset``, through one shared tape."""
-    nodes = dual.Tape([f.node for f in fields]).run([dual.var(offset + i) for i in range(width)])
+def _embedded(total: Chart, offset: int, fields) -> list[ScalarField]:
+    """Fiber ``fields`` on the product chart, coordinates shifted by ``offset``, through one shared tape.
+
+    A base field needs no substitution: base coordinates come first, so its
+    nodes are already those of the product chart.
+    """
+    nodes = dual.Tape([f.node for f in fields]).run([dual.var(i) for i in range(offset, total.dim)])
     return [ScalarField(total, v) for v in nodes]
 
 
 def embed_fiber_field(total: Chart, base: Chart, f: ScalarField) -> ScalarField:
-    return _embedded(total, base.dim, f.chart.dim, [f])[0]
+    return _embedded(total, base.dim, [f])[0]
 
 
 def embed_base_form(total: Chart, base: Chart, form: DifferentialForm) -> DifferentialForm:
     check_same_chart(base, form.chart, "embedded form")
-    coeffs = _embedded(total, 0, base.dim, form.coeffs.values())
-    return DifferentialForm(total, form.degree, dict(zip(form.coeffs, coeffs)))
+    return DifferentialForm(total, form.degree, {I: ScalarField(total, f.node) for I, f in form.coeffs.items()})
 
 
 def embed_fiber_form(total: Chart, base: Chart, form: DifferentialForm) -> DifferentialForm:
     m = base.dim
-    coeffs = _embedded(total, m, form.chart.dim, form.coeffs.values())
+    coeffs = _embedded(total, m, form.coeffs.values())
     return DifferentialForm(total, form.degree, {tuple(i + m for i in I): f for I, f in zip(form.coeffs, coeffs)})
 
 
 def embed_fiber_vector(total: Chart, base: Chart, X: VectorField) -> VectorField:
-    return VectorField(total, [0.0] * base.dim + _embedded(total, base.dim, X.chart.dim, X.components))
+    return VectorField(total, [0.0] * base.dim + _embedded(total, base.dim, X.components))
 
 
 # --------------------------------------------------------------------------
@@ -229,9 +230,9 @@ def horizontal_lift(
         raise UsageError("gauge and action must share their structure constants")
     total = product_chart(g.base, act.chart) if total is None else total
     m, k = g.base.dim, act.chart.dim
-    # X and every A^a(X) from the base, every rho_a from the fiber: one tape each
-    on_base = _embedded(total, 0, m, [*X.components, *(contract(A, X) for A in g.potentials)])
-    rho = _embedded(total, m, k, [c for field in act.fields for c in field.components])
+    # X and every A^a(X) keep their base nodes; every rho_a comes from the fiber through one tape
+    on_base = [ScalarField(total, f.node) for f in (*X.components, *(contract(A, X) for A in g.potentials))]
+    rho = _embedded(total, m, [c for field in act.fields for c in field.components])
     vert = [constant(total, 0.0) for _ in range(k)]
     for a, coefficient in enumerate(on_base[m:]):
         for j in range(k):
@@ -688,56 +689,6 @@ def nijenhuis(
     return out[0] if np.ndim(points) == 1 else out
 
 
-def nijenhuis_tensoriality(
-    J: EndomorphismField, X: VectorField, Y: VectorField, p, seed: int = 0
-) -> float:
-    """Max deviation between N_J on (X, Y) and on perturbed extensions.
-
-    The perturbations vanish at p but have random first derivatives, so
-    agreement certifies the value depends only on the tangent vectors there.
-    """
-    rng = np.random.default_rng(seed)
-    base_val = nijenhuis(J, X, Y, p)
-    chart = J.chart
-    offsets = [coordinate(chart, i) - float(p[i]) for i in range(chart.dim)]
-
-    def perturb(Z: VectorField) -> VectorField:
-        B = rng.standard_normal((chart.dim, chart.dim))
-        comps = []
-        for i, comp in enumerate(Z.components):
-            extra = constant(chart, 0.0)
-            for j in range(chart.dim):
-                extra = extra + float(B[i, j]) * offsets[j]
-            comps.append(comp + extra)
-        return VectorField(chart, comps)
-
-    val = nijenhuis(J, perturb(X), perturb(Y), p)
-    return float(np.abs(val - base_val).max())
-
-
-def coupled_complex_structure(
-    c: CouplingChart, J_base: EndomorphismField, J_fiber: EndomorphismField
-) -> EndomorphismField:
-    """The block structure sending lifts to lifts and verticals to verticals.
-
-    ``J~ X* = (J_base X)*`` and ``J~ (0,V) = (0, J_fiber V)``.  With ``L`` the
-    vertical block of the horizontal lift, ``X* = (X, L X)``, that is
-    ``J~ = [[J_base, 0], [L J_base - J_fiber L, J_fiber]]``; column j of
-    ``L`` is read from the lift of the j-th base coordinate vector.
-    """
-    check_same_chart(c.base, J_base.chart, "base structure")
-    check_same_chart(c.fiber.chart, J_fiber.chart, "fiber structure")
-    m, k = c.base_dim, c.fiber.chart.dim
-    L = _lift_block(c)[m:]
-    Jb = J_base.entries  # base coordinates come first: the same nodes on the total chart
-    fiber = [dual.var(m + i) for i in range(k)]
-    Jf = [[e(fiber) for e in row] for row in J_fiber.entries]
-    LJ, JL = _matmul(L, Jb), _matmul(Jf, L)
-    rows = [Jb[i] + [0.0] * k for i in range(m)]
-    rows += [[a - b for a, b in zip(LJ[i], JL[i])] + Jf[i] for i in range(k)]
-    return EndomorphismField(c.total, rows)
-
-
 def conjugate_structure(psi: SmoothMap, J_target: EndomorphismField) -> EndomorphismField:
     """Pull an endomorphism back through a diffeomorphism chart map.
 
@@ -775,9 +726,13 @@ def _adjugate(M):
 
 
 def _coupled_jet(J1, dJ1, Jf, dJf, H, DH) -> tuple[np.ndarray, np.ndarray]:
-    """``J~`` of :func:`coupled_complex_structure` and its derivatives, assembled from the jets of its blocks.
+    """The block structure ``J~`` and its derivatives, assembled from the jets of its blocks.
 
-    ``L = H[:, m:]`` is the vertical block of the lift; ``d(L J_base - J_fiber L)`` is the product rule.
+    ``J~`` sends lifts to lifts and verticals to verticals: ``J~ X* = (J_base
+    X)*`` and ``J~ (0, V) = (0, J_fiber V)``.  With ``L = H[:, m:]`` the
+    vertical block of the lift, ``X* = (X, L X)``, that is ``J~ = [[J_base,
+    0], [L J_base - J_fiber L, J_fiber]]``; ``d(L J_base - J_fiber L)`` is
+    the product rule.
     """
     n, dim, m = H.shape
     L, dL = H[:, m:], np.moveaxis(DH[:, :, m:], 1, 2)  # (n, k, m) and (n, k, m, dim)

@@ -709,10 +709,11 @@ def jet(value, points) -> tuple[np.ndarray, np.ndarray]:
     """
     dim = np.atleast_2d(np.asarray(points)).shape[1]
 
-    def grads(v):
+    def grads(v):  # memoized derivative nodes, never a placeholder: a warm jet interns nothing
         if isinstance(v, (list, tuple)):
             return [grads(e) for e in v]
-        return [v.partial(j) if isinstance(v, Node) else 0.0 for j in range(dim)]
+        ds = [_partial(v, j) if isinstance(v, Node) else None for j in range(dim)]
+        return [0.0 if d is None else d for d in ds]
 
     values, derivatives = _replay([value, grads(value)], points)
     return values, derivatives

@@ -33,16 +33,6 @@ class ParseError(LcsError):
         super().__init__(f"{message}{loc}{caret}")
 
 
-class InvariantViolationError(LcsError):
-    """A quantity that must be constant (or zero) measurably is not."""
-
-    def __init__(self, message: str, spread: float | None = None):
-        self.spread = spread
-        if spread is not None:
-            message = f"{message} (spread {spread:.3e})"
-        super().__init__(message)
-
-
 class DegenerateInputError(LcsError):
     """Numerically singular input where a unique solution was required."""
 

@@ -386,10 +386,6 @@ class SmoothMap:
         """The images of an (n, source dim) batch, shape (n, target dim)."""
         return dual.evaluate([c.node for c in self.components], points)
 
-    @staticmethod
-    def identity(chart: Chart) -> "SmoothMap":
-        return SmoothMap(chart, chart, [coordinate(chart, i) for i in range(chart.dim)])
-
     def then(self, other: "SmoothMap") -> "SmoothMap":
         """other ∘ self."""
         check_same_chart(self.target, other.source, "composable maps")
@@ -425,10 +421,6 @@ def pullback(m: SmoothMap, form: DifferentialForm) -> DifferentialForm:
             total = total + f * det_generic([[jac[i][j] for j in J] for i in I])
         coeffs[J] = ScalarField(src, total)
     return DifferentialForm(src, k, coeffs)
-
-
-def differential_1form(f: ScalarField) -> DifferentialForm:
-    return exterior_derivative(DifferentialForm.from_scalar(f))
 
 
 def contract(form: DifferentialForm, *fields: VectorField) -> ScalarField:

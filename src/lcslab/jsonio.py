@@ -38,12 +38,16 @@ def load_document(source: str | Path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(err.msg, err.pos, text) from None
+    except RecursionError:  # the text is not echoed: it is at least a few kilobytes of brackets
+        raise UsageError("JSON document nests too deeply to load") from None
     if not isinstance(doc, dict):
         raise UsageError("top-level JSON value must be an object")
     return doc
 
 
 def _require(d: dict, key: str, kind, where: str):
+    if not isinstance(d, dict):
+        raise UsageError(f"{where} must be an object")
     if key not in d:
         raise UsageError(f"{where} is missing required key {key!r}")
     v = d[key]
@@ -52,13 +56,22 @@ def _require(d: dict, key: str, kind, where: str):
     return v
 
 
+def _optional(d: dict, key: str, kind, where: str, default=None):
+    """``d[key]`` checked as :func:`_require` does, or ``default`` when the key is absent."""
+    return _require(d, key, kind, where) if key in d else default
+
+
+def _coords(d: dict, where: str) -> tuple[str, ...]:
+    coords = tuple(_require(d, "coords", list, where))
+    if not coords or not all(isinstance(c, str) for c in coords):
+        raise UsageError(f"{where} coords must be a nonempty list of names")
+    return coords
+
+
 def chart_from_decl(d: dict) -> Chart:
     name = _require(d, "name", str, "chart")
-    coords = tuple(_require(d, "coords", list, "chart"))
-    if not coords or not all(isinstance(c, str) for c in coords):
-        raise UsageError("chart coords must be a nonempty list of names")
-    box = tuple(tuple(map(float, b)) for b in d.get("box", ()))
-    bare = Chart(name, coords, box)
+    coords = _coords(d, "chart")
+    bare = Chart(name, coords, d.get("box", ()))
     domain = d.get("domain")
     if domain is None:
         return bare
@@ -67,7 +80,7 @@ def chart_from_decl(d: dict) -> Chart:
     def predicate(cols, _f=f):
         return _f(cols) > 0
 
-    return Chart(name, coords, box, predicate)
+    return Chart(name, coords, bare.box, predicate)
 
 
 _KEY_RE = re.compile(r"^\s*(\d+\s*(,\s*\d+\s*)*)?$")
@@ -115,7 +128,7 @@ def lcs_from_decl(chart: Chart, forms: dict, d: dict) -> LCSStructure:
             if required:
                 raise UsageError(f"lcs section is missing {key!r}")
             return None
-        if name not in forms:
+        if not isinstance(name, str) or name not in forms:
             raise UsageError(f"lcs[{key!r}] names unknown form {name!r}")
         f = forms[name]
         if f.degree != degree:
@@ -132,13 +145,17 @@ def lcs_from_decl(chart: Chart, forms: dict, d: dict) -> LCSStructure:
 
 def _constants_from_rows(rows, dim: int) -> np.ndarray:
     C = np.zeros((dim, dim, dim))
+    if not isinstance(rows, list):
+        raise UsageError("structure constants must be a list of [a, b, c, value] rows")
     for row in rows:
-        if len(row) != 4:
-            raise UsageError("structure constant rows are [a, b, c, value]")
-        a, b, c, v = int(row[0]), int(row[1]), int(row[2]), float(row[3])
+        if not (isinstance(row, list) and len(row) == 4 and all(isinstance(x, int) for x in row[:3])):
+            raise UsageError("structure constant rows are [a, b, c, value] with integer a, b, c")
+        if not isinstance(row[3], (int, float)):
+            raise UsageError(f"structure constant value {row[3]!r} is not a number")
+        a, b, c = map(int, row[:3])
         if not all(0 <= i < dim for i in (a, b, c)):
             raise UsageError(f"structure constant indices out of range in {row}")
-        C[a, b, c] = v
+        C[a, b, c] = float(row[3])
     return C
 
 
@@ -149,14 +166,14 @@ def action_from_decl(chart: Chart, fields: dict, d: dict) -> ActionSpec:
         raise UsageError(f"action declares dim {dim} but {len(names)} generator names")
     gens = []
     for name in names:
-        if name not in fields:
+        if not isinstance(name, str) or name not in fields:
             raise UsageError(f"action generator {name!r} is not a declared field")
         gens.append(fields[name])
     constants = None
     if "structure_constants" in d:
         constants = _constants_from_rows(d["structure_constants"], dim)
     elements = {}
-    for gname, spec in d.get("elements", {}).items():
+    for gname, spec in _optional(d, "elements", dict, "action", {}).items():
         exprs = _require(spec, "map", list, f"element {gname!r}")
         if len(exprs) != chart.dim:
             raise UsageError(f"element {gname!r} needs {chart.dim} component expressions")
@@ -198,14 +215,14 @@ def _level_direction(text: str, dim: int) -> tuple[float, ...]:
 
 
 def slice_from_decl(ambient: Chart, d: dict, momentum_dim: int) -> LevelSlice:
-    coords = tuple(_require(d, "coords", list, "slice"))
-    box = tuple(tuple(map(float, b)) for b in d.get("box", ()))
-    src = Chart(d.get("name", "slice"), coords, box)
+    src = Chart(d.get("name", "slice"), _coords(d, "slice"), d.get("box", ()))
     exprs = _require(d, "map", list, "slice")
     if len(exprs) != ambient.dim:
         raise UsageError(f"slice map needs {ambient.dim} component expressions")
     param = SmoothMap(src, ambient, parse_fields(exprs, src))
     levels = _require(d, "level_of", list, "slice")
+    if not all(isinstance(t, str) for t in levels):
+        raise UsageError("slice level_of entries must be strings like 'mu_1'")
     directions = tuple(_level_direction(t, momentum_dim) for t in levels)
     return LevelSlice(param, directions)
 
@@ -225,10 +242,11 @@ class Declaration:
 
 def load_declaration(doc: dict) -> Declaration:
     chart = chart_from_decl(_require(doc, "chart", dict, "document"))
-    forms = forms_from_decl(chart, doc.get("forms", {}))
-    fields = fields_from_decl(chart, doc.get("fields", {}))
-    structure = lcs_from_decl(chart, forms, doc["lcs"]) if "lcs" in doc else None
-    action = action_from_decl(chart, fields, doc["action"]) if "action" in doc else None
+    forms = forms_from_decl(chart, _optional(doc, "forms", dict, "document", {}))
+    fields = fields_from_decl(chart, _optional(doc, "fields", dict, "document", {}))
+    lcs, act = _optional(doc, "lcs", dict, "document"), _optional(doc, "action", dict, "document")
+    structure = lcs_from_decl(chart, forms, lcs) if lcs is not None else None
+    action = action_from_decl(chart, fields, act) if act is not None else None
     momentum = None
     if "momentum" in doc and doc["momentum"] != "auto":
         momentum = momentum_from_decl(chart, doc["momentum"])
@@ -262,8 +280,10 @@ def parse_theta_text(text: str) -> dict[tuple[int, int], float]:
 def complex_from_decl(doc: dict, theta_extra: dict | None = None) -> TwistedComplex:
     n = int(_require(doc, "vertices", int, "complex"))
     simplices = _require(doc, "simplices", list, "complex")
+    if not all(isinstance(s, list) and all(isinstance(v, int) for v in s) for s in simplices):
+        raise UsageError("complex simplices must be lists of vertex indices")
     theta = {}
-    for key, val in doc.get("theta", {}).items():
+    for key, val in _optional(doc, "theta", dict, "complex", {}).items():
         idx = _index_key(key, "theta")
         if len(idx) != 2:
             raise UsageError(f"theta key {key!r} is not an edge")

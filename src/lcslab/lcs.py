@@ -19,16 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dual
 from .charts import Chart, check_same_chart
 from .errors import DegenerateInputError, UsageError
-from .forms import (
-    DifferentialForm,
-    ScalarField,
-    differential_1form,
-    exterior_derivative,
-    wedge,
-)
+from .forms import DifferentialForm, exterior_derivative, wedge
 from .report import (
     DEFAULT_TOL,
     CheckResult,
@@ -84,14 +77,6 @@ def twisted_derivative(theta: DifferentialForm, form: DifferentialForm) -> Diffe
 # nondegeneracy
 
 
-class Nondegeneracy(NamedTuple):
-    determinant: float
-    note: str = ""
-
-    def __float__(self) -> float:
-        return float(self.determinant)
-
-
 _ODD_NOTE = "odd-dimensional chart: skew matrices of odd size are singular"
 
 
@@ -115,20 +100,6 @@ def _skew(values: dict, d: int, n: int) -> np.ndarray:
         M[:, i, j] = v
         M[:, j, i] = -v
     return M
-
-
-def nondegeneracy(omega: DifferentialForm, p) -> Nondegeneracy:
-    """Determinant of the skew coefficient matrix of ``omega`` at ``p``.
-
-    Equals the square of the Pfaffian; a value above threshold certifies the
-    form nondegenerate at the point.  Odd-dimensional charts yield 0 with an
-    explanatory note (skew matrices of odd size are always singular).
-    """
-    if omega.degree != 2:
-        raise UsageError("nondegeneracy applies to 2-forms")
-    if omega.chart.dim % 2 == 1:
-        return Nondegeneracy(0.0, _ODD_NOTE)
-    return Nondegeneracy(float(np.linalg.det(skew_matrices(omega, p)[0])))
 
 
 def normalized_determinant(M: np.ndarray) -> float | np.ndarray:
@@ -306,53 +277,3 @@ def solve_lee_form(omega: DifferentialForm, points, tol: float = DEFAULT_TOL) ->
     if np.ndim(points) == 1:
         return LeeSolution(theta[0], float(res[0]))
     return LeeSolution(theta, res)
-
-
-# --------------------------------------------------------------------------
-# conformal rescaling and exact structures
-
-
-def conformal_rescale(s: LCSStructure, f: ScalarField) -> LCSStructure:
-    """Replace omega by e^f omega and the Lee form by theta + df.
-
-    Rescaling is a group action of scalar fields: rescaling by f then by -f
-    restores the structure pointwise, and the LCS identity is preserved.
-    A potential, when present, rescales to e^f eta.
-    """
-    check_same_chart(s.chart, f.chart, "rescaling factor")
-    ef = ScalarField(f.chart, dual.exp(f.node))
-    return LCSStructure(
-        chart=s.chart,
-        omega=s.omega * ef,
-        lee=s.lee + differential_1form(f),
-        potential=None if s.potential is None else s.potential * ef,
-        name=f"{s.name}~rescaled" if s.name else "rescaled",
-    )
-
-
-def exact_lcs(
-    theta: DifferentialForm,
-    eta: DifferentialForm,
-    points: np.ndarray | None = None,
-    n: int = 32,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    name: str = "",
-) -> tuple[LCSStructure, Report]:
-    """Structure with ``omega = d_theta eta`` plus its verification report.
-
-    Nondegeneracy of the resulting 2-form is not automatic (eta = 0 gives the
-    zero form); the structure is returned either way with the report attached
-    so callers can decide.
-    """
-    if theta.degree != 1 or eta.degree != 1:
-        raise UsageError("exact_lcs takes two 1-forms")
-    check_same_chart(theta.chart, eta.chart, "exact structure data")
-    s = LCSStructure(
-        chart=theta.chart,
-        omega=twisted_derivative(theta, eta),
-        lee=theta,
-        potential=eta,
-        name=name or "exact",
-    )
-    return s, verify_lcs(s, points=points, n=n, seed=seed, tol=tol)

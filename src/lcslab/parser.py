@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import dual
 from .charts import Chart
-from .errors import ParseError
+from .errors import ParseError, UsageError
 from .forms import ScalarField
 
 _TOKEN = re.compile(
@@ -218,6 +218,8 @@ def parse_field(expr: str, chart: Chart, params: dict[str, float] | None = None)
     Identifiers resolve to chart coordinates first, then to entries of
     ``params``; anything else is an unknown-identifier parse error.
     """
+    if not isinstance(expr, str):
+        raise UsageError(f"an expression must be a string, got {expr!r}")
     params = params or {}
     tree = _Parser(expr).parse()
 

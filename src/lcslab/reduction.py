@@ -9,9 +9,11 @@ associated bundles the extra claim is a block split of the coupling form.
 
 Every row is evaluated once on the whole point batch: the slice images and
 Jacobians come from one first-order jet of the parametrization, and the
-transversality test is one stacked rank computation.  A sample point where
-some value is not finite is skipped and counted, and a row with too many
-skipped points is inconclusive rather than passed.
+transversality test is one stacked rank computation.  The pullbacks of the
+coupling form by ``id x g`` (a fiber element or the slice map) are skew
+matrices ``DG^T W DG`` from one jet of ``g``, never new nodes.  A sample
+point where some value is not finite is skipped and counted, and a row with
+too many skipped points is inconclusive rather than passed.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .forms import (
     ScalarField,
     SmoothMap,
     VectorField,
-    coordinate,
     exterior_derivative,
     interior_product,
     pullback,
@@ -120,13 +121,6 @@ def invariant_hamiltonian_check(
     return rep
 
 
-def _base_times(base: Chart, g: SmoothMap, source: Chart, target: Chart) -> SmoothMap:
-    """``id x g`` between product charts over ``base``: base coordinates kept, ``g`` on the fiber ones."""
-    comps = [coordinate(source, i) for i in range(base.dim)]
-    comps += [embed_fiber_field(source, base, f) for f in g.components]
-    return SmoothMap(source, target, comps)
-
-
 def bundle_momentum_check(
     c: CouplingChart,
     mu: MomentumMap | None = None,
@@ -174,18 +168,23 @@ def bundle_momentum_check(
     i, j = np.triu_indices(c.total.dim, 1)
     W = skew_matrices(c.Omega, pts)[:, i, j].T if c.action.elements else None
     for gname, g in c.action.elements.items():
-        pulled = _pulled_back_matrices(c, g, pts)[:, i, j].T
+        jet = dual.jet([f.node for f in g.components], pts[:, base.dim :])
+        pulled = _pulled_back_matrices(c, pts, *jet)[:, i, j].T
         residuals = scaled_residuals(dict(enumerate(pulled)), dict(enumerate(W)), len(pts))
         claim = "coupling form is preserved by the fiber element"
         rep.add(residual_row(f"omega-invariant[{gname}]", claim, residuals, tol))
     return rep
 
 
-def _pulled_back_matrices(c: CouplingChart, g: SmoothMap, pts: np.ndarray) -> np.ndarray:
-    """The skew matrices of ``(id x g)^* Omega`` at every point, ``DG^T W(G p) DG`` with ``DG = diag(I, Dg)``."""
+def _pulled_back_matrices(c: CouplingChart, pts: np.ndarray, image: np.ndarray, Dg: np.ndarray) -> np.ndarray:
+    """The skew matrices of ``(id x g)^* Omega`` at every point, ``DG^T W(G p) DG`` with ``DG = diag(I, Dg)``.
+
+    ``g`` maps the fiber columns of ``pts`` into the fiber, not necessarily
+    between equal dimensions; ``image`` and ``Dg`` are its values and
+    Jacobians there, from one jet.
+    """
     m = c.base_dim
-    image, Dg = dual.jet([f.node for f in g.components], pts[:, m:])
-    DG = np.zeros((len(pts), c.total.dim, c.total.dim))
+    DG = np.zeros((len(pts), m + Dg.shape[1], m + Dg.shape[2]))
     DG[:, :m, :m], DG[:, m:, m:] = np.eye(m), Dg
     return np.swapaxes(DG, 1, 2) @ skew_matrices(c.Omega, np.concatenate([pts[:, :m], image], axis=1)) @ DG
 
@@ -318,32 +317,34 @@ def _product_split_rows(c: CouplingChart, slc: LevelSlice, n: int, seed: int, to
     src = param.source
     total_src = product_chart(base, src, name=f"{base.name}x{src.name}-slice")
     m = base.dim
-    big = _base_times(base, param, total_src, c.total)
     pts = total_src.sample(n, seed + 1)
-    pulled = form_values(pullback(big, c.Omega), pts)
-    reduced = form_values(pullback(param, c.fiber.omega), pts[:, m:])
+    image, Dp = dual.jet([f.node for f in param.components], pts[:, m:])
+    pulled = _pulled_back_matrices(c, pts, image, Dp)
+    reduced = np.swapaxes(Dp, 1, 2) @ skew_matrices(c.fiber.omega, image) @ Dp
 
+    i, j = np.triu_indices(total_src.dim, 1)
+    upper, on_fiber = pulled[:, i, j], i >= m
     zero = np.zeros(len(pts))  # leads every block, so an empty block reads 0
-    cross = [v for (i, j), v in pulled.items() if i < m <= j]
-    base_block = [v for (i, j), v in pulled.items() if j < m]
-    fiber_gap = [v - reduced.get((i - m, j - m), zero) for (i, j), v in pulled.items() if i >= m]
+    cross = upper[:, (i < m) & (j >= m)]
+    base_block = upper[:, j < m]
+    fiber_gap = upper[:, on_fiber] - reduced[:, i[on_fiber] - m, j[on_fiber] - m]
     return [
         residual_row(
             "product-cross",
             "pulled-back coupling form has no base-slice cross terms",
-            np.column_stack([zero, *cross]),
+            np.column_stack([zero, cross]),
             tol,
         ),
         residual_row(
             "product-fiber",
             "slice block of the coupling form is the reduced fiber form",
-            np.column_stack([zero, *fiber_gap]),
+            np.column_stack([zero, fiber_gap]),
             tol,
         ),
         residual_row(
             "product-base",
             "magnitude of the base block along the level",
-            np.column_stack([zero, *base_block]),
+            np.column_stack([zero, base_block]),
             tol=None,
         ),
     ]

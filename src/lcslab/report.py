@@ -17,7 +17,6 @@ and :func:`demote_if_sparse` makes a row with too many inconclusive.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -106,9 +105,6 @@ class Report:
         if config is not None:
             out["config"] = _jsonable(config)
         return out
-
-    def to_json(self, config: dict | None = None) -> str:
-        return json.dumps(self.to_dict(config), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
         lines = [self.title, "-" * len(self.title)]

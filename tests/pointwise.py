@@ -8,6 +8,11 @@ through a replayed tape.
 ``lie_derivative_arrays`` is the coordinate formula for Lie derivatives,
 with first derivatives from one dual lift per coordinate: the independent
 oracle for the report rows, which replay Cartan's formula on the DAG.
+
+The node-built references for the numpy assemblies of the coupling
+checkers live here too: ``coupled_complex_structure`` (``J~`` as a matrix of
+nodes), ``base_times`` (``id x g`` as a map of nodes) and
+``nijenhuis_tensoriality``.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from itertools import combinations
 import numpy as np
 
 from lcslab import dual
-from lcslab.charts import check_same_chart
-from lcslab.coupling import EndomorphismField
+from lcslab.charts import Chart, check_same_chart
+from lcslab.coupling import CouplingChart, EndomorphismField, _lift_block, _matmul, embed_fiber_field, nijenhuis
 from lcslab.errors import UsageError
-from lcslab.forms import DifferentialForm, ScalarField, SmoothMap, VectorField, det_generic
+from lcslab.forms import DifferentialForm, ScalarField, SmoothMap, VectorField, constant, coordinate, det_generic
 
 
 def at(obj, point):
@@ -156,3 +161,58 @@ def _lie_table(dim: int, degree: int, keys: tuple) -> tuple:
         terms[b].append((a, np.array([col[I] for I in rows]), np.array(src), np.array(sign)[:, None]))
     cols = slice(None) if out_keys == keys else np.array([col[K] for K in keys])
     return out_keys, cols, tuple(map(tuple, terms))
+
+
+def coupled_complex_structure(
+    c: CouplingChart, J_base: EndomorphismField, J_fiber: EndomorphismField
+) -> EndomorphismField:
+    """The block structure sending lifts to lifts and verticals to verticals, as nodes.
+
+    ``J~ X* = (J_base X)*`` and ``J~ (0,V) = (0, J_fiber V)``.  With ``L`` the
+    vertical block of the horizontal lift, ``X* = (X, L X)``, that is
+    ``J~ = [[J_base, 0], [L J_base - J_fiber L, J_fiber]]``; column j of
+    ``L`` is read from the lift of the j-th base coordinate vector.
+    """
+    check_same_chart(c.base, J_base.chart, "base structure")
+    check_same_chart(c.fiber.chart, J_fiber.chart, "fiber structure")
+    m, k = c.base_dim, c.fiber.chart.dim
+    L = _lift_block(c)[m:]
+    Jb = J_base.entries  # base coordinates come first: the same nodes on the total chart
+    fiber = [dual.var(m + i) for i in range(k)]
+    Jf = [[e(fiber) for e in row] for row in J_fiber.entries]
+    LJ, JL = _matmul(L, Jb), _matmul(Jf, L)
+    rows = [Jb[i] + [0.0] * k for i in range(m)]
+    rows += [[a - b for a, b in zip(LJ[i], JL[i])] + Jf[i] for i in range(k)]
+    return EndomorphismField(c.total, rows)
+
+
+def base_times(base: Chart, g: SmoothMap, source: Chart, target: Chart) -> SmoothMap:
+    """``id x g`` between product charts over ``base``: base coordinates kept, ``g`` on the fiber ones."""
+    comps = [coordinate(source, i) for i in range(base.dim)]
+    comps += [embed_fiber_field(source, base, f) for f in g.components]
+    return SmoothMap(source, target, comps)
+
+
+def nijenhuis_tensoriality(J: EndomorphismField, X: VectorField, Y: VectorField, p, seed: int = 0) -> float:
+    """Max deviation between N_J on (X, Y) and on perturbed extensions.
+
+    The perturbations vanish at p but have random first derivatives, so
+    agreement certifies the value depends only on the tangent vectors there.
+    """
+    rng = np.random.default_rng(seed)
+    base_val = nijenhuis(J, X, Y, p)
+    chart = J.chart
+    offsets = [coordinate(chart, i) - float(p[i]) for i in range(chart.dim)]
+
+    def perturb(Z: VectorField) -> VectorField:
+        B = rng.standard_normal((chart.dim, chart.dim))
+        comps = []
+        for i, comp in enumerate(Z.components):
+            extra = constant(chart, 0.0)
+            for j in range(chart.dim):
+                extra = extra + float(B[i, j]) * offsets[j]
+            comps.append(comp + extra)
+        return VectorField(chart, comps)
+
+    val = nijenhuis(J, perturb(X), perturb(Y), p)
+    return float(np.abs(val - base_val).max())

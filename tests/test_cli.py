@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import warnings
 
 import pytest
@@ -163,6 +164,61 @@ def test_malformed_document_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def with_entry(doc: str, path: tuple, value) -> str:
+    """``doc`` with the entry at ``path`` (keys into nested objects) set to ``value``."""
+    root = node = json.loads(doc)
+    *head, last = path
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return json.dumps(root)
+
+
+ELEMENT_DOC = with_entry(GOOD_DOC, ("action", "elements"), {"g": {"map": ["q + 1", "p"]}})
+
+MALFORMED_DOCS = {
+    "nested-arrays": '{"chart": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    "box-one-pair": with_entry(GOOD_DOC, ("chart", "box"), [[0, 1]]),
+    "box-not-a-number": with_entry(GOOD_DOC, ("chart", "box"), [["a", 1], [0, 1]]),
+    "box-a-number": with_entry(GOOD_DOC, ("chart", "box"), 3),
+    "box-reversed": with_entry(GOOD_DOC, ("chart", "box"), [[1, 0], [0, 1]]),
+    "box-nan": with_entry(GOOD_DOC, ("chart", "box"), [["nan", 1], [0, 1]]),
+    "box-infinite": with_entry(GOOD_DOC, ("chart", "box"), [[0, 1], [0, math.inf]]),
+    "coefficient-a-number": with_entry(GOOD_DOC, ("forms", "omega", "coeffs"), {"0,1": 1}),
+    "field-numbers": with_entry(GOOD_DOC, ("fields", "push"), [1, 2]),
+    "momentum-numbers": with_entry(GOOD_DOC, ("momentum",), [1]),
+    "element-numbers": with_entry(ELEMENT_DOC, ("action", "elements", "g", "map"), [1, 2]),
+    "forms-a-list": with_entry(GOOD_DOC, ("forms",), []),
+    "lcs-a-list": with_entry(GOOD_DOC, ("lcs",), [1]),
+    "elements-a-list": with_entry(GOOD_DOC, ("action", "elements"), [1]),
+    "constants-row-not-a-number": with_entry(GOOD_DOC, ("action", "structure_constants"), [["a", 0, 0, 1]]),
+    "constants-a-number": with_entry(GOOD_DOC, ("action", "structure_constants"), 5),
+    "constants-not-finite": with_entry(GOOD_DOC, ("action", "structure_constants"), [[0, 0, 0, math.nan]]),
+    # a structure that verifies, but its second coordinate can never be named
+    "coordinate-twice": with_entry(
+        with_entry(BROKEN_DOC, ("chart", "coords"), ["q", "q", "c", "d"]), ("forms", "lee", "coeffs"), {}
+    ).replace("1 + a^2", "1 + q^2"),
+}
+
+
+MALFORMED = {
+    "verify": MALFORMED_DOCS,
+    "cohomology": {
+        "simplex-a-number": with_entry(CIRCLE_DOC, ("simplices",), [[0], [1], 2]),
+        "simplex-not-a-vertex": with_entry(CIRCLE_DOC, ("simplices",), [[0], ["a", 1]]),
+    },
+    "reduce": {"slice-coordinate-not-a-name": with_entry(REDUCE_DOC, ("slice", "coords"), [[1], "s2"])},
+}
+
+
+@pytest.mark.parametrize("command, name", [(c, name) for c, docs in MALFORMED.items() for name in sorted(docs)])
+def test_malformed_declaration_exits_2(capsys, command, name):
+    """Each document is malformed in one place and ends in exit 2 with one short error line."""
+    code, out, err = run(capsys, command, MALFORMED[command][name], "--points", "8")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

@@ -20,7 +20,7 @@ from lcslab.coupling import (
     build_coupling,
     circle_fat_from_symplectic,
     conjugate_structure,
-    coupled_complex_structure,
+    embed_base_form,
     embed_fiber_form,
     embed_fiber_vector,
     fatness_check,
@@ -28,7 +28,6 @@ from lcslab.coupling import (
     horizontal_nijenhuis_identity,
     lift_bracket_diagnostic,
     nijenhuis,
-    nijenhuis_tensoriality,
     product_chart,
     rotation_structure,
     verify_coupling,
@@ -53,7 +52,7 @@ from lcslab.report import evaluate_form, form_residual, form_values
 from tests.test_actions import sl2_constants
 from lcslab.parser import parse_field
 from tests.test_exterior import rand_form, rand_vf, skew_matrix_at
-from tests.pointwise import at, eval_form
+from tests.pointwise import at, coupled_complex_structure, eval_form, nijenhuis_tensoriality
 
 
 @pytest.fixture(scope="module")
@@ -537,9 +536,8 @@ def test_coupled_structure_takes_an_untraceable_fiber_structure(flat):
 
 
 def test_horizontal_identity_takes_one_jet_of_each_block(s2, monkeypatch):
-    """One jet each of J_base, J_fiber and the lift block per run, shared by every pair; J~ is never built as nodes."""
+    """One jet each of J_base, J_fiber and the lift block per run, shared by every pair."""
     jets, jet = [], dual.jet
-    monkeypatch.setattr(coupling, "coupled_complex_structure", None)
     monkeypatch.setattr(dual, "jet", lambda value, points: jets.append(value) or jet(value, points))
     o = s2.objects
     rep = horizontal_nijenhuis_identity(o["coupling"], o["J_base"], o["J_fiber"], n=6, seed=3, pairs=3)
@@ -586,6 +584,19 @@ def test_embedding_substitutes_through_one_shared_tape(s2):
     embedded = embed_fiber_form(c.total, c.base, omega)
     assert all(f.node is a for f, a in zip(embedded.coeffs.values(), alone))
     assert not [r for r in roots if r._tape is not None]
+
+
+def test_base_embedding_keeps_the_base_nodes(s2, monkeypatch):
+    """Base coordinates come first on the product chart, so base data is embedded without a substitution."""
+    c = s2.objects["coupling"]
+    A = c.gauge.potentials[0]
+    with monkeypatch.context() as m:
+        m.setattr(dual, "Tape", None)  # no tape is replayed
+        embedded = embed_base_form(c.total, c.base, A)
+    assert embedded.chart is c.total and embedded.coeffs.keys() == A.coeffs.keys()
+    assert all(embedded.coeffs[I].node is f.node for I, f in A.coeffs.items())
+    X = VectorField(c.base, [coordinate(c.base, 1), constant(c.base, 0.5)])
+    assert all(a.node is b.node for a, b in zip(c.lift(X).components, X.components))
 
 
 def test_horizontal_nijenhuis_identity(flat):

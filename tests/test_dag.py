@@ -22,6 +22,7 @@ from lcslab.forms import (
 from lcslab.gallery import coupling_example_s2, hopf
 from lcslab.parser import parse_field
 from lcslab.report import form_values
+from tests.pointwise import base_times
 
 # points on both sides of zero, so sqrt, log and division leave their domains
 POINTS = np.array([[0.3, -0.7], [1.2, 0.4], [-0.5, -1.1], [2.0, 0.0], [-1.4, 0.9], [0.0, 1.3]])
@@ -159,12 +160,10 @@ def test_equal_expressions_are_one_node(plane):
 
 def test_pullback_substitutes_every_coefficient_through_one_tape():
     """coupling-s2's ``Omega`` by a fiber element: one shared tape, the same nodes, no tape left behind."""
-    from lcslab.reduction import _base_times
-
     man = coupling_example_s2()
     c = man.objects["coupling"]
     g = next(iter(man.objects["action"].elements.values()))
-    G = _base_times(man.objects["base"], g, c.total, c.total)
+    G = base_times(man.objects["base"], g, c.total, c.total)
     roots = [f.node for f in c.Omega.coeffs.values()]
     image = [x.node for x in G.components]
     alone = [dual.Tape([r]).run(image)[0] for r in roots]

@@ -19,7 +19,6 @@ from lcslab.forms import (
     basis_vector,
     contract,
     coordinate,
-    differential_1form,
     exterior_derivative,
     interior_product,
     lie_bracket,
@@ -276,7 +275,7 @@ def test_pullback_functorial(plane, r3, r4, rng):
 
 def test_differential_matches_gradient_pairing(r3):
     f = parse_field("x^2 * y + z", r3)
-    df = differential_1form(f)
+    df = exterior_derivative(DifferentialForm.from_scalar(f))
     p = (1.0, 2.0, -1.0)
     assert eval_form(df, p, [np.array([1.0, 0, 0])]) == pytest.approx(4.0)
     assert eval_form(df, p, [np.array([0, 1.0, 0])]) == pytest.approx(1.0)

@@ -222,6 +222,8 @@ def test_action_unknown_generator(plane):
     [
         ([[0, 1]], r"\[a, b, c, value\]"),
         ([[0, 1, 9, 2.0]], "out of range"),
+        ([[0.5, 1, 0, 2.0]], "integer a, b, c"),
+        ([[0, 1, 0, "2"]], "not a number"),
     ],
 )
 def test_structure_constant_rows(plane, rows, fragment):

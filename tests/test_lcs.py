@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from lcslab import dual
 from lcslab.charts import Chart
 from lcslab.errors import DegenerateInputError, UsageError
-from lcslab.forms import DifferentialForm, constant, coordinate, differential_1form
+from lcslab.forms import DifferentialForm, ScalarField, constant, coordinate, exterior_derivative
 from lcslab.gallery import inoue
 from lcslab.lcs import (
     LCSStructure,
-    Nondegeneracy,
-    conformal_rescale,
-    exact_lcs,
-    nondegeneracy,
     normalized_determinant,
+    skew_matrices,
     solve_lee_form,
     twisted_derivative,
     verify_lcs,
@@ -67,9 +65,8 @@ def test_nondegeneracy_frozen_value(solv_structure):
         ]
     )
     assert np.linalg.det(M) == pytest.approx(16.0)
-    nd = nondegeneracy(solv_structure.omega, (0.0, 1.0, 0.0, 0.0))
-    assert nd.determinant == pytest.approx(16.0, rel=1e-12)
-    assert float(nd) == nd.determinant
+    nd = np.linalg.det(skew_matrices(solv_structure.omega, (0.0, 1.0, 0.0, 0.0))[0])
+    assert nd == pytest.approx(16.0, rel=1e-12)
 
 
 def test_nondegeneracy_is_a_square(r4, rng):
@@ -77,14 +74,14 @@ def test_nondegeneracy_is_a_square(r4, rng):
     for _ in range(20):
         coeffs = {I: rng.uniform(-3, 3) for I in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]}
         w = DifferentialForm(r4, 2, coeffs)
-        assert nondegeneracy(w, (0.0, 0.0, 0.0, 0.0)).determinant >= -1e-12
+        assert np.linalg.det(skew_matrices(w, (0.0, 0.0, 0.0, 0.0))[0]) >= -1e-12
 
 
 def test_nondegeneracy_odd_dimension(r3):
     w = DifferentialForm(r3, 2, {(0, 1): 1.0})
-    nd = nondegeneracy(w, (0.0, 0.0, 0.0))
-    assert nd.determinant == 0.0
-    assert "odd" in nd.note
+    row = verify_lcs(LCSStructure(r3, w, DifferentialForm.zero(r3, 1)), n=4)["nondegenerate"]
+    assert row.residual == 0.0 and not row.passed
+    assert "odd" in row.details["note"]
 
 
 def test_normalized_determinant_scale_free():
@@ -216,9 +213,15 @@ def test_twisted_derivative_product_rule(r4, rng):
     left = twisted_derivative(theta, w * f)
     from lcslab.forms import wedge
 
-    right = wedge(differential_1form(f), w) + twisted_derivative(theta, w) * f
+    right = wedge(exterior_derivative(DifferentialForm.from_scalar(f)), w) + twisted_derivative(theta, w) * f
     res, _ = form_residual(left, right, r4.sample(24, seed=7))
     assert res < 1e-10
+
+
+def conformal_rescale(s: LCSStructure, f: ScalarField) -> LCSStructure:
+    """``e^f omega`` with Lee form ``theta + df``: again LCS, and rescaling by ``-f`` undoes it."""
+    ef = ScalarField(f.chart, dual.exp(f.node))
+    return LCSStructure(s.chart, s.omega * ef, s.lee + exterior_derivative(DifferentialForm.from_scalar(f)))
 
 
 def test_conformal_rescale_round_trip(solv_structure, halfspace):
@@ -245,7 +248,7 @@ def test_constant_rescale_scales_determinant(c):
     omega = DifferentialForm(chart, 2, {(0, 1): 1.0, (2, 3): 1.0})
     lee = DifferentialForm.zero(chart, 1)
     s = conformal_rescale(LCSStructure(chart, omega, lee), constant(chart, c))
-    got = nondegeneracy(s.omega, (0.0, 0.0, 0.0, 0.0)).determinant
+    got = np.linalg.det(skew_matrices(s.omega, (0.0, 0.0, 0.0, 0.0))[0])
     assert got == pytest.approx(np.exp(4.0 * c), rel=1e-9)
 
 
@@ -253,8 +256,8 @@ def test_exact_structure_builds_and_verifies(r4):
     theta = DifferentialForm(r4, 1, {(0,): 1.0})
     b, d = coordinate(r4, 1), coordinate(r4, 3)
     eta = DifferentialForm(r4, 1, {(0,): b, (2,): d})
-    s, rep = exact_lcs(theta, eta, n=24, seed=1)
-    assert s.potential is eta
+    s = LCSStructure(r4, twisted_derivative(theta, eta), theta, potential=eta)
+    rep = verify_lcs(s, n=24, seed=1)
     assert rep["lcs-identity"].passed
     assert rep["potential"].passed
     assert rep["lee-closed"].passed
@@ -263,7 +266,7 @@ def test_exact_structure_builds_and_verifies(r4):
 def test_exact_structure_rejects_wrong_degrees(r4):
     theta = DifferentialForm(r4, 1, {(0,): 1.0})
     w = DifferentialForm(r4, 2, {(0, 1): 1.0})
-    with pytest.raises(UsageError):
-        exact_lcs(theta, w)
-    with pytest.raises(UsageError):
-        exact_lcs(w, theta)
+    with pytest.raises(UsageError):  # eta a 2-form: omega = d_theta eta is a 3-form
+        LCSStructure(r4, twisted_derivative(theta, w), theta, potential=w)
+    with pytest.raises(UsageError):  # theta a 2-form twists nothing
+        LCSStructure(r4, twisted_derivative(w, theta), w, potential=theta)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from lcslab import dual
 from lcslab.actions import ActionSpec, MomentumMap
 from lcslab.charts import Chart
-from lcslab.coupling import GaugeChart, build_coupling
+from lcslab.coupling import GaugeChart, build_coupling, product_chart
 from lcslab.errors import PreconditionError, UsageError
 from lcslab.forms import (
     DifferentialForm,
@@ -22,14 +23,16 @@ from lcslab.lcs import LCSStructure, skew_matrices
 from lcslab.parser import parse_field
 from lcslab.reduction import (
     LevelSlice,
-    _base_times,
+    _product_split_rows,
     _pulled_back_matrices,
     bundle_momentum_check,
     invariant_hamiltonian_check,
     level_scan,
     reduced_form_check,
 )
-from tests.pointwise import at, eval_form
+from lcslab.report import form_values
+from tests.pointwise import at, base_times, eval_form
+from tests.test_coupling import interned_by
 
 # -- a four-dimensional symplectic playground -------------------------------
 
@@ -277,10 +280,52 @@ def test_invariance_matrices_match_the_pulled_back_form(example, bundle):
     c = bundle if example == "bundle" else coupling_example_s2().objects["coupling"]
     pts = c.total.sample(12, seed=6)
     for g in c.action.elements.values():
-        got = _pulled_back_matrices(c, g, pts)
-        want = skew_matrices(pullback(_base_times(c.base, g, c.total, c.total), c.Omega), pts)
+        got = _pulled_back_matrices(c, pts, *dual.jet([f.node for f in g.components], pts[:, c.base_dim :]))
+        want = skew_matrices(pullback(base_times(c.base, g, c.total, c.total), c.Omega), pts)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * (1 + np.abs(want).max()))
         assert np.abs(want).max() > 0.1
+
+
+def node_product_residuals(c, slc: LevelSlice, n: int, seed: int) -> tuple[dict, float]:
+    """The product rows' residuals from node pullbacks of Omega by ``id x slice`` and of the fiber form by the slice.
+
+    Returns the residual per row id and the largest coefficient magnitude.
+    """
+    base, param = c.base, slc.parametrization
+    total_src = product_chart(base, param.source)
+    m = base.dim
+    pts = total_src.sample(n, seed + 1)
+    pulled = form_values(pullback(base_times(base, param, total_src, c.total), c.Omega), pts)
+    reduced = form_values(pullback(param, c.fiber.omega), pts[:, m:])
+    zero = np.zeros(len(pts))
+    blocks = {
+        "product-cross": [v for (i, j), v in pulled.items() if i < m <= j],
+        "product-fiber": [v - reduced.get((i - m, j - m), zero) for (i, j), v in pulled.items() if i >= m],
+        "product-base": [v for (i, j), v in pulled.items() if j < m],
+    }
+    scale = float(np.abs(np.stack(list(pulled.values()))).max())
+    return {k: float(np.abs(np.stack([zero, *v])).max()) for k, v in blocks.items()}, scale
+
+
+@pytest.mark.parametrize("example", ["bundle", "s2"])
+def test_product_split_rows_match_the_node_pullbacks(example, bundle, monkeypatch):
+    """The block split from skew matrices and one jet of the slice map: the node pullbacks' numbers, no node per call."""
+    if example == "s2":
+        o = coupling_example_s2().objects
+        c, slc = o["coupling"], o["zero_slice"]
+    else:  # a sheet across the fiber, no level: every block is compared on nonzero values
+        c = bundle
+        sheet = Chart("sheet-b", ("s1", "s2"), ((-1.0, 1.0), (-1.0, 1.0)))
+        s1, s2 = coordinate(sheet, 0), coordinate(sheet, 1)
+        slc = LevelSlice.single(SmoothMap(sheet, c.fiber.chart, [s1 + 0.5 * s2 * s2, s2 - 0.3 * s1 * s2]), (1.0,))
+    rows = {row.id: row for row in _product_split_rows(c, slc, 16, 5, 1e-8)}
+    want, scale = node_product_residuals(c, slc, 16, 5)
+    assert set(rows) == set(want)
+    for row_id, residual in want.items():
+        assert abs(rows[row_id].residual - residual) <= 1e-14 * (1 + scale), row_id
+    if example == "bundle":
+        assert min(want["product-cross"], want["product-base"]) > 0.1
+    assert interned_by(lambda: _product_split_rows(c, slc, 16, 5, 1e-8), monkeypatch) == 0
 
 
 def test_bundle_momentum_detects_wrong_hamiltonian(bundle):
