@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -249,19 +250,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return int(err.code or 0)
-    if getattr(args, "seed", None) is None:
+    if hasattr(args, "seed") and args.seed is None:  # ``list`` takes no seed
         try:
-            seed = int(os.environ.get("LCSLAB_SEED", "0"))
+            args.seed = int(os.environ.get("LCSLAB_SEED", "0"))
         except ValueError:
             print("error: LCSLAB_SEED must be an integer", file=sys.stderr)
             return 2
-        if hasattr(args, "seed"):
-            args.seed = seed
+    if getattr(args, "seed", 0) < 0:
+        print("error: the seed (--seed or LCSLAB_SEED) must be a non-negative integer", file=sys.stderr)
+        return 2
     if getattr(args, "points", 1) < 1:
         print("error: --points must be at least 1", file=sys.stderr)
         return 2
-    if getattr(args, "tol", 1.0) <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not 0 < getattr(args, "tol", 1.0) < math.inf:
+        print("error: --tol must be a positive finite number", file=sys.stderr)
         return 2
     try:
         text, code = _COMMANDS[args.command](args)

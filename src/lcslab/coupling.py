@@ -599,7 +599,8 @@ class EndomorphismField:
     horizontal lift) is one set of nodes.  The constructor takes the rows
     as nodes, scalar fields or numbers, or a closure over the coordinate
     sequence returning them, traced once as a scalar-field closure is; a
-    closure that cannot be traced leaves one opaque entry per position.
+    closure that cannot run on coordinate nodes, or an entry that is no
+    number or node, is refused (see :func:`lcslab.dual.trace`).
     Derivatives, as the Nijenhuis tensor needs them, come from first-order
     jets of the entries.
     """
@@ -609,11 +610,7 @@ class EndomorphismField:
     def __init__(self, chart: Chart, entries):
         n = chart.dim
         if callable(entries):
-            fn = entries
-            try:
-                entries = fn([dual.var(i) for i in range(n)])
-            except Exception:  # any failure on symbolic input means the closure stays opaque
-                entries = [[lambda p, i=i, j=j: fn(p)[i][j] for j in range(n)] for i in range(n)]
+            entries = dual.on_coordinates(entries, n)
         if len(entries) != n or any(len(row) != n for row in entries):
             raise UsageError(f"endomorphism on {chart.name!r} needs {n} rows of {n} entries")
         self.chart = chart

@@ -1,20 +1,21 @@
-"""Coefficient expressions: a hash-consed DAG, dual numbers, the evaluation boundary.
+"""Coefficient expressions: a hash-consed DAG and the evaluation boundary.
 
 Every coefficient is a :class:`Node` of one expression DAG.  Nodes are
 interned by structure, so a subexpression that many coefficients share (a
 weighted denominator, a second derivative) exists once.  ``node.partial(j)``
 is the derivative in coordinate ``j``, another node, built on first use and
-memoized per (node, coordinate) by the rules of :class:`Dual`, term for
-term: forward-mode differentiation is symbolic differentiation with sharing,
-exact to rounding.  A :class:`Tape` lists the nodes some roots need, each
-once, arguments first, and replays them on point columns; calling a node
-interprets it generically (on floats, columns, dual numbers, or nodes,
+memoized per (node, coordinate) by the forward-mode rules of dual numbers,
+term for term: forward-mode differentiation is symbolic differentiation
+with sharing, exact to rounding.  A :class:`Tape` lists the nodes some roots
+need, each once, arguments first, and replays them on point columns;
+calling a node interprets it generically (on floats, columns, or nodes,
 which substitutes them for the coordinates).
 
-:class:`Dual` is a truncated number ``a + b*eps`` over floats, arrays or
-further duals, each lift with a fresh tag so that nested derivatives of one
-coordinate do not collide.  It differentiates closures that cannot be traced
-into nodes (they branch on values or call ``math``): opaque leaves.
+A closure becomes a node by running once on coordinate nodes
+(:func:`trace`).  It must be written with this module's arithmetic and its
+``exp``/``log``/``sqrt``/``sin``/``cos``/``atan2``; one that branches on a
+value or calls ``math`` cannot run on nodes and is refused, so every
+coefficient has a derivative node.
 
 This module is the evaluation boundary: expressions run on point batches
 only through :func:`evaluate` and :func:`jet`, the one place numpy's
@@ -26,239 +27,60 @@ what that means for a check.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import weakref
 
 import numpy as np
 
-_TAGS = itertools.count(1)
+from .errors import UsageError
 
-
-def fresh_tag() -> int:
-    return next(_TAGS)
-
-
-class Dual:
-    __slots__ = ("tag", "a", "b")
-    # Make numpy defer to our reflected operators instead of building object
-    # arrays element by element.
-    __array_ufunc__ = None
-    __array_priority__ = 1000
-
-    def __init__(self, tag, a, b):
-        self.tag = tag
-        self.a = a
-        self.b = b
-
-    def __repr__(self):
-        return f"Dual({self.tag}, {self.a!r}, {self.b!r})"
-
-    # -- helpers ----------------------------------------------------------
-
-    def _order(self, other):
-        """Split self/other against the larger of the two tags.
-
-        Returns (tag, va, ea, vb, eb) where e* is None when that operand is
-        constant with respect to the winning tag.
-        """
-        if isinstance(other, Dual):
-            if other.tag == self.tag:
-                return self.tag, self.a, self.b, other.a, other.b
-            if other.tag > self.tag:
-                return other.tag, self, None, other.a, other.b
-        return self.tag, self.a, self.b, other, None
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        t, va, ea, vb, eb = self._order(other)
-        if ea is None:
-            return Dual(t, va + vb, eb)
-        if eb is None:
-            return Dual(t, va + vb, ea)
-        return Dual(t, va + vb, ea + eb)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        t, va, ea, vb, eb = self._order(other)
-        if ea is None:
-            return Dual(t, va - vb, -eb)
-        if eb is None:
-            return Dual(t, va - vb, ea)
-        return Dual(t, va - vb, ea - eb)
-
-    def __rsub__(self, other):
-        t, va, ea, vb, eb = self._order(other)
-        # other - self with the same split
-        if ea is None:
-            return Dual(t, vb - va, eb)
-        if eb is None:
-            return Dual(t, vb - va, -ea)
-        return Dual(t, vb - va, eb - ea)
-
-    def __mul__(self, other):
-        t, va, ea, vb, eb = self._order(other)
-        if ea is None:
-            return Dual(t, va * vb, va * eb)
-        if eb is None:
-            return Dual(t, va * vb, ea * vb)
-        return Dual(t, va * vb, ea * vb + va * eb)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        t, va, ea, vb, eb = self._order(other)
-        if eb is None:
-            return Dual(t, va / vb, ea / vb)
-        if ea is None:
-            return Dual(t, va / vb, -(va * eb) / (vb * vb))
-        return Dual(t, va / vb, (ea * vb - va * eb) / (vb * vb))
-
-    def __rtruediv__(self, other):
-        # other / self; self is Dual
-        return Dual(self.tag, other / self.a, -(other * self.b) / (self.a * self.a))
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("Dual powers must be integers; use sqrt/exp/log for the rest")
-        if n == 0:
-            return 1.0
-        if n < 0:
-            return 1.0 / (self ** (-n))
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
-    def __neg__(self):
-        return Dual(self.tag, -self.a, -self.b)
-
-    def __pos__(self):
-        return self
-
-
-def value(x):
-    """Strip every dual layer, leaving the float (or array) payload."""
-    while isinstance(x, Dual):
-        x = x.a
-    return x
-
-
-def lift(x, tag):
-    """Mark ``x`` as the active variable for ``tag`` (seed derivative 1)."""
-    return Dual(tag, x, 1.0)
-
-
-def eps(x, tag):
-    """Derivative slot of ``x`` with respect to the lift ``tag`` (0 if absent)."""
-    if isinstance(x, Dual) and x.tag == tag:
-        return x.b
-    return 0.0
-
-
-def _split(x):
-    if isinstance(x, Dual):
-        return x.tag, x.a, x.b
-    return None, x, None
-
-
-# -- elementary functions, generic over float / ndarray / Dual / Node -------
+# -- elementary functions, on floats, numpy columns and nodes -----------------
 
 
 def exp(x):
     if isinstance(x, Node):
         return _node("exp", (x,))
-    t, v, e = _split(x)
-    if t is None:
-        return np.exp(v) if isinstance(v, np.ndarray) else math.exp(v)
-    base = exp(v)
-    return Dual(t, base, e * base)
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
 def log(x):
     if isinstance(x, Node):
         return _node("log", (x,))
-    t, v, e = _split(x)
-    if t is None:
-        return np.log(v) if isinstance(v, np.ndarray) else math.log(v)
-    base = log(v)
-    # ``0.0 * base`` carries log's domain into the derivative, as sqrt's does
-    return Dual(t, base, e / v + 0.0 * base)
+    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
 
 
 def sqrt(x):
     if isinstance(x, Node):
         return _node("sqrt", (x,))
-    t, v, e = _split(x)
-    if t is None:
-        return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
-    s = sqrt(v)
-    return Dual(t, s, e / (2.0 * s))
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def sin(x):
     if isinstance(x, Node):
         return _node("sin", (x,))
-    t, v, e = _split(x)
-    if t is None:
-        return np.sin(v) if isinstance(v, np.ndarray) else math.sin(v)
-    return Dual(t, sin(v), e * cos(v))
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Node):
         return _node("cos", (x,))
-    t, v, e = _split(x)
-    if t is None:
-        return np.cos(v) if isinstance(v, np.ndarray) else math.cos(v)
-    return Dual(t, cos(v), -(e * sin(v)))
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
 
 
 def atan2(y, x):
     if isinstance(y, Node) or isinstance(x, Node):
         return _binop("atan2", y, x)
-    ty = y.tag if isinstance(y, Dual) else 0
-    tx = x.tag if isinstance(x, Dual) else 0
-    t = max(ty, tx)
-    if t == 0:
-        if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
-            return np.arctan2(y, x)
-        return math.atan2(y, x)
-    yv, yd = (y.a, y.b) if ty == t else (y, None)
-    xv, xd = (x.a, x.b) if tx == t else (x, None)
-    base = atan2(yv, xv)
-    den = xv * xv + yv * yv
-    if yd is None:
-        deriv = -(yv * xd) / den
-    elif xd is None:
-        deriv = (xv * yd) / den
-    else:
-        deriv = (xv * yd - yv * xd) / den
-    return Dual(t, base, deriv)
+    if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
+        return np.arctan2(y, x)
+    return math.atan2(y, x)
 
 
 def power(x, n: int):
-    """``x ** n`` for an integer ``n``: repeated products on dual numbers, ``1 / x ** -n`` below zero."""
-    if isinstance(x, (Dual, Node)):
+    """``x ** n`` for an integer ``n``: a ``pow`` node on a node, ``1 / x ** -n`` below zero on numbers."""
+    if isinstance(x, Node):
         return x**n
     return x**n if n >= 0 else 1.0 / x ** (-n)
-
-
-def derivative(fn, x):
-    """d/dx of a scalar callable, exact to rounding."""
-    tag = fresh_tag()
-    return eps(fn(lift(x, tag)), tag)
-
-
-def partial(fn, coords, i):
-    """i-th partial derivative of ``fn`` (which takes a coordinate sequence)."""
-    tag = fresh_tag()
-    lifted = list(coords)
-    lifted[i] = lift(lifted[i], tag)
-    return eps(fn(lifted), tag)
 
 
 # --------------------------------------------------------------------------
@@ -279,7 +101,7 @@ class Node:
 
     Build nodes with :func:`const`, :func:`var`, :func:`trace`, arithmetic
     and the elementary functions of this module.  A node has no truth value
-    and no comparisons, so a closure that branches on one is not traced.
+    and no comparisons, so a closure that branches on one is refused by :func:`trace`.
     """
 
     __slots__ = ("op", "args", "data", "_partials", "_tape", "__weakref__")
@@ -287,7 +109,7 @@ class Node:
     __hash__ = object.__hash__
 
     def __call__(self, point):
-        """Generic interpretation on one point, columns, dual numbers or nodes."""
+        """Generic interpretation on one point, columns or nodes (which substitutes them for the coordinates)."""
         if self._tape is None:
             self._tape = Tape([self])
         return self._tape.run(list(point))[0]
@@ -388,25 +210,35 @@ def _binop(op: str, a, b):
     return NotImplemented if a is None or b is None else _node(op, (a, b))
 
 
+_FIX = "write closures with lcslab.dual's exp/log/sqrt/sin/cos/atan2 and do not branch on values"
+
+
+def on_coordinates(fn, dim: int):
+    """``fn`` called once on the ``dim`` coordinate nodes; a closure that raises there is refused."""
+    try:
+        return fn([var(i) for i in range(dim)])
+    except Exception as err:  # whatever the closure raised, it cannot run on nodes
+        raise UsageError(f"closure cannot run on coordinate nodes ({type(err).__name__}: {err}); {_FIX}") from err
+
+
 def trace(fn, dim: int) -> Node:
-    """``fn`` (a closure over ``dim`` coordinates, a number or a node) as one node.
+    """``fn`` (a number, a node, or a closure over ``dim`` coordinates returning one) as one node.
 
     A closure runs once, on coordinate nodes.  One that cannot, because it
-    branches on a value, calls ``math`` or returns no number, becomes an
-    opaque leaf: called on the columns and differentiated with :class:`Dual`.
+    branches on a value or calls ``math``, or that returns something other
+    than a number or node, is refused with :class:`UsageError`.
     """
     node = as_node(fn)
     if node is not None:
         return node
-    coords = tuple(var(i) for i in range(dim))
-    try:
-        node = as_node(fn(list(coords)))
-    except Exception:  # any failure on symbolic input means the closure stays opaque
-        node = None
-    return _node("leaf", coords, fn) if node is None else node
+    value = on_coordinates(fn, dim) if callable(fn) else fn
+    node = as_node(value)
+    if node is None:
+        raise UsageError(f"a coefficient must be a number or node, not {type(value).__name__}; {_FIX}")
+    return node
 
 
-# -- derivatives: the rules of Dual, term for term; None is a structural zero
+# -- derivatives: the forward-mode rules of dual numbers, term for term; None is a structural zero
 
 
 def _plus(x, y):
@@ -427,8 +259,8 @@ def _partial(n: Node, j: int):
     Derivatives are taken on an explicit stack of (node, coordinate) pairs,
     arguments first, so a DAG of any depth differentiates without recursion.
     Arithmetic and the elementary functions apply their rule once their
-    arguments' derivatives are memoized; placeholders, powers and opaque
-    leaves run a generator (:func:`_rule`) that asks for the pairs it needs.
+    arguments' derivatives are memoized; placeholders and powers run a
+    generator (:func:`_rule`) that asks for the pairs it needs.
     """
     memo = n._partials
     if memo is not None and j in memo:
@@ -475,7 +307,10 @@ def _partial(n: Node, j: int):
 
 
 def _derive(op: str, n: Node, a: Node, b: Node, ea, eb):
-    """The rules of Dual, term for term, for arithmetic and the elementary functions of ``a`` (and ``b``)."""
+    """The rules of dual numbers, term for term, for arithmetic and the elementary functions of ``a`` (and ``b``).
+
+    The tests' dual-number oracle applies the same rules to numbers.
+    """
     if ea is None and eb is None:
         return None
     if op == "+":
@@ -505,23 +340,17 @@ _DERIVE = frozenset(("+", "-", "*", "/", "atan2", "neg", "exp", "log", "sqrt", "
 
 
 def _rule(n: Node, j: int):
-    """The derivative of a placeholder, a power or an opaque leaf: the pairs it needs, then (None, derivative)."""
+    """The derivative of a placeholder or a power: the pairs it needs, then (None, derivative)."""
     if n.op == "d":  # the derivative of the node the placeholder stands for
         while n.op == "d":
             e = yield n.args[0], n.data
             n = _ZERO if e is None else e
-        d = yield n, j
-    elif n.op == "pow":  # as Dual computes a power: repeated products, 1 / a ** -n below zero
+    else:  # a power as dual numbers compute it: repeated products, 1 / a ** -n below zero
         out = _ONE
         for _ in range(abs(n.data)):
             out = out * n.args[0]
-        d = yield (out if n.data >= 0 else _ONE / out), j
-    else:  # an opaque leaf: the chain rule through dual lifts of the closure
-        d = None
-        for k, a in enumerate(n.args):
-            e = yield a, j
-            if e is not None:
-                d = _plus(d, _node("leaf", n.args, functools.partial(partial, n.data, i=k)) * e)
+        n = out if n.data >= 0 else _ONE / out
+    d = yield n, j
     yield None, d
 
 
@@ -564,17 +393,12 @@ class Tape:
                     if len(n) == 3:
                         n, a, b = n
                         ka, kb = pos[a], pos[b]
-                    else:
-                        n, args = n
-                        at = [pos[a] for a in args]
-                        k = pos[n] = len(steps)
-                        for i in at:
-                            last[i] = k
+                    else:  # a unary function or a power
+                        n, a = n
+                        ka, k = pos[a], len(steps)
+                        pos[n] = last[ka] = k
                         last.append(k)
-                        if n.op in _UNARY or n.op == "pow":
-                            steps.append((1, _UNARY.get(n.op) or functools.partial(power, n=n.data), at[0], None))
-                        else:  # an opaque leaf on its inputs
-                            steps.append((4, n.data, at, None))
+                        steps.append((1, _UNARY.get(n.op) or functools.partial(power, n=n.data), ka, None))
                         continue
                 elif n in pos:
                     continue
@@ -593,9 +417,12 @@ class Tape:
                             push(a)
                         continue
                 elif n.args:
-                    args = [_resolve(a) if a.op == "d" else a for a in n.args]
-                    push((n, args))
-                    stack.extend(a for a in reversed(args) if a not in pos)
+                    a = n.args[0]
+                    if a.op == "d":
+                        a = _resolve(a)
+                    push((n, a))
+                    if a not in pos:
+                        push(a)
                     continue
                 else:
                     k = pos[n] = len(steps)
@@ -605,8 +432,7 @@ class Tape:
                 k = pos[n] = len(steps)
                 last[ka] = last[kb] = k
                 last.append(k)
-                f = _BINARY.get(n.op)
-                steps.append((2, f, ka, kb) if f is not None else (4, n.data, [ka, kb], None))
+                steps.append((2, _BINARY[n.op], ka, kb))
         self.outputs = [pos[r] for r in roots]
         for k in self.outputs:
             last[k] = len(steps)
@@ -629,18 +455,8 @@ class Tape:
             elif code == 0:
                 vals[k] = f
                 continue
-            elif code == 3:
-                vals[k] = inputs[a]
-                continue
             else:
-                args = [vals[i] for i in a]
-                if any(isinstance(v, Node) for v in args):  # substituted nodes: the same closure on them
-                    vals[k] = _node("leaf", tuple(map(as_node, args)), f)
-                else:
-                    vals[k] = f(args)
-                for i in a:
-                    if last[i] == k:
-                        vals[i] = None
+                vals[k] = inputs[a]
                 continue
             if last[a] == k:
                 vals[a] = None

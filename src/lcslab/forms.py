@@ -43,8 +43,9 @@ class ScalarField:
 
     Built from a node, a number, or a closure over the coordinate sequence
     that uses the generic arithmetic of :mod:`lcslab.dual`; a closure is
-    traced once, here (see :func:`lcslab.dual.trace`).  ``node`` is
-    callable on floats, numpy columns, dual numbers and nodes alike.
+    traced once, here, and one that branches on a value or calls ``math``
+    is refused (see :func:`lcslab.dual.trace`).  ``node`` is callable on
+    floats, numpy columns and nodes alike.
     """
 
     __slots__ = ("chart", "node")

@@ -6,8 +6,10 @@ one point (a scalar field through its node called on Python floats);
 through a replayed tape.
 
 ``lie_derivative_arrays`` is the coordinate formula for Lie derivatives,
-with first derivatives from one dual lift per coordinate: the independent
-oracle for the report rows, which replay Cartan's formula on the DAG.
+with first derivatives from one dual lift per coordinate of the nodes'
+interpretation by :mod:`tests.dualnum`: the independent oracle for the
+report rows, which replay Cartan's formula and its derivative nodes on the
+DAG.
 
 The node-built references for the numpy assemblies of the coupling
 checkers live here too: ``coupled_complex_structure`` (``J~`` as a matrix of
@@ -28,6 +30,7 @@ from lcslab.charts import Chart, check_same_chart
 from lcslab.coupling import CouplingChart, EndomorphismField, _lift_block, _matmul, embed_fiber_field, nijenhuis
 from lcslab.errors import UsageError
 from lcslab.forms import DifferentialForm, ScalarField, SmoothMap, VectorField, constant, coordinate, det_generic
+from tests import dualnum
 
 
 def at(obj, point):
@@ -73,8 +76,8 @@ def point_array(value, n: int, leaf=None) -> np.ndarray:
     return np.moveaxis(stack(value), -1, 0)
 
 
-def _lifts(fn, points):
-    """``fn`` on an (n, dim) batch with one coordinate lifted at a time.
+def _lifts(nodes, points):
+    """Nested lists of ``nodes`` on an (n, dim) batch, interpreted with one coordinate lifted at a time.
 
     Yields ``(value, derivative)`` once per coordinate ``j``: the value with
     the points axis first and ``d value / d x_j`` in the same shape.
@@ -82,14 +85,14 @@ def _lifts(fn, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, cols, val = len(pts), list(pts.T), None
     for j in range(len(cols)):
-        tag = dual.fresh_tag()
+        tag = dualnum.fresh_tag()
         lifted = list(cols)
-        lifted[j] = dual.lift(cols[j], tag)
+        lifted[j] = dualnum.lift(cols[j], tag)
         with np.errstate(all="ignore"):
-            out = fn(lifted)
+            out = dualnum.interpret(nodes, lifted)
         if val is None:
-            val = point_array(out, n, dual.value)
-        yield val, point_array(out, n, lambda v: dual.eps(v, tag))
+            val = point_array(out, n, dualnum.value)
+        yield val, point_array(out, n, lambda v: dualnum.eps(v, tag))
 
 
 def lie_derivative_arrays(
@@ -115,9 +118,8 @@ def lie_derivative_arrays(
     # accumulated with the points axis last, the axis point_array's results are contiguous along
     out = np.zeros((len(fields), len(keys), len(pts)))
     if form.coeffs and fields:
-        fns = [f.node for f in form.coeffs.values()]
-        coeff_lifts = _lifts(lambda p: [fn(p) for fn in fns], pts)
-        field_lifts = _lifts(lambda p: [X(p) for X in fields], pts)
+        coeff_lifts = _lifts([f.node for f in form.coeffs.values()], pts)
+        field_lifts = _lifts([[c.node for c in X.components] for X in fields], pts)
         for j, ((w, dw), (x, dx)) in enumerate(zip(coeff_lifts, field_lifts)):
             # points axis last: dw[c] = d_j w_c, x[i, a] = X_i^a, dx[i, a] = d_j X_i^a
             w, dw, x, dx = w.T, dw.T, x.transpose(1, 2, 0), dx.transpose(1, 2, 0)

@@ -229,7 +229,7 @@ def test_missing_file_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--points", "0"), ("--tol", "0"), ("--tol", "-1e-8")],
+    [("--points", "0"), ("--tol", "0"), ("--tol", "-1e-8"), ("--tol", "nan"), ("--tol", "inf"), ("--seed", "-1")],
 )
 def test_flag_validation(capsys, flags):
     code, _, err = run(capsys, "verify", GOOD_DOC, *flags)
@@ -259,10 +259,11 @@ def test_seed_flag_beats_environment(capsys, monkeypatch):
 
 
 def test_bad_seed_environment(capsys, monkeypatch):
-    monkeypatch.setenv("LCSLAB_SEED", "pickle")
-    code, _, err = run(capsys, "verify", GOOD_DOC)
-    assert code == 2
-    assert "LCSLAB_SEED" in err
+    for value in ("pickle", "-1"):
+        monkeypatch.setenv("LCSLAB_SEED", value)
+        code, out, err = run(capsys, "verify", GOOD_DOC)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "LCSLAB_SEED" in err
 
 
 def test_json_output_is_byte_identical_across_runs(capsys):

@@ -518,23 +518,6 @@ def test_coupled_structure_matches_gauge_formula(which, flat, s2):
     assert np.abs(want[:, m:, :m]).max() > 0.1  # the gauge block is compared on nonzero values
 
 
-def test_coupled_structure_takes_an_untraceable_fiber_structure(flat):
-    """An opaque J_fiber (its closure branches on a value) is embedded as leaves and gives the same J~."""
-
-    def rows(p):
-        s = 1.0 if np.all(np.isfinite(dual.value(p[0]))) else -1.0
-        return [[0.0, -s], [s, 0.0]]
-
-    opaque = EndomorphismField(flat.fiber.chart, rows)
-    assert all(e.op == "leaf" for row in opaque.entries for e in row)
-    J_base = rotation_structure(flat.base)
-    pts = flat.total.sample(8, seed=1)
-    got = coupled_complex_structure(flat, J_base, opaque)
-    want = coupled_complex_structure(flat, J_base, rotation_structure(flat.fiber.chart))
-    np.testing.assert_array_equal(got.batch(pts), want.batch(pts))
-    assert horizontal_nijenhuis_identity(flat, J_base, opaque, n=6, pairs=2).passed
-
-
 def test_horizontal_identity_takes_one_jet_of_each_block(s2, monkeypatch):
     """One jet each of J_base, J_fiber and the lift block per run, shared by every pair."""
     jets, jet = [], dual.jet

@@ -1,6 +1,7 @@
-"""The coefficient DAG against the generic interpretation differentiated with ``Dual``."""
+"""The coefficient DAG against its interpretation by the tests' ``Dual`` oracle (:mod:`tests.dualnum`)."""
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from lcslab import dual, forms
+from lcslab.coupling import EndomorphismField
+from lcslab.errors import UsageError
 from lcslab.forms import (
     DifferentialForm,
     ScalarField,
-    SmoothMap,
     VectorField,
-    compose,
     coordinate,
     exterior_derivative,
     lie_derivative,
@@ -22,6 +23,7 @@ from lcslab.forms import (
 from lcslab.gallery import coupling_example_s2, hopf
 from lcslab.parser import parse_field
 from lcslab.report import form_values
+from tests import dualnum
 from tests.pointwise import base_times
 
 # points on both sides of zero, so sqrt, log and division leave their domains
@@ -44,7 +46,7 @@ expressions = st.recursive(atoms, _compound, max_leaves=8)
 
 
 def _reference(fn, cols):
-    """``fn`` on the columns, by dual lifts of the generic interpretation, broadcast to one column."""
+    """``fn`` on the columns, broadcast to one column."""
     with np.errstate(all="ignore"):
         return np.broadcast_to(np.asarray(fn(cols), dtype=float), (len(cols[0]),))
 
@@ -57,20 +59,21 @@ def _same(got, want):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(expressions)
 def test_replay_and_partials_match_dual_lifts(plane, expr):
-    """Value, first and second partials of a parsed expression against nested ``dual.partial``."""
+    """Value, first and second partials of a parsed expression against nested dual lifts of its interpretation."""
     f = parse_field(expr, plane)
     cols = list(POINTS.T)
+    fn = lambda p: dualnum.interpret(f.node, p)
     try:
-        want = _reference(f.node, cols)
+        want = _reference(fn, cols)
     except (ArithmeticError, ValueError) as err:  # a constant subexpression outside its domain
         with pytest.raises(type(err)):
             f.batch(POINTS)
         return
     _same(f.batch(POINTS), want)
     for i in range(2):
-        _same(f.partial(i).batch(POINTS), _reference(lambda p: dual.partial(f.node, p, i), cols))
+        _same(f.partial(i).batch(POINTS), _reference(lambda p: dualnum.partial(fn, p, i), cols))
         for j in range(2):
-            second = _reference(lambda p: dual.partial(lambda q: dual.partial(f.node, q, i), p, j), cols)
+            second = _reference(lambda p: dualnum.partial(lambda q: dualnum.partial(fn, q, i), p, j), cols)
             _same(f.partial(i).partial(j).batch(POINTS), second)
 
 
@@ -88,42 +91,27 @@ def test_signed_zero_constants_stay_distinct(plane):
     assert over == [np.inf, -np.inf]
 
 
-def test_untraceable_closure_evaluates_and_differentiates(plane):
-    """A closure that branches on a value stays an opaque leaf, differentiated by dual lifts."""
-
-    def branchy(p):
-        x, y = p
-        return x * x * y if np.all(dual.value(x) > 0) else y
-
-    f = ScalarField(plane, branchy)
-    assert f.node.op == "leaf"
-    pts = np.array([[0.5, 2.0], [1.5, -1.0]])
-    np.testing.assert_allclose(f.batch(pts), pts[:, 0] ** 2 * pts[:, 1])
-    np.testing.assert_allclose(f.partial(0).batch(pts), 2.0 * pts[:, 0] * pts[:, 1])
-    np.testing.assert_allclose(f.partial(1).batch(pts), pts[:, 0] ** 2)
-    np.testing.assert_allclose(f.partial(0).partial(1).batch(pts), 2.0 * pts[:, 0])
-    np.testing.assert_allclose((f * f).partial(1).batch(pts), 2.0 * pts[:, 0] ** 4 * pts[:, 1])
-
-
-def test_untraceable_closure_composes(plane):
-    """Substituting nodes into an opaque leaf gives the leaf on their images, differentiated by the chain rule."""
-
-    def branchy(p):
-        x, y = p
-        return x * x * y if np.all(dual.value(x) > 0) else y
-
-    f = ScalarField(plane, branchy)
-    x, y = coordinate(plane, 0), coordinate(plane, 1)
-    m = SmoothMap(plane, plane, [2.0 * y, x + y])
-    g = compose(f, m)
-    assert g.node.op == "leaf"
-    pts = np.array([[0.5, 2.0], [1.5, 1.0], [-0.3, 0.7]])
-    images = m.batch(pts)
-    fx, fy = f.partial(0).batch(images), f.partial(1).batch(images)
-    np.testing.assert_array_equal(g.batch(pts), f.batch(images))
-    np.testing.assert_allclose(g.partial(0).batch(pts), fy)
-    np.testing.assert_allclose(g.partial(1).batch(pts), 2.0 * fx + fy)
-    np.testing.assert_allclose(g.batch(pts), images[:, 0] ** 2 * images[:, 1])
+@pytest.mark.parametrize(
+    "closure, cause",
+    [
+        pytest.param(lambda p: p[0] * p[1] if p[0] > 0 else p[1], TypeError, id="branches-on-a-value"),
+        pytest.param(lambda p: math.exp(p[0]) * p[1], TypeError, id="calls-math"),
+        pytest.param(lambda p: None, type(None), id="returns-none"),
+    ],
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(ScalarField, id="scalar"),
+        pytest.param(lambda chart, fn: EndomorphismField(chart, lambda p: [[fn(p), 0.0], [0.0, fn(p)]]), id="endo"),
+    ],
+)
+def test_untraceable_closure_is_refused(plane, build, closure, cause):
+    """A closure that cannot run on coordinate nodes, or returns no number or node, is refused with the fix."""
+    with pytest.raises(UsageError, match="lcslab.dual's exp/log/sqrt/sin/cos/atan2") as info:
+        build(plane, closure)
+    assert "do not branch on values" in str(info.value)
+    assert type(info.value.__cause__) is cause  # a closure's own error stays its cause
 
 
 def test_interning_is_weak(plane):
@@ -179,7 +167,7 @@ def test_a_dag_ten_thousand_deep_evaluates_and_differentiates():
     def chain(p):
         v = p[0]
         for i in range(10_000):
-            v = 0.5 * v + dual.sin(p[0]) * p[1] if i % 2 else v - 0.25 * p[1]
+            v = 0.5 * v + dualnum.sin(p[0]) * p[1] if i % 2 else v - 0.25 * p[1]
         return v
 
     node = chain([dual.var(0), dual.var(1)])
@@ -188,4 +176,4 @@ def test_a_dag_ten_thousand_deep_evaluates_and_differentiates():
     for k, p in enumerate(POINTS):
         assert values[k] == chain(list(p))
         for j in range(2):
-            np.testing.assert_allclose(derivatives[k, j], dual.partial(chain, list(p), j), rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(derivatives[k, j], dualnum.partial(chain, list(p), j), rtol=1e-13, atol=1e-15)

@@ -1,4 +1,4 @@
-"""Dual-number arithmetic and the tagged-nesting discipline."""
+"""The tests' dual-number oracle: arithmetic and the tagged-nesting discipline."""
 
 import math
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from lcslab import dual
-from lcslab.dual import Dual, derivative, eps, fresh_tag, lift, partial, value
+from tests import dualnum
+from tests.dualnum import Dual, derivative, eps, fresh_tag, lift, partial, value
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 away_from_zero = st.floats(min_value=0.25, max_value=10.0).flatmap(
@@ -50,20 +50,20 @@ def test_integer_powers(x, n):
 
 
 def test_chain_rule_through_library_functions():
-    f = lambda x: dual.exp(dual.sin(x) * x)
+    f = lambda x: dualnum.exp(dualnum.sin(x) * x)
     x0 = 0.7
     expect = math.exp(math.sin(x0) * x0) * (math.sin(x0) + x0 * math.cos(x0))
     assert derivative(f, x0) == pytest.approx(expect, rel=1e-14)
 
 
 def test_sqrt_log_atan2():
-    assert derivative(dual.sqrt, 4.0) == pytest.approx(0.25)
-    assert derivative(dual.log, 2.0) == pytest.approx(0.5)
+    assert derivative(dualnum.sqrt, 4.0) == pytest.approx(0.25)
+    assert derivative(dualnum.log, 2.0) == pytest.approx(0.5)
     # d/dy atan2(y, 1) at y=0 is 1
     t = fresh_tag()
-    assert eps(dual.atan2(lift(0.0, t), 1.0), t) == pytest.approx(1.0)
+    assert eps(dualnum.atan2(lift(0.0, t), 1.0), t) == pytest.approx(1.0)
     t = fresh_tag()
-    assert eps(dual.atan2(1.0, lift(0.0, t)), t) == pytest.approx(-1.0)
+    assert eps(dualnum.atan2(1.0, lift(0.0, t)), t) == pytest.approx(-1.0)
 
 
 def test_second_derivative_no_perturbation_confusion():
@@ -106,7 +106,7 @@ def test_partial_picks_one_coordinate():
 def test_ndarray_payload_batches():
     xs = np.linspace(0.1, 2.0, 17)
     t = fresh_tag()
-    z = dual.exp(Dual(t, xs, np.ones_like(xs)))
+    z = dualnum.exp(Dual(t, xs, np.ones_like(xs)))
     np.testing.assert_allclose(value(z), np.exp(xs))
     np.testing.assert_allclose(eps(z, t), np.exp(xs))
 

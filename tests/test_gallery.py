@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lcslab import dual
 from lcslab.errors import UsageError
 from lcslab.forms import DifferentialForm, coordinate, pullback
 from lcslab.gallery import (
@@ -26,17 +25,6 @@ def test_gallery_names():
     assert set(GALLERY) == {"hopf", "inoue", "cotangent", "coupling-s2"}
     for fn in GALLERY.values():
         assert callable(fn)
-
-
-def test_gallery_builds_no_opaque_leaf(monkeypatch):
-    """Every gallery closure traces into nodes; one calling ``math`` or branching would fall back to ``Dual`` lifts."""
-    ops = []
-    node = dual._node
-    monkeypatch.setattr(dual, "_node", lambda op, args, data=None: ops.append(op) or node(op, args, data))
-    for build in [*GALLERY.values(), lambda: hopf(4, (1.0, 1.0, 1.0, 1.0))]:
-        build()
-    assert len(ops) > 1000
-    assert ops.count("leaf") == 0
 
 
 # -- construction guards ----------------------------------------------------
