@@ -611,7 +611,11 @@ class EndomorphismField:
         n = chart.dim
         if callable(entries):
             entries = dual.on_coordinates(entries, n)
-        if len(entries) != n or any(len(row) != n for row in entries):
+        try:
+            square = len(entries) == n and all(len(row) == n for row in entries)
+        except TypeError:  # the entries, or a row, are no sequence
+            square = False
+        if not square:
             raise UsageError(f"endomorphism on {chart.name!r} needs {n} rows of {n} entries")
         self.chart = chart
         self.entries = [[dual.trace(v.node if isinstance(v, ScalarField) else v, n) for v in row] for row in entries]

@@ -3,13 +3,13 @@
 Every coefficient is a :class:`Node` of one expression DAG.  Nodes are
 interned by structure, so a subexpression that many coefficients share (a
 weighted denominator, a second derivative) exists once.  ``node.partial(j)``
-is the derivative in coordinate ``j``, another node, built on first use and
-memoized per (node, coordinate) by the forward-mode rules of dual numbers,
-term for term: forward-mode differentiation is symbolic differentiation
-with sharing, exact to rounding.  A :class:`Tape` lists the nodes some roots
-need, each once, arguments first, and replays them on point columns;
-calling a node interprets it generically (on floats, columns, or nodes,
-which substitutes them for the coordinates).
+is the derivative in coordinate ``j``, another node, built when first asked
+for and memoized per (node, coordinate) by the forward-mode rules of dual
+numbers, term for term: forward-mode differentiation is symbolic
+differentiation with sharing, exact to rounding.  A :class:`Tape` lists the
+nodes some roots need, each once, arguments first, and replays them on
+point columns; calling a node interprets it generically (on floats,
+columns, or nodes, which substitutes them for the coordinates).
 
 A closure becomes a node by running once on coordinate nodes
 (:func:`trace`).  It must be written with this module's arithmetic and its
@@ -115,10 +115,9 @@ class Node:
         return self._tape.run(list(point))[0]
 
     def partial(self, j: int) -> "Node":
-        """The derivative in coordinate ``j``; the nodes behind it are built when first needed."""
-        if self.op in ("c", "x"):
-            return _ONE if self.op == "x" and self.data == j else _ZERO
-        return _node("d", (self,), j)
+        """The derivative in coordinate ``j``, built when first asked for and memoized; ``0.0`` if structurally zero."""
+        d = _partial(self, j)
+        return _ZERO if d is None else d
 
     def __add__(self, other):
         return _binop("+", self, other)
@@ -256,63 +255,46 @@ def _times(x, y):
 def _partial(n: Node, j: int):
     """The derivative of ``n`` in coordinate ``j``, memoized, or None where it is structurally zero.
 
-    Derivatives are taken on an explicit stack of (node, coordinate) pairs,
-    arguments first, so a DAG of any depth differentiates without recursion.
-    Arithmetic and the elementary functions apply their rule once their
-    arguments' derivatives are memoized; placeholders and powers run a
-    generator (:func:`_rule`) that asks for the pairs it needs.
+    Derivatives are taken on an explicit stack of nodes, arguments first, so
+    a DAG of any depth differentiates without recursion: a node's rule
+    (:func:`_derive`) applies once its arguments' derivatives are memoized.
     """
     memo = n._partials
     if memo is not None and j in memo:
         return memo[j]
-    stack = [(n, j, None)]
-    d = None  # the derivative last found, sent to a waiting generator
+    stack = [n]
     while stack:
-        node, k, rule = stack[-1]
-        op = node.op
-        if op in _DERIVE:
+        node = stack[-1]
+        if node.args:
             a, b = node.args[0], node.args[-1]
             ma, mb = a._partials, b._partials
-            if ma is None or k not in ma:
-                stack.append((a, k, None))
+            if ma is None or j not in ma:
+                stack.append(a)
                 continue
-            if mb is None or k not in mb:
-                stack.append((b, k, None))
+            if mb is None or j not in mb:
+                stack.append(b)
                 continue
-            d = _derive(op, node, a, b, ma[k], mb[k])
-        elif op in ("c", "x"):
-            d = _ONE if op == "x" and node.data == k else None
+            d = _derive(node, j, a, b, ma[j], mb[j])
         else:
-            if rule is None:
-                rule = _rule(node, k)
-                stack[-1] = (node, k, rule)
-                d = None
-            while True:
-                a, i = rule.send(d)
-                if a is None:  # the rule's answer
-                    d = i
-                    break
-                memo = a._partials
-                if memo is None or i not in memo:
-                    stack.append((a, i, None))
-                    break
-                d = memo[i]
-            if a is not None:
-                continue
+            d = _ONE if node.op == "x" and node.data == j else None
         if node._partials is None:
             node._partials = {}
-        node._partials[k] = d
+        node._partials[j] = d
         stack.pop()
     return d
 
 
-def _derive(op: str, n: Node, a: Node, b: Node, ea, eb):
-    """The rules of dual numbers, term for term, for arithmetic and the elementary functions of ``a`` (and ``b``).
+def _derive(n: Node, j: int, a: Node, b: Node, ea, eb):
+    """The derivative in ``j`` of ``n``, of ``a`` (and ``b``) with memoized derivatives ``ea`` (and ``eb``).
 
-    The tests' dual-number oracle applies the same rules to numbers.
+    These are the rules of dual numbers, term for term; the tests'
+    dual-number oracle applies them to numbers.  A power is differentiated
+    as dual numbers compute it, as repeated products (``1 / a ** -n`` below
+    zero), by a nested :func:`_partial` that finds ``ea`` memoized.
     """
     if ea is None and eb is None:
         return None
+    op = n.op
     if op == "+":
         return _plus(ea, eb)
     if op == "-":
@@ -323,6 +305,11 @@ def _derive(op: str, n: Node, a: Node, b: Node, ea, eb):
         return ea / b if eb is None else _minus(_times(ea, b), a * eb) / (b * b)
     if op == "atan2":  # atan2(y, x) with y = a, x = b
         return _minus(_times(ea, b), _times(a, eb)) / (b * b + a * a)
+    if op == "pow":
+        e = _ONE
+        for _ in range(abs(n.data)):
+            e = e * a
+        return _partial(e if n.data >= 0 else _ONE / e, j)
     if op == "neg":
         return -ea
     if op == "exp":
@@ -334,32 +321,6 @@ def _derive(op: str, n: Node, a: Node, b: Node, ea, eb):
     if op == "sin":
         return ea * cos(a)
     return -(ea * sin(a))  # cos
-
-
-_DERIVE = frozenset(("+", "-", "*", "/", "atan2", "neg", "exp", "log", "sqrt", "sin", "cos"))
-
-
-def _rule(n: Node, j: int):
-    """The derivative of a placeholder or a power: the pairs it needs, then (None, derivative)."""
-    if n.op == "d":  # the derivative of the node the placeholder stands for
-        while n.op == "d":
-            e = yield n.args[0], n.data
-            n = _ZERO if e is None else e
-    else:  # a power as dual numbers compute it: repeated products, 1 / a ** -n below zero
-        out = _ONE
-        for _ in range(abs(n.data)):
-            out = out * n.args[0]
-        n = out if n.data >= 0 else _ONE / out
-    d = yield n, j
-    yield None, d
-
-
-def _resolve(n: Node) -> Node:
-    """The node a derivative placeholder stands for: zero where the derivative is structurally zero."""
-    while n.op == "d":
-        d = _partial(n.args[0], n.data)
-        n = _ZERO if d is None else d
-    return n
 
 
 # -- replay ------------------------------------------------------------------
@@ -384,7 +345,6 @@ class Tape:
         steps: list[tuple] = []  # (code, function or value, first argument, second argument)
         last: list[int] = []  # the step that uses each value last
         push, pop = (stack := []).append, stack.pop
-        roots = [_resolve(r) for r in roots]
         for root in roots:  # depth first on an explicit stack, arguments left to right
             push(root)
             while stack:
@@ -404,10 +364,6 @@ class Tape:
                     continue
                 elif len(n.args) == 2:  # the common case, kept short
                     a, b = n.args
-                    if a.op == "d":
-                        a = _resolve(a)
-                    if b.op == "d":
-                        b = _resolve(b)
                     ka, kb = pos.get(a), pos.get(b)
                     if ka is None or kb is None:
                         push((n, a, b))
@@ -418,8 +374,6 @@ class Tape:
                         continue
                 elif n.args:
                     a = n.args[0]
-                    if a.op == "d":
-                        a = _resolve(a)
                     push((n, a))
                     if a not in pos:
                         push(a)
@@ -525,7 +479,7 @@ def jet(value, points) -> tuple[np.ndarray, np.ndarray]:
     """
     dim = np.atleast_2d(np.asarray(points)).shape[1]
 
-    def grads(v):  # memoized derivative nodes, never a placeholder: a warm jet interns nothing
+    def grads(v):  # memoized derivative nodes: a warm jet interns nothing
         if isinstance(v, (list, tuple)):
             return [grads(e) for e in v]
         ds = [_partial(v, j) if isinstance(v, Node) else None for j in range(dim)]

@@ -56,7 +56,8 @@ def _tokenize(text: str):
 
 
 # Parentheses, function calls and unary minuses nest at most this deep: the
-# parser recurses once per level, so deeper input is a parse error.
+# parser recurses once per level, so deeper input is a parse error.  Integer
+# exponents are bounded alike: a power's derivative expands into |n| products.
 _MAX_NESTING = 100
 
 
@@ -133,6 +134,7 @@ class _Parser:
     def integer_exponent(self) -> int:
         sign = 1
         kind, val, pos = self.peek()
+        start = pos
         if kind == "op" and val == "-":
             self.advance()
             sign = -1
@@ -140,7 +142,10 @@ class _Parser:
         if kind != "num" or any(c in val for c in ".eE"):
             raise ParseError("exponent must be an integer literal", pos, self.text)
         self.advance()
-        return sign * int(val)
+        digits = val.lstrip("0") or "0"  # compared before int(), which refuses thousands of digits
+        if len(digits) > 3 or int(digits) > _MAX_NESTING:
+            raise ParseError(f"exponent must be at most {_MAX_NESTING} in magnitude", start, self.text)
+        return sign * int(digits)
 
     def atom(self):
         kind, val, pos = self.advance()

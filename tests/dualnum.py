@@ -259,18 +259,16 @@ def interpret(value, inputs):
     """``value`` (a node, a number or nested lists of them) with ``inputs[i]`` for coordinate ``i``.
 
     The inputs may be floats, columns or dual numbers.  Each node is
-    evaluated once, arguments first, on an explicit stack; a derivative
-    placeholder stands for the node :func:`lcslab.dual._resolve` gives.
-    Nodes key the values by identity, as in :class:`lcslab.dual.Tape`.
+    evaluated once, arguments first, on an explicit stack.  Nodes key the
+    values by identity, as in :class:`lcslab.dual.Tape`.
     """
     vals: dict = {}
 
     def run(root):
-        root = dual._resolve(root)
         stack = [root]
         while stack:
             n = stack[-1]
-            args = [dual._resolve(a) for a in n.args]
+            args = n.args
             todo = [a for a in args if a not in vals]
             if todo:
                 stack.extend(todo)

@@ -445,6 +445,10 @@ def test_endomorphism_needs_a_square_matrix(r4):
         EndomorphismField.from_matrix(r4, np.eye(3))
     with pytest.raises(UsageError, match="4 rows of 4 entries"):
         EndomorphismField(r4, lambda p: [p[:3]] * 4)
+    # no sequence where the rows or a row belong
+    for entries in (lambda p: None, lambda p: p, lambda p: 3.0, [[1.0, 0.0, 0.0, 0.0]] * 3 + [5]):
+        with pytest.raises(UsageError, match="4 rows of 4 entries"):
+            EndomorphismField(r4, entries)
 
 
 def test_conjugate_structure_by_linear_map(plane):

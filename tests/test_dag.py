@@ -20,7 +20,7 @@ from lcslab.forms import (
     lie_derivative,
     pullback,
 )
-from lcslab.gallery import coupling_example_s2, hopf
+from lcslab.gallery import coupling_example_s2, hopf, run_manifest
 from lcslab.parser import parse_field
 from lcslab.report import form_values
 from tests import dualnum
@@ -134,6 +134,20 @@ def test_hopf4_lie_derivatives_share_their_nodes():
     roots = [f.node for rho in objects["action"].fields for f in lie_derivative(rho, omega).coeffs.values()]
     assert len(roots) == len(set(map(id, roots))) > 100
     assert len(dual.Tape(roots)) <= 20_000
+
+
+def test_partial_is_the_memoized_derivative():
+    """``partial`` returns the derivative node itself, never a stand-in for it, across two built and run manifests."""
+    manifests = [coupling_example_s2(), hopf(4, (1.0, 1.0, 1.0, 1.0))]
+    for man in manifests:
+        run_manifest(man, points=8, seed=0, tol=1e-8)
+    nodes = [ref() for ref in list(dual._NODES.values())]
+    assert {n.op for n in nodes if n is not None} <= {"c", "x", "pow", *dual._UNARY, *dual._BINARY}
+    omega = manifests[1].objects["structure"].omega
+    for f in omega.coeffs.values():
+        for j in range(8):
+            d = dual._partial(f.node, j)
+            assert f.node.partial(j) is (dual._ZERO if d is None else d)
 
 
 def test_equal_expressions_are_one_node(plane):

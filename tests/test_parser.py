@@ -82,12 +82,26 @@ def test_derivatives_of_parsed_fields(plane):
         ("sin x", "trailing"),
         ("x y", "trailing"),
         ("atan2(x)", "2 arguments"),
+        ("x ^ 101", "at most 100"),
+        ("x ^ -101", "at most 100"),
+        ("x ^ " + "9" * 5000, "at most 100"),
     ],
 )
 def test_error_paths_name_the_problem(plane, bad, fragment):
     with pytest.raises(ParseError) as ei:
         parse_field(bad, plane)
     assert fragment.lower() in str(ei.value).lower()
+
+
+def test_exponents_up_to_the_bound_parse_and_differentiate(plane):
+    f = parse_field("x^100 + x^-100 + y^0", plane)
+    assert at(f.partial(0), (1.01, 0.0)) == pytest.approx(100 * 1.01**99 - 100 * 1.01**-101, rel=1e-13)
+
+
+def test_exponent_error_points_at_the_exponent(plane):
+    with pytest.raises(ParseError) as ei:
+        parse_field("x ^ -101", plane)
+    assert ei.value.pos == 4
 
 
 def test_a_long_sum_compiles_left_to_right(plane):

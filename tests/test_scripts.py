@@ -29,6 +29,10 @@ def test_run_all_examples_meets_every_expectation():
     code, out = run_script("run_all_examples", [])
     assert code == 0
     assert "all expectations met" in out
+    header, *lines = out.splitlines()
+    rows = [line for line in lines if line.endswith(tuple("0123456789"))]
+    assert header.split()[-1] == "nodes" and len(rows) == 8
+    assert all(line.split()[-1].isdigit() for line in rows)  # the interned nodes each example holds
 
 
 def test_cohomology_demo_labels_the_hodge_split():
