@@ -6,8 +6,9 @@ the manifest's expected rows.  The build and run columns are each
 example's cost in milliseconds in this fresh process, the total on the last
 line: the cold cost (first construction, first evaluation) that repeated
 runs do not show.  The nodes column counts the interned expression nodes
-alive after the run, while the example is still held: a cost measure that
-does not depend on the machine.  Exit status is nonzero when any
+alive after the run, while the example is still held, and the tapes column
+the replay tapes kept for their root sets: cost measures that do not depend
+on the machine.  Exit status is nonzero when any
 expectation is missed, so this doubles as a slow smoke test:
 
     python3 scripts/run_all_examples.py --points 48
@@ -47,7 +48,7 @@ def main(argv=None) -> int:
     ap.add_argument("--tol", type=float, default=1e-8)
     args = ap.parse_args(argv)
 
-    print(f"{'example':<16} {'checks':>6} {'failed':>6} {'expected':>10} {'build':>9} {'run':>9} {'nodes':>7}")
+    print(f"{'example':<16} {'checks':>6} {'failed':>6} {'expected':>10} {'build':>9} {'run':>9} {'nodes':>7} {'tapes':>6}")
     missed_total = 0
     total = 0.0
     for label, build in builders():
@@ -67,7 +68,7 @@ def main(argv=None) -> int:
         missed_total += missed
         print(
             f"{label:<16} {checks:>6} {failed:>6} {met:>5}/{len(verdicts.checks):<4}"
-            f" {(t1 - t0) * 1e3:>7.1f}ms {(t2 - t1) * 1e3:>7.1f}ms {len(dual._NODES):>7}"
+            f" {(t1 - t0) * 1e3:>7.1f}ms {(t2 - t1) * 1e3:>7.1f}ms {len(dual._NODES):>7} {len(dual._TAPES):>6}"
         )
         for c in verdicts.checks:
             if not c.passed:

@@ -259,7 +259,7 @@ def deck_homothety(
     pts = pts[keep]
     if len(pts) < need:
         raise DomainError(
-            f"deck map leaves the chart at {np.count_nonzero(~keep)} of {len(keep)} samples"
+            f"deck map keeps {len(pts)} of {len(keep)} samples in the chart; it needs at least {need}"
         )
     pulled = form_values(pullback(gamma, Omega), pts)
     base = form_values(Omega, pts)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -68,10 +68,6 @@ class Chart:
         if self.predicate is not None:
             inside &= dual.evaluate(self.predicate, pts).astype(bool)
         return inside if pts.ndim == 2 else bool(inside[0])
-
-    def require(self, point: Sequence[float]) -> None:
-        if not self.contains(point):
-            raise DomainError(f"point {tuple(point)} is outside the domain of chart {self.name!r}")
 
     def sample(self, n: int, seed: int = 0, max_tries: int = 200) -> np.ndarray:
         """Deterministic rejection sampling of ``n`` points, shape (n, dim)."""

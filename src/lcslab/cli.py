@@ -37,6 +37,7 @@ _GALLERY_BLURBS = {
     "cotangent": "cotangent chart with tautological potential and exact Lee form",
     "coupling-s2": "hemisphere base with area curvature and Hopf fiber, fully coupled",
 }
+MAX_POINTS = 1_000_000  # the largest --points; far larger counts fail inside numpy's allocation
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
@@ -45,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--points", type=int, default=64, help="sample count (default 64)")
+        sp.add_argument("--points", type=int, default=64, help=f"sample count (default 64, at most {MAX_POINTS})")
         sp.add_argument("--seed", type=int, default=None, help="RNG seed (default: LCSLAB_SEED or 0)")
         sp.add_argument("--tol", type=float, default=1e-8, help="residual tolerance (default 1e-8)")
         sp.add_argument("--format", choices=("text", "json"), default="text")
@@ -259,8 +260,8 @@ def main(argv=None) -> int:
     if getattr(args, "seed", 0) < 0:
         print("error: the seed (--seed or LCSLAB_SEED) must be a non-negative integer", file=sys.stderr)
         return 2
-    if getattr(args, "points", 1) < 1:
-        print("error: --points must be at least 1", file=sys.stderr)
+    if not 1 <= getattr(args, "points", 1) <= MAX_POINTS:
+        print(f"error: --points must be from 1 to {MAX_POINTS}", file=sys.stderr)
         return 2
     if not 0 < getattr(args, "tol", 1.0) < math.inf:
         print("error: --tol must be a positive finite number", file=sys.stderr)

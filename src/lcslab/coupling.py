@@ -102,12 +102,12 @@ def product_chart(base: Chart, fiber: Chart, name: str = "") -> Chart:
 
 
 def _embedded(total: Chart, offset: int, fields) -> list[ScalarField]:
-    """Fiber ``fields`` on the product chart, coordinates shifted by ``offset``, through one shared tape.
+    """Fiber ``fields`` on the product chart, coordinates shifted by ``offset``, through their one shared tape.
 
     A base field needs no substitution: base coordinates come first, so its
     nodes are already those of the product chart.
     """
-    nodes = dual.Tape([f.node for f in fields]).run([dual.var(i) for i in range(offset, total.dim)])
+    nodes = dual.tape([f.node for f in fields]).run([dual.var(i) for i in range(offset, total.dim)])
     return [ScalarField(total, v) for v in nodes]
 
 
@@ -265,6 +265,17 @@ class CouplingChart:
     def lift(self, X: VectorField) -> VectorField:
         return horizontal_lift(self.gauge, self.action, X, total=self.total)
 
+    @functools.cached_property
+    def lift_block(self) -> list:
+        """The lifts of the base coordinate vectors as nodes, (m + k) rows of m: column j lifts the j-th."""
+        lifts = [self.lift(basis_vector(self.base, j)) for j in range(self.base_dim)]
+        return [[X.components[i].node for X in lifts] for i in range(self.total.dim)]
+
+    @functools.cached_property
+    def d_theta_omega(self) -> DifferentialForm:
+        """``d_Theta Omega``, the 3-form every closedness check evaluates."""
+        return twisted_derivative(self.Theta, self.Omega)
+
 
 def build_coupling(
     g: GaugeChart,
@@ -334,12 +345,6 @@ def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return V / np.linalg.norm(V, axis=1, keepdims=True)
 
 
-def _lift_block(c: CouplingChart) -> list:
-    """The lifts of the base coordinate vectors as nodes, (m + k) rows of m: column j lifts the j-th."""
-    lifts = [c.lift(basis_vector(c.base, j)) for j in range(c.base_dim)]
-    return [[X.components[i].node for X in lifts] for i in range(c.total.dim)]
-
-
 def _lift_operators(c: CouplingChart, pts: np.ndarray, jet: bool = False):
     """The horizontal lift at every point as a matrix ``H``, shape (n, m + k, m).
 
@@ -348,8 +353,8 @@ def _lift_operators(c: CouplingChart, pts: np.ndarray, jet: bool = False):
     (n, m, m + k, m + k): ``DH[:, j]`` is the Jacobian of column j.
     """
     if not jet:
-        return dual.evaluate(_lift_block(c), pts)
-    H, DH = dual.jet(_lift_block(c), pts)
+        return dual.evaluate(c.lift_block, pts)
+    H, DH = dual.jet(c.lift_block, pts)
     return H, np.moveaxis(DH, 2, 1)
 
 
@@ -403,7 +408,7 @@ def verify_coupling(
     rep = Report("verify_coupling")
     rep.add(residual_check("theta-closed", "d Theta = 0", exterior_derivative(c.Theta), None, pts, tol))
 
-    closed3 = form_values(twisted_derivative(c.Theta, c.Omega), pts)
+    closed3 = form_values(c.d_theta_omega, pts)
     rep.add(
         residual_row(
             "closed[coeffs]", "d_Theta Omega = 0 (all coefficients)", scaled_residuals(closed3, {}, len(pts)), tol
@@ -500,7 +505,7 @@ def _lift_bracket_terms(c: CouplingChart, pts: np.ndarray, rng: np.random.Genera
     W = _skew(dict(zip(c.Omega.coeffs, values.T)), dim, len(pts))
     dW = _skew(dict(zip(c.Omega.coeffs, np.moveaxis(derivatives, 1, 0))), dim, len(pts))
     H, DH = _lift_operators(c, pts, jet=True)
-    theta, closed3 = batch_values([c.Theta, twisted_derivative(c.Theta, c.Omega)], pts)
+    theta, closed3 = batch_values([c.Theta, c.d_theta_omega], pts)
 
     def omega(U, M, V):
         return np.einsum("ni,nij,nj->n", U, M, V)

@@ -9,7 +9,9 @@ numbers, term for term: forward-mode differentiation is symbolic
 differentiation with sharing, exact to rounding.  A :class:`Tape` lists the
 nodes some roots need, each once, arguments first, and replays them on
 point columns; calling a node interprets it generically (on floats,
-columns, or nodes, which substitutes them for the coordinates).
+columns, or nodes, which substitutes them for the coordinates).  Every
+replay goes through :func:`tape`, which keeps one tape per root set for as
+long as all of its roots live, so a check run again builds no tape.
 
 A closure becomes a node by running once on coordinate nodes
 (:func:`trace`).  It must be written with this module's arithmetic and its
@@ -104,15 +106,13 @@ class Node:
     and no comparisons, so a closure that branches on one is refused by :func:`trace`.
     """
 
-    __slots__ = ("op", "args", "data", "_partials", "_tape", "__weakref__")
+    __slots__ = ("op", "args", "data", "_partials", "__weakref__")
     __array_ufunc__ = None
     __hash__ = object.__hash__
 
     def __call__(self, point):
         """Generic interpretation on one point, columns or nodes (which substitutes them for the coordinates)."""
-        if self._tape is None:
-            self._tape = Tape([self])
-        return self._tape.run(list(point))[0]
+        return tape([self]).run(list(point))[0]
 
     def partial(self, j: int) -> "Node":
         """The derivative in coordinate ``j``, built when first asked for and memoized; ``0.0`` if structurally zero."""
@@ -160,7 +160,7 @@ def _intern(key, op, args, data) -> Node:
     node = None if ref is None else ref()
     if node is None:
         node = object.__new__(Node)
-        node.op, node.args, node.data, node._partials, node._tape = op, args, data, None, None
+        node.op, node.args, node.data, node._partials = op, args, data, None
         _NODES[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
@@ -332,8 +332,8 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 class Tape:
     """The nodes that ``roots`` need, each once, arguments before their users.
 
-    :meth:`run` evaluates them on coordinate inputs; ``len`` is the number
-    of nodes one replay evaluates.
+    :meth:`run` evaluates them on coordinate inputs, one step per node.  A
+    tape holds no node; :func:`tape` builds the tape of each root set once.
     """
 
     __slots__ = ("steps", "last", "outputs")
@@ -392,9 +392,6 @@ class Tape:
             last[k] = len(steps)
         self.steps, self.last = steps, last
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def run(self, inputs) -> list:
         """The roots' values, with ``inputs[i]`` for coordinate ``i``; each intermediate is freed after its last use."""
         vals: list = [None] * len(self.steps)
@@ -417,6 +414,26 @@ class Tape:
         return [vals[k] for k in self.outputs]
 
 
+# Tapes by the ids of their roots, with weak references to the roots: the
+# first root to die drops its entry, before its id can be reused.
+_TAPES: dict = {}
+
+
+def _drop(ref: weakref.KeyedRef) -> None:
+    entry = _TAPES.get(ref.key)
+    if entry is not None and any(r is ref for r in entry[1]):
+        del _TAPES[ref.key]
+
+
+def tape(roots) -> Tape:
+    """The tape of the nodes ``roots``, built on first use and kept while every root lives."""
+    key = tuple(map(id, roots))
+    entry = _TAPES.get(key)
+    if entry is None:
+        entry = _TAPES[key] = Tape(roots), tuple(weakref.KeyedRef(r, _drop, key) for r in roots)
+    return entry[0]
+
+
 # -- the evaluation boundary ---------------------------------------------------
 
 
@@ -431,15 +448,12 @@ def _replay(values, points) -> list:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     shapes, leaves = zip(*map(_flatten, values))
     roots = [x for xs in leaves for x in xs if isinstance(x, Node)]
-    if len(roots) == 1:  # one root is one node, whose tape is kept with it
-        tape = roots[0]._tape = roots[0]._tape or Tape(roots)
-    else:
-        tape = Tape(roots)
+    run = tape(roots).run
     # one row per leaf, points last, laid out as a stack of (n,) columns
     outs = [np.empty((len(xs), len(pts))) for xs in leaves]
     with np.errstate(all="ignore"):
         for start in range(0, len(pts), _SLICE):
-            got = dict(zip(map(id, roots), tape.run(list(pts[start : start + _SLICE].T))))
+            got = dict(zip(map(id, roots), run(list(pts[start : start + _SLICE].T))))
             for out, xs in zip(outs, leaves):
                 for row, x in zip(out, xs):
                     row[start : start + _SLICE] = got[id(x)] if isinstance(x, Node) else x
@@ -485,5 +499,4 @@ def jet(value, points) -> tuple[np.ndarray, np.ndarray]:
         ds = [_partial(v, j) if isinstance(v, Node) else None for j in range(dim)]
         return [0.0 if d is None else d for d in ds]
 
-    values, derivatives = _replay([value, grads(value)], points)
-    return values, derivatives
+    return tuple(_replay([value, grads(value)], points))

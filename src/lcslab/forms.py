@@ -395,8 +395,8 @@ class SmoothMap:
 
 
 def _substitute(nodes, m: SmoothMap) -> list:
-    """``nodes`` with the components of ``m`` for the coordinates, through one shared tape."""
-    return dual.Tape(nodes).run([c.node for c in m.components])
+    """``nodes`` with the components of ``m`` for the coordinates, through their one shared tape."""
+    return dual.tape(nodes).run([c.node for c in m.components])
 
 
 def compose(f: ScalarField, m: SmoothMap) -> ScalarField:

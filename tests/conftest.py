@@ -1,8 +1,9 @@
-"""Shared fixtures: small charts reused across the suite."""
+"""Shared fixtures: small charts reused across the suite, and a record of the tapes a test builds."""
 
 import numpy as np
 import pytest
 
+from lcslab import dual
 from lcslab.charts import Chart
 
 
@@ -24,3 +25,19 @@ def r4():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def built_tapes(monkeypatch) -> list:
+    """The root lists of the tapes built during the test, through ``dual.tape`` or directly."""
+    built = []
+
+    class Recorded(dual.Tape):
+        __slots__ = ()
+
+        def __init__(self, roots):
+            built.append(list(roots))
+            super().__init__(roots)
+
+    monkeypatch.setattr(dual, "Tape", Recorded)
+    return built

@@ -27,8 +27,8 @@ import numpy as np
 
 from lcslab import dual
 from lcslab.charts import Chart, check_same_chart
-from lcslab.coupling import CouplingChart, EndomorphismField, _lift_block, _matmul, embed_fiber_field, nijenhuis
-from lcslab.errors import UsageError
+from lcslab.coupling import CouplingChart, EndomorphismField, _matmul, embed_fiber_field, nijenhuis
+from lcslab.errors import DomainError, UsageError
 from lcslab.forms import DifferentialForm, ScalarField, SmoothMap, VectorField, constant, coordinate, det_generic
 from tests import dualnum
 
@@ -48,8 +48,8 @@ def eval_form(form: DifferentialForm, point, vectors, check_domain: bool = True)
     """Multilinear evaluation of ``form`` at ``point`` on ``vectors``."""
     if len(vectors) != form.degree:
         raise UsageError(f"degree-{form.degree} form applied to {len(vectors)} vectors")
-    if check_domain:
-        form.chart.require(point)
+    if check_domain and not form.chart.contains(point):
+        raise DomainError(f"point {tuple(point)} is outside the domain of chart {form.chart.name!r}")
     p = [float(c) for c in point]
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     for v in vecs:
@@ -178,7 +178,7 @@ def coupled_complex_structure(
     check_same_chart(c.base, J_base.chart, "base structure")
     check_same_chart(c.fiber.chart, J_fiber.chart, "fiber structure")
     m, k = c.base_dim, c.fiber.chart.dim
-    L = _lift_block(c)[m:]
+    L = c.lift_block[m:]
     Jb = J_base.entries  # base coordinates come first: the same nodes on the total chart
     fiber = [dual.var(m + i) for i in range(k)]
     Jf = [[e(fiber) for e in row] for row in J_fiber.entries]

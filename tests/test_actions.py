@@ -253,6 +253,21 @@ def test_deck_homothety_skips_non_finite_points(plane):
     assert (deck.skipped, deck.points) == (int(np.count_nonzero(np.abs(x) > 0.5)), 64)
 
 
+def test_deck_homothety_says_how_many_samples_stayed_and_how_many_it_needs(plane):
+    """Too few samples in all (none leaves the chart) and too few kept are told apart by their counts."""
+    w = DifferentialForm(plane, 2, {(0, 1): 1.0})
+    same = SmoothMap(plane, plane, [coordinate(plane, 0), coordinate(plane, 1)])
+    with pytest.raises(DomainError) as ei:
+        deck_homothety(same, w, n=2)
+    assert str(ei.value) == "deck map keeps 2 of 2 samples in the chart; it needs at least 4"
+    disc = Chart("disc", ("x", "y"), predicate=lambda c: c[0] * c[0] + c[1] * c[1] < 1.0)
+    triple = SmoothMap(disc, disc, [3.0 * coordinate(disc, 0), 3.0 * coordinate(disc, 1)])
+    kept = int(np.count_nonzero(disc.contains(triple.batch(disc.sample(64, seed=0)))))
+    assert 0 < kept < 16
+    with pytest.raises(DomainError, match=f"keeps {kept} of 64 samples in the chart; it needs at least 16$"):
+        deck_homothety(triple, DifferentialForm(disc, 2, {(0, 1): 1.0}), n=64)
+
+
 def test_deck_homothety_raises_when_too_few_points_are_finite(plane):
     w = DifferentialForm(plane, 2, {(0, 1): parse_field("1 + 0 * sqrt(0.1 - x^2)", plane)})
     double = SmoothMap(plane, plane, [2.0 * coordinate(plane, 0), coordinate(plane, 1)])
@@ -342,7 +357,7 @@ def test_twisted_hamiltonian_replays_one_bounded_tape(monkeypatch):
     run = dual.Tape.run
 
     def counted(self, inputs):
-        replays.append(len(self))
+        replays.append(len(self.steps))
         return run(self, inputs)
 
     monkeypatch.setattr(dual.Tape, "run", counted)

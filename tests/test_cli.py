@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
-from lcslab.cli import main
+from lcslab.cli import MAX_POINTS, main
 
 # Inline documents double as file contents; the loader accepts literal JSON.
 
@@ -229,12 +229,21 @@ def test_missing_file_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--points", "0"), ("--tol", "0"), ("--tol", "-1e-8"), ("--tol", "nan"), ("--tol", "inf"), ("--seed", "-1")],
+    [
+        ("--points", "0"),
+        ("--tol", "0"),
+        ("--tol", "-1e-8"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--seed", "-1"),
+        ("--points", str(MAX_POINTS + 1)),  # refused before anything is sampled or allocated
+        ("--points", "99999999999999999999"),
+    ],
 )
 def test_flag_validation(capsys, flags):
     code, _, err = run(capsys, "verify", GOOD_DOC, *flags)
     assert code == 2
-    assert "error:" in err
+    assert err.count("error:") == 1
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -531,7 +531,7 @@ def test_horizontal_identity_takes_one_jet_of_each_block(s2, monkeypatch):
     assert rep.passed
     assert len(jets) == 3
     assert jets[0] is o["J_base"].entries and jets[1] is o["J_fiber"].entries
-    assert jets[2] == coupling._lift_block(o["coupling"])
+    assert jets[2] is o["coupling"].lift_block
 
 
 @pytest.mark.parametrize("which", ["flat", "s2"])
@@ -559,18 +559,31 @@ def test_horizontal_identity_refuses_a_fiber_structure_that_is_not_complex(flat)
         horizontal_nijenhuis_identity(flat, rotation_structure(flat.base), J_fiber, n=6)
 
 
-def test_embedding_substitutes_through_one_shared_tape(s2):
-    """The embedded coefficients are the nodes one per-coefficient substitution gives, and no tape is left on them."""
+def test_embedding_substitutes_through_one_shared_tape(s2, built_tapes):
+    """The embedded coefficients are the nodes one per-coefficient substitution gives, from one tape of them all."""
     c = s2.objects["coupling"]
     omega = c.fiber.omega
     roots = [f.node for f in omega.coeffs.values()]
-    for r in roots:
-        r._tape = None
     shifted = [dual.var(c.base_dim + i) for i in range(omega.chart.dim)]
     alone = [dual.Tape([r]).run(shifted)[0] for r in roots]
+    built_tapes.clear()
     embedded = embed_fiber_form(c.total, c.base, omega)
     assert all(f.node is a for f, a in zip(embedded.coeffs.values(), alone))
-    assert not [r for r in roots if r._tape is not None]
+    assert not [rs for rs in built_tapes if len(rs) == 1 and any(rs[0] is r for r in roots)]
+    assert tuple(map(id, roots)) in dual._TAPES
+
+
+def test_coupling_s2_builds_each_tape_once(built_tapes):
+    """Tapes built by one pass of every coupling-s2 run at 64 points: 23 cold and 5 warm (45 and 41 without the cache).
+
+    The counts do not depend on the machine; with other tests' nodes alive, a cold pass builds fewer.
+    """
+    man = coupling_example_s2()
+    for most in (23, 5):  # cold, then warm
+        built_tapes.clear()
+        for run in man.runs.values():
+            run(64, 1, 1e-8)
+        assert len(built_tapes) <= most
 
 
 def test_base_embedding_keeps_the_base_nodes(s2, monkeypatch):
@@ -578,7 +591,8 @@ def test_base_embedding_keeps_the_base_nodes(s2, monkeypatch):
     c = s2.objects["coupling"]
     A = c.gauge.potentials[0]
     with monkeypatch.context() as m:
-        m.setattr(dual, "Tape", None)  # no tape is replayed
+        m.setattr(dual, "tape", None)  # no tape is built or replayed
+        m.setattr(dual, "Tape", None)
         embedded = embed_base_form(c.total, c.base, A)
     assert embedded.chart is c.total and embedded.coeffs.keys() == A.coeffs.keys()
     assert all(embedded.coeffs[I].node is f.node for I, f in A.coeffs.items())

@@ -133,7 +133,7 @@ def test_hopf4_lie_derivatives_share_their_nodes():
     omega = objects["structure"].omega
     roots = [f.node for rho in objects["action"].fields for f in lie_derivative(rho, omega).coeffs.values()]
     assert len(roots) == len(set(map(id, roots))) > 100
-    assert len(dual.Tape(roots)) <= 20_000
+    assert len(dual.Tape(roots).steps) <= 20_000
 
 
 def test_partial_is_the_memoized_derivative():
@@ -160,8 +160,8 @@ def test_equal_expressions_are_one_node(plane):
     assert (0.0 * x).op == "*"
 
 
-def test_pullback_substitutes_every_coefficient_through_one_tape():
-    """coupling-s2's ``Omega`` by a fiber element: one shared tape, the same nodes, no tape left behind."""
+def test_pullback_substitutes_every_coefficient_through_one_tape(built_tapes):
+    """coupling-s2's ``Omega`` by a fiber element: one shared tape, kept under all the roots, the same nodes."""
     man = coupling_example_s2()
     c = man.objects["coupling"]
     g = next(iter(man.objects["action"].elements.values()))
@@ -169,10 +169,39 @@ def test_pullback_substitutes_every_coefficient_through_one_tape():
     roots = [f.node for f in c.Omega.coeffs.values()]
     image = [x.node for x in G.components]
     alone = [dual.Tape([r]).run(image)[0] for r in roots]
-    assert len(dual.Tape(roots)) < sum(len(dual.Tape([r])) for r in roots)
+    assert len(dual.Tape(roots).steps) < sum(len(dual.Tape([r]).steps) for r in roots)
+    built_tapes.clear()
     assert all(a is b for a, b in zip(forms._substitute(roots, G), alone))
     pullback(G, c.Omega)
-    assert not [r for r in roots if r._tape is not None]
+    assert not [rs for rs in built_tapes if len(rs) == 1 and any(rs[0] is r for r in roots)]
+    assert tuple(map(id, roots)) in dual._TAPES
+
+
+def test_a_kept_tape_leaves_with_the_first_of_its_roots_to_die():
+    x, y = dual.var(0), dual.var(1)
+    a, b = dual.exp(x * y + 0.8125), dual.sin(x) - 0.8125  # nodes no other test holds
+    key = (id(a), id(b))
+    kept = dual.tape([a, b])
+    assert dual.tape([a, b]) is kept and key in dual._TAPES
+    assert (id(b), id(a)) not in dual._TAPES  # roots in another order are another tape
+    del a
+    gc.collect()
+    assert key not in dual._TAPES
+    assert dual.tape([b]).run([0.5, 0.0]) == [math.sin(0.5) - 0.8125]
+
+
+def test_a_node_that_reuses_a_dead_roots_id_replays_its_own_values():
+    """A root's entry leaves before its id can be reused, so a new node there never replays the old tape."""
+    old = dual.const(0.6180339887)
+    assert old([0.0]) == 0.6180339887 and (id(old),) in dual._TAPES
+    dead = id(old)
+    del old
+    gc.collect()
+    made = []
+    while len(made) < 100_000 and (not made or id(made[-1]) != dead):
+        made.append(dual.const(len(made) + 0.5))
+    assert id(made[-1]) == dead  # the allocator handed the id out again
+    assert made[-1]([0.0]) == len(made) - 0.5
 
 
 def test_a_dag_ten_thousand_deep_evaluates_and_differentiates():

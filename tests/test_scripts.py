@@ -31,8 +31,9 @@ def test_run_all_examples_meets_every_expectation():
     assert "all expectations met" in out
     header, *lines = out.splitlines()
     rows = [line for line in lines if line.endswith(tuple("0123456789"))]
-    assert header.split()[-1] == "nodes" and len(rows) == 8
-    assert all(line.split()[-1].isdigit() for line in rows)  # the interned nodes each example holds
+    assert header.split()[-2:] == ["nodes", "tapes"] and len(rows) == 8
+    # the interned nodes each example holds, and the tapes kept for them
+    assert all(line.split()[-2].isdigit() and line.split()[-1].isdigit() for line in rows)
 
 
 def test_cohomology_demo_labels_the_hodge_split():
