@@ -115,6 +115,13 @@ def evaluate_manifest(man: ExampleManifest, reports: Mapping[str, Report]) -> Re
     return out
 
 
+def _require_finite(**params) -> None:
+    """Refuse a NaN or infinite gallery parameter, by name."""
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            raise UsageError(f"{name} must be finite, got {value!r}")
+
+
 # --------------------------------------------------------------------------
 # Hopf examples: S^1 x S^{2n-1} with weighted contact potentials
 
@@ -150,6 +157,7 @@ def hopf(n: int = 2, weights=(1.0, 1.0)) -> ExampleManifest:
     positive and nondecreasing.
     """
     weights = tuple(float(a) for a in weights)
+    _require_finite(weights=weights)
     if n < 2:
         raise UsageError("need n >= 2 coordinates")
     if len(weights) != n:
@@ -388,9 +396,10 @@ def inoue(
     constant shifts, but its w2-rescaled descent candidate picks up a
     non-constant defect under g2 whenever b2 is nonzero.
     """
+    a, b, c = tuple(map(float, a)), tuple(map(float, b)), tuple(map(float, c))
+    _require_finite(alpha=alpha, a=a, b=b, c=c, t=t, s=s)
     if alpha <= 1.0:
         raise UsageError("the expansion factor must exceed 1")
-    a, b, c = tuple(map(float, a)), tuple(map(float, b)), tuple(map(float, c))
 
     chart = Chart(
         "inoue", ("w1", "w2", "z1", "z2"), ((-1.5, 1.5), (0.5, 3.0), (-1.5, 1.5), (-1.5, 1.5))
@@ -559,6 +568,7 @@ def cotangent(m: int = 2, scale: float = 0.3, alpha: DifferentialForm | None = N
     """
     if m < 1:
         raise UsageError("need at least one base coordinate")
+    _require_finite(scale=scale)
     base = Chart("cot-base", tuple(f"q{i}" for i in range(1, m + 1)))
     total = Chart(
         "cotangent",

@@ -1,18 +1,17 @@
 """A small arithmetic-expression language for declaring fields in text/JSON.
 
-Grammar: float literals, identifiers (chart coordinates or named parameters),
-``+ - * /``, integer powers via ``^``, unary minus, parentheses, and the
-function set sqrt, exp, log, sin, cos, atan2.  Errors carry the offending
-position in the source string.
+Grammar: float literals, identifiers (chart coordinates), ``+ - * /``,
+integer powers via ``^``, unary minus, parentheses, and the function set
+sqrt, exp, log, sin, cos, atan2.  Errors carry the offending position in the
+source string.
 
-A parsed expression compiles straight into nodes of the coefficient DAG of
-:mod:`lcslab.dual` (coordinates, constants, arithmetic and function nodes),
-so equal subexpressions of one document are one node.
+Tokens compile straight into nodes of the coefficient DAG of
+:mod:`lcslab.dual` as they are read (coordinates, constants, arithmetic and
+function nodes), so equal subexpressions of one document are one node.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from typing import Sequence
 
@@ -62,11 +61,15 @@ _MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """Compiles as it reads: every production returns a node of the coefficient DAG."""
+
+    def __init__(self, text: str, coords: Sequence[str]):
         self.text = text
+        self.coords = coords
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0  # the factors being parsed: one per nesting level, and the outermost
+        self.unknown = None  # the first unknown identifier, as (name, pos): reported once the whole text parses
 
     def peek(self):
         return self.tokens[self.i]
@@ -83,51 +86,49 @@ class _Parser:
         return self.advance()
 
     # expr := term (('+'|'-') term)*
-    def expr(self):
+    def expr(self) -> dual.Node:
         node = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                rhs = self.term()
-                node = ("add" if val == "+" else "sub", node, rhs)
+                node = node + self.term() if val == "+" else node - self.term()
             else:
                 return node
 
     # term := factor (('*'|'/') factor)*
-    def term(self):
+    def term(self) -> dual.Node:
         node = self.factor()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
-                rhs = self.factor()
-                node = ("mul" if val == "*" else "div", node, rhs)
+                node = node * self.factor() if val == "*" else node / self.factor()
             else:
                 return node
 
     # factor := '-' factor | power
-    def factor(self):
+    def factor(self) -> dual.Node:
         kind, val, pos = self.peek()
         if self.depth > _MAX_NESTING:
             raise ParseError(f"expression nests deeper than {_MAX_NESTING} levels", pos, self.text)
         self.depth += 1
         if kind == "op" and val == "-":
             self.advance()
-            node = ("neg", self.factor())
+            node = -self.factor()
         else:
             node = self.power()
         self.depth -= 1
         return node
 
     # power := atom ('^' integer)*
-    def power(self):
+    def power(self) -> dual.Node:
         node = self.atom()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "^":
                 self.advance()
-                node = ("pow", node, self.integer_exponent())
+                node = dual.power(node, self.integer_exponent())
             else:
                 return node
 
@@ -147,10 +148,10 @@ class _Parser:
             raise ParseError(f"exponent must be at most {_MAX_NESTING} in magnitude", start, self.text)
         return sign * int(digits)
 
-    def atom(self):
+    def atom(self) -> dual.Node:
         kind, val, pos = self.advance()
         if kind == "num":
-            return ("const", float(val))
+            return dual.const(float(val))
         if kind == "name":
             nkind, nval, _ = self.peek()
             if nkind == "op" and nval == "(":
@@ -159,13 +160,9 @@ class _Parser:
                 arity, fn = _FUNCTIONS[val]
                 self.advance()
                 args = [self.expr()]
-                while True:
-                    k2, v2, p2 = self.peek()
-                    if k2 == "op" and v2 == ",":
-                        self.advance()
-                        args.append(self.expr())
-                    else:
-                        break
+                while self.peek()[:2] == ("op", ","):
+                    self.advance()
+                    args.append(self.expr())
                 self.expect_op(")")
                 if len(args) != arity:
                     raise ParseError(
@@ -173,70 +170,34 @@ class _Parser:
                         pos,
                         self.text,
                     )
-                return ("call", fn, args)
-            return ("var", val, pos)
+                return fn(*args)
+            if val in self.coords:
+                return dual.var(self.coords.index(val))
+            self.unknown = self.unknown or (val, pos)
+            return dual.const(0.0)
         if kind == "op" and val == "(":
             node = self.expr()
             self.expect_op(")")
             return node
         raise ParseError("expected a number, name or parenthesised expression", pos, self.text)
 
-    def parse(self):
+    def parse(self) -> dual.Node:
         node = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {val!r}", pos, self.text)
+        if self.unknown is not None:
+            name, pos = self.unknown
+            raise ParseError(f"unknown identifier {name!r}", pos, self.text)
         return node
 
 
-_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
-
-
-def _compile(node, binding) -> dual.Node:
-    """The syntax tree as a node of the coefficient DAG, operands left to right.
-
-    Sums, products and powers chain to the left without bound, so that spine
-    is walked on an explicit stack; every other edge is a nesting level, and
-    the parser bounds those.
-    """
-    spine = []
-    while node[0] in _BINARY or node[0] == "pow":
-        spine.append(node)
-        node = node[1]
-    op = node[0]
-    if op == "const":
-        out = dual.const(node[1])
-    elif op == "var":
-        out = binding(node[1], node[2])
-    elif op == "neg":
-        out = -_compile(node[1], binding)
-    else:  # a function call
-        out = node[1](*[_compile(a, binding) for a in node[2]])
-    for n in reversed(spine):
-        out = dual.power(out, n[2]) if n[0] == "pow" else _BINARY[n[0]](out, _compile(n[2], binding))
-    return out
-
-
-def parse_field(expr: str, chart: Chart, params: dict[str, float] | None = None) -> ScalarField:
-    """Parse ``expr`` into a scalar field on ``chart``.
-
-    Identifiers resolve to chart coordinates first, then to entries of
-    ``params``; anything else is an unknown-identifier parse error.
-    """
+def parse_field(expr: str, chart: Chart) -> ScalarField:
+    """Parse ``expr`` into a scalar field on ``chart``; its identifiers are the chart's coordinates."""
     if not isinstance(expr, str):
         raise UsageError(f"an expression must be a string, got {expr!r}")
-    params = params or {}
-    tree = _Parser(expr).parse()
-
-    def binding(name: str, pos: int):
-        if name in chart.coords:
-            return dual.var(chart.coords.index(name))
-        if name in params:
-            return dual.const(params[name])
-        raise ParseError(f"unknown identifier {name!r}", pos, expr)
-
-    return ScalarField(chart, _compile(tree, binding))
+    return ScalarField(chart, _Parser(expr, chart.coords).parse())
 
 
-def parse_fields(exprs: Sequence[str], chart: Chart, params=None) -> list[ScalarField]:
-    return [parse_field(e, chart, params) for e in exprs]
+def parse_fields(exprs: Sequence[str], chart: Chart) -> list[ScalarField]:
+    return [parse_field(e, chart) for e in exprs]

@@ -90,10 +90,10 @@ class Report:
                 return c
         raise KeyError(check_id)
 
-    def to_dict(self, config: dict | None = None) -> dict:
+    def to_dict(self) -> dict:
         checks = [c.to_dict() for c in sorted(self.checks, key=lambda c: c.id)]
         failed = sum(1 for c in self.checks if not c.passed)
-        out = {
+        return {
             "title": self.title,
             "checks": checks,
             "summary": {
@@ -102,9 +102,6 @@ class Report:
                 "verdict": "pass" if failed == 0 else "fail",
             },
         }
-        if config is not None:
-            out["config"] = _jsonable(config)
-        return out
 
     def to_text(self) -> str:
         lines = [self.title, "-" * len(self.title)]

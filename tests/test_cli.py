@@ -392,6 +392,25 @@ def test_example_rejects_bad_weights(capsys):
     assert "--weights" in err
 
 
+@pytest.mark.parametrize(
+    "example, flag, value, name",
+    [
+        ("hopf", "--weights", "1,inf", "weights"),
+        ("hopf", "--weights", "1,nan", "weights"),
+        ("coupling-s2", "--weights", "1,inf", "weights"),
+        ("inoue", "--alpha", "nan", "alpha"),
+        ("inoue", "--alpha", "inf", "alpha"),
+        ("cotangent", "--scale", "nan", "scale"),
+        ("cotangent", "--scale", "inf", "scale"),
+    ],
+)
+def test_example_rejects_non_finite_parameters(capsys, example, flag, value, name):
+    code, out, err = run(capsys, "example", example, f"{flag}={value}", "--run", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {name} must be finite")
+
+
 # --------------------------------------------------------- coupling / reduce
 
 

@@ -12,8 +12,8 @@ from lcslab.parser import parse_field, parse_fields
 from tests.pointwise import at
 
 
-def ev(expr, chart, point, params=None):
-    return at(parse_field(expr, chart, params), point)
+def ev(expr, chart, point):
+    return at(parse_field(expr, chart), point)
 
 
 def test_arithmetic_and_precedence(plane):
@@ -42,11 +42,6 @@ def test_functions(plane):
     assert ev("exp(log(y))", plane, p) == pytest.approx(2.0)
     assert ev("sqrt(y^2)", plane, p) == pytest.approx(2.0)
     assert ev("atan2(y, x)", plane, p) == pytest.approx(math.atan2(2.0, 0.5))
-
-
-def test_parameters_resolve_before_coordinates(plane):
-    f = parse_field("k * x + c", plane, {"k": 3.0, "c": -1.0})
-    assert at(f, (2.0, 0.0)) == 5.0
 
 
 def test_parse_fields_batch(plane):
@@ -105,7 +100,7 @@ def test_exponent_error_points_at_the_exponent(plane):
 
 
 def test_a_long_sum_compiles_left_to_right(plane):
-    """A 3,000-term sum is a syntax tree 3,000 deep; it compiles without recursion, associated from the left."""
+    """A 3,000-term sum chains 3,000 nodes deep; it builds without recursion, associated from the left."""
     f = parse_field(" + ".join(f"{i} * x" for i in range(3000)), plane)
     total = 0.0
     for i in range(3000):
@@ -134,8 +129,15 @@ def test_error_carries_position(plane):
 
 
 def test_unknown_name_rejected(plane):
-    with pytest.raises(ParseError, match="zz"):
+    with pytest.raises(ParseError, match="zz") as ei:
         parse_field("x + zz", plane)
+    assert ei.value.pos == 4
+
+
+def test_first_of_two_unknown_names_is_reported(plane):
+    with pytest.raises(ParseError, match="'zz'") as ei:
+        parse_field("zz + qq", plane)
+    assert ei.value.pos == 0
 
 
 # property: round-tripping an arbitrary polynomial through the parser agrees
