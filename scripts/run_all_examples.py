@@ -20,6 +20,7 @@ import sys
 import time
 
 from lcslab import dual
+from lcslab.cli import MAX_POINTS
 from lcslab.gallery import (
     cotangent,
     coupling_example_s2,
@@ -43,10 +44,16 @@ def builders():
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--points", type=int, default=64, help="sample count per check (default 64)")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--points", type=int, default=64, help=f"sample count per check (default 64, at most {MAX_POINTS})")
+    ap.add_argument("--seed", type=int, default=0, help="RNG seed, a non-negative integer (default 0)")
     ap.add_argument("--tol", type=float, default=1e-8)
     args = ap.parse_args(argv)
+    if not 1 <= args.points <= MAX_POINTS:
+        print(f"error: --points must be from 1 to {MAX_POINTS}", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print("error: --seed must be a non-negative integer", file=sys.stderr)
+        return 2
 
     print(f"{'example':<16} {'checks':>6} {'failed':>6} {'expected':>10} {'build':>9} {'run':>9} {'nodes':>7} {'tapes':>6}")
     missed_total = 0

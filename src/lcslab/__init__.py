@@ -75,6 +75,7 @@ from .reduction import (
     bundle_momentum_check,
     invariant_hamiltonian_check,
     level_scan,
+    product_split_check,
     reduced_form_check,
 )
 from .gallery import GALLERY, ExampleManifest, evaluate_manifest, run_manifest

@@ -161,12 +161,7 @@ def _momentum_row(a: int, sides: list, n: int, tol: float) -> CheckResult:
 
 
 def momentum_from_potential(
-    s: LCSStructure,
-    act: ActionSpec,
-    points: np.ndarray | None = None,
-    n: int = 64,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
+    s: LCSStructure, act: ActionSpec, points: np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[MomentumMap, Report]:
     """``mu_a = -eta(rho_a)`` from an invariant potential, plus the verification.
 
@@ -177,7 +172,7 @@ def momentum_from_potential(
     if s.potential is None:
         raise UsageError("momentum_from_potential needs a structure with a potential 1-form")
     check_same_chart(s.chart, act.chart, "structure and action")
-    pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
 
     hypo = Report("momentum hypotheses")
     lie_eta = [lie_derivative(rho, s.potential) for rho in act.fields]
@@ -204,17 +199,15 @@ def verify_twisted_hamiltonian(
     s: LCSStructure,
     act: ActionSpec,
     mu: MomentumMap,
-    points: np.ndarray | None = None,
-    n: int = 64,
-    seed: int = 0,
+    points: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> Report:
-    """Momentum identity, omega-invariance and Lee-pairing zero, per generator."""
+    """Momentum identity, omega-invariance and Lee-pairing zero, per generator, at ``points``."""
     check_same_chart(s.chart, act.chart, "structure and action")
     check_same_chart(s.chart, mu.chart, "structure and momentum")
     if mu.dim != act.dim:
         raise UsageError("momentum map and action have different numbers of generators")
-    pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     rep = Report("verify_twisted_hamiltonian")
     forms = []
     for rho, mu_a in zip(act.fields, mu.components):
@@ -237,13 +230,11 @@ def verify_twisted_hamiltonian(
 def deck_homothety(
     gamma: SmoothMap,
     Omega: DifferentialForm,
-    points: np.ndarray | None = None,
-    n: int = 64,
-    seed: int = 0,
+    points: np.ndarray,
     tol: float = DEFAULT_TOL,
     name: str = "",
 ) -> DeckElement:
-    """Fit the constant ``c`` with ``gamma* Omega = c Omega`` across samples.
+    """Fit the constant ``c`` with ``gamma* Omega = c Omega`` across the sample ``points``.
 
     The factor is fitted pointwise by least squares over the coefficient
     values; a spread above tolerance means gamma is no homothety of Omega.
@@ -253,7 +244,7 @@ def deck_homothety(
     either rule raise :class:`DomainError`.
     """
     check_same_chart(gamma.source, Omega.chart, "deck transformation and form")
-    pts = Omega.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     need = max(4, len(pts) // 4)
     keep = Omega.chart.contains(gamma.batch(pts))
     pts = pts[keep]
@@ -288,32 +279,24 @@ def deck_homothety(
 
 
 def automorphic_constants(
-    decks: Mapping[str, DeckElement] | list[DeckElement],
-    f: ScalarField,
-    points: np.ndarray | None = None,
-    n: int = 64,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
+    decks: Mapping[str, DeckElement], f: ScalarField, points: np.ndarray, tol: float = DEFAULT_TOL
 ) -> Report:
-    """Constants ``a_gamma = gamma*f - c_gamma f`` and the shift ``k = a/(1-c)``.
+    """Constants ``a_gamma = gamma*f - c_gamma f`` and the shift ``k = a/(1-c)``, at ``points``.
 
     For a Hamiltonian that descends through a covering, every ``a_gamma`` is
     constant and ``k`` does not depend on gamma.  A non-constant ``a_gamma``
     is *the* obstruction and is reported as a failing row, never raised.
     Elements with ``c_gamma = 1`` carry no ``k`` and are flagged as excluded.
     """
-    if not isinstance(decks, Mapping):
-        decks = {g.name: g for g in decks}
+    sample = np.asarray(points, dtype=float)
     rep = Report("automorphic_constants")
     ks: dict[str, float] = {}
     for gname, g in sorted(decks.items()):
-        chart = f.chart
-        pts = chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
-        images = g.map.batch(pts)
-        keep = chart.contains(images)
+        images = g.map.batch(sample)
+        keep = f.chart.contains(images)
         if not np.any(keep):
             raise DomainError(f"deck element {gname!r} maps every sample outside the chart")
-        pts, images = pts[keep], images[keep]
+        pts, images = sample[keep], images[keep]
         vals = f.batch(images) - g.factor * f.batch(pts)
         finite = finite_points(vals)
         skipped = int(len(vals) - finite.sum())

@@ -70,7 +70,9 @@ class Chart:
         return inside if pts.ndim == 2 else bool(inside[0])
 
     def sample(self, n: int, seed: int = 0, max_tries: int = 200) -> np.ndarray:
-        """Deterministic rejection sampling of ``n`` points, shape (n, dim)."""
+        """Deterministic rejection sampling of ``n`` points, shape (n, dim); ``n`` is at least 1."""
+        if n < 1:
+            raise UsageError(f"chart {self.name!r}: cannot draw {n} sample points; the count must be at least 1")
         rng = np.random.default_rng(seed)
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])

@@ -117,16 +117,13 @@ def _cmd_verify(args) -> tuple[str, int]:
     decl = load_declaration(load_document(args.file))
     if decl.structure is None:
         raise UsageError("document has no 'lcs' section to verify")
-    reports = {"lcs": verify_lcs(decl.structure, n=args.points, seed=args.seed, tol=args.tol)}
+    pts = decl.structure.chart.sample(args.points, args.seed)
+    reports = {"lcs": verify_lcs(decl.structure, pts, args.tol)}
     if decl.action is not None:
         if decl.momentum is not None:
-            reports["hamiltonian"] = verify_twisted_hamiltonian(
-                decl.structure, decl.action, decl.momentum, n=args.points, seed=args.seed, tol=args.tol
-            )
+            reports["hamiltonian"] = verify_twisted_hamiltonian(decl.structure, decl.action, decl.momentum, pts, args.tol)
         elif decl.structure.potential is not None:
-            _, reports["momentum"] = momentum_from_potential(
-                decl.structure, decl.action, n=args.points, seed=args.seed, tol=args.tol
-            )
+            _, reports["momentum"] = momentum_from_potential(decl.structure, decl.action, pts, args.tol)
     return _emit(reports, _config(args, input=args.file), args.format)
 
 
@@ -194,14 +191,18 @@ def _cmd_cohomology(args) -> tuple[str, int]:
 
 def _cmd_coupling(args) -> tuple[str, int]:
     gauge, fiber, act, mu = coupling_from_decl(load_document(args.file))
+    fiber_pts = fiber.chart.sample(args.points, args.seed)
     if mu is None:
-        mu, _ = momentum_from_potential(fiber, act, n=args.points, seed=args.seed, tol=args.tol)
-    coupling = build_coupling(gauge, fiber, act, mu, n=args.points, seed=args.seed, tol=args.tol)
-    _, bianchi = gauge_curvature(gauge, n=args.points, seed=args.seed, tol=args.tol)
+        mu, _ = momentum_from_potential(fiber, act, fiber_pts, args.tol)
+    coupling = build_coupling(gauge, fiber, act, mu, fiber_pts, args.tol)
+    _, bianchi = gauge_curvature(gauge, gauge.base.sample(args.points, args.seed), args.tol)
+    total = coupling.total
     reports = {
         "curvature": bianchi,
-        "coupling": verify_coupling(coupling, n=args.points, seed=args.seed, tol=args.tol),
-        "lift-bracket": lift_bracket_diagnostic(coupling, n=max(8, args.points // 4), seed=args.seed, tol=args.tol),
+        "coupling": verify_coupling(coupling, total.sample(args.points, args.seed), args.seed, args.tol),
+        "lift-bracket": lift_bracket_diagnostic(
+            coupling, total.sample(max(8, args.points // 4), args.seed), args.seed, args.tol
+        ),
     }
     return _emit(reports, _config(args, input=args.file), args.format)
 
@@ -211,22 +212,15 @@ def _cmd_reduce(args) -> tuple[str, int]:
     if decl.structure is None or decl.action is None or decl.level_slice is None:
         raise UsageError("reduce needs 'lcs', 'action' and 'slice' sections")
     mu = decl.momentum
+    if mu is None and decl.structure.potential is None:
+        raise UsageError("no momentum given and no potential to derive one from")
+    pts = decl.structure.chart.sample(args.points, args.seed)
     if mu is None:
-        if decl.structure.potential is None:
-            raise UsageError("no momentum given and no potential to derive one from")
-        mu, _ = momentum_from_potential(
-            decl.structure, decl.action, n=args.points, seed=args.seed, tol=args.tol
-        )
-    reports = {
-        "reduction": reduced_form_check(
-            decl.structure, decl.action, decl.level_slice, mu,
-            n=args.points, seed=args.seed, tol=args.tol,
-        )
-    }
+        mu, _ = momentum_from_potential(decl.structure, decl.action, pts, args.tol)
+    slice_pts = decl.level_slice.parametrization.source.sample(args.points, args.seed)
+    reports = {"reduction": reduced_form_check(decl.structure, decl.action, decl.level_slice, mu, slice_pts, args.tol)}
     if decl.action.elements:
-        reports["invariant"] = invariant_hamiltonian_check(
-            decl.action, mu, n=args.points, seed=args.seed, tol=args.tol
-        )
+        reports["invariant"] = invariant_hamiltonian_check(decl.action, mu, pts, args.tol)
     return _emit(reports, _config(args, input=args.file), args.format)
 
 

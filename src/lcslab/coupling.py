@@ -75,7 +75,7 @@ from .report import (
 # product charts and embeddings
 
 
-def product_chart(base: Chart, fiber: Chart, name: str = "") -> Chart:
+def product_chart(base: Chart, fiber: Chart) -> Chart:
     """Chart for U x F; base coordinates first, names must not collide."""
     clash = set(base.coords) & set(fiber.coords)
     if clash:
@@ -94,7 +94,7 @@ def product_chart(base: Chart, fiber: Chart, name: str = "") -> Chart:
             return ok
 
     return Chart(
-        name or f"{base.name}x{fiber.name}",
+        f"{base.name}x{fiber.name}",
         base.coords + fiber.coords,
         box=base.box + fiber.box,
         predicate=pred,
@@ -172,18 +172,14 @@ def _curvature_forms(g: GaugeChart) -> tuple[DifferentialForm, ...]:
 
 
 def gauge_curvature(
-    g: GaugeChart,
-    points: np.ndarray | None = None,
-    n: int = 32,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
+    g: GaugeChart, points: np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[tuple[DifferentialForm, ...], Report]:
     """``F^a = dA^a + 1/2 c^a_{bc} A^b ^ A^c`` with its Bianchi residuals.
 
     The report carries one row per generator for
-    ``dF^a + c^a_{bc} A^b ^ F^c = 0``.
+    ``dF^a + c^a_{bc} A^b ^ F^c = 0`` at the base ``points``.
     """
-    pts = g.base.sample(n, seed) if points is None else np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     F = _curvature_forms(g)
     rep = Report("gauge_curvature")
     for a in range(g.dim):
@@ -197,21 +193,18 @@ def gauge_curvature(
 def circle_fat_from_symplectic(
     omega_base: DifferentialForm,
     alpha_potential: DifferentialForm,
-    points: np.ndarray | None = None,
-    n: int = 32,
-    seed: int = 0,
+    points: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> GaugeChart:
     """Abelian gauge whose curvature is a prescribed symplectic base form.
 
-    Requires ``d alpha = omega_base`` within tolerance on samples — the local
+    Requires ``d alpha = omega_base`` within tolerance at ``points`` — the local
     model of a connection on the circle bundle the base form classifies.
     """
     check_same_chart(omega_base.chart, alpha_potential.chart, "base form and potential")
     if omega_base.degree != 2 or alpha_potential.degree != 1:
         raise UsageError("need a 2-form and a candidate potential 1-form")
-    pts = omega_base.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
-    res, _ = form_residual(exterior_derivative(alpha_potential), omega_base, pts)
+    res, _ = form_residual(exterior_derivative(alpha_potential), omega_base, np.asarray(points, dtype=float))
     if res > tol:
         raise PreconditionError(
             f"d(potential) does not reproduce the base 2-form (residual {res:.3e})"
@@ -282,18 +275,16 @@ def build_coupling(
     fiber: LCSStructure,
     act: ActionSpec,
     mu: MomentumMap,
-    points: np.ndarray | None = None,
-    n: int = 32,
-    seed: int = 0,
+    points: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> CouplingChart:
     """Assemble (Omega, Theta) on the product chart from verified parts.
 
     Refuses (with the failing report attached) when the fiber triple does not
-    verify as twisted Hamiltonian — the closedness of the output is exactly
-    equivalent to those hypotheses.
+    verify as twisted Hamiltonian at ``points``, on the fiber chart — the
+    closedness of the output is exactly equivalent to those hypotheses.
     """
-    pre = verify_twisted_hamiltonian(fiber, act, mu, points=points, n=n, seed=seed, tol=tol)
+    pre = verify_twisted_hamiltonian(fiber, act, mu, points, tol)
     if not pre.passed:
         raise PreconditionError("fiber action is not twisted Hamiltonian on samples", report=pre)
     if g.dim != act.dim:
@@ -388,13 +379,7 @@ def _draw_arguments(pattern: str, H: np.ndarray, rng: np.random.Generator) -> np
 _PATTERNS = ("vvv", "vvh", "vhv", "hvv", "vhh", "hvh", "hhv", "hhh")
 
 
-def verify_coupling(
-    c: CouplingChart,
-    points: np.ndarray | None = None,
-    n: int = 64,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> Report:
+def verify_coupling(c: CouplingChart, points: np.ndarray, seed: int = 0, tol: float = DEFAULT_TOL) -> Report:
     """Closedness of Theta, ``d_Theta Omega = 0`` by argument class, nondegeneracy.
 
     The twisted closedness is checked once on coefficients and once per
@@ -402,9 +387,10 @@ def verify_coupling(
     hypothesis (momentum identity, curvature mismatch, invariance).
     Restriction rows certify Theta and Omega restrict to the fiber data and
     that horizontal lifts are Omega-orthogonal to verticals.  Every row
-    evaluates its forms once on the whole point batch.
+    evaluates its forms once on the whole batch of ``points``; ``seed``
+    seeds the random argument draws.
     """
-    pts = c.total.sample(n, seed) if points is None else np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     rep = Report("verify_coupling")
     rep.add(residual_check("theta-closed", "d Theta = 0", exterior_derivative(c.Theta), None, pts, tol))
 
@@ -459,12 +445,7 @@ def verify_coupling(
 
 
 def lift_bracket_diagnostic(
-    c: CouplingChart,
-    points: np.ndarray | None = None,
-    n: int = 16,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    pairs: int = 3,
+    c: CouplingChart, points: np.ndarray, seed: int = 0, tol: float = DEFAULT_TOL, pairs: int = 3
 ) -> Report:
     """The hor-hor-vert mechanism behind closedness, as a standalone identity.
 
@@ -478,9 +459,9 @@ def lift_bracket_diagnostic(
     Omega``; one jet of Omega and of the lift block serves every pair, and
     the random X, Y, Z are contracted with it in numpy: ``X* = H X`` with
     Jacobian ``DH·X``, ``Omega(U, V) = U^T W V``, the product rule for
-    ``Z(Omega(Y*, X*))``.
+    ``Z(Omega(Y*, X*))``.  ``seed`` seeds the random X, Y, Z.
     """
-    pts = c.total.sample(n, seed) if points is None else np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     v = _lift_bracket_terms(c, pts, np.random.default_rng(seed + 0x2545F491), pairs)
     rep = Report("lift_bracket_diagnostic")
     rep.add(
@@ -530,9 +511,7 @@ def fatness_check(
     g: GaugeChart,
     mu: MomentumMap,
     fiber_points: np.ndarray,
-    base_points: np.ndarray | None = None,
-    n: int = 64,
-    seed: int = 0,
+    base_points: np.ndarray,
     threshold: float = 1e-4,
 ) -> Report:
     """Minimum ``|det sum_a mu_a(x) F^a_u|`` over sampled (base, fiber) pairs.
@@ -562,7 +541,7 @@ def fatness_check(
             )
         )
         return rep
-    bpts = g.base.sample(n, seed) if base_points is None else np.asarray(base_points, dtype=float)
+    bpts = np.asarray(base_points, dtype=float)
     fpts = np.asarray(fiber_points, dtype=float)
     Fmats = np.stack([skew_matrices(Fa, bpts) for Fa in _curvature_forms(g)])  # (d, nb, m, m)
     muvals = np.stack([comp.batch(fpts) for comp in mu.components])  # (d, nf)
@@ -755,8 +734,7 @@ def horizontal_nijenhuis_identity(
     c: CouplingChart,
     J_base: EndomorphismField,
     J_fiber: EndomorphismField,
-    points: np.ndarray | None = None,
-    n: int = 8,
+    points: np.ndarray,
     seed: int = 0,
     tol: float = 1e-7,
     pairs: int = 2,
@@ -769,9 +747,10 @@ def horizontal_nijenhuis_identity(
     Omega is invariant under J~ (the "type (1,1)" probe) without asserting it.
     The DAG holds only ``J_base``, ``J_fiber`` and the lift block, one jet
     of each for every pair and the probe; ``J~``, ``dJ~`` (:func:`_coupled_jet`)
-    and the lifts of the random X, Y are assembled in numpy.
+    and the lifts of the random X, Y are assembled in numpy; ``seed`` seeds
+    X, Y and the probe's draws.
     """
-    pts = c.total.sample(n, seed) if points is None else np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     rng = np.random.default_rng(seed + 0x9E3779B9)
     check_same_chart(c.base, J_base.chart, "base structure")
     check_same_chart(c.fiber.chart, J_fiber.chart, "fiber structure")

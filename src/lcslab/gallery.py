@@ -33,6 +33,7 @@ from .coupling import (
     fatness_check,
     horizontal_nijenhuis_identity,
     lift_bracket_diagnostic,
+    product_chart,
     rotation_structure,
     verify_coupling,
 )
@@ -55,6 +56,7 @@ from .reduction import (
     bundle_momentum_check,
     invariant_hamiltonian_check,
     level_scan,
+    product_split_check,
     reduced_form_check,
 )
 from .report import DEFAULT_TOL, CheckResult, Report, demote_if_sparse, form_residual, residual_row
@@ -223,13 +225,11 @@ def hopf(n: int = 2, weights=(1.0, 1.0)) -> ExampleManifest:
         "weights": weights,
     }
     runs: dict[str, RunFn] = {
-        "lcs": lambda pts, seed, tol: verify_lcs(structure, n=pts, seed=seed, tol=tol),
+        "lcs": lambda pts, seed, tol: verify_lcs(structure, chart.sample(pts, seed), tol),
         "hamiltonian": lambda pts, seed, tol: verify_twisted_hamiltonian(
-            structure, act, mu, n=pts, seed=seed, tol=tol
+            structure, act, mu, chart.sample(pts, seed), tol
         ),
-        "invariant": lambda pts, seed, tol: invariant_hamiltonian_check(
-            act, mu, n=pts, seed=seed, tol=tol
-        ),
+        "invariant": lambda pts, seed, tol: invariant_hamiltonian_check(act, mu, chart.sample(pts, seed), tol),
         "pole": lambda pts, seed, tol: _pole_report(mu, pole, weights, tol),
     }
     expected = [
@@ -251,11 +251,9 @@ def hopf(n: int = 2, weights=(1.0, 1.0)) -> ExampleManifest:
         objects["torus_slice"] = torus
         objects["zero_slice"] = zero
         runs["reduce"] = lambda pts, seed, tol: reduced_form_check(
-            structure, act, torus, mu, n=pts, seed=seed, tol=tol
+            structure, act, torus, mu, torus.parametrization.source.sample(pts, seed), tol
         )
-        runs["scan"] = lambda pts, seed, tol: level_scan(
-            chart, mu, (1.0, 1.0), n=max(pts, 128), seed=seed
-        )
+        runs["scan"] = lambda pts, seed, tol: level_scan(chart, mu, (1.0, 1.0), chart.sample(max(pts, 128), seed))
         expected += [
             Expectation("reduce", "level[0]"),
             Expectation("reduce", "level-isotropy[0]"),
@@ -480,7 +478,7 @@ def inoue(
     def _decks(pts, seed, tol):
         sample = deck_box.sample(pts, seed)
         return sample, {
-            name: deck_homothety(m, cover_form, points=sample, tol=tol, name=name) for name, m in deck_maps.items()
+            name: deck_homothety(m, cover_form, sample, tol, name) for name, m in deck_maps.items()
         }
 
     def decks_run(pts, seed, tol) -> Report:
@@ -510,11 +508,11 @@ def inoue(
 
     def automorphic_run(pts, seed, tol) -> Report:
         sample, decks = _decks(pts, seed, tol)
-        return automorphic_constants(decks, ham, points=sample, tol=tol)
+        return automorphic_constants(decks, ham, sample, tol)
 
     def descent_run(pts, seed, tol) -> Report:
         sample, decks = _decks(pts, seed, tol)
-        return automorphic_constants({k: decks[k] for k in ("g2", "g3")}, descent, points=sample, tol=tol)
+        return automorphic_constants({k: decks[k] for k in ("g2", "g3")}, descent, sample, tol)
 
     objects = {
         "chart": chart,
@@ -527,7 +525,7 @@ def inoue(
         "lee_points": lee_points,
     }
     runs: dict[str, RunFn] = {
-        "lcs": lambda pts, seed, tol: verify_lcs(structure, n=pts, seed=seed, tol=tol),
+        "lcs": lambda pts, seed, tol: verify_lcs(structure, chart.sample(pts, seed), tol),
         "lee": lee_run,
         "hamiltonian": ham_run,
         "decks": decks_run,
@@ -599,7 +597,7 @@ def cotangent(m: int = 2, scale: float = 0.3, alpha: DifferentialForm | None = N
 
     objects = {"base": base, "chart": total, "structure": structure, "alpha": alpha}
     runs: dict[str, RunFn] = {
-        "lcs": lambda pts, seed, tol: verify_lcs(structure, n=pts, seed=seed, tol=tol)
+        "lcs": lambda pts, seed, tol: verify_lcs(structure, total.sample(pts, seed), tol)
     }
     expected = [
         Expectation("lcs", row) for row in ("lee-closed", "lcs-identity", "nondegenerate", "potential")
@@ -621,8 +619,8 @@ def cotangent(m: int = 2, scale: float = 0.3, alpha: DifferentialForm | None = N
         objects["closed_momentum"] = closed_mu
 
         def momentum_run(pts, seed, tol) -> Report:
-            mu, rep = momentum_from_potential(structure, act, n=pts, seed=seed, tol=tol)
             sample = total.sample(pts, seed)
+            mu, rep = momentum_from_potential(structure, act, sample, tol)
             rep.add(
                 residual_row(
                     "closed-form",
@@ -688,8 +686,9 @@ def coupling_example_s2(weights=(1.0, 1.0)) -> ExampleManifest:
 
     base = _s2_chart()
     area, pot = _s2_area_and_potential(base)
-    gauge = circle_fat_from_symplectic(area, pot)
-    coupling = build_coupling(gauge, structure_f, act, mu)
+    gauge = circle_fat_from_symplectic(area, pot, base.sample(32, 0))
+    coupling = build_coupling(gauge, structure_f, act, mu, chart_f.sample(32, 0))
+    total = coupling.total
 
     fat_fiber = Chart(
         "hopf-fat",
@@ -713,16 +712,21 @@ def coupling_example_s2(weights=(1.0, 1.0)) -> ExampleManifest:
     J_fiber = conjugate_structure(psi, rotation_structure(c2))
 
     def fat_run(pts, seed, tol) -> Report:
-        return fatness_check(gauge, mu, fat_fiber.sample(pts, seed), n=pts, seed=seed)
+        return fatness_check(gauge, mu, fat_fiber.sample(pts, seed), base.sample(pts, seed))
 
     def fat_zero_run(pts, seed, tol) -> Report:
         zero_gauge = GaugeChart(base, (DifferentialForm.zero(base, 1),))
-        return fatness_check(zero_gauge, mu, fat_fiber.sample(pts, seed), n=pts, seed=seed)
+        return fatness_check(zero_gauge, mu, fat_fiber.sample(pts, seed), base.sample(pts, seed))
 
     def nijenhuis_run(pts, seed, tol) -> Report:
-        return horizontal_nijenhuis_identity(
-            coupling, J_base, J_fiber, n=min(6, pts), seed=seed, pairs=2
-        )
+        return horizontal_nijenhuis_identity(coupling, J_base, J_fiber, total.sample(min(6, pts), seed), seed, pairs=2)
+
+    def reduction_run(pts, seed, tol) -> Report:
+        source = zero_slice.parametrization.source
+        rep = reduced_form_check(structure_f, act, zero_slice, mu, source.sample(min(pts, 32), seed), tol)
+        split_points = product_chart(base, source).sample(min(pts, 32), seed + 1)
+        rep.extend(product_split_check(coupling, zero_slice, split_points, tol))
+        return rep
 
     objects = {
         "base": base,
@@ -740,17 +744,15 @@ def coupling_example_s2(weights=(1.0, 1.0)) -> ExampleManifest:
         "psi": psi,
     }
     runs: dict[str, RunFn] = {
-        "coupling": lambda pts, seed, tol: verify_coupling(coupling, n=pts, seed=seed, tol=tol),
-        "lift-bracket": lambda pts, seed, tol: lift_bracket_diagnostic(coupling, n=max(8, pts // 4), seed=seed, tol=tol),
+        "coupling": lambda pts, seed, tol: verify_coupling(coupling, total.sample(pts, seed), seed, tol),
+        "lift-bracket": lambda pts, seed, tol: lift_bracket_diagnostic(
+            coupling, total.sample(max(8, pts // 4), seed), seed, tol
+        ),
         "fatness": fat_run,
         "fatness-zero": fat_zero_run,
-        "bundle": lambda pts, seed, tol: bundle_momentum_check(
-            coupling, n=min(pts, 48), seed=seed, tol=tol
-        ),
+        "bundle": lambda pts, seed, tol: bundle_momentum_check(coupling, total.sample(min(pts, 48), seed), tol),
         "nijenhuis": nijenhuis_run,
-        "reduction": lambda pts, seed, tol: reduced_form_check(
-            structure_f, act, zero_slice, mu, n=min(pts, 32), seed=seed, tol=tol, coupling=coupling
-        ),
+        "reduction": reduction_run,
     }
     expected = [
         *[

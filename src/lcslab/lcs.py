@@ -184,19 +184,13 @@ def residual_check(
 # verification
 
 
-def verify_lcs(
-    s: LCSStructure,
-    points: np.ndarray | None = None,
-    n: int = 64,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> Report:
-    """Closedness of the Lee form, the structure identity, nondegeneracy.
+def verify_lcs(s: LCSStructure, points: np.ndarray, tol: float = DEFAULT_TOL) -> Report:
+    """Closedness of the Lee form, the structure identity, nondegeneracy, at ``points``.
 
     When the structure carries a potential, the identity
     ``omega = d eta - theta ^ eta`` is verified as well.
     """
-    pts = s.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     rep = Report(f"verify_lcs({s.name or s.chart.name})")
     forms = [exterior_derivative(s.lee), exterior_derivative(s.omega), wedge(s.lee, s.omega), s.omega]
     if s.potential is not None:

@@ -25,7 +25,7 @@ import numpy as np
 from . import dual
 from .actions import ActionSpec, MomentumMap
 from .charts import Chart, check_same_chart
-from .coupling import CouplingChart, embed_fiber_field, embed_fiber_vector, product_chart
+from .coupling import CouplingChart, embed_fiber_field, embed_fiber_vector
 from .errors import PreconditionError, UsageError
 from .forms import (
     DifferentialForm,
@@ -83,15 +83,8 @@ def _combined_momentum(mu: MomentumMap, v) -> ScalarField:
     return out
 
 
-def invariant_hamiltonian_check(
-    act: ActionSpec,
-    mu: MomentumMap,
-    points=None,
-    n: int = 64,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> Report:
-    """Each momentum component is unchanged by every finite element of the action.
+def invariant_hamiltonian_check(act: ActionSpec, mu: MomentumMap, points, tol: float = DEFAULT_TOL) -> Report:
+    """Each momentum component is unchanged by every finite element of the action, at ``points``.
 
     Only abelian structure constants are supported; with a nonzero bracket the
     components mix under the group and pointwise invariance is the wrong claim.
@@ -99,7 +92,7 @@ def invariant_hamiltonian_check(
     if not act.abelian:
         raise UsageError("invariance of individual Hamiltonians needs an abelian action")
     check_same_chart(act.chart, mu.chart, "action and momentum")
-    pts = act.chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     rep = Report("invariant_hamiltonian_check")
     if not act.elements:
         rep.add(CheckResult.recorded("elements", "no finite elements supplied", 0.0))
@@ -121,15 +114,8 @@ def invariant_hamiltonian_check(
     return rep
 
 
-def bundle_momentum_check(
-    c: CouplingChart,
-    mu: MomentumMap | None = None,
-    points=None,
-    n: int = 48,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> Report:
-    """The fiber generators are twisted Hamiltonian for the coupling form.
+def bundle_momentum_check(c: CouplingChart, points, tol: float = DEFAULT_TOL) -> Report:
+    """The fiber generators are twisted Hamiltonian for the coupling form, at ``points`` of the total chart.
 
     For each generator the contraction of the vertically-extended field with
     the coupling form must equal the twisted differential of the momentum
@@ -139,10 +125,10 @@ def bundle_momentum_check(
     """
     if not c.action.abelian:
         raise UsageError("bundle momentum checks need an abelian structure group")
-    mu = c.momentum if mu is None else mu
+    mu = c.momentum
     check_same_chart(mu.chart, c.fiber.chart, "momentum and fiber")
     base = c.gauge.base
-    pts = c.total.sample(n, seed) if points is None else np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     rep = Report("bundle_momentum_check")
     for a, rho in enumerate(c.action.fields):
         rho_hat = embed_fiber_vector(c.total, base, rho)
@@ -193,19 +179,17 @@ def level_scan(
     chart: Chart,
     mu: MomentumMap,
     direction,
-    points=None,
-    n: int = 256,
-    seed: int = 0,
+    points,
     margin: float = 0.01,
 ) -> Report:
-    """Scan the chart for the zero level of a momentum combination.
+    """Scan the sample ``points`` of the chart for the zero level of a momentum combination.
 
     The row's verdict classifies the outcome: "present in chart" when some
     sample comes within ``margin`` of zero, else "no zero level in chart".
     """
     check_same_chart(chart, mu.chart, "chart and momentum")
     f = _combined_momentum(mu, direction)
-    pts = chart.sample(n, seed) if points is None else np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     vals = np.abs(f.batch(pts))
     finite = np.flatnonzero(finite_points(vals))
     if finite.size == 0:
@@ -232,20 +216,16 @@ def reduced_form_check(
     act: ActionSpec,
     slc: LevelSlice,
     mu: MomentumMap,
-    points=None,
-    n: int = 48,
-    seed: int = 0,
+    points,
     tol: float = DEFAULT_TOL,
-    coupling: CouplingChart | None = None,
 ) -> Report:
-    """Pointwise reduction identities along a parametrized level slice.
+    """Pointwise reduction identities along a parametrized level slice, at ``points`` of its source.
 
     Checks that the claimed momentum combinations vanish on the slice, that
     the slice is transverse to the generator directions it reduces, that the
     generators contract to zero with slice-tangent vectors, and that the
     pulled-back pair (theta, omega) is LCS — symplectic when theta pulls back
-    to zero.  With ``coupling`` given, additionally pulls the coupling form
-    back to base x slice and requires the base-slice cross block to vanish.
+    to zero.
     """
     check_same_chart(fiber.chart, act.chart, "structure and action")
     check_same_chart(fiber.chart, mu.chart, "structure and momentum")
@@ -256,7 +236,7 @@ def reduced_form_check(
             f"direction rows have {len(slc.directions[0])} entries for a {act.dim}-generator action"
         )
     src = param.source
-    pts = src.sample(n, seed) if points is None else np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float)
 
     gen_fields = [_combined_generator(act, v) for v in slc.directions]
     mom_fields = [_combined_momentum(mu, v) for v in slc.directions]
@@ -303,51 +283,52 @@ def reduced_form_check(
                 "reduced-nondegenerate", "odd-dimensional slice: determinant test skipped", 0.0
             )
         )
-
-    if coupling is not None:
-        for row in _product_split_rows(coupling, slc, n, seed, tol):
-            rep.add(row)
     return rep
 
 
-def _product_split_rows(c: CouplingChart, slc: LevelSlice, n: int, seed: int, tol: float):
-    base = c.gauge.base
+def product_split_check(c: CouplingChart, slc: LevelSlice, points, tol: float = DEFAULT_TOL) -> Report:
+    """Pulls the coupling form back to base x slice and requires the base-slice cross block to vanish.
+
+    ``points`` lie on ``product_chart(base, slice source)``.  The slice block
+    must equal the reduced fiber form; the base block's magnitude is recorded.
+    """
     param = slc.parametrization
     check_same_chart(param.target, c.fiber.chart, "slice target and coupling fiber")
-    src = param.source
-    total_src = product_chart(base, src, name=f"{base.name}x{src.name}-slice")
-    m = base.dim
-    pts = total_src.sample(n, seed + 1)
+    m = c.base_dim
+    pts = np.asarray(points, dtype=float)
     image, Dp = dual.jet([f.node for f in param.components], pts[:, m:])
     pulled = _pulled_back_matrices(c, pts, image, Dp)
     reduced = np.swapaxes(Dp, 1, 2) @ skew_matrices(c.fiber.omega, image) @ Dp
 
-    i, j = np.triu_indices(total_src.dim, 1)
+    i, j = np.triu_indices(pts.shape[1], 1)
     upper, on_fiber = pulled[:, i, j], i >= m
     zero = np.zeros(len(pts))  # leads every block, so an empty block reads 0
     cross = upper[:, (i < m) & (j >= m)]
     base_block = upper[:, j < m]
     fiber_gap = upper[:, on_fiber] - reduced[:, i[on_fiber] - m, j[on_fiber] - m]
-    return [
+    rep = Report("product_split_check")
+    rep.add(
         residual_row(
             "product-cross",
             "pulled-back coupling form has no base-slice cross terms",
             np.column_stack([zero, cross]),
             tol,
-        ),
+        )
+    )
+    rep.add(
         residual_row(
             "product-fiber",
             "slice block of the coupling form is the reduced fiber form",
             np.column_stack([zero, fiber_gap]),
             tol,
-        ),
+        )
+    )
+    rep.add(
         residual_row(
-            "product-base",
-            "magnitude of the base block along the level",
-            np.column_stack([zero, base_block]),
-            tol=None,
-        ),
-    ]
+            "product-base", "magnitude of the base block along the level", np.column_stack([zero, base_block]), None
+        )
+    )
+    return rep
 
 
 def _require_transverse(pts: np.ndarray, J: np.ndarray, generators: list) -> None:

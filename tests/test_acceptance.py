@@ -86,7 +86,8 @@ def bundle():
 
 @pytest.fixture(scope="module")
 def bundle_report(bundle):
-    return verify_coupling(bundle.objects["coupling"], n=POINTS, seed=0, tol=1e-8)
+    coupling = bundle.objects["coupling"]
+    return verify_coupling(coupling, coupling.total.sample(POINTS, seed=0), seed=0, tol=1e-8)
 
 
 # ------------------------------------------------- 1. kernel identities
@@ -163,7 +164,8 @@ def test_pullback_commutes_with_derivative(space, pts):
 
 
 def test_halfspace_structure_identity(halfspace):
-    rep = verify_lcs(halfspace.objects["structure"], n=POINTS, seed=0, tol=1e-8)
+    structure = halfspace.objects["structure"]
+    rep = verify_lcs(structure, structure.chart.sample(POINTS, seed=0), tol=1e-8)
     assert rep.passed
     assert rep["lcs-identity"].residual < 1e-8
 
@@ -206,11 +208,11 @@ def test_halfspace_descent_obstruction(halfspace):
     """The parabolic map with nonzero second shear blocks the descent candidate."""
     box = halfspace.objects["deck_box"]
     sample = box.sample(POINTS, seed=4)
-    decks = [
-        deck_homothety(m, halfspace.objects["cover_form"], points=sample, name=name)
+    decks = {
+        name: deck_homothety(m, halfspace.objects["cover_form"], points=sample, name=name)
         for name, m in halfspace.objects["deck_maps"].items()
         if name == "g2"
-    ]
+    }
     rep = automorphic_constants(decks, halfspace.objects["descent_candidate"], points=sample)
     row = rep["a[g2]"]
     assert row.verdict == "obstructed"
@@ -224,13 +226,13 @@ def test_halfspace_descent_obstruction(halfspace):
 def test_weighted_product_structure(weights):
     man = hopf(2, weights)
     structure = man.objects["structure"]
-    rep = verify_lcs(structure, n=POINTS, seed=0, tol=1e-8)
-    assert rep.passed
     pts = structure.chart.sample(POINTS, seed=0)
+    rep = verify_lcs(structure, pts, tol=1e-8)
+    assert rep.passed
     for rho in man.objects["action"].fields:
         assert spread(contract(structure.lee, rho).batch(pts)) <= 1e-9  # theta(rho) is constant
     ham = verify_twisted_hamiltonian(
-        structure, man.objects["action"], man.objects["momentum"], n=POINTS, seed=0, tol=1e-8
+        structure, man.objects["action"], man.objects["momentum"], pts, tol=1e-8
     )
     assert ham.passed
 
@@ -252,7 +254,8 @@ def test_seven_sphere_contact_restriction():
 
 
 def test_bundle_curvature_bianchi(bundle):
-    _, rep = gauge_curvature(bundle.objects["gauge"], n=POINTS, seed=0, tol=1e-8)
+    gauge = bundle.objects["gauge"]
+    _, rep = gauge_curvature(gauge, gauge.base.sample(POINTS, seed=0), tol=1e-8)
     assert rep.passed
     assert rep["bianchi[0]"].residual < 1e-8
 
@@ -270,7 +273,8 @@ def test_bundle_form_nondegenerate(bundle_report):
 
 def test_bundle_fatness_margin(bundle):
     fiber_pts = bundle.objects["fat_fiber"].sample(POINTS, seed=0)
-    rep = fatness_check(bundle.objects["gauge"], bundle.objects["momentum"], fiber_pts, n=POINTS)
+    base_pts = bundle.objects["base"].sample(POINTS, seed=0)
+    rep = fatness_check(bundle.objects["gauge"], bundle.objects["momentum"], fiber_pts, base_pts)
     row = rep["fat"]
     assert row.passed
     assert row.residual > 1e-4
@@ -280,7 +284,7 @@ def test_bundle_fatness_zero_gauge_control(bundle):
     base = bundle.objects["base"]
     zero = GaugeChart(base, (DifferentialForm.zero(base, 1),))
     fiber_pts = bundle.objects["fat_fiber"].sample(POINTS, seed=0)
-    rep = fatness_check(zero, bundle.objects["momentum"], fiber_pts, n=POINTS)
+    rep = fatness_check(zero, bundle.objects["momentum"], fiber_pts, base.sample(POINTS, seed=0))
     assert not rep["fat"].passed
 
 
@@ -371,8 +375,7 @@ def test_torus_slice_reduction():
         man.objects["action"],
         man.objects["torus_slice"],
         man.objects["momentum"],
-        n=POINTS,
-        seed=0,
+        man.objects["torus_slice"].parametrization.source.sample(POINTS, seed=0),
         tol=1e-8,
     )
     assert rep["level[0]"].residual < 1e-10
@@ -384,14 +387,16 @@ def test_torus_slice_reduction():
 
 def test_diagonal_level_is_empty():
     man = hopf(2, (1.0, 1.0))
-    rep = level_scan(man.objects["chart"], man.objects["momentum"], (1.0, 1.0), n=256, seed=0)
+    chart = man.objects["chart"]
+    rep = level_scan(chart, man.objects["momentum"], (1.0, 1.0), chart.sample(256, seed=0))
     row = rep["zero-level"]
     assert row.verdict == "no zero level in chart"
     assert row.residual > 0.5
 
 
 def test_bundle_momentum_is_pullback_of_fiber_momentum(bundle):
-    rep = bundle_momentum_check(bundle.objects["coupling"], n=48, seed=0, tol=1e-8)
+    coupling = bundle.objects["coupling"]
+    rep = bundle_momentum_check(coupling, coupling.total.sample(48, seed=0), tol=1e-8)
     assert rep["bundle-momentum[0]"].residual < 1e-8
     assert rep["level-product[0]"].residual < 1e-8
     assert rep.passed
@@ -415,7 +420,7 @@ def test_horizontal_torsion_matches_curvature(bundle):
         bundle.objects["coupling"],
         bundle.objects["J_base"],
         bundle.objects["J_fiber"],
-        n=6,
+        bundle.objects["coupling"].total.sample(6, seed=0),
         seed=0,
         pairs=2,
     )

@@ -168,7 +168,7 @@ def test_invariance_defect_translation(qp, harmonic):
 
 def test_momentum_from_potential(qp, harmonic):
     act = ActionSpec(qp, [basis_vector(qp, 0)])
-    mu, rep = momentum_from_potential(harmonic, act, n=32)
+    mu, rep = momentum_from_potential(harmonic, act, qp.sample(32, seed=0))
     assert rep.passed
     # mu = -eta(d/dq) = -p
     assert at(mu.components[0], (0.7, 1.3)) == pytest.approx(-1.3)
@@ -177,7 +177,7 @@ def test_momentum_from_potential(qp, harmonic):
 def test_momentum_needs_invariant_potential(qp, harmonic):
     act = ActionSpec(qp, [basis_vector(qp, 1)])  # translation in p moves p dq
     with pytest.raises(PreconditionError) as ei:
-        momentum_from_potential(harmonic, act, n=16)
+        momentum_from_potential(harmonic, act, qp.sample(16, seed=0))
     assert ei.value.report is not None
     assert not ei.value.report.passed
 
@@ -185,13 +185,13 @@ def test_momentum_needs_invariant_potential(qp, harmonic):
 def test_momentum_needs_a_potential(qp, harmonic):
     bare = LCSStructure(qp, harmonic.omega, harmonic.lee)
     with pytest.raises(UsageError, match="potential"):
-        momentum_from_potential(bare, ActionSpec(qp, [basis_vector(qp, 0)]))
+        momentum_from_potential(bare, ActionSpec(qp, [basis_vector(qp, 0)]), qp.sample(64, seed=0))
 
 
 def test_twisted_hamiltonian_rows(qp, harmonic):
     act = ActionSpec(qp, [basis_vector(qp, 0)])
     mu = MomentumMap(qp, (-coordinate(qp, 1),))
-    rep = verify_twisted_hamiltonian(harmonic, act, mu, n=32)
+    rep = verify_twisted_hamiltonian(harmonic, act, mu, qp.sample(32, seed=0))
     assert rep.passed
     assert [c.id for c in rep.checks] == ["momentum[0]", "invariance[0]", "lee-hom[0]"]
 
@@ -199,7 +199,7 @@ def test_twisted_hamiltonian_rows(qp, harmonic):
 def test_twisted_hamiltonian_catches_wrong_momentum(qp, harmonic):
     act = ActionSpec(qp, [basis_vector(qp, 0)])
     bad = MomentumMap(qp, (-coordinate(qp, 1) + coordinate(qp, 0),))
-    rep = verify_twisted_hamiltonian(harmonic, act, bad, n=32)
+    rep = verify_twisted_hamiltonian(harmonic, act, bad, qp.sample(32, seed=0))
     assert not rep["momentum[0]"].passed
     assert rep["invariance[0]"].passed
 
@@ -208,7 +208,7 @@ def test_momentum_dimension_mismatch(qp, harmonic):
     act = ActionSpec(qp, [basis_vector(qp, 0)])
     mu = MomentumMap(qp, (-coordinate(qp, 1), coordinate(qp, 0)))
     with pytest.raises(UsageError, match="generators"):
-        verify_twisted_hamiltonian(harmonic, act, mu)
+        verify_twisted_hamiltonian(harmonic, act, mu, qp.sample(64, seed=0))
 
 
 def test_bracket_hamiltonian_identity(qp, harmonic):
@@ -228,7 +228,7 @@ def test_bracket_hamiltonian_identity(qp, harmonic):
 def test_deck_homothety_contraction(plane):
     w = DifferentialForm(plane, 2, {(0, 1): 1.0})
     half = SmoothMap(plane, plane, [0.5 * coordinate(plane, 0), 0.5 * coordinate(plane, 1)])
-    deck = deck_homothety(half, w, n=40, name="half")
+    deck = deck_homothety(half, w, plane.sample(40, seed=0), name="half")
     assert deck.factor == pytest.approx(0.25, abs=1e-12)
     assert deck.spread < 1e-12
 
@@ -238,7 +238,7 @@ def test_deck_homothety_rejects_non_homothety(plane):
     w = DifferentialForm(plane, 2, {(0, 1): constant(plane, 1.0) + x * x})
     shift = SmoothMap(plane, plane, [x + 0.5, coordinate(plane, 1)])
     with pytest.raises(NotHomothetyError) as ei:
-        deck_homothety(shift, w, n=40)
+        deck_homothety(shift, w, plane.sample(40, seed=0))
     assert ei.value.spread > 1e-3
 
 
@@ -246,8 +246,8 @@ def test_deck_homothety_skips_non_finite_points(plane):
     """Points where the pulled-back coefficient is undefined are skipped, never a NaN factor."""
     w = DifferentialForm(plane, 2, {(0, 1): parse_field("1 + 0 * sqrt(1 - x^2)", plane)})
     double = SmoothMap(plane, plane, [2.0 * coordinate(plane, 0), coordinate(plane, 1)])
-    deck = deck_homothety(double, w, n=64)
     x = plane.sample(64, seed=0)[:, 0]
+    deck = deck_homothety(double, w, plane.sample(64, seed=0))
     assert deck.factor == pytest.approx(2.0, abs=1e-12)
     assert deck.spread < 1e-12
     assert (deck.skipped, deck.points) == (int(np.count_nonzero(np.abs(x) > 0.5)), 64)
@@ -258,21 +258,21 @@ def test_deck_homothety_says_how_many_samples_stayed_and_how_many_it_needs(plane
     w = DifferentialForm(plane, 2, {(0, 1): 1.0})
     same = SmoothMap(plane, plane, [coordinate(plane, 0), coordinate(plane, 1)])
     with pytest.raises(DomainError) as ei:
-        deck_homothety(same, w, n=2)
+        deck_homothety(same, w, plane.sample(2, seed=0))
     assert str(ei.value) == "deck map keeps 2 of 2 samples in the chart; it needs at least 4"
     disc = Chart("disc", ("x", "y"), predicate=lambda c: c[0] * c[0] + c[1] * c[1] < 1.0)
     triple = SmoothMap(disc, disc, [3.0 * coordinate(disc, 0), 3.0 * coordinate(disc, 1)])
     kept = int(np.count_nonzero(disc.contains(triple.batch(disc.sample(64, seed=0)))))
     assert 0 < kept < 16
     with pytest.raises(DomainError, match=f"keeps {kept} of 64 samples in the chart; it needs at least 16$"):
-        deck_homothety(triple, DifferentialForm(disc, 2, {(0, 1): 1.0}), n=64)
+        deck_homothety(triple, DifferentialForm(disc, 2, {(0, 1): 1.0}), disc.sample(64, seed=0))
 
 
 def test_deck_homothety_raises_when_too_few_points_are_finite(plane):
     w = DifferentialForm(plane, 2, {(0, 1): parse_field("1 + 0 * sqrt(0.1 - x^2)", plane)})
     double = SmoothMap(plane, plane, [2.0 * coordinate(plane, 0), coordinate(plane, 1)])
     with pytest.raises(DomainError, match="not finite"):
-        deck_homothety(double, w, n=64)
+        deck_homothety(double, w, plane.sample(64, seed=0))
 
 
 def test_automorphic_constant_counts_skipped_points():
@@ -280,7 +280,7 @@ def test_automorphic_constant_counts_skipped_points():
     box = Chart("box", ("x", "y"), box=((-1.0, 1.0), (-1.0, 1.0)))
     f = parse_field("sqrt(x - 0.9) + y", box)  # undefined for x < 0.9
     shift = SmoothMap(box, box, [coordinate(box, 0), coordinate(box, 1) + 0.1])
-    rep = automorphic_constants([DeckElement("shift", shift, 1.0)], f)
+    rep = automorphic_constants({"shift": DeckElement("shift", shift, 1.0)}, f, box.sample(64, seed=0))
     row = rep["a[shift]"]
     assert row.verdict == "inconclusive" and not row.passed
     assert (row.details["skipped"], row.details["points"]) == (61, 64)
@@ -360,9 +360,10 @@ def test_twisted_hamiltonian_replays_one_bounded_tape(monkeypatch):
         replays.append(len(self.steps))
         return run(self, inputs)
 
+    pts = objects["chart"].sample(64, seed=0)
     monkeypatch.setattr(dual.Tape, "run", counted)
     for _ in range(2):  # cold, then warm
         replays.clear()
-        rep = verify_twisted_hamiltonian(objects["structure"], objects["action"], objects["momentum"], n=64, seed=0)
+        rep = verify_twisted_hamiltonian(objects["structure"], objects["action"], objects["momentum"], pts)
         assert rep.passed
         assert len(replays) == 1 and replays[0] <= 10_000

@@ -71,7 +71,7 @@ def flat(uv):
     mu = MomentumMap(fiber, (-coordinate(fiber, 0),))  # i_{d/dy} omega = d(-x)
     A = DifferentialForm(uv, 1, {(1,): coordinate(uv, 0)})
     gauge = GaugeChart(uv, (A,))
-    return build_coupling(gauge, structure, act, mu, n=24)
+    return build_coupling(gauge, structure, act, mu, fiber.sample(24, seed=0))
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,7 @@ def test_gauge_chart_validation(uv):
 def test_abelian_curvature_is_exterior_derivative(uv, rng):
     A = rand_form(uv, rng, 1)
     g = GaugeChart(uv, (A,))
-    (F,), rep = gauge_curvature(g, n=16)
+    (F,), rep = gauge_curvature(g, uv.sample(16, seed=0))
     assert rep.passed
     res, _ = form_residual(F, exterior_derivative(A), uv.sample(16, seed=1))
     assert res < 1e-10
@@ -100,7 +100,7 @@ def test_abelian_curvature_is_exterior_derivative(uv, rng):
 def test_nonabelian_bianchi(r4, rng):
     """dF + c A ^ F = 0 holds identically whatever the potentials are."""
     g = GaugeChart(r4, tuple(rand_form(r4, rng, 1) for _ in range(3)), sl2_constants())
-    _, rep = gauge_curvature(g, n=24, tol=1e-8)
+    _, rep = gauge_curvature(g, r4.sample(24, seed=0), tol=1e-8)
     assert rep.passed
     assert len(rep.checks) == 3
 
@@ -111,7 +111,7 @@ def test_nonabelian_curvature_quadratic_term(uv):
     dv = DifferentialForm(uv, 1, {(1,): 1.0})
     zero = DifferentialForm.zero(uv, 1)
     g = GaugeChart(uv, (du, dv, zero), sl2_constants())
-    F, rep = gauge_curvature(g, n=8)
+    F, rep = gauge_curvature(g, uv.sample(8, seed=0))
     # c^2_{01} = -2: F^2 = 1/2(c^2_{01} du^dv + c^2_{10} dv^du) = -2 du^dv
     p = (0.3, -0.7)
     assert at(F[2].coefficient((0, 1)), p) == pytest.approx(-2.0)
@@ -122,11 +122,11 @@ def test_nonabelian_curvature_quadratic_term(uv):
 def test_circle_fat_requires_primitive(uv):
     area = DifferentialForm(uv, 2, {(0, 1): 1.0})
     good = DifferentialForm(uv, 1, {(1,): coordinate(uv, 0)})
-    g = circle_fat_from_symplectic(area, good, n=16)
+    g = circle_fat_from_symplectic(area, good, uv.sample(16, seed=0))
     assert g.dim == 1
     bad = DifferentialForm(uv, 1, {(1,): coordinate(uv, 1)})
     with pytest.raises(PreconditionError, match="does not reproduce"):
-        circle_fat_from_symplectic(area, bad, n=16)
+        circle_fat_from_symplectic(area, bad, uv.sample(16, seed=0))
 
 
 # -- the assembled form -----------------------------------------------------
@@ -143,7 +143,7 @@ def test_coupling_form_coefficients_by_hand(flat):
 
 
 def test_coupling_verifies(flat):
-    rep = verify_coupling(flat, n=32, seed=0, tol=1e-8)
+    rep = verify_coupling(flat, flat.total.sample(32, seed=0), seed=0, tol=1e-8)
     assert rep.passed
     ids = [c.id for c in rep.checks]
     assert "closed[coeffs]" in ids and "closed[hhv]" in ids and "hor-vert" in ids
@@ -159,7 +159,7 @@ def test_corrupted_form_fails_the_class_that_uses_it(flat):
     x = coordinate(flat.total, 2)
     bad_omega = flat.Omega + DifferentialForm(flat.total, 2, {(0, 1): x})
     corrupted = dataclasses.replace(flat, Omega=bad_omega)
-    rep = verify_coupling(corrupted, n=24, seed=1)
+    rep = verify_coupling(corrupted, flat.total.sample(24, seed=1), seed=1)
     assert not rep.passed
     assert not rep["closed[coeffs]"].passed
     assert not rep["closed[hhv]"].passed
@@ -204,18 +204,18 @@ def test_horizontal_lift_subtracts_gauge(flat, uv):
 def test_build_rejects_wrong_momentum(flat, uv):
     wrong = MomentumMap(flat.fiber.chart, (coordinate(flat.fiber.chart, 1),))
     with pytest.raises(PreconditionError) as ei:
-        build_coupling(flat.gauge, flat.fiber, flat.action, wrong, n=16)
+        build_coupling(flat.gauge, flat.fiber, flat.action, wrong, flat.fiber.chart.sample(16, seed=0))
     assert ei.value.report is not None
 
 
 def test_build_rejects_mismatched_constants(flat, uv):
     g3 = GaugeChart(uv, flat.gauge.potentials * 3, sl2_constants())
     with pytest.raises(UsageError):
-        build_coupling(g3, flat.fiber, flat.action, flat.momentum, n=8)
+        build_coupling(g3, flat.fiber, flat.action, flat.momentum, flat.fiber.chart.sample(8, seed=0))
 
 
 def test_lift_bracket_diagnostic(flat):
-    rep = lift_bracket_diagnostic(flat, n=10, seed=0, tol=1e-8, pairs=2)
+    rep = lift_bracket_diagnostic(flat, flat.total.sample(10, seed=0), seed=0, tol=1e-8, pairs=2)
     assert rep.passed
 
 
@@ -276,10 +276,12 @@ def test_coupling_checkers_build_no_node_per_draw(s2, monkeypatch):
     c = o["coupling"]
 
     def lift_bracket(pairs, seed):
-        return lambda: lift_bracket_diagnostic(c, n=8, seed=seed, pairs=pairs)
+        pts = c.total.sample(8, seed)
+        return lambda: lift_bracket_diagnostic(c, pts, seed=seed, pairs=pairs)
 
     def horizontal(pairs, seed):
-        return lambda: horizontal_nijenhuis_identity(c, o["J_base"], o["J_fiber"], n=6, seed=seed, pairs=pairs)
+        pts = c.total.sample(6, seed)
+        return lambda: horizontal_nijenhuis_identity(c, o["J_base"], o["J_fiber"], pts, seed=seed, pairs=pairs)
 
     for run, many in ((lift_bracket, 5), (horizontal, 4)):
         run(1, 0)()
@@ -294,7 +296,7 @@ def test_fatness_zero_gauge_fails(uv):
     fiber = Chart("xy", ("x", "y"))
     g = GaugeChart(uv, (DifferentialForm.zero(uv, 1),))
     mu = MomentumMap(fiber, (coordinate(fiber, 0),))
-    rep = fatness_check(g, mu, fiber.sample(16, seed=0), n=16)
+    rep = fatness_check(g, mu, fiber.sample(16, seed=0), uv.sample(16, seed=0))
     assert not rep.passed
     assert rep["fat"].residual == 0.0
 
@@ -304,7 +306,7 @@ def test_fatness_positive_for_area_curvature(uv):
     A = DifferentialForm(uv, 1, {(1,): coordinate(uv, 0)})
     g = GaugeChart(uv, (A,))
     mu = MomentumMap(fiber, (coordinate(fiber, 0),))  # bounded away from zero
-    rep = fatness_check(g, mu, fiber.sample(24, seed=1), n=24, threshold=1e-4)
+    rep = fatness_check(g, mu, fiber.sample(24, seed=1), uv.sample(24, seed=0), threshold=1e-4)
     assert rep.passed
     # det of the 2x2 pairing is mu^2 and mu = x >= 0.5 on the fiber box
     assert rep["fat"].residual >= 0.25
@@ -323,7 +325,7 @@ def test_fatness_matches_pointwise_pairs(uv, term):
     g = GaugeChart(uv, (A1, A2))
     mu = MomentumMap(fiber, (coordinate(fiber, 0), coordinate(fiber, 1)))
     bpts, fpts = uv.sample(12, seed=3), fiber.sample(10, seed=4)
-    F, _ = gauge_curvature(g, n=4)
+    F, _ = gauge_curvature(g, uv.sample(4, seed=0))
     dets, skipped = [], 0
     for x in fpts:
         for u in bpts:
@@ -527,7 +529,8 @@ def test_horizontal_identity_takes_one_jet_of_each_block(s2, monkeypatch):
     jets, jet = [], dual.jet
     monkeypatch.setattr(dual, "jet", lambda value, points: jets.append(value) or jet(value, points))
     o = s2.objects
-    rep = horizontal_nijenhuis_identity(o["coupling"], o["J_base"], o["J_fiber"], n=6, seed=3, pairs=3)
+    pts = o["coupling"].total.sample(6, seed=3)
+    rep = horizontal_nijenhuis_identity(o["coupling"], o["J_base"], o["J_fiber"], pts, seed=3, pairs=3)
     assert rep.passed
     assert len(jets) == 3
     assert jets[0] is o["J_base"].entries and jets[1] is o["J_fiber"].entries
@@ -556,7 +559,7 @@ def test_horizontal_identity_refuses_a_fiber_structure_that_is_not_complex(flat)
     x = coordinate(flat.fiber.chart, 0)
     J_fiber = EndomorphismField(flat.fiber.chart, [[0.0, -1.0], [1.0 + x * x, 0.0]])
     with pytest.raises(InvalidStructureError, match="does not square to -id"):
-        horizontal_nijenhuis_identity(flat, rotation_structure(flat.base), J_fiber, n=6)
+        horizontal_nijenhuis_identity(flat, rotation_structure(flat.base), J_fiber, flat.total.sample(6, seed=0))
 
 
 def test_embedding_substitutes_through_one_shared_tape(s2, built_tapes):
@@ -605,7 +608,7 @@ def test_horizontal_nijenhuis_identity(flat):
         flat,
         rotation_structure(flat.base),
         rotation_structure(flat.fiber.chart),
-        n=6,
+        flat.total.sample(6, seed=0),
         seed=0,
         tol=1e-7,
         pairs=2,

@@ -79,7 +79,7 @@ def test_nondegeneracy_is_a_square(r4, rng):
 
 def test_nondegeneracy_odd_dimension(r3):
     w = DifferentialForm(r3, 2, {(0, 1): 1.0})
-    row = verify_lcs(LCSStructure(r3, w, DifferentialForm.zero(r3, 1)), n=4)["nondegenerate"]
+    row = verify_lcs(LCSStructure(r3, w, DifferentialForm.zero(r3, 1)), r3.sample(4, seed=0))["nondegenerate"]
     assert row.residual == 0.0 and not row.passed
     assert "odd" in row.details["note"]
 
@@ -117,7 +117,7 @@ def test_nondegenerate_row_matches_pointwise_determinants(solv_structure, halfsp
 
 
 def test_verify_solv_structure(solv_structure):
-    rep = verify_lcs(solv_structure, n=48, seed=0, tol=1e-8)
+    rep = verify_lcs(solv_structure, solv_structure.chart.sample(48, seed=0), tol=1e-8)
     assert rep.passed
     assert [c.id for c in rep.checks] == ["lee-closed", "lcs-identity", "nondegenerate"]
 
@@ -132,7 +132,7 @@ def test_verify_flags_broken_identity(r4):
     one = constant(r4, 1.0)
     omega = DifferentialForm(r4, 2, {(0, 1): one + a * a, (2, 3): 1.0})
     lee = DifferentialForm(r4, 1, {(0,): 1.0})
-    rep = verify_lcs(LCSStructure(r4, omega, lee), n=32, seed=1)
+    rep = verify_lcs(LCSStructure(r4, omega, lee), r4.sample(32, seed=1))
     assert not rep.passed
     assert not rep["lcs-identity"].passed
     assert rep["lee-closed"].passed
@@ -237,7 +237,7 @@ def test_conformal_rescale_round_trip(solv_structure, halfspace):
 
 def test_conformal_rescale_preserves_identity(solv_structure, halfspace):
     f = parse_field("0.4 * z1 + 0.1 * w1 * z2", halfspace)
-    rep = verify_lcs(conformal_rescale(solv_structure, f), n=32, seed=2)
+    rep = verify_lcs(conformal_rescale(solv_structure, f), halfspace.sample(32, seed=2))
     assert rep.passed
 
 
@@ -257,7 +257,7 @@ def test_exact_structure_builds_and_verifies(r4):
     b, d = coordinate(r4, 1), coordinate(r4, 3)
     eta = DifferentialForm(r4, 1, {(0,): b, (2,): d})
     s = LCSStructure(r4, twisted_derivative(theta, eta), theta, potential=eta)
-    rep = verify_lcs(s, n=24, seed=1)
+    rep = verify_lcs(s, r4.sample(24, seed=1))
     assert rep["lcs-identity"].passed
     assert rep["potential"].passed
     assert rep["lee-closed"].passed

@@ -1,5 +1,7 @@
 """Level slices, transversality, and the reduced two-form."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,11 +25,11 @@ from lcslab.lcs import LCSStructure, skew_matrices
 from lcslab.parser import parse_field
 from lcslab.reduction import (
     LevelSlice,
-    _product_split_rows,
     _pulled_back_matrices,
     bundle_momentum_check,
     invariant_hamiltonian_check,
     level_scan,
+    product_split_check,
     reduced_form_check,
 )
 from lcslab.report import form_values
@@ -82,7 +84,7 @@ def test_slice_validation(sheet, phase):
 
 def test_reduction_on_translation_level(symplectic, shift_action, shift_momentum, sheet, phase):
     slc = good_slice(sheet, phase)
-    rep = reduced_form_check(symplectic, shift_action, slc, shift_momentum, n=32, seed=0)
+    rep = reduced_form_check(symplectic, shift_action, slc, shift_momentum, sheet.sample(32, seed=0))
     assert rep.passed
     assert rep["level[0]"].residual == 0.0
     assert rep["level-isotropy[0]"].residual == 0.0
@@ -130,7 +132,7 @@ def test_reduction_rejects_slice_containing_orbit(symplectic, shift_action, shif
         (1.0,),
     )
     with pytest.raises(PreconditionError, match="not transverse"):
-        reduced_form_check(symplectic, shift_action, along_orbit, shift_momentum, n=8)
+        reduced_form_check(symplectic, shift_action, along_orbit, shift_momentum, sheet.sample(8, seed=0))
 
 
 def test_reduction_flags_wrong_level(symplectic, shift_action, shift_momentum, sheet, phase):
@@ -141,7 +143,7 @@ def test_reduction_flags_wrong_level(symplectic, shift_action, shift_momentum, s
         ),
         (1.0,),
     )
-    rep = reduced_form_check(symplectic, shift_action, off_level, shift_momentum, n=16)
+    rep = reduced_form_check(symplectic, shift_action, off_level, shift_momentum, sheet.sample(16, seed=0))
     assert not rep.passed
     assert rep["level[0]"].residual == pytest.approx(0.3)
 
@@ -149,7 +151,7 @@ def test_reduction_flags_wrong_level(symplectic, shift_action, shift_momentum, s
 def test_reduction_direction_length_checked(symplectic, shift_action, shift_momentum, sheet, phase):
     slc = LevelSlice.single(good_slice(sheet, phase).parametrization, (1.0, 0.0))
     with pytest.raises(UsageError, match="direction rows"):
-        reduced_form_check(symplectic, shift_action, slc, shift_momentum, n=8)
+        reduced_form_check(symplectic, shift_action, slc, shift_momentum, sheet.sample(8, seed=0))
 
 
 def test_trivial_action_identity_slice(phase, symplectic):
@@ -161,7 +163,7 @@ def test_trivial_action_identity_slice(phase, symplectic):
     ident = LevelSlice.single(
         SmoothMap(wide, phase, [coordinate(wide, i) for i in range(4)]), (1.0,)
     )
-    rep = reduced_form_check(symplectic, act, ident, mu, n=16)
+    rep = reduced_form_check(symplectic, act, ident, mu, wide.sample(16, seed=0))
     assert rep.passed
     assert rep["reduced-nondegenerate"].passed
 
@@ -182,7 +184,7 @@ def test_invariant_hamiltonian_passes(plane):
     rot_field = VectorField(plane, [-y, x])
     act = ActionSpec(plane, [rot_field], elements={"rot": rotation_map(plane, 0.7)})
     mu = MomentumMap(plane, (x * x + y * y,))
-    rep = invariant_hamiltonian_check(act, mu, n=32, seed=0)
+    rep = invariant_hamiltonian_check(act, mu, plane.sample(32, seed=0))
     assert rep.passed
     assert rep["invariant[0][rot]"].residual < 1e-12
 
@@ -191,7 +193,7 @@ def test_non_invariant_hamiltonian_flagged(plane):
     x, y = coordinate(plane, 0), coordinate(plane, 1)
     act = ActionSpec(plane, [VectorField(plane, [-y, x])], elements={"rot": rotation_map(plane, 0.7)})
     mu = MomentumMap(plane, (x,))
-    rep = invariant_hamiltonian_check(act, mu, n=32, seed=0)
+    rep = invariant_hamiltonian_check(act, mu, plane.sample(32, seed=0))
     assert not rep.passed
 
 
@@ -201,13 +203,13 @@ def test_invariance_needs_abelian(plane):
     act = sl2_action(plane)
     mu = MomentumMap(plane, tuple(coordinate(plane, 0) for _ in range(3)))
     with pytest.raises(UsageError, match="abelian"):
-        invariant_hamiltonian_check(act, mu)
+        invariant_hamiltonian_check(act, mu, plane.sample(64, seed=0))
 
 
 def test_no_elements_is_recorded_not_failed(plane):
     act = ActionSpec(plane, [basis_vector(plane, 0)])
     mu = MomentumMap(plane, (coordinate(plane, 0),))
-    rep = invariant_hamiltonian_check(act, mu, n=8)
+    rep = invariant_hamiltonian_check(act, mu, plane.sample(8, seed=0))
     assert rep.passed
     assert rep["elements"].verdict == "recorded"
 
@@ -218,7 +220,7 @@ def test_no_elements_is_recorded_not_failed(plane):
 def test_level_scan_finds_zero_circle(plane):
     x, y = coordinate(plane, 0), coordinate(plane, 1)
     mu = MomentumMap(plane, (x * x + y * y - constant(plane, 0.5),))
-    rep = level_scan(plane, mu, (1.0,), n=256, seed=0)
+    rep = level_scan(plane, mu, (1.0,), plane.sample(256, seed=0))
     row = rep["zero-level"]
     assert row.passed and row.verdict == "present in chart"
     px, py = row.details["point"]
@@ -228,7 +230,7 @@ def test_level_scan_finds_zero_circle(plane):
 def test_level_scan_reports_empty_level(plane):
     x, y = coordinate(plane, 0), coordinate(plane, 1)
     mu = MomentumMap(plane, (x * x + y * y + constant(plane, 1.0),))
-    rep = level_scan(plane, mu, (1.0,), n=128, seed=0)
+    rep = level_scan(plane, mu, (1.0,), plane.sample(128, seed=0))
     row = rep["zero-level"]
     assert row.passed and row.verdict == "no zero level in chart"
     assert row.residual >= 1.0
@@ -237,7 +239,7 @@ def test_level_scan_reports_empty_level(plane):
     # a momentum undefined for x < 0.9: the same classification, skipped points counted
     box = Chart("box", ("x", "y"), box=((-1.0, 1.0), (-1.0, 1.0)))
     mu = MomentumMap(box, (parse_field("sqrt(x - 0.9) + y", box),))
-    row = level_scan(box, mu, (1.0,), n=64, seed=0)["zero-level"]
+    row = level_scan(box, mu, (1.0,), box.sample(64, seed=0))["zero-level"]
     assert row.passed and row.verdict == "no zero level in chart"
     assert (row.details["skipped"], row.details["points"]) == (61, 64)
     assert row.details["point"][0] >= 0.9
@@ -261,11 +263,11 @@ def bundle():
     )
     mu = MomentumMap(fiber, (-x,))
     A = DifferentialForm(base, 1, {(1,): coordinate(base, 0)})
-    return build_coupling(GaugeChart(base, (A,)), structure, act, mu, n=16)
+    return build_coupling(GaugeChart(base, (A,)), structure, act, mu, fiber.sample(16, seed=0))
 
 
 def test_bundle_momentum_rows(bundle):
-    rep = bundle_momentum_check(bundle, n=24, seed=0)
+    rep = bundle_momentum_check(bundle, bundle.total.sample(24, seed=0))
     assert rep["bundle-momentum[0]"].passed
     assert rep["level-product[0]"].residual == 0.0
     # the y-translation is the action's own flow direction: preserved
@@ -286,15 +288,15 @@ def test_invariance_matrices_match_the_pulled_back_form(example, bundle):
         assert np.abs(want).max() > 0.1
 
 
-def node_product_residuals(c, slc: LevelSlice, n: int, seed: int) -> tuple[dict, float]:
+def node_product_residuals(c, slc: LevelSlice, pts: np.ndarray) -> tuple[dict, float]:
     """The product rows' residuals from node pullbacks of Omega by ``id x slice`` and of the fiber form by the slice.
 
-    Returns the residual per row id and the largest coefficient magnitude.
+    ``pts`` lie on base x slice source.  Returns the residual per row id and
+    the largest coefficient magnitude.
     """
     base, param = c.base, slc.parametrization
     total_src = product_chart(base, param.source)
     m = base.dim
-    pts = total_src.sample(n, seed + 1)
     pulled = form_values(pullback(base_times(base, param, total_src, c.total), c.Omega), pts)
     reduced = form_values(pullback(param, c.fiber.omega), pts[:, m:])
     zero = np.zeros(len(pts))
@@ -318,21 +320,22 @@ def test_product_split_rows_match_the_node_pullbacks(example, bundle, monkeypatc
         sheet = Chart("sheet-b", ("s1", "s2"), ((-1.0, 1.0), (-1.0, 1.0)))
         s1, s2 = coordinate(sheet, 0), coordinate(sheet, 1)
         slc = LevelSlice.single(SmoothMap(sheet, c.fiber.chart, [s1 + 0.5 * s2 * s2, s2 - 0.3 * s1 * s2]), (1.0,))
-    rows = {row.id: row for row in _product_split_rows(c, slc, 16, 5, 1e-8)}
-    want, scale = node_product_residuals(c, slc, 16, 5)
+    pts = product_chart(c.base, slc.parametrization.source).sample(16, seed=6)
+    rows = {row.id: row for row in product_split_check(c, slc, pts, 1e-8).checks}
+    want, scale = node_product_residuals(c, slc, pts)
     assert set(rows) == set(want)
     for row_id, residual in want.items():
         assert abs(rows[row_id].residual - residual) <= 1e-14 * (1 + scale), row_id
     if example == "bundle":
         assert min(want["product-cross"], want["product-base"]) > 0.1
-    assert interned_by(lambda: _product_split_rows(c, slc, 16, 5, 1e-8), monkeypatch) == 0
+    assert interned_by(lambda: product_split_check(c, slc, pts, 1e-8), monkeypatch) == 0
 
 
 def test_bundle_momentum_detects_wrong_hamiltonian(bundle):
     fiber = bundle.fiber.chart
     x, y = coordinate(fiber, 0), coordinate(fiber, 1)
     crooked = MomentumMap(fiber, (-x + y * y,))
-    rep = bundle_momentum_check(bundle, mu=crooked, n=16, seed=0)
+    rep = bundle_momentum_check(dataclasses.replace(bundle, momentum=crooked), bundle.total.sample(16, seed=0))
     assert not rep["bundle-momentum[0]"].passed
 
 
@@ -354,6 +357,6 @@ def test_bundle_momentum_needs_abelian():
     mu = MomentumMap(fiber, (-x, -x, -x))
     A = DifferentialForm.zero(base, 1)
     g = GaugeChart(base, (A, A, A), sl2_constants())
-    c = build_coupling(g, structure, act, mu, n=8)
+    c = build_coupling(g, structure, act, mu, fiber.sample(8, seed=0))
     with pytest.raises(UsageError, match="abelian"):
-        bundle_momentum_check(c, n=4)
+        bundle_momentum_check(c, c.total.sample(4, seed=0))

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from lcslab import cli
 from lcslab.cohomology import Cochain, circle, hodge_decompose, product_complex
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -34,6 +35,15 @@ def test_run_all_examples_meets_every_expectation():
     assert header.split()[-2:] == ["nodes", "tapes"] and len(rows) == 8
     # the interned nodes each example holds, and the tapes kept for them
     assert all(line.split()[-2].isdigit() and line.split()[-1].isdigit() for line in rows)
+
+
+@pytest.mark.parametrize("argv", [["--points", "0"], ["--points", "9"], ["--seed", "-1"]])
+def test_run_all_examples_refuses_a_bad_count_or_seed_as_the_cli_does(argv, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_POINTS", 8)  # the script reads the bound when it loads; a missed one runs cheaply
+    code, out = run_script("run_all_examples", argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cohomology_demo_labels_the_hodge_split():
