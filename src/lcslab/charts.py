@@ -1,40 +1,46 @@
-"""Coordinate charts: named coordinates, a sampling box and a domain test.
+"""Coordinate charts: named coordinates, a sampling box and a domain.
 
 A chart is the ambient bookkeeping for every field and form in the package.
 Charts never store transition maps; each verification runs inside a single
 fixed chart and global statements are only ever probed through explicitly
 constructed maps between charts.
 
-The domain predicate runs through :func:`lcslab.dual.evaluate` like every
-other expression; this module carries no floating-point guard of its own.
+A domain is a tuple of expression nodes, positive inside the chart; they
+replay through :func:`lcslab.dual.evaluate` like every coefficient, and this
+module carries no floating-point guard of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import dual
 from .errors import ChartMismatchError, DomainError, UsageError
 
+# Rejection-sampling rounds before a domain counts as too thin to sample.
+_MAX_TRIES = 200
+
 
 @dataclass(frozen=True)
 class Chart:
-    """An open box (with optional predicate) carrying named coordinates.
+    """An open box carrying named coordinates, cut down to a domain.
 
     ``box`` bounds are only a sampling region, one finite ``lo < hi`` pair
-    per coordinate; ``predicate`` (batched: receives one array per
-    coordinate, returns a boolean array) is the actual domain test.  A chart
-    with no predicate accepts every point.  Coordinate names are distinct.
+    per coordinate.  ``domain`` is the actual domain: a tuple of
+    expressions, each a number, a node or a closure over the coordinates
+    (traced as a :class:`~lcslab.forms.ScalarField` coefficient is), and a
+    point is inside when every one is positive and finite there.  A chart
+    with an empty domain accepts every finite point.  Coordinate names are
+    distinct.  Two charts compare by name, coordinates and box.
     """
 
     name: str
     coords: tuple[str, ...]
     box: tuple[tuple[float, float], ...] = field(default=())
-    predicate: Callable | None = None
+    domain: tuple[dual.Node, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if len(set(self.coords)) != len(self.coords):
@@ -46,6 +52,9 @@ class Chart:
         if box is None or len(box) != len(self.coords) or not all(-math.inf < lo < hi < math.inf for lo, hi in box):
             raise UsageError(f"chart {self.name!r}: box must give one finite (lo, hi) pair with lo < hi per coordinate")
         object.__setattr__(self, "box", box)
+        if not isinstance(self.domain, (tuple, list)):
+            raise UsageError(f"chart {self.name!r}: domain must be a tuple of expressions, each positive inside")
+        object.__setattr__(self, "domain", tuple(dual.trace(entry, self.dim) for entry in self.domain))
 
     @property
     def dim(self) -> int:
@@ -64,12 +73,11 @@ class Chart:
         point with a non-finite coordinate is outside every chart.
         """
         pts = np.asarray(point, dtype=float)
-        inside = np.isfinite(np.atleast_2d(pts)).all(axis=1)
-        if self.predicate is not None:
-            inside &= dual.evaluate(self.predicate, pts).astype(bool)
+        margins = dual.evaluate(self.domain, pts)
+        inside = np.isfinite(np.atleast_2d(pts)).all(axis=1) & ((margins > 0) & (margins < math.inf)).all(axis=1)
         return inside if pts.ndim == 2 else bool(inside[0])
 
-    def sample(self, n: int, seed: int = 0, max_tries: int = 200) -> np.ndarray:
+    def sample(self, n: int, seed: int = 0) -> np.ndarray:
         """Deterministic rejection sampling of ``n`` points, shape (n, dim); ``n`` is at least 1."""
         if n < 1:
             raise UsageError(f"chart {self.name!r}: cannot draw {n} sample points; the count must be at least 1")
@@ -77,9 +85,9 @@ class Chart:
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
         out = []
-        for _ in range(max_tries):
+        for _ in range(_MAX_TRIES):
             chunk = rng.uniform(lo, hi, size=(max(4 * n, 16), self.dim))
-            out.append(chunk if self.predicate is None else chunk[self.contains(chunk)])
+            out.append(chunk[self.contains(chunk)])
             if sum(map(len, out)) >= n:
                 break
         pts = np.concatenate(out, axis=0)

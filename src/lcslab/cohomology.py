@@ -47,7 +47,7 @@ class TwistedComplex:
     2-simplex for the coboundary to square to zero.
     """
 
-    def __init__(self, n_vertices: int, simplices, theta=None, cocycle_tol: float = _COCYCLE_TOL):
+    def __init__(self, n_vertices: int, simplices, theta=None):
         if n_vertices < 1:
             raise InvalidComplexError("a complex needs at least one vertex")
         self.n_vertices = int(n_vertices)
@@ -92,7 +92,7 @@ class TwistedComplex:
         for s in self.by_dim.get(2, ()):
             u, v, w = s
             defect = th[(u, v)] + th[(v, w)] - th[(u, w)]
-            if not abs(defect) <= cocycle_tol:
+            if not abs(defect) <= _COCYCLE_TOL:
                 raise InvalidComplexError(
                     f"edge weights violate the cocycle condition on triangle {s} (defect {defect:.3e})"
                 )

@@ -76,29 +76,15 @@ from .report import (
 
 
 def product_chart(base: Chart, fiber: Chart) -> Chart:
-    """Chart for U x F; base coordinates first, names must not collide."""
+    """Chart for U x F; base coordinates first, names must not collide, a point inside when both parts are."""
     clash = set(base.coords) & set(fiber.coords)
     if clash:
         raise UsageError(f"coordinate names {sorted(clash)} appear on both factors")
     m = base.dim
-    bp, fp = base.predicate, fiber.predicate
-    pred = None
-    if bp is not None or fp is not None:
-
-        def pred(cols, _bp=bp, _fp=fp, _m=m):
-            ok = np.ones(np.shape(cols[0]), dtype=bool)
-            if _bp is not None:
-                ok = ok & _bp(cols[:_m])
-            if _fp is not None:
-                ok = ok & _fp(cols[_m:])
-            return ok
-
-    return Chart(
-        f"{base.name}x{fiber.name}",
-        base.coords + fiber.coords,
-        box=base.box + fiber.box,
-        predicate=pred,
-    )
+    # the fiber's domain nodes on coordinates shifted past the base's, as :func:`_embedded` shifts fields
+    shifted = dual.tape(fiber.domain).run([dual.var(i) for i in range(m, m + fiber.dim)])
+    name = f"{base.name}x{fiber.name}"
+    return Chart(name, base.coords + fiber.coords, base.box + fiber.box, (*base.domain, *shifted))
 
 
 def _embedded(total: Chart, offset: int, fields) -> list[ScalarField]:
@@ -212,15 +198,20 @@ def circle_fat_from_symplectic(
     return GaugeChart(omega_base.chart, (alpha_potential,))
 
 
+def _require_matching_gauge(g: GaugeChart, act: ActionSpec) -> None:
+    """Refuse a gauge and an action with different generator counts or structure constants."""
+    if g.dim != act.dim:
+        raise UsageError("gauge and action have different numbers of generators")
+    if not np.array_equal(g.constants, act.constants):
+        raise UsageError("gauge and action must share their structure constants")
+
+
 def horizontal_lift(
     g: GaugeChart, act: ActionSpec, X: VectorField, total: Chart | None = None
 ) -> VectorField:
     """``X* = (X, -sum_a A^a(X) rho_a)`` on the product chart."""
     check_same_chart(g.base, X.chart, "lifted field")
-    if g.dim != act.dim:
-        raise UsageError("gauge and action have different numbers of generators")
-    if not np.array_equal(g.constants, act.constants):
-        raise UsageError("gauge and action must share their structure constants")
+    _require_matching_gauge(g, act)
     total = product_chart(g.base, act.chart) if total is None else total
     m, k = g.base.dim, act.chart.dim
     # X and every A^a(X) keep their base nodes; every rho_a comes from the fiber through one tape
@@ -284,13 +275,10 @@ def build_coupling(
     verify as twisted Hamiltonian at ``points``, on the fiber chart — the
     closedness of the output is exactly equivalent to those hypotheses.
     """
+    _require_matching_gauge(g, act)
     pre = verify_twisted_hamiltonian(fiber, act, mu, points, tol)
     if not pre.passed:
         raise PreconditionError("fiber action is not twisted Hamiltonian on samples", report=pre)
-    if g.dim != act.dim:
-        raise UsageError("gauge and action have different numbers of generators")
-    if not np.array_equal(g.constants, act.constants):
-        raise UsageError("gauge and action must share their structure constants")
 
     total = product_chart(g.base, fiber.chart)
     m = g.base.dim
@@ -688,7 +676,8 @@ def conjugate_structure(psi: SmoothMap, J_target: EndomorphismField) -> Endomorp
         raise UsageError("conjugation needs a diffeomorphism between equal dimensions")
     image = [comp.node for comp in psi.components]
     jac = [[f.partial(s) for s in range(n)] for f in image]
-    JJ = _matmul([[e(image) for e in row] for row in J_target.entries], jac)
+    moved = dual.tape([e for row in J_target.entries for e in row]).run(image)
+    JJ = _matmul([moved[i : i + n] for i in range(0, n * n, n)], jac)
     det = det_generic(jac)
     return EndomorphismField(src, [[v / det for v in row] for row in _matmul(_adjugate(jac), JJ)])
 

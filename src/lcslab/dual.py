@@ -457,7 +457,7 @@ def _replay(values, points) -> list:
             for out, xs in zip(outs, leaves):
                 for row, x in zip(out, xs):
                     row[start : start + _SLICE] = got[id(x)] if isinstance(x, Node) else x
-    return [np.moveaxis(out.reshape(*shape, len(pts)), -1, 0) for out, shape in zip(outs, shapes)]
+    return [out.reshape(*shape, len(pts)).transpose(-1, *range(len(shape))) for out, shape in zip(outs, shapes)]
 
 
 def _flatten(value) -> tuple[tuple, list]:
@@ -471,15 +471,10 @@ def _flatten(value) -> tuple[tuple, list]:
 def evaluate(value, points) -> np.ndarray:
     """``value`` on one point or an (n, dim) batch, points axis first, constants broadcast.
 
-    ``value`` is a node, a number or nested lists of them, replayed on the
-    coordinate columns; or a closure mapping the columns to one column, such
-    as a chart's domain test, called once.  A point outside the domain
-    yields non-finite entries.
+    ``value`` is a node, a number or nested lists of them (a field's
+    components, a chart's domain), replayed on the coordinate columns.  A
+    point outside an expression's domain yields non-finite entries.
     """
-    if callable(value) and not isinstance(value, Node):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        with np.errstate(all="ignore"):
-            return np.broadcast_to(np.asarray(value(list(pts.T)), dtype=float), (len(pts),))
     return _replay([value], points)[0]
 
 

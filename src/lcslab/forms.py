@@ -44,8 +44,7 @@ class ScalarField:
     Built from a node, a number, or a closure over the coordinate sequence
     that uses the generic arithmetic of :mod:`lcslab.dual`; a closure is
     traced once, here, and one that branches on a value or calls ``math``
-    is refused (see :func:`lcslab.dual.trace`).  ``node`` is callable on
-    floats, numpy columns and nodes alike.
+    is refused (see :func:`lcslab.dual.trace`).
     """
 
     __slots__ = ("chart", "node")
@@ -53,9 +52,6 @@ class ScalarField:
     def __init__(self, chart: Chart, fn):
         self.chart = chart
         self.node = dual.trace(fn, chart.dim)
-
-    def __call__(self, point):
-        return self.node(point)
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on an (n, dim) batch; a point outside the domain gives a non-finite value."""
@@ -133,9 +129,6 @@ class VectorField:
             )
         self.chart = chart
         self.components = tuple(comps)
-
-    def __call__(self, point):
-        return [c(point) for c in self.components]
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """The components at every point, shape (n, dim)."""
@@ -379,9 +372,6 @@ class SmoothMap:
         self.source = source
         self.target = target
         self.components = tuple(comps)
-
-    def __call__(self, point):
-        return [c(point) for c in self.components]
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """The images of an (n, source dim) batch, shape (n, target dim)."""

@@ -140,11 +140,7 @@ def _hopf_chart(n: int) -> Chart:
     k = 2 * n - 1
     half = 1.5 if n == 2 else min(1.5, 1.1 * math.sqrt(0.9 / k))
     box = ((-1.5, 1.5),) + ((-half, half),) * k
-
-    def pred(cols):
-        return sum(c * c for c in cols[1:]) < 0.95
-
-    return Chart(f"hopf{n}", ("t",) + _sphere_coords(n), box, pred)
+    return Chart(f"hopf{n}", ("t",) + _sphere_coords(n), box, (lambda p: 0.95 - _sq(p[1:]),))
 
 
 def _sq(cols):
@@ -325,12 +321,8 @@ def _hopf_zero_slice(chart: Chart) -> LevelSlice:
 
 def _graph_sphere_chart(dim_sphere: int, name: str) -> Chart:
     box = ((-1.5, 1.5),) * dim_sphere
-
-    def pred(cols):
-        return _sq(cols) < 0.95
-
     names = tuple(f"u{i}" for i in range(1, dim_sphere + 1))
-    return Chart(name, names, box, pred)
+    return Chart(name, names, box, (lambda p: 0.95 - _sq(p),))
 
 
 def _ambient_contact_form(chart: Chart) -> DifferentialForm:
@@ -648,10 +640,7 @@ def cotangent(m: int = 2, scale: float = 0.3, alpha: DifferentialForm | None = N
 
 
 def _s2_chart() -> Chart:
-    def pred(cols):
-        return cols[0] * cols[0] + cols[1] * cols[1] < 0.95
-
-    return Chart("s2", ("x", "y"), ((-1.5, 1.5), (-1.5, 1.5)), pred)
+    return Chart("s2", ("x", "y"), ((-1.5, 1.5), (-1.5, 1.5)), (lambda p: 0.95 - (p[0] * p[0] + p[1] * p[1]),))
 
 
 def _s2_area_and_potential(chart: Chart):
@@ -691,10 +680,7 @@ def coupling_example_s2(weights=(1.0, 1.0)) -> ExampleManifest:
     total = coupling.total
 
     fat_fiber = Chart(
-        "hopf-fat",
-        chart_f.coords,
-        chart_f.box,
-        lambda cols: (sum(c * c for c in cols[1:]) < 0.95) & (cols[1] * cols[1] + cols[2] * cols[2] > 0.05),
+        "hopf-fat", chart_f.coords, chart_f.box, (*chart_f.domain, lambda p: p[1] * p[1] + p[2] * p[2] - 0.05)
     )
     zero_slice: LevelSlice = fib.objects["zero_slice"]
 

@@ -75,12 +75,7 @@ def chart_from_decl(d: dict) -> Chart:
     domain = d.get("domain")
     if domain is None:
         return bare
-    f = parse_field(domain, bare)
-
-    def predicate(cols, _f=f):
-        return _f(cols) > 0
-
-    return Chart(name, coords, bare.box, predicate)
+    return Chart(name, coords, bare.box, (parse_field(domain, bare).node,))
 
 
 _KEY_RE = re.compile(r"^\s*(\d+\s*(,\s*\d+\s*)*)?$")

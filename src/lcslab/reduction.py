@@ -42,6 +42,8 @@ from .report import DEFAULT_TOL, CheckResult, Report, evaluate_form, finite_poin
 from .report import residual_row, scaled_residuals
 
 _RANK_TOL = 1e-9
+# How close to zero a sampled momentum must come for its level to count as present.
+_LEVEL_MARGIN = 0.01
 
 
 @dataclass(frozen=True)
@@ -175,17 +177,11 @@ def _pulled_back_matrices(c: CouplingChart, pts: np.ndarray, image: np.ndarray, 
     return np.swapaxes(DG, 1, 2) @ skew_matrices(c.Omega, np.concatenate([pts[:, :m], image], axis=1)) @ DG
 
 
-def level_scan(
-    chart: Chart,
-    mu: MomentumMap,
-    direction,
-    points,
-    margin: float = 0.01,
-) -> Report:
+def level_scan(chart: Chart, mu: MomentumMap, direction, points) -> Report:
     """Scan the sample ``points`` of the chart for the zero level of a momentum combination.
 
     The row's verdict classifies the outcome: "present in chart" when some
-    sample comes within ``margin`` of zero, else "no zero level in chart".
+    sample comes within ``_LEVEL_MARGIN`` of zero, else "no zero level in chart".
     """
     check_same_chart(chart, mu.chart, "chart and momentum")
     f = _combined_momentum(mu, direction)
@@ -195,14 +191,14 @@ def level_scan(
     if finite.size == 0:
         raise UsageError("momentum combination evaluated nowhere finite on the chart")
     best = finite[vals[finite].argmin()]
-    verdict = "present in chart" if vals[best] <= margin else "no zero level in chart"
+    verdict = "present in chart" if vals[best] <= _LEVEL_MARGIN else "no zero level in chart"
     rep = Report("level_scan")
     rep.add(
         CheckResult(
             "zero-level",
             "minimum magnitude of the momentum combination over chart samples",
             float(vals[best]),
-            margin,
+            _LEVEL_MARGIN,
             True,
             verdict,
             {"point": [float(x) for x in pts[best]], "points": len(pts), "skipped": len(pts) - finite.size},

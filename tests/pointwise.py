@@ -56,11 +56,11 @@ def eval_form(form: DifferentialForm, point, vectors, check_domain: bool = True)
         if v.shape != (form.chart.dim,):
             raise UsageError("vector arguments must match the chart dimension")
     if form.degree == 0:
-        return float(form.coefficient(())(p))
+        return at(form.coefficient(()), p)
     total = 0.0
     for I, f in form.coeffs.items():
         M = [[vecs[s][i] for s in range(form.degree)] for i in I]
-        total += float(f(p)) * float(det_generic(M))
+        total += at(f, p) * float(det_generic(M))
     return total
 
 

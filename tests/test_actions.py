@@ -260,7 +260,7 @@ def test_deck_homothety_says_how_many_samples_stayed_and_how_many_it_needs(plane
     with pytest.raises(DomainError) as ei:
         deck_homothety(same, w, plane.sample(2, seed=0))
     assert str(ei.value) == "deck map keeps 2 of 2 samples in the chart; it needs at least 4"
-    disc = Chart("disc", ("x", "y"), predicate=lambda c: c[0] * c[0] + c[1] * c[1] < 1.0)
+    disc = Chart("disc", ("x", "y"), domain=(lambda c: 1.0 - (c[0] * c[0] + c[1] * c[1]),))
     triple = SmoothMap(disc, disc, [3.0 * coordinate(disc, 0), 3.0 * coordinate(disc, 1)])
     kept = int(np.count_nonzero(disc.contains(triple.batch(disc.sample(64, seed=0)))))
     assert 0 < kept < 16

@@ -214,6 +214,29 @@ def test_build_rejects_mismatched_constants(flat, uv):
         build_coupling(g3, flat.fiber, flat.action, flat.momentum, flat.fiber.chart.sample(8, seed=0))
 
 
+def test_build_checks_the_gauge_before_the_fiber(flat, uv):
+    """A gauge of the wrong size is refused as a usage error before the fiber triple is verified."""
+    g3 = GaugeChart(uv, flat.gauge.potentials * 3, sl2_constants())
+    wrong = MomentumMap(flat.fiber.chart, (coordinate(flat.fiber.chart, 1),))
+    with pytest.raises(UsageError, match="different numbers of generators"):
+        build_coupling(g3, flat.fiber, flat.action, wrong, flat.fiber.chart.sample(16, seed=0))
+
+
+def test_product_chart_domain_is_both_factors():
+    """A point of U x F is inside exactly when its base part is in U and its fiber part in F."""
+    base = Chart("disc", ("u", "v"), domain=(lambda p: 1.0 - (p[0] * p[0] + p[1] * p[1]),))
+    # sqrt is NaN for x < 0 and 1 / y is +inf at y = 0: both put the point outside
+    fiber = Chart("half", ("x", "y"), domain=(lambda p: dual.sqrt(p[0]) + 0.5 * p[1], lambda p: 1.0 / p[1]))
+    total = product_chart(base, fiber)
+    P = np.random.default_rng(5).uniform(-1.5, 1.5, size=(200, 4))
+    P = np.vstack([P, [[0.1, 0.1, 1.0, 0.0], [np.nan, 0.0, 1.0, 1.0], [0.0, 0.0, np.inf, 1.0], [0.1, 0.2, 0.5, -np.inf]]])
+    in_base, in_fiber = base.contains(P[:, :2]), fiber.contains(P[:, 2:])
+    assert (in_base & ~in_fiber).any() and (~in_base & in_fiber).any() and (in_base & in_fiber).any()
+    assert in_base[-4:].tolist() == [True, False, True, True] and in_fiber[-4:].tolist() == [False, True, False, False]
+    np.testing.assert_array_equal(total.contains(P), in_base & in_fiber)
+    assert [total.contains(p) for p in P] == (in_base & in_fiber).tolist()
+
+
 def test_lift_bracket_diagnostic(flat):
     rep = lift_bracket_diagnostic(flat, flat.total.sample(10, seed=0), seed=0, tol=1e-8, pairs=2)
     assert rep.passed

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from lcslab import dual, forms
+from lcslab.charts import Chart
 from lcslab.coupling import EndomorphismField
 from lcslab.errors import UsageError
 from lcslab.forms import (
@@ -103,6 +104,7 @@ def test_signed_zero_constants_stay_distinct(plane):
     "build",
     [
         pytest.param(ScalarField, id="scalar"),
+        pytest.param(lambda chart, fn: Chart("c", chart.coords, domain=(fn,)), id="domain"),
         pytest.param(lambda chart, fn: EndomorphismField(chart, lambda p: [[fn(p), 0.0], [0.0, fn(p)]]), id="endo"),
     ],
 )

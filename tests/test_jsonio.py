@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from lcslab.charts import Chart
 from lcslab.errors import ParseError, UsageError
 from lcslab.jsonio import (
     action_from_decl,
@@ -94,6 +95,17 @@ def test_chart_domain_expression_becomes_a_predicate():
     batch = np.vstack([pts[:4], [[1.4, 0.0], [0.0, -0.99], [np.nan, 0.0], [0.1, np.inf]]])
     assert chart.contains(batch).tolist() == [chart.contains(p) for p in batch]
     assert chart.contains(batch).tolist() == [True] * 4 + [False, True, False, False]
+
+
+def test_chart_domain_must_be_positive_and_finite():
+    """A domain node that is +inf at a point puts it outside, as NaN does; a comparing closure is refused."""
+    chart = chart_from_decl({"name": "c", "coords": ["x"], "domain": "1 / x"})
+    assert chart.contains([[0.5], [0.0], [-0.5], [np.nan]]).tolist() == [True, False, False, False]
+    assert chart == Chart("c", ("x",)) and hash(chart) == hash(Chart("c", ("x",)))  # the domain is not compared
+    with pytest.raises(UsageError, match="do not branch on values"):
+        Chart("disc", ("x", "y"), domain=(lambda c: c[0] ** 2 + c[1] ** 2 < 1.0,))
+    with pytest.raises(UsageError, match="domain must be a tuple"):
+        Chart("disc", ("x", "y"), (), lambda c: 1.0 - c[0] ** 2 - c[1] ** 2)
 
 
 def test_chart_without_domain_accepts_everything():
@@ -207,7 +219,7 @@ def test_action_assembly(plane):
     assert act.dim == 2
     assert act.fields[0] is fields["a"]
     assert act.constants[0, 1, 0] == 0.0
-    moved = act.elements["swap"]((0.25, -0.5))
+    moved = at(act.elements["swap"], (0.25, -0.5))
     assert moved == pytest.approx([-0.5, 0.25])
     assert act.elements["swap"].source is plane
 
