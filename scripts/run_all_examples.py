@@ -5,11 +5,13 @@ products), executes its full check suite, and compares the outcomes against
 the manifest's expected rows.  The build and run columns are each
 example's cost in milliseconds in this fresh process, the total on the last
 line: the cold cost (first construction, first evaluation) that repeated
-runs do not show.  The nodes column counts the interned expression nodes
-alive after the run, while the example is still held, and the tapes column
-the replay tapes kept for their root sets: cost measures that do not depend
-on the machine.  Exit status is nonzero when any
-expectation is missed, so this doubles as a slow smoke test:
+runs do not show.  The warm column is the cost of running the suite a
+second time, and the built column the replay tapes that second run built.
+The nodes column counts the interned expression nodes alive after both
+runs, while the example is still held, and the tapes column the replay
+tapes kept for their root sets: cost measures that do not depend on the
+machine.  Exit status is nonzero when any expectation is missed, so this
+doubles as a slow smoke test:
 
     python3 scripts/run_all_examples.py --points 48
 """
@@ -29,6 +31,28 @@ from lcslab.gallery import (
     inoue,
     run_manifest,
 )
+
+
+class CountedTape(dual.Tape):
+    """A tape that counts its constructions, put in place of ``dual.Tape`` while a warm run is timed."""
+
+    __slots__ = ()
+    built = 0
+
+    def __init__(self, roots):
+        CountedTape.built += 1
+        super().__init__(roots)
+
+
+def warm_run(man, args) -> tuple[float, int]:
+    """The seconds a second run of every check takes, and the tapes it builds."""
+    tape, dual.Tape, CountedTape.built = dual.Tape, CountedTape, 0
+    try:
+        t0 = time.perf_counter()
+        run_manifest(man, points=args.points, seed=args.seed, tol=args.tol)
+        return time.perf_counter() - t0, CountedTape.built
+    finally:
+        dual.Tape = tape
 
 
 def builders():
@@ -55,7 +79,10 @@ def main(argv=None) -> int:
         print("error: --seed must be a non-negative integer", file=sys.stderr)
         return 2
 
-    print(f"{'example':<16} {'checks':>6} {'failed':>6} {'expected':>10} {'build':>9} {'run':>9} {'nodes':>7} {'tapes':>6}")
+    print(
+        f"{'example':<16} {'checks':>6} {'failed':>6} {'expected':>10} {'build':>9} {'run':>9}"
+        f" {'warm':>9} {'built':>5} {'nodes':>7} {'tapes':>6}"
+    )
     missed_total = 0
     total = 0.0
     for label, build in builders():
@@ -66,6 +93,7 @@ def main(argv=None) -> int:
         verdicts = evaluate_manifest(man, reports)
         t2 = time.perf_counter()
         total += t2 - t0
+        warm, built = warm_run(man, args)
         gc.collect()
 
         checks = sum(len(r.checks) for r in reports.values())
@@ -75,7 +103,8 @@ def main(argv=None) -> int:
         missed_total += missed
         print(
             f"{label:<16} {checks:>6} {failed:>6} {met:>5}/{len(verdicts.checks):<4}"
-            f" {(t1 - t0) * 1e3:>7.1f}ms {(t2 - t1) * 1e3:>7.1f}ms {len(dual._NODES):>7} {len(dual._TAPES):>6}"
+            f" {(t1 - t0) * 1e3:>7.1f}ms {(t2 - t1) * 1e3:>7.1f}ms {warm * 1e3:>7.1f}ms {built:>5}"
+            f" {len(dual._NODES):>7} {len(dual._TAPES):>6}"
         )
         for c in verdicts.checks:
             if not c.passed:

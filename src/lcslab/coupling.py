@@ -255,11 +255,6 @@ class CouplingChart:
         lifts = [self.lift(basis_vector(self.base, j)) for j in range(self.base_dim)]
         return [[X.components[i].node for X in lifts] for i in range(self.total.dim)]
 
-    @functools.cached_property
-    def d_theta_omega(self) -> DifferentialForm:
-        """``d_Theta Omega``, the 3-form every closedness check evaluates."""
-        return twisted_derivative(self.Theta, self.Omega)
-
 
 def build_coupling(
     g: GaugeChart,
@@ -382,7 +377,7 @@ def verify_coupling(c: CouplingChart, points: np.ndarray, seed: int = 0, tol: fl
     rep = Report("verify_coupling")
     rep.add(residual_check("theta-closed", "d Theta = 0", exterior_derivative(c.Theta), None, pts, tol))
 
-    closed3 = form_values(c.d_theta_omega, pts)
+    closed3 = form_values(twisted_derivative(c.Theta, c.Omega), pts)
     rep.add(
         residual_row(
             "closed[coeffs]", "d_Theta Omega = 0 (all coefficients)", scaled_residuals(closed3, {}, len(pts)), tol
@@ -474,7 +469,7 @@ def _lift_bracket_terms(c: CouplingChart, pts: np.ndarray, rng: np.random.Genera
     W = _skew(dict(zip(c.Omega.coeffs, values.T)), dim, len(pts))
     dW = _skew(dict(zip(c.Omega.coeffs, np.moveaxis(derivatives, 1, 0))), dim, len(pts))
     H, DH = _lift_operators(c, pts, jet=True)
-    theta, closed3 = batch_values([c.Theta, c.d_theta_omega], pts)
+    theta, closed3 = batch_values([c.Theta, twisted_derivative(c.Theta, c.Omega)], pts)
 
     def omega(U, M, V):
         return np.einsum("ni,nij,nj->n", U, M, V)

@@ -6,12 +6,16 @@ weighted denominator, a second derivative) exists once.  ``node.partial(j)``
 is the derivative in coordinate ``j``, another node, built when first asked
 for and memoized per (node, coordinate) by the forward-mode rules of dual
 numbers, term for term: forward-mode differentiation is symbolic
-differentiation with sharing, exact to rounding.  A :class:`Tape` lists the
-nodes some roots need, each once, arguments first, and replays them on
-point columns; calling a node interprets it generically (on floats,
+differentiation with sharing, exact to rounding.  A :class:`Tape` is a
+register program: the nodes some roots need, each once, arguments first,
+constant subtrees folded, each step writing into a register that is taken
+again after the last use of its value.  It replays on point columns into
+registers allocated once per call, a root straight into its output row;
+:meth:`Tape.run` interprets the same program generically (on floats,
 columns, or nodes, which substitutes them for the coordinates).  Every
-replay goes through :func:`tape`, which keeps one tape per root set for as
-long as all of its roots live, so a check run again builds no tape.
+tape comes from :func:`tape`, which keeps one per root set for as long as
+all of its roots live (a :class:`Kept` table, which also keeps the derived
+forms of :mod:`lcslab.forms`), so a check run again builds no tape.
 
 A closure becomes a node by running once on coordinate nodes
 (:func:`trace`).  It must be written with this module's arithmetic and its
@@ -327,136 +331,214 @@ def _derive(n: Node, j: int, a: Node, b: Node, ea, eb):
 
 _UNARY = {"neg": operator.neg, "exp": exp, "log": log, "sqrt": sqrt, "sin": sin, "cos": cos}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "atan2": atan2}
+# the same operations as ufuncs on float columns, each writing into the array passed after its arguments
+_UFUNCS = {
+    "neg": np.negative, "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos,
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "atan2": np.arctan2,
+}
+_OPS = {op: (_UFUNCS[op], f) for op, f in {**_UNARY, **_BINARY}.items()}
+
+# Points per replay of a tape: a large batch runs in slices, so the hundreds
+# of registers a Lie derivative keeps live stay a few megabytes (hopf(4)'s
+# certificate uses 480 scratch registers, 8 kB each at 1024 points).
+_SLICE = 1024
 
 
 class Tape:
-    """The nodes that ``roots`` need, each once, arguments before their users.
+    """The nodes that ``roots`` need, each once, arguments before their users, as a register program.
 
-    :meth:`run` evaluates them on coordinate inputs, one step per node.  A
-    tape holds no node; :func:`tape` builds the tape of each root set once.
+    A step ``[ufunc, function, a, b, out]`` reads the slots ``a`` and ``b``
+    (``b`` is None for one argument) and writes the slot ``out``.  Slots
+    from 0 are registers, and register ``i`` holds root ``i`` at the end; a
+    register is taken again once the value it held has had its last use.
+    Negative slots hold constants and coordinates.  Subtrees of constants
+    are folded as the tape is built, by the functions :meth:`run` applies to
+    floats.  A tape holds no node; :func:`tape` builds the tape of each root
+    set once.
     """
 
-    __slots__ = ("steps", "last", "outputs")
+    __slots__ = ("program", "registers", "roots", "tail", "coords")
 
     def __init__(self, roots):
         # keyed by the nodes themselves: their hash is their identity, and the
         # dict holds them, so no two keys ever compare
-        pos: dict[Node, int] = {}
-        steps: list[tuple] = []  # (code, function or value, first argument, second argument)
-        last: list[int] = []  # the step that uses each value last
-        push, pop = (stack := []).append, stack.pop
+        pos: dict[Node, int] = {}  # a step's index, or the negative slot of a constant or coordinate
+        steps: list[list] = []  # [ufunc, function, first argument, second argument or None, register]
+        tail: list = []  # slots -1, -2, ...: a constant, or None for a coordinate
+        consts: dict[int, float] = {}
+        self.coords = []  # (slot, coordinate index)
+
+        def constant(n, value):  # a constant node, or a folded subtree of constants
+            k = pos[n] = ~len(tail)
+            consts[k] = value
+            tail.append(value)
+
+        push, pop, emit = (stack := []).append, stack.pop, steps.append
         for root in roots:  # depth first on an explicit stack, arguments left to right
             push(root)
             while stack:
                 n = pop()
-                if n.__class__ is tuple:  # met again: its arguments have their steps now
-                    if len(n) == 3:
-                        n, a, b = n
-                        ka, kb = pos[a], pos[b]
-                    else:  # a unary function or a power
-                        n, a = n
-                        ka, k = pos[a], len(steps)
-                        pos[n] = last[ka] = k
-                        last.append(k)
-                        steps.append((1, _UNARY.get(n.op) or functools.partial(power, n=n.data), ka, None))
-                        continue
-                elif n in pos:
+                if n in pos:
                     continue
-                elif len(n.args) == 2:  # the common case, kept short
-                    a, b = n.args
+                args = n.args
+                if len(args) == 2:  # the common case, kept short
+                    a, b = args
                     ka, kb = pos.get(a), pos.get(b)
-                    if ka is None or kb is None:
-                        push((n, a, b))
+                    if ka is None or kb is None:  # met again once its arguments have their slots
+                        push(n)
                         if kb is None:
                             push(b)
                         if ka is None:
                             push(a)
                         continue
-                elif n.args:
-                    a = n.args[0]
-                    push((n, a))
-                    if a not in pos:
+                    u, f = _OPS[n.op]
+                    if ka < 0 and kb < 0 and ka in consts and kb in consts:
+                        constant(n, f(consts[ka], consts[kb]))
+                    else:
+                        pos[n] = len(steps)
+                        emit([u, f, ka, kb, None])
+                elif args:  # a unary function or a power
+                    a = args[0]
+                    ka = pos.get(a)
+                    if ka is None:
+                        push(n)
                         push(a)
-                    continue
+                        continue
+                    u, f = _OPS.get(n.op) or (None, functools.partial(power, n=n.data))
+                    if ka < 0 and ka in consts:
+                        constant(n, f(consts[ka]))
+                    else:
+                        pos[n] = len(steps)
+                        emit([u, f, ka, None, None])
+                elif n.op == "c":
+                    constant(n, n.data)
                 else:
-                    k = pos[n] = len(steps)
-                    last.append(k)
-                    steps.append((0, n.data, None, None) if n.op == "c" else (3, None, n.data, None))
-                    continue
-                k = pos[n] = len(steps)
-                last[ka] = last[kb] = k
-                last.append(k)
-                steps.append((2, _BINARY[n.op], ka, kb))
-        self.outputs = [pos[r] for r in roots]
-        for k in self.outputs:
-            last[k] = len(steps)
-        self.steps, self.last = steps, last
+                    pos[n] = ~len(tail)
+                    self.coords.append((pos[n], n.data))
+                    tail.append(None)
+        self.tail = tail[::-1]  # as the end of a list of slots, so slot -1 is its last entry
+        # Root i goes to register i: the step computing it writes there, and a
+        # root that is a constant, a coordinate or an earlier root is copied.
+        for i, root in enumerate(roots):
+            k = pos[root]
+            if k >= 0 and steps[k][4] is None:
+                steps[k][4] = i
+            else:
+                emit([np.positive, operator.pos, k, None, i])
+        # The other registers, from the last step back: there the first use of
+        # a value met is its last, which takes a free register for it, and the
+        # value's own step frees that register again.
+        registers = self.roots = len(roots)
+        free: list[int] = []
+        for step in reversed(steps):
+            free.append(step[4])
+            a, b = step[2], step[3]
+            if a >= 0:
+                arg = steps[a]
+                if arg[4] is None:
+                    arg[4] = free.pop()
+                step[2] = arg[4]
+            if b is not None and b >= 0:
+                arg = steps[b]
+                if arg[4] is None:
+                    if free:
+                        arg[4] = free.pop()
+                    else:
+                        arg[4], registers = registers, registers + 1
+                step[3] = arg[4]
+        self.program, self.registers = steps, registers
 
     def run(self, inputs) -> list:
-        """The roots' values, with ``inputs[i]`` for coordinate ``i``; each intermediate is freed after its last use."""
-        vals: list = [None] * len(self.steps)
-        last = self.last
-        for k, (code, f, a, b) in enumerate(self.steps):
-            if code == 2:
-                vals[k] = f(vals[a], vals[b])
-                if last[b] == k:
-                    vals[b] = None
-            elif code == 1:
-                vals[k] = f(vals[a])
-            elif code == 0:
-                vals[k] = f
-                continue
-            else:
-                vals[k] = inputs[a]
-                continue
-            if last[a] == k:
-                vals[a] = None
-        return [vals[k] for k in self.outputs]
+        """The roots' values, with ``inputs[i]`` for coordinate ``i``: floats, columns, or nodes to substitute."""
+        slots = [None] * self.registers + self.tail
+        for k, i in self.coords:
+            slots[k] = inputs[i]
+        for _, f, a, b, out in self.program:
+            slots[out] = f(slots[a]) if b is None else f(slots[a], slots[b])
+        return slots[: self.roots]
+
+    def replay(self, points: np.ndarray, rows) -> None:
+        """The roots' values on the (n, dim) ``points``, each written into its (n,) row of ``rows``.
+
+        The registers are allocated once, a root's being its own row, and the
+        points run in slices of ``_SLICE``.  Each step writes into its
+        register; a power keeps the call :meth:`run` makes, so ``x ** n``
+        replays as it computes.
+        """
+        n, roots, width = len(points), self.roots, min(len(points), _SLICE)
+        scratch = [np.empty(width) for _ in range(self.registers - roots)]
+        slots = [None] * roots + scratch + self.tail
+        for start in range(0, n, _SLICE):
+            stop = min(start + _SLICE, n)
+            if stop - start < width:  # a last, shorter slice
+                slots[roots : self.registers] = [r[: stop - start] for r in scratch]
+            slots[:roots] = [row[start:stop] for row in rows]
+            cols = points[start:stop].T
+            for k, i in self.coords:
+                slots[k] = cols[i]
+            for u, f, a, b, out in self.program:
+                if b is not None:
+                    u(slots[a], slots[b], slots[out])
+                elif u is not None:
+                    u(slots[a], slots[out])
+                else:  # a power
+                    slots[out][:] = f(slots[a])
 
 
-# Tapes by the ids of their roots, with weak references to the roots: the
-# first root to die drops its entry, before its id can be reused.
-_TAPES: dict = {}
+class Kept(dict):
+    """Values by the ids of the objects they derive from, each kept while every one of those objects lives.
+
+    An entry holds one weak reference per object; the first of them to die
+    drops the entry, before its id can be reused.
+    """
+
+    __slots__ = ()
+
+    def keep(self, key, objects, build, *args):
+        """The value at ``key``, ``build(*args)`` on first use, kept while every one of ``objects`` lives."""
+        entry = self.get(key)
+        if entry is None:
+            entry = self[key] = build(*args), tuple(weakref.KeyedRef(x, self._drop, key) for x in objects)
+        return entry[0]
+
+    def _drop(self, ref: weakref.KeyedRef) -> None:
+        entry = self.get(ref.key)
+        if entry is not None and any(r is ref for r in entry[1]):
+            del self[ref.key]
 
 
-def _drop(ref: weakref.KeyedRef) -> None:
-    entry = _TAPES.get(ref.key)
-    if entry is not None and any(r is ref for r in entry[1]):
-        del _TAPES[ref.key]
+# Tapes by the ids of their roots.
+_TAPES = Kept()
 
 
 def tape(roots) -> Tape:
     """The tape of the nodes ``roots``, built on first use and kept while every root lives."""
-    key = tuple(map(id, roots))
-    entry = _TAPES.get(key)
-    if entry is None:
-        entry = _TAPES[key] = Tape(roots), tuple(weakref.KeyedRef(r, _drop, key) for r in roots)
-    return entry[0]
+    return _TAPES.keep(tuple(map(id, roots)), roots, Tape, roots)
 
 
 # -- the evaluation boundary ---------------------------------------------------
 
 
-# Points per replay of a tape: a large batch runs in slices, so the hundreds
-# of intermediates a Lie derivative keeps alive stay a few megabytes (peak
-# RSS of the 4096-point gallery runs: 2048 points would add about 7 MB).
-_SLICE = 1024
-
-
 def _replay(values, points) -> list:
-    """Each nested value in ``values`` on an (n, dim) batch, from one tape replayed slice by slice."""
+    """Each nested value in ``values`` on an (n, dim) batch, from one replay of one tape.
+
+    Numbers fill their rows directly; values that hold no node look up no tape.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     shapes, leaves = zip(*map(_flatten, values))
-    roots = [x for xs in leaves for x in xs if isinstance(x, Node)]
-    run = tape(roots).run
     # one row per leaf, points last, laid out as a stack of (n,) columns
     outs = [np.empty((len(xs), len(pts))) for xs in leaves]
-    with np.errstate(all="ignore"):
-        for start in range(0, len(pts), _SLICE):
-            got = dict(zip(map(id, roots), run(list(pts[start : start + _SLICE].T))))
-            for out, xs in zip(outs, leaves):
-                for row, x in zip(out, xs):
-                    row[start : start + _SLICE] = got[id(x)] if isinstance(x, Node) else x
+    roots, rows = [], []
+    for out, xs in zip(outs, leaves):
+        for row, x in zip(out, xs):
+            if isinstance(x, Node):
+                roots.append(x)
+                rows.append(row)
+            else:
+                row[:] = x
+    if roots:
+        with np.errstate(all="ignore"):
+            tape(roots).replay(pts, rows)
     return [out.reshape(*shape, len(pts)).transpose(-1, *range(len(shape))) for out, shape in zip(outs, shapes)]
 
 

@@ -19,10 +19,15 @@ canonical zero forms (no increasing index tuple exists), which is what
 
 ``.batch`` evaluates through :func:`lcslab.dual.evaluate`, the evaluation
 boundary; this module carries no floating-point guard of its own.
+
+The exterior operations are memoized on their operands (:func:`derived`):
+a derived form lives as long as the forms and fields it derives from, so a
+check run again finds its forms, and with them their tapes, already built.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from itertools import combinations
 from typing import Sequence
@@ -32,6 +37,22 @@ import numpy as np
 from . import dual
 from .charts import Chart, check_same_chart
 from .errors import UsageError
+
+# Derived forms and fields by their operation and the ids of its operands.
+_DERIVED = dual.Kept()
+
+
+def derived(fn):
+    """``fn`` memoized on its operands: its value is kept while every operand lives.
+
+    The value must hold no operand, or its entry would keep that operand alive.
+    """
+
+    @functools.wraps(fn)
+    def kept(*operands):
+        return _DERIVED.keep((fn, *map(id, operands)), operands, fn, *operands)
+
+    return kept
 
 
 # --------------------------------------------------------------------------
@@ -47,7 +68,7 @@ class ScalarField:
     is refused (see :func:`lcslab.dual.trace`).
     """
 
-    __slots__ = ("chart", "node")
+    __slots__ = ("chart", "node", "__weakref__")
 
     def __init__(self, chart: Chart, fn):
         self.chart = chart
@@ -113,7 +134,7 @@ def coordinate(chart: Chart, i) -> ScalarField:
 
 
 class VectorField:
-    __slots__ = ("chart", "components")
+    __slots__ = ("chart", "components", "__weakref__")
 
     def __init__(self, chart: Chart, components: Sequence):
         comps = []
@@ -184,7 +205,7 @@ def _insert(j: int, I: tuple):
 
 
 class DifferentialForm:
-    __slots__ = ("chart", "degree", "coeffs")
+    __slots__ = ("chart", "degree", "coeffs", "__weakref__")
 
     def __init__(self, chart: Chart, degree: int, coeffs: dict):
         if degree < 0:
@@ -218,8 +239,9 @@ class DifferentialForm:
         return DifferentialForm(chart, degree, {})
 
     @staticmethod
+    @derived
     def from_scalar(f: ScalarField) -> "DifferentialForm":
-        return DifferentialForm(f.chart, 0, {(): f})
+        return DifferentialForm(f.chart, 0, {(): ScalarField(f.chart, f.node)})
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -282,6 +304,7 @@ def _signed_sum(chart: Chart, terms) -> ScalarField:
     return ScalarField(chart, total)
 
 
+@derived
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     check_same_chart(a.chart, b.chart, "wedge factors")
     deg = a.degree + b.degree
@@ -298,6 +321,7 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(a.chart, deg, {K: _signed_sum(a.chart, terms) for K, terms in groups.items()})
 
 
+@derived
 def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
     chart = form.chart
     deg = form.degree + 1
@@ -313,6 +337,7 @@ def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(chart, deg, {K: _signed_sum(chart, terms) for K, terms in groups.items()})
 
 
+@derived
 def interior_product(X: VectorField, form: DifferentialForm) -> DifferentialForm:
     check_same_chart(X.chart, form.chart, "interior product operands")
     if form.degree == 0:
@@ -339,6 +364,7 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(chart, comps)
 
 
+@derived
 def lie_derivative(X: VectorField, form: DifferentialForm) -> DifferentialForm:
     """Cartan's formula  L_X = i_X d + d i_X  (degree 0: just i_X d).
 
@@ -355,7 +381,7 @@ def lie_derivative(X: VectorField, form: DifferentialForm) -> DifferentialForm:
 
 
 class SmoothMap:
-    __slots__ = ("source", "target", "components")
+    __slots__ = ("source", "target", "components", "__weakref__")
 
     def __init__(self, source: Chart, target: Chart, components: Sequence):
         comps = []
@@ -395,6 +421,7 @@ def compose(f: ScalarField, m: SmoothMap) -> ScalarField:
     return ScalarField(m.source, _substitute([f.node], m)[0])
 
 
+@derived
 def pullback(m: SmoothMap, form: DifferentialForm) -> DifferentialForm:
     check_same_chart(m.target, form.chart, "pullback")
     src = m.source
@@ -414,6 +441,7 @@ def pullback(m: SmoothMap, form: DifferentialForm) -> DifferentialForm:
     return DifferentialForm(src, k, coeffs)
 
 
+@derived
 def contract(form: DifferentialForm, *fields: VectorField) -> ScalarField:
     """Full contraction ω(X, Y, ...) as a scalar field."""
     if len(fields) != form.degree:

@@ -411,6 +411,7 @@ def inoue(
     structure = LCSStructure(chart, omega, theta, name="inoue")
     cover_form = (one / w2) * omega
     ham = -2.0 * z2 / w2
+    dz1 = basis_vector(chart, 2)  # built once, so the derived forms of every call are kept with it
     descent = -2.0 * z2
 
     def affine(coeffs) -> SmoothMap:
@@ -453,7 +454,6 @@ def inoue(
         return rep
 
     def ham_run(pts, seed, tol) -> Report:
-        dz1 = basis_vector(chart, 2)
         rep = Report("hamiltonian")
         rep.add(
             residual_check(

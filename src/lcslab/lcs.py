@@ -21,7 +21,7 @@ import numpy as np
 
 from .charts import Chart, check_same_chart
 from .errors import DegenerateInputError, UsageError
-from .forms import DifferentialForm, exterior_derivative, wedge
+from .forms import DifferentialForm, derived, exterior_derivative, wedge
 from .report import (
     DEFAULT_TOL,
     CheckResult,
@@ -61,6 +61,7 @@ class LCSStructure:
                 raise UsageError("the potential must be a 1-form")
 
 
+@derived
 def twisted_derivative(theta: DifferentialForm, form: DifferentialForm) -> DifferentialForm:
     """``d_theta form = d form - theta ^ form``.
 

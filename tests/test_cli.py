@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, output formats, determinism."""
 
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
+from lcslab import dual, forms
 from lcslab.cli import MAX_POINTS, main
 
 # Inline documents double as file contents; the loader accepts literal JSON.
@@ -110,6 +112,16 @@ def test_verify_passes(capsys):
     assert err == ""
     assert "momentum[0]" in out
     assert ", 0 failed" in out
+
+
+def test_a_verify_document_leaves_no_node_or_derived_form_behind(capsys):
+    """The forms a document derives are kept only while its declarations live, so a run leaves the DAG as it was."""
+    gc.collect()
+    before = len(dual._NODES), len(forms._DERIVED), len(dual._TAPES)
+    code, out, _ = run(capsys, "verify", GOOD_DOC, "--points", "24")
+    assert code == 0 and "momentum[0]" in out
+    gc.collect()
+    assert (len(dual._NODES), len(forms._DERIVED), len(dual._TAPES)) == before
 
 
 def test_verify_json_shape(capsys):

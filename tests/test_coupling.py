@@ -600,12 +600,12 @@ def test_embedding_substitutes_through_one_shared_tape(s2, built_tapes):
 
 
 def test_coupling_s2_builds_each_tape_once(built_tapes):
-    """Tapes built by one pass of every coupling-s2 run at 64 points: 23 cold and 5 warm (45 and 41 without the cache).
+    """Tapes built by one pass of every coupling-s2 run at 64 points: 23 cold and 3 warm (45 and 41 without the cache).
 
     The counts do not depend on the machine; with other tests' nodes alive, a cold pass builds fewer.
     """
     man = coupling_example_s2()
-    for most in (23, 5):  # cold, then warm
+    for most in (23, 3):  # cold, then warm
         built_tapes.clear()
         for run in man.runs.values():
             run(64, 1, 1e-8)

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -15,13 +16,18 @@ from lcslab.errors import UsageError
 from lcslab.forms import (
     DifferentialForm,
     ScalarField,
+    SmoothMap,
     VectorField,
+    contract,
     coordinate,
     exterior_derivative,
+    interior_product,
     lie_derivative,
     pullback,
+    wedge,
 )
 from lcslab.gallery import coupling_example_s2, hopf, run_manifest
+from lcslab.lcs import twisted_derivative
 from lcslab.parser import parse_field
 from lcslab.report import form_values
 from tests import dualnum
@@ -135,7 +141,7 @@ def test_hopf4_lie_derivatives_share_their_nodes():
     omega = objects["structure"].omega
     roots = [f.node for rho in objects["action"].fields for f in lie_derivative(rho, omega).coeffs.values()]
     assert len(roots) == len(set(map(id, roots))) > 100
-    assert len(dual.Tape(roots).steps) <= 20_000
+    assert len(dual.Tape(roots).program) <= 20_000
 
 
 def test_partial_is_the_memoized_derivative():
@@ -171,7 +177,7 @@ def test_pullback_substitutes_every_coefficient_through_one_tape(built_tapes):
     roots = [f.node for f in c.Omega.coeffs.values()]
     image = [x.node for x in G.components]
     alone = [dual.Tape([r]).run(image)[0] for r in roots]
-    assert len(dual.Tape(roots).steps) < sum(len(dual.Tape([r]).steps) for r in roots)
+    assert len(dual.Tape(roots).program) < sum(len(dual.Tape([r]).program) for r in roots)
     built_tapes.clear()
     assert all(a is b for a, b in zip(forms._substitute(roots, G), alone))
     pullback(G, c.Omega)
@@ -195,6 +201,9 @@ def test_a_kept_tape_leaves_with_the_first_of_its_roots_to_die():
 def test_a_node_that_reuses_a_dead_roots_id_replays_its_own_values():
     """A root's entry leaves before its id can be reused, so a new node there never replays the old tape."""
     old = dual.const(0.6180339887)
+    # nodes allocated next fill the allocator's pool of ``old``, which then
+    # hands its block out first when ``old`` dies, whatever else the heap holds
+    fill = [dual.const(0.25 + i) for i in range(1000)]
     assert old([0.0]) == 0.6180339887 and (id(old),) in dual._TAPES
     dead = id(old)
     del old
@@ -222,3 +231,105 @@ def test_a_dag_ten_thousand_deep_evaluates_and_differentiates():
         assert values[k] == chain(list(p))
         for j in range(2):
             np.testing.assert_allclose(derivatives[k, j], dualnum.partial(chain, list(p), j), rtol=1e-13, atol=1e-15)
+
+
+# -- the register replay -------------------------------------------------------
+
+
+def _random_dag(rng) -> list:
+    """Three roots of a seeded random DAG on two coordinates, with constant subtrees and signed zeros in it."""
+    x, y = dual.var(0), dual.var(1)
+    consts = [dual.const(c) for c in (0.0, -0.0, 0.5, -1.5, 2.0)]
+    # constant-only subtrees, folded when the tape is built
+    consts += [dual.exp(consts[2]), dual.log(consts[4]), dual.sin(consts[3]), dual.cos(consts[1]), consts[4] ** -3]
+    pool = [x, y, -x, x * consts[1], y - y]  # -0.0 and 0.0 where the coordinates vanish
+    unary = [dual.exp, dual.log, dual.sqrt, dual.sin, dual.cos, operator.neg, lambda a: a ** int(rng.integers(-3, 4))]
+    binary = [operator.add, operator.sub, operator.mul, operator.truediv, dual.atan2]
+    for _ in range(80):
+        a = pool[int(rng.integers(max(0, len(pool) - 12), len(pool)))]  # recent nodes, so the DAG gets deep
+        if rng.random() < 0.4:
+            pool.append(unary[int(rng.integers(len(unary)))](a))
+        else:
+            b = (pool + consts)[int(rng.integers(len(pool) + len(consts)))]
+            pool.append(binary[int(rng.integers(len(binary)))](*((a, b) if rng.random() < 0.5 else (b, a))))
+    return [pool[int(i)] for i in rng.integers(len(pool) // 2, len(pool), size=3)]
+
+
+@pytest.mark.parametrize("n", [1, dual._SLICE + 1])
+def test_register_replay_is_bit_identical_to_the_generic_run(n):
+    """The numeric replay writes into registers what ``Tape.run`` computes on float columns, bit for bit."""
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(-2.0, 2.0, size=(n, 2))
+    pts[rng.random(pts.shape) < 0.1] = 0.0  # signed zeros, and points outside log and sqrt domains
+    pts[rng.random(pts.shape) < 0.05] = -0.0
+    x, y, folded = dual.var(0), dual.var(1), dual.sin(dual.const(0.5)) ** -2
+    spilled = 0
+    for _ in range(20):
+        roots = _random_dag(rng)
+        spilled += dual.Tape(roots).registers > len(roots)  # values beyond the roots' own registers
+        # roots that are coordinates, constants, folded or repeated
+        for rs in (roots, roots + [x, dual.const(-0.0), folded, roots[0], y, dual.const(0.0), roots[1]]):
+            got = dual.evaluate(rs, pts)
+            with np.errstate(all="ignore"):
+                want = np.stack([np.broadcast_to(v, (n,)) for v in dual.Tape(rs).run(list(pts.T))], axis=-1)
+            assert np.array_equal(got, want, equal_nan=True)
+            # zeros keep their sign; IEEE 754 leaves the sign of an arithmetic NaN open
+            assert np.array_equal(np.signbit(got) | np.isnan(got), np.signbit(want) | np.isnan(want))
+    assert spilled >= 10
+
+
+def test_a_constant_subtree_is_folded_into_the_tape():
+    """Only the steps that need a coordinate are replayed; the folded value is the one floats give."""
+    x = dual.var(0)
+    c = dual.exp(dual.const(0.5)) * dual.sin(dual.const(-1.5)) + dual.log(dual.const(2.0)) ** -3
+    folded = math.exp(0.5) * math.sin(-1.5) + math.log(2.0) ** -3
+    t = dual.Tape([x * c])
+    assert len(t.program) == 1 and t.run([2.0]) == [2.0 * folded]
+    assert dual.Tape([c]).run([]) == [folded]
+
+
+def test_a_chart_without_domain_tests_points_without_a_tape(plane, monkeypatch):
+    """Values that hold no node are broadcast without a tape: the mask of an empty domain needs none."""
+    pts = np.array([[0.5, -1.0], [np.inf, 0.0], [0.0, np.nan], [2.0, 3.0]])
+    want = plane.contains(pts)
+    with monkeypatch.context() as m:
+        m.setattr(dual, "tape", None)
+        m.setattr(dual, "Tape", None)
+        np.testing.assert_array_equal(plane.contains(pts), want)
+        assert plane.contains(pts[0]) is True
+    assert want.tolist() == [True, False, False, True]
+
+
+# -- derived forms live as long as their operands -----------------------------------
+
+
+def test_derived_forms_are_kept_while_their_operands_live(plane):
+    """A derived form is built once per set of operands, and leaves, with its nodes and tape, when one of them dies."""
+    gc.collect()
+    before = len(forms._DERIVED), len(dual._NODES), len(dual._TAPES)
+    w = DifferentialForm(plane, 1, {(0,): parse_field("3.25 * y * exp(x) / (1.75 + x^2)", plane)})
+    theta = DifferentialForm(plane, 1, {(1,): parse_field("0.625 + x", plane)})
+    X = VectorField(plane, [-coordinate(plane, 1), coordinate(plane, 0)])
+    f = parse_field("x * sin(y) - 0.375", plane)
+    m = SmoothMap(plane, plane, [coordinate(plane, 1), f])
+
+    def derive():
+        return [
+            lie_derivative(X, w),
+            twisted_derivative(theta, w),
+            wedge(theta, w),
+            interior_product(X, w),
+            exterior_derivative(w),
+            pullback(m, w),
+            DifferentialForm.from_scalar(f),
+            DifferentialForm.from_scalar(contract(w, X)),
+        ]
+
+    derived = derive()
+    assert all(a is b for a, b in zip(derive(), derived))
+    assert derived[6].coefficient(()) is not f  # a kept value holds no operand
+    form_values(derived[0], POINTS)
+    assert len(forms._DERIVED) > before[0] and len(dual._TAPES) > before[2]
+    del w, theta, X, f, m, derive, derived
+    gc.collect()
+    assert (len(forms._DERIVED), len(dual._NODES), len(dual._TAPES)) == before
