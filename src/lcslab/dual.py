@@ -11,23 +11,26 @@ register program: the nodes some roots need, each once, arguments first,
 constant subtrees folded, each step writing into a register that is taken
 again after the last use of its value.  It replays on point columns into
 registers allocated once per call, a root straight into its output row;
-:meth:`Tape.run` interprets the same program generically (on floats,
-columns, or nodes, which substitutes them for the coordinates).  Every
-tape comes from :func:`tape`, which keeps one per root set for as long as
-all of its roots live (a :class:`Kept` table, which also keeps the derived
-forms of :mod:`lcslab.forms`), so a check run again builds no tape.
+:meth:`Tape.run` runs the same program on nodes, which substitutes them for
+the coordinates.  Every tape comes from :func:`tape`, which keeps one per
+root set for as long as all of its roots live (a :class:`Kept` table, which
+also keeps the derived forms of :mod:`lcslab.forms`), so a check run again
+builds no tape.
 
 A closure becomes a node by running once on coordinate nodes
 (:func:`trace`).  It must be written with this module's arithmetic and its
-``exp``/``log``/``sqrt``/``sin``/``cos``/``atan2``; one that branches on a
-value or calls ``math`` cannot run on nodes and is refused, so every
-coefficient has a derivative node.
+``exp``/``log``/``sqrt``/``sin``/``cos``/``atan2``, which build a node from
+a node or a number; one that branches on a value or calls ``math`` cannot
+run on nodes and is refused, so every coefficient has a derivative node.
 
-This module is the evaluation boundary: expressions run on point batches
-only through :func:`evaluate` and :func:`jet`, the one place numpy's
-floating-point warnings are silenced during evaluation.  A point outside an
-expression's domain yields a non-finite value; :mod:`lcslab.report` decides
-what that means for a check.
+This module computes numbers one way only, with numpy's ufuncs on columns.
+Expressions run on point batches only through :func:`evaluate` and
+:func:`jet`, the one place numpy's floating-point warnings are silenced
+during evaluation; a tape folds its constants under the same silence, on
+one-point columns, so a folded constant is its replay bit for bit.  A point
+outside an expression's domain, or a constant outside a function's, yields
+a non-finite value; :mod:`lcslab.report` decides what that means for a
+check.
 """
 
 from __future__ import annotations
@@ -41,49 +44,35 @@ import numpy as np
 
 from .errors import UsageError
 
-# -- elementary functions, on floats, numpy columns and nodes -----------------
+# -- elementary functions: each builds a node, from a node or a number -------
 
 
-def exp(x):
-    if isinstance(x, Node):
-        return _node("exp", (x,))
-    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+def exp(x) -> Node:
+    return _apply("exp", x)
 
 
-def log(x):
-    if isinstance(x, Node):
-        return _node("log", (x,))
-    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
+def log(x) -> Node:
+    return _apply("log", x)
 
 
-def sqrt(x):
-    if isinstance(x, Node):
-        return _node("sqrt", (x,))
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+def sqrt(x) -> Node:
+    return _apply("sqrt", x)
 
 
-def sin(x):
-    if isinstance(x, Node):
-        return _node("sin", (x,))
-    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
+def sin(x) -> Node:
+    return _apply("sin", x)
 
 
-def cos(x):
-    if isinstance(x, Node):
-        return _node("cos", (x,))
-    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+def cos(x) -> Node:
+    return _apply("cos", x)
 
 
-def atan2(y, x):
-    if isinstance(y, Node) or isinstance(x, Node):
-        return _binop("atan2", y, x)
-    if isinstance(y, np.ndarray) or isinstance(x, np.ndarray):
-        return np.arctan2(y, x)
-    return math.atan2(y, x)
+def atan2(y, x) -> Node:
+    return _apply("atan2", y, x)
 
 
 def power(x, n: int):
-    """``x ** n`` for an integer ``n``: a ``pow`` node on a node, ``1 / x ** -n`` below zero on numbers."""
+    """``x ** n`` for an integer ``n``: a ``pow`` node on a node; on a column, ``1 / x ** -n`` below zero."""
     if isinstance(x, Node):
         return x**n
     return x**n if n >= 0 else 1.0 / x ** (-n)
@@ -113,10 +102,6 @@ class Node:
     __slots__ = ("op", "args", "data", "_partials", "__weakref__")
     __array_ufunc__ = None
     __hash__ = object.__hash__
-
-    def __call__(self, point):
-        """Generic interpretation on one point, columns or nodes (which substitutes them for the coordinates)."""
-        return tape([self]).run(list(point))[0]
 
     def partial(self, j: int) -> "Node":
         """The derivative in coordinate ``j``, built when first asked for and memoized; ``0.0`` if structurally zero."""
@@ -211,6 +196,14 @@ def as_node(x):
 def _binop(op: str, a, b):
     a, b = as_node(a), as_node(b)
     return NotImplemented if a is None or b is None else _node(op, (a, b))
+
+
+def _apply(op: str, *args) -> Node:
+    """The node of the elementary function ``op`` on nodes or numbers."""
+    nodes = tuple(map(as_node, args))
+    if any(a is None for a in nodes):
+        raise TypeError(f"{op} takes nodes or numbers, not {', '.join(type(a).__name__ for a in args)}")
+    return _node(op, nodes)
 
 
 _FIX = "write closures with lcslab.dual's exp/log/sqrt/sin/cos/atan2 and do not branch on values"
@@ -344,17 +337,23 @@ _OPS = {op: (_UFUNCS[op], f) for op, f in {**_UNARY, **_BINARY}.items()}
 _SLICE = 1024
 
 
+def _fold(fn, *args) -> float:
+    """The step ``fn`` on constant arguments, as a replay computes it on one point: on one-point columns."""
+    return float(fn(*[np.array([a]) for a in args])[0])
+
+
 class Tape:
     """The nodes that ``roots`` need, each once, arguments before their users, as a register program.
 
     A step ``[ufunc, function, a, b, out]`` reads the slots ``a`` and ``b``
-    (``b`` is None for one argument) and writes the slot ``out``.  Slots
-    from 0 are registers, and register ``i`` holds root ``i`` at the end; a
-    register is taken again once the value it held has had its last use.
-    Negative slots hold constants and coordinates.  Subtrees of constants
-    are folded as the tape is built, by the functions :meth:`run` applies to
-    floats.  A tape holds no node; :func:`tape` builds the tape of each root
-    set once.
+    (``b`` is None for one argument) and writes the slot ``out``: the ufunc
+    on columns, the function on nodes (a power's function serves both).
+    Slots from 0 are registers, and register ``i`` holds root ``i`` at the
+    end; a register is taken again once the value it held has had its last
+    use.  Negative slots hold constants and coordinates.  Subtrees of
+    constants are folded as the tape is built (:func:`_fold`), bit for bit
+    as a replay computes them.  A tape holds no node; :func:`tape` builds
+    the tape of each root set once.
     """
 
     __slots__ = ("program", "registers", "roots", "tail", "coords")
@@ -365,57 +364,56 @@ class Tape:
         pos: dict[Node, int] = {}  # a step's index, or the negative slot of a constant or coordinate
         steps: list[list] = []  # [ufunc, function, first argument, second argument or None, register]
         tail: list = []  # slots -1, -2, ...: a constant, or None for a coordinate
-        consts: dict[int, float] = {}
         self.coords = []  # (slot, coordinate index)
 
         def constant(n, value):  # a constant node, or a folded subtree of constants
-            k = pos[n] = ~len(tail)
-            consts[k] = value
+            pos[n] = ~len(tail)
             tail.append(value)
 
         push, pop, emit = (stack := []).append, stack.pop, steps.append
-        for root in roots:  # depth first on an explicit stack, arguments left to right
-            push(root)
-            while stack:
-                n = pop()
-                if n in pos:
-                    continue
-                args = n.args
-                if len(args) == 2:  # the common case, kept short
-                    a, b = args
-                    ka, kb = pos.get(a), pos.get(b)
-                    if ka is None or kb is None:  # met again once its arguments have their slots
-                        push(n)
-                        if kb is None:
-                            push(b)
+        with np.errstate(all="ignore"):  # a fold outside its domain gives the nan or inf a replay gives
+            for root in roots:  # depth first on an explicit stack, arguments left to right
+                push(root)
+                while stack:
+                    n = pop()
+                    if n in pos:
+                        continue
+                    args = n.args
+                    if len(args) == 2:  # the common case, kept short
+                        a, b = args
+                        ka, kb = pos.get(a), pos.get(b)
+                        if ka is None or kb is None:  # met again once its arguments have their slots
+                            push(n)
+                            if kb is None:
+                                push(b)
+                            if ka is None:
+                                push(a)
+                            continue
+                        u, f = _OPS[n.op]
+                        if ka < 0 and kb < 0 and tail[~ka] is not None and tail[~kb] is not None:
+                            constant(n, _fold(u, tail[~ka], tail[~kb]))
+                        else:
+                            pos[n] = len(steps)
+                            emit([u, f, ka, kb, None])
+                    elif args:  # a unary function or a power
+                        a = args[0]
+                        ka = pos.get(a)
                         if ka is None:
+                            push(n)
                             push(a)
-                        continue
-                    u, f = _OPS[n.op]
-                    if ka < 0 and kb < 0 and ka in consts and kb in consts:
-                        constant(n, f(consts[ka], consts[kb]))
+                            continue
+                        u, f = _OPS.get(n.op) or (None, functools.partial(power, n=n.data))
+                        if ka < 0 and tail[~ka] is not None:
+                            constant(n, _fold(f if u is None else u, tail[~ka]))
+                        else:
+                            pos[n] = len(steps)
+                            emit([u, f, ka, None, None])
+                    elif n.op == "c":
+                        constant(n, n.data)
                     else:
-                        pos[n] = len(steps)
-                        emit([u, f, ka, kb, None])
-                elif args:  # a unary function or a power
-                    a = args[0]
-                    ka = pos.get(a)
-                    if ka is None:
-                        push(n)
-                        push(a)
-                        continue
-                    u, f = _OPS.get(n.op) or (None, functools.partial(power, n=n.data))
-                    if ka < 0 and ka in consts:
-                        constant(n, f(consts[ka]))
-                    else:
-                        pos[n] = len(steps)
-                        emit([u, f, ka, None, None])
-                elif n.op == "c":
-                    constant(n, n.data)
-                else:
-                    pos[n] = ~len(tail)
-                    self.coords.append((pos[n], n.data))
-                    tail.append(None)
+                        pos[n] = ~len(tail)
+                        self.coords.append((pos[n], n.data))
+                        tail.append(None)
         self.tail = tail[::-1]  # as the end of a list of slots, so slot -1 is its last entry
         # Root i goes to register i: the step computing it writes there, and a
         # root that is a constant, a coordinate or an earlier root is copied.
@@ -448,11 +446,11 @@ class Tape:
                 step[3] = arg[4]
         self.program, self.registers = steps, registers
 
-    def run(self, inputs) -> list:
-        """The roots' values, with ``inputs[i]`` for coordinate ``i``: floats, columns, or nodes to substitute."""
+    def run(self, nodes) -> list:
+        """The roots with the node ``nodes[i]`` substituted for coordinate ``i``; a constant root stays a number."""
         slots = [None] * self.registers + self.tail
         for k, i in self.coords:
-            slots[k] = inputs[i]
+            slots[k] = nodes[i]
         for _, f, a, b, out in self.program:
             slots[out] = f(slots[a]) if b is None else f(slots[a], slots[b])
         return slots[: self.roots]
@@ -462,8 +460,8 @@ class Tape:
 
         The registers are allocated once, a root's being its own row, and the
         points run in slices of ``_SLICE``.  Each step writes into its
-        register; a power keeps the call :meth:`run` makes, so ``x ** n``
-        replays as it computes.
+        register with its ufunc; a power, which has none, assigns what its
+        function computes on the column.
         """
         n, roots, width = len(points), self.roots, min(len(points), _SLICE)
         scratch = [np.empty(width) for _ in range(self.registers - roots)]

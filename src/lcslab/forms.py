@@ -273,7 +273,7 @@ class DifferentialForm:
 
 
 # --------------------------------------------------------------------------
-# generic small determinants (entries may be duals)
+# small determinants by cofactor expansion, of nodes or numbers
 
 
 def det_generic(M):

@@ -468,7 +468,7 @@ def inoue(
         return rep
 
     def _decks(pts, seed, tol):
-        sample = deck_box.sample(pts, seed)
+        sample = deck_box.sample(max(pts, 4), seed)  # a deck map needs at least 4 samples in the chart
         return sample, {
             name: deck_homothety(m, cover_form, sample, tol, name) for name, m in deck_maps.items()
         }

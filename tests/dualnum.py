@@ -255,12 +255,15 @@ _UNARY = {"neg": operator.neg, "exp": exp, "log": log, "sqrt": sqrt, "sin": sin,
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "atan2": atan2}
 
 
-def interpret(value, inputs):
+def interpret(value, inputs, number=float):
     """``value`` (a node, a number or nested lists of them) with ``inputs[i]`` for coordinate ``i``.
 
-    The inputs may be floats, columns or dual numbers.  Each node is
-    evaluated once, arguments first, on an explicit stack.  Nodes key the
-    values by identity, as in :class:`lcslab.dual.Tape`.
+    The inputs may be floats, columns, dual numbers or nodes.  A constant
+    is ``number`` of its value: a float by default, so the functions of
+    ``math`` compute the constant subexpressions, or a one-point column,
+    ``number=lambda c: np.array([c])``, so numpy computes every value.  Each
+    node is evaluated once, arguments first, on an explicit stack.  Nodes
+    key the values by identity, as in :class:`lcslab.dual.Tape`.
     """
     vals: dict = {}
 
@@ -277,7 +280,7 @@ def interpret(value, inputs):
             if n in vals:
                 continue
             if n.op == "c":
-                vals[n] = n.data
+                vals[n] = number(n.data)
             elif n.op == "x":
                 vals[n] = inputs[n.data]
             elif n.op == "pow":

@@ -1,9 +1,9 @@
 """The tests' reference path: one concrete point at a time, no batches.
 
 ``at`` evaluates a scalar field, vector field, smooth map or endomorphism at
-one point (a scalar field through its node called on Python floats);
-``eval_form`` contracts a form with vectors at one point.  Neither goes
-through a replayed tape.
+one point (a scalar field through :func:`tests.dualnum.interpret` of its node
+on Python floats); ``eval_form`` contracts a form with vectors at one point.
+Neither goes through a replayed tape.
 
 ``lie_derivative_arrays`` is the coordinate formula for Lie derivatives,
 with first derivatives from one dual lift per coordinate of the nodes'
@@ -36,7 +36,7 @@ from tests import dualnum
 def at(obj, point):
     """``obj`` at a single concrete point."""
     if isinstance(obj, ScalarField):
-        return float(obj.node([float(c) for c in point]))
+        return float(dualnum.interpret(obj.node, [float(c) for c in point]))
     if isinstance(obj, (VectorField, SmoothMap)):
         return np.array([at(c, point) for c in obj.components])
     if isinstance(obj, EndomorphismField):
@@ -181,7 +181,7 @@ def coupled_complex_structure(
     L = c.lift_block[m:]
     Jb = J_base.entries  # base coordinates come first: the same nodes on the total chart
     fiber = [dual.var(m + i) for i in range(k)]
-    Jf = [[e(fiber) for e in row] for row in J_fiber.entries]
+    Jf = dualnum.interpret(J_fiber.entries, fiber)
     LJ, JL = _matmul(L, Jb), _matmul(Jf, L)
     rows = [Jb[i] + [0.0] * k for i in range(m)]
     rows += [[a - b for a, b in zip(LJ[i], JL[i])] + Jf[i] for i in range(k)]

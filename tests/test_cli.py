@@ -388,6 +388,14 @@ def test_example_run_matches_expectations(capsys):
     assert met == total
 
 
+@pytest.mark.parametrize("points", ["1", "2", "3"])
+def test_inoue_runs_below_four_points(capsys, points):
+    """Its deck maps draw the 4 samples a homothety fit needs even when ``--points`` asks for fewer."""
+    code, out, err = run(capsys, "example", "inoue", "--run", "--points", points)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "expected outcomes: 16/16 matched"
+
+
 def test_example_run_json_keeps_obstruction_green(capsys):
     code, out, _ = run(capsys, "example", "inoue", "--run", "--points", "16", "--format", "json")
     assert code == 0
@@ -517,6 +525,54 @@ def test_singular_documents_keep_the_exit_code_contract(command, site, fn):
             assert row["residual"] != "nan", row["id"]
             details = row.get("details", {})
             assert details.get("skipped", 0) <= 0.2 * details.get("points", 32), row["id"]
+
+
+# Constants outside a function's domain, or beyond the float range: numpy
+# gives -inf, inf, nan, inf and inf, as it gives a point outside a domain.
+UNDEFINED_CONSTANTS = ["1 + log(0)", "1 + 1/0", "1 + sqrt(0-1)", "1 + exp(1000)", "1 + (10^100)^4"]
+
+
+def constant_document(command: str, site: str, c: str) -> str:
+    """``REDUCE_DOC`` (as the fiber of a coupling) with the constant expression ``c`` at ``site``."""
+    doc = json.loads(REDUCE_DOC)
+    if site == "omega":
+        doc["forms"]["omega"]["coeffs"]["2,3"] = c
+    elif site == "fiber":  # the potential, so the momentum map
+        doc["forms"]["eta"]["coeffs"]["2"] = c
+    elif site == "domain":
+        doc["chart"]["domain"] = c
+    if command == "coupling":
+        gauge = {"0": "v", "1": c if site == "gauge" else "0"}
+        base = {"name": "disk", "coords": ["u", "v"]}
+        doc = {"base": base, "gauge": {"A": [gauge]}, "fiber": doc, "momentum": "auto"}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("c", UNDEFINED_CONSTANTS)
+@pytest.mark.parametrize(
+    "command, site, row",
+    [
+        ("verify", "omega", "nondegenerate"),
+        ("reduce", "omega", "reduced-nondegenerate"),
+        ("coupling", "gauge", "closed[hhh]"),
+        ("coupling", "fiber", "hor-vert"),
+    ],
+)
+def test_an_undefined_constant_makes_its_rows_inconclusive(capsys, command, site, row, c):
+    """A constant subexpression outside its domain is folded to nan or inf, not raised while building a tape."""
+    code, out, err = run(capsys, command, constant_document(command, site, c), "--points", "16", "--format", "json")
+    assert code in (0, 1) and err == ""
+    rows = {r["id"]: r["verdict"] for rep in json.loads(out)["reports"].values() for r in rep["checks"]}
+    assert rows[row] == "inconclusive"
+    assert set(rows.values()) <= {"pass", "inconclusive"}
+
+
+@pytest.mark.parametrize("c", UNDEFINED_CONSTANTS)
+def test_an_undefined_constant_domain_exits_2(capsys, c):
+    """A domain that is nowhere positive and finite leaves no sample point: a validation error."""
+    code, out, err = run(capsys, "verify", constant_document("verify", "domain", c), "--points", "16")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_log_potential_fails_the_precondition_like_sqrt(capsys):

@@ -58,6 +58,17 @@ def _reference(fn, cols):
         return np.broadcast_to(np.asarray(fn(cols), dtype=float), (len(cols[0]),))
 
 
+def _references(node, number) -> list:
+    """Value, then each first partial followed by its second partials, from nested dual lifts of the interpretation."""
+    cols = list(POINTS.T)
+    fn = lambda p: dualnum.interpret(node, p, number)
+    want = [_reference(fn, cols)]
+    for i in range(2):
+        first = lambda p: dualnum.partial(fn, p, i)
+        want += [_reference(first, cols), *(_reference(lambda p: dualnum.partial(first, p, j), cols) for j in range(2))]
+    return want
+
+
 def _same(got, want):
     np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -66,22 +77,19 @@ def _same(got, want):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(expressions)
 def test_replay_and_partials_match_dual_lifts(plane, expr):
-    """Value, first and second partials of a parsed expression against nested dual lifts of its interpretation."""
-    f = parse_field(expr, plane)
-    cols = list(POINTS.T)
-    fn = lambda p: dualnum.interpret(f.node, p)
+    """Value, first and second partials of a parsed expression against nested dual lifts of its interpretation.
+
+    Where ``math`` refuses a constant subexpression outside its domain, the
+    reference computes its constants as numpy does and expects its nan or inf.
+    """
+    f = parse_field(expr, plane).node
     try:
-        want = _reference(fn, cols)
-    except (ArithmeticError, ValueError) as err:  # a constant subexpression outside its domain
-        with pytest.raises(type(err)):
-            f.batch(POINTS)
-        return
-    _same(f.batch(POINTS), want)
-    for i in range(2):
-        _same(f.partial(i).batch(POINTS), _reference(lambda p: dualnum.partial(fn, p, i), cols))
-        for j in range(2):
-            second = _reference(lambda p: dualnum.partial(lambda q: dualnum.partial(fn, q, i), p, j), cols)
-            _same(f.partial(i).partial(j).batch(POINTS), second)
+        want = _references(f, float)
+    except (ArithmeticError, ValueError):
+        want = _references(f, lambda c: np.array([c]))
+    got = [f] + [g for i in range(2) for g in (f.partial(i), f.partial(i).partial(0), f.partial(i).partial(1))]
+    for g, w in zip(got, want, strict=True):
+        _same(dual.evaluate(g, POINTS), w)
 
 
 def test_d_log_is_not_finite_left_of_zero(plane):
@@ -195,7 +203,7 @@ def test_a_kept_tape_leaves_with_the_first_of_its_roots_to_die():
     del a
     gc.collect()
     assert key not in dual._TAPES
-    assert dual.tape([b]).run([0.5, 0.0]) == [math.sin(0.5) - 0.8125]
+    assert dual.evaluate(b, [[0.5, 0.0]]).tolist() == dualnum.interpret(b, [np.array([0.5]), np.array([0.0])]).tolist()
 
 
 def test_a_node_that_reuses_a_dead_roots_id_replays_its_own_values():
@@ -204,7 +212,7 @@ def test_a_node_that_reuses_a_dead_roots_id_replays_its_own_values():
     # nodes allocated next fill the allocator's pool of ``old``, which then
     # hands its block out first when ``old`` dies, whatever else the heap holds
     fill = [dual.const(0.25 + i) for i in range(1000)]
-    assert old([0.0]) == 0.6180339887 and (id(old),) in dual._TAPES
+    assert dual.evaluate(old, [[0.0]]).tolist() == [0.6180339887] and (id(old),) in dual._TAPES
     dead = id(old)
     del old
     gc.collect()
@@ -212,7 +220,7 @@ def test_a_node_that_reuses_a_dead_roots_id_replays_its_own_values():
     while len(made) < 100_000 and (not made or id(made[-1]) != dead):
         made.append(dual.const(len(made) + 0.5))
     assert id(made[-1]) == dead  # the allocator handed the id out again
-    assert made[-1]([0.0]) == len(made) - 0.5
+    assert dual.evaluate(made[-1], [[0.0]]).tolist() == [len(made) - 0.5]
 
 
 def test_a_dag_ten_thousand_deep_evaluates_and_differentiates():
@@ -257,7 +265,11 @@ def _random_dag(rng) -> list:
 
 @pytest.mark.parametrize("n", [1, dual._SLICE + 1])
 def test_register_replay_is_bit_identical_to_the_generic_run(n):
-    """The numeric replay writes into registers what ``Tape.run`` computes on float columns, bit for bit."""
+    """The register replay computes what the generic interpretation of the nodes computes on float columns, bit for bit.
+
+    The interpretation computes its constants on one-point columns too, as
+    the tape folds them.
+    """
     rng = np.random.default_rng(n)
     pts = rng.uniform(-2.0, 2.0, size=(n, 2))
     pts[rng.random(pts.shape) < 0.1] = 0.0  # signed zeros, and points outside log and sqrt domains
@@ -271,7 +283,8 @@ def test_register_replay_is_bit_identical_to_the_generic_run(n):
         for rs in (roots, roots + [x, dual.const(-0.0), folded, roots[0], y, dual.const(0.0), roots[1]]):
             got = dual.evaluate(rs, pts)
             with np.errstate(all="ignore"):
-                want = np.stack([np.broadcast_to(v, (n,)) for v in dual.Tape(rs).run(list(pts.T))], axis=-1)
+                vals = dualnum.interpret(rs, list(pts.T), number=lambda c: np.array([c]))
+                want = np.stack([np.broadcast_to(v, (n,)) for v in vals], axis=-1)
             assert np.array_equal(got, want, equal_nan=True)
             # zeros keep their sign; IEEE 754 leaves the sign of an arithmetic NaN open
             assert np.array_equal(np.signbit(got) | np.isnan(got), np.signbit(want) | np.isnan(want))
@@ -279,13 +292,43 @@ def test_register_replay_is_bit_identical_to_the_generic_run(n):
 
 
 def test_a_constant_subtree_is_folded_into_the_tape():
-    """Only the steps that need a coordinate are replayed; the folded value is the one floats give."""
+    """Only the steps that need a coordinate are replayed; the folded value is the one numpy gives on one point."""
     x = dual.var(0)
     c = dual.exp(dual.const(0.5)) * dual.sin(dual.const(-1.5)) + dual.log(dual.const(2.0)) ** -3
-    folded = math.exp(0.5) * math.sin(-1.5) + math.log(2.0) ** -3
-    t = dual.Tape([x * c])
-    assert len(t.program) == 1 and t.run([2.0]) == [2.0 * folded]
-    assert dual.Tape([c]).run([]) == [folded]
+    (folded,) = dualnum.interpret(c, [], number=lambda v: np.array([v]))
+    assert len(dual.Tape([x * c]).program) == 1
+    assert dual.evaluate([x * c, c], [[2.0]]).tolist() == [[2.0 * folded, folded]]
+    assert dual.Tape([c]).run([]) == [folded]  # a constant root substitutes to its folded value
+
+
+def test_an_elementary_function_of_a_number_is_a_node():
+    """``exp(2.0)`` is the node ``exp(const(2.0))``, folded when a tape is built; an array is no coefficient."""
+    assert isinstance(dual.exp(2.0), dual.Node)
+    for f in (dual.exp, dual.log, dual.sqrt, dual.sin, dual.cos):
+        assert f(2.0) is f(dual.const(2.0))
+    assert dual.atan2(2.0, dual.var(0)) is dual.atan2(dual.const(2.0), dual.var(0))
+    with pytest.raises(TypeError, match="exp takes nodes or numbers, not ndarray"):
+        dual.exp(np.ones(3))
+
+
+_SEEDED = np.random.default_rng(18).uniform(-12.0, 12.0, size=(2, 600)) * np.logspace(-3, 2, 600)
+# signed zeros, the ends of the float range, infinities and a nan
+_EDGES = np.array([[0.0, -0.0, 1e-310, 1e300, -1e300, np.inf, -np.inf, np.nan, 1000.0, -745.5]] * 2)
+_EDGES[1] = _EDGES[1, ::-1]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [dual.exp, dual.log, dual.sqrt, dual.sin, dual.cos, dual.atan2, *(lambda a, n=n: a**n for n in (-3, -1, 2, 3, 7))],
+    ids=["exp", "log", "sqrt", "sin", "cos", "atan2", "pow-3", "pow-1", "pow2", "pow3", "pow7"],
+)
+def test_a_folded_constant_is_its_replay_bit_for_bit(f):
+    """``f(c)`` folded as its tape is built equals ``f(x)`` replayed at ``x = c`` bit for bit, nan and inf included."""
+    arity = 2 if f is dual.atan2 else 1
+    x = [dual.var(i) for i in range(arity)]
+    for c in np.concatenate([_SEEDED, _EDGES], axis=1).T:
+        folded = f(*map(dual.const, c[:arity]))
+        assert dual.evaluate(folded, [[0.0]]).tobytes() == dual.evaluate(f(*x), [c[:arity]]).tobytes()
 
 
 def test_a_chart_without_domain_tests_points_without_a_tape(plane, monkeypatch):
