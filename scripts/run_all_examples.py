@@ -6,7 +6,8 @@ the manifest's expected rows.  The build and run columns are each
 example's cost in milliseconds in this fresh process, the total on the last
 line: the cold cost (first construction, first evaluation) that repeated
 runs do not show.  The warm column is the cost of running the suite a
-second time, and the built column the replay tapes that second run built.
+second time, the built column the replay tapes that second run built, and
+the drawn column the sample draws it made that no chart had kept.
 The nodes column counts the interned expression nodes alive after both
 runs, while the example is still held, and the tapes column the replay
 tapes kept for their root sets: cost measures that do not depend on the
@@ -22,6 +23,7 @@ import sys
 import time
 
 from lcslab import dual
+from lcslab.charts import Chart
 from lcslab.cli import MAX_POINTS
 from lcslab.gallery import (
     cotangent,
@@ -44,15 +46,21 @@ class CountedTape(dual.Tape):
         super().__init__(roots)
 
 
-def warm_run(man, args) -> tuple[float, int]:
-    """The seconds a second run of every check takes, and the tapes it builds."""
-    tape, dual.Tape, CountedTape.built = dual.Tape, CountedTape, 0
+def warm_run(man, args) -> tuple[float, int, int]:
+    """The seconds a second run of every check takes, the tapes it builds and the samples it draws."""
+    drawn, draw = [], Chart._draw
+
+    def counted_draw(chart, n, seed):
+        drawn.append(n)
+        return draw(chart, n, seed)
+
+    tape, dual.Tape, CountedTape.built, Chart._draw = dual.Tape, CountedTape, 0, counted_draw
     try:
         t0 = time.perf_counter()
         run_manifest(man, points=args.points, seed=args.seed, tol=args.tol)
-        return time.perf_counter() - t0, CountedTape.built
+        return time.perf_counter() - t0, CountedTape.built, len(drawn)
     finally:
-        dual.Tape = tape
+        dual.Tape, Chart._draw = tape, draw
 
 
 def builders():
@@ -81,7 +89,7 @@ def main(argv=None) -> int:
 
     print(
         f"{'example':<16} {'checks':>6} {'failed':>6} {'expected':>10} {'build':>9} {'run':>9}"
-        f" {'warm':>9} {'built':>5} {'nodes':>7} {'tapes':>6}"
+        f" {'warm':>9} {'built':>5} {'drawn':>5} {'nodes':>7} {'tapes':>6}"
     )
     missed_total = 0
     total = 0.0
@@ -93,7 +101,7 @@ def main(argv=None) -> int:
         verdicts = evaluate_manifest(man, reports)
         t2 = time.perf_counter()
         total += t2 - t0
-        warm, built = warm_run(man, args)
+        warm, built, drawn = warm_run(man, args)
         gc.collect()
 
         checks = sum(len(r.checks) for r in reports.values())
@@ -103,7 +111,7 @@ def main(argv=None) -> int:
         missed_total += missed
         print(
             f"{label:<16} {checks:>6} {failed:>6} {met:>5}/{len(verdicts.checks):<4}"
-            f" {(t1 - t0) * 1e3:>7.1f}ms {(t2 - t1) * 1e3:>7.1f}ms {warm * 1e3:>7.1f}ms {built:>5}"
+            f" {(t1 - t0) * 1e3:>7.1f}ms {(t2 - t1) * 1e3:>7.1f}ms {warm * 1e3:>7.1f}ms {built:>5} {drawn:>5}"
             f" {len(dual._NODES):>7} {len(dual._TAPES):>6}"
         )
         for c in verdicts.checks:

@@ -7,7 +7,9 @@ constructed maps between charts.
 
 A domain is a tuple of expression nodes, positive inside the chart; they
 replay through :func:`lcslab.dual.evaluate` like every coefficient, and this
-module carries no floating-point guard of its own.
+module carries no floating-point guard of its own.  A chart keeps each draw
+of :meth:`Chart.sample` by count and seed for as long as it lives, read-only,
+so a check run again on the same chart only does its arithmetic.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .errors import ChartMismatchError, DomainError, UsageError
 
 # Rejection-sampling rounds before a domain counts as too thin to sample.
 _MAX_TRIES = 200
+
+# Draws by (chart id, count, seed), each kept while its chart lives.
+_SAMPLES = dual.Kept()
 
 
 @dataclass(frozen=True)
@@ -78,9 +83,16 @@ class Chart:
         return inside if pts.ndim == 2 else bool(inside[0])
 
     def sample(self, n: int, seed: int = 0) -> np.ndarray:
-        """Deterministic rejection sampling of ``n`` points, shape (n, dim); ``n`` is at least 1."""
+        """Deterministic rejection sampling of ``n`` points, shape (n, dim); ``n`` is at least 1.
+
+        The draw is kept with the chart and returned read-only; a draw that
+        finds the domain too thin raises :class:`DomainError` and is not kept.
+        """
         if n < 1:
             raise UsageError(f"chart {self.name!r}: cannot draw {n} sample points; the count must be at least 1")
+        return _SAMPLES.keep((id(self), n, seed), (self,), self._draw, n, seed)
+
+    def _draw(self, n: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
@@ -96,7 +108,9 @@ class Chart:
                 f"could not draw {n} points inside chart {self.name!r}; "
                 f"domain appears too thin inside the sampling box"
             )
-        return pts[:n]
+        pts = pts[:n].copy()  # a kept draw holds no surplus accepted rows
+        pts.setflags(write=False)
+        return pts
 
 
 def same_chart(a: Chart, b: Chart) -> bool:

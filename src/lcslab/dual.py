@@ -10,7 +10,8 @@ differentiation with sharing, exact to rounding.  A :class:`Tape` is a
 register program: the nodes some roots need, each once, arguments first,
 constant subtrees folded, each step writing into a register that is taken
 again after the last use of its value.  It replays on point columns into
-registers allocated once per call, a root straight into its output row;
+registers allocated once per call, a root straight into its output row, in
+slices as wide as its scratch registers fit in a byte budget;
 :meth:`Tape.run` runs the same program on nodes, which substitutes them for
 the coordinates.  Every tape comes from :func:`tape`, which keeps one per
 root set for as long as all of its roots live (a :class:`Kept` table, which
@@ -26,8 +27,9 @@ run on nodes and is refused, so every coefficient has a derivative node.
 This module computes numbers one way only, with numpy's ufuncs on columns.
 Expressions run on point batches only through :func:`evaluate` and
 :func:`jet`, the one place numpy's floating-point warnings are silenced
-during evaluation; a tape folds its constants under the same silence, on
-one-point columns, so a folded constant is its replay bit for bit.  A point
+during evaluation; a tape folds its constants under the same silence,
+arithmetic on np.float64 scalars and the other functions on one-point
+columns, so a folded constant is its replay bit for bit.  A point
 outside an expression's domain, or a constant outside a function's, yields
 a non-finite value; :mod:`lcslab.report` decides what that means for a
 check.
@@ -331,15 +333,25 @@ _UFUNCS = {
 }
 _OPS = {op: (_UFUNCS[op], f) for op, f in {**_UNARY, **_BINARY}.items()}
 
-# Points per replay of a tape: a large batch runs in slices, so the hundreds
-# of registers a Lie derivative keeps live stay a few megabytes (hopf(4)'s
-# certificate uses 480 scratch registers, 8 kB each at 1024 points).
-_SLICE = 1024
+# Scratch bytes per replay of a tape: a batch runs in slices as wide as the
+# tape's scratch registers fit in this budget, so the hundreds of registers a
+# Lie derivative keeps live stay a few megabytes (hopf(4)'s certificate uses
+# 476, in slices of about 1,100 points), and a small tape replays a large
+# batch in one slice, where a ufunc call costs its arithmetic, not its dispatch.
+_SCRATCH_BYTES = 4 << 20
+
+# the steps whose function on np.float64 scalars is their ufunc's IEEE operation, bit for bit
+_SCALAR = {np.add, np.subtract, np.multiply, np.divide, np.negative}
 
 
-def _fold(fn, *args) -> float:
-    """The step ``fn`` on constant arguments, as a replay computes it on one point: on one-point columns."""
-    return float(fn(*[np.array([a]) for a in args])[0])
+def _fold(u, f, *args) -> float:
+    """The step (ufunc ``u``, function ``f``) on constants, as a replay computes it on one point.
+
+    Arithmetic runs on np.float64 scalars, the other functions on one-point columns.
+    """
+    if u in _SCALAR:
+        return float(f(np.float64(args[0]), *args[1:]))
+    return float((u or f)(*[np.array([a]) for a in args])[0])
 
 
 class Tape:
@@ -391,7 +403,7 @@ class Tape:
                             continue
                         u, f = _OPS[n.op]
                         if ka < 0 and kb < 0 and tail[~ka] is not None and tail[~kb] is not None:
-                            constant(n, _fold(u, tail[~ka], tail[~kb]))
+                            constant(n, _fold(u, f, tail[~ka], tail[~kb]))
                         else:
                             pos[n] = len(steps)
                             emit([u, f, ka, kb, None])
@@ -404,7 +416,7 @@ class Tape:
                             continue
                         u, f = _OPS.get(n.op) or (None, functools.partial(power, n=n.data))
                         if ka < 0 and tail[~ka] is not None:
-                            constant(n, _fold(f if u is None else u, tail[~ka]))
+                            constant(n, _fold(u, f, tail[~ka]))
                         else:
                             pos[n] = len(steps)
                             emit([u, f, ka, None, None])
@@ -459,15 +471,17 @@ class Tape:
         """The roots' values on the (n, dim) ``points``, each written into its (n,) row of ``rows``.
 
         The registers are allocated once, a root's being its own row, and the
-        points run in slices of ``_SLICE``.  Each step writes into its
-        register with its ufunc; a power, which has none, assigns what its
-        function computes on the column.
+        points run in slices as wide as the scratch registers fit in
+        ``_SCRATCH_BYTES``.  Each step writes into its register with its
+        ufunc; a power, which has none, assigns what its function computes
+        on the column.
         """
-        n, roots, width = len(points), self.roots, min(len(points), _SLICE)
+        n, roots = len(points), self.roots
+        width = max(1, min(n, _SCRATCH_BYTES // (8 * max(1, self.registers - roots))))
         scratch = [np.empty(width) for _ in range(self.registers - roots)]
         slots = [None] * roots + scratch + self.tail
-        for start in range(0, n, _SLICE):
-            stop = min(start + _SLICE, n)
+        for start in range(0, n, width):
+            stop = min(start + width, n)
             if stop - start < width:  # a last, shorter slice
                 slots[roots : self.registers] = [r[: stop - start] for r in scratch]
             slots[:roots] = [row[start:stop] for row in rows]

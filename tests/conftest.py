@@ -1,4 +1,4 @@
-"""Shared fixtures: small charts reused across the suite, and a record of the tapes a test builds."""
+"""Shared fixtures: small charts reused across the suite, and records of the tapes a test builds and the samples it draws."""
 
 import numpy as np
 import pytest
@@ -41,3 +41,17 @@ def built_tapes(monkeypatch) -> list:
 
     monkeypatch.setattr(dual, "Tape", Recorded)
     return built
+
+
+@pytest.fixture
+def drawn_samples(monkeypatch) -> list:
+    """The (chart name, count, seed) of every sample drawn during the test: the calls of ``Chart.sample`` no chart had kept."""
+    drawn = []
+    draw = Chart._draw
+
+    def recorded(chart, n, seed):
+        drawn.append((chart.name, n, seed))
+        return draw(chart, n, seed)
+
+    monkeypatch.setattr(Chart, "_draw", recorded)
+    return drawn

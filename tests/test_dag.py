@@ -1,18 +1,20 @@
 """The coefficient DAG against its interpretation by the tests' ``Dual`` oracle (:mod:`tests.dualnum`)."""
 
 import gc
+import itertools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from lcslab import dual, forms
+from lcslab import charts, dual, forms
 from lcslab.charts import Chart
 from lcslab.coupling import EndomorphismField
-from lcslab.errors import UsageError
+from lcslab.errors import DomainError, UsageError
 from lcslab.forms import (
     DifferentialForm,
     ScalarField,
@@ -263,22 +265,27 @@ def _random_dag(rng) -> list:
     return [pool[int(i)] for i in rng.integers(len(pool) // 2, len(pool), size=3)]
 
 
-@pytest.mark.parametrize("n", [1, dual._SLICE + 1])
-def test_register_replay_is_bit_identical_to_the_generic_run(n):
+@pytest.mark.parametrize("n", [1, 211])
+def test_register_replay_is_bit_identical_to_the_generic_run(n, monkeypatch):
     """The register replay computes what the generic interpretation of the nodes computes on float columns, bit for bit.
 
     The interpretation computes its constants on one-point columns too, as
-    the tape folds them.
+    the tape folds them.  The scratch budget is cut to 64 register rows, so
+    at 211 points (a prime) a tape replays in several slices, the last one
+    shorter.
     """
+    monkeypatch.setattr(dual, "_SCRATCH_BYTES", 64 * 8)
     rng = np.random.default_rng(n)
     pts = rng.uniform(-2.0, 2.0, size=(n, 2))
     pts[rng.random(pts.shape) < 0.1] = 0.0  # signed zeros, and points outside log and sqrt domains
     pts[rng.random(pts.shape) < 0.05] = -0.0
     x, y, folded = dual.var(0), dual.var(1), dual.sin(dual.const(0.5)) ** -2
-    spilled = 0
+    spilled = sliced = 0
     for _ in range(20):
         roots = _random_dag(rng)
-        spilled += dual.Tape(roots).registers > len(roots)  # values beyond the roots' own registers
+        scratch = dual.Tape(roots).registers - len(roots)  # values beyond the roots' own registers
+        spilled += scratch > 0
+        sliced += 1 < 64 // max(1, scratch) < n  # slices of that many points, as replay sizes them
         # roots that are coordinates, constants, folded or repeated
         for rs in (roots, roots + [x, dual.const(-0.0), folded, roots[0], y, dual.const(0.0), roots[1]]):
             got = dual.evaluate(rs, pts)
@@ -288,7 +295,26 @@ def test_register_replay_is_bit_identical_to_the_generic_run(n):
             assert np.array_equal(got, want, equal_nan=True)
             # zeros keep their sign; IEEE 754 leaves the sign of an arithmetic NaN open
             assert np.array_equal(np.signbit(got) | np.isnan(got), np.signbit(want) | np.isnan(want))
-    assert spilled >= 10
+    assert spilled >= 10 and sliced == (20 if n > 1 else 0)
+
+
+def test_the_scratch_registers_of_a_replay_stay_within_the_budget():
+    """300 values live at once at 8192 points need 19.7 MB of registers unsliced; a replay allocates at most the budget."""
+    x = dual.var(0)
+    vs = [dual.exp(x * (1.0 + i / 1000)) for i in range(300)]
+    total = sum(vs)
+    t = dual.Tape([sum(v * total for v in vs)])  # every v stays live until total is known
+    assert t.registers - t.roots >= 300
+    pts = np.linspace(-1.0, 1.0, 8192)[:, None]
+    rows = [np.empty(len(pts))]
+    tracemalloc.start()
+    try:
+        t.replay(pts, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= dual._SCRATCH_BYTES + 256 * 1024  # the data, plus a few hundred array objects and views
+    assert rows[0][0] == dual.evaluate(t.run([x])[0], pts[:1])[0]
 
 
 def test_a_constant_subtree_is_folded_into_the_tape():
@@ -312,19 +338,26 @@ def test_an_elementary_function_of_a_number_is_a_node():
 
 
 _SEEDED = np.random.default_rng(18).uniform(-12.0, 12.0, size=(2, 600)) * np.logspace(-3, 2, 600)
-# signed zeros, the ends of the float range, infinities and a nan
-_EDGES = np.array([[0.0, -0.0, 1e-310, 1e300, -1e300, np.inf, -np.inf, np.nan, 1000.0, -745.5]] * 2)
-_EDGES[1] = _EDGES[1, ::-1]
+# every pair of signed zeros, ones, the ends of the float range, infinities and a nan: 0/0, 1/-0, inf-inf, 0*inf
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 1e-310, 1e300, -1e300, np.inf, -np.inf, np.nan, 1000.0, -745.5]
+_EDGES = np.array(list(itertools.product(_EDGE_VALUES, repeat=2))).T
+_BINARY_FOLDS = (dual.atan2, operator.add, operator.sub, operator.mul, operator.truediv)
 
 
 @pytest.mark.parametrize(
     "f",
-    [dual.exp, dual.log, dual.sqrt, dual.sin, dual.cos, dual.atan2, *(lambda a, n=n: a**n for n in (-3, -1, 2, 3, 7))],
-    ids=["exp", "log", "sqrt", "sin", "cos", "atan2", "pow-3", "pow-1", "pow2", "pow3", "pow7"],
+    [
+        dual.exp, dual.log, dual.sqrt, dual.sin, dual.cos, *_BINARY_FOLDS, operator.neg,
+        *(lambda a, n=n: a**n for n in (-3, -1, 2, 3, 7)),
+    ],
+    ids=[
+        "exp", "log", "sqrt", "sin", "cos", "atan2", "add", "sub", "mul", "div", "neg",
+        "pow-3", "pow-1", "pow2", "pow3", "pow7",
+    ],
 )
 def test_a_folded_constant_is_its_replay_bit_for_bit(f):
     """``f(c)`` folded as its tape is built equals ``f(x)`` replayed at ``x = c`` bit for bit, nan and inf included."""
-    arity = 2 if f is dual.atan2 else 1
+    arity = 2 if f in _BINARY_FOLDS else 1
     x = [dual.var(i) for i in range(arity)]
     for c in np.concatenate([_SEEDED, _EDGES], axis=1).T:
         folded = f(*map(dual.const, c[:arity]))
@@ -341,6 +374,48 @@ def test_a_chart_without_domain_tests_points_without_a_tape(plane, monkeypatch):
         np.testing.assert_array_equal(plane.contains(pts), want)
         assert plane.contains(pts[0]) is True
     assert want.tolist() == [True, False, False, True]
+
+
+# -- sample draws live as long as their charts --------------------------------------
+
+
+def _disk() -> Chart:
+    return Chart("disk", ("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)), (lambda p: 1.0 - p[0] * p[0] - p[1] * p[1],))
+
+
+def test_a_draw_is_kept_with_its_chart_and_read_only(drawn_samples):
+    """A chart draws each (count, seed) once; the draw is read-only and is, bit for bit, what a fresh chart with the same fields draws."""
+    disk = _disk()
+    pts = disk.sample(100, 3)
+    assert disk.sample(100, 3) is pts and drawn_samples == [("disk", 100, 3)]
+    assert not pts.flags.writeable and pts.shape == (100, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        pts[0, 0] = 0.0
+    assert _disk().sample(100, 3).tobytes() == pts.tobytes()
+    assert disk.sample(100, 4).tobytes() != pts.tobytes()
+    assert len(drawn_samples) == 3
+
+
+def test_a_draw_leaves_with_its_chart():
+    gc.collect()
+    before = len(charts._SAMPLES)
+    disk = _disk()
+    disk.sample(16, 0)
+    disk.sample(16, 1)
+    assert len(charts._SAMPLES) == before + 2
+    del disk
+    gc.collect()
+    assert len(charts._SAMPLES) == before
+
+
+def test_a_chart_too_thin_to_sample_raises_on_every_call(drawn_samples):
+    """A draw that raises is not kept: the next call draws again and raises again."""
+    thin = Chart("thin", ("x",), ((-1.0, 1.0),), (lambda p: -p[0] * p[0],))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="too thin"):
+            thin.sample(8, 0)
+    assert drawn_samples == [("thin", 8, 0)] * 2
+    assert (id(thin), 8, 0) not in charts._SAMPLES
 
 
 # -- derived forms live as long as their operands -----------------------------------
