@@ -29,7 +29,6 @@ from .forms import (
     coordinate,
     exterior_derivative,
     interior_product,
-    lie_bracket,
     lie_derivative,
     pullback,
     wedge,

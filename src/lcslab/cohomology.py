@@ -11,13 +11,19 @@ weight ``theta(u, v)`` on each oriented edge and transport the 0th vertex,
 cocycle condition, Betti numbers come from sparse elimination ranks (checked
 against SVD ranks in the tests), and the Hodge/Green story is plain linear
 algebra — no elliptic theory, same identities.
+
+Each dimension k is a sorted ``(n_k, k+1)`` integer array, and every face
+lookup is one ``np.searchsorted`` over the rows' big-endian bytes.  ``betti``
+ranks from the top degree down, clearing the rows of ``delta_{k-1}`` that the
+pivots of ``delta_k`` name (Chen & Kerber 2011) and peeling singleton rows and
+columns (Mrozek & Batko 2009); threshold pivoting decides only what is left.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -38,6 +44,12 @@ def closure(simplices) -> set[tuple[int, ...]]:
     return out
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a nonnegative integer array as one string of big-endian bytes; they sort as the rows do."""
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 class TwistedComplex:
     """A downward-closed family of increasing vertex tuples with edge weights.
 
@@ -50,28 +62,36 @@ class TwistedComplex:
     def __init__(self, n_vertices: int, simplices, theta=None):
         if n_vertices < 1:
             raise InvalidComplexError("a complex needs at least one vertex")
-        self.n_vertices = int(n_vertices)
-        family: set[tuple[int, ...]] = {(v,) for v in range(self.n_vertices)}
-        for s in simplices:
-            s = tuple(s)
-            if list(s) != sorted(set(s)):
-                raise InvalidComplexError(f"simplex {s} is not a strictly increasing vertex tuple")
-            if s and (s[0] < 0 or s[-1] >= self.n_vertices):
-                raise InvalidComplexError(f"simplex {s} uses vertices outside 0..{self.n_vertices - 1}")
-            family.add(s)
-        for s in family:
-            if len(s) > 1:
-                for t in combinations(s, len(s) - 1):
-                    if t not in family:
-                        raise InvalidComplexError(f"family is not downward closed: {s} lacks facet {t}")
-        self.by_dim: dict[int, list[tuple[int, ...]]] = {}
-        for s in family:
-            self.by_dim.setdefault(len(s) - 1, []).append(s)
-        for k in self.by_dim:
-            self.by_dim[k].sort()
-        self.index = {s: i for k in self.by_dim for i, s in enumerate(self.by_dim[k])}
-        self.top = max(self.by_dim)
-
+        self.n_vertices = n = int(n_vertices)
+        given = [s for s in simplices if len(s)]
+        lens = np.fromiter(map(len, given), np.intp, len(given))
+        starts, flat = np.cumsum(lens) - lens, np.array(list(chain.from_iterable(given)))
+        inside = (flat >= 0) & (flat < n) & (flat % 1 == 0)
+        ints = np.where(inside, flat, 0).astype(np.int64)
+        up = np.r_[True, flat[1:] > flat[:-1]]
+        up[starts] = True
+        up, inside = np.logical_and.reduceat(up, starts), np.logical_and.reduceat(inside, starts)
+        bad = np.flatnonzero(~(up & inside))
+        if bad.size:
+            why = "is not a strictly increasing vertex tuple" if not up[bad[0]] else f"uses vertices outside 0..{n - 1}"
+            raise InvalidComplexError(f"simplex {tuple(given[bad[0]])} {why}")
+        self._dims = {0: np.arange(n)[:, None]}
+        for size in set(lens.tolist()) - {1}:
+            rows = ints[starts[lens == size, None] + np.arange(size)]
+            self._dims[size - 1] = rows[np.unique(_row_keys(rows), return_index=True)[1]]
+        self.top = max(self._dims)
+        self._faces = {}  # row s, column i: the index of s without its vertex i
+        for k, rows in sorted(self._dims.items())[1:]:
+            faces = np.broadcast_to(rows[:, None], (len(rows), k + 1, k + 1))[:, ~np.eye(k + 1, dtype=bool)]
+            want = _row_keys(faces.reshape(-1, k))
+            have = _row_keys(self._dims[k - 1]) if k - 1 in self._dims else want[:0]
+            at = self._faces[k] = np.searchsorted(have, want).reshape(-1, k + 1)
+            found = at < len(have)
+            found[found] = have[at[found]] == want.reshape(at.shape)[found]
+            if not found.all():
+                r = np.flatnonzero(~found.all(1))[0]
+                s, i = tuple(rows[r].tolist()), np.flatnonzero(~found[r])[-1]
+                raise InvalidComplexError(f"family is not downward closed: {s} lacks facet {s[:i] + s[i + 1 :]}")
         th = {}
         for (u, v), val in (theta or {}).items():
             if u >= v:
@@ -82,26 +102,28 @@ class TwistedComplex:
                 w = math.nan
             if not abs(w) <= _MAX_WEIGHT:
                 raise InvalidComplexError(f"edge weight {val!r} on ({u}, {v}) is not a number of size <= {_MAX_WEIGHT:.2f}")
-        for e in self.by_dim.get(1, ()):
+        edges = self.simplices(1)
+        for e in edges:
             th.setdefault(e, 0.0)
-        unknown = set(th) - set(self.by_dim.get(1, ()))
+        unknown = set(th) - set(edges)
         if unknown:
             raise InvalidComplexError(f"weights given on non-edges: {sorted(unknown)[:3]}")
         self.theta = th
+        weights = np.array([th[e] for e in edges], dtype=float)
+        self._growth = np.array([math.exp(w) for w in weights.tolist()])  # e^theta per edge, as math.exp rounds it
         self._coboundaries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for s in self.by_dim.get(2, ()):
-            u, v, w = s
-            defect = th[(u, v)] + th[(v, w)] - th[(u, w)]
-            if not abs(defect) <= _COCYCLE_TOL:
-                raise InvalidComplexError(
-                    f"edge weights violate the cocycle condition on triangle {s} (defect {defect:.3e})"
-                )
+        f = self._faces.get(2, np.empty((0, 3), np.intp))  # faces of (u, v, w): (v, w), (u, w), (u, v)
+        defect = weights[f[:, 2]] + weights[f[:, 0]] - weights[f[:, 1]]
+        bad = np.flatnonzero(~(np.abs(defect) <= _COCYCLE_TOL))
+        if bad.size:
+            s, at = self.simplices(2)[bad[0]], defect[bad[0]]
+            raise InvalidComplexError(f"edge weights violate the cocycle condition on triangle {s} (defect {at:.3e})")
 
     def simplices(self, k: int) -> list[tuple[int, ...]]:
-        return self.by_dim.get(k, [])
+        return list(map(tuple, self._dims[k].tolist())) if k in self._dims else []
 
     def count(self, k: int) -> int:
-        return len(self.by_dim.get(k, ()))
+        return len(self._dims[k]) if k in self._dims else 0
 
     def theta_of(self, u: int, v: int) -> float:
         if u == v:
@@ -136,11 +158,12 @@ def _coboundary_entries(K: TwistedComplex, k: int) -> tuple[np.ndarray, np.ndarr
     Row ``s`` holds its k+2 faces: face ``i`` (vertex i removed) carries
     ``e^{theta(s0, s1)}`` for ``i = 0`` and ``(-1)^i`` otherwise.
     """
-    rows, index = K.simplices(k + 1), K.index
-    cols = np.array([index[s[:i] + s[i + 1 :]] for s in rows for i in range(k + 2)], dtype=np.intp)
-    cols = cols.reshape(len(rows), k + 2)
-    vals = np.tile([(-1.0) ** i for i in range(k + 2)], (len(rows), 1))
-    vals[:, 0] = [math.exp(K.theta[s[:2]]) for s in rows]
+    cols = K._faces.get(k + 1, np.empty((0, k + 2), np.intp))
+    first = np.arange(len(cols))  # the edge (s0, s1) of each row, reached by dropping last vertices
+    for d in range(k + 1, 1, -1):
+        first = K._faces.get(d, cols)[first, d]  # no rows: index the empty cols
+    vals = np.tile([(-1.0) ** i for i in range(k + 2)], (len(cols), 1))
+    vals[:, 0] = K._growth[first]
     cols.flags.writeable = vals.flags.writeable = False
     return cols, vals
 
@@ -171,24 +194,48 @@ def apply_coboundary(K: TwistedComplex, c: Cochain) -> Cochain:
     return Cochain(c.degree + 1, twisted_coboundary(K, c.degree) @ c.values)
 
 
-def _rank(cols: np.ndarray, vals: np.ndarray, n_cols: int) -> int:
-    """Rank by Gaussian elimination, each row pivoting on an entry at least half its largest.
+def _rank(cols: np.ndarray, vals: np.ndarray, n_cols: int, cleared=()) -> tuple[int, np.ndarray]:
+    """Rank and pivot columns of the rows ``cols``/``vals`` without the rows ``cleared``.
 
-    Among those entries the column held by the fewest rows wins.  Entries at
-    most ``_RANK_TOL * s`` count as zero; ``s = sqrt(|M|_1 |M|_inf)`` bounds
-    the largest singular value.
+    Entries at most ``_RANK_TOL * s`` count as zero; ``s = sqrt(|M|_1) sqrt(|M|_inf)``,
+    each norm under its own root so no weight overflows it, bounds the
+    largest singular value of the whole matrix.  Every column held by one row
+    and every row holding one column is a pivot touching no other row
+    (peeling), until none is left.  The remainder goes through Gaussian
+    elimination, each row pivoting on an entry at least half its largest;
+    among those the column held by the fewest rows wins.  The pivot columns
+    are independent columns of the matrix.
     """
-    if not vals.size:
-        return 0
     mags = np.abs(vals)
-    s = math.sqrt(np.bincount(cols.ravel(), mags.ravel(), n_cols).max() * mags.sum(axis=1).max())
+    s = math.sqrt(np.bincount(cols.ravel(), mags.ravel(), n_cols).max(initial=0)) * math.sqrt(mags.sum(1).max(initial=0))
     eps = _RANK_TOL * s
-    rows = [{c: v for c, v in zip(cs, vs) if abs(v) > eps} for cs, vs in zip(cols.tolist(), vals.tolist())]
+    live = mags > eps
+    live[np.asarray(cleared, dtype=np.intp)] = False
+    er, at = np.nonzero(live)  # the live entries: row, column, value
+    ec, ev = cols[er, at], vals[er, at]
+    pivots = []
+    while er.size:
+        lone = (np.bincount(ec, minlength=n_cols)[ec] == 1) | (np.bincount(er, minlength=len(cols))[er] == 1)
+        if not lone.any():
+            break
+        r, c = er[lone], ec[lone]
+        _, one = np.unique(r, return_index=True)  # one pivot per row ...
+        r, c = r[one], c[one]
+        _, one = np.unique(c, return_index=True)  # ... and per column
+        r, c = r[one], c[one]
+        pivots.append(c)
+        keep = ~(np.isin(er, r) | np.isin(ec, c))
+        er, ec, ev = er[keep], ec[keep], ev[keep]
+
+    left: dict[int, dict[int, float]] = {}
+    for r, c, v in zip(er.tolist(), ec.tolist(), ev.tolist()):
+        left.setdefault(r, {})[c] = v
+    rows = list(left.values())
     holders: dict[int, set[int]] = {}  # column -> rows below the current one holding it
     for r, row in enumerate(rows):
         for c in row:
             holders.setdefault(c, set()).add(r)
-    rank = 0
+    found = []
     for r, row in enumerate(rows):
         for c in row:
             holders[c].discard(r)
@@ -196,7 +243,7 @@ def _rank(cols: np.ndarray, vals: np.ndarray, n_cols: int) -> int:
             continue
         big = 0.5 * max(map(abs, row.values()))
         p = min((c for c, v in row.items() if abs(v) >= big), key=lambda c: len(holders[c]))
-        rank += 1
+        found.append(p)
         pv = row.pop(p)
         for o in holders.pop(p):
             other = rows[o]
@@ -210,18 +257,20 @@ def _rank(cols: np.ndarray, vals: np.ndarray, n_cols: int) -> int:
                 elif c in other:
                     del other[c]
                     holders[c].discard(o)
-    return rank
+    pivots = np.concatenate([*pivots, np.array(found, np.intp)])
+    return len(pivots), pivots
 
 
 def betti(K: TwistedComplex) -> list[int]:
-    """``b_k = dim ker delta_k - rank delta_{k-1}`` for k up to the top dimension."""
-    out = []
-    prev_rank = 0
-    for k in range(K.top + 1):
-        r = _rank(*_coboundary(K, k), K.count(k))
-        out.append(K.count(k) - r - prev_rank)
-        prev_rank = r
-    return out
+    """``b_k = n_k - rank delta_k - rank delta_{k-1}``, the ranks taken from the top degree down.
+
+    The pivot columns of ``delta_k`` are k-simplices, and ``delta_{k-1}``
+    leaves out their rows (clearing): they are combinations of its others.
+    """
+    ranks, pivots = {}, ()
+    for k in range(K.top, -1, -1):
+        ranks[k], pivots = _rank(*_coboundary(K, k), K.count(k), pivots)
+    return [K.count(k) - ranks[k] - ranks.get(k - 1, 0) for k in range(K.top + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -332,17 +381,12 @@ def product_complex(K1: TwistedComplex, K2: TwistedComplex) -> TwistedComplex:
                 stack.append(((a, b + 1), path + [(a, b + 1)]))
 
     def maximal(K: TwistedComplex) -> list[tuple[int, ...]]:  # the simplices that are no facet
-        facets = {t for k in range(1, K.top + 1) for s in K.simplices(k) for t in combinations(s, k)}
-        return [s for k in range(K.top + 1) for s in K.simplices(k) if s not in facets]
+        rows = [np.delete(K._dims[k], K._faces[k + 1].ravel() if k < K.top else [], axis=0) for k in range(K.top + 1)]
+        return [s for a in rows for s in map(tuple, a.tolist())]
 
     tops2 = maximal(K2)
     family = closure(p for s1 in maximal(K1) for s2 in tops2 for p in paths(s1, s2))
 
-    theta = {}
-    for s in family:
-        if len(s) == 2:
-            (u, v) = s
-            i1, j1 = divmod(u, n2)
-            i2, j2 = divmod(v, n2)
-            theta[(u, v)] = K1.theta_of(i1, i2) + K2.theta_of(j1, j2)
+    edges = (s for s in family if len(s) == 2)
+    theta = {(u, v): K1.theta_of(u // n2, v // n2) + K2.theta_of(u % n2, v % n2) for u, v in edges}
     return TwistedComplex(K1.n_vertices * n2, family, theta)

@@ -351,19 +351,6 @@ def interior_product(X: VectorField, form: DifferentialForm) -> DifferentialForm
     return DifferentialForm(form.chart, form.degree - 1, coeffs)
 
 
-def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    check_same_chart(X.chart, Y.chart, "bracket operands")
-    chart = X.chart
-    comps = []
-    for i in range(chart.dim):
-        terms = []
-        for j in range(chart.dim):
-            terms.append((1, X.components[j].node * Y.components[i].node.partial(j)))
-            terms.append((-1, Y.components[j].node * X.components[i].node.partial(j)))
-        comps.append(_signed_sum(chart, terms))
-    return VectorField(chart, comps)
-
-
 @derived
 def lie_derivative(X: VectorField, form: DifferentialForm) -> DifferentialForm:
     """Cartan's formula  L_X = i_X d + d i_X  (degree 0: just i_X d).

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,7 @@ def _require(d: dict, key: str, kind, where: str):
     if key not in d:
         raise UsageError(f"{where} is missing required key {key!r}")
     v = d[key]
-    if kind is not None and not isinstance(v, kind):
+    if kind is not None and (not isinstance(v, kind) or isinstance(v, bool) and kind is int):
         raise UsageError(f"{where}[{key!r}] has the wrong type")
     return v
 
@@ -143,9 +144,9 @@ def _constants_from_rows(rows, dim: int) -> np.ndarray:
     if not isinstance(rows, list):
         raise UsageError("structure constants must be a list of [a, b, c, value] rows")
     for row in rows:
-        if not (isinstance(row, list) and len(row) == 4 and all(isinstance(x, int) for x in row[:3])):
+        if not (isinstance(row, list) and len(row) == 4 and all(type(x) is int for x in row[:3])):
             raise UsageError("structure constant rows are [a, b, c, value] with integer a, b, c")
-        if not isinstance(row[3], (int, float)):
+        if type(row[3]) not in (int, float):
             raise UsageError(f"structure constant value {row[3]!r} is not a number")
         a, b, c = map(int, row[:3])
         if not all(0 <= i < dim for i in (a, b, c)):
@@ -275,7 +276,7 @@ def parse_theta_text(text: str) -> dict[tuple[int, int], float]:
 def complex_from_decl(doc: dict, theta_extra: dict | None = None) -> TwistedComplex:
     n = int(_require(doc, "vertices", int, "complex"))
     simplices = _require(doc, "simplices", list, "complex")
-    if not all(isinstance(s, list) and all(isinstance(v, int) for v in s) for s in simplices):
+    if set(map(type, simplices)) - {list} or set(map(type, chain.from_iterable(simplices))) - {int}:
         raise UsageError("complex simplices must be lists of vertex indices")
     theta = {}
     for key, val in _optional(doc, "theta", dict, "complex", {}).items():
@@ -285,7 +286,7 @@ def complex_from_decl(doc: dict, theta_extra: dict | None = None) -> TwistedComp
         theta[(idx[0], idx[1])] = val
     if theta_extra:
         theta.update(theta_extra)
-    return TwistedComplex(n, [tuple(s) for s in simplices], theta)
+    return TwistedComplex(n, simplices, theta)
 
 
 def coupling_from_decl(doc: dict):

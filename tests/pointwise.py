@@ -14,7 +14,8 @@ DAG.
 The node-built references for the numpy assemblies of the coupling
 checkers live here too: ``coupled_complex_structure`` (``J~`` as a matrix of
 nodes), ``base_times`` (``id x g`` as a map of nodes) and
-``nijenhuis_tensoriality``.
+``nijenhuis_tensoriality``, as does ``lie_bracket``, the bracket of vector
+fields that the tests' identities are stated with.
 """
 
 from __future__ import annotations
@@ -93,6 +94,19 @@ def _lifts(nodes, points):
         if val is None:
             val = point_array(out, n, dualnum.value)
         yield val, point_array(out, n, lambda v: dualnum.eps(v, tag))
+
+
+def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
+    """``[X, Y]^i = 0.0 + sum_j (X^j d_j Y^i - Y^j d_j X^i)`` as nodes, summed left to right."""
+    check_same_chart(X.chart, Y.chart, "bracket operands")
+    x, y = [c.node for c in X.components], [c.node for c in Y.components]
+    comps = []
+    for i in range(len(x)):
+        total = dual.const(0.0)
+        for j in range(len(x)):
+            total = total + x[j] * y[i].partial(j) - y[j] * x[i].partial(j)
+        comps.append(ScalarField(X.chart, total))
+    return VectorField(X.chart, comps)
 
 
 def lie_derivative_arrays(

@@ -44,7 +44,6 @@ from lcslab.forms import (
     contract,
     exterior_derivative,
     interior_product,
-    lie_bracket,
     lie_derivative,
     pullback,
     SmoothMap,
@@ -57,7 +56,7 @@ from lcslab.reduction import bundle_momentum_check, level_scan, reduced_form_che
 from lcslab.report import form_max, form_residual, spread
 
 from tests.test_exterior import rand_form, rand_poly, rand_vf
-from tests.pointwise import at, nijenhuis_tensoriality
+from tests.pointwise import at, lie_bracket, nijenhuis_tensoriality
 
 POINTS = 64
 KERNEL_TOL = 1e-9

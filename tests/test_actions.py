@@ -30,14 +30,13 @@ from lcslab.forms import (
     contract,
     coordinate,
     interior_product,
-    lie_bracket,
     lie_derivative,
 )
 from lcslab.gallery import hopf, inoue
 from lcslab.lcs import LCSStructure, twisted_derivative
 from lcslab.parser import parse_field
 from lcslab.report import DEFAULT_TOL, form_array, form_residual, spread
-from tests.pointwise import at
+from tests.pointwise import at, lie_bracket
 
 
 def sl2_constants():

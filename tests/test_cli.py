@@ -208,6 +208,8 @@ MALFORMED_DOCS = {
     "constants-row-not-a-number": with_entry(GOOD_DOC, ("action", "structure_constants"), [["a", 0, 0, 1]]),
     "constants-a-number": with_entry(GOOD_DOC, ("action", "structure_constants"), 5),
     "constants-not-finite": with_entry(GOOD_DOC, ("action", "structure_constants"), [[0, 0, 0, math.nan]]),
+    "degree-a-boolean": with_entry(GOOD_DOC, ("forms", "eta", "degree"), True),
+    "action-dim-a-boolean": with_entry(GOOD_DOC, ("action", "dim"), True),
     # a structure that verifies, but its second coordinate can never be named
     "coordinate-twice": with_entry(
         with_entry(BROKEN_DOC, ("chart", "coords"), ["q", "q", "c", "d"]), ("forms", "lee", "coeffs"), {}
@@ -220,6 +222,9 @@ MALFORMED = {
     "cohomology": {
         "simplex-a-number": with_entry(CIRCLE_DOC, ("simplices",), [[0], [1], 2]),
         "simplex-not-a-vertex": with_entry(CIRCLE_DOC, ("simplices",), [[0], ["a", 1]]),
+        # a JSON boolean is no integer, though Python's bool is an int
+        "vertices-a-boolean": json.dumps({"vertices": True, "simplices": [[0]]}),
+        "simplex-vertex-a-boolean": with_entry(CIRCLE_DOC, ("simplices",), [[0], [1], [0, True]]),
     },
     "reduce": {"slice-coordinate-not-a-name": with_entry(REDUCE_DOC, ("slice", "coords"), [[1], "s2"])},
 }
@@ -342,6 +347,13 @@ def test_cohomology_builds_each_coboundary_once(capsys, monkeypatch):
     assert doc["config"]["betti"] == [1, 0, 1]
     rows = {c["id"]: c for c in doc["reports"]["cohomology"]["checks"]}
     assert [rows[f"delta-squared[{k}]"]["residual"] for k in range(2)] == [0.0, 0.0]
+
+
+def test_cohomology_large_weight_keeps_the_rank_scale_finite(capsys):
+    """``e^400`` on one edge: the rank scale stays finite, so no warning, and the Betti numbers follow the SVD rule."""
+    code, out, err = run(capsys, "cohomology", CIRCLE_DOC, "--theta", "0,1:400")
+    assert (code, err) == (0, "")
+    assert out.startswith("betti: 2 2\n")
 
 
 @pytest.mark.parametrize("weight", [1000, -1000, 709.8, "nan", "inf", "-inf", "x", [1], True, False])

@@ -18,6 +18,8 @@ import hypothesis.strategies as st
 from lcslab.cohomology import (
     Cochain,
     TwistedComplex,
+    _coboundary,
+    _rank,
     apply_coboundary,
     betti,
     circle,
@@ -93,6 +95,21 @@ def test_non_increasing_tuples_rejected(bad):
 def test_out_of_range_vertex_rejected():
     with pytest.raises(InvalidComplexError, match="vertices outside"):
         TwistedComplex(3, [(0, 5)])
+
+
+@pytest.mark.parametrize(
+    "simplices, message",
+    [
+        ([(0, 1), (0, 5), (2, 1)], r"simplex \(0, 5\) uses vertices outside"),
+        ([(0, 1), (2, 1), (0, 5)], r"simplex \(2, 1\) is not a strictly increasing"),
+        ([(0, 2**70)], "vertices outside"),
+        ([(0, 0.5)], "vertices outside"),
+    ],
+)
+def test_the_first_bad_simplex_in_input_order_is_named(simplices, message):
+    """As a loop over the input would: checks run on whole arrays, but the message names the first offender."""
+    with pytest.raises(InvalidComplexError, match=message):
+        TwistedComplex(3, simplices)
 
 
 def test_weight_on_non_edge_rejected():
@@ -304,6 +321,109 @@ def test_betti_matches_svd_rank_rule(second, a, b, h, data):
     pot = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=K.n_vertices, max_size=K.n_vertices))
     K = gauge_shift(relabelled(K, perm), pot)
     assert betti(K) == svd_betti(K)
+
+
+def assert_clearing_holds(K):
+    """``betti``'s ranks from the top degree down, each step checked against the dense coboundaries.
+
+    The pivot columns of ``delta_k`` must be ``rank delta_k`` independent
+    columns, and the rows they clear from ``delta_{k-1}`` must be
+    combinations of its other rows: leaving them out keeps the SVD rank.
+    """
+    pivots = ()
+    for k in range(K.top, -1, -1):
+        dense = twisted_coboundary(K, k)
+        kept = np.delete(dense, np.asarray(pivots, dtype=np.intp), axis=0)
+        assert np.linalg.matrix_rank(kept, rtol=1e-9) == np.linalg.matrix_rank(dense, rtol=1e-9)
+        rank, pivots = _rank(*_coboundary(K, k), K.count(k), pivots)
+        assert rank == len(pivots) == len(set(pivots.tolist())) == np.linalg.matrix_rank(dense, rtol=1e-9)
+        assert np.linalg.matrix_rank(dense[:, pivots], rtol=1e-9) == rank
+    assert betti(K) == svd_betti(K)
+
+
+@given(
+    second=st.sampled_from(["sphere", "circle"]),
+    a=st.integers(3, 5),
+    b=st.integers(2, 4),
+    h=st.one_of(st.just(0.0), st.floats(1e-5, 3.0), st.floats(-3.0, -1e-5)),
+    data=st.data(),
+)
+@settings(max_examples=15, deadline=None)
+def test_cleared_rows_are_combinations_of_the_others(second, a, b, h, data):
+    """The products of ``test_betti_matches_svd_rank_rule`` meet the clearing precondition at every degree."""
+    K = product_complex(circle(a, h), simplex_boundary(b) if second == "sphere" else circle(b + 1))
+    perm = data.draw(st.permutations(range(K.n_vertices)))
+    pot = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=K.n_vertices, max_size=K.n_vertices))
+    assert_clearing_holds(gauge_shift(relabelled(K, perm), pot))
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_rank_of_small_sparse_matrices_matches_svd(data):
+    """``_rank`` as a rank routine: small integer matrices full of singleton rows and columns, some rows cleared.
+
+    Two rows may hold the same lone column, and a row may hold two lone
+    columns: peeling must still take one pivot per row and per column.
+    """
+    n_rows, n_cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    width = data.draw(st.integers(1, min(3, n_cols)))
+    row = st.lists(st.integers(0, n_cols - 1), min_size=width, max_size=width, unique=True)
+    cols = np.array([data.draw(row) for _ in range(n_rows)], dtype=np.intp)
+    vals = np.array(data.draw(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 3.0]), min_size=cols.size, max_size=cols.size)))
+    vals = vals.reshape(cols.shape)
+    cleared = data.draw(st.lists(st.integers(0, n_rows - 1), unique=True, max_size=2))
+    dense = np.zeros((n_rows, n_cols))
+    np.put_along_axis(dense, cols, vals, axis=1)
+    rank, pivots = _rank(cols, vals, n_cols, cleared)
+    assert rank == len(set(pivots.tolist())) == np.linalg.matrix_rank(np.delete(dense, cleared, axis=0))
+    assert np.linalg.matrix_rank(dense[:, pivots]) == rank
+
+
+@pytest.mark.parametrize("holonomy", [0.0, 0.6])
+def test_clearing_with_free_faces(holonomy):
+    """A filled triangle with a whisker edge: free faces give singleton rows and columns to peel."""
+    K = TwistedComplex(4, closure([(0, 1, 2), (2, 3)]), {(0, 1): holonomy, (0, 2): holonomy})
+    assert_clearing_holds(K)
+    assert betti(K) == [1, 0, 0]
+
+
+@pytest.mark.parametrize("h", [360.0, 400.0, 700.0, -700.0])
+def test_large_holonomy_follows_the_svd_rule(h):
+    """Weights beyond ``e^354`` keep the rank scale finite (no overflow warning) and agree with the SVD rule."""
+    K = circle(3, holonomy=h)
+    assert betti(K) == svd_betti(K)
+
+
+@pytest.mark.parametrize("k, m", [(3, 4), (3, 5), (4, 4), (4, 5), (6, 4), (8, 5)])
+def test_betti_at_workload_size_matches_kunneth(k, m):
+    """``circle(k) x boundary(simplex m)``, relabelled, at the sizes of the benchmark's documents.
+
+    Untwisted, Kunneth gives Betti 1 in degrees 0, 1, m-1 and m; any
+    holonomy on the circle factor kills every degree.
+    """
+    perm = list(np.random.default_rng([k, m]).permutation(k * (m + 1)))
+    for h, expected in ((0.0, [1 if d in (0, 1, m - 1, m) else 0 for d in range(m + 1)]), (0.75, [0] * (m + 1))):
+        K = relabelled(product_complex(circle(k, h), simplex_boundary(m)), perm)
+        assert sum(K.count(d) for d in range(K.top + 1)) <= 2976
+        assert betti(K) == expected
+
+
+@pytest.mark.parametrize(
+    "K",
+    [
+        relabelled(product_complex(circle(4, 0.3), simplex_boundary(3)), [7, 2, 15, 0, 9, 4, 12, 1, 14, 5, 11, 3, 8, 13, 6, 10]),
+        gauge_shift(product_complex(circle(3), circle(3, -0.4)), np.linspace(-1.0, 1.0, 9)),
+    ],
+)
+def test_coboundary_entries_match_the_per_simplex_loop(K):
+    """The array-built columns and values equal, bit for bit, a lookup of every face of every row in a dict."""
+    for k in range(K.top + 1):
+        index = {s: i for i, s in enumerate(K.simplices(k))}
+        rows = K.simplices(k + 1)
+        cols = [[index[s[:i] + s[i + 1 :]] for i in range(k + 2)] for s in rows]
+        vals = [[math.exp(K.theta[s[:2]])] + [(-1.0) ** i for i in range(1, k + 2)] for s in rows]
+        got = _coboundary(K, k)
+        assert got[0].tolist() == cols and got[1].tolist() == vals
 
 
 # -- H^0 and parallel sections ---------------------------------------------

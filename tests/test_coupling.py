@@ -48,7 +48,6 @@ from lcslab.forms import (
     contract,
     coordinate,
     exterior_derivative,
-    lie_bracket,
 )
 from lcslab.gallery import coupling_example_s2
 from lcslab.lcs import LCSStructure, twisted_derivative
@@ -56,7 +55,7 @@ from lcslab.report import evaluate_form, form_residual, form_values
 from tests.test_actions import sl2_constants
 from lcslab.parser import parse_field
 from tests.test_exterior import rand_form, rand_vf, skew_matrix_at
-from tests.pointwise import at, coupled_complex_structure, eval_form, nijenhuis_tensoriality
+from tests.pointwise import at, coupled_complex_structure, eval_form, lie_bracket, nijenhuis_tensoriality
 
 
 @pytest.fixture(scope="module")

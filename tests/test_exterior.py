@@ -21,7 +21,6 @@ from lcslab.forms import (
     coordinate,
     exterior_derivative,
     interior_product,
-    lie_bracket,
     lie_derivative,
     pullback,
     wedge,
@@ -35,7 +34,7 @@ from lcslab.report import (
     form_values,
     worst_residual,
 )
-from tests.pointwise import at, eval_form, lie_derivative_arrays
+from tests.pointwise import at, eval_form, lie_bracket, lie_derivative_arrays
 
 TIGHT = 1e-10
 
