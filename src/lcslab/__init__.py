@@ -56,18 +56,13 @@ from .coupling import (
     gauge_curvature,
     horizontal_lift,
     lift_bracket_diagnostic,
-    nijenhuis,
     product_chart,
     verify_coupling,
 )
 from .cohomology import (
-    Cochain,
     TwistedComplex,
     betti,
-    green_primitive,
-    hodge_decompose,
     product_complex,
-    twisted_coboundary,
 )
 from .reduction import (
     LevelSlice,

@@ -59,11 +59,15 @@ from .report import (
 _ALGEBRA_TOL = 1e-10
 
 
-def check_structure_constants(constants: np.ndarray, tol: float = _ALGEBRA_TOL) -> None:
-    """Finite entries, antisymmetry in the lower pair and the Jacobi identity; raises on failure."""
-    C = np.asarray(constants, dtype=float)
-    if C.ndim != 3 or len(set(C.shape)) > 1:
-        raise UsageError("structure constants must form a cubic array c[a, b, c]")
+def check_structure_constants(constants: np.ndarray | None, d: int, tol: float = _ALGEBRA_TOL) -> np.ndarray:
+    """The constants of a ``d``-dimensional algebra as a (d, d, d) array, zeros for ``None``.
+
+    Raises unless the entries are finite, antisymmetric in the lower pair and
+    satisfy the Jacobi identity.
+    """
+    C = np.zeros((d, d, d)) if constants is None else np.asarray(constants, dtype=float)
+    if C.shape != (d, d, d):
+        raise UsageError(f"structure constants must form a cubic array c[a, b, c] of shape {(d,) * 3}, got {C.shape}")
     if not np.isfinite(C).all():
         raise UsageError("structure constants must be finite numbers")
     if C.size and np.abs(C + C.transpose(0, 2, 1)).max() > tol:
@@ -74,6 +78,7 @@ def check_structure_constants(constants: np.ndarray, tol: float = _ALGEBRA_TOL) 
         jac = t1 + t1.transpose(0, 2, 3, 1) + t1.transpose(0, 3, 1, 2)
         if np.abs(jac).max() > tol:
             raise UsageError(f"structure constants violate the Jacobi identity (max {np.abs(jac).max():.2e})")
+    return C
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,15 +96,10 @@ class ActionSpec:
     elements: Mapping[str, SmoothMap] = field(default_factory=dict)
 
     def __post_init__(self):
-        d = len(self.fields)
         object.__setattr__(self, "fields", tuple(self.fields))
         for rho in self.fields:
             check_same_chart(self.chart, rho.chart, "fundamental fields")
-        C = np.zeros((d, d, d)) if self.constants is None else np.asarray(self.constants, dtype=float)
-        if C.shape != (d, d, d):
-            raise UsageError(f"structure constants must have shape ({d}, {d}, {d}), got {C.shape}")
-        check_structure_constants(C)
-        object.__setattr__(self, "constants", C)
+        object.__setattr__(self, "constants", check_structure_constants(self.constants, len(self.fields)))
         object.__setattr__(self, "elements", MappingProxyType(dict(self.elements)))
         for name, g in self.elements.items():
             if not (same_chart(g.source, self.chart) and same_chart(g.target, self.chart)):

@@ -8,9 +8,8 @@ weight ``theta(u, v)`` on each oriented edge and transport the 0th vertex,
         + sum_{i>=1} (-1)^i c(v0...^vi...v_{k+1}).
 
 ``delta^2 = 0`` is then a theorem whenever theta satisfies the triangle
-cocycle condition, Betti numbers come from sparse elimination ranks (checked
-against SVD ranks in the tests), and the Hodge/Green story is plain linear
-algebra — no elliptic theory, same identities.
+cocycle condition, and Betti numbers come from sparse elimination ranks
+(checked against SVD ranks of the dense matrices in the tests).
 
 Each dimension k is a sorted ``(n_k, k+1)`` integer array, and every face
 lookup is one ``np.searchsorted`` over the rows' big-endian bytes.  ``betti``
@@ -22,12 +21,11 @@ columns (Mrozek & Batko 2009); threshold pivoting decides only what is left.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import InvalidComplexError, PreconditionError, UsageError
+from .errors import InvalidComplexError, UsageError
 
 _RANK_TOL = 1e-9
 _COCYCLE_TOL = 1e-12
@@ -130,20 +128,6 @@ class TwistedComplex:
             return 0.0
         return self.theta[(u, v)] if u < v else -self.theta[(v, u)]
 
-    def cochain(self, degree: int, values) -> "Cochain":
-        c = Cochain(degree, np.asarray(values, dtype=float))
-        if c.values.shape != (self.count(degree),):
-            raise UsageError(
-                f"degree-{degree} cochain needs {self.count(degree)} values, got {c.values.shape}"
-            )
-        return c
-
-
-@dataclass(frozen=True)
-class Cochain:
-    degree: int
-    values: np.ndarray
-
 
 def _coboundary(K: TwistedComplex, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Sparse ``delta_theta`` from degree k, built on first use and kept on the complex."""
@@ -168,14 +152,6 @@ def _coboundary_entries(K: TwistedComplex, k: int) -> tuple[np.ndarray, np.ndarr
     return cols, vals
 
 
-def twisted_coboundary(K: TwistedComplex, k: int) -> np.ndarray:
-    """Dense matrix of ``delta_theta`` from degree k to k+1 (rows are (k+1)-simplices)."""
-    cols, vals = _coboundary(K, k)
-    M = np.zeros((len(cols), K.count(k)))
-    np.put_along_axis(M, cols, vals, axis=1)
-    return M
-
-
 def coboundary_defects(K: TwistedComplex) -> list[float]:
     """``max |delta_{k+1} delta_k|`` for each degree ``k`` below the top: zero when theta is a cocycle."""
     out = []
@@ -188,10 +164,6 @@ def coboundary_defects(K: TwistedComplex) -> list[float]:
         prod = np.bincount(at, (v1[:, :, None] * v0[c1]).ravel())
         out.append(float(np.abs(prod).max(initial=0.0)))
     return out
-
-
-def apply_coboundary(K: TwistedComplex, c: Cochain) -> Cochain:
-    return Cochain(c.degree + 1, twisted_coboundary(K, c.degree) @ c.values)
 
 
 def _rank(cols: np.ndarray, vals: np.ndarray, n_cols: int, cleared=()) -> tuple[int, np.ndarray]:
@@ -271,65 +243,6 @@ def betti(K: TwistedComplex) -> list[int]:
     for k in range(K.top, -1, -1):
         ranks[k], pivots = _rank(*_coboundary(K, k), K.count(k), pivots)
     return [K.count(k) - ranks[k] - ranks.get(k - 1, 0) for k in range(K.top + 1)]
-
-
-# --------------------------------------------------------------------------
-# Hodge decomposition and the Green primitive
-
-
-def _boundary_matrices(K: TwistedComplex, k: int) -> tuple[np.ndarray, np.ndarray]:
-    d_prev = twisted_coboundary(K, k - 1) if k >= 1 else np.zeros((K.count(0), 0))
-    d_here = twisted_coboundary(K, k)
-    return d_prev, d_here
-
-
-def _project_onto_columns(M: np.ndarray, c: np.ndarray) -> np.ndarray:
-    if M.size == 0:
-        return np.zeros_like(c)
-    coef, *_ = np.linalg.lstsq(M, c, rcond=None)
-    return M @ coef
-
-
-def hodge_decompose(K: TwistedComplex, c: Cochain) -> tuple[Cochain, Cochain, Cochain]:
-    """Split ``c = harmonic + exact + coexact``, mutually orthogonal.
-
-    Exactness of the coboundary makes the image of ``delta`` and the image of
-    ``delta^T`` (from one degree up) orthogonal, so two least-squares
-    projections and a remainder realize the decomposition; the harmonic
-    space has dimension ``b_k``.
-    """
-    d_prev, d_here = _boundary_matrices(K, c.degree)
-    exact = _project_onto_columns(d_prev, c.values)
-    coexact = _project_onto_columns(d_here.T, c.values)
-    harmonic = c.values - exact - coexact
-    k = c.degree
-    return Cochain(k, harmonic), Cochain(k, exact), Cochain(k, coexact)
-
-
-def green_primitive(K: TwistedComplex, c: Cochain, tol: float = 1e-9) -> Cochain:
-    """The unique coexact primitive of an exact cochain.
-
-    ``psi = delta^T G c`` with G the pseudoinverse of the degree-k Laplacian;
-    then ``delta psi = c`` and psi is orthogonal to every cocycle, which
-    pins it uniquely — two different primitives of the same c give the same
-    output.
-    """
-    if c.degree < 1:
-        raise UsageError("a primitive lives one degree down; need degree >= 1")
-    harmonic, _, coexact = hodge_decompose(K, c)
-    scale = 1.0 + float(np.abs(c.values).max(initial=0.0))
-    bad = max(
-        float(np.abs(harmonic.values).max(initial=0.0)),
-        float(np.abs(coexact.values).max(initial=0.0)),
-    )
-    if bad > tol * scale:
-        raise PreconditionError(
-            f"cochain is not exact (harmonic+coexact magnitude {bad:.3e})"
-        )
-    d_prev, d_here = _boundary_matrices(K, c.degree)
-    lap = d_here.T @ d_here + d_prev @ d_prev.T
-    psi = d_prev.T @ (np.linalg.pinv(lap) @ c.values)
-    return Cochain(c.degree - 1, psi)
 
 
 # --------------------------------------------------------------------------

@@ -22,13 +22,13 @@ draws never become nodes.  A sample point where some value is not finite is skip
 many skipped points is inconclusive rather than passed.
 
 The chapter on almost complex structures lives here too: block structures
-``J~`` preserving horizontal/vertical splits, the Nijenhuis tensor and the
-curvature identity for its purely horizontal values.  An
+``J~`` preserving horizontal/vertical splits and the curvature identity for
+the purely horizontal values of their Nijenhuis tensor.  An
 :class:`EndomorphismField` is a matrix of coefficient nodes.  ``J~`` is
 assembled in numpy from one jet each of ``J_base``, ``J_fiber`` and the
 lift block, so :func:`horizontal_lift` is the one place the gauge term
-``-A(X) rho`` is built.  Nijenhuis values come from first-order
-jets (values and Jacobians) of ``J`` and of the vector fields.
+``-A(X) rho`` is built.  Nijenhuis values come from first-order jets
+(values and Jacobians) of ``J~`` and of the lifted vectors.
 """
 
 from __future__ import annotations
@@ -134,12 +134,7 @@ class GaugeChart:
             check_same_chart(self.base, A.chart, "gauge potentials")
             if A.degree != 1:
                 raise UsageError("gauge potentials must be 1-forms")
-        d = len(self.potentials)
-        C = np.zeros((d, d, d)) if self.constants is None else np.asarray(self.constants, dtype=float)
-        if C.shape != (d, d, d):
-            raise UsageError(f"gauge structure constants must have shape ({d}, {d}, {d})")
-        check_structure_constants(C)
-        object.__setattr__(self, "constants", C)
+        object.__setattr__(self, "constants", check_structure_constants(self.constants, len(self.potentials)))
 
     @property
     def dim(self) -> int:
@@ -636,25 +631,6 @@ def _nijenhuis_values(Jv, dJ, X, DX, Y, DY) -> np.ndarray:
     JY, DJY = turn(Y, DY)
     inner = bracket(JX, DJX, Y, DY) + bracket(X, DX, JY, DJY)
     return bracket(X, DX, Y, DY) - bracket(JX, DJX, JY, DJY) + np.einsum("nij,nj->ni", Jv, inner)
-
-
-def nijenhuis(
-    J: EndomorphismField, X: VectorField, Y: VectorField, points, tol: float = 1e-6
-) -> np.ndarray:
-    """``N_J(X,Y) = [X,Y] - [JX,JY] + J[JX,Y] + J[X,JY]`` at one point or a batch.
-
-    Returns shape (dim,) for one point and (n, dim) for an (n, dim) batch.
-    The value comes from the first-order jets of J and of the two fields,
-    one replay each, at all points at once.
-    """
-    check_same_chart(J.chart, X.chart, "Nijenhuis arguments")
-    check_same_chart(J.chart, Y.chart, "Nijenhuis arguments")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    Jv, dJ = dual.jet(J.entries, pts)
-    _require_structure(Jv, pts, tol)
-    F, DF = dual.jet([[c.node for c in Z.components] for Z in (X, Y)], pts)
-    out = _nijenhuis_values(Jv, dJ, F[:, 0], DF[:, 0], F[:, 1], DF[:, 1])
-    return out[0] if np.ndim(points) == 1 else out
 
 
 def conjugate_structure(psi: SmoothMap, J_target: EndomorphismField) -> EndomorphismField:

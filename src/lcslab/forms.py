@@ -402,21 +402,11 @@ def _substitute(nodes, m: SmoothMap) -> list:
     return dual.tape(nodes).run([c.node for c in m.components])
 
 
-def compose(f: ScalarField, m: SmoothMap) -> ScalarField:
-    """``f`` after ``m``: the components of ``m`` substituted for the coordinates of ``f``."""
-    check_same_chart(f.chart, m.target, "composition")
-    return ScalarField(m.source, _substitute([f.node], m)[0])
-
-
 @derived
 def pullback(m: SmoothMap, form: DifferentialForm) -> DifferentialForm:
     check_same_chart(m.target, form.chart, "pullback")
     src = m.source
     k = form.degree
-    if k == 0:
-        return DifferentialForm.from_scalar(compose(form.coefficient(()), m))
-    if k > src.dim:
-        return DifferentialForm.zero(src, k)
     pulled = list(zip(form.coeffs, _substitute([f.node for f in form.coeffs.values()], m)))
     jac = [[c.node.partial(j) for j in range(src.dim)] for c in m.components]
     coeffs = {}

@@ -39,7 +39,7 @@ from .forms import (
 )
 from .lcs import LCSStructure, nondegeneracy_check, residual_check, skew_matrices, twisted_derivative
 from .report import DEFAULT_TOL, CheckResult, Report, evaluate_form, finite_points, form_max, form_values
-from .report import residual_row, scaled_residuals
+from .report import demote_if_sparse, residual_row, scaled_residuals
 
 _RANK_TOL = 1e-9
 # How close to zero a sampled momentum must come for its level to count as present.
@@ -181,7 +181,8 @@ def level_scan(chart: Chart, mu: MomentumMap, direction, points) -> Report:
     """Scan the sample ``points`` of the chart for the zero level of a momentum combination.
 
     The row's verdict classifies the outcome: "present in chart" when some
-    sample comes within ``_LEVEL_MARGIN`` of zero, else "no zero level in chart".
+    sample comes within ``_LEVEL_MARGIN`` of zero, else "no zero level in chart";
+    it is "inconclusive" when too many samples were skipped.
     """
     check_same_chart(chart, mu.chart, "chart and momentum")
     f = _combined_momentum(mu, direction)
@@ -192,18 +193,18 @@ def level_scan(chart: Chart, mu: MomentumMap, direction, points) -> Report:
         raise UsageError("momentum combination evaluated nowhere finite on the chart")
     best = finite[vals[finite].argmin()]
     verdict = "present in chart" if vals[best] <= _LEVEL_MARGIN else "no zero level in chart"
-    rep = Report("level_scan")
-    rep.add(
-        CheckResult(
-            "zero-level",
-            "minimum magnitude of the momentum combination over chart samples",
-            float(vals[best]),
-            _LEVEL_MARGIN,
-            True,
-            verdict,
-            {"point": [float(x) for x in pts[best]], "points": len(pts), "skipped": len(pts) - finite.size},
-        )
+    skipped = len(pts) - finite.size
+    row = CheckResult(
+        "zero-level",
+        "minimum magnitude of the momentum combination over chart samples",
+        float(vals[best]),
+        _LEVEL_MARGIN,
+        True,
+        verdict,
+        {"point": [float(x) for x in pts[best]], "points": len(pts), "skipped": skipped},
     )
+    rep = Report("level_scan")
+    rep.add(demote_if_sparse(row, skipped, len(pts)))
     return rep
 
 

@@ -13,7 +13,8 @@ DAG.
 
 The node-built references for the numpy assemblies of the coupling
 checkers live here too: ``coupled_complex_structure`` (``J~`` as a matrix of
-nodes), ``base_times`` (``id x g`` as a map of nodes) and
+nodes), ``base_times`` (``id x g`` as a map of nodes), ``nijenhuis`` (the
+torsion of a structure and two fields from their first-order jets) and
 ``nijenhuis_tensoriality``, as does ``lie_bracket``, the bracket of vector
 fields that the tests' identities are stated with.
 """
@@ -28,7 +29,14 @@ import numpy as np
 
 from lcslab import dual
 from lcslab.charts import Chart, check_same_chart
-from lcslab.coupling import CouplingChart, EndomorphismField, _matmul, embed_fiber_field, nijenhuis
+from lcslab.coupling import (
+    CouplingChart,
+    EndomorphismField,
+    _matmul,
+    _nijenhuis_values,
+    _require_structure,
+    embed_fiber_field,
+)
 from lcslab.errors import DomainError, UsageError
 from lcslab.forms import DifferentialForm, ScalarField, SmoothMap, VectorField, constant, coordinate, det_generic
 from tests import dualnum
@@ -207,6 +215,22 @@ def base_times(base: Chart, g: SmoothMap, source: Chart, target: Chart) -> Smoot
     comps = [coordinate(source, i) for i in range(base.dim)]
     comps += [embed_fiber_field(source, base, f) for f in g.components]
     return SmoothMap(source, target, comps)
+
+
+def nijenhuis(J: EndomorphismField, X: VectorField, Y: VectorField, points) -> np.ndarray:
+    """``N_J(X,Y) = [X,Y] - [JX,JY] + J[JX,Y] + J[X,JY]`` at one point, shape (dim,), or an (n, dim) batch.
+
+    The value comes from the first-order jets of J and of the two fields;
+    a J that does not square to -id at some point is refused.
+    """
+    check_same_chart(J.chart, X.chart, "Nijenhuis arguments")
+    check_same_chart(J.chart, Y.chart, "Nijenhuis arguments")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    Jv, dJ = dual.jet(J.entries, pts)
+    _require_structure(Jv, pts)
+    F, DF = dual.jet([[c.node for c in Z.components] for Z in (X, Y)], pts)
+    out = _nijenhuis_values(Jv, dJ, F[:, 0], DF[:, 0], F[:, 1], DF[:, 1])
+    return out[0] if np.ndim(points) == 1 else out
 
 
 def nijenhuis_tensoriality(J: EndomorphismField, X: VectorField, Y: VectorField, p, seed: int = 0) -> float:

@@ -17,24 +17,13 @@ from lcslab.actions import (
     verify_twisted_hamiltonian,
 )
 from lcslab.charts import Chart
-from lcslab.cohomology import (
-    Cochain,
-    apply_coboundary,
-    betti,
-    circle,
-    green_primitive,
-    hodge_decompose,
-    product_complex,
-    simplex_boundary,
-    twisted_coboundary,
-)
+from lcslab.cohomology import betti, circle, product_complex, simplex_boundary
 from lcslab.cli import main
 from lcslab.coupling import (
     GaugeChart,
     fatness_check,
     gauge_curvature,
     horizontal_nijenhuis_identity,
-    nijenhuis,
     rotation_structure,
     verify_coupling,
 )
@@ -56,7 +45,8 @@ from lcslab.reduction import bundle_momentum_check, level_scan, reduced_form_che
 from lcslab.report import form_max, form_residual, spread
 
 from tests.test_exterior import rand_form, rand_poly, rand_vf
-from tests.pointwise import at, lie_bracket, nijenhuis_tensoriality
+from tests.pointwise import at, lie_bracket, nijenhuis, nijenhuis_tensoriality
+from tests.test_cohomology import twisted_coboundary
 
 POINTS = 64
 KERNEL_TOL = 1e-9
@@ -331,37 +321,6 @@ def test_coboundary_squares_to_zero(K):
     for k in range(K.top):
         M = twisted_coboundary(K, k + 1) @ twisted_coboundary(K, k)
         assert np.abs(M).max(initial=0.0) < 1e-12
-
-
-def test_hodge_reconstruction():
-    K = product_complex(circle(3), circle(3))
-    rng = np.random.default_rng(9)
-    c = Cochain(1, rng.standard_normal(len(K.simplices(1))))
-    harmonic, exact, coexact = hodge_decompose(K, c)
-    res = np.abs(harmonic.values + exact.values + coexact.values - c.values).max()
-    assert res < 1e-9
-
-
-def test_green_primitive_is_canonical():
-    K = circle(6)
-    rng = np.random.default_rng(10)
-    psi = Cochain(0, rng.standard_normal(6))
-    target = apply_coboundary(K, psi)
-    shifted = Cochain(0, psi.values + 2.5)
-    assert np.abs(apply_coboundary(K, shifted).values - target.values).max() < 1e-12
-    g1 = green_primitive(K, target)
-    g2 = green_primitive(K, apply_coboundary(K, shifted))
-    assert np.abs(g1.values - g2.values).max() < 1e-9
-    back = apply_coboundary(K, g1)
-    assert np.abs(back.values - target.values).max() < 1e-9
-
-
-def test_twisted_green_primitive():
-    K = circle(6, holonomy=0.9)
-    rng = np.random.default_rng(11)
-    target = apply_coboundary(K, Cochain(0, rng.standard_normal(6)))
-    g = green_primitive(K, target)
-    assert np.abs(apply_coboundary(K, g).values - target.values).max() < 1e-9
 
 
 # --------------------------------------------------- 6. level reduction

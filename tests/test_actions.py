@@ -65,13 +65,16 @@ def sl2_action(plane):
 
 
 def test_structure_constant_validation():
-    check_structure_constants(sl2_constants())  # no raise
+    np.testing.assert_array_equal(check_structure_constants(sl2_constants(), 3), sl2_constants())
+    np.testing.assert_array_equal(check_structure_constants(None, 2), np.zeros((2, 2, 2)))
     with pytest.raises(UsageError, match="cubic"):
-        check_structure_constants(np.zeros((2, 2)))
+        check_structure_constants(np.zeros((2, 2)), 2)
+    with pytest.raises(UsageError, match=r"shape \(3, 3, 3\), got \(2, 2, 2\)"):
+        check_structure_constants(np.zeros((2, 2, 2)), 3)
     bad = np.zeros((2, 2, 2))
     bad[0, 0, 1] = 1.0  # not antisymmetric
     with pytest.raises(UsageError, match="antisymmetric"):
-        check_structure_constants(bad)
+        check_structure_constants(bad, 2)
 
 
 def test_jacobi_violation_detected():
@@ -81,7 +84,7 @@ def test_jacobi_violation_detected():
     C[0, 0, 2], C[0, 2, 0] = 1.0, -1.0
     C[1, 1, 2], C[1, 2, 1] = 3.0, -3.0
     with pytest.raises(UsageError, match="Jacobi"):
-        check_structure_constants(C)
+        check_structure_constants(C, 3)
 
 
 def bracket_defects(act: ActionSpec, pts) -> dict:

@@ -31,7 +31,6 @@ from lcslab.coupling import (
     gauge_curvature,
     horizontal_nijenhuis_identity,
     lift_bracket_diagnostic,
-    nijenhuis,
     product_chart,
     rotation_structure,
     verify_coupling,
@@ -55,7 +54,7 @@ from lcslab.report import evaluate_form, form_residual, form_values
 from tests.test_actions import sl2_constants
 from lcslab.parser import parse_field
 from tests.test_exterior import rand_form, rand_vf, skew_matrix_at
-from tests.pointwise import at, coupled_complex_structure, eval_form, lie_bracket, nijenhuis_tensoriality
+from tests.pointwise import at, coupled_complex_structure, eval_form, lie_bracket, nijenhuis, nijenhuis_tensoriality
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +88,23 @@ def test_gauge_chart_validation(uv):
     one = DifferentialForm(uv, 1, {(0,): 1.0})
     with pytest.raises(UsageError, match="shape"):
         GaugeChart(uv, (one,), np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("owner", ["gauge", "action"])
+def test_gauge_and_action_take_their_constants_through_one_check(owner, uv):
+    """Both default to zeros and refuse a wrong shape or a bracket that is not antisymmetric alike."""
+    one = DifferentialForm(uv, 1, {(0,): 1.0})
+    make = {
+        "gauge": lambda C: GaugeChart(uv, (one, one), C),
+        "action": lambda C: ActionSpec(uv, (basis_vector(uv, 0), basis_vector(uv, 1)), C),
+    }[owner]
+    np.testing.assert_array_equal(make(None).constants, np.zeros((2, 2, 2)))
+    with pytest.raises(UsageError, match=r"of shape \(2, 2, 2\), got \(3, 3, 3\)"):
+        make(np.zeros((3, 3, 3)))
+    skewless = np.zeros((2, 2, 2))
+    skewless[0, 0, 1] = 1.0
+    with pytest.raises(UsageError, match="antisymmetric"):
+        make(skewless)
 
 
 def test_abelian_curvature_is_exterior_derivative(uv, rng):

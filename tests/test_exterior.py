@@ -272,6 +272,23 @@ def test_pullback_functorial(plane, r3, r4, rng):
     assert res < TIGHT
 
 
+def test_pullback_of_a_function_is_the_function_after_the_map(plane, r3):
+    m = SmoothMap(plane, r3, [parse_field(e, plane) for e in ("x * y", "x^2 - y", "sin(x)")])
+    f = parse_field("x^2 * z + exp(y) - 3 * z", r3)
+    pulled = pullback(m, DifferentialForm.from_scalar(f))
+    assert pulled.degree == 0 and pulled.chart is plane
+    for p in plane.sample(12, seed=5):
+        assert at(pulled.coefficient(()), p) == pytest.approx(at(f, at(m, p)), rel=1e-14, abs=1e-14)
+
+
+def test_pullback_above_the_source_dimension_is_zero(plane, r4, rng):
+    m = SmoothMap(plane, r4, [parse_field(e, plane) for e in ("x", "y", "x * y", "x + y")])
+    w = rand_form(r4, rng, 3)
+    assert w.coeffs  # a nonzero 3-form on r4
+    pulled = pullback(m, w)
+    assert (pulled.chart, pulled.degree, pulled.coeffs) == (plane, 3, {})
+
+
 def test_differential_matches_gradient_pairing(r3):
     f = parse_field("x^2 * y + z", r3)
     df = exterior_derivative(DifferentialForm.from_scalar(f))

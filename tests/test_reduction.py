@@ -236,13 +236,23 @@ def test_level_scan_reports_empty_level(plane):
     assert row.residual >= 1.0
     assert row.details["skipped"] == 0
 
-    # a momentum undefined for x < 0.9: the same classification, skipped points counted
+    # a momentum undefined for x < 0.9: skipped points counted, and too many of them leave no verdict
     box = Chart("box", ("x", "y"), box=((-1.0, 1.0), (-1.0, 1.0)))
     mu = MomentumMap(box, (parse_field("sqrt(x - 0.9) + y", box),))
     row = level_scan(box, mu, (1.0,), box.sample(64, seed=0))["zero-level"]
-    assert row.passed and row.verdict == "no zero level in chart"
+    assert not row.passed and row.verdict == "inconclusive"
     assert (row.details["skipped"], row.details["points"]) == (61, 64)
     assert row.details["point"][0] >= 0.9
+
+
+def test_level_scan_is_inconclusive_when_over_a_fifth_of_the_points_are_skipped():
+    """``sqrt(x) + 0.5`` is nowhere near zero, but 28 of 64 samples have x < 0: no "no zero level" verdict."""
+    box = Chart("r2", ("x", "y"), box=((-1.0, 1.0), (-1.0, 1.0)))
+    mu = MomentumMap(box, (parse_field("sqrt(x) + 0.5", box),))
+    row = level_scan(box, mu, (1.0,), box.sample(64, seed=0))["zero-level"]
+    assert (row.passed, row.verdict) == (False, "inconclusive")
+    assert (row.details["skipped"], row.details["points"]) == (28, 64)
+    assert row.residual >= 0.5  # the minimum over the finite samples is still recorded
 
 
 # -- momenta on the assembled product ---------------------------------------

@@ -6,11 +6,10 @@ import io
 import pathlib
 import re
 
-import numpy as np
 import pytest
 
 from lcslab import cli
-from lcslab.cohomology import Cochain, circle, hodge_decompose, product_complex
+from lcslab.cohomology import betti, circle
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -52,15 +51,25 @@ def test_run_all_examples_refuses_a_bad_count_or_seed_as_the_cli_does(argv, caps
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_cohomology_demo_labels_the_hodge_split():
-    """Each printed norm is that of the part ``hodge_decompose`` returns under that name."""
-    code, out = run_script("cohomology_demo", [])
+def test_cohomology_demo_prints_the_betti_numbers_it_sweeps():
+    """The loop's Betti numbers collapse once the holonomy leaves zero, as ``betti`` computes them."""
+    code, out = run_script("cohomology_demo", ["--segments", "5"])
     assert code == 0
-    K = product_complex(circle(3), circle(3))
-    c = Cochain(1, np.random.default_rng(0).standard_normal(K.count(1)))  # the demo's first draw at seed 0
-    harmonic, exact, coexact = hodge_decompose(K, c)
-    printed = dict(re.findall(r"\|(\w+)\| (\d+\.\d+)", out))
-    assert set(printed) == {"harmonic", "exact", "coexact"}
-    for label, part in (("harmonic", harmonic), ("exact", exact), ("coexact", coexact)):
-        assert float(printed[label]) == pytest.approx(np.linalg.norm(part.values), abs=5e-5)
-    assert abs(np.linalg.norm(harmonic.values) - np.linalg.norm(exact.values)) > 1e-3  # the labels are told apart
+    sweep = re.findall(r"holonomy +(\S+) -> betti (\[.*\])", out)
+    assert [b for _, b in sweep] == ["[1, 1]", "[0, 0]", "[0, 0]"]
+    assert sweep[1][1] == str(betti(circle(5, holonomy=float(sweep[1][0]))))
+    assert "loop x sphere boundary, twisted" in out and "betti [0, 0, 0, 0, 0]" in out
+
+
+def test_output_digest_quick_mode_is_one_stable_line_per_invocation(monkeypatch):
+    """Exit code, two sha256 digests and the argv; the same run twice gives the same lines."""
+    monkeypatch.delenv("LCSLAB_SEED", raising=False)
+    code, out = run_script("output_digest", ["--quick"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 4  # a gallery run, list, a description and a docgen document
+    for line in lines:
+        assert re.fullmatch(r"[012] [0-9a-f]{64} [0-9a-f]{64} \S.*", line), line
+    assert "--run" in lines[0] and lines[1].endswith(" list") and "--run" not in lines[2]
+    assert "<sha256:" in lines[3]  # a document's JSON stands as its digest
+    assert run_script("output_digest", ["--quick"]) == (code, out)
