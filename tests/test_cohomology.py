@@ -22,6 +22,7 @@ from lcslab.cohomology import (
     betti,
     circle,
     closure,
+    coboundary_defects,
     product_complex,
     simplex_boundary,
 )
@@ -286,6 +287,48 @@ def svd_betti(K):
     """The reference rule: ranks from the singular values of the dense coboundaries."""
     ranks = [int(np.linalg.matrix_rank(twisted_coboundary(K, k), rtol=1e-9)) for k in range(K.top + 1)]
     return [K.count(k) - r - (ranks[k - 1] if k else 0) for k, r in enumerate(ranks)]
+
+
+@pytest.mark.parametrize(
+    "K, expected",
+    [
+        pytest.param(product_complex(circle(3), circle(3)), [1, 2, 1], id="torus"),
+        pytest.param(product_complex(circle(3, 0.7), circle(3)), [0, 0, 0], id="torus-one-twisted-factor"),
+        pytest.param(product_complex(circle(3), simplex_boundary(2)), [1, 2, 1], id="circle-x-circle-boundary"),
+        pytest.param(simplex_boundary(3), [1, 0, 1], id="sphere"),
+        pytest.param(circle(5, holonomy=-0.4), [0, 0], id="twisted-circle"),
+    ],
+)
+def test_laplacian_kernel_has_the_betti_dimension(K, expected):
+    """Discrete Hodge theorem: ``dim ker(delta delta^T + delta^T delta)`` in degree k is ``b_k``."""
+    d = [twisted_coboundary(K, k) for k in range(K.top + 1)]
+    for k in range(K.top + 1):
+        lap = d[k].T @ d[k] + (d[k - 1] @ d[k - 1].T if k else 0.0)
+        assert K.count(k) - np.linalg.matrix_rank(lap, hermitian=True) == expected[k]
+    assert betti(K) == expected
+
+
+def corrupted(K, seed):
+    """``K`` with each edge's ``e^theta`` scaled at random after validation, so ``delta^2`` no longer vanishes."""
+    K._growth = K._growth * np.random.default_rng(seed).uniform(0.5, 2.0, K._growth.shape)
+    return K
+
+
+@pytest.mark.parametrize(
+    "K, vanishes",
+    [
+        pytest.param(product_complex(circle(3, 0.5), circle(3, -0.2)), True, id="twisted-torus"),
+        pytest.param(gauge_shift(simplex_boundary(4), np.linspace(-0.8, 0.6, 5)), True, id="shifted-sphere"),
+        pytest.param(corrupted(product_complex(circle(3), circle(3)), 5), False, id="corrupted-torus"),
+        pytest.param(corrupted(product_complex(circle(3), simplex_boundary(3)), 6), False, id="corrupted-circle-x-sphere"),
+    ],
+)
+def test_coboundary_defects_match_the_dense_product(K, vanishes):
+    """The sparse ``coboundary_defects`` equals ``max |delta_{k+1} delta_k|`` of the dense matrices in every degree."""
+    dense = [float(np.abs(twisted_coboundary(K, k + 1) @ twisted_coboundary(K, k)).max(initial=0.0)) for k in range(K.top)]
+    got = coboundary_defects(K)
+    np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-15)
+    assert (max(got) < 1e-12) == vanishes
 
 
 @given(
