@@ -9,10 +9,10 @@ runs do not show.  The warm column is the cost of running the suite a
 second time, the built column the replay tapes that second run built, and
 the drawn column the sample draws it made that no chart had kept.
 The nodes column counts the interned expression nodes alive after both
-runs, while the example is still held, and the tapes column the replay
-tapes kept for their root sets: cost measures that do not depend on the
-machine.  Exit status is nonzero when any expectation is missed, so this
-doubles as a slow smoke test:
+runs, while the example is still held, the tapes column the replay tapes
+kept for their root sets, and the steps column the steps of those tapes:
+cost measures that do not depend on the machine.  Exit status is nonzero
+when any expectation is missed, so this doubles as a slow smoke test:
 
     python3 scripts/run_all_examples.py --points 48
 """
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
 
     print(
         f"{'example':<16} {'checks':>6} {'failed':>6} {'expected':>10} {'build':>9} {'run':>9}"
-        f" {'warm':>9} {'built':>5} {'drawn':>5} {'nodes':>7} {'tapes':>6}"
+        f" {'warm':>9} {'built':>5} {'drawn':>5} {'nodes':>7} {'tapes':>6} {'steps':>7}"
     )
     missed_total = 0
     total = 0.0
@@ -109,10 +109,11 @@ def main(argv=None) -> int:
         met = sum(1 for c in verdicts.checks if c.passed)
         missed = len(verdicts.checks) - met
         missed_total += missed
+        steps = sum(len(t.program) for t, _ in dual._TAPES.values())
         print(
             f"{label:<16} {checks:>6} {failed:>6} {met:>5}/{len(verdicts.checks):<4}"
             f" {(t1 - t0) * 1e3:>7.1f}ms {(t2 - t1) * 1e3:>7.1f}ms {warm * 1e3:>7.1f}ms {built:>5} {drawn:>5}"
-            f" {len(dual._NODES):>7} {len(dual._TAPES):>6}"
+            f" {len(dual._NODES):>7} {len(dual._TAPES):>6} {steps:>7}"
         )
         for c in verdicts.checks:
             if not c.passed:

@@ -34,7 +34,6 @@ lift block, so :func:`horizontal_lift` is the one place the gauge term
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,6 @@ from .forms import (
     SmoothMap,
     VectorField,
     basis_vector,
-    constant,
     contract,
     det_generic,
     exterior_derivative,
@@ -212,10 +210,7 @@ def horizontal_lift(
     # X and every A^a(X) keep their base nodes; every rho_a comes from the fiber through one tape
     on_base = [ScalarField(total, f.node) for f in (*X.components, *(contract(A, X) for A in g.potentials))]
     rho = _embedded(total, m, [c for field in act.fields for c in field.components])
-    vert = [constant(total, 0.0) for _ in range(k)]
-    for a, coefficient in enumerate(on_base[m:]):
-        for j in range(k):
-            vert[j] = vert[j] - coefficient * rho[a * k + j]
+    vert = [dual.total((-1, coef * rho[a * k + j]) for a, coef in enumerate(on_base[m:])) for j in range(k)]
     return VectorField(total, on_base[:m] + vert)
 
 
@@ -654,8 +649,8 @@ def conjugate_structure(psi: SmoothMap, J_target: EndomorphismField) -> Endomorp
 
 
 def _matmul(A, B):
-    """The product of two matrices of nodes or numbers, each entry summed from 0.0, left to right."""
-    return [[functools.reduce(operator.add, map(operator.mul, row, col), 0.0) for col in zip(*B)] for row in A]
+    """The product of two matrices of nodes or numbers, each entry summed left to right from its first nonzero term."""
+    return [[dual.total((1, a * b) for a, b in zip(row, col)) for col in zip(*B)] for row in A]
 
 
 def _adjugate(M):

@@ -6,12 +6,14 @@ weighted denominator, a second derivative) exists once.  ``node.partial(j)``
 is the derivative in coordinate ``j``, another node, built when first asked
 for and memoized per (node, coordinate) by the forward-mode rules of dual
 numbers, term for term: forward-mode differentiation is symbolic
-differentiation with sharing, exact to rounding.  A :class:`Tape` is a
-register program: the nodes some roots need, each once, arguments first,
-constant subtrees folded, each step writing into a register that is taken
-again after the last use of its value.  It replays on point columns into
-registers allocated once per call, a root straight into its output row, in
-slices as wide as its scratch registers fit in a byte budget;
+differentiation with sharing, exact to rounding.  A sum of terms, such as a
+coefficient of the exterior operations, is built by :func:`total` from its
+first nonzero term, so no sum carries an added zero into the DAG.  A
+:class:`Tape` is a register program: the nodes some roots need, each once,
+arguments first, constant subtrees folded, each step writing into a register
+that is taken again after the last use of its value.  It replays on point
+columns into registers allocated once per call, a root straight into its
+output row, in slices as wide as its scratch registers fit in a byte budget;
 :meth:`Tape.run` runs the same program on nodes, which substitutes them for
 the coordinates.  Every tape comes from :func:`tape`, which keeps one per
 root set for as long as all of its roots live (a :class:`Kept` table, which
@@ -186,13 +188,34 @@ def var(i: int) -> Node:
 
 # held for the life of the module: folding tests them by identity
 _ZERO, _ONE, _TWO = const(0.0), const(1.0), const(2.0)
+_NUMBERS = (int, float, np.number)
 
 
 def as_node(x):
     """``x`` as a node when it is a node or a number, else None."""
     if isinstance(x, Node):
         return x
-    return const(x) if isinstance(x, (int, float, np.number)) else None
+    return const(x) if isinstance(x, _NUMBERS) else None
+
+
+def total(terms):
+    """The sum of ``(sign, term)`` pairs, left to right from the first term kept; ``0.0`` if none is.
+
+    Zero constants (``_ZERO``, a structurally zero partial, and numbers equal
+    to 0.0) are dropped and a leading negative term is negated, so no sum is
+    seeded with a zero that stays a replayed step (``x + 0.0`` does not fold).
+    A product with a zero factor is kept: its other factor may be non-finite.
+    Only ``+``, ``-`` and unary minus are used, on nodes, numbers or fields.
+    """
+    out = None
+    for sign, t in terms:
+        if t is _ZERO or isinstance(t, _NUMBERS) and t == 0.0:
+            continue
+        if out is None:
+            out = t if sign > 0 else -t
+        else:
+            out = out + t if sign > 0 else out - t
+    return 0.0 if out is None else out
 
 
 def _binop(op: str, a, b):

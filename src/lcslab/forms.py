@@ -10,8 +10,10 @@ Representation choices:
   increasing index tuples only;
 * the exterior operations (wedge, ``d``, interior product, Lie bracket,
   pullback and composition by substitution, contraction) build their
-  coefficients as nodes directly; every derivative they take is a
-  memoized derivative node, exact to rounding — never finite differences.
+  coefficients as nodes directly, each sum of terms through
+  :func:`lcslab.dual.total`, which starts from the first nonzero term;
+  every derivative they take is a memoized derivative node, exact to
+  rounding — never finite differences.
 
 Forms of degree larger than the chart dimension are permitted only as
 canonical zero forms (no increasing index tuple exists), which is what
@@ -284,24 +286,12 @@ def det_generic(M):
         return M[0][0]
     if n == 2:
         return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    total = 0.0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-        term = M[0][j] * det_generic(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    minors = ([row[:j] + row[j + 1 :] for row in M[1:]] for j in range(n))
+    return dual.total(((-1) ** j, M[0][j] * det_generic(minor)) for j, minor in enumerate(minors))
 
 
 # --------------------------------------------------------------------------
 # the exterior operations
-
-
-def _signed_sum(chart: Chart, terms) -> ScalarField:
-    """``0.0 ± t_1 ± t_2 ...`` over ``(sign, node)`` terms, left to right."""
-    total = dual.const(0.0)
-    for sign, t in terms:
-        total = total + t if sign > 0 else total - t
-    return ScalarField(chart, total)
 
 
 @derived
@@ -318,7 +308,7 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
                 continue
             K, sign = m
             groups.setdefault(K, []).append((sign, f.node * g.node))
-    return DifferentialForm(a.chart, deg, {K: _signed_sum(a.chart, terms) for K, terms in groups.items()})
+    return DifferentialForm(a.chart, deg, {K: ScalarField(a.chart, dual.total(terms)) for K, terms in groups.items()})
 
 
 @derived
@@ -334,7 +324,7 @@ def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
                 continue
             K, sign = _insert(j, I)
             groups.setdefault(K, []).append((sign, f.node.partial(j)))
-    return DifferentialForm(chart, deg, {K: _signed_sum(chart, terms) for K, terms in groups.items()})
+    return DifferentialForm(chart, deg, {K: ScalarField(chart, dual.total(terms)) for K, terms in groups.items()})
 
 
 @derived
@@ -347,7 +337,7 @@ def interior_product(X: VectorField, form: DifferentialForm) -> DifferentialForm
         for t, i in enumerate(I):
             K = I[:t] + I[t + 1 :]
             groups.setdefault(K, []).append(((-1) ** t, X.components[i].node * f.node))
-    coeffs = {K: _signed_sum(form.chart, terms) for K, terms in groups.items()}
+    coeffs = {K: ScalarField(form.chart, dual.total(terms)) for K, terms in groups.items()}
     return DifferentialForm(form.chart, form.degree - 1, coeffs)
 
 
@@ -409,12 +399,10 @@ def pullback(m: SmoothMap, form: DifferentialForm) -> DifferentialForm:
     k = form.degree
     pulled = list(zip(form.coeffs, _substitute([f.node for f in form.coeffs.values()], m)))
     jac = [[c.node.partial(j) for j in range(src.dim)] for c in m.components]
-    coeffs = {}
-    for J in combinations(range(src.dim), k):
-        total = dual.const(0.0)
-        for I, f in pulled:
-            total = total + f * det_generic([[jac[i][j] for j in J] for i in I])
-        coeffs[J] = ScalarField(src, total)
+    coeffs = {
+        J: ScalarField(src, dual.total((1, f * det_generic([[jac[i][j] for j in J] for i in I])) for I, f in pulled))
+        for J in combinations(range(src.dim), k)
+    }
     return DifferentialForm(src, k, coeffs)
 
 
@@ -426,8 +414,5 @@ def contract(form: DifferentialForm, *fields: VectorField) -> ScalarField:
     for X in fields:
         check_same_chart(form.chart, X.chart, "contraction operands")
     vals = [[c.node for c in X.components] for X in fields]
-    total = dual.const(0.0)
-    for I, f in form.coeffs.items():
-        M = [[vals[s][i] for s in range(len(fields))] for i in I]
-        total = total + f.node * det_generic(M)
-    return ScalarField(form.chart, total)
+    terms = ((1, f.node * det_generic([[X[i] for X in vals] for i in I])) for I, f in form.coeffs.items())
+    return ScalarField(form.chart, dual.total(terms))

@@ -144,7 +144,7 @@ def _hopf_chart(n: int) -> Chart:
 
 
 def _sq(cols):
-    return sum(c * c for c in cols)
+    return dual.total((1, c * c) for c in cols)
 
 
 def hopf(n: int = 2, weights=(1.0, 1.0)) -> ExampleManifest:
@@ -175,9 +175,7 @@ def hopf(n: int = 2, weights=(1.0, 1.0)) -> ExampleManifest:
     # |z_i|^2 on the graph chart: the weighted denominator and every momentum share them
     moduli = [ScalarField(chart, lambda p, a=xi[i], b=yi[i]: p[a] * p[a] + p[b] * p[b]) for i in range(n - 1)]
     moduli.append(ScalarField(chart, lambda p: p[xi[-1]] * p[xi[-1]] + 1.0 - _sq(p[1:])))
-    den = 0.0
-    for w, m in zip(weights, moduli):
-        den = den + w * m
+    den = dual.total((1, w * m) for w, m in zip(weights, moduli))
 
     # contact potential of the round sphere, written on the graph chart
     eta0_coeffs = {}
@@ -415,13 +413,8 @@ def inoue(
     descent = -2.0 * z2
 
     def affine(coeffs) -> SmoothMap:
-        comps = []
-        for const_term, lin in coeffs:
-            f = constant(chart, const_term)
-            for j, lam in lin:
-                f = f + lam * coordinate(chart, j)
-            comps.append(f)
-        return SmoothMap(chart, chart, comps)
+        terms = [[(1, const_term), *((1, lam * coordinate(chart, j)) for j, lam in lin)] for const_term, lin in coeffs]
+        return SmoothMap(chart, chart, [dual.total(t) for t in terms])
 
     deck_maps = {
         "g0": affine([(0.0, [(0, alpha)]), (0.0, [(1, alpha)]), (t, [(2, 1.0)]), (0.0, [(3, 1.0)])]),

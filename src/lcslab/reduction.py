@@ -72,17 +72,12 @@ class LevelSlice:
 
 
 def _combined_generator(act: ActionSpec, v) -> VectorField:
-    out = VectorField(act.chart, [0.0] * act.chart.dim)
-    for coef, rho in zip(v, act.fields):
-        out = out + float(coef) * rho
-    return out
+    out = dual.total((1, float(coef) * rho) for coef, rho in zip(v, act.fields))
+    return out or VectorField(act.chart, [0.0] * act.chart.dim)
 
 
 def _combined_momentum(mu: MomentumMap, v) -> ScalarField:
-    out = float(v[0]) * mu.components[0]
-    for coef, m in zip(v[1:], mu.components[1:]):
-        out = out + float(coef) * m
-    return out
+    return dual.total((1, float(coef) * m) for coef, m in zip(v, mu.components)) or ScalarField(mu.chart, 0.0)
 
 
 def invariant_hamiltonian_check(act: ActionSpec, mu: MomentumMap, points, tol: float = DEFAULT_TOL) -> Report:
@@ -182,27 +177,25 @@ def level_scan(chart: Chart, mu: MomentumMap, direction, points) -> Report:
 
     The row's verdict classifies the outcome: "present in chart" when some
     sample comes within ``_LEVEL_MARGIN`` of zero, else "no zero level in chart";
-    it is "inconclusive" when too many samples were skipped.
+    it is "inconclusive" when too many samples were skipped.  With no finite
+    sample the residual is inf and the row names no point.
     """
     check_same_chart(chart, mu.chart, "chart and momentum")
     f = _combined_momentum(mu, direction)
     pts = np.asarray(points, dtype=float)
+    if not len(pts):  # no sample can show that a level is absent
+        raise UsageError("a level scan needs at least one sample point")
     vals = np.abs(f.batch(pts))
     finite = np.flatnonzero(finite_points(vals))
-    if finite.size == 0:
-        raise UsageError("momentum combination evaluated nowhere finite on the chart")
-    best = finite[vals[finite].argmin()]
-    verdict = "present in chart" if vals[best] <= _LEVEL_MARGIN else "no zero level in chart"
     skipped = len(pts) - finite.size
-    row = CheckResult(
-        "zero-level",
-        "minimum magnitude of the momentum combination over chart samples",
-        float(vals[best]),
-        _LEVEL_MARGIN,
-        True,
-        verdict,
-        {"point": [float(x) for x in pts[best]], "points": len(pts), "skipped": skipped},
-    )
+    details = {"points": len(pts), "skipped": skipped}
+    residual = np.inf
+    if finite.size:
+        best = finite[vals[finite].argmin()]
+        residual, details = float(vals[best]), {"point": [float(x) for x in pts[best]], **details}
+    verdict = "present in chart" if residual <= _LEVEL_MARGIN else "no zero level in chart"
+    claim = "minimum magnitude of the momentum combination over chart samples"
+    row = CheckResult("zero-level", claim, residual, _LEVEL_MARGIN, True, verdict, details)
     rep = Report("level_scan")
     rep.add(demote_if_sparse(row, skipped, len(pts)))
     return rep

@@ -108,6 +108,22 @@ def test_signed_zero_constants_stay_distinct(plane):
     assert over == [np.inf, -np.inf]
 
 
+def test_a_sum_starts_from_its_first_nonzero_term():
+    x, y = dual.var(0), dual.var(1)
+    empty = dual.total([])
+    assert empty == 0.0 and math.copysign(1.0, empty) == 1.0
+    args = dual.total([(-1, x), (1, y)]).args  # -x + y, with no zero before the unary minus
+    neg = next(a for a in args if a is not y)
+    assert neg.op == "neg" and neg.args[0] is x
+    # the zero constant, a structurally zero partial and numeric zeros are dropped
+    assert dual.total([(1, dual.const(0.0)), (1, x), (-1, 0.0), (1, y.partial(0)), (-1, 0)]) is x
+    assert dual.total([(1, 2.0), (-1, 0.5)]) == 1.5
+    # a product with a zero factor stays: its other factor may be non-finite
+    kept = dual.total([(1, 0.0 * dual.log(x))])
+    assert kept.op == "*"
+    assert np.isnan(dual.evaluate(kept, [[-1.0, 0.0]])[0])
+
+
 @pytest.mark.parametrize(
     "closure, cause",
     [

@@ -277,8 +277,20 @@ def test_pullback_of_a_function_is_the_function_after_the_map(plane, r3):
     f = parse_field("x^2 * z + exp(y) - 3 * z", r3)
     pulled = pullback(m, DifferentialForm.from_scalar(f))
     assert pulled.degree == 0 and pulled.chart is plane
+    # the coefficient is the node f∘m itself, with no added zero
+    assert pulled.coefficient(()).node is m.then(SmoothMap(r3, Chart("line", ("s",)), [f])).components[0].node
     for p in plane.sample(12, seed=5):
         assert at(pulled.coefficient(()), p) == pytest.approx(at(f, at(m, p)), rel=1e-14, abs=1e-14)
+
+
+def test_a_single_term_coefficient_is_its_term(plane):
+    """A coefficient that sums one term is that term's node: ``d(g(y) dx)`` and a one-coefficient contraction."""
+    g = parse_field("sin(y) * y", plane)
+    dy_dx = exterior_derivative(DifferentialForm(plane, 1, {(0,): g})).coefficient((0, 1)).node
+    assert dy_dx.op == "neg" and dy_dx.args[0] is g.node.partial(1)
+    f, b = parse_field("exp(x) + y", plane), parse_field("x * y", plane)
+    X = VectorField(plane, [parse_field("cos(x)", plane), b])
+    assert contract(DifferentialForm(plane, 1, {(1,): f}), X).node is f.node * b.node
 
 
 def test_pullback_above_the_source_dimension_is_zero(plane, r4, rng):

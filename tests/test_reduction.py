@@ -255,6 +255,18 @@ def test_level_scan_is_inconclusive_when_over_a_fifth_of_the_points_are_skipped(
     assert row.residual >= 0.5  # the minimum over the finite samples is still recorded
 
 
+def test_level_scan_with_no_finite_sample_is_inconclusive():
+    """``sqrt(x - 10)`` is defined nowhere on the box: every point is skipped, and the row names none."""
+    box = Chart("r2", ("x", "y"), box=((-1.0, 1.0), (-1.0, 1.0)))
+    mu = MomentumMap(box, (parse_field("sqrt(x - 10)", box),))
+    row = level_scan(box, mu, (1.0,), box.sample(64, seed=0))["zero-level"]
+    assert (row.passed, row.verdict, row.residual) == (False, "inconclusive", np.inf)
+    assert (row.details["skipped"], row.details["points"]) == (64, 64)
+    assert "point" not in row.details
+    with pytest.raises(UsageError, match="at least one sample point"):  # an empty scan shows no absent level
+        level_scan(box, mu, (1.0,), np.empty((0, 2)))
+
+
 # -- momenta on the assembled product ---------------------------------------
 
 

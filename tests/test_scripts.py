@@ -31,15 +31,15 @@ def test_run_all_examples_meets_every_expectation():
     assert "all expectations met" in out
     header, *lines = out.splitlines()
     rows = [line for line in lines if line.endswith(tuple("0123456789"))]
-    assert header.split()[-5:] == ["warm", "built", "drawn", "nodes", "tapes"] and len(rows) == 8
+    assert header.split()[-6:] == ["warm", "built", "drawn", "nodes", "tapes", "steps"] and len(rows) == 8
     # a second run's time, the tapes it built and the samples it drew, the interned nodes each example holds,
-    # and the tapes kept for them
+    # and the tapes kept for them with their steps
     for line in rows:
-        warm, built, drawn, nodes, tapes = line.split()[-5:]
+        warm, built, drawn, nodes, tapes, steps = line.split()[-6:]
         assert warm.endswith("ms") and float(warm[:-2]) > 0
-        assert built.isdigit() and nodes.isdigit() and tapes.isdigit()
+        assert built.isdigit() and nodes.isdigit() and tapes.isdigit() and steps.isdigit()
         assert drawn == "0"  # every chart kept its draws
-    assert sum(int(line.split()[-4]) for line in rows) < 30  # a warm run keeps its derived forms and their tapes
+    assert sum(int(line.split()[-5]) for line in rows) < 30  # a warm run keeps its derived forms and their tapes
 
 
 @pytest.mark.parametrize("argv", [["--points", "0"], ["--points", "9"], ["--seed", "-1"]])
