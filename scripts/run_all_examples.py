@@ -11,7 +11,9 @@ the drawn column the sample draws it made that no chart had kept.
 The nodes column counts the interned expression nodes alive after both
 runs, while the example is still held, the tapes column the replay tapes
 kept for their root sets, and the steps column the steps of those tapes:
-cost measures that do not depend on the machine.  Exit status is nonzero
+cost measures that do not depend on the machine.  The tape cache is
+emptied before each example, so a row counts that example alone, as if
+it ran first.  Exit status is nonzero
 when any expectation is missed, so this doubles as a slow smoke test:
 
     python3 scripts/run_all_examples.py --points 48
@@ -94,6 +96,7 @@ def main(argv=None) -> int:
     missed_total = 0
     total = 0.0
     for label, build in builders():
+        dual._TAPES.clear()  # tapes of constant roots outlive their example; each row counts only its own
         t0 = time.perf_counter()
         man = build()
         t1 = time.perf_counter()

@@ -54,7 +54,7 @@ from .forms import (
     wedge,
 )
 from . import dual
-from .lcs import LCSStructure, _skew, nondegeneracy_check, residual_check, skew_matrices, twisted_derivative
+from .lcs import LCSStructure, _skew, nondegeneracy_check, pfaffian, residual_check, skew_matrices, twisted_derivative
 from .report import (
     DEFAULT_TOL,
     CheckResult,
@@ -62,7 +62,6 @@ from .report import (
     batch_values,
     demote_if_sparse,
     evaluate_form,
-    finite_points,
     form_residual,
     form_values,
     residual_row,
@@ -492,8 +491,12 @@ def fatness_check(
     A determinant bounded away from zero on the sampled region is the chart
     statement of fatness along the momentum image: the curvature pairing
     stays nondegenerate, which is what feeds horizontal nondegeneracy of the
-    coupling form.  Curvature matrices and momenta are evaluated once per
-    batch; a pair with a non-finite entry is skipped and counted.
+    coupling form.  Curvature columns and momenta are evaluated once per
+    batch.  The pairing's upper-triangle entries ``mu.T @ F_ij`` are formed
+    in fiber blocks of at most ``dual._SCRATCH_BYTES`` and each determinant is
+    the square of their Pfaffian, so no stack of every pair's matrix is
+    built; a pair with a non-finite entry is skipped and counted, and the
+    worst pair is the first in fiber-major order.
     """
     m = g.base.dim
     rep = Report("fatness_check")
@@ -516,16 +519,23 @@ def fatness_check(
         return rep
     bpts = np.asarray(base_points, dtype=float)
     fpts = np.asarray(fiber_points, dtype=float)
-    Fmats = np.stack([skew_matrices(Fa, bpts) for Fa in _curvature_forms(g)])  # (d, nb, m, m)
-    muvals = np.stack([comp.batch(fpts) for comp in mu.components])  # (d, nf)
-    pairs = np.einsum("af,abij->fbij", muvals, Fmats).reshape(-1, m, m)  # fiber-major (nf * nb, m, m)
-    finite = finite_points(pairs)
-    dets = np.full(len(pairs), np.inf)
-    dets[finite] = np.abs(np.linalg.det(pairs[finite]))
-    worst_pair = int(dets.argmin())
-    fi, bi = np.unravel_index(worst_pair, (len(fpts), len(bpts)))
-    worst = float(dets[worst_pair]) if finite.any() else 0.0
-    skipped = int(len(pairs) - finite.sum())
+    i, j = np.triu_indices(m, 1)
+    F = np.stack([skew_matrices(Fa, bpts)[:, i, j].T for Fa in _curvature_forms(g)], axis=1)  # (pairs, d, nb)
+    muvals = np.stack([comp.batch(fpts) for comp in mu.components], axis=-1)  # (nf, d)
+    block = max(1, dual._SCRATCH_BYTES // (8 * len(i) * len(bpts)))
+    worst, worst_pair, skipped = np.inf, 0, 0
+    for start in range(0, len(fpts), block):
+        with np.errstate(all="ignore"):
+            entries = muvals[start : start + block] @ F  # (pairs, fibers in the block, nb)
+            finite = np.isfinite(entries).all(axis=0)
+            dets = np.where(finite, np.square(pfaffian(entries, m)), np.inf)
+        k = int(dets.argmin())
+        if dets.flat[k] < worst:
+            worst, worst_pair = float(dets.flat[k]), start * len(bpts) + k
+        skipped += int(finite.size - np.count_nonzero(finite))
+    fi, bi = divmod(worst_pair, len(bpts))
+    pairs = len(fpts) * len(bpts)
+    worst = worst if skipped < pairs else 0.0
     row = CheckResult(
         "fat",
         "min |det(mu . F)| over sampled pairs",
@@ -536,11 +546,11 @@ def fatness_check(
             "min_det": worst,
             "base_point": [float(v) for v in bpts[bi]],
             "fiber_point": [float(v) for v in fpts[fi]],
-            "pairs": len(pairs),
+            "pairs": pairs,
             "skipped": skipped,
         },
     )
-    rep.add(demote_if_sparse(row, skipped, len(pairs)))
+    rep.add(demote_if_sparse(row, skipped, pairs))
     return rep
 
 

@@ -253,7 +253,7 @@ class DifferentialForm:
             raise UsageError("cannot add forms of different degree")
         out = dict(self.coeffs)
         for I, f in other.coeffs.items():
-            out[I] = out[I] + f if I in out else f
+            out[I] = ScalarField(self.chart, dual.total([(1, out[I].node), (1, f.node)])) if I in out else f
         return DifferentialForm(self.chart, self.degree, out)
 
     def __sub__(self, other):

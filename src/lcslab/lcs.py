@@ -13,6 +13,7 @@ inconclusive.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -104,26 +105,79 @@ def _skew(values: dict, d: int, n: int) -> np.ndarray:
 
 
 def normalized_determinant(M: np.ndarray) -> float | np.ndarray:
-    """Determinant after dividing every row by its largest absolute entry.
+    """Determinant of the skew matrix ``M`` after dividing every row by its largest absolute entry.
 
     Scale-free nondegeneracy score used by the verify routines: the raw
     determinant of a 2-form with coefficients ~1e3 would dwarf any fixed
-    threshold, the normalized one stays in [-1, 1]-ish territory.  ``M`` is
+    threshold, the normalized one stays in [0, 1]-ish territory.  ``M`` is
     one matrix (returns a float) or a stack of shape (..., d, d) (returns an
     array); a matrix of odd size, with a zero row or with a non-finite entry
-    scores 0.
+    scores 0.  ``M`` must be skew, as :func:`skew_matrices` builds it: the
+    score is ``Pf(N)**2`` with ``N_ij = M_ij / sqrt(s_i s_j)`` and ``s_i`` the
+    row scales, the same number (``det N = det M / prod(s)``) with every
+    ``|N_ij| <= 1``, so no scale of ``M`` overflows it.
     """
     M = np.asarray(M, dtype=float)
-    if M.shape[-1] != M.shape[-2] or M.shape[-1] % 2 == 1:
+    d = M.shape[-1]
+    if d != M.shape[-2] or d % 2 == 1:
         out = np.zeros(M.shape[:-2])
     else:
-        scales = np.abs(M).max(axis=-1, keepdims=True)
-        ok = np.all((scales > 0.0) & np.isfinite(scales), axis=-2, keepdims=True)
-        # a masked scale: det only ever sees finite matrices
-        rows = M / np.where(ok, scales, 1.0)
-        rows[~ok[..., 0, 0]] = np.eye(M.shape[-1])
-        out = np.where(ok[..., 0, 0], np.linalg.det(rows), 0.0)
+        i, j = _pfaffian_plan(d)[0]
+        root = np.moveaxis(np.sqrt(np.abs(M).max(axis=-1)), -1, 0)  # the row scales' square roots, (d, ...)
+        ok = np.all((root > 0.0) & np.isfinite(root), axis=0)
+        with np.errstate(all="ignore"):
+            upper = np.moveaxis(M, (-2, -1), (0, 1))[i, j] / root[i]
+            upper /= root[j]
+            out = np.where(ok, np.square(pfaffian(upper, d)), 0.0)
     return float(out) if M.ndim == 2 else out
+
+
+# bytes of one gathered operand of a Pfaffian level: the batch is cut into slices that fit, which
+# keeps the peak of a large batch low and ran faster than whole 4096-point batches
+_LEVEL_BYTES = 1 << 18
+
+
+def pfaffian(upper: np.ndarray, d: int) -> np.ndarray:
+    """Pf of the d x d skew matrices whose upper triangles are ``upper``, shape (d(d-1)/2, ...).
+
+    The entries come in ``np.triu_indices(d, 1)`` order.  Expansion along the
+    first row, ``Pf(S) = sum_t (-1)**(t+1) a_{s0 st} Pf(S - {s0, st})``, runs
+    level by level over the index subsets it reaches, keeping only the level
+    below, on slices of the batch of at most ``_LEVEL_BYTES`` per gathered
+    operand; a non-finite entry propagates into every term that holds it.
+    """
+    if d % 2 == 1 or d == 0:
+        return np.full(upper.shape[1:], float(d == 0))
+    _, width, base, plan = _pfaffian_plan(d)
+    flat = upper.reshape(len(upper), -1)
+    out = np.empty(flat.shape[1])
+    for start in range(0, len(out), width):
+        cols = flat[:, start : start + width]
+        level = cols[base]
+        for entries, below, signs in plan:
+            level = np.einsum("utn,utn,t->un", cols[entries], level[below], signs)
+        out[start : start + width] = level[0]
+    return out.reshape(upper.shape[1:])
+
+
+@functools.cache
+def _pfaffian_plan(d: int) -> tuple:
+    """``np.triu_indices(d, 1)``, the slice width, the pairs of the 2-subsets, and per level up to
+    ``range(d)`` each subset's pairs, the places of its sub-Pfaffians one level down and their signs.
+    """
+    triangle = np.triu_indices(d, 1)
+    pair = {p: r for r, p in enumerate(zip(*triangle))}
+    need = [[tuple(range(d))]]
+    while len(need[-1][0]) > 2:
+        need.append(sorted({S[1:t] + S[t + 1 :] for S in need[-1] for t in range(1, len(S))}))
+    plan = []
+    for upper, lower in zip(need[-2::-1], need[:0:-1]):
+        place, ts = {S: r for r, S in enumerate(lower)}, range(1, len(upper[0]))
+        entries = np.array([[pair[S[0], S[t]] for t in ts] for S in upper])
+        below = np.array([[place[S[1:t] + S[t + 1 :]] for t in ts] for S in upper])
+        plan.append((entries, below, (-1.0) ** (np.array(ts) + 1)))
+    width = _LEVEL_BYTES // (8 * max([e.size for e, _, _ in plan], default=1))
+    return triangle, width, [pair[S] for S in need[-1]], plan
 
 
 def nondegeneracy_check(
@@ -154,7 +208,7 @@ def _nondegeneracy_row(
         )
     M = _skew(values, omega.chart.dim, n)
     finite = finite_points(M)
-    dets = np.abs(normalized_determinant(M if finite.all() else M[finite]))
+    dets = normalized_determinant(M if finite.all() else M[finite])
     worst = float(dets.min()) if dets.size else 0.0
     skipped = int(len(M) - finite.sum())
     result = CheckResult(

@@ -8,7 +8,8 @@ It also owns the batched evaluations the rows share: a form's coefficient
 columns (:func:`form_values`, :func:`form_array`), those of every form a
 report needs from one replay of the coefficient DAG (:func:`batch_values`,
 so a shared subexpression is evaluated once), and a form's contraction with
-argument vectors (:func:`evaluate_form`).
+argument vectors (:func:`evaluate_form`), whose determinants are the minors
+of the argument matrix, expanded as polynomials on the whole batch.
 
 And it owns the skipped-point rule: :func:`finite_points` alone defines a
 skipped point (one with a non-finite value); rows count them as ``skipped``
@@ -17,6 +18,7 @@ and :func:`demote_if_sparse` makes a row with too many inconclusive.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -179,14 +181,40 @@ def evaluate_form(values: dict, vecs: np.ndarray) -> np.ndarray:
 
     ``values`` holds the form's coefficient columns (see :func:`form_values`)
     and ``vecs`` the arguments, shape (n, dim, k); each coefficient multiplies
-    the determinant of the argument rows its index selects.
+    the minor of the argument rows its index selects (see :func:`_minors`).
     """
     if not values:
         return np.zeros(len(vecs))
-    index = np.array(list(values))
-    coeffs = np.stack(list(values.values()), axis=-1)
     with np.errstate(all="ignore"):
-        return np.einsum("nt,nt->n", coeffs, np.linalg.det(vecs[:, index, :]))
+        return np.einsum("tn,tn->n", np.stack(list(values.values())), _minors(vecs, tuple(values)))
+
+
+def _minors(vecs: np.ndarray, rows: tuple) -> np.ndarray:
+    """``det(vecs[:, I, :])`` for every row subset ``I`` in ``rows``, shape (len(rows), n).
+
+    Level j holds the j x j minors on the first j columns for the row subsets
+    the level above needs, each expanded along column j from level j - 1; a
+    non-finite entry propagates into every minor that holds it.
+    """
+    cols = np.moveaxis(vecs, 0, -1)  # (dim, k, n)
+    out = np.ones((1, len(vecs)))
+    for j, (subsets, below, signs) in enumerate(_minor_plan(rows, vecs.shape[-1])):
+        out = np.einsum("utn,utn,t->un", cols[subsets, j], out[below], signs)
+    return out
+
+
+@functools.cache
+def _minor_plan(rows: tuple, k: int) -> list:
+    """Per level j = 1..k: the row subsets (u, j), the place of each one without its row t, and the signs."""
+    need = [list(rows)]
+    for j in range(k, 0, -1):
+        need.append(sorted({S[:t] + S[t + 1 :] for S in need[-1] for t in range(j)}))
+    plan = []
+    for upper, lower in zip(need[-2::-1], need[:0:-1]):
+        place, ts = {S: i for i, S in enumerate(lower)}, np.arange(len(upper[0]))
+        below = np.array([[place[S[:t] + S[t + 1 :]] for t in ts] for S in upper])
+        plan.append((np.array(upper), below, (-1.0) ** (ts + len(ts) - 1)))
+    return plan
 
 
 # --------------------------------------------------------------------------

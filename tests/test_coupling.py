@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,6 +386,34 @@ def test_fatness_matches_pointwise_pairs(uv, term):
         assert skipped > 24 and row.verdict == "inconclusive"
 
 
+def test_fatness_memory_stays_within_its_fiber_blocks(uv, monkeypatch):
+    """No stack of every pair's matrix: peak allocation is bounded by the scratch size, not by the pair count.
+
+    At 256 x 256 pairs the old (nf * nb, 2, 2) stack alone takes 2 MiB, 32 times
+    the 64 KiB scratch set here.  The blocks give the row of one whole block:
+    the same minimum, worst pair and skipped count.
+    """
+    fiber = Chart("xy", ("x", "y"))
+    A1 = DifferentialForm(uv, 1, {(1,): coordinate(uv, 0)})
+    A2 = DifferentialForm(uv, 1, {(0,): coordinate(uv, 1), (1,): parse_field("sqrt(u)", uv)})
+    g = GaugeChart(uv, (A1, A2))
+    mu = MomentumMap(fiber, (coordinate(fiber, 0), coordinate(fiber, 1)))
+    bpts, fpts = uv.sample(256, seed=3), fiber.sample(256, seed=4)
+    whole = fatness_check(g, mu, fpts, bpts)["fat"]
+    monkeypatch.setattr(dual, "_SCRATCH_BYTES", 64 * 1024)
+    fatness_check(g, mu, fpts, bpts)  # warm: the curvature forms and their tapes are built
+    tracemalloc.start()
+    try:
+        row = fatness_check(g, mu, fpts, bpts)["fat"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fpts) * len(bpts) * 2 * 2 * 8 >= 32 * dual._SCRATCH_BYTES
+    assert peak <= 8 * dual._SCRATCH_BYTES
+    assert (row.residual, row.details, row.verdict) == (whole.residual, whole.details, whole.verdict)
+    assert 0 < row.details["skipped"] < row.details["pairs"]
+
+
 # -- complex structures -----------------------------------------------------
 
 
@@ -645,7 +674,7 @@ print(len(built))
 
 
 def test_coupling_s2_builds_each_tape_once(built_tapes):
-    """Tapes built by a pass of every coupling-s2 run at 64 points: 22 cold, at most 3 warm (45 and 41 uncached).
+    """Tapes built by a pass of every coupling-s2 run at 64 points: 22 cold, at most 3 warm (74 and 42 uncached).
 
     The counts do not depend on the machine.  The cold pass runs in a fresh
     interpreter, since nodes that other tests keep alive spare it some tapes.

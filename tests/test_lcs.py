@@ -13,13 +13,14 @@ from lcslab.gallery import inoue
 from lcslab.lcs import (
     LCSStructure,
     normalized_determinant,
+    pfaffian,
     skew_matrices,
     solve_lee_form,
     twisted_derivative,
     verify_lcs,
 )
 from lcslab.parser import parse_field
-from lcslab.report import form_residual
+from lcslab.report import _minors, form_residual
 from tests.test_exterior import skew_matrix_at
 
 
@@ -93,6 +94,76 @@ def test_normalized_determinant_scale_free():
     stack = np.stack([M, 1e-7 * M, np.zeros((2, 2)), np.array([[0.0, np.nan], [np.nan, 0.0]])])
     assert list(normalized_determinant(stack)) == [normalized_determinant(A) for A in stack]
     assert list(normalized_determinant(stack)) == pytest.approx([1.0, 1.0, 0.0, 0.0])
+
+
+# -- determinants as polynomials ---------------------------------------------
+
+
+def random_skew(rng, shape, d):
+    A = rng.normal(size=(*shape, d, d))
+    return A - np.swapaxes(A, -1, -2)
+
+
+def upper_rows(M):
+    """The upper triangles of the matrices ``M`` (..., d, d), pairs first, as :func:`pfaffian` takes them."""
+    i, j = np.triu_indices(M.shape[-1], 1)
+    return np.moveaxis(M, (-2, -1), (0, 1))[i, j]
+
+
+@pytest.mark.parametrize("d", [0, 2, 4, 6, 8])
+def test_pfaffian_squares_to_the_determinant(rng, d):
+    M = random_skew(rng, (5, 3), d)
+    pf = pfaffian(upper_rows(M), d)
+    assert pf.shape == (5, 3)
+    np.testing.assert_allclose(pf**2, np.linalg.det(M), rtol=1e-12, atol=1e-12)
+    if d == 4:  # Pf = a01 a23 - a02 a13 + a03 a12
+        a = M
+        want = a[..., 0, 1] * a[..., 2, 3] - a[..., 0, 2] * a[..., 1, 3] + a[..., 0, 3] * a[..., 1, 2]
+        np.testing.assert_allclose(pf, want, rtol=1e-14)
+
+
+def test_pfaffian_propagates_a_non_finite_entry_and_is_exactly_zero_at_low_rank(rng):
+    M = random_skew(rng, (3,), 6)
+    M[0, 2, 4], M[0, 4, 2] = np.nan, np.nan
+    M[1, 0, 5], M[1, 5, 0] = np.inf, -np.inf
+    pf = pfaffian(upper_rows(M), 6)
+    assert not np.isfinite(pf[:2]).any() and np.isfinite(pf[2])
+    # u v^T - v u^T has rank 2: with integer entries every product is exact and the sum cancels to 0
+    for d in (4, 6):
+        u, v = np.arange(1.0, d + 1), np.array([0.0, 1.0, 5.0, 2.0, -3.0, 7.0])[:d]
+        low = np.outer(u, v) - np.outer(v, u)
+        assert np.linalg.matrix_rank(low) == 2
+        assert pfaffian(upper_rows(low), d) == 0.0
+        assert normalized_determinant(low) == pytest.approx(0.0, abs=1e-30)  # the row scaling rounds
+
+
+def test_normalized_determinant_is_a_pfaffian_square_that_no_scale_overflows(rng):
+    M = random_skew(rng, (6,), 6)
+    want = np.linalg.det(M / np.abs(M).max(axis=-1, keepdims=True))
+    np.testing.assert_allclose(normalized_determinant(M), want, rtol=1e-12, atol=1e-14)
+    for scale in (1e200, 1e-200):
+        got = normalized_determinant(scale * M)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, normalized_determinant(M), rtol=1e-12)
+    # a row scale of 1e200 next to one of 1: the products s_i s_j alone would overflow
+    wide = np.diag([1e200, 1e200, 1.0, 1.0]) @ np.array(
+        [[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]]
+    )
+    assert normalized_determinant(wide) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_minors_match_the_determinants_of_the_selected_rows(rng, k):
+    dim, n = 7, 9
+    rows = tuple(sorted({tuple(sorted(rng.choice(dim, size=k, replace=False).tolist())) for _ in range(12)}))
+    vecs = rng.normal(size=(n, dim, k))
+    want = np.linalg.det(vecs[:, np.array(rows), :]).T
+    np.testing.assert_allclose(_minors(vecs, rows), want, rtol=1e-12, atol=1e-12)
+    vecs[3, rows[0][0], k - 1] = np.nan
+    vecs[5, rows[-1][-1], 0] = np.inf
+    got = _minors(vecs, rows)
+    assert np.isnan(got[0, 3]) and not np.isfinite(got[-1, 5])
+    assert np.isfinite(np.delete(got, [3, 5], axis=1)).all()
 
 
 @pytest.mark.parametrize("extra", ["0", "sqrt(w1)"])

@@ -3,8 +3,11 @@
 import contextlib
 import importlib.util
 import io
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ from lcslab import cli
 from lcslab.cohomology import betti, circle
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 def run_script(name: str, argv: list) -> tuple[int, str]:
@@ -40,6 +44,41 @@ def test_run_all_examples_meets_every_expectation():
         assert built.isdigit() and nodes.isdigit() and tapes.isdigit() and steps.isdigit()
         assert drawn == "0"  # every chart kept its draws
     assert sum(int(line.split()[-5]) for line in rows) < 30  # a warm run keeps its derived forms and their tapes
+
+
+# ``scripts/run_all_examples.py`` in a fresh interpreter, on the examples whose labels follow the script's path
+# (every example when none does)
+SOME_EXAMPLES = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("run_all_examples", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+every = script.builders
+script.builders = lambda: [(label, build) for label, build in every() if label in sys.argv[2:] or len(sys.argv) == 2]
+sys.exit(script.main([]))
+"""
+
+
+def test_run_all_examples_counts_each_row_for_its_example_alone():
+    """cotangent m=1's row reads the same alone as after every other example: leftovers of earlier ones do not count.
+
+    Only the times may differ: the checks, failures, expectations, tapes built
+    and samples drawn, and the nodes, tapes and steps kept.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+    def row(*labels):
+        run = subprocess.run(
+            [sys.executable, "-c", SOME_EXAMPLES, str(SCRIPTS / "run_all_examples.py"), *labels],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        fields = next(line for line in run.stdout.splitlines() if line.startswith("cotangent m=1 ")).split()[2:]
+        return fields[:3] + fields[-5:]
+
+    alone, after = row("cotangent m=1"), row()
+    assert alone == after
+    assert alone[-2:] == ["1", "3"]  # one tape of three steps
 
 
 @pytest.mark.parametrize("argv", [["--points", "0"], ["--points", "9"], ["--seed", "-1"]])

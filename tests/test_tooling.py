@@ -57,6 +57,12 @@ def test_src_stays_within_its_line_budget():
     assert total < SRC_LINE_BUDGET
 
 
+def test_src_takes_determinants_one_way():
+    """Minors and Pfaffians are the determinant paths of ``src/``; LAPACK's ``det`` stays a test oracle."""
+    users = [p.name for p in (ROOT / "src" / "lcslab").glob("*.py") if "linalg.det" in p.read_text()]
+    assert users == []
+
+
 @pytest.mark.parametrize("module", [lcs, actions, coupling, reduction], ids=lambda m: m.__name__)
 def test_checkers_take_their_sample_points_and_never_sample(module):
     """No public function takes a count ``n``, and none has a default for its sample points."""
