@@ -54,7 +54,7 @@ from .forms import (
     wedge,
 )
 from . import dual
-from .lcs import LCSStructure, _skew, nondegeneracy_check, pfaffian, residual_check, skew_matrices, twisted_derivative
+from .lcs import LCSStructure, _skew, nondegeneracy_check, residual_check, skew_matrices, twisted_derivative
 from .report import (
     DEFAULT_TOL,
     CheckResult,
@@ -64,8 +64,10 @@ from .report import (
     evaluate_form,
     form_residual,
     form_values,
+    pfaffian,
     residual_row,
     scaled_residuals,
+    triangle,
 )
 
 # --------------------------------------------------------------------------
@@ -491,12 +493,12 @@ def fatness_check(
     A determinant bounded away from zero on the sampled region is the chart
     statement of fatness along the momentum image: the curvature pairing
     stays nondegenerate, which is what feeds horizontal nondegeneracy of the
-    coupling form.  Curvature columns and momenta are evaluated once per
-    batch.  The pairing's upper-triangle entries ``mu.T @ F_ij`` are formed
-    in fiber blocks of at most ``dual._SCRATCH_BYTES`` and each determinant is
-    the square of their Pfaffian, so no stack of every pair's matrix is
-    built; a pair with a non-finite entry is skipped and counted, and the
-    worst pair is the first in fiber-major order.
+    coupling form.  The pairing's upper-triangle entries ``mu.T @ F_ij`` are
+    formed in fiber blocks of at most ``dual._SCRATCH_BYTES`` and each
+    determinant is their Pfaffian squared, so no stack of every pair's matrix
+    is built.  A pair with a non-finite entry is skipped and counted, one
+    whose determinant overflows counts as infinite; the worst pair is the
+    first in fiber-major order.
     """
     m = g.base.dim
     rep = Report("fatness_check")
@@ -519,7 +521,7 @@ def fatness_check(
         return rep
     bpts = np.asarray(base_points, dtype=float)
     fpts = np.asarray(fiber_points, dtype=float)
-    i, j = np.triu_indices(m, 1)
+    i, j = triangle(m)
     F = np.stack([skew_matrices(Fa, bpts)[:, i, j].T for Fa in _curvature_forms(g)], axis=1)  # (pairs, d, nb)
     muvals = np.stack([comp.batch(fpts) for comp in mu.components], axis=-1)  # (nf, d)
     block = max(1, dual._SCRATCH_BYTES // (8 * len(i) * len(bpts)))
@@ -528,7 +530,7 @@ def fatness_check(
         with np.errstate(all="ignore"):
             entries = muvals[start : start + block] @ F  # (pairs, fibers in the block, nb)
             finite = np.isfinite(entries).all(axis=0)
-            dets = np.where(finite, np.square(pfaffian(entries, m)), np.inf)
+            dets = np.where(finite, np.nan_to_num(np.square(pfaffian(entries, m)), nan=np.inf), np.inf)
         k = int(dets.argmin())
         if dets.flat[k] < worst:
             worst, worst_pair = float(dets.flat[k]), start * len(bpts) + k

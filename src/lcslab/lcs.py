@@ -13,7 +13,6 @@ inconclusive.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -31,8 +30,10 @@ from .report import (
     demote_if_sparse,
     finite_points,
     form_values,
+    pfaffian,
     residual_row,
     scaled_residuals,
+    triangle,
 )
 
 
@@ -122,7 +123,7 @@ def normalized_determinant(M: np.ndarray) -> float | np.ndarray:
     if d != M.shape[-2] or d % 2 == 1:
         out = np.zeros(M.shape[:-2])
     else:
-        i, j = _pfaffian_plan(d)[0]
+        i, j = triangle(d)
         root = np.moveaxis(np.sqrt(np.abs(M).max(axis=-1)), -1, 0)  # the row scales' square roots, (d, ...)
         ok = np.all((root > 0.0) & np.isfinite(root), axis=0)
         with np.errstate(all="ignore"):
@@ -130,54 +131,6 @@ def normalized_determinant(M: np.ndarray) -> float | np.ndarray:
             upper /= root[j]
             out = np.where(ok, np.square(pfaffian(upper, d)), 0.0)
     return float(out) if M.ndim == 2 else out
-
-
-# bytes of one gathered operand of a Pfaffian level: the batch is cut into slices that fit, which
-# keeps the peak of a large batch low and ran faster than whole 4096-point batches
-_LEVEL_BYTES = 1 << 18
-
-
-def pfaffian(upper: np.ndarray, d: int) -> np.ndarray:
-    """Pf of the d x d skew matrices whose upper triangles are ``upper``, shape (d(d-1)/2, ...).
-
-    The entries come in ``np.triu_indices(d, 1)`` order.  Expansion along the
-    first row, ``Pf(S) = sum_t (-1)**(t+1) a_{s0 st} Pf(S - {s0, st})``, runs
-    level by level over the index subsets it reaches, keeping only the level
-    below, on slices of the batch of at most ``_LEVEL_BYTES`` per gathered
-    operand; a non-finite entry propagates into every term that holds it.
-    """
-    if d % 2 == 1 or d == 0:
-        return np.full(upper.shape[1:], float(d == 0))
-    _, width, base, plan = _pfaffian_plan(d)
-    flat = upper.reshape(len(upper), -1)
-    out = np.empty(flat.shape[1])
-    for start in range(0, len(out), width):
-        cols = flat[:, start : start + width]
-        level = cols[base]
-        for entries, below, signs in plan:
-            level = np.einsum("utn,utn,t->un", cols[entries], level[below], signs)
-        out[start : start + width] = level[0]
-    return out.reshape(upper.shape[1:])
-
-
-@functools.cache
-def _pfaffian_plan(d: int) -> tuple:
-    """``np.triu_indices(d, 1)``, the slice width, the pairs of the 2-subsets, and per level up to
-    ``range(d)`` each subset's pairs, the places of its sub-Pfaffians one level down and their signs.
-    """
-    triangle = np.triu_indices(d, 1)
-    pair = {p: r for r, p in enumerate(zip(*triangle))}
-    need = [[tuple(range(d))]]
-    while len(need[-1][0]) > 2:
-        need.append(sorted({S[1:t] + S[t + 1 :] for S in need[-1] for t in range(1, len(S))}))
-    plan = []
-    for upper, lower in zip(need[-2::-1], need[:0:-1]):
-        place, ts = {S: r for r, S in enumerate(lower)}, range(1, len(upper[0]))
-        entries = np.array([[pair[S[0], S[t]] for t in ts] for S in upper])
-        below = np.array([[place[S[1:t] + S[t + 1 :]] for t in ts] for S in upper])
-        plan.append((entries, below, (-1.0) ** (np.array(ts) + 1)))
-    width = _LEVEL_BYTES // (8 * max([e.size for e, _, _ in plan], default=1))
-    return triangle, width, [pair[S] for S in need[-1]], plan
 
 
 def nondegeneracy_check(

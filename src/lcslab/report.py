@@ -8,8 +8,9 @@ It also owns the batched evaluations the rows share: a form's coefficient
 columns (:func:`form_values`, :func:`form_array`), those of every form a
 report needs from one replay of the coefficient DAG (:func:`batch_values`,
 so a shared subexpression is evaluated once), and a form's contraction with
-argument vectors (:func:`evaluate_form`), whose determinants are the minors
-of the argument matrix, expanded as polynomials on the whole batch.
+argument vectors (:func:`evaluate_form`, by the minors of the argument
+matrix) and the Pfaffians of skew matrices (:func:`pfaffian`), both taken as
+polynomials on the whole batch.
 
 And it owns the skipped-point rule: :func:`finite_points` alone defines a
 skipped point (one with a non-finite value); rows count them as ``skipped``
@@ -181,40 +182,123 @@ def evaluate_form(values: dict, vecs: np.ndarray) -> np.ndarray:
 
     ``values`` holds the form's coefficient columns (see :func:`form_values`)
     and ``vecs`` the arguments, shape (n, dim, k); each coefficient multiplies
-    the minor of the argument rows its index selects (see :func:`_minors`).
+    the minor of the argument rows its index selects (:func:`_minor_plan`).
     """
     if not values:
         return np.zeros(len(vecs))
     with np.errstate(all="ignore"):
-        return np.einsum("tn,tn->n", np.stack(list(values.values())), _minors(vecs, tuple(values)))
+        minors = _expand(np.moveaxis(vecs, 0, -1).reshape(-1, len(vecs)), _minor_plan(tuple(values), vecs.shape[-1]))
+        return np.einsum("tn,tn->n", np.stack(list(values.values())), minors)
 
 
-def _minors(vecs: np.ndarray, rows: tuple) -> np.ndarray:
-    """``det(vecs[:, I, :])`` for every row subset ``I`` in ``rows``, shape (len(rows), n).
-
-    Level j holds the j x j minors on the first j columns for the row subsets
-    the level above needs, each expanded along column j from level j - 1; a
-    non-finite entry propagates into every minor that holds it.
-    """
-    cols = np.moveaxis(vecs, 0, -1)  # (dim, k, n)
-    out = np.ones((1, len(vecs)))
-    for j, (subsets, below, signs) in enumerate(_minor_plan(rows, vecs.shape[-1])):
-        out = np.einsum("utn,utn,t->un", cols[subsets, j], out[below], signs)
-    return out
+# --------------------------------------------------------------------------
+# determinants as polynomials on the batch
 
 
 @functools.cache
-def _minor_plan(rows: tuple, k: int) -> list:
-    """Per level j = 1..k: the row subsets (u, j), the place of each one without its row t, and the signs."""
-    need = [list(rows)]
-    for j in range(k, 0, -1):
-        need.append(sorted({S[:t] + S[t + 1 :] for S in need[-1] for t in range(j)}))
+def _minor_plan(rows: tuple, k: int) -> tuple:
+    """The minors ``det(vecs[:, S, :])`` of the row subsets ``rows``, along the last column; (r, c) is r * k + c."""
+    return _levels(
+        rows, lambda S: [((-1) ** (t + len(S) - 1), S[t] * k + len(S) - 1, S[:t] + S[t + 1 :]) for t in range(len(S))]
+    )
+
+
+@functools.cache
+def _pfaffian_plan(d: int) -> tuple:
+    """A subset's Pfaffian, expanded along its first row (the entry ``a_{s0 st}``'s place in the upper triangle)."""
+    ij = {p: r for r, p in enumerate(zip(*triangle(d)))}
+    return _levels(
+        [tuple(range(d))], lambda S: [((-1) ** (t + 1), ij[S[0], S[t]], S[1:t] + S[t + 1 :]) for t in range(1, len(S))]
+    )
+
+
+def _levels(top: list, terms) -> tuple:
+    """The largest level's size and, per level from the one-term subsets up to ``top``, the entries (u, t),
+    places one level down (u, t) and signs (t,) of each subset's terms; ``terms(S)`` gives (sign, entry, subset)."""
+    need = [list(top)]
+    while need[-1][0]:
+        need.append(sorted({sub for S in need[-1] for _, _, sub in terms(S)}))
     plan = []
     for upper, lower in zip(need[-2::-1], need[:0:-1]):
-        place, ts = {S: i for i, S in enumerate(lower)}, np.arange(len(upper[0]))
-        below = np.array([[place[S[:t] + S[t + 1 :]] for t in ts] for S in upper])
-        plan.append((np.array(upper), below, (-1.0) ** (ts + len(ts) - 1)))
-    return plan
+        place = {S: r for r, S in enumerate(lower)}
+        table = np.array([[(s, e, place[sub]) for s, e, sub in terms(S)] for S in upper])  # (u, t, 3)
+        plan.append((table[..., 1], table[..., 2], table[0, :, 0].astype(float)))
+    return max(below.size for _, below, _ in plan), plan
+
+
+def _expand(values: np.ndarray, levels: tuple) -> np.ndarray:
+    """Run the expansion ``levels`` of :func:`_levels` on the entries ``values`` (#entries, n).
+
+    The batch is cut into slices whose largest gathered operand takes at most a
+    sixteenth of ``dual._SCRATCH_BYTES``; a non-finite entry propagates.
+    """
+    size, plan = levels
+    width = max(1, dual._SCRATCH_BYTES // (128 * size))
+    if values.shape[1] > width:
+        return np.concatenate([_expand(values[:, s : s + width], levels) for s in range(0, values.shape[1], width)], 1)
+    level = values[plan[0][0][:, 0]]  # the first level's subsets have one term each, of sign 1
+    for entries, below, signs in plan[1:]:
+        level = np.einsum("utn,utn,t->un", values[entries], level[below], signs)
+    return level
+
+
+@functools.cache
+def triangle(d: int) -> tuple:
+    """``np.triu_indices(d, 1)``: the order of the upper-triangle entries :func:`pfaffian` takes."""
+    return np.triu_indices(d, 1)
+
+
+# matrices up to this size are expanded whole: 105 products at 8 cost less per point than one elimination step
+_PFAFFIAN_BLOCK = 8
+
+
+def pfaffian(upper: np.ndarray, d: int) -> np.ndarray:
+    """Pf of the d x d skew matrices whose upper triangles are ``upper``, shape (d(d-1)/2, ...).
+
+    The entries come in :func:`triangle` order.  Up to ``_PFAFFIAN_BLOCK``
+    rows the Pfaffian is expanded along the first row,
+    ``Pf(S) = sum_t (-1)**(t+1) a_{s0 st} Pf(S - {s0, st})``; a larger matrix
+    is first brought down to that size by :func:`_eliminate`, on slices of
+    the batch of at most ``dual._SCRATCH_BYTES``, so the cost grows as d**3.
+    A non-finite entry propagates.
+    """
+    if d % 2 == 1 or d == 0:
+        return np.full(upper.shape[1:], float(d == 0))
+    flat, e = upper.reshape(len(upper), -1), max(0, d - _PFAFFIAN_BLOCK)
+    width = max(1, dual._SCRATCH_BYTES // (8 * d * d))
+    if e == 0:
+        out = _expand(flat, _pfaffian_plan(d))[0]
+    elif flat.shape[1] > width:
+        out = np.concatenate([pfaffian(flat[:, s : s + width], d) for s in range(0, flat.shape[1], width)])
+    else:
+        i, j = triangle(d)
+        W = np.zeros((d, d, flat.shape[1]))
+        W[i, j], W[j, i] = flat, -flat
+        out = _eliminate(W, e) * pfaffian(W[i[i >= e], j[i >= e]], d - e)
+    return out.reshape(upper.shape[1:])
+
+
+def _eliminate(W: np.ndarray, e: int) -> np.ndarray:
+    """Skew Gaussian elimination with pivoting (Parlett-Reid) of indices ``0..e-1`` of ``W`` (d, d, n), in place.
+
+    Step k pivots on column k's largest entry below the diagonal, at row p, moves index k + 1 to slot p (a
+    sign flip) and eliminates the pair (k, p); returns the factor with ``Pf(W) = factor * Pf(W[e:, e:])``.
+    """
+    factor = np.ones(W.shape[-1])
+    for k in range(0, e, 2):
+        A = W[k:, k:]  # the rows and columns left
+        p = 1 + np.abs(A[1:, 0]).argmax(axis=0)
+        at = p[None, None]
+        row = np.take_along_axis(A, at, axis=0)[0]  # the pivot row, then with index 1 in slot p
+        np.put_along_axis(row, p[None], row[1][None], axis=0)
+        np.put_along_axis(A, at, A[1][None], axis=0)
+        np.put_along_axis(A, at, A[:, 1][:, None], axis=1)
+        pivot = -row[0]
+        factor *= np.where(p == 1, pivot, -pivot)
+        tau = np.divide(A[0, 2:], pivot, out=np.zeros_like(row[2:]), where=pivot != 0.0)
+        update = row[2:, None] * tau
+        A[2:, 2:] += update - np.swapaxes(update, 0, 1)
+    return factor
 
 
 # --------------------------------------------------------------------------

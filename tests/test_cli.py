@@ -407,6 +407,13 @@ def test_inoue_runs_below_four_points(capsys, points):
     assert out.splitlines()[-1] == "expected outcomes: 16/16 matched"
 
 
+def test_cotangent_runs_past_the_expanded_pfaffian_block(capsys):
+    """At m = 11 the 22 x 22 nondegeneracy Pfaffians are eliminated down to the expanded block first."""
+    code, out, err = run(capsys, "example", "cotangent", "--m", "11", "--run", "--points", "16")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "expected outcomes: 4/4 matched"
+
+
 def test_example_run_json_keeps_obstruction_green(capsys):
     code, out, _ = run(capsys, "example", "inoue", "--run", "--points", "16", "--format", "json")
     assert code == 0

@@ -414,6 +414,26 @@ def test_fatness_memory_stays_within_its_fiber_blocks(uv, monkeypatch):
     assert 0 < row.details["skipped"] < row.details["pairs"]
 
 
+def test_fatness_takes_an_overflowing_pairing_as_large(r4):
+    """A finite pairing whose Pfaffian terms overflow to ``inf - inf`` counts as fat, not as the block's minimum.
+
+    ``F = 2 da^db + da^dc + db^dd + dc^dd`` has ``Pf(F) = 2 - 1 = 1``; at
+    ``mu = 1e160`` both products overflow and their difference is nan.  The
+    small pair after it in the same block is the minimum.
+    """
+    a, b, c, _ = (coordinate(r4, k) for k in range(4))
+    A = DifferentialForm(r4, 1, {(1,): 2.0 * a, (2,): a, (3,): b + c})
+    g = GaugeChart(r4, (A,))
+    fiber = Chart("x", ("x",))
+    mu = MomentumMap(fiber, (coordinate(fiber, 0),))
+    fpts = np.array([[1e160], [1e-3]])
+    row = fatness_check(g, mu, fpts, r4.sample(3, seed=0))["fat"]
+    assert row.details["skipped"] == 0
+    assert row.details["fiber_point"] == [1e-3]
+    assert row.residual == pytest.approx(1e-12, rel=1e-12)
+    assert not row.passed
+
+
 # -- complex structures -----------------------------------------------------
 
 

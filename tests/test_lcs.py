@@ -13,14 +13,13 @@ from lcslab.gallery import inoue
 from lcslab.lcs import (
     LCSStructure,
     normalized_determinant,
-    pfaffian,
     skew_matrices,
     solve_lee_form,
     twisted_derivative,
     verify_lcs,
 )
 from lcslab.parser import parse_field
-from lcslab.report import _minors, form_residual
+from lcslab.report import evaluate_form, form_residual, pfaffian
 from tests.test_exterior import skew_matrix_at
 
 
@@ -110,8 +109,9 @@ def upper_rows(M):
     return np.moveaxis(M, (-2, -1), (0, 1))[i, j]
 
 
-@pytest.mark.parametrize("d", [0, 2, 4, 6, 8])
+@pytest.mark.parametrize("d", [0, 2, 4, 6, 8, 10, 14, 22])
 def test_pfaffian_squares_to_the_determinant(rng, d):
+    """Up to 8 rows the expansion alone; above, elimination down to an 8 x 8 block first."""
     M = random_skew(rng, (5, 3), d)
     pf = pfaffian(upper_rows(M), d)
     assert pf.shape == (5, 3)
@@ -122,15 +122,31 @@ def test_pfaffian_squares_to_the_determinant(rng, d):
         np.testing.assert_allclose(pf, want, rtol=1e-14)
 
 
-def test_pfaffian_propagates_a_non_finite_entry_and_is_exactly_zero_at_low_rank(rng):
-    M = random_skew(rng, (3,), 6)
+@pytest.mark.parametrize("d", [6, 12])
+def test_pfaffian_propagates_a_non_finite_entry(rng, d):
+    M = random_skew(rng, (4,), d)
     M[0, 2, 4], M[0, 4, 2] = np.nan, np.nan
     M[1, 0, 5], M[1, 5, 0] = np.inf, -np.inf
-    pf = pfaffian(upper_rows(M), 6)
-    assert not np.isfinite(pf[:2]).any() and np.isfinite(pf[2])
+    M[2, d - 2, d - 1], M[2, d - 1, d - 2] = -np.inf, np.inf  # in the expanded block when d > 8
+    pf = pfaffian(upper_rows(M), d)
+    assert not np.isfinite(pf[:3]).any() and np.isfinite(pf[3])
+
+
+@pytest.mark.parametrize("d", [4, 10, 12])
+def test_pfaffian_pivots_past_zero_entries(d):
+    """``[[0, I], [-I, 0]]`` has a zero wherever an elimination without pivots would divide."""
+    J = np.zeros((d, d))
+    J[np.arange(d // 2), np.arange(d // 2, d)] = 1.0  # the pairs (i, d/2 + i)
+    J -= J.T
+    assert pfaffian(upper_rows(J), d) == (-1.0) ** (d // 2 * (d // 2 - 1) // 2)
+    J[:, 0] = J[0, :] = 0.0  # no pivot in the first column
+    assert pfaffian(upper_rows(J), d) == 0.0
+
+
+def test_pfaffian_is_exactly_zero_at_low_rank():
     # u v^T - v u^T has rank 2: with integer entries every product is exact and the sum cancels to 0
-    for d in (4, 6):
-        u, v = np.arange(1.0, d + 1), np.array([0.0, 1.0, 5.0, 2.0, -3.0, 7.0])[:d]
+    for d in (4, 6, 10):
+        u, v = np.arange(1.0, d + 1), np.array([0.0, 1.0, 5.0, 2.0, -3.0, 7.0, 1.0, 2.0, 3.0, 4.0])[:d]
         low = np.outer(u, v) - np.outer(v, u)
         assert np.linalg.matrix_rank(low) == 2
         assert pfaffian(upper_rows(low), d) == 0.0
@@ -152,16 +168,31 @@ def test_normalized_determinant_is_a_pfaffian_square_that_no_scale_overflows(rng
     assert normalized_determinant(wide) == pytest.approx(1.0, rel=1e-14)
 
 
+def test_normalized_determinant_past_the_expanded_block_matches_lapack(rng):
+    """At 22 rows (cotangent with m = 11) the Pfaffian is eliminated down to the expanded block."""
+    M = random_skew(rng, (40,), 22) * np.exp(rng.normal(scale=3.0, size=(40, 22, 1)))
+    M = M - np.swapaxes(M, -1, -2)
+    want = np.linalg.det(M / np.abs(M).max(axis=-1, keepdims=True))
+    np.testing.assert_allclose(normalized_determinant(M), want, rtol=1e-9, atol=1e-14)
+
+
+def minors(vecs, rows):
+    """Each selected minor alone, as a form with the one coefficient 1 evaluates it."""
+    return np.stack([evaluate_form({I: np.ones(len(vecs))}, vecs) for I in rows])
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_minors_match_the_determinants_of_the_selected_rows(rng, k):
     dim, n = 7, 9
     rows = tuple(sorted({tuple(sorted(rng.choice(dim, size=k, replace=False).tolist())) for _ in range(12)}))
     vecs = rng.normal(size=(n, dim, k))
     want = np.linalg.det(vecs[:, np.array(rows), :]).T
-    np.testing.assert_allclose(_minors(vecs, rows), want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(minors(vecs, rows), want, rtol=1e-12, atol=1e-12)
+    coeffs = rng.normal(size=(len(rows), n))  # all minors of one form are expanded together
+    np.testing.assert_allclose(evaluate_form(dict(zip(rows, coeffs)), vecs), (coeffs * want).sum(axis=0), atol=1e-12)
     vecs[3, rows[0][0], k - 1] = np.nan
     vecs[5, rows[-1][-1], 0] = np.inf
-    got = _minors(vecs, rows)
+    got = minors(vecs, rows)
     assert np.isnan(got[0, 3]) and not np.isfinite(got[-1, 5])
     assert np.isfinite(np.delete(got, [3, 5], axis=1)).all()
 
