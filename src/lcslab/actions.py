@@ -10,9 +10,9 @@ Every residual row evaluates its forms and fields once on the whole point
 batch and reports the raw max magnitude over the points; a sample point where
 some value is not finite is skipped and counted, and a row with too many
 skipped points is inconclusive rather than passed.  The Lie-derivative rows
-(``invariance``, ``eta-invariant``) use Cartan's formula
+(``invariance``, ``eta-invariant``) use the coordinate formula
 (:func:`~lcslab.forms.lie_derivative`), and a report replays every form it
-needs at once (:func:`~lcslab.report.batch_values`), so the second
+needs at once (:func:`~lcslab.report.batch_values`), so the first
 derivatives of the form are evaluated once for all generators.  Deck maps
 send the whole batch through one evaluation, with one domain test for
 all the images; a fitted homothety counts the points where a coefficient is
@@ -213,7 +213,7 @@ def verify_twisted_hamiltonian(
     for rho, mu_a in zip(act.fields, mu.components):
         forms += _momentum_forms(s, rho, mu_a)
         forms += [lie_derivative(rho, s.omega), DifferentialForm.from_scalar(contract(s.lee, rho))]
-    # one replay for every row: omega and its second derivatives are evaluated once
+    # one replay for every row: omega and its first derivatives are evaluated once
     values = batch_values(forms, pts)
     for a in range(act.dim):
         ip, dmu, lie, pairing = values[4 * a : 4 * a + 4]

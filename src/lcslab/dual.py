@@ -1,14 +1,15 @@
 """Coefficient expressions: a hash-consed DAG and the evaluation boundary.
 
 Every coefficient is a :class:`Node` of one expression DAG.  Nodes are
-interned by structure, so a subexpression that many coefficients share (a
-weighted denominator, a second derivative) exists once.  ``node.partial(j)``
-is the derivative in coordinate ``j``, another node, built when first asked
-for and memoized per (node, coordinate) by the forward-mode rules of dual
-numbers, term for term: forward-mode differentiation is symbolic
-differentiation with sharing, exact to rounding.  A sum of terms, such as a
-coefficient of the exterior operations, is built by :func:`total` from its
-first nonzero term, so no sum carries an added zero into the DAG.  A
+interned by structure, signs folded (``a + (-b)`` is ``a - b``), so a
+subexpression that many coefficients share (a weighted denominator, a second
+derivative) exists once.  ``node.partial(j)`` is the derivative in coordinate
+``j``, another node, built when first asked for and memoized per (node,
+coordinate) by the forward-mode rules of dual numbers, term for term, one
+node per mixed partial whatever the order: forward-mode differentiation is
+symbolic differentiation with sharing, exact to rounding.  A sum of terms,
+such as a coefficient of the exterior operations, is built by :func:`total`
+from its first nonzero term, so no sum carries an added zero into the DAG.  A
 :class:`Tape` is a register program: the nodes some roots need, each once,
 arguments first, constant subtrees folded, each step writing into a register
 that is taken again after the last use of its value.  It replays on point
@@ -103,7 +104,7 @@ class Node:
     and no comparisons, so a closure that branches on one is refused by :func:`trace`.
     """
 
-    __slots__ = ("op", "args", "data", "_partials", "__weakref__")
+    __slots__ = ("op", "args", "data", "_partials", "_origin", "__weakref__")
     __array_ufunc__ = None
     __hash__ = object.__hash__
 
@@ -153,7 +154,7 @@ def _intern(key, op, args, data) -> Node:
     node = None if ref is None else ref()
     if node is None:
         node = object.__new__(Node)
-        node.op, node.args, node.data, node._partials = op, args, data, None
+        node.op, node.args, node.data, node._partials, node._origin = op, args, data, None, None
         _NODES[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
@@ -162,10 +163,18 @@ def _node(op: str, args: tuple, data=None) -> Node:
     """The interned node ``op(*args)``.
 
     ``+`` and ``*`` take their arguments in one order (IEEE addition and
-    multiplication commute exactly).  Only the bit-exact identities ``x*1``,
-    ``x/1`` and ``x-0.0`` fold: ``x+0.0`` changes the sign of a zero, and
-    ``0*x`` must carry a non-finite ``x``.
+    multiplication commute exactly).  Only bit-exact identities fold: ``x*1``,
+    ``x/1``, ``x-0.0`` and ``-(-x)``, and ``a + (-b)``, ``(-b) + a`` and
+    ``a - (-b)`` become ``a - b``, ``a - b`` and ``a + b`` (IEEE 754 subtracts
+    by adding the negation).  ``x+0.0`` changes the sign of a zero, and ``0*x``
+    must carry a non-finite ``x``.
     """
+    if op == "neg" and args[0].op == "neg":
+        return args[0].args[0]
+    if op in ("+", "-") and args[1].op == "neg":
+        return _node("-" if op == "+" else "+", (args[0], args[1].args[0]))
+    if op == "+" and args[0].op == "neg":
+        return _node("-", (args[1], args[0].args[0]))
     if op in ("+", "*") and id(args[0]) > id(args[1]):
         args = (args[1], args[0])
     if op in ("*", "/") and args[1] is _ONE or op == "-" and args[1] is _ZERO:
@@ -274,45 +283,70 @@ def _times(x, y):
     return None if x is None or y is None else x * y
 
 
+_PENDING = object()  # a derivative not yet taken
+
+
+def _known(n: Node, j: int):
+    return _PENDING if n._partials is None else n._partials.get(j, _PENDING)
+
+
 def _partial(n: Node, j: int):
     """The derivative of ``n`` in coordinate ``j``, memoized, or None where it is structurally zero.
 
-    Derivatives are taken on an explicit stack of nodes, arguments first, so
-    a DAG of any depth differentiates without recursion: a node's rule
-    (:func:`_derive`) applies once its arguments' derivatives are memoized.
+    Derivatives are taken on an explicit stack of (node, coordinate) pairs,
+    so a DAG of any depth differentiates without recursion.  A derivative
+    node with no derivatives of its own records its origin ``(f, i)``, ``f``
+    held weakly, and its derivative in ``j < i`` is taken as ``d_i (d_j f)``,
+    so a mixed partial is one node.  Other nodes apply their rule
+    (:func:`_derive`) once their arguments' derivatives are memoized, as do
+    all nodes of a call that meets a pair in progress (a cycle of origins).
     """
     memo = n._partials
     if memo is not None and j in memo:
         return memo[j]
-    stack = [n]
+    stack, busy, plain = [(n, j)], set(), False  # busy: the pairs taken through their origins
     while stack:
-        node = stack[-1]
-        if node.args:
+        node, k = stack[-1]
+        d, origin = _PENDING, node._origin
+        f = None if plain or origin is None or k >= origin[1] else origin[0]()
+        if f is not None:  # node is d_i f, so its derivative is d_i (d_k f), once d_k f is known
+            busy.add((id(node), k))
+            want, d = (f, k), _known(f, k)
+            if d is not _PENDING and d is not None:
+                want, d = (d, origin[1]), _known(d, origin[1])
+        elif node.args:
             a, b = node.args[0], node.args[-1]
             ma, mb = a._partials, b._partials
-            if ma is None or j not in ma:
-                stack.append(a)
-                continue
-            if mb is None or j not in mb:
-                stack.append(b)
-                continue
-            d = _derive(node, j, a, b, ma[j], mb[j])
+            ea = _PENDING if ma is None else ma.get(k, _PENDING)
+            eb = _PENDING if mb is None else mb.get(k, _PENDING)
+            if ea is _PENDING or eb is _PENDING:
+                want = (a, k) if ea is _PENDING else (b, k)
+            else:
+                d = _derive(node, a, b, ea, eb)
         else:
-            d = _ONE if node.op == "x" and node.data == j else None
+            d = _ONE if node.op == "x" and node.data == k else None
+        if d is _PENDING:
+            if want[0]._origin is not None and (id(want[0]), want[1]) in busy:  # a cycle: start again, by rules only
+                stack, busy, plain = [(n, j)], set(), True
+            else:
+                stack.append(want)
+            continue
         if node._partials is None:
             node._partials = {}
-        node._partials[j] = d
+        node._partials[k] = d
+        if k and d is not None and d.args and d._partials is None and d._origin is None:  # d_0 needs no origin
+            d._origin = (weakref.ref(node), k)
         stack.pop()
     return d
 
 
-def _derive(n: Node, j: int, a: Node, b: Node, ea, eb):
-    """The derivative in ``j`` of ``n``, of ``a`` (and ``b``) with memoized derivatives ``ea`` (and ``eb``).
+def _derive(n: Node, a: Node, b: Node, ea, eb):
+    """The derivative of ``n``, of ``a`` (and ``b``) with memoized derivatives ``ea`` (and ``eb``) in one coordinate.
 
     These are the rules of dual numbers, term for term; the tests'
     dual-number oracle applies them to numbers.  A power is differentiated
     as dual numbers compute it, as repeated products (``1 / a ** -n`` below
-    zero), by a nested :func:`_partial` that finds ``ea`` memoized.
+    zero), by the product and quotient rules.
     """
     if ea is None and eb is None:
         return None
@@ -328,10 +362,10 @@ def _derive(n: Node, j: int, a: Node, b: Node, ea, eb):
     if op == "atan2":  # atan2(y, x) with y = a, x = b
         return _minus(_times(ea, b), _times(a, eb)) / (b * b + a * a)
     if op == "pow":
-        e = _ONE
-        for _ in range(abs(n.data)):
-            e = e * a
-        return _partial(e if n.data >= 0 else _ONE / e, j)
+        e, de = a, ea
+        for _ in range(abs(n.data) - 1):
+            e, de = e * a, de * a + e * ea
+        return None if n.data == 0 else de if n.data > 0 else -de / (e * e)
     if op == "neg":
         return -ea
     if op == "exp":
@@ -348,7 +382,9 @@ def _derive(n: Node, j: int, a: Node, b: Node, ea, eb):
 # -- replay ------------------------------------------------------------------
 
 _UNARY = {"neg": operator.neg, "exp": exp, "log": log, "sqrt": sqrt, "sin": sin, "cos": cos}
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "atan2": atan2}
+# a sum of nodes drops a zero constant, as total does, so substituting 0 for a coordinate adds no step
+_BINARY = {"+": lambda a, b: total([(1, a), (1, b)]), "-": lambda a, b: total([(1, a), (-1, b)])}
+_BINARY.update({"*": operator.mul, "/": operator.truediv, "atan2": atan2})
 # the same operations as ufuncs on float columns, each writing into the array passed after its arguments
 _UFUNCS = {
     "neg": np.negative, "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos,
@@ -359,11 +395,11 @@ _OPS = {op: (_UFUNCS[op], f) for op, f in {**_UNARY, **_BINARY}.items()}
 # Scratch bytes per replay of a tape: a batch runs in slices as wide as the
 # tape's scratch registers fit in this budget, so the hundreds of registers a
 # Lie derivative keeps live stay a few megabytes (hopf(4)'s certificate uses
-# 476, in slices of about 1,100 points), and a small tape replays a large
+# 337, in slices of about 1,550 points), and a small tape replays a large
 # batch in one slice, where a ufunc call costs its arithmetic, not its dispatch.
 _SCRATCH_BYTES = 4 << 20
 
-# the steps whose function on np.float64 scalars is their ufunc's IEEE operation, bit for bit
+# the ufuncs that compute their IEEE operation on np.float64 scalars as on columns, bit for bit
 _SCALAR = {np.add, np.subtract, np.multiply, np.divide, np.negative}
 
 
@@ -373,7 +409,7 @@ def _fold(u, f, *args) -> float:
     Arithmetic runs on np.float64 scalars, the other functions on one-point columns.
     """
     if u in _SCALAR:
-        return float(f(np.float64(args[0]), *args[1:]))
+        return float(u(np.float64(args[0]), *args[1:]))
     return float((u or f)(*[np.array([a]) for a in args])[0])
 
 

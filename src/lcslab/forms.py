@@ -8,12 +8,12 @@ Representation choices:
   field is built;
 * a :class:`DifferentialForm` of degree k stores coefficients on strictly
   increasing index tuples only;
-* the exterior operations (wedge, ``d``, interior product, Lie bracket,
-  pullback and composition by substitution, contraction) build their
-  coefficients as nodes directly, each sum of terms through
-  :func:`lcslab.dual.total`, which starts from the first nonzero term;
-  every derivative they take is a memoized derivative node, exact to
-  rounding — never finite differences.
+* the exterior operations (wedge, ``d``, interior product, the Lie
+  derivative by its coordinate formula, pullback and composition by
+  substitution, contraction) build their coefficients as nodes directly,
+  each sum of terms through :func:`lcslab.dual.total`, which starts from
+  the first nonzero term; every derivative they take is a memoized
+  derivative node, exact to rounding — never finite differences.
 
 Forms of degree larger than the chart dimension are permitted only as
 canonical zero forms (no increasing index tuple exists), which is what
@@ -131,6 +131,14 @@ def coordinate(chart: Chart, i) -> ScalarField:
     return ScalarField(chart, dual.var(i))
 
 
+def _on_chart(chart: Chart, f, what: str) -> ScalarField:
+    """``f`` as a field on ``chart``: a scalar field must live there, a number becomes a constant."""
+    if isinstance(f, ScalarField):
+        check_same_chart(chart, f.chart, what)
+        return f
+    return constant(chart, f)
+
+
 # --------------------------------------------------------------------------
 # vector fields
 
@@ -139,19 +147,11 @@ class VectorField:
     __slots__ = ("chart", "components", "__weakref__")
 
     def __init__(self, chart: Chart, components: Sequence):
-        comps = []
-        for c in components:
-            if isinstance(c, ScalarField):
-                check_same_chart(chart, c.chart, "vector components")
-                comps.append(c)
-            else:
-                comps.append(constant(chart, c))
+        comps = tuple(_on_chart(chart, c, "vector components") for c in components)
         if len(comps) != chart.dim:
-            raise UsageError(
-                f"vector field needs {chart.dim} components on chart {chart.name!r}, got {len(comps)}"
-            )
+            raise UsageError(f"vector field needs {chart.dim} components on chart {chart.name!r}, got {len(comps)}")
         self.chart = chart
-        self.components = tuple(comps)
+        self.components = comps
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """The components at every point, shape (n, dim)."""
@@ -184,19 +184,10 @@ def basis_vector(chart: Chart, i: int) -> VectorField:
 
 def _merge(I: tuple, J: tuple):
     """Merge two strictly increasing tuples; returns (tuple, sign) or None."""
-    merged = I + J
-    seen = set(I)
-    for j in J:
-        if j in seen:
-            return None
-    # count inversions taking the concatenation to sorted order
-    sign = 1
-    arr = list(merged)
-    for a in range(len(arr)):
-        for b in range(a + 1, len(arr)):
-            if arr[a] > arr[b]:
-                sign = -sign
-    return tuple(sorted(arr)), sign
+    if not set(I).isdisjoint(J):
+        return None
+    # the sign of sorting I + J: one inversion for each i in I above a j in J
+    return tuple(sorted(I + J)), (-1) ** sum(i > j for i in I for j in J)
 
 
 def _insert(j: int, I: tuple):
@@ -223,11 +214,7 @@ class DifferentialForm:
                     raise UsageError(f"coefficient index {I} is not strictly increasing of length {degree}")
                 if I and (I[0] < 0 or I[-1] >= chart.dim):
                     raise UsageError(f"coefficient index {I} out of range for chart {chart.name!r}")
-            if not isinstance(f, ScalarField):
-                f = constant(chart, f)
-            else:
-                check_same_chart(chart, f.chart, "form coefficients")
-            clean[I] = f
+            clean[I] = _on_chart(chart, f, "form coefficients")
         if degree > chart.dim and clean:
             raise UsageError("forms of degree above the chart dimension must be zero")
         self.chart = chart
@@ -284,8 +271,6 @@ def det_generic(M):
         return 1.0
     if n == 1:
         return M[0][0]
-    if n == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
     minors = ([row[:j] + row[j + 1 :] for row in M[1:]] for j in range(n))
     return dual.total(((-1) ** j, M[0][j] * det_generic(minor)) for j, minor in enumerate(minors))
 
@@ -343,38 +328,35 @@ def interior_product(X: VectorField, form: DifferentialForm) -> DifferentialForm
 
 @derived
 def lie_derivative(X: VectorField, form: DifferentialForm) -> DifferentialForm:
-    """Cartan's formula  L_X = i_X d + d i_X  (degree 0: just i_X d).
-
-    Composable like every exterior operation (the result can be wedged,
-    differentiated or pulled back further), and what the report rows
-    evaluate: ``d`` inside ``i_X`` needs second derivatives of the form's
-    coefficients, which the DAG builds once and shares between generators.
-    """
+    """``(L_X w)_I = X^k d_k w_I + sum_t sum_k ±w_{I: i_t->k} d_{i_t} X^k``: Cartan's formula, first derivatives only."""
     check_same_chart(X.chart, form.chart, "Lie derivative operands")
-    term1 = interior_product(X, exterior_derivative(form))
-    if form.degree == 0:
-        return term1
-    return term1 + exterior_derivative(interior_product(X, form))
+    dim, x = form.chart.dim, [c.node for c in X.components]
+    groups: dict[tuple, list] = {}
+    for J, f in form.coeffs.items():
+        w = f.node
+        groups.setdefault(J, []).extend((1, x[k] * d) for k in range(dim) if (d := w.partial(k)) is not dual._ZERO)
+        for s, a in enumerate(J):  # w_J d_b X^a, with b in slot s of J in place of a
+            rest = J[:s] + J[s + 1 :]
+            for b in range(dim):
+                if b not in rest:
+                    I, sign = _insert(b, rest)
+                    terms = groups.setdefault(I, [])
+                    if (d := x[a].partial(b)) is not dual._ZERO:
+                        terms.append((sign * (-1) ** s, w * d))
+    coeffs = {I: ScalarField(form.chart, dual.total(terms)) for I, terms in groups.items()}
+    return DifferentialForm(form.chart, form.degree, coeffs)
 
 
 class SmoothMap:
     __slots__ = ("source", "target", "components", "__weakref__")
 
     def __init__(self, source: Chart, target: Chart, components: Sequence):
-        comps = []
-        for c in components:
-            if isinstance(c, ScalarField):
-                check_same_chart(source, c.chart, "map components")
-                comps.append(c)
-            else:
-                comps.append(constant(source, c))
+        comps = tuple(_on_chart(source, c, "map components") for c in components)
         if len(comps) != target.dim:
-            raise UsageError(
-                f"map into chart {target.name!r} needs {target.dim} components, got {len(comps)}"
-            )
+            raise UsageError(f"map into chart {target.name!r} needs {target.dim} components, got {len(comps)}")
         self.source = source
         self.target = target
-        self.components = tuple(comps)
+        self.components = comps
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """The images of an (n, source dim) batch, shape (n, target dim)."""

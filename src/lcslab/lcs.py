@@ -150,15 +150,8 @@ def _nondegeneracy_row(
 ) -> CheckResult:
     """:func:`nondegeneracy_check` on the coefficient columns ``values`` of ``omega``."""
     if omega.chart.dim % 2 == 1:
-        return CheckResult(
-            check_id,
-            "2-form nondegenerate at samples",
-            residual=0.0,
-            threshold=tol,
-            passed=False,
-            verdict="fail",
-            details={"note": _ODD_NOTE},
-        )
+        claim = "2-form nondegenerate at samples"
+        return CheckResult(check_id, claim, residual=0.0, threshold=tol, passed=False, details={"note": _ODD_NOTE})
     M = _skew(values, omega.chart.dim, n)
     finite = finite_points(M)
     dets = normalized_determinant(M if finite.all() else M[finite])

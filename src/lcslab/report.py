@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -362,15 +362,8 @@ def worst_residual(values) -> tuple[float, int]:
 def demote_if_sparse(check: CheckResult, skipped: int, total: int) -> CheckResult:
     """``check`` as "inconclusive" when more than ``_SKIP_FRACTION`` of its points were skipped."""
     if total and skipped > _SKIP_FRACTION * total:
-        return CheckResult(
-            check.id,
-            check.claim,
-            residual=check.residual,
-            threshold=check.threshold,
-            passed=False,
-            verdict="inconclusive",
-            details={**check.details, "skipped": skipped, "points": total},
-        )
+        details = {**check.details, "skipped": skipped, "points": total}
+        return replace(check, passed=False, verdict="inconclusive", details=details)
     return check
 
 

@@ -8,8 +8,10 @@ Neither goes through a replayed tape.
 ``lie_derivative_arrays`` is the coordinate formula for Lie derivatives,
 with first derivatives from one dual lift per coordinate of the nodes'
 interpretation by :mod:`tests.dualnum`: the independent oracle for the
-report rows, which replay Cartan's formula and its derivative nodes on the
-DAG.
+report rows, which replay the same formula built from derivative nodes on
+the DAG.  ``cartan_lie_derivative`` builds Cartan's ``i_X d w + d i_X w``
+from nodes, second derivatives and all: the oracle of
+:func:`lcslab.forms.lie_derivative`, values and coefficient keys alike.
 
 The node-built references for the numpy assemblies of the coupling
 checkers live here too: ``coupled_complex_structure`` (``J~`` as a matrix of
@@ -38,7 +40,17 @@ from lcslab.coupling import (
     embed_fiber_field,
 )
 from lcslab.errors import DomainError, UsageError
-from lcslab.forms import DifferentialForm, ScalarField, SmoothMap, VectorField, constant, coordinate, det_generic
+from lcslab.forms import (
+    DifferentialForm,
+    ScalarField,
+    SmoothMap,
+    VectorField,
+    constant,
+    coordinate,
+    det_generic,
+    exterior_derivative,
+    interior_product,
+)
 from tests import dualnum
 
 
@@ -115,6 +127,15 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
             total = total + x[j] * y[i].partial(j) - y[j] * x[i].partial(j)
         comps.append(ScalarField(X.chart, total))
     return VectorField(X.chart, comps)
+
+
+def cartan_lie_derivative(X: VectorField, form: DifferentialForm) -> DifferentialForm:
+    """Cartan's formula ``L_X = i_X d + d i_X`` (degree 0: ``i_X d``), as nodes."""
+    check_same_chart(X.chart, form.chart, "Lie derivative operands")
+    term1 = interior_product(X, exterior_derivative(form))
+    if form.degree == 0:
+        return term1
+    return term1 + exterior_derivative(interior_product(X, form))
 
 
 def lie_derivative_arrays(

@@ -1,10 +1,12 @@
 """The coefficient DAG against its interpretation by the tests' ``Dual`` oracle (:mod:`tests.dualnum`)."""
 
+import functools
 import gc
 import itertools
 import math
 import operator
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -112,9 +114,9 @@ def test_a_sum_starts_from_its_first_nonzero_term():
     x, y = dual.var(0), dual.var(1)
     empty = dual.total([])
     assert empty == 0.0 and math.copysign(1.0, empty) == 1.0
-    args = dual.total([(-1, x), (1, y)]).args  # -x + y, with no zero before the unary minus
-    neg = next(a for a in args if a is not y)
-    assert neg.op == "neg" and neg.args[0] is x
+    # -x + y, with no zero before the unary minus, folds to y - x
+    assert dual.total([(-1, x), (1, y)]) is y - x
+    assert dual.total([(-1, x)]).op == "neg"
     # the zero constant, a structurally zero partial and numeric zeros are dropped
     assert dual.total([(1, dual.const(0.0)), (1, x), (-1, 0.0), (1, y.partial(0)), (-1, 0)]) is x
     assert dual.total([(1, 2.0), (-1, 0.5)]) == 1.5
@@ -162,12 +164,12 @@ def test_interning_is_weak(plane):
 
 
 def test_hopf4_lie_derivatives_share_their_nodes():
-    """One replay of the four ``L_rho omega`` of hopf(4) evaluates each shared node once."""
+    """One replay of the four ``L_rho omega`` of hopf(4) evaluates each shared node once: 4,521 steps (7,557 by Cartan's formula)."""
     objects = hopf(4, (1.0, 1.0, 1.0, 1.0)).objects
     omega = objects["structure"].omega
     roots = [f.node for rho in objects["action"].fields for f in lie_derivative(rho, omega).coeffs.values()]
     assert len(roots) == len(set(map(id, roots))) > 100
-    assert len(dual.Tape(roots).program) <= 20_000
+    assert len(dual.Tape(roots).program) <= 5_000
 
 
 def test_partial_is_the_memoized_derivative():
@@ -257,6 +259,129 @@ def test_a_dag_ten_thousand_deep_evaluates_and_differentiates():
         assert values[k] == chain(list(p))
         for j in range(2):
             np.testing.assert_allclose(derivatives[k, j], dualnum.partial(chain, list(p), j), rtol=1e-13, atol=1e-15)
+    mixed = node.partial(1).partial(0)  # asked out of order: taken as d_1 (d_0 chain), on the same explicit stack
+    assert mixed is node.partial(0).partial(1)
+    p = list(POINTS[0])
+    want = dualnum.partial(lambda q: dualnum.partial(chain, q, 1), p, 0)
+    np.testing.assert_allclose(dual.evaluate(mixed, POINTS[:1])[0], want, rtol=1e-12)
+
+
+# -- one node per mixed partial -------------------------------------------------
+
+_MIXED = [
+    "sqrt(1.25 + x^2 * y) * log(2.5 + z^2)",
+    "atan2(x * y - 0.375, 1.5 + z) * (x + z)^-2",
+    "sin(x * z) * cos(y - 0.625 * x) + exp(y * z)^3",
+    "log(sqrt(3.5 + x^2 + y^2 + z^2)) / (x^2 + 1.125) - sin(y)^2 * z",
+]
+
+
+@pytest.mark.parametrize("expr", _MIXED)
+def test_a_mixed_partial_is_one_node_whatever_the_order(r3, expr):
+    """``d_i d_j f is d_j d_i f``, to third order, each asked first out of order; values against nested duals."""
+    f = parse_field(expr, r3).node
+    pts = r3.sample(8, seed=2)
+    cols = [float(c) for c in pts[0]]
+
+    def nested(order):  # dual lifts taken in the order given, the first innermost
+        fn = lambda p: dualnum.interpret(f, p)
+        for i in order:
+            fn = lambda p, fn=fn, i=i: dualnum.partial(fn, p, i)
+        return fn(cols)
+
+    for order in itertools.product(range(3), repeat=3):
+        for k in (2, 3):
+            node = f
+            for i in order[:k]:
+                node = node.partial(i)
+            assert node is functools.reduce(lambda n, i: n.partial(i), sorted(order[:k]), f)
+            np.testing.assert_allclose(dual.evaluate(node, pts[:1])[0], nested(order[:k]), rtol=1e-11, atol=1e-12)
+
+
+def test_derivative_chains_that_return_to_their_start_terminate():
+    """``d_1^4 sin(x_1)`` is ``sin(x_1)`` again, then ``d_0``; ``exp`` is its own derivative.
+
+    A node that has derivatives records no origin, so ``sin`` does not
+    become the derivative of ``-cos`` and no chain of origins loops.
+    """
+    x, y = dual.var(0), dual.var(1)
+    for s in (dual.sin(y), dual.sin(y + 0.3125)):
+        d = s
+        for _ in range(4):
+            d = d.partial(1)
+        assert d is s and d.partial(0) is dual._ZERO
+    assert s._origin is None
+    e = dual.exp(y)
+    assert e.partial(1) is e and e.partial(1).partial(1).partial(0) is dual._ZERO
+    ex = dual.exp(x * y + 0.3125)
+    assert ex.partial(1).partial(0) is ex.partial(0).partial(1)
+
+
+def test_an_origin_that_needs_its_own_node_takes_the_rule():
+    """A cycle through an origin: ``g = d_1 (g * y)``, recorded as ``g``'s origin before ``g`` has derivatives.
+
+    ``d_0 g`` through that origin needs ``d_0 (g * y)`` and so ``d_0 g``; the
+    pair in progress is met again, and the call takes every rule as it is.
+    Derivatives are taken arguments first, so no derivative records an
+    origin it is part of; the origin is set by hand to reach the guard.
+    """
+    x, y = dual.var(0), dual.var(1)
+    g = dual.sin(0.8125 * x + 0.4375)
+    f = g * y
+    g._origin = (weakref.ref(f), 1)
+    assert g.partial(0) is 0.8125 * dual.cos(0.8125 * x + 0.4375)
+    assert f.partial(1) is g and f.partial(0).partial(1) is g.partial(0)
+
+
+# -- sign folds -------------------------------------------------------------------
+
+_SIGN_VALUES = [0.0, -0.0, 1.5, -2.25, 5e-324, -1e-310, 2.2e-308, np.inf, -np.inf, np.nan]
+_SIGN_FOLDS = [
+    (lambda a, b: -(-a), lambda a, b: np.negative(np.negative(a))),
+    (lambda a, b: a + (-b), lambda a, b: np.add(a, np.negative(b))),
+    (lambda a, b: (-b) + a, lambda a, b: np.add(np.negative(b), a)),
+    (lambda a, b: a - (-b), lambda a, b: np.subtract(a, np.negative(b))),
+]
+
+
+@pytest.mark.parametrize("build, unfolded", _SIGN_FOLDS, ids=["neg-neg", "add-neg", "neg-add", "sub-neg"])
+def test_a_sign_fold_replays_its_unfolded_form_bit_for_bit(build, unfolded):
+    """The four sign folds on signed zeros, subnormals, infinities and nan; IEEE 754 leaves the sign of a nan open."""
+    x, y = dual.var(0), dual.var(1)
+    node = build(x, y)
+    assert "neg" not in {node.op, *(a.op for a in node.args)}
+    pts = np.array(list(itertools.product(_SIGN_VALUES, repeat=2)))
+    got = dual.evaluate(node, pts)
+    with np.errstate(all="ignore"):
+        want = unfolded(pts[:, 0], pts[:, 1])
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert got[finite].tobytes() == want[finite].tobytes()
+
+
+def test_sign_folds_name_one_node():
+    x, y = dual.var(0), dual.var(1)
+    assert -(-x) is x and x + (-y) is x - y and (-y) + x is x - y and x - (-y) is x + y
+    assert (-x) + (-y) is (-x) - y
+
+
+def test_a_substituted_zero_adds_no_step():
+    """After a coupling-s2 run no live sum or difference has a 0.0 constant argument (three did, from ``Tape.run``)."""
+
+    def zero_sums():
+        nodes = (ref() for ref in list(dual._NODES.values()))
+        return [n for n in nodes if n is not None and n.op in ("+", "-") and any(a is dual._ZERO for a in n.args)]
+
+    gc.collect()
+    before = zero_sums()  # held, so no new node takes their ids
+    seen = set(map(id, before))
+    man = coupling_example_s2()
+    run_manifest(man, points=64, seed=0, tol=1e-8)
+    assert [n for n in zero_sums() if id(n) not in seen] == []
+    x, y = dual.var(0), dual.var(1)
+    got = dual.Tape([x + y, x - y, y - x]).run([x / y, dual._ZERO])
+    assert all(a is b for a, b in zip(got, [x / y, x / y, -(x / y)], strict=True))
+    assert dual.Tape([x + y]).run([dual._ZERO, dual._ZERO]) == [0.0]
 
 
 # -- the register replay -------------------------------------------------------

@@ -4,6 +4,7 @@ Every identity is checked pointwise on sampled points, never symbolically,
 so these tests exercise the same code paths the verification reports use.
 """
 
+import itertools
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from lcslab.actions import momentum_from_potential, verify_twisted_hamiltonian
 from lcslab.charts import Chart
+from lcslab import forms
 from lcslab.forms import (
     DifferentialForm,
     ScalarField,
@@ -34,7 +36,7 @@ from lcslab.report import (
     form_values,
     worst_residual,
 )
-from tests.pointwise import at, eval_form, lie_bracket, lie_derivative_arrays
+from tests.pointwise import at, cartan_lie_derivative, eval_form, lie_bracket, lie_derivative_arrays
 
 TIGHT = 1e-10
 
@@ -136,8 +138,8 @@ def test_interior_product_squares_to_zero(r4, rng):
 def test_lie_derivative_against_bracket_expansion(r4, rng):
     """L_X w (Y,Z) = X(w(Y,Z)) - w([X,Y],Z) - w(Y,[X,Z]).
 
-    The implementation uses Cartan's formula, so this pointwise expansion is
-    an independent route to the same tensor.
+    The implementation uses the coordinate formula on the basis fields, so
+    this expansion on arbitrary fields is an independent route to the same tensor.
     """
     X, Y, Z = (rand_vf(r4, rng) for _ in range(3))
     w = rand_form(r4, rng, 2)
@@ -153,9 +155,68 @@ def test_lie_derivative_against_bracket_expansion(r4, rng):
         assert at(contract(lw, Y, Z), p) == pytest.approx(expect, rel=1e-9, abs=1e-9)
 
 
+def _same_values(got, want):
+    np.testing.assert_array_equal(finite_points(got), finite_points(want))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_lie_derivative_matches_cartan(r4, rng, degree):
+    """The coordinate formula against Cartan's ``i_X d w + d i_X w`` built from nodes: the same keys and values."""
+    pts = r4.sample(40, seed=8)
+    for _ in range(3):
+        w, X = rand_form(r4, rng, degree), rand_vf(r4, rng)
+        got, want = lie_derivative(X, w), cartan_lie_derivative(X, w)
+        assert got.degree == want.degree and set(got.coeffs) == set(want.coeffs)
+        got, want = form_values(got, pts), form_values(want, pts)
+        _same_values(np.column_stack([got[K] for K in want]), np.column_stack(list(want.values())))
+    # a form with some keys only: every key of w and its neighbours, none dropped for a zero coefficient
+    w = DifferentialForm(r4, 2, {(0, 1): parse_field("a * c", r4)})
+    X = basis_vector(r4, 3)
+    keys = set(lie_derivative(X, w).coeffs)
+    assert keys == set(cartan_lie_derivative(X, w).coeffs) == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
+
+
+def test_hopf4_lie_derivatives_match_cartan():
+    """hopf(4)'s four generators on its omega, potential and Lee form, against Cartan's formula."""
+    objects = hopf(4, (1.0, 1.0, 1.0, 1.0)).objects
+    s = objects["structure"]
+    pts = s.chart.sample(32, seed=4)
+    for rho in objects["action"].fields:
+        for w in (s.omega, s.potential, s.lee):
+            got, want = lie_derivative(rho, w), cartan_lie_derivative(rho, w)
+            assert set(got.coeffs) == set(want.coeffs)
+            got, want = form_values(got, pts), form_values(want, pts)
+            _same_values(np.column_stack([got[K] for K in want]), np.column_stack(list(want.values())))
+
+
+def _parity(seq) -> int:
+    """The sign of the permutation that sorts ``seq``, from its cycles."""
+    order, seen, sign = sorted(range(len(seq)), key=seq.__getitem__), set(), 1
+    for start in range(len(seq)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, length = order[i], length + 1
+        sign *= -1 if length and length % 2 == 0 else 1
+    return sign
+
+
+def test_merge_signs_every_pair_of_increasing_tuples():
+    """``_merge`` against the parity of the sorting permutation, for every pair of increasing tuples up to dimension 6."""
+    for dim in range(7):
+        tuples = [I for k in range(dim + 1) for I in combinations(range(dim), k)]
+        for I, J in itertools.product(tuples, repeat=2):
+            if set(I) & set(J):
+                assert forms._merge(I, J) is None
+            else:
+                assert forms._merge(I, J) == (tuple(sorted(I + J)), _parity(I + J))
+    assert forms._merge((1, 3), (0, 2)) == ((0, 1, 2, 3), -1)  # three inversions
+
+
 def cartan_columns(X, w, pts, keys):
-    """``form_values(lie_derivative(X, w))`` as an (n, #keys) array, zero where Cartan has no column."""
-    ref = form_values(lie_derivative(X, w), pts)
+    """Cartan's ``L_X w`` from nodes as an (n, #keys) array, zero where it has no column."""
+    ref = form_values(cartan_lie_derivative(X, w), pts)
     assert set(ref) <= set(keys)
     return np.column_stack([ref.get(K, np.zeros(len(pts))) for K in keys])
 
@@ -200,7 +261,7 @@ def test_batched_lie_derivative_skips_like_cartan(r4, rng):
 
 
 def test_hopf4_lie_rows_match_the_symbolic_path():
-    """``invariance[a]`` and ``eta-invariant[a]`` on hopf(4), replayed Cartan rows, against the coordinate formula."""
+    """``invariance[a]`` and ``eta-invariant[a]`` on hopf(4), replayed rows, against the dual-number oracle."""
     objects = hopf(4, (1.0, 1.0, 1.0, 1.0)).objects
     s, act, mu = objects["structure"], objects["action"], objects["momentum"]
     pts = s.chart.sample(16, seed=3)
