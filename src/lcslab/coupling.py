@@ -46,6 +46,7 @@ from .forms import (
     ScalarField,
     SmoothMap,
     VectorField,
+    _on_chart,
     basis_vector,
     contract,
     det_generic,
@@ -86,28 +87,27 @@ def product_chart(base: Chart, fiber: Chart) -> Chart:
     return Chart(name, base.coords + fiber.coords, base.box + fiber.box, (*base.domain, *shifted))
 
 
-def _embedded(total: Chart, offset: int, fields) -> list[ScalarField]:
-    """Fiber ``fields`` on the product chart, coordinates shifted by ``offset``, through their one shared tape.
+def _embedded(total: Chart, offset: int, nodes) -> list:
+    """Fiber ``nodes`` on the product chart, coordinates shifted by ``offset``, through their one shared tape.
 
-    A base field needs no substitution: base coordinates come first, so its
-    nodes are already those of the product chart.
+    A base node needs no substitution: base coordinates come first, so it is
+    already a node of the product chart.
     """
-    nodes = dual.tape([f.node for f in fields]).run([dual.var(i) for i in range(offset, total.dim)])
-    return [ScalarField(total, v) for v in nodes]
+    return dual.tape(nodes).run([dual.var(i) for i in range(offset, total.dim)])
 
 
 def embed_fiber_field(total: Chart, base: Chart, f: ScalarField) -> ScalarField:
-    return _embedded(total, base.dim, [f])[0]
+    return ScalarField(total, _embedded(total, base.dim, [f.node])[0])
 
 
 def embed_base_form(total: Chart, base: Chart, form: DifferentialForm) -> DifferentialForm:
     check_same_chart(base, form.chart, "embedded form")
-    return DifferentialForm(total, form.degree, {I: ScalarField(total, f.node) for I, f in form.coeffs.items()})
+    return DifferentialForm(total, form.degree, form.coeffs)
 
 
 def embed_fiber_form(total: Chart, base: Chart, form: DifferentialForm) -> DifferentialForm:
     m = base.dim
-    coeffs = _embedded(total, m, form.coeffs.values())
+    coeffs = _embedded(total, m, list(form.coeffs.values()))
     return DifferentialForm(total, form.degree, {tuple(i + m for i in I): f for I, f in zip(form.coeffs, coeffs)})
 
 
@@ -209,7 +209,7 @@ def horizontal_lift(
     total = product_chart(g.base, act.chart) if total is None else total
     m, k = g.base.dim, act.chart.dim
     # X and every A^a(X) keep their base nodes; every rho_a comes from the fiber through one tape
-    on_base = [ScalarField(total, f.node) for f in (*X.components, *(contract(A, X) for A in g.potentials))]
+    on_base = [*X.components, *(contract(A, X).node for A in g.potentials)]
     rho = _embedded(total, m, [c for field in act.fields for c in field.components])
     vert = [dual.total((-1, coef * rho[a * k + j]) for a, coef in enumerate(on_base[m:])) for j in range(k)]
     return VectorField(total, on_base[:m] + vert)
@@ -244,7 +244,7 @@ class CouplingChart:
     def lift_block(self) -> list:
         """The lifts of the base coordinate vectors as nodes, (m + k) rows of m: column j lifts the j-th."""
         lifts = [self.lift(basis_vector(self.base, j)) for j in range(self.base_dim)]
-        return [[X.components[i].node for X in lifts] for i in range(self.total.dim)]
+        return [[X.components[i] for X in lifts] for i in range(self.total.dim)]
 
 
 def build_coupling(
@@ -456,7 +456,7 @@ def _lift_bracket_terms(c: CouplingChart, pts: np.ndarray, rng: np.random.Genera
     Each pair draws X, Y on the base and a vertical Z, in that order.
     """
     m, k, dim = c.base_dim, c.fiber.chart.dim, c.total.dim
-    values, derivatives = dual.jet([f.node for f in c.Omega.coeffs.values()], pts)
+    values, derivatives = dual.jet(list(c.Omega.coeffs.values()), pts)
     W = _skew(dict(zip(c.Omega.coeffs, values.T)), dim, len(pts))
     dW = _skew(dict(zip(c.Omega.coeffs, np.moveaxis(derivatives, 1, 0))), dim, len(pts))
     H, DH = _lift_operators(c, pts, jet=True)
@@ -587,7 +587,7 @@ class EndomorphismField:
         if not square:
             raise UsageError(f"endomorphism on {chart.name!r} needs {n} rows of {n} entries")
         self.chart = chart
-        self.entries = [[dual.trace(v.node if isinstance(v, ScalarField) else v, n) for v in row] for row in entries]
+        self.entries = [[_on_chart(chart, v, "endomorphism entries") for v in row] for row in entries]
 
     @staticmethod
     def from_matrix(chart: Chart, M: np.ndarray) -> "EndomorphismField":
@@ -652,7 +652,7 @@ def conjugate_structure(psi: SmoothMap, J_target: EndomorphismField) -> Endomorp
     n = src.dim
     if psi.target.dim != n:
         raise UsageError("conjugation needs a diffeomorphism between equal dimensions")
-    image = [comp.node for comp in psi.components]
+    image = psi.components
     jac = [[f.partial(s) for s in range(n)] for f in image]
     moved = dual.tape([e for row in J_target.entries for e in row]).run(image)
     JJ = _matmul([moved[i : i + n] for i in range(0, n * n, n)], jac)

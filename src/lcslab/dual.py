@@ -423,11 +423,11 @@ class Tape:
     end; a register is taken again once the value it held has had its last
     use.  Negative slots hold constants and coordinates.  Subtrees of
     constants are folded as the tape is built (:func:`_fold`), bit for bit
-    as a replay computes them.  A tape holds no node; :func:`tape` builds
-    the tape of each root set once.
+    as a replay computes them, and a constant root takes no step.  A tape
+    holds no node; :func:`tape` builds the tape of each root set once.
     """
 
-    __slots__ = ("program", "registers", "roots", "tail", "coords")
+    __slots__ = ("program", "registers", "roots", "tail", "coords", "constants")
 
     def __init__(self, roots):
         # keyed by the nodes themselves: their hash is their identity, and the
@@ -486,11 +486,14 @@ class Tape:
                         self.coords.append((pos[n], n.data))
                         tail.append(None)
         self.tail = tail[::-1]  # as the end of a list of slots, so slot -1 is its last entry
-        # Root i goes to register i: the step computing it writes there, and a
-        # root that is a constant, a coordinate or an earlier root is copied.
+        # Root i goes to register i: its step writes there, a constant is filled
+        # in as a number's row is, and a coordinate or an earlier root is copied.
+        self.constants = {}  # root: its value, constant or folded
         for i, root in enumerate(roots):
             k = pos[root]
-            if k >= 0 and steps[k][4] is None:
+            if k < 0 and tail[~k] is not None:
+                self.constants[i] = tail[~k]
+            elif k >= 0 and steps[k][4] is None:
                 steps[k][4] = i
             else:
                 emit([np.positive, operator.pos, k, None, i])
@@ -519,7 +522,7 @@ class Tape:
 
     def run(self, nodes) -> list:
         """The roots with the node ``nodes[i]`` substituted for coordinate ``i``; a constant root stays a number."""
-        slots = [None] * self.registers + self.tail
+        slots = [self.constants.get(i) for i in range(self.registers)] + self.tail
         for k, i in self.coords:
             slots[k] = nodes[i]
         for _, f, a, b, out in self.program:
@@ -538,6 +541,8 @@ class Tape:
         n, roots = len(points), self.roots
         width = max(1, min(n, _SCRATCH_BYTES // (8 * max(1, self.registers - roots))))
         scratch = [np.empty(width) for _ in range(self.registers - roots)]
+        for i, c in self.constants.items():
+            rows[i][:] = c
         slots = [None] * roots + scratch + self.tail
         for start in range(0, n, width):
             stop = min(start + width, n)

@@ -3,11 +3,12 @@
 Representation choices:
 
 * a :class:`ScalarField` is one node of the coefficient DAG of
-  :mod:`lcslab.dual`; a closure over the coordinate tuple, written with the
-  generic arithmetic of that module, is traced into nodes once, when the
-  field is built;
-* a :class:`DifferentialForm` of degree k stores coefficients on strictly
-  increasing index tuples only;
+  :mod:`lcslab.dual`, a :class:`DifferentialForm` one node per coefficient
+  on strictly increasing index tuples, and a :class:`VectorField` or
+  :class:`SmoothMap` one node per component.  Constructors make their nodes
+  at one boundary (:func:`_on_chart`), where a closure over the coordinate
+  tuple, written with the generic arithmetic of that module, is traced
+  once; ``form.coefficient(I)`` is the :class:`ScalarField` view;
 * the exterior operations (wedge, ``d``, interior product, the Lie
   derivative by its coordinate formula, pullback and composition by
   substitution, contraction) build their coefficients as nodes directly,
@@ -88,13 +89,9 @@ class ScalarField:
     # arithmetic --------------------------------------------------------
 
     def _with(self, other, op, reflected=False):
-        if isinstance(other, ScalarField):
-            check_same_chart(self.chart, other.chart, "scalar fields")
-            other = other.node
-        elif isinstance(other, (int, float)):
-            other = dual.const(other)
-        else:
+        if not isinstance(other, (ScalarField, int, float)):
             return NotImplemented
+        other = _on_chart(self.chart, other, "scalar fields")
         return ScalarField(self.chart, op(other, self.node) if reflected else op(self.node, other))
 
     def __add__(self, other):
@@ -131,12 +128,12 @@ def coordinate(chart: Chart, i) -> ScalarField:
     return ScalarField(chart, dual.var(i))
 
 
-def _on_chart(chart: Chart, f, what: str) -> ScalarField:
-    """``f`` as a field on ``chart``: a scalar field must live there, a number becomes a constant."""
+def _on_chart(chart: Chart, f, what: str) -> dual.Node:
+    """``f`` as a node on ``chart``: a scalar field must live there, the rest goes through :func:`lcslab.dual.trace`."""
     if isinstance(f, ScalarField):
         check_same_chart(chart, f.chart, what)
-        return f
-    return constant(chart, f)
+        return f.node
+    return dual.trace(f, chart.dim)
 
 
 # --------------------------------------------------------------------------
@@ -155,7 +152,7 @@ class VectorField:
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """The components at every point, shape (n, dim)."""
-        return dual.evaluate([c.node for c in self.components], points)
+        return dual.evaluate(self.components, points)
 
     def __add__(self, other):
         check_same_chart(self.chart, other.chart, "vector fields")
@@ -166,6 +163,7 @@ class VectorField:
         return VectorField(self.chart, [a - b for a, b in zip(self.components, other.components)])
 
     def __mul__(self, other):
+        other = _on_chart(self.chart, other, "vector field factors")
         return VectorField(self.chart, [c * other for c in self.components])
 
     __rmul__ = __mul__
@@ -230,7 +228,7 @@ class DifferentialForm:
     @staticmethod
     @derived
     def from_scalar(f: ScalarField) -> "DifferentialForm":
-        return DifferentialForm(f.chart, 0, {(): ScalarField(f.chart, f.node)})
+        return DifferentialForm(f.chart, 0, {(): f})
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -240,7 +238,7 @@ class DifferentialForm:
             raise UsageError("cannot add forms of different degree")
         out = dict(self.coeffs)
         for I, f in other.coeffs.items():
-            out[I] = ScalarField(self.chart, dual.total([(1, out[I].node), (1, f.node)])) if I in out else f
+            out[I] = dual.total([(1, out[I]), (1, f)]) if I in out else f
         return DifferentialForm(self.chart, self.degree, out)
 
     def __sub__(self, other):
@@ -251,14 +249,14 @@ class DifferentialForm:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, ScalarField)):
+            other = _on_chart(self.chart, other, "form factors")
             return DifferentialForm(self.chart, self.degree, {I: f * other for I, f in self.coeffs.items()})
         return NotImplemented
 
     __rmul__ = __mul__
 
     def coefficient(self, I) -> ScalarField:
-        I = tuple(I)
-        return self.coeffs.get(I, constant(self.chart, 0.0))
+        return ScalarField(self.chart, self.coeffs.get(tuple(I), 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -292,8 +290,8 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
             if m is None:
                 continue
             K, sign = m
-            groups.setdefault(K, []).append((sign, f.node * g.node))
-    return DifferentialForm(a.chart, deg, {K: ScalarField(a.chart, dual.total(terms)) for K, terms in groups.items()})
+            groups.setdefault(K, []).append((sign, f * g))
+    return DifferentialForm(a.chart, deg, {K: dual.total(terms) for K, terms in groups.items()})
 
 
 @derived
@@ -308,8 +306,8 @@ def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
             if j in I:
                 continue
             K, sign = _insert(j, I)
-            groups.setdefault(K, []).append((sign, f.node.partial(j)))
-    return DifferentialForm(chart, deg, {K: ScalarField(chart, dual.total(terms)) for K, terms in groups.items()})
+            groups.setdefault(K, []).append((sign, f.partial(j)))
+    return DifferentialForm(chart, deg, {K: dual.total(terms) for K, terms in groups.items()})
 
 
 @derived
@@ -321,19 +319,17 @@ def interior_product(X: VectorField, form: DifferentialForm) -> DifferentialForm
     for I, f in form.coeffs.items():
         for t, i in enumerate(I):
             K = I[:t] + I[t + 1 :]
-            groups.setdefault(K, []).append(((-1) ** t, X.components[i].node * f.node))
-    coeffs = {K: ScalarField(form.chart, dual.total(terms)) for K, terms in groups.items()}
-    return DifferentialForm(form.chart, form.degree - 1, coeffs)
+            groups.setdefault(K, []).append(((-1) ** t, X.components[i] * f))
+    return DifferentialForm(form.chart, form.degree - 1, {K: dual.total(terms) for K, terms in groups.items()})
 
 
 @derived
 def lie_derivative(X: VectorField, form: DifferentialForm) -> DifferentialForm:
     """``(L_X w)_I = X^k d_k w_I + sum_t sum_k ±w_{I: i_t->k} d_{i_t} X^k``: Cartan's formula, first derivatives only."""
     check_same_chart(X.chart, form.chart, "Lie derivative operands")
-    dim, x = form.chart.dim, [c.node for c in X.components]
+    dim, x = form.chart.dim, X.components
     groups: dict[tuple, list] = {}
-    for J, f in form.coeffs.items():
-        w = f.node
+    for J, w in form.coeffs.items():
         groups.setdefault(J, []).extend((1, x[k] * d) for k in range(dim) if (d := w.partial(k)) is not dual._ZERO)
         for s, a in enumerate(J):  # w_J d_b X^a, with b in slot s of J in place of a
             rest = J[:s] + J[s + 1 :]
@@ -343,8 +339,7 @@ def lie_derivative(X: VectorField, form: DifferentialForm) -> DifferentialForm:
                     terms = groups.setdefault(I, [])
                     if (d := x[a].partial(b)) is not dual._ZERO:
                         terms.append((sign * (-1) ** s, w * d))
-    coeffs = {I: ScalarField(form.chart, dual.total(terms)) for I, terms in groups.items()}
-    return DifferentialForm(form.chart, form.degree, coeffs)
+    return DifferentialForm(form.chart, form.degree, {I: dual.total(terms) for I, terms in groups.items()})
 
 
 class SmoothMap:
@@ -360,18 +355,17 @@ class SmoothMap:
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """The images of an (n, source dim) batch, shape (n, target dim)."""
-        return dual.evaluate([c.node for c in self.components], points)
+        return dual.evaluate(self.components, points)
 
     def then(self, other: "SmoothMap") -> "SmoothMap":
         """other ∘ self."""
         check_same_chart(self.target, other.source, "composable maps")
-        comps = _substitute([c.node for c in other.components], self)
-        return SmoothMap(self.source, other.target, [ScalarField(self.source, c) for c in comps])
+        return SmoothMap(self.source, other.target, _substitute(other.components, self))
 
 
 def _substitute(nodes, m: SmoothMap) -> list:
     """``nodes`` with the components of ``m`` for the coordinates, through their one shared tape."""
-    return dual.tape(nodes).run([c.node for c in m.components])
+    return dual.tape(nodes).run(m.components)
 
 
 @derived
@@ -379,10 +373,10 @@ def pullback(m: SmoothMap, form: DifferentialForm) -> DifferentialForm:
     check_same_chart(m.target, form.chart, "pullback")
     src = m.source
     k = form.degree
-    pulled = list(zip(form.coeffs, _substitute([f.node for f in form.coeffs.values()], m)))
-    jac = [[c.node.partial(j) for j in range(src.dim)] for c in m.components]
+    pulled = list(zip(form.coeffs, _substitute(list(form.coeffs.values()), m)))
+    jac = [[c.partial(j) for j in range(src.dim)] for c in m.components]
     coeffs = {
-        J: ScalarField(src, dual.total((1, f * det_generic([[jac[i][j] for j in J] for i in I])) for I, f in pulled))
+        J: dual.total((1, f * det_generic([[jac[i][j] for j in J] for i in I])) for I, f in pulled)
         for J in combinations(range(src.dim), k)
     }
     return DifferentialForm(src, k, coeffs)
@@ -395,6 +389,6 @@ def contract(form: DifferentialForm, *fields: VectorField) -> ScalarField:
         raise UsageError("contract needs exactly one vector field per form slot")
     for X in fields:
         check_same_chart(form.chart, X.chart, "contraction operands")
-    vals = [[c.node for c in X.components] for X in fields]
-    terms = ((1, f.node * det_generic([[X[i] for X in vals] for i in I])) for I, f in form.coeffs.items())
+    vals = [X.components for X in fields]
+    terms = ((1, f * det_generic([[X[i] for X in vals] for i in I])) for I, f in form.coeffs.items())
     return ScalarField(form.chart, dual.total(terms))

@@ -573,7 +573,7 @@ def cotangent(m: int = 2, scale: float = 0.3, alpha: DifferentialForm | None = N
         raise UsageError(f"base 1-form is not closed (residual {closure_res:.3e})")
 
     # base coordinates come first, so a base coefficient's node is the same node on the total chart
-    theta = DifferentialForm(total, 1, {I: ScalarField(total, f.node) for I, f in alpha.coeffs.items()})
+    theta = DifferentialForm(total, 1, alpha.coeffs)
     liouville = DifferentialForm(
         total, 1, {(i,): coordinate(total, m + i) for i in range(m)}
     )

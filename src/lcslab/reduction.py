@@ -151,7 +151,7 @@ def bundle_momentum_check(c: CouplingChart, points, tol: float = DEFAULT_TOL) ->
     i, j = np.triu_indices(c.total.dim, 1)
     W = skew_matrices(c.Omega, pts)[:, i, j].T if c.action.elements else None
     for gname, g in c.action.elements.items():
-        jet = dual.jet([f.node for f in g.components], pts[:, base.dim :])
+        jet = dual.jet(g.components, pts[:, base.dim :])
         pulled = _pulled_back_matrices(c, pts, *jet)[:, i, j].T
         residuals = scaled_residuals(dict(enumerate(pulled)), dict(enumerate(W)), len(pts))
         claim = "coupling form is preserved by the fiber element"
@@ -230,7 +230,7 @@ def reduced_form_check(
 
     gen_fields = [_combined_generator(act, v) for v in slc.directions]
     mom_fields = [_combined_momentum(mu, v) for v in slc.directions]
-    image, J = dual.jet([c.node for c in param.components], pts)  # (n, fiber dim), (n, fiber dim, slice dim)
+    image, J = dual.jet(param.components, pts)  # (n, fiber dim), (n, fiber dim, slice dim)
     _require_transverse(pts, J, [rho.batch(image) for rho in gen_fields])
 
     rep = Report("reduced_form_check")
@@ -286,7 +286,7 @@ def product_split_check(c: CouplingChart, slc: LevelSlice, points, tol: float = 
     check_same_chart(param.target, c.fiber.chart, "slice target and coupling fiber")
     m = c.base_dim
     pts = np.asarray(points, dtype=float)
-    image, Dp = dual.jet([f.node for f in param.components], pts[:, m:])
+    image, Dp = dual.jet(param.components, pts[:, m:])
     pulled = _pulled_back_matrices(c, pts, image, Dp)
     reduced = np.swapaxes(Dp, 1, 2) @ skew_matrices(c.fiber.omega, image) @ Dp
 

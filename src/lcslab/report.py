@@ -158,7 +158,7 @@ def batch_values(forms: Sequence[DifferentialForm], points: np.ndarray) -> list[
     A subexpression the forms share, such as ``omega`` inside ``d omega`` and
     ``L_X omega``, is evaluated once.
     """
-    nodes = [f.node for form in forms for f in form.coeffs.values()]
+    nodes = [f for form in forms for f in form.coeffs.values()]
     cols = dual.evaluate(nodes, points).T if nodes else ()
     out, start = [], 0
     for form in forms:

@@ -5,6 +5,7 @@ import pytest
 
 from lcslab import dual
 from lcslab.charts import Chart
+from lcslab.forms import ScalarField
 
 
 @pytest.fixture(scope="session")
@@ -55,3 +56,17 @@ def drawn_samples(monkeypatch) -> list:
 
     monkeypatch.setattr(Chart, "_draw", recorded)
     return drawn
+
+
+@pytest.fixture
+def built_fields(monkeypatch) -> list:
+    """The chart names of the scalar fields constructed during the test, one per ``ScalarField.__init__`` call."""
+    built = []
+    init = ScalarField.__init__
+
+    def recorded(field, chart, fn):
+        built.append(chart.name)
+        init(field, chart, fn)
+
+    monkeypatch.setattr(ScalarField, "__init__", recorded)
+    return built

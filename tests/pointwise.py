@@ -55,9 +55,11 @@ from tests import dualnum
 
 
 def at(obj, point):
-    """``obj`` at a single concrete point."""
+    """``obj`` (a field, map, form coefficient or node) at a single concrete point."""
     if isinstance(obj, ScalarField):
-        return float(dualnum.interpret(obj.node, [float(c) for c in point]))
+        obj = obj.node
+    if isinstance(obj, dual.Node):
+        return float(dualnum.interpret(obj, [float(c) for c in point]))
     if isinstance(obj, (VectorField, SmoothMap)):
         return np.array([at(c, point) for c in obj.components])
     if isinstance(obj, EndomorphismField):
@@ -119,13 +121,13 @@ def _lifts(nodes, points):
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """``[X, Y]^i = 0.0 + sum_j (X^j d_j Y^i - Y^j d_j X^i)`` as nodes, summed left to right."""
     check_same_chart(X.chart, Y.chart, "bracket operands")
-    x, y = [c.node for c in X.components], [c.node for c in Y.components]
+    x, y = X.components, Y.components
     comps = []
     for i in range(len(x)):
         total = dual.const(0.0)
         for j in range(len(x)):
             total = total + x[j] * y[i].partial(j) - y[j] * x[i].partial(j)
-        comps.append(ScalarField(X.chart, total))
+        comps.append(total)
     return VectorField(X.chart, comps)
 
 
@@ -161,8 +163,8 @@ def lie_derivative_arrays(
     # accumulated with the points axis last, the axis point_array's results are contiguous along
     out = np.zeros((len(fields), len(keys), len(pts)))
     if form.coeffs and fields:
-        coeff_lifts = _lifts([f.node for f in form.coeffs.values()], pts)
-        field_lifts = _lifts([[c.node for c in X.components] for X in fields], pts)
+        coeff_lifts = _lifts(list(form.coeffs.values()), pts)
+        field_lifts = _lifts([X.components for X in fields], pts)
         for j, ((w, dw), (x, dx)) in enumerate(zip(coeff_lifts, field_lifts)):
             # points axis last: dw[c] = d_j w_c, x[i, a] = X_i^a, dx[i, a] = d_j X_i^a
             w, dw, x, dx = w.T, dw.T, x.transpose(1, 2, 0), dx.transpose(1, 2, 0)
@@ -234,7 +236,7 @@ def coupled_complex_structure(
 def base_times(base: Chart, g: SmoothMap, source: Chart, target: Chart) -> SmoothMap:
     """``id x g`` between product charts over ``base``: base coordinates kept, ``g`` on the fiber ones."""
     comps = [coordinate(source, i) for i in range(base.dim)]
-    comps += [embed_fiber_field(source, base, f) for f in g.components]
+    comps += [embed_fiber_field(source, base, ScalarField(g.source, f)) for f in g.components]
     return SmoothMap(source, target, comps)
 
 
@@ -249,7 +251,7 @@ def nijenhuis(J: EndomorphismField, X: VectorField, Y: VectorField, points) -> n
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     Jv, dJ = dual.jet(J.entries, pts)
     _require_structure(Jv, pts)
-    F, DF = dual.jet([[c.node for c in Z.components] for Z in (X, Y)], pts)
+    F, DF = dual.jet([X.components, Y.components], pts)
     out = _nijenhuis_values(Jv, dJ, F[:, 0], DF[:, 0], F[:, 1], DF[:, 1])
     return out[0] if np.ndim(points) == 1 else out
 
@@ -272,7 +274,7 @@ def nijenhuis_tensoriality(J: EndomorphismField, X: VectorField, Y: VectorField,
             extra = constant(chart, 0.0)
             for j in range(chart.dim):
                 extra = extra + float(B[i, j]) * offsets[j]
-            comps.append(comp + extra)
+            comps.append(comp + extra.node)
         return VectorField(chart, comps)
 
     val = nijenhuis(J, perturb(X), perturb(Y), p)

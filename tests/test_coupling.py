@@ -37,7 +37,7 @@ from lcslab.coupling import (
     verify_coupling,
 )
 from lcslab.actions import ActionSpec, MomentumMap
-from lcslab.errors import InvalidStructureError, PreconditionError, UsageError
+from lcslab.errors import ChartMismatchError, InvalidStructureError, PreconditionError, UsageError
 from lcslab.forms import (
     DifferentialForm,
     ScalarField,
@@ -487,14 +487,13 @@ def test_nijenhuis_detects_nonintegrable(r4):
 def bracket_nijenhuis(J, X, Y, p):
     """The defining formula, with J X as an explicit field and brackets by lie_bracket."""
     n = J.chart.dim
-    entry = [[ScalarField(J.chart, e) for e in row] for row in J.entries]
 
     def turn(Z):
         comps = []
         for i in range(n):
-            acc = constant(J.chart, 0.0)
+            acc = dual.const(0.0)
             for j in range(n):
-                acc = acc + entry[i][j] * Z.components[j]
+                acc = acc + J.entries[i][j] * Z.components[j]
             comps.append(acc)
         return VectorField(J.chart, comps)
 
@@ -542,6 +541,14 @@ def test_endomorphism_needs_a_square_matrix(r4):
     for entries in (lambda p: None, lambda p: p, lambda p: 3.0, [[1.0, 0.0, 0.0, 0.0]] * 3 + [5]):
         with pytest.raises(UsageError, match="4 rows of 4 entries"):
             EndomorphismField(r4, entries)
+
+
+def test_an_endomorphism_refuses_an_entry_from_another_chart(plane):
+    """An entry that is a field on another chart is refused, as a vector component or form coefficient is."""
+    other = Chart("uv", ("u", "v"))
+    with pytest.raises(ChartMismatchError, match="endomorphism entries"):
+        EndomorphismField(plane, [[coordinate(other, 0), 0.0], [0.0, 1.0]])
+    assert EndomorphismField(plane, [[coordinate(plane, 0), 0.0], [0.0, 1.0]]).entries[0][0] is dual.var(0)
 
 
 def test_conjugate_structure_by_linear_map(plane):
@@ -657,12 +664,12 @@ def test_embedding_substitutes_through_one_shared_tape(s2, built_tapes):
     """The embedded coefficients are the nodes one per-coefficient substitution gives, from one tape of them all."""
     c = s2.objects["coupling"]
     omega = c.fiber.omega
-    roots = [f.node for f in omega.coeffs.values()]
+    roots = list(omega.coeffs.values())
     shifted = [dual.var(c.base_dim + i) for i in range(omega.chart.dim)]
     alone = [dual.Tape([r]).run(shifted)[0] for r in roots]
     built_tapes.clear()
     embedded = embed_fiber_form(c.total, c.base, omega)
-    assert all(f.node is a for f, a in zip(embedded.coeffs.values(), alone))
+    assert all(f is a for f, a in zip(embedded.coeffs.values(), alone))
     assert not [rs for rs in built_tapes if len(rs) == 1 and any(rs[0] is r for r in roots)]
     assert tuple(map(id, roots)) in dual._TAPES
 
@@ -721,9 +728,9 @@ def test_base_embedding_keeps_the_base_nodes(s2, monkeypatch):
         m.setattr(dual, "Tape", None)
         embedded = embed_base_form(c.total, c.base, A)
     assert embedded.chart is c.total and embedded.coeffs.keys() == A.coeffs.keys()
-    assert all(embedded.coeffs[I].node is f.node for I, f in A.coeffs.items())
+    assert all(embedded.coeffs[I] is f for I, f in A.coeffs.items())
     X = VectorField(c.base, [coordinate(c.base, 1), constant(c.base, 0.5)])
-    assert all(a.node is b.node for a, b in zip(c.lift(X).components, X.components))
+    assert all(a is b for a, b in zip(c.lift(X).components, X.components))
 
 
 def test_horizontal_nijenhuis_identity(flat):

@@ -167,7 +167,7 @@ def test_hopf4_lie_derivatives_share_their_nodes():
     """One replay of the four ``L_rho omega`` of hopf(4) evaluates each shared node once: 4,521 steps (7,557 by Cartan's formula)."""
     objects = hopf(4, (1.0, 1.0, 1.0, 1.0)).objects
     omega = objects["structure"].omega
-    roots = [f.node for rho in objects["action"].fields for f in lie_derivative(rho, omega).coeffs.values()]
+    roots = [f for rho in objects["action"].fields for f in lie_derivative(rho, omega).coeffs.values()]
     assert len(roots) == len(set(map(id, roots))) > 100
     assert len(dual.Tape(roots).program) <= 5_000
 
@@ -182,8 +182,8 @@ def test_partial_is_the_memoized_derivative():
     omega = manifests[1].objects["structure"].omega
     for f in omega.coeffs.values():
         for j in range(8):
-            d = dual._partial(f.node, j)
-            assert f.node.partial(j) is (dual._ZERO if d is None else d)
+            d = dual._partial(f, j)
+            assert f.partial(j) is (dual._ZERO if d is None else d)
 
 
 def test_equal_expressions_are_one_node(plane):
@@ -202,8 +202,8 @@ def test_pullback_substitutes_every_coefficient_through_one_tape(built_tapes):
     c = man.objects["coupling"]
     g = next(iter(man.objects["action"].elements.values()))
     G = base_times(man.objects["base"], g, c.total, c.total)
-    roots = [f.node for f in c.Omega.coeffs.values()]
-    image = [x.node for x in G.components]
+    roots = list(c.Omega.coeffs.values())
+    image = G.components
     alone = [dual.Tape([r]).run(image)[0] for r in roots]
     assert len(dual.Tape(roots).program) < sum(len(dual.Tape([r]).program) for r in roots)
     built_tapes.clear()

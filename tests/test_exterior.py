@@ -12,7 +12,8 @@ import pytest
 
 from lcslab.actions import momentum_from_potential, verify_twisted_hamiltonian
 from lcslab.charts import Chart
-from lcslab import forms
+from lcslab.errors import UsageError
+from lcslab import dual, forms
 from lcslab.forms import (
     DifferentialForm,
     ScalarField,
@@ -339,7 +340,7 @@ def test_pullback_of_a_function_is_the_function_after_the_map(plane, r3):
     pulled = pullback(m, DifferentialForm.from_scalar(f))
     assert pulled.degree == 0 and pulled.chart is plane
     # the coefficient is the node f∘m itself, with no added zero
-    assert pulled.coefficient(()).node is m.then(SmoothMap(r3, Chart("line", ("s",)), [f])).components[0].node
+    assert pulled.coefficient(()).node is m.then(SmoothMap(r3, Chart("line", ("s",)), [f])).components[0]
     for p in plane.sample(12, seed=5):
         assert at(pulled.coefficient(()), p) == pytest.approx(at(f, at(m, p)), rel=1e-14, abs=1e-14)
 
@@ -387,3 +388,31 @@ def test_basis_vector_pairing(r3):
     assert at(contract(w, basis_vector(r3, 0)), p) == pytest.approx(2.0)
     assert at(contract(w, basis_vector(r3, 1)), p) == pytest.approx(0.0)
     assert at(contract(w, basis_vector(r3, 2)), p) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda chart, c: VectorField(chart, [c, 0.0, 0.0]).components[0], id="vector"),
+        pytest.param(lambda chart, c: SmoothMap(chart, chart, [c, 0.0, 0.0]).components[0], id="map"),
+        pytest.param(lambda chart, c: DifferentialForm(chart, 1, {(0,): c}).coeffs[(0,)], id="form"),
+    ],
+)
+def test_a_component_goes_through_the_boundary_a_scalar_field_does(r3, build):
+    """A closure is traced and anything else that is no number or node is refused with UsageError, not TypeError."""
+    with pytest.raises(UsageError, match="must be a number or node, not object"):
+        build(r3, object())
+    assert build(r3, lambda p: p[0] * p[2]) is dual.var(0) * dual.var(2)
+    assert build(r3, coordinate(r3, 1)) is dual.var(1) and build(r3, 2) is dual.const(2.0)
+
+
+def test_the_exterior_operations_construct_no_scalar_field(r3, rng, built_fields):
+    """Every coefficient they build is a node, stored as it is: no field is wrapped only to be unwrapped."""
+    a, b = rand_form(r3, rng, 1), rand_form(r3, rng, 2)
+    X, f = rand_vf(r3, rng), rand_poly(r3, rng)
+    m = SmoothMap(r3, r3, [coordinate(r3, 1), coordinate(r3, 2) * coordinate(r3, 0), 2.0])
+    built_fields.clear()
+    for form in (wedge(a, b), exterior_derivative(b), interior_product(X, b), lie_derivative(X, a), pullback(m, b)):
+        assert all(isinstance(c, dual.Node) for c in form.coeffs.values())
+    assert (a + a).coeffs and (a * f).coeffs and (2.0 * b).coeffs
+    assert built_fields == []

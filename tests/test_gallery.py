@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lcslab import dual
 from lcslab.errors import UsageError
 from lcslab.forms import DifferentialForm, coordinate, pullback
 from lcslab.gallery import (
@@ -249,3 +250,34 @@ def test_a_warm_pass_of_the_gallery_draws_no_sample(drawn_samples):
     for man in manifests:
         run_manifest(man, points=64, seed=1, tol=1e-8)
     assert drawn_samples == []
+
+
+def test_a_gallery_pass_constructs_few_scalar_fields(built_fields):
+    """Forms and fields hold nodes, so a pass wraps only what it hands out as a field.
+
+    A cold pass of hopf(4) at 64 points constructs the four contractions of
+    its ``restriction`` run; a warm pass of coupling-s2 the pulled-back
+    momentum and the combined momentum of its ``reduction`` runs.  The counts
+    do not depend on the machine.
+    """
+    man = hopf(4, (1.0, 1.0, 1.0, 1.0))
+    built_fields.clear()
+    run_manifest(man, points=64, seed=0, tol=1e-8)
+    assert len(built_fields) <= 4, built_fields
+    man = coupling_example_s2()
+    run_manifest(man, points=64, seed=0, tol=1e-8)
+    built_fields.clear()
+    run_manifest(man, points=64, seed=0, tol=1e-8)
+    assert len(built_fields) <= 2, built_fields
+
+
+def test_no_kept_tape_copies_a_constant(built_tapes):
+    """A constant root fills its row as a number does, so no tape a gallery pass keeps spends a step copying one."""
+    manifests = [hopf(2, (1.0, 2.0)), hopf(4, (1.0, 1.0, 1.0, 1.0)), inoue(), cotangent(m=2), coupling_example_s2()]
+    for man in manifests:
+        run_manifest(man, points=64, seed=1, tol=1e-8)
+    keys = {tuple(map(id, roots)) for roots in built_tapes}
+    tapes = [entry[0] for key, entry in dual._TAPES.items() if key in keys]
+    assert len(tapes) > 20
+    copies = [(t, s[2]) for t in tapes for s in t.program if s[0] is np.positive]
+    assert [k for t, k in copies if k < 0 and t.tail[k] is not None] == []

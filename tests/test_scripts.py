@@ -78,7 +78,7 @@ def test_run_all_examples_counts_each_row_for_its_example_alone():
 
     alone, after = row("cotangent m=1"), row()
     assert alone == after
-    assert alone[-2:] == ["1", "3"]  # one tape of three steps
+    assert alone[-2:] == ["1", "0"]  # one tape, of roots folded to constants: no step
 
 
 @pytest.mark.parametrize("argv", [["--points", "0"], ["--points", "9"], ["--seed", "-1"]])
