@@ -17,9 +17,9 @@ import sys
 
 from .actions import momentum_from_potential, verify_twisted_hamiltonian
 from .cohomology import betti, coboundary_defects
-from .coupling import build_coupling, gauge_curvature, lift_bracket_diagnostic, verify_coupling
+from .coupling import build_coupling, gauge_curvature
 from .errors import LcsError, UsageError
-from .gallery import GALLERY, evaluate_manifest, run_manifest
+from .gallery import GALLERY, coupling_runs, evaluate_manifest, run_manifest
 from .jsonio import (
     complex_from_decl,
     coupling_from_decl,
@@ -196,14 +196,8 @@ def _cmd_coupling(args) -> tuple[str, int]:
         mu, _ = momentum_from_potential(fiber, act, fiber_pts, args.tol)
     coupling = build_coupling(gauge, fiber, act, mu, fiber_pts, args.tol)
     _, bianchi = gauge_curvature(gauge, gauge.base.sample(args.points, args.seed), args.tol)
-    total = coupling.total
-    reports = {
-        "curvature": bianchi,
-        "coupling": verify_coupling(coupling, total.sample(args.points, args.seed), args.seed, args.tol),
-        "lift-bracket": lift_bracket_diagnostic(
-            coupling, total.sample(max(8, args.points // 4), args.seed), args.seed, args.tol
-        ),
-    }
+    reports = {"curvature": bianchi}
+    reports.update((name, run(args.points, args.seed, args.tol)) for name, run in coupling_runs(coupling).items())
     return _emit(reports, _config(args, input=args.file), args.format)
 
 

@@ -55,7 +55,7 @@ from .forms import (
     wedge,
 )
 from . import dual
-from .lcs import LCSStructure, _skew, nondegeneracy_check, residual_check, skew_matrices, twisted_derivative
+from .lcs import LCSStructure, _nondegeneracy_row, _skew, residual_check, skew_matrices, twisted_derivative
 from .report import (
     DEFAULT_TOL,
     CheckResult,
@@ -200,13 +200,10 @@ def _require_matching_gauge(g: GaugeChart, act: ActionSpec) -> None:
         raise UsageError("gauge and action must share their structure constants")
 
 
-def horizontal_lift(
-    g: GaugeChart, act: ActionSpec, X: VectorField, total: Chart | None = None
-) -> VectorField:
-    """``X* = (X, -sum_a A^a(X) rho_a)`` on the product chart."""
+def horizontal_lift(g: GaugeChart, act: ActionSpec, X: VectorField, total: Chart) -> VectorField:
+    """``X* = (X, -sum_a A^a(X) rho_a)`` on ``total``, the product chart of the base and the fiber."""
     check_same_chart(g.base, X.chart, "lifted field")
     _require_matching_gauge(g, act)
-    total = product_chart(g.base, act.chart) if total is None else total
     m, k = g.base.dim, act.chart.dim
     # X and every A^a(X) keep their base nodes; every rho_a comes from the fiber through one tape
     on_base = [*X.components, *(contract(A, X).node for A in g.potentials)]
@@ -310,22 +307,9 @@ def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return V / np.linalg.norm(V, axis=1, keepdims=True)
 
 
-def _lift_operators(c: CouplingChart, pts: np.ndarray, jet: bool = False):
-    """The horizontal lift at every point as a matrix ``H``, shape (n, m + k, m).
-
-    Column j is the lift of the j-th base coordinate vector, so a base
-    vector X lifts to ``X* = H X``.  With ``jet``, also ``DH`` of shape
-    (n, m, m + k, m + k): ``DH[:, j]`` is the Jacobian of column j.
-    """
-    if not jet:
-        return dual.evaluate(c.lift_block, pts)
-    H, DH = dual.jet(c.lift_block, pts)
-    return H, np.moveaxis(DH, 2, 1)
-
-
 def _lifted(H: np.ndarray, DH: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lift ``X* = H X`` of a constant base vector and its Jacobian ``DH·X``: (n, m + k) and (n, m + k, m + k)."""
-    return H @ X, np.einsum("njil,j->nil", DH, X)
+    """``X* = H X`` for a constant base vector and its Jacobian ``DH·X``; ``H, DH = dual.jet(c.lift_block, pts)``."""
+    return H @ X, np.einsum("nijl,j->nil", DH, X)
 
 
 def _draw_arguments(pattern: str, H: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -375,7 +359,7 @@ def verify_coupling(c: CouplingChart, points: np.ndarray, seed: int = 0, tol: fl
         )
     )
 
-    H = _lift_operators(c, pts)
+    H = dual.evaluate(c.lift_block, pts)
     rng = np.random.default_rng(seed + 0x517CC1B7)
     for pattern in _PATTERNS:
         vecs = _draw_arguments(pattern, H, rng)
@@ -410,11 +394,12 @@ def verify_coupling(c: CouplingChart, points: np.ndarray, seed: int = 0, tol: fl
     )
 
     h1, _, v1 = np.moveaxis(_draw_arguments("hhv", H, rng), -1, 0)
-    theta_h = evaluate_form(form_values(c.Theta, pts), h1[:, :, None])
-    omega_hv = evaluate_form(form_values(c.Omega, pts), np.stack([h1, v1], axis=-1))
+    theta, omega = form_values(c.Theta, pts), form_values(c.Omega, pts)
+    theta_h = evaluate_form(theta, h1[:, :, None])
+    omega_hv = evaluate_form(omega, np.stack([h1, v1], axis=-1))
     rep.add(residual_row("theta-horizontal", "Theta annihilates horizontal lifts", theta_h, tol))
     rep.add(residual_row("hor-vert", "Omega(horizontal lift, vertical) = 0", omega_hv, tol))
-    rep.add(nondegeneracy_check(c.Omega, pts, tol))
+    rep.add(_nondegeneracy_row(c.Omega, omega, len(pts), tol))
     return rep
 
 
@@ -459,7 +444,7 @@ def _lift_bracket_terms(c: CouplingChart, pts: np.ndarray, rng: np.random.Genera
     values, derivatives = dual.jet(list(c.Omega.coeffs.values()), pts)
     W = _skew(dict(zip(c.Omega.coeffs, values.T)), dim, len(pts))
     dW = _skew(dict(zip(c.Omega.coeffs, np.moveaxis(derivatives, 1, 0))), dim, len(pts))
-    H, DH = _lift_operators(c, pts, jet=True)
+    H, DH = dual.jet(c.lift_block, pts)
     theta, closed3 = batch_values([c.Theta, twisted_derivative(c.Theta, c.Omega)], pts)
 
     def omega(U, M, V):
@@ -687,7 +672,7 @@ def _coupled_jet(J1, dJ1, Jf, dJf, H, DH) -> tuple[np.ndarray, np.ndarray]:
     the product rule.
     """
     n, dim, m = H.shape
-    L, dL = H[:, m:], np.moveaxis(DH[:, :, m:], 1, 2)  # (n, k, m) and (n, k, m, dim)
+    L, dL = H[:, m:], DH[:, m:]  # (n, k, m) and (n, k, m, dim)
     J, dJ = np.zeros((n, dim, dim)), np.zeros((n, dim, dim, dim))
     J[:, :m, :m], J[:, m:, m:], J[:, m:, :m] = J1, Jf, L @ J1 - Jf @ L
     dJ[:, :m, :m, :m], dJ[:, m:, m:, m:] = dJ1, dJf
@@ -703,7 +688,7 @@ def horizontal_nijenhuis_identity(
     J_fiber: EndomorphismField,
     points: np.ndarray,
     seed: int = 0,
-    tol: float = 1e-7,
+    tol: float = DEFAULT_TOL,
     pairs: int = 2,
 ) -> Report:
     """Purely horizontal Nijenhuis values against the curvature expression.
@@ -724,7 +709,7 @@ def horizontal_nijenhuis_identity(
     m, k = c.base_dim, c.fiber.chart.dim
     u, x = pts[:, :m], pts[:, m:]
     (J1, dJ1), (Jf, dJf) = dual.jet(J_base.entries, u), dual.jet(J_fiber.entries, x)
-    H, DH = _lift_operators(c, pts, jet=True)
+    H, DH = dual.jet(c.lift_block, pts)
     Jv, dJ = _coupled_jet(J1, dJ1, Jf, dJf, H, DH)
     _require_structure(Jv, pts)
     rep = Report("horizontal_nijenhuis")

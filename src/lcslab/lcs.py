@@ -133,22 +133,13 @@ def normalized_determinant(M: np.ndarray) -> float | np.ndarray:
     return float(out) if M.ndim == 2 else out
 
 
-def nondegeneracy_check(
-    omega: DifferentialForm, points: np.ndarray, tol: float, check_id: str = "nondegenerate"
-) -> CheckResult:
-    """Minimum normalized determinant over the samples, as a check row.
-
-    The skew matrices are built once for the whole batch; a point with a
-    non-finite coefficient is skipped and counted.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _nondegeneracy_row(omega, form_values(omega, pts), len(pts), tol, check_id)
-
-
 def _nondegeneracy_row(
     omega: DifferentialForm, values: dict, n: int, tol: float, check_id: str = "nondegenerate"
 ) -> CheckResult:
-    """:func:`nondegeneracy_check` on the coefficient columns ``values`` of ``omega``."""
+    """Minimum normalized determinant of ``omega`` over ``n`` samples, from its coefficient columns ``values``.
+
+    A point with a non-finite coefficient is skipped and counted.
+    """
     if omega.chart.dim % 2 == 1:
         claim = "2-form nondegenerate at samples"
         return CheckResult(check_id, claim, residual=0.0, threshold=tol, passed=False, details={"note": _ODD_NOTE})

@@ -37,7 +37,7 @@ from .forms import (
     pullback,
     wedge,
 )
-from .lcs import LCSStructure, nondegeneracy_check, residual_check, skew_matrices, twisted_derivative
+from .lcs import LCSStructure, _nondegeneracy_row, residual_check, skew_matrices, twisted_derivative
 from .report import DEFAULT_TOL, CheckResult, Report, evaluate_form, finite_points, form_max, form_values
 from .report import demote_if_sparse, residual_row, scaled_residuals
 
@@ -266,7 +266,7 @@ def reduced_form_check(
                            exterior_derivative(omega_s) - wedge(theta_s, omega_s), None, pts, tol)
         )
     if src.dim % 2 == 0:
-        rep.add(nondegeneracy_check(omega_s, pts, tol, check_id="reduced-nondegenerate"))
+        rep.add(_nondegeneracy_row(omega_s, form_values(omega_s, pts), len(pts), tol, "reduced-nondegenerate"))
     else:
         rep.add(
             CheckResult.recorded(

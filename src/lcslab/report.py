@@ -5,12 +5,13 @@ divided by ``1 + max coefficient magnitude at the point``, so tolerances mean
 the same thing for forms with coefficients of order 1 and of order 1e6.
 
 It also owns the batched evaluations the rows share: a form's coefficient
-columns (:func:`form_values`, :func:`form_array`), those of every form a
-report needs from one replay of the coefficient DAG (:func:`batch_values`,
-so a shared subexpression is evaluated once), and a form's contraction with
-argument vectors (:func:`evaluate_form`, by the minors of the argument
-matrix) and the Pfaffians of skew matrices (:func:`pfaffian`), both taken as
-polynomials on the whole batch.
+columns (:func:`form_values`; :func:`value_array` sets them side by side,
+and a report that reads them in several rows evaluates them once), those of
+every form a report needs from one replay of the coefficient DAG
+(:func:`batch_values`, so a shared subexpression is evaluated once), and a
+form's contraction with argument vectors (:func:`evaluate_form`, by the
+minors of the argument matrix) and the Pfaffians of skew matrices
+(:func:`pfaffian`), both taken as polynomials on the whole batch.
 
 And it owns the skipped-point rule: :func:`finite_points` alone defines a
 skipped point (one with a non-finite value); rows count them as ``skipped``
@@ -165,11 +166,6 @@ def batch_values(forms: Sequence[DifferentialForm], points: np.ndarray) -> list[
         out.append(dict(zip(form.coeffs, cols[start : start + len(form.coeffs)])))
         start += len(form.coeffs)
     return out
-
-
-def form_array(form: DifferentialForm, points: np.ndarray) -> np.ndarray:
-    """The coefficient columns of ``form`` side by side, shape (n, #coefficients)."""
-    return value_array(form_values(form, points), len(np.atleast_2d(points)))
 
 
 def value_array(values: dict, n: int) -> np.ndarray:
@@ -386,7 +382,7 @@ def residual_row(check_id: str, claim: str, values, tol: float | None, **details
 
 def form_max(form: DifferentialForm, points: np.ndarray) -> float:
     """Raw max coefficient magnitude of ``form`` over finite samples."""
-    v = np.abs(form_array(form, points))
+    v = np.abs(value_array(form_values(form, points), len(np.atleast_2d(points))))
     return float(v[np.isfinite(v)].max(initial=0.0))
 
 

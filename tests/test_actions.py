@@ -35,7 +35,7 @@ from lcslab.forms import (
 from lcslab.gallery import hopf, inoue
 from lcslab.lcs import LCSStructure, twisted_derivative
 from lcslab.parser import parse_field
-from lcslab.report import DEFAULT_TOL, form_array, form_residual, spread
+from lcslab.report import DEFAULT_TOL, form_residual, form_values, spread, value_array
 from tests.pointwise import at, lie_bracket
 
 
@@ -156,7 +156,7 @@ def invariance_defects(s: LCSStructure, X: VectorField, n: int) -> tuple[float, 
     pts = s.chart.sample(n, seed=0)
     strict = lie_derivative(X, s.omega)
     twisted = strict - contract(s.lee, X) * s.omega
-    return tuple(float(np.abs(form_array(f, pts)).max()) for f in (twisted, strict))
+    return tuple(float(np.abs(value_array(form_values(f, pts), len(pts))).max()) for f in (twisted, strict))
 
 
 def test_invariance_defect_radial_field(qp, harmonic):

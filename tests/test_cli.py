@@ -399,6 +399,14 @@ def test_example_run_matches_expectations(capsys):
     assert met == total
 
 
+def test_tol_reaches_the_horizontal_nijenhuis_row(capsys):
+    """``--tol`` reaches coupling-s2's ``horizontal-identity`` row as its threshold."""
+    code, out, _ = run(capsys, "example", "coupling-s2", "--run", "--points", "16", "--tol", "1e-12", "--format", "json")
+    assert code == 0
+    (row,) = [c for c in json.loads(out)["reports"]["nijenhuis"]["checks"] if c["id"] == "horizontal-identity"]
+    assert row["threshold"] == 1e-12 and row["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("points", ["1", "2", "3"])
 def test_inoue_runs_below_four_points(capsys, points):
     """Its deck maps draw the 4 samples a homothety fit needs even when ``--points`` asks for fewer."""

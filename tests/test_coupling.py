@@ -19,7 +19,6 @@ from lcslab.coupling import (
     _coupled_jet,
     _draw_arguments,
     _lift_bracket_terms,
-    _lift_operators,
     _unit_rows,
     GaugeChart,
     build_coupling,
@@ -196,7 +195,7 @@ def test_batched_contraction_matches_pointwise(example, flat, s2):
     rng = np.random.default_rng(5)
     closed3 = twisted_derivative(c.Theta, c.Omega)
     forms = (closed3, rand_form(c.total, rng, 3))
-    H = _lift_operators(c, pts)
+    H = dual.evaluate(c.lift_block, pts)
     for pattern in ("vvv", "vhv", "hhv", "hhh"):
         vecs = _draw_arguments(pattern, H, rng)
         for i, p in enumerate(pts):
@@ -645,7 +644,7 @@ def test_assembled_coupled_structure_matches_its_jet(which, flat, s2):
     pts = c.total.sample(10, seed=5)
     m = c.base_dim
     blocks = dual.jet(J_base.entries, pts[:, :m]) + dual.jet(J_fiber.entries, pts[:, m:])
-    got = _coupled_jet(*blocks, *_lift_operators(c, pts, jet=True))
+    got = _coupled_jet(*blocks, *dual.jet(c.lift_block, pts))
     want = dual.jet(coupled_complex_structure(c, J_base, J_fiber).entries, pts)
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -717,6 +716,26 @@ def test_coupling_s2_builds_each_tape_once(built_tapes):
     for run in man.runs.values():  # warm
         run(64, 1, 1e-8)
     assert len(built_tapes) <= 3
+
+
+def test_verify_coupling_replays_no_tape_twice(s2, monkeypatch):
+    """One ``verify_coupling`` call on coupling-s2 at 64 points replays each of its 7 tapes once.
+
+    The ``hor-vert`` and ``nondegenerate`` rows share Omega's coefficient
+    columns.  The counts do not depend on the machine.
+    """
+    c = s2.objects["coupling"]
+    pts = c.total.sample(64, seed=1)  # drawn first: the draw replays the chart's domain
+    replayed = []
+    replay = dual.Tape.replay
+
+    def counted(tape, points, rows):
+        replayed.append(tape)
+        replay(tape, points, rows)
+
+    monkeypatch.setattr(dual.Tape, "replay", counted)
+    verify_coupling(c, pts, seed=1)
+    assert len(replayed) == len({id(t) for t in replayed}) == 7
 
 
 def test_base_embedding_keeps_the_base_nodes(s2, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from lcslab import dual
 from lcslab.errors import UsageError
-from lcslab.forms import DifferentialForm, coordinate, pullback
+from lcslab.forms import pullback
 from lcslab.gallery import (
     GALLERY,
     Expectation,
@@ -48,19 +48,6 @@ def test_hopf_rejects_bad_parameters(kwargs):
 def test_inoue_rejects_weak_expansion():
     with pytest.raises(UsageError, match="exceed 1"):
         inoue(alpha=1.0)
-
-
-def test_cotangent_rejects_non_closed_alpha():
-    base = cotangent(2).objects["base"]
-    q1 = coordinate(base, 0)
-    crooked = DifferentialForm(base, 1, {(1,): q1})  # d(q1 dq2) != 0
-    with pytest.raises(UsageError, match="closed"):
-        cotangent(2, alpha=crooked)
-
-
-def test_cotangent_rejects_wrong_chart_alpha(plane):
-    with pytest.raises(UsageError):
-        cotangent(2, alpha=DifferentialForm(plane, 1, {(0,): 1.0}))
 
 
 # -- frozen values ----------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The pytest settings report every failure, ``src/`` stays within its line
 budget, and every checker takes its sample points from its caller, who draws
-them with ``Chart.sample``.
+them with ``Chart.sample``, and defaults its tolerance to ``DEFAULT_TOL``.
 """
 
 import inspect
@@ -15,10 +15,11 @@ import pytest
 from lcslab import actions, coupling, lcs, reduction
 from lcslab.charts import Chart
 from lcslab.errors import UsageError
+from lcslab.report import DEFAULT_TOL
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# ROADMAP item 1: ``src/`` ends the round below its size at the initial commit
+# the lines ``src/`` may hold; new scope pays for its lines by merging what ``src/`` does twice
 SRC_LINE_BUDGET = 5331
 
 PROBE = '''
@@ -63,19 +64,38 @@ def test_src_takes_determinants_one_way():
     assert users == []
 
 
-@pytest.mark.parametrize("module", [lcs, actions, coupling, reduction], ids=lambda m: m.__name__)
+CHECKER_MODULES = [lcs, actions, coupling, reduction]
+POINT_PARAMETERS = {"points", "fiber_points", "base_points"}
+
+
+def public_functions(module):
+    """The public functions ``module`` defines, with their parameters."""
+    for name, fn in vars(module).items():
+        if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == module.__name__:
+            yield name, inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize("module", CHECKER_MODULES, ids=lambda m: m.__name__)
 def test_checkers_take_their_sample_points_and_never_sample(module):
     """No public function takes a count ``n``, and none has a default for its sample points."""
     takes_points = []
-    for name, fn in vars(module).items():
-        if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
-            continue
-        params = inspect.signature(fn).parameters
+    for name, params in public_functions(module):
         assert "n" not in params, name
-        for p in {"points", "fiber_points", "base_points"} & set(params):
+        for p in POINT_PARAMETERS & set(params):
             assert params[p].default is inspect.Parameter.empty, f"{name}({p}=...)"
             takes_points.append(name)
     assert takes_points  # the convention is checked on some function of every module
+
+
+@pytest.mark.parametrize("module", CHECKER_MODULES, ids=lambda m: m.__name__)
+def test_checkers_default_to_the_shared_tolerance(module):
+    """A public checker that takes sample points and a ``tol`` defaults it to ``DEFAULT_TOL``, or has no default."""
+    checked = []
+    for name, params in public_functions(module):
+        if POINT_PARAMETERS & set(params) and "tol" in params:
+            assert params["tol"].default in (DEFAULT_TOL, inspect.Parameter.empty), f"{name}(tol={params['tol'].default})"
+            checked.append(name)
+    assert checked
 
 
 @pytest.mark.parametrize("count", [0, -1, -5])
