@@ -36,9 +36,11 @@ GALLERY_CONFIGS = (
     ("hopf", "--n", "2", "--weights", "1,2"),
     ("hopf", "--n", "3"),
     ("hopf", "--n", "4"),
+    ("hopf", "--n", "5"),  # 10 rows: Pfaffians above 8 rows go through report._eliminate
     ("inoue",),
     ("cotangent", "--m", "1"),
     ("cotangent", "--m", "2"),
+    ("cotangent", "--m", "5"),
     ("coupling-s2", "--weights", "1,1"),
     ("coupling-s2", "--weights", "1,2"),
 )

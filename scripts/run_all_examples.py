@@ -35,6 +35,7 @@ from lcslab.gallery import (
     inoue,
     run_manifest,
 )
+from lcslab.report import DEFAULT_POINTS, DEFAULT_TOL
 
 
 class CountedTape(dual.Tape):
@@ -78,9 +79,10 @@ def builders():
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--points", type=int, default=64, help=f"sample count per check (default 64, at most {MAX_POINTS})")
+    points = f"sample count per check (default {DEFAULT_POINTS}, at most {MAX_POINTS})"
+    ap.add_argument("--points", type=int, default=DEFAULT_POINTS, help=points)
     ap.add_argument("--seed", type=int, default=0, help="RNG seed, a non-negative integer (default 0)")
-    ap.add_argument("--tol", type=float, default=1e-8)
+    ap.add_argument("--tol", type=float, default=DEFAULT_TOL)
     args = ap.parse_args(argv)
     if not 1 <= args.points <= MAX_POINTS:
         print(f"error: --points must be from 1 to {MAX_POINTS}", file=sys.stderr)

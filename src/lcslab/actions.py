@@ -13,10 +13,11 @@ skipped points is inconclusive rather than passed.  The Lie-derivative rows
 (``invariance``, ``eta-invariant``) use the coordinate formula
 (:func:`~lcslab.forms.lie_derivative`), and a report replays every form it
 needs at once (:func:`~lcslab.report.batch_values`), so the first
-derivatives of the form are evaluated once for all generators.  Deck maps
-send the whole batch through one evaluation, with one domain test for
-all the images; a fitted homothety counts the points where a coefficient is
-not finite as skipped.
+derivatives of the form are evaluated once for all generators.  A check
+replays once on its samples, and again only on points that replay computed:
+a deck map's images come with the forms it compares (or the function it
+moves), with one domain test for all of a map's images; a fitted homothety
+counts the points where a coefficient is not finite as skipped.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import dual
 from .charts import Chart, check_same_chart, same_chart
 from .errors import DomainError, NotHomothetyError, PreconditionError, UsageError
 from .forms import (
@@ -47,7 +49,6 @@ from .report import (
     batch_values,
     demote_if_sparse,
     finite_points,
-    form_values,
     residual_row,
     scaled_residuals,
     spread,
@@ -174,22 +175,24 @@ def momentum_from_potential(
     check_same_chart(s.chart, act.chart, "structure and action")
     pts = np.asarray(points, dtype=float)
 
-    hypo = Report("momentum hypotheses")
+    mu = MomentumMap(s.chart, tuple(-contract(s.potential, rho) for rho in act.fields))
     lie_eta = [lie_derivative(rho, s.potential) for rho in act.fields]
     pairings = [DifferentialForm.from_scalar(contract(s.lee, rho)) for rho in act.fields]
-    values = batch_values(lie_eta + pairings, pts)
+    sides = [f for rho, mu_a in zip(act.fields, mu.components) for f in _momentum_forms(s, rho, mu_a)]
+    # one replay for the hypotheses and the identity
+    values = batch_values(lie_eta + pairings + sides, pts)
+    lie_eta, pairings, sides = values[: act.dim], values[act.dim : 2 * act.dim], values[2 * act.dim :]
+    hypo = Report("momentum hypotheses")
     for a in range(act.dim):
-        hypo.add(residual_row(f"eta-invariant[{a}]", "L_rho eta = 0", value_array(values[a], len(pts)), tol))
-        hypo.add(residual_row(f"lee-zero[{a}]", "theta(rho) = 0", values[act.dim + a][()], tol))
+        hypo.add(residual_row(f"eta-invariant[{a}]", "L_rho eta = 0", value_array(lie_eta[a], len(pts)), tol))
+        hypo.add(residual_row(f"lee-zero[{a}]", "theta(rho) = 0", pairings[a][()], tol))
     if not hypo.passed:
         raise PreconditionError(
             "potential is not invariant enough to define a momentum map", report=hypo
         )
 
-    mu = MomentumMap(s.chart, tuple(-contract(s.potential, rho) for rho in act.fields))
     rep = Report("momentum_from_potential")
     rep.extend(hypo)
-    sides = batch_values([f for a, rho in enumerate(act.fields) for f in _momentum_forms(s, rho, mu.components[a])], pts)
     for a in range(act.dim):
         rep.add(_momentum_row(a, sides[2 * a : 2 * a + 2], len(pts), tol))
     return mu, rep
@@ -246,14 +249,14 @@ def deck_homothety(
     check_same_chart(gamma.source, Omega.chart, "deck transformation and form")
     pts = np.asarray(points, dtype=float)
     need = max(4, len(pts) // 4)
-    keep = Omega.chart.contains(gamma.batch(pts))
-    pts = pts[keep]
+    # one replay on the samples: the images and both forms, read at the samples the chart keeps
+    pulled, base, images = batch_values([pullback(gamma, Omega), Omega], pts, gamma.components)
+    keep = Omega.chart.contains(images)
+    pts, pulled, base = pts[keep], {I: v[keep] for I, v in pulled.items()}, {I: v[keep] for I, v in base.items()}
     if len(pts) < need:
         raise DomainError(
             f"deck map keeps {len(pts)} of {len(keep)} samples in the chart; it needs at least {need}"
         )
-    pulled = form_values(pullback(gamma, Omega), pts)
-    base = form_values(Omega, pts)
     keys = sorted(set(pulled) | set(base))
     A = np.column_stack([pulled.get(I, np.zeros(len(pts))) for I in keys])
     B = np.column_stack([base.get(I, np.zeros(len(pts))) for I in keys])
@@ -291,13 +294,14 @@ def automorphic_constants(
     sample = np.asarray(points, dtype=float)
     rep = Report("automorphic_constants")
     ks: dict[str, float] = {}
-    for gname, g in sorted(decks.items()):
-        images = g.map.batch(sample)
-        keep = f.chart.contains(images)
+    # one replay for f and every deck map on the samples, then one on each map's images
+    on_sample, *images = dual.replay([f.node, *(g.map.components for _, g in sorted(decks.items()))], sample)
+    for (gname, g), image in zip(sorted(decks.items()), images):
+        keep = f.chart.contains(image)
         if not np.any(keep):
             raise DomainError(f"deck element {gname!r} maps every sample outside the chart")
-        pts, images = sample[keep], images[keep]
-        vals = f.batch(images) - g.factor * f.batch(pts)
+        pts = sample[keep]
+        vals = f.batch(image[keep]) - g.factor * on_sample[keep]
         finite = finite_points(vals)
         skipped = int(len(vals) - finite.sum())
         dev = spread(vals[finite])

@@ -15,6 +15,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .actions import momentum_from_potential, verify_twisted_hamiltonian
 from .cohomology import betti, coboundary_defects
 from .coupling import build_coupling, gauge_curvature
@@ -29,7 +31,7 @@ from .jsonio import (
 )
 from .lcs import verify_lcs
 from .reduction import invariant_hamiltonian_check, reduced_form_check
-from .report import CheckResult, Report
+from .report import DEFAULT_POINTS, DEFAULT_TOL, CheckResult, Report
 
 _GALLERY_BLURBS = {
     "hopf": "product of a circle with an odd sphere, weighted potential, torus action",
@@ -46,9 +48,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--points", type=int, default=64, help=f"sample count (default 64, at most {MAX_POINTS})")
+        points = f"sample count (default {DEFAULT_POINTS}, at most {MAX_POINTS})"
+        sp.add_argument("--points", type=int, default=DEFAULT_POINTS, help=points)
         sp.add_argument("--seed", type=int, default=None, help="RNG seed (default: LCSLAB_SEED or 0)")
-        sp.add_argument("--tol", type=float, default=1e-8, help="residual tolerance (default 1e-8)")
+        tol = f"residual tolerance (default {np.format_float_scientific(DEFAULT_TOL, trim='-', exp_digits=1)})"
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help=tol)
         sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("verify", help="run structure checks from a JSON declaration")

@@ -15,11 +15,13 @@ pairs reads ``Omega((X,W),(Y,V)) = omega(W + A(X)rho, V + A(Y)rho)
 requiring ``d_Theta Omega = 0`` (it equals the momentum pairing with the
 curvature field ``[X*,Y*] - [X,Y]*``); the test suite freezes it.
 
-Every check evaluates its forms once on the whole point batch: argument
-classes are (n, dim, k) arrays built from the batched horizontal lift, and a
-form is contracted with them through determinants of index minors; random
-draws never become nodes.  A sample point where some value is not finite is skipped and counted, and a row with too
-many skipped points is inconclusive rather than passed.
+Every check replays once per point set: the forms its rows read, the lift
+block and the jets it needs come from one :func:`~lcslab.report.batch_values`
+on the whole batch.  Argument classes are (n, dim, k) arrays built from the
+batched horizontal lift, and a form is contracted with them through
+determinants of index minors; random draws never become nodes.  A sample
+point where some value is not finite is skipped and counted, and a row with
+too many skipped points is inconclusive rather than passed.
 
 The chapter on almost complex structures lives here too: block structures
 ``J~`` preserving horizontal/vertical splits and the curvature identity for
@@ -55,7 +57,7 @@ from .forms import (
     wedge,
 )
 from . import dual
-from .lcs import LCSStructure, _nondegeneracy_row, _skew, residual_check, skew_matrices, twisted_derivative
+from .lcs import LCSStructure, _nondegeneracy_row, _skew, twisted_derivative
 from .report import (
     DEFAULT_TOL,
     CheckResult,
@@ -64,7 +66,6 @@ from .report import (
     demote_if_sparse,
     evaluate_form,
     form_residual,
-    form_values,
     pfaffian,
     residual_row,
     scaled_residuals,
@@ -161,12 +162,12 @@ def gauge_curvature(
     """
     pts = np.asarray(points, dtype=float)
     F = _curvature_forms(g)
+    bianchi = [exterior_derivative(Fa) for Fa in F]
+    for a, b, c in np.argwhere(g.constants):
+        bianchi[a] = bianchi[a] + float(g.constants[a, b, c]) * wedge(g.potentials[b], F[c])
     rep = Report("gauge_curvature")
-    for a in range(g.dim):
-        bianchi = exterior_derivative(F[a])
-        for b, c in np.argwhere(g.constants[a]):
-            bianchi = bianchi + float(g.constants[a, b, c]) * wedge(g.potentials[b], F[c])
-        rep.add(residual_check(f"bianchi[{a}]", "dF + c A ^ F = 0", bianchi, None, pts, tol))
+    for a, values in enumerate(batch_values(bianchi, pts)):
+        rep.add(residual_row(f"bianchi[{a}]", "dF + c A ^ F = 0", scaled_residuals(values, {}, len(pts)), tol))
     return F, rep
 
 
@@ -344,22 +345,20 @@ def verify_coupling(c: CouplingChart, points: np.ndarray, seed: int = 0, tol: fl
     horizontal/vertical argument pattern so a failure points at the violated
     hypothesis (momentum identity, curvature mismatch, invariance).
     Restriction rows certify Theta and Omega restrict to the fiber data and
-    that horizontal lifts are Omega-orthogonal to verticals.  Every row
-    evaluates its forms once on the whole batch of ``points``; ``seed``
-    seeds the random argument draws.
+    that horizontal lifts are Omega-orthogonal to verticals.  Every row reads
+    one replay of its forms and the lift block on the whole batch of
+    ``points``; ``seed`` seeds the random argument draws.
     """
     pts = np.asarray(points, dtype=float)
+    m, n = c.base_dim, len(pts)
+    forms = [exterior_derivative(c.Theta), twisted_derivative(c.Theta, c.Omega), c.Omega, c.Theta]
+    forms += [embed_fiber_form(c.total, c.base, f) for f in (c.fiber.omega, c.fiber.lee)]
+    dtheta, closed3, omega, theta, fiber_omega, fiber_lee, H = batch_values(forms, pts, c.lift_block)
     rep = Report("verify_coupling")
-    rep.add(residual_check("theta-closed", "d Theta = 0", exterior_derivative(c.Theta), None, pts, tol))
+    rep.add(residual_row("theta-closed", "d Theta = 0", scaled_residuals(dtheta, {}, n), tol))
+    claim = "d_Theta Omega = 0 (all coefficients)"
+    rep.add(residual_row("closed[coeffs]", claim, scaled_residuals(closed3, {}, n), tol))
 
-    closed3 = form_values(twisted_derivative(c.Theta, c.Omega), pts)
-    rep.add(
-        residual_row(
-            "closed[coeffs]", "d_Theta Omega = 0 (all coefficients)", scaled_residuals(closed3, {}, len(pts)), tol
-        )
-    )
-
-    H = dual.evaluate(c.lift_block, pts)
     rng = np.random.default_rng(seed + 0x517CC1B7)
     for pattern in _PATTERNS:
         vecs = _draw_arguments(pattern, H, rng)
@@ -369,37 +368,18 @@ def verify_coupling(c: CouplingChart, points: np.ndarray, seed: int = 0, tol: fl
             )
         )
 
-    m = c.base_dim
-    vertical_pairs = {I: f for I, f in c.Omega.coeffs.items() if I[0] >= m}
-    fiber_embedded = embed_fiber_form(c.total, c.base, c.fiber.omega)
-    rep.add(
-        residual_check(
-            "fiber-block",
-            "Omega on verticals equals the fiber 2-form",
-            DifferentialForm(c.total, 2, vertical_pairs),
-            fiber_embedded,
-            pts,
-            tol,
-        )
-    )
-    rep.add(
-        residual_check(
-            "theta-fiber",
-            "Theta restricts to the fiber Lee form",
-            c.Theta,
-            embed_fiber_form(c.total, c.base, c.fiber.lee),
-            pts,
-            tol,
-        )
-    )
+    vertical = {I: v for I, v in omega.items() if I[0] >= m}
+    claim = "Omega on verticals equals the fiber 2-form"
+    rep.add(residual_row("fiber-block", claim, scaled_residuals(vertical, fiber_omega, n), tol))
+    claim = "Theta restricts to the fiber Lee form"
+    rep.add(residual_row("theta-fiber", claim, scaled_residuals(theta, fiber_lee, n), tol))
 
     h1, _, v1 = np.moveaxis(_draw_arguments("hhv", H, rng), -1, 0)
-    theta, omega = form_values(c.Theta, pts), form_values(c.Omega, pts)
     theta_h = evaluate_form(theta, h1[:, :, None])
     omega_hv = evaluate_form(omega, np.stack([h1, v1], axis=-1))
     rep.add(residual_row("theta-horizontal", "Theta annihilates horizontal lifts", theta_h, tol))
     rep.add(residual_row("hor-vert", "Omega(horizontal lift, vertical) = 0", omega_hv, tol))
-    rep.add(_nondegeneracy_row(c.Omega, omega, len(pts), tol))
+    rep.add(_nondegeneracy_row(c.Omega, omega, n, tol))
     return rep
 
 
@@ -415,10 +395,10 @@ def lift_bracket_diagnostic(
     data rather than of closedness itself.
 
     The DAG holds only the chart's forms, the lift block and ``d_Theta
-    Omega``; one jet of Omega and of the lift block serves every pair, and
-    the random X, Y, Z are contracted with it in numpy: ``X* = H X`` with
-    Jacobian ``DH·X``, ``Omega(U, V) = U^T W V``, the product rule for
-    ``Z(Omega(Y*, X*))``.  ``seed`` seeds the random X, Y, Z.
+    Omega``; one replay of them, with the jets of Omega and of the lift
+    block, serves every pair, and the random X, Y, Z are contracted with it
+    in numpy: ``X* = H X`` with Jacobian ``DH·X``, ``Omega(U, V) = U^T W V``,
+    the product rule for ``Z(Omega(Y*, X*))``.  ``seed`` seeds the random X, Y, Z.
     """
     pts = np.asarray(points, dtype=float)
     v = _lift_bracket_terms(c, pts, np.random.default_rng(seed + 0x2545F491), pairs)
@@ -441,11 +421,11 @@ def _lift_bracket_terms(c: CouplingChart, pts: np.ndarray, rng: np.random.Genera
     Each pair draws X, Y on the base and a vertical Z, in that order.
     """
     m, k, dim = c.base_dim, c.fiber.chart.dim, c.total.dim
-    values, derivatives = dual.jet(list(c.Omega.coeffs.values()), pts)
-    W = _skew(dict(zip(c.Omega.coeffs, values.T)), dim, len(pts))
+    forms = [c.Theta, twisted_derivative(c.Theta, c.Omega), c.Omega]
+    jets = dual.grads(list(c.Omega.coeffs.values()), dim), c.lift_block, dual.grads(c.lift_block, dim)
+    theta, closed3, values, derivatives, H, DH = batch_values(forms, pts, *jets)
+    W = _skew(values, dim, len(pts))
     dW = _skew(dict(zip(c.Omega.coeffs, np.moveaxis(derivatives, 1, 0))), dim, len(pts))
-    H, DH = dual.jet(c.lift_block, pts)
-    theta, closed3 = batch_values([c.Theta, twisted_derivative(c.Theta, c.Omega)], pts)
 
     def omega(U, M, V):
         return np.einsum("ni,nij,nj->n", U, M, V)
@@ -507,8 +487,9 @@ def fatness_check(
     bpts = np.asarray(base_points, dtype=float)
     fpts = np.asarray(fiber_points, dtype=float)
     i, j = triangle(m)
-    F = np.stack([skew_matrices(Fa, bpts)[:, i, j].T for Fa in _curvature_forms(g)], axis=1)  # (pairs, d, nb)
-    muvals = np.stack([comp.batch(fpts) for comp in mu.components], axis=-1)  # (nf, d)
+    curvature, zero = batch_values(_curvature_forms(g), bpts), np.zeros(len(bpts))
+    F = np.array([[Fa.get(ij, zero) for Fa in curvature] for ij in zip(i.tolist(), j.tolist())])  # (pairs, d, nb)
+    muvals = dual.evaluate([f.node for f in mu.components], fpts)  # (nf, d)
     block = max(1, dual._SCRATCH_BYTES // (8 * len(i) * len(bpts)))
     worst, worst_pair, skipped = np.inf, 0, 0
     for start in range(0, len(fpts), block):
@@ -700,7 +681,10 @@ def horizontal_nijenhuis_identity(
     The DAG holds only ``J_base``, ``J_fiber`` and the lift block, one jet
     of each for every pair and the probe; ``J~``, ``dJ~`` (:func:`_coupled_jet`)
     and the lifts of the random X, Y are assembled in numpy; ``seed`` seeds
-    X, Y and the probe's draws.
+    X, Y and the probe's draws.  Each point set replays once: the base
+    columns (``J_base``'s jet, the curvature), the fiber columns
+    (``J_fiber``'s jet, the generators) and the points (the lift block's
+    jet, Omega).
     """
     pts = np.asarray(points, dtype=float)
     rng = np.random.default_rng(seed + 0x9E3779B9)
@@ -708,19 +692,18 @@ def horizontal_nijenhuis_identity(
     check_same_chart(c.fiber.chart, J_fiber.chart, "fiber structure")
     m, k = c.base_dim, c.fiber.chart.dim
     u, x = pts[:, :m], pts[:, m:]
-    (J1, dJ1), (Jf, dJf) = dual.jet(J_base.entries, u), dual.jet(J_fiber.entries, x)
-    H, DH = dual.jet(c.lift_block, pts)
+    *curvature, J1, dJ1 = batch_values(c.curvature, u, J_base.entries, dual.grads(J_base.entries, m))
+    fiber = J_fiber.entries, dual.grads(J_fiber.entries, k), [r.components for r in c.action.fields]
+    Jf, dJf, rho = dual.replay(fiber, x)
+    omega, H, DH = batch_values([c.Omega], pts, c.lift_block, dual.grads(c.lift_block, m + k))
     Jv, dJ = _coupled_jet(J1, dJ1, Jf, dJf, H, DH)
     _require_structure(Jv, pts)
     rep = Report("horizontal_nijenhuis")
 
-    curvature = [form_values(Fa, u) for Fa in c.curvature]
-    rho = [r.batch(x) for r in c.action.fields]
-
     def R(U, V):
         args = np.stack([U, V], axis=-1)
         out = np.zeros((len(pts), k))
-        for Fa, r in zip(curvature, rho):
+        for Fa, r in zip(curvature, np.moveaxis(rho, 1, 0)):
             out -= evaluate_form(Fa, args)[:, None] * r
         return out
 
@@ -743,7 +726,6 @@ def horizontal_nijenhuis_identity(
 
     # two (U, V) draws per point, in point order
     UV = _unit_rows(rng, 4 * len(pts), m + k).reshape(len(pts), 2, 2, m + k)
-    omega = form_values(c.Omega, pts)
     probe = []
     for r in range(2):
         args = np.moveaxis(UV[:, r], 1, 2)

@@ -28,14 +28,16 @@ a node or a number; one that branches on a value or calls ``math`` cannot
 run on nodes and is refused, so every coefficient has a derivative node.
 
 This module computes numbers one way only, with numpy's ufuncs on columns.
-Expressions run on point batches only through :func:`evaluate` and
-:func:`jet`, the one place numpy's floating-point warnings are silenced
-during evaluation; a tape folds its constants under the same silence,
-arithmetic on np.float64 scalars and the other functions on one-point
-columns, so a folded constant is its replay bit for bit.  A point
-outside an expression's domain, or a constant outside a function's, yields
-a non-finite value; :mod:`lcslab.report` decides what that means for a
-check.
+Expressions run on point batches only through :func:`replay`, which
+evaluates every value a check needs on one batch from one tape (with
+:func:`grads` for first derivatives; :func:`evaluate` and :func:`jet` are
+its one-value forms).  It is the one place numpy's floating-point warnings
+are silenced during evaluation; a tape folds its constants under the same
+silence, arithmetic on np.float64 scalars and the other functions on
+one-point columns, so a folded constant is its replay bit for bit, and a
+node's value does not depend on which tape computes it.  A point outside an
+expression's domain, or a constant outside a function's, yields a non-finite
+value; :mod:`lcslab.report` decides what that means for a check.
 """
 
 from __future__ import annotations
@@ -595,10 +597,11 @@ def tape(roots) -> Tape:
 # -- the evaluation boundary ---------------------------------------------------
 
 
-def _replay(values, points) -> list:
-    """Each nested value in ``values`` on an (n, dim) batch, from one replay of one tape.
+def replay(values, points) -> list:
+    """Each nested value in ``values`` on an (n, dim) batch, points axis first, from one replay of one tape.
 
-    Numbers fill their rows directly; values that hold no node look up no tape.
+    Each value is laid out as for :func:`evaluate`.  Numbers fill their rows
+    directly; values that hold no node look up no tape.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     shapes, leaves = zip(*map(_flatten, values))
@@ -633,7 +636,19 @@ def evaluate(value, points) -> np.ndarray:
     components, a chart's domain), replayed on the coordinate columns.  A
     point outside an expression's domain yields non-finite entries.
     """
-    return _replay([value], points)[0]
+    return replay([value], points)[0]
+
+
+def grads(value, dim: int):
+    """The first derivatives of nested nodes in ``dim`` coordinates, as nested nodes with one more, trailing level.
+
+    The derivative nodes are memoized, so a warm call interns nothing; a
+    number, or a structurally zero derivative, is ``0.0``.
+    """
+    if isinstance(value, (list, tuple)):
+        return [grads(v, dim) for v in value]
+    ds = [_partial(value, j) if isinstance(value, Node) else None for j in range(dim)]
+    return [0.0 if d is None else d for d in ds]
 
 
 def jet(value, points) -> tuple[np.ndarray, np.ndarray]:
@@ -644,12 +659,4 @@ def jet(value, points) -> tuple[np.ndarray, np.ndarray]:
     with the points axis first and the derivatives with one more, trailing
     axis over the coordinates: ``D[..., j] = d value / d x_j``.
     """
-    dim = np.atleast_2d(np.asarray(points)).shape[1]
-
-    def grads(v):  # memoized derivative nodes: a warm jet interns nothing
-        if isinstance(v, (list, tuple)):
-            return [grads(e) for e in v]
-        ds = [_partial(v, j) if isinstance(v, Node) else None for j in range(dim)]
-        return [0.0 if d is None else d for d in ds]
-
-    return tuple(_replay([value, grads(value)], points))
+    return tuple(replay([value, grads(value, np.atleast_2d(np.asarray(points)).shape[1])], points))

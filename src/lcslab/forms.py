@@ -20,8 +20,9 @@ Forms of degree larger than the chart dimension are permitted only as
 canonical zero forms (no increasing index tuple exists), which is what
 ``d`` of a top-degree form returns.
 
-``.batch`` evaluates through :func:`lcslab.dual.evaluate`, the evaluation
-boundary; this module carries no floating-point guard of its own.
+``.batch`` evaluates through :func:`lcslab.dual.evaluate`, the one-value form
+of the evaluation boundary :func:`lcslab.dual.replay`; this module carries no
+floating-point guard of its own.
 
 The exterior operations are memoized on their operands (:func:`derived`):
 a derived form lives as long as the forms and fields it derives from, so a

@@ -51,7 +51,7 @@ from .forms import (
     interior_product,
     pullback,
 )
-from .lcs import LCSStructure, residual_check, solve_lee_form, twisted_derivative, verify_lcs
+from .lcs import LCSStructure, solve_lee_form, twisted_derivative, verify_lcs
 from .reduction import (
     LevelSlice,
     bundle_momentum_check,
@@ -60,7 +60,8 @@ from .reduction import (
     product_split_check,
     reduced_form_check,
 )
-from .report import DEFAULT_TOL, CheckResult, Report, demote_if_sparse, residual_row
+from .report import DEFAULT_POINTS, DEFAULT_TOL, CheckResult, Report, batch_values, demote_if_sparse, residual_row
+from .report import scaled_residuals
 
 # a string forward reference: typing caches the alias, and with the class in it
 # every earlier import of this package would stay alive
@@ -87,7 +88,7 @@ class ExampleManifest:
         object.__setattr__(self, "runs", MappingProxyType(dict(self.runs)))
 
 
-def run_manifest(man: ExampleManifest, points: int = 64, seed: int = 0, tol: float = DEFAULT_TOL):
+def run_manifest(man: ExampleManifest, points: int = DEFAULT_POINTS, seed: int = 0, tol: float = DEFAULT_TOL):
     return {key: fn(points, seed, tol) for key, fn in man.runs.items()}
 
 
@@ -355,12 +356,9 @@ def _sphere_restriction_run() -> RunFn:
     direct = pullback(into_r4, _ambient_contact_form(r4))
 
     def run(pts: int, seed: int, tol: float) -> Report:
-        row = residual_check(
-            "restriction",
-            "ambient-sphere potential restricts to the small-sphere potential",
-            ambient, direct, s3.sample(pts, seed), tol,
-        )
-        return Report("restriction", [row])
+        claim = "ambient-sphere potential restricts to the small-sphere potential"
+        residuals = scaled_residuals(*batch_values([ambient, direct], s3.sample(pts, seed)), pts)
+        return Report("restriction", [residual_row("restriction", claim, residuals, tol)])
 
     return run
 
@@ -448,18 +446,10 @@ def inoue(
         return rep
 
     def ham_run(pts, seed, tol) -> Report:
-        rep = Report("hamiltonian")
-        rep.add(
-            residual_check(
-                "translation-hamiltonian",
-                "the z1 translation field is Hamiltonian for the cover 2-form",
-                interior_product(dz1, cover_form),
-                exterior_derivative(DifferentialForm.from_scalar(ham)),
-                chart.sample(pts, seed),
-                max(tol, 1e-9),
-            )
-        )
-        return rep
+        forms = [interior_product(dz1, cover_form), exterior_derivative(DifferentialForm.from_scalar(ham))]
+        residuals = scaled_residuals(*batch_values(forms, chart.sample(pts, seed)), pts)
+        claim = "the z1 translation field is Hamiltonian for the cover 2-form"
+        return Report("hamiltonian", [residual_row("translation-hamiltonian", claim, residuals, max(tol, 1e-9))])
 
     def _decks(pts, seed, tol):
         sample = deck_box.sample(max(pts, 4), seed)  # a deck map needs at least 4 samples in the chart
@@ -596,14 +586,8 @@ def cotangent(m: int = 2, scale: float = 0.3) -> ExampleManifest:
         def momentum_run(pts, seed, tol) -> Report:
             sample = total.sample(pts, seed)
             mu, rep = momentum_from_potential(structure, act, sample, tol)
-            rep.add(
-                residual_row(
-                    "closed-form",
-                    "derived momentum matches p1 q2 - p2 q1",
-                    mu.components[0].batch(sample) - closed_mu.batch(sample),
-                    tol,
-                )
-            )
+            derived, closed = dual.evaluate([mu.components[0].node, closed_mu.node], sample).T
+            rep.add(residual_row("closed-form", "derived momentum matches p1 q2 - p2 q1", derived - closed, tol))
             return rep
 
         runs["momentum"] = momentum_run

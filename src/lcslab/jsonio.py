@@ -21,7 +21,7 @@ from .charts import Chart
 from .cohomology import TwistedComplex
 from .coupling import GaugeChart
 from .errors import ParseError, UsageError
-from .forms import DifferentialForm, ScalarField, SmoothMap, VectorField
+from .forms import DifferentialForm, SmoothMap, VectorField
 from .lcs import LCSStructure
 from .parser import parse_field, parse_fields
 from .reduction import LevelSlice

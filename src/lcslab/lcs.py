@@ -4,11 +4,12 @@ A structure is a pair (omega, theta) with ``d omega = theta ^ omega`` and
 ``d theta = 0``; ``twisted_derivative`` is the operator ``d_theta = d - theta ^ .``
 Verification checks pointwise identities over seeded samples and returns a
 :class:`~lcslab.report.Report` rather than raising, except where an operation
-is genuinely unusable (odd dimension, degenerate input).  A report evaluates
-all its forms in one replay on the whole point batch (nondegeneracy from one
-stack of skew coefficient matrices); a sample point where some value is not
-finite is skipped and counted, and a row with too many skipped points is
-inconclusive.
+is genuinely unusable (odd dimension, degenerate input).  A check replays
+once on its point batch: every form its rows read, through
+:func:`~lcslab.report.batch_values`, and each row reads those columns
+(nondegeneracy from one stack of skew coefficient matrices); a sample point
+where some value is not finite is skipped and counted, and a row with too
+many skipped points is inconclusive.
 """
 
 from __future__ import annotations
@@ -159,19 +160,6 @@ def _nondegeneracy_row(
     return demote_if_sparse(result, skipped, len(M))
 
 
-def residual_check(
-    check_id: str,
-    claim: str,
-    a: DifferentialForm,
-    b: DifferentialForm | None,
-    points: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> CheckResult:
-    """Pointwise scaled residual of ``a - b`` (or ``a`` alone) as a check row."""
-    va, vb = batch_values([a, b], points) if b is not None else (form_values(a, points), {})
-    return residual_row(check_id, claim, scaled_residuals(va, vb, len(points)), tol)
-
-
 # --------------------------------------------------------------------------
 # verification
 
@@ -218,8 +206,8 @@ def solve_lee_form(omega: DifferentialForm, points, tol: float = DEFAULT_TOL) ->
     coefficients of theta; for a nondegenerate 2-form in dimension >= 4 the
     solution is unique, and the returned residual is ~0 exactly when omega
     is compatible with *some* Lee form at the point.  An (n, dim) batch is
-    solved as one stack: one set of skew matrices, one evaluation of
-    ``d omega``, one stacked SVD with a stacked rank test; it raises at the
+    solved as one stack: one replay of omega and ``d omega``, one set of
+    skew matrices, one stacked SVD with a stacked rank test; it raises at the
     first point where omega is degenerate or the system is singular.  One
     point gives coefficients of shape (dim,) and a float residual, a batch
     (n, dim) and (n,).
@@ -235,8 +223,8 @@ def solve_lee_form(omega: DifferentialForm, points, tol: float = DEFAULT_TOL) ->
     if nd % 2 == 1:
         raise UsageError("Lee form recovery needs an even-dimensional chart")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    M = skew_matrices(omega, pts)
-    dw = form_values(exterior_derivative(omega), pts)
+    w, dw = batch_values([omega, exterior_derivative(omega)], pts)
+    M = _skew(w, nd, len(pts))
     triples = list(combinations(range(nd), 3))
     A = np.zeros((len(pts), len(triples), nd))
     b = np.zeros((len(pts), len(triples)))

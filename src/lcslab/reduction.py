@@ -7,11 +7,13 @@ generators contract trivially with level-tangent vectors, and the pulled-back
 pair (theta, omega) is again LCS (or symplectic when theta dies).  For
 associated bundles the extra claim is a block split of the coupling form.
 
-Every row is evaluated once on the whole point batch: the slice images and
-Jacobians come from one first-order jet of the parametrization, and the
-transversality test is one stacked rank computation.  The pullbacks of the
-coupling form by ``id x g`` (a fiber element or the slice map) are skew
-matrices ``DG^T W DG`` from one jet of ``g``, never new nodes.  A sample
+A check replays once per point set, and again only on points computed by
+that replay: on the slice points the pulled-back forms with the
+parametrization's jet (the slice images and Jacobians), then on the images
+the generators, momenta and contractions; the transversality test is one
+stacked rank computation.  The pullbacks of the coupling form by ``id x g``
+(a fiber element or the slice map) are skew matrices ``DG^T W DG`` from one
+jet of ``g``, never new nodes, with one replay on each image.  A sample
 point where some value is not finite is skipped and counted, and a row with
 too many skipped points is inconclusive rather than passed.
 """
@@ -35,11 +37,10 @@ from .forms import (
     exterior_derivative,
     interior_product,
     pullback,
-    wedge,
 )
-from .lcs import LCSStructure, _nondegeneracy_row, residual_check, skew_matrices, twisted_derivative
-from .report import DEFAULT_TOL, CheckResult, Report, evaluate_form, finite_points, form_max, form_values
-from .report import demote_if_sparse, residual_row, scaled_residuals
+from .lcs import LCSStructure, _nondegeneracy_row, _skew, skew_matrices, twisted_derivative
+from .report import DEFAULT_TOL, CheckResult, Report, batch_values, evaluate_form, finite_points
+from .report import demote_if_sparse, residual_row, scaled_residuals, value_array
 
 _RANK_TOL = 1e-9
 # How close to zero a sampled momentum must come for its level to count as present.
@@ -94,12 +95,15 @@ def invariant_hamiltonian_check(act: ActionSpec, mu: MomentumMap, points, tol: f
     if not act.elements:
         rep.add(CheckResult.recorded("elements", "no finite elements supplied", 0.0))
         return rep
-    for gname, g in act.elements.items():
-        images = g.batch(pts)
-        outside = ~act.chart.contains(images)
-        for a, m in enumerate(mu.components):
+    # one replay for the momentum and every element's image, then one on each image
+    momentum = [f.node for f in mu.components]
+    at_points, *images = dual.replay([momentum, *(g.components for g in act.elements.values())], pts)
+    for gname, image in zip(act.elements, images):
+        outside = ~act.chart.contains(image)
+        at_image = dual.evaluate(momentum, image)
+        for a in range(mu.dim):
             # an image outside the chart is a skipped point
-            diff = np.where(outside, np.nan, m.batch(images) - m.batch(pts))
+            diff = np.where(outside, np.nan, at_image[:, a] - at_points[:, a])
             rep.add(
                 residual_row(
                     f"invariant[{a}][{gname}]",
@@ -118,41 +122,33 @@ def bundle_momentum_check(c: CouplingChart, points, tol: float = DEFAULT_TOL) ->
     the coupling form must equal the twisted differential of the momentum
     pulled back from the fiber factor, and finite fiber elements must
     preserve the coupling form: ``DG^T W(G p) DG = W(p)`` for ``G = id x g``,
-    from Omega's skew matrices ``W`` and one jet of ``g``, in numpy.
+    from Omega's skew matrices ``W`` and one jet of ``g``, in numpy.  The
+    points replay once, their fiber columns once (the momentum and every
+    element's jet), and each element's image once.
     """
     if not c.action.abelian:
         raise UsageError("bundle momentum checks need an abelian structure group")
     mu = c.momentum
     check_same_chart(mu.chart, c.fiber.chart, "momentum and fiber")
-    base = c.gauge.base
     pts = np.asarray(points, dtype=float)
+    m, n, k = c.base_dim, len(pts), c.fiber.chart.dim
+    sides, mu_hat = [], [embed_fiber_field(c.total, c.base, f) for f in mu.components]
+    for rho, f in zip(c.action.fields, mu_hat):
+        rho_hat = embed_fiber_vector(c.total, c.base, rho)
+        sides += [interior_product(rho_hat, c.Omega), twisted_derivative(c.Theta, DifferentialForm.from_scalar(f))]
+    *sides, omega, on_points = batch_values([*sides, c.Omega], pts, [f.node for f in mu_hat])
+    jets = [x for g in c.action.elements.values() for x in (g.components, dual.grads(g.components, k))]
+    on_fiber, *jets = dual.replay([[f.node for f in mu.components], *jets], pts[:, m:])
     rep = Report("bundle_momentum_check")
-    for a, rho in enumerate(c.action.fields):
-        rho_hat = embed_fiber_vector(c.total, base, rho)
-        mu_hat = embed_fiber_field(c.total, base, mu.components[a])
-        rep.add(
-            residual_check(
-                f"bundle-momentum[{a}]",
-                "vertical generator contracts to the twisted differential of the pulled-back Hamiltonian",
-                interior_product(rho_hat, c.Omega),
-                twisted_derivative(c.Theta, DifferentialForm.from_scalar(mu_hat)),
-                pts,
-                tol,
-            )
-        )
-        rep.add(
-            residual_row(
-                f"level-product[{a}]",
-                "zero level of the bundle momentum is base times the fiber zero level",
-                mu_hat.batch(pts) - mu.components[a].batch(pts[:, base.dim :]),
-                tol,
-            )
-        )
+    for a in range(c.action.dim):
+        claim = "vertical generator contracts to the twisted differential of the pulled-back Hamiltonian"
+        rep.add(residual_row(f"bundle-momentum[{a}]", claim, scaled_residuals(*sides[2 * a : 2 * a + 2], n), tol))
+        claim = "zero level of the bundle momentum is base times the fiber zero level"
+        rep.add(residual_row(f"level-product[{a}]", claim, on_points[:, a] - on_fiber[:, a], tol))
     i, j = np.triu_indices(c.total.dim, 1)
-    W = skew_matrices(c.Omega, pts)[:, i, j].T if c.action.elements else None
-    for gname, g in c.action.elements.items():
-        jet = dual.jet(g.components, pts[:, base.dim :])
-        pulled = _pulled_back_matrices(c, pts, *jet)[:, i, j].T
+    W = _skew(omega, c.total.dim, n)[:, i, j].T
+    for gname, image, Dg in zip(c.action.elements, jets[::2], jets[1::2]):
+        pulled = _pulled_back_matrices(c, pts, image, Dg)[:, i, j].T
         residuals = scaled_residuals(dict(enumerate(pulled)), dict(enumerate(W)), len(pts))
         claim = "coupling form is preserved by the fiber element"
         rep.add(residual_row(f"omega-invariant[{gname}]", claim, residuals, tol))
@@ -230,43 +226,37 @@ def reduced_form_check(
 
     gen_fields = [_combined_generator(act, v) for v in slc.directions]
     mom_fields = [_combined_momentum(mu, v) for v in slc.directions]
-    image, J = dual.jet(param.components, pts)  # (n, fiber dim), (n, fiber dim, slice dim)
-    _require_transverse(pts, J, [rho.batch(image) for rho in gen_fields])
+    theta_s, omega_s = pullback(param, fiber.lee), pullback(param, fiber.omega)
+    forms = [exterior_derivative(theta_s), theta_s, exterior_derivative(omega_s), twisted_derivative(theta_s, omega_s)]
+    # one replay on the slice points, with the slice map's jet, and one on the image
+    jet = param.components, dual.grads(param.components, src.dim)
+    *values, omega, image, J = batch_values([*forms, omega_s], pts, *jet)
+    contractions = [interior_product(rho, fiber.omega) for rho in gen_fields]
+    fields = [rho.components for rho in gen_fields], [f.node for f in mom_fields]
+    *contractions, generators, momenta = batch_values(contractions, image, *fields)
+    _require_transverse(pts, J, np.moveaxis(generators, 1, -1))
 
     rep = Report("reduced_form_check")
-    for idx, f in enumerate(mom_fields):
-        rep.add(
-            residual_row(
-                f"level[{idx}]", "claimed momentum combination vanishes along the slice", f.batch(image), tol
-            )
-        )
-    for idx, rho in enumerate(gen_fields):
-        w = form_values(interior_product(rho, fiber.omega), image)
+    for idx in range(len(mom_fields)):
+        claim = "claimed momentum combination vanishes along the slice"
+        rep.add(residual_row(f"level[{idx}]", claim, momenta[:, idx], tol))
+    for idx, w in enumerate(contractions):
         pairings = np.stack([evaluate_form(w, J[:, :, j : j + 1]) for j in range(src.dim)], axis=-1)
-        rep.add(
-            residual_row(
-                f"level-isotropy[{idx}]", "generator contracts to zero with slice-tangent vectors", pairings, tol
-            )
-        )
+        claim = "generator contracts to zero with slice-tangent vectors"
+        rep.add(residual_row(f"level-isotropy[{idx}]", claim, pairings, tol))
 
-    theta_s = pullback(param, fiber.lee)
-    omega_s = pullback(param, fiber.omega)
-    rep.add(
-        residual_check("reduced-lee-closed", "pulled-back Lee form is closed",
-                       exterior_derivative(theta_s), None, pts, tol)
-    )
-    if form_max(theta_s, pts) <= tol:
-        rep.add(
-            residual_check("reduced-closed", "Lee form pulls back to zero; reduced form is closed",
-                           exterior_derivative(omega_s), None, pts, tol)
-        )
+    n = len(pts)
+    dtheta, theta, domega, lcs = values
+    rep.add(residual_row("reduced-lee-closed", "pulled-back Lee form is closed", scaled_residuals(dtheta, {}, n), tol))
+    size = np.abs(value_array(theta, n))
+    if size[np.isfinite(size)].max(initial=0.0) <= tol:
+        claim = "Lee form pulls back to zero; reduced form is closed"
+        rep.add(residual_row("reduced-closed", claim, scaled_residuals(domega, {}, n), tol))
     else:
-        rep.add(
-            residual_check("reduced-lcs", "pulled-back pair satisfies the LCS identity",
-                           exterior_derivative(omega_s) - wedge(theta_s, omega_s), None, pts, tol)
-        )
+        claim = "pulled-back pair satisfies the LCS identity"
+        rep.add(residual_row("reduced-lcs", claim, scaled_residuals(lcs, {}, n), tol))
     if src.dim % 2 == 0:
-        rep.add(_nondegeneracy_row(omega_s, form_values(omega_s, pts), len(pts), tol, "reduced-nondegenerate"))
+        rep.add(_nondegeneracy_row(omega_s, omega, n, tol, "reduced-nondegenerate"))
     else:
         rep.add(
             CheckResult.recorded(
@@ -321,16 +311,15 @@ def product_split_check(c: CouplingChart, slc: LevelSlice, points, tol: float = 
     return rep
 
 
-def _require_transverse(pts: np.ndarray, J: np.ndarray, generators: list) -> None:
+def _require_transverse(pts: np.ndarray, J: np.ndarray, G: np.ndarray) -> None:
     """Raise unless ``[slice tangent | active generators]`` has full rank at every point.
 
-    ``J`` holds the slice Jacobians, shape (n, dim, k), and ``generators`` one
-    (n, dim) array per combined generator.  A generator is active at a point
+    ``J`` holds the slice Jacobians, shape (n, dim, k), and ``G`` the combined
+    generators, shape (n, dim, generators).  A generator is active at a point
     where it does not vanish; inactive columns are zeroed, so the rank needed
     is ``k`` plus the number of active generators.  Points with a non-finite
     entry are left out of the test.
     """
-    G = np.stack(generators, axis=-1)  # (n, dim, generators)
     finite = finite_points(np.concatenate([J, G], axis=-1))
     active = np.abs(G).max(axis=1) > 1e-12
     M = np.concatenate([J, np.where(active[:, None, :], G, 0.0)], axis=-1)

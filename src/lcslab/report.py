@@ -4,14 +4,15 @@ A "residual" everywhere in this package is scale-aware: a difference is
 divided by ``1 + max coefficient magnitude at the point``, so tolerances mean
 the same thing for forms with coefficients of order 1 and of order 1e6.
 
-It also owns the batched evaluations the rows share: a form's coefficient
-columns (:func:`form_values`; :func:`value_array` sets them side by side,
-and a report that reads them in several rows evaluates them once), those of
-every form a report needs from one replay of the coefficient DAG
-(:func:`batch_values`, so a shared subexpression is evaluated once), and a
-form's contraction with argument vectors (:func:`evaluate_form`, by the
-minors of the argument matrix) and the Pfaffians of skew matrices
-(:func:`pfaffian`), both taken as polynomials on the whole batch.
+It also owns the batched evaluations the rows share.  A report replays once
+per point set: :func:`batch_values` gives the coefficient columns of every
+form it needs on those points, and any fields, maps or jets it names with
+them, from one replay of the coefficient DAG, so a shared subexpression is
+evaluated once and every row reads the same columns (:func:`form_values` is
+its one-form case, :func:`value_array` sets columns side by side).  A form's
+contraction with argument vectors (:func:`evaluate_form`, by the minors of
+the argument matrix) and the Pfaffians of skew matrices (:func:`pfaffian`)
+are both taken as polynomials on the whole batch.
 
 And it owns the skipped-point rule: :func:`finite_points` alone defines a
 skipped point (one with a non-finite value); rows count them as ``skipped``
@@ -31,6 +32,7 @@ from . import dual
 from .forms import DifferentialForm
 
 DEFAULT_TOL = 1e-8
+DEFAULT_POINTS = 64  # sample points of a run that names no count: the CLI's --points, gallery.run_manifest
 
 
 @dataclass
@@ -153,19 +155,20 @@ def form_values(form: DifferentialForm, points: np.ndarray) -> dict:
     return batch_values([form], points)[0]
 
 
-def batch_values(forms: Sequence[DifferentialForm], points: np.ndarray) -> list[dict]:
-    """:func:`form_values` of every form in ``forms``, from one replay of the DAG.
+def batch_values(forms: Sequence[DifferentialForm], points: np.ndarray, *nested) -> list:
+    """:func:`form_values` of every form in ``forms``, then each of ``nested`` on the batch, from one replay.
 
     A subexpression the forms share, such as ``omega`` inside ``d omega`` and
-    ``L_X omega``, is evaluated once.
+    ``L_X omega``, is evaluated once.  ``nested`` holds nodes in nested lists
+    (a field's components, a lift block, their :func:`~lcslab.dual.grads`),
+    each returned as :func:`~lcslab.dual.evaluate` returns it.
     """
-    nodes = [f for form in forms for f in form.coeffs.values()]
-    cols = dual.evaluate(nodes, points).T if nodes else ()
+    cols, *extra = dual.replay([[f for form in forms for f in form.coeffs.values()], *nested], points)
     out, start = [], 0
     for form in forms:
-        out.append(dict(zip(form.coeffs, cols[start : start + len(form.coeffs)])))
+        out.append(dict(zip(form.coeffs, cols.T[start : start + len(form.coeffs)])))
         start += len(form.coeffs)
-    return out
+    return out + extra
 
 
 def value_array(values: dict, n: int) -> np.ndarray:
@@ -311,8 +314,8 @@ def form_residual(a: DifferentialForm, b: DifferentialForm | None, points: np.nd
     Returns (residual, skipped) where ``skipped`` counts points at which some
     coefficient failed to evaluate to a finite number.
     """
-    vb = form_values(b, points) if b is not None else {}
-    return worst_residual(scaled_residuals(form_values(a, points), vb, np.asarray(points).shape[0]))
+    va, vb = batch_values([a, DifferentialForm.zero(a.chart, a.degree) if b is None else b], points)
+    return worst_residual(scaled_residuals(va, vb, np.asarray(points).shape[0]))
 
 
 def scaled_residuals(va: dict, vb: dict, n: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared fixtures: small charts reused across the suite, and records of the tapes a test builds and the samples it draws."""
+"""Shared fixtures: small charts reused across the suite, and records of the tapes a test builds or replays and the samples it draws."""
 
 import numpy as np
 import pytest
@@ -42,6 +42,20 @@ def built_tapes(monkeypatch) -> list:
 
     monkeypatch.setattr(dual, "Tape", Recorded)
     return built
+
+
+@pytest.fixture
+def replayed_tapes(monkeypatch) -> list:
+    """The (tape, points) of every replay on a point batch during the test, in call order."""
+    replayed = []
+    replay = dual.Tape.replay
+
+    def recorded(tape, points, rows):
+        replayed.append((tape, points))
+        replay(tape, points, rows)
+
+    monkeypatch.setattr(dual.Tape, "replay", recorded)
+    return replayed
 
 
 @pytest.fixture

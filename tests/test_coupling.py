@@ -621,17 +621,22 @@ def test_coupled_structure_matches_gauge_formula(which, flat, s2):
     assert np.abs(want[:, m:, :m]).max() > 0.1  # the gauge block is compared on nonzero values
 
 
-def test_horizontal_identity_takes_one_jet_of_each_block(s2, monkeypatch):
-    """One jet each of J_base, J_fiber and the lift block per run, shared by every pair."""
-    jets, jet = [], dual.jet
-    monkeypatch.setattr(dual, "jet", lambda value, points: jets.append(value) or jet(value, points))
+def test_horizontal_identity_takes_one_jet_of_each_block(s2, replayed_tapes):
+    """One replay per point set, shared by every pair: the base columns, the fiber columns, the points.
+
+    The base replay holds J_base's jet and the curvature, the fiber replay
+    J_fiber's jet and the generators, and the last the lift block's jet and
+    Omega.  The counts do not depend on the machine.
+    """
     o = s2.objects
-    pts = o["coupling"].total.sample(6, seed=3)
-    rep = horizontal_nijenhuis_identity(o["coupling"], o["J_base"], o["J_fiber"], pts, seed=3, pairs=3)
+    c = o["coupling"]
+    pts = c.total.sample(6, seed=3)  # drawn first: the draw replays the chart's domain
+    replayed_tapes.clear()
+    rep = horizontal_nijenhuis_identity(c, o["J_base"], o["J_fiber"], pts, seed=3, pairs=3)
     assert rep.passed
-    assert len(jets) == 3
-    assert jets[0] is o["J_base"].entries and jets[1] is o["J_fiber"].entries
-    assert jets[2] is o["coupling"].lift_block
+    m = c.base_dim
+    for (_, got), want in zip(replayed_tapes, [pts[:, :m], pts[:, m:], pts], strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("which", ["flat", "s2"])
@@ -700,7 +705,7 @@ print(len(built))
 
 
 def test_coupling_s2_builds_each_tape_once(built_tapes):
-    """Tapes built by a pass of every coupling-s2 run at 64 points: 22 cold, at most 3 warm (74 and 42 uncached).
+    """Tapes built by a pass of every coupling-s2 run at 64 points: 15 cold (22 with a replay per row), at most 3 warm.
 
     The counts do not depend on the machine.  The cold pass runs in a fresh
     interpreter, since nodes that other tests keep alive spare it some tapes.
@@ -708,7 +713,7 @@ def test_coupling_s2_builds_each_tape_once(built_tapes):
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cold = subprocess.run([sys.executable, "-c", COLD_PASS], env=env, capture_output=True, text=True, timeout=300)
-    assert (cold.stdout, cold.stderr) == ("22\n", "")
+    assert (cold.stdout, cold.stderr) == ("15\n", "")
     man = coupling_example_s2()
     for run in man.runs.values():
         run(64, 1, 1e-8)
@@ -718,24 +723,17 @@ def test_coupling_s2_builds_each_tape_once(built_tapes):
     assert len(built_tapes) <= 3
 
 
-def test_verify_coupling_replays_no_tape_twice(s2, monkeypatch):
-    """One ``verify_coupling`` call on coupling-s2 at 64 points replays each of its 7 tapes once.
+def test_verify_coupling_replays_no_tape_twice(s2, replayed_tapes):
+    """One ``verify_coupling`` call on coupling-s2 at 64 points replays one tape, once (7 with a replay per row).
 
-    The ``hor-vert`` and ``nondegenerate`` rows share Omega's coefficient
-    columns.  The counts do not depend on the machine.
+    Every row reads the columns of that replay: its forms, the embedded fiber
+    data and the lift block.  The counts do not depend on the machine.
     """
     c = s2.objects["coupling"]
     pts = c.total.sample(64, seed=1)  # drawn first: the draw replays the chart's domain
-    replayed = []
-    replay = dual.Tape.replay
-
-    def counted(tape, points, rows):
-        replayed.append(tape)
-        replay(tape, points, rows)
-
-    monkeypatch.setattr(dual.Tape, "replay", counted)
+    replayed_tapes.clear()
     verify_coupling(c, pts, seed=1)
-    assert len(replayed) == len({id(t) for t in replayed}) == 7
+    assert len(replayed_tapes) == 1 and replayed_tapes[0][1] is pts
 
 
 def test_base_embedding_keeps_the_base_nodes(s2, monkeypatch):

@@ -227,6 +227,29 @@ def test_a_warm_pass_of_the_large_certificate_manifests_builds_few_tapes(built_t
     assert not any(built[k] for k in certificate), built
 
 
+# Replays in a warm 64-point pass, seed 1: once per point set, again only on points a replay computed.
+# With a replay per row they were 37, 23, 24, 58 and 5.
+WARM_REPLAYS = {"coupling-s2": 17, "hopf2": 11, "hopf4": 9, "inoue": 23, "cotangent2": 3}
+
+
+def test_a_warm_pass_replays_once_per_point_set(replayed_tapes):
+    """Tape replays in a second pass of coupling-s2, hopf(2, (1, 2)), hopf(4), inoue and cotangent(2) at 64 points.
+
+    A check gathers every form, field and jet it reads on one batch into
+    one replay; a second replay runs only on points the first computed, such
+    as a map's images (and the chart's domain test on them).  The counts do
+    not depend on the machine.
+    """
+    manifests = [coupling_example_s2(), hopf(2, (1.0, 2.0)), hopf(4, (1.0,) * 4), inoue(), cotangent(m=2)]
+    replays = {}
+    for man in manifests:
+        run_manifest(man, points=64, seed=1, tol=1e-8)  # cold
+        replayed_tapes.clear()
+        run_manifest(man, points=64, seed=1, tol=1e-8)
+        replays[man.name] = len(replayed_tapes)
+    assert all(replays[name] <= limit for name, limit in WARM_REPLAYS.items()), replays
+
+
 def test_a_warm_pass_of_the_gallery_draws_no_sample(drawn_samples):
     """A second pass of hopf(2), hopf(4), inoue, cotangent(2) and coupling-s2 at 64 points draws nothing: each chart kept its draws."""
     manifests = [hopf(2, (1.0, 1.0)), hopf(4, (1.0, 1.0, 1.0, 1.0)), inoue(), cotangent(m=2), coupling_example_s2()]

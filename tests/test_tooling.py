@@ -1,10 +1,12 @@
 """The repository's own gates and conventions.
 
 The pytest settings report every failure, ``src/`` stays within its line
-budget, and every checker takes its sample points from its caller, who draws
-them with ``Chart.sample``, and defaults its tolerance to ``DEFAULT_TOL``.
+budget and uses every name it imports, and every checker takes its sample
+points from its caller, who draws them with ``Chart.sample``, and defaults
+its tolerance to ``DEFAULT_TOL``.
 """
 
+import ast
 import inspect
 import pathlib
 import subprocess
@@ -56,6 +58,24 @@ def test_src_stays_within_its_line_budget():
     """The lines of ``src/lcslab/*.py`` as ``wc -l`` counts them: newline characters."""
     total = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "lcslab").glob("*.py"))
     assert total < SRC_LINE_BUDGET
+
+
+def test_src_uses_every_name_it_imports():
+    """Each name a ``from ... import`` binds in ``src/lcslab/*.py`` is read there; ``__init__`` re-exports its names.
+
+    No linter runs in this repository, so this test is the check.
+    """
+    unused = []
+    for path in sorted((ROOT / "src" / "lcslab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+                unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
+    assert unused == []
 
 
 def test_src_takes_determinants_one_way():
