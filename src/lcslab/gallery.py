@@ -451,11 +451,15 @@ def inoue(
         claim = "the z1 translation field is Hamiltonian for the cover 2-form"
         return Report("hamiltonian", [residual_row("translation-hamiltonian", claim, residuals, max(tol, 1e-9))])
 
+    # The four fits by (draw, tol), kept while the deck box keeps that draw; a fit that raises is not kept.
+    fits = dual.Kept()
+
+    def _fit(sample, tol):
+        return MappingProxyType({name: deck_homothety(m, cover_form, sample, tol, name) for name, m in deck_maps.items()})
+
     def _decks(pts, seed, tol):
         sample = deck_box.sample(max(pts, 4), seed)  # a deck map needs at least 4 samples in the chart
-        return sample, {
-            name: deck_homothety(m, cover_form, sample, tol, name) for name, m in deck_maps.items()
-        }
+        return sample, fits.keep((id(sample), tol), (sample,), _fit, sample, tol)
 
     def decks_run(pts, seed, tol) -> Report:
         rep = Report("decks")

@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lcslab import dual
-from lcslab.errors import UsageError
+from lcslab import dual, gallery
+from lcslab.errors import NotHomothetyError, UsageError
 from lcslab.forms import pullback
 from lcslab.gallery import (
     GALLERY,
@@ -123,6 +123,48 @@ def test_inoue_descent_obstruction_magnitude():
     assert rep["a[g2]"].residual > 0.1
 
 
+@pytest.fixture
+def deck_fits(monkeypatch) -> list:
+    """The names of the deck maps fitted during the test, one per ``deck_homothety`` call of the gallery."""
+    fitted = []
+    fit = gallery.deck_homothety
+
+    def recorded(gamma, Omega, points, tol, name):
+        fitted.append(name)
+        return fit(gamma, Omega, points, tol, name)
+
+    monkeypatch.setattr(gallery, "deck_homothety", recorded)
+    return fitted
+
+
+def test_inoue_fits_its_deck_maps_once_per_draw_and_tol(deck_fits):
+    """inoue's ``decks``, ``automorphic`` and ``descent`` runs share one fit of each deck map per draw and tol.
+
+    A cold 64-point pass, seed 1, fits the four maps once (12 fits when each
+    run fitted its own); a warm pass fits none, and another tol or point
+    count fits four more.  The counts do not depend on the machine.
+    """
+    man = inoue()
+    fits = []
+    for points, tol in [(64, 1e-8), (64, 1e-8), (64, 1e-9), (128, 1e-8)]:
+        deck_fits.clear()
+        run_manifest(man, points=points, seed=1, tol=tol)
+        fits.append(sorted(deck_fits))
+    assert fits == [["g0", "g1", "g2", "g3"], [], ["g0", "g1", "g2", "g3"], ["g0", "g1", "g2", "g3"]]
+
+
+def test_a_failed_deck_fit_is_not_kept(deck_fits):
+    """A fit that raises is made again on the next call, and raises again."""
+    run = inoue().runs["decks"]
+    made = []
+    for _ in range(2):
+        deck_fits.clear()
+        with pytest.raises(NotHomothetyError):
+            run(64, 1, 1e-16)
+        made.append(list(deck_fits))
+    assert made[0] and made[1] == made[0]
+
+
 @pytest.mark.parametrize("m, n_expected", [(1, 4), (2, 8)])
 def test_cotangent_manifest(m, n_expected):
     man = cotangent(m)
@@ -228,8 +270,9 @@ def test_a_warm_pass_of_the_large_certificate_manifests_builds_few_tapes(built_t
 
 
 # Replays in a warm 64-point pass, seed 1: once per point set, again only on points a replay computed.
+# inoue keeps its deck fits with the deck box's draw, so a warm pass replays none of them (23 when it fitted again).
 # With a replay per row they were 37, 23, 24, 58 and 5.
-WARM_REPLAYS = {"coupling-s2": 17, "hopf2": 11, "hopf4": 9, "inoue": 23, "cotangent2": 3}
+WARM_REPLAYS = {"coupling-s2": 17, "hopf2": 11, "hopf4": 9, "inoue": 11, "cotangent2": 3}
 
 
 def test_a_warm_pass_replays_once_per_point_set(replayed_tapes):
