@@ -168,11 +168,17 @@ def _node(op: str, args: tuple, data=None) -> Node:
     multiplication commute exactly).  Only bit-exact identities fold: ``x*1``,
     ``x/1``, ``x-0.0`` and ``-(-x)``, and ``a + (-b)``, ``(-b) + a`` and
     ``a - (-b)`` become ``a - b``, ``a - b`` and ``a + b`` (IEEE 754 subtracts
-    by adding the negation).  ``x+0.0`` changes the sign of a zero, and ``0*x``
-    must carry a non-finite ``x``.
+    by adding the negation).  A negation leaves a product or quotient for those
+    rules to absorb, ``(-a)*b`` is ``-(a*b)`` and ``(-a)/(-b)`` is ``a/b``
+    (IEEE 754 rounds symmetrically in sign).  ``x+0.0`` changes the sign of a
+    zero, and ``0*x`` must carry a non-finite ``x``.
     """
     if op == "neg" and args[0].op == "neg":
         return args[0].args[0]
+    if op in ("*", "/") and (args[0].op == "neg" or args[1].op == "neg"):
+        a, b = args
+        inner = _node(op, (a.args[0] if a.op == "neg" else a, b.args[0] if b.op == "neg" else b))
+        return inner if a.op == b.op else _node("neg", (inner,))
     if op in ("+", "-") and args[1].op == "neg":
         return _node("-" if op == "+" else "+", (args[0], args[1].args[0]))
     if op == "+" and args[0].op == "neg":

@@ -6,14 +6,17 @@ Verification checks pointwise identities over seeded samples and returns a
 :class:`~lcslab.report.Report` rather than raising, except where an operation
 is genuinely unusable (odd dimension, degenerate input).  A check replays
 once on its point batch: every form its rows read, through
-:func:`~lcslab.report.batch_values`, and each row reads those columns
-(nondegeneracy from one stack of skew coefficient matrices); a sample point
-where some value is not finite is skipped and counted, and a row with too
-many skipped points is inconclusive.
+:func:`~lcslab.report.batch_values`, and each row reads those columns.
+Nondegeneracy is scored on omega's upper-triangle columns too: each column
+is divided by the square roots of its two row scales, then squared in one
+batched Pfaffian, and no skew matrix is built.  A sample point where some
+value is not finite is skipped and counted, and a row with too many skipped
+points is inconclusive.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -35,6 +38,7 @@ from .report import (
     residual_row,
     scaled_residuals,
     triangle,
+    value_array,
 )
 
 
@@ -106,32 +110,32 @@ def _skew(values: dict, d: int, n: int) -> np.ndarray:
     return M
 
 
-def normalized_determinant(M: np.ndarray) -> float | np.ndarray:
-    """Determinant of the skew matrix ``M`` after dividing every row by its largest absolute entry.
+@functools.cache
+def _upper_keys(d: int) -> tuple:
+    """The 2-form keys ``(i, j)`` in :func:`~lcslab.report.triangle` order, and the places of the d - 1 that touch each index."""
+    i, j = triangle(d)
+    return tuple(zip(i.tolist(), j.tolist())), np.array([np.flatnonzero((i == r) | (j == r)) for r in range(d)])
 
-    Scale-free nondegeneracy score used by the verify routines: the raw
-    determinant of a 2-form with coefficients ~1e3 would dwarf any fixed
-    threshold, the normalized one stays in [0, 1]-ish territory.  ``M`` is
-    one matrix (returns a float) or a stack of shape (..., d, d) (returns an
-    array); a matrix of odd size, with a zero row or with a non-finite entry
-    scores 0.  ``M`` must be skew, as :func:`skew_matrices` builds it: the
-    score is ``Pf(N)**2`` with ``N_ij = M_ij / sqrt(s_i s_j)`` and ``s_i`` the
-    row scales, the same number (``det N = det M / prod(s)``) with every
-    ``|N_ij| <= 1``, so no scale of ``M`` overflows it.
+
+def _nondegeneracy_scores(values: dict, d: int, n: int) -> np.ndarray:
+    """Normalized determinants of a 2-form on ``n`` points, from its coefficient columns ``values``; ``d`` is even.
+
+    The score is ``Pf(N)**2`` with ``N_ij = omega_ij / sqrt(s_i s_j)``, where
+    the row scale ``s_r`` is the largest ``|omega_ij|`` over the d - 1
+    coefficients that touch index ``r``.  So ``det N = det M / prod(s)`` for
+    the skew coefficient matrix ``M``, scale-free with every ``|N_ij| <= 1``,
+    and no scale overflows it.  A point with a zero row or a non-finite
+    coefficient scores 0.
     """
-    M = np.asarray(M, dtype=float)
-    d = M.shape[-1]
-    if d != M.shape[-2] or d % 2 == 1:
-        out = np.zeros(M.shape[:-2])
-    else:
-        i, j = triangle(d)
-        root = np.moveaxis(np.sqrt(np.abs(M).max(axis=-1)), -1, 0)  # the row scales' square roots, (d, ...)
-        ok = np.all((root > 0.0) & np.isfinite(root), axis=0)
-        with np.errstate(all="ignore"):
-            upper = np.moveaxis(M, (-2, -1), (0, 1))[i, j] / root[i]
-            upper /= root[j]
-            out = np.where(ok, np.square(pfaffian(upper, d)), 0.0)
-    return float(out) if M.ndim == 2 else out
+    (i, j), (keys, touching) = triangle(d), _upper_keys(d)
+    zero = np.zeros(n)
+    upper = np.stack([values.get(I, zero) for I in keys])  # (d(d-1)/2, n)
+    root = np.sqrt(np.abs(upper)[touching].max(axis=1))  # the row scales' square roots, (d, n)
+    ok = np.all((root > 0.0) & np.isfinite(root), axis=0)
+    with np.errstate(all="ignore"):
+        upper /= root[i]
+        upper /= root[j]
+        return np.where(ok, np.square(pfaffian(upper, d)), 0.0)
 
 
 def _nondegeneracy_row(
@@ -144,20 +148,21 @@ def _nondegeneracy_row(
     if omega.chart.dim % 2 == 1:
         claim = "2-form nondegenerate at samples"
         return CheckResult(check_id, claim, residual=0.0, threshold=tol, passed=False, details={"note": _ODD_NOTE})
-    M = _skew(values, omega.chart.dim, n)
-    finite = finite_points(M)
-    dets = normalized_determinant(M if finite.all() else M[finite])
+    finite = finite_points(value_array(values, n))
+    if not finite.all():
+        values = {I: v[finite] for I, v in values.items()}
+    dets = _nondegeneracy_scores(values, omega.chart.dim, int(finite.sum()))
     worst = float(dets.min()) if dets.size else 0.0
-    skipped = int(len(M) - finite.sum())
+    skipped = int(n - finite.sum())
     result = CheckResult(
         check_id,
         "2-form nondegenerate at samples (min normalized |det|)",
         residual=worst,
         threshold=tol,
         passed=bool(worst > tol),
-        details={"min_abs_det": worst, "skipped": skipped, "points": len(M)},
+        details={"min_abs_det": worst, "skipped": skipped, "points": n},
     )
-    return demote_if_sparse(result, skipped, len(M))
+    return demote_if_sparse(result, skipped, n)
 
 
 # --------------------------------------------------------------------------
@@ -206,8 +211,8 @@ def solve_lee_form(omega: DifferentialForm, points, tol: float = DEFAULT_TOL) ->
     coefficients of theta; for a nondegenerate 2-form in dimension >= 4 the
     solution is unique, and the returned residual is ~0 exactly when omega
     is compatible with *some* Lee form at the point.  An (n, dim) batch is
-    solved as one stack: one replay of omega and ``d omega``, one set of
-    skew matrices, one stacked SVD with a stacked rank test; it raises at the
+    solved as one stack: one replay of omega and ``d omega``, omega's scores
+    from its columns, one stacked SVD with a stacked rank test; it raises at the
     first point where omega is degenerate or the system is singular.  One
     point gives coefficients of shape (dim,) and a float residual, a batch
     (n, dim) and (n,).
@@ -224,7 +229,6 @@ def solve_lee_form(omega: DifferentialForm, points, tol: float = DEFAULT_TOL) ->
         raise UsageError("Lee form recovery needs an even-dimensional chart")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w, dw = batch_values([omega, exterior_derivative(omega)], pts)
-    M = _skew(w, nd, len(pts))
     triples = list(combinations(range(nd), 3))
     A = np.zeros((len(pts), len(triples), nd))
     b = np.zeros((len(pts), len(triples)))
@@ -232,9 +236,8 @@ def solve_lee_form(omega: DifferentialForm, points, tol: float = DEFAULT_TOL) ->
         if K in dw:
             b[:, r] = dw[K]
         for t, i in enumerate(K):
-            j, k = K[:t] + K[t + 1 :]
-            A[:, r, i] += (-1.0) ** t * M[:, j, k]
-    degenerate = np.abs(normalized_determinant(M)) <= tol
+            A[:, r, i] += (-1.0) ** t * w.get(K[:t] + K[t + 1 :], 0.0)
+    degenerate = _nondegeneracy_scores(w, nd, len(pts)) <= tol
     U, S, Vt = np.linalg.svd(A[~degenerate], full_matrices=False)
     singular = np.zeros(len(pts), dtype=bool)
     # lstsq's rank rule: singular values below eps * max(rows, cols) of the largest

@@ -21,6 +21,7 @@ too many skipped points is inconclusive rather than passed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -38,11 +39,20 @@ from .forms import (
     interior_product,
     pullback,
 )
-from .lcs import LCSStructure, _nondegeneracy_row, _skew, skew_matrices, twisted_derivative
-from .report import DEFAULT_TOL, CheckResult, Report, batch_values, evaluate_form, finite_points
-from .report import demote_if_sparse, residual_row, scaled_residuals, value_array
+from .lcs import LCSStructure, _nondegeneracy_row, skew_matrices, twisted_derivative
+from .report import DEFAULT_TOL, CheckResult, Report, _expand, _minor_plan, batch_values, evaluate_form, finite_points
+from .report import demote_if_sparse, residual_row, scaled_residuals, triangle, value_array
 
 _RANK_TOL = 1e-9
+# _require_transverse certifies full rank where det(M^T M) > _CERTIFIED * tr(M^T M)**c,
+# with M's entries |x| <= 1 and at most _CERTIFIED_ROWS rows (2**8 minors a point).
+# Rounding: a computed c-row minor is off by at most gamma_64 * perm|M_S| <=
+# gamma_64 * tr**(c/2) (perm|M_S| <= the product of the column 1-norms, then
+# AM-GM; gamma_n = n u / (1 - n u), u = 2**-53), so the sum of N <= C(8, 4) = 70
+# squares is off by < 3 N gamma_71 tr**c < 2e-12 tr**c, and underflow by far less
+# (tr >= 1): at a certified point (s_min / s_max)**2 > 0.97e-10, not 1e-18.
+_CERTIFIED = 1e-10
+_CERTIFIED_ROWS = 8
 # How close to zero a sampled momentum must come for its level to count as present.
 _LEVEL_MARGIN = 0.01
 
@@ -145,11 +155,10 @@ def bundle_momentum_check(c: CouplingChart, points, tol: float = DEFAULT_TOL) ->
         rep.add(residual_row(f"bundle-momentum[{a}]", claim, scaled_residuals(*sides[2 * a : 2 * a + 2], n), tol))
         claim = "zero level of the bundle momentum is base times the fiber zero level"
         rep.add(residual_row(f"level-product[{a}]", claim, on_points[:, a] - on_fiber[:, a], tol))
-    i, j = np.triu_indices(c.total.dim, 1)
-    W = _skew(omega, c.total.dim, n)[:, i, j].T
+    i, j = triangle(c.total.dim)
     for gname, image, Dg in zip(c.action.elements, jets[::2], jets[1::2]):
         pulled = _pulled_back_matrices(c, pts, image, Dg)[:, i, j].T
-        residuals = scaled_residuals(dict(enumerate(pulled)), dict(enumerate(W)), len(pts))
+        residuals = scaled_residuals(dict(zip(zip(i.tolist(), j.tolist()), pulled)), omega, n)
         claim = "coupling form is preserved by the fiber element"
         rep.add(residual_row(f"omega-invariant[{gname}]", claim, residuals, tol))
     return rep
@@ -319,12 +328,30 @@ def _require_transverse(pts: np.ndarray, J: np.ndarray, G: np.ndarray) -> None:
     where it does not vanish; inactive columns are zeroed, so the rank needed
     is ``k`` plus the number of active generators.  Points with a non-finite
     entry are left out of the test.
+
+    The rank is ``matrix_rank(M, rtol=_RANK_TOL)`` of ``M = [J | active G]``
+    (n, dim, c) after a certificate: with ``M`` divided by its largest
+    ``|entry|``, ``det(M^T M)`` is the sum of the squared c-row minors
+    (Cauchy-Binet) and ``(s_min / s_max)**2 >= det(M^T M) / tr(M^T M)**c``,
+    so ``det > _CERTIFIED * tr**c`` (1e-10) proves rank ``c``.  The SVD
+    decides every other point: a zeroed generator, ``c > dim`` or ``dim >
+    _CERTIFIED_ROWS``, a near-threshold or non-finite test.  So the verdicts,
+    ranks and error text are the SVD's.
     """
     finite = finite_points(np.concatenate([J, G], axis=-1))
     active = np.abs(G).max(axis=1) > 1e-12
     M = np.concatenate([J, np.where(active[:, None, :], G, 0.0)], axis=-1)
-    rank = np.zeros(len(pts), dtype=int)
-    rank[finite] = np.linalg.matrix_rank(M[finite], rtol=_RANK_TOL)
+    n, dim, c = M.shape
+    undecided = finite.copy()
+    if c <= dim <= _CERTIFIED_ROWS:
+        with np.errstate(all="ignore"):
+            scaled = M / np.abs(M).max(axis=(1, 2))[:, None, None]
+            plan = _minor_plan(tuple(combinations(range(dim), c)), c)
+            det = np.square(_expand(np.moveaxis(scaled, 0, -1).reshape(dim * c, n), plan)).sum(axis=0)
+            undecided &= ~(det > _CERTIFIED * np.square(scaled).sum(axis=(1, 2)) ** c)
+    rank = np.full(n, c)
+    if undecided.any():
+        rank[undecided] = np.linalg.matrix_rank(M[undecided], rtol=_RANK_TOL)
     needed = J.shape[-1] + active.sum(axis=1)
     bad = np.flatnonzero(finite & (rank < needed))
     if bad.size:

@@ -365,6 +365,45 @@ def test_sign_folds_name_one_node():
     assert (-x) + (-y) is (-x) - y
 
 
+_PRODUCT_FOLDS = [
+    (lambda a, b: (-a) * b, lambda a, b: np.multiply(np.negative(a), b)),
+    (lambda a, b: a * (-b), lambda a, b: np.multiply(a, np.negative(b))),
+    (lambda a, b: (-a) / b, lambda a, b: np.divide(np.negative(a), b)),
+    (lambda a, b: a / (-b), lambda a, b: np.divide(a, np.negative(b))),
+    (lambda a, b: (-a) * (-b), lambda a, b: np.multiply(np.negative(a), np.negative(b))),
+    (lambda a, b: (-a) / (-b), lambda a, b: np.divide(np.negative(a), np.negative(b))),
+]
+
+
+@pytest.mark.parametrize(
+    "build, unfolded", _PRODUCT_FOLDS, ids=["neg-mul", "mul-neg", "neg-div", "div-neg", "neg-mul-neg", "neg-div-neg"]
+)
+def test_a_negation_leaves_a_product_or_quotient_bit_for_bit(build, unfolded):
+    """``(-a)*b``, ``a*(-b)``, ``(-a)/b`` and ``a/(-b)`` are ``-(a o b)``, two negations none.
+
+    On every pair of signed zeros, subnormals, infinities and nan the bits of
+    the replay are those of the unfolded form, except the sign of a nan, which
+    IEEE 754 leaves open (x86 keeps the first operand's).
+    """
+    x, y = dual.var(0), dual.var(1)
+    node = build(x, y)
+    inner = node.args[0] if node.op == "neg" else node
+    assert inner.op in "*/" and {a.op for a in inner.args} == {"x"}
+    pts = np.array(list(itertools.product(_SIGN_VALUES, repeat=2)))
+    got = dual.evaluate(node, pts)
+    with np.errstate(all="ignore"):
+        want = unfolded(pts[:, 0], pts[:, 1])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    number = ~np.isnan(want)
+    assert np.array_equal(got[number].view(np.uint64), want[number].view(np.uint64))
+
+
+def test_a_negated_factor_is_absorbed_by_a_sum():
+    x, y, z = dual.var(0), dual.var(1), dual.var(2)
+    assert (-x) * y is -(x * y) and x / (-y) is -(x / y) and (-x) * (-y) is x * y and (-x) / (-y) is x / y
+    assert z + (-x) * y is z - x * y and z - x * (-y) is z + x * y
+
+
 def test_a_substituted_zero_adds_no_step():
     """After a coupling-s2 run no live sum or difference has a 0.0 constant argument (three did, from ``Tape.run``)."""
 

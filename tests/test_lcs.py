@@ -12,14 +12,14 @@ from lcslab.forms import DifferentialForm, ScalarField, constant, coordinate, ex
 from lcslab.gallery import inoue
 from lcslab.lcs import (
     LCSStructure,
-    normalized_determinant,
+    _nondegeneracy_scores,
     skew_matrices,
     solve_lee_form,
     twisted_derivative,
     verify_lcs,
 )
 from lcslab.parser import parse_field
-from lcslab.report import evaluate_form, form_residual, pfaffian
+from lcslab.report import evaluate_form, form_residual, pfaffian, triangle
 from tests.test_exterior import skew_matrix_at
 
 
@@ -82,6 +82,31 @@ def test_nondegeneracy_odd_dimension(r3):
     row = verify_lcs(LCSStructure(r3, w, DifferentialForm.zero(r3, 1)), r3.sample(4, seed=0))["nondegenerate"]
     assert row.residual == 0.0 and not row.passed
     assert "odd" in row.details["note"]
+
+
+def normalized_determinant(M):
+    """Determinant of the skew matrix ``M`` after dividing every row by its largest absolute entry.
+
+    The matrix form of the nondegeneracy score, the reference for
+    ``lcs._nondegeneracy_scores``, which takes the same steps on a 2-form's
+    coefficient columns.  ``M`` is one matrix (returns a float) or a stack of
+    shape (..., d, d) (returns an array); a matrix of odd size, with a zero
+    row or with a non-finite entry scores 0.  The score is ``Pf(N)**2`` with
+    ``N_ij = M_ij / sqrt(s_i s_j)`` and ``s_i`` the row scales.
+    """
+    M = np.asarray(M, dtype=float)
+    d = M.shape[-1]
+    if d % 2 == 1:
+        out = np.zeros(M.shape[:-2])
+    else:
+        i, j = triangle(d)
+        root = np.moveaxis(np.sqrt(np.abs(M).max(axis=-1)), -1, 0)  # the row scales' square roots, (d, ...)
+        ok = np.all((root > 0.0) & np.isfinite(root), axis=0)
+        with np.errstate(all="ignore"):
+            upper = upper_rows(M) / root[i]
+            upper /= root[j]
+            out = np.where(ok, np.square(pfaffian(upper, d)), 0.0)
+    return float(out) if M.ndim == 2 else out
 
 
 def test_normalized_determinant_scale_free():
@@ -174,6 +199,42 @@ def test_normalized_determinant_past_the_expanded_block_matches_lapack(rng):
     M = M - np.swapaxes(M, -1, -2)
     want = np.linalg.det(M / np.abs(M).max(axis=-1, keepdims=True))
     np.testing.assert_allclose(normalized_determinant(M), want, rtol=1e-9, atol=1e-14)
+
+
+def column_scores(M, drop=()):
+    """``lcs._nondegeneracy_scores`` on the upper-triangle columns of the stack ``M`` (n, d, d), less the keys ``drop``."""
+    d = M.shape[-1]
+    keys = list(zip(*(k.tolist() for k in triangle(d))))
+    return _nondegeneracy_scores({I: v for I, v in zip(keys, upper_rows(M)) if I not in drop}, d, len(M))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+def test_column_scores_are_the_matrix_scores_bit_for_bit(rng, d):
+    """The scorer on coefficient columns against the matrix form, with the same bits; 10 rows take ``_eliminate``."""
+    rows = np.exp(rng.normal(scale=4.0, size=(64, d)))  # row scales over many orders of magnitude
+    M = rows[:, :, None] * random_skew(rng, (64,), d) * rows[:, None, :]
+    M[1, 0, :] = M[1, :, 0] = 0.0  # a zero row
+    M[2, 0, 1] = np.nan
+    M[3, 0, d - 1] = np.inf
+    M[4] *= 1e150
+    M[5] *= 1e-150
+    M[6, :, : d // 2] *= 1e150  # rows at 1e150 and at 1e-150 in one matrix
+    M[6, : d // 2, :] *= 1e150
+    M[6] *= 1e-150
+    M[7] = 0.0
+    M = np.triu(M, 1)
+    M -= np.swapaxes(M, 1, 2)  # skew to the bit, as ``lcs.skew_matrices`` builds it
+    want = normalized_determinant(M)
+    got = column_scores(M)
+    assert np.array_equal(bits(got), bits(want))
+    assert np.isfinite(got).all() and (got[[1, 2, 3, 7]] == 0.0).all() and (got[[0, 4, 5]] > 0.0).all()
+    # a coefficient missing from the columns is a zero entry of the matrix
+    M[:, 0, 1] = M[:, 1, 0] = 0.0
+    assert np.array_equal(bits(column_scores(M, drop={(0, 1)})), bits(normalized_determinant(M)))
 
 
 def minors(vecs, rows):

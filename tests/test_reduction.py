@@ -26,6 +26,7 @@ from lcslab.parser import parse_field
 from lcslab.reduction import (
     LevelSlice,
     _pulled_back_matrices,
+    _require_transverse,
     bundle_momentum_check,
     invariant_hamiltonian_check,
     level_scan,
@@ -133,6 +134,90 @@ def test_reduction_rejects_slice_containing_orbit(symplectic, shift_action, shif
     )
     with pytest.raises(PreconditionError, match="not transverse"):
         reduced_form_check(symplectic, shift_action, along_orbit, shift_momentum, sheet.sample(8, seed=0))
+
+
+# -- the transversality certificate --------------------------------------------
+
+
+def svd_verdict(pts, J, G):
+    """The transversality test by ``matrix_rank`` alone: None, or the error text of a slice that is not transverse."""
+    finite = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(G).all(axis=(1, 2))
+    active = np.abs(G).max(axis=1) > 1e-12
+    M = np.concatenate([J, np.where(active[:, None, :], G, 0.0)], axis=-1)
+    needed = J.shape[-1] + active.sum(axis=1)
+    for p, ok, m, need in zip(pts, finite, M, needed):
+        if ok and (rank := np.linalg.matrix_rank(m, rtol=1e-9)) < need:
+            return f"slice is not transverse at {[round(float(x), 6) for x in p]}: rank {rank} of " + (
+                f"[tangent | generators] is below {need}"
+            )
+    return None
+
+
+def verdict(pts, J, G):
+    try:
+        _require_transverse(pts, J, G)
+    except PreconditionError as e:
+        return str(e)
+    return None
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """The stacks ``np.linalg.matrix_rank`` is called on."""
+    calls, rank = [], np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda M, **kw: calls.append(M.shape) or rank(M, **kw))
+    return calls
+
+
+def conditioned(rng, n, dim, ratios):
+    """``n`` random (dim, len(ratios)) matrices with singular values ``ratios``."""
+    U = np.linalg.qr(rng.normal(size=(n, dim, dim)))[0][:, :, : len(ratios)]
+    V = np.linalg.qr(rng.normal(size=(n, len(ratios), len(ratios))))[0]
+    return U * np.asarray(ratios) @ np.swapaxes(V, 1, 2)
+
+
+@pytest.mark.parametrize("ratio, transverse", [(1e-8, True), (1e-10, False)])
+def test_a_near_threshold_slice_is_decided_by_the_svd(rng, rank_calls, ratio, transverse):
+    """Singular-value ratios 1e-8 and 1e-10 straddle ``_RANK_TOL = 1e-9``: the certificate passes them to the SVD."""
+    M = conditioned(rng, 16, 4, (1.0, 0.3, ratio))
+    M[5:] = conditioned(rng, 11, 4, (1.0, 0.5, 0.2))  # well conditioned: certified
+    pts = rng.normal(size=(16, 2))
+    want = svd_verdict(pts, M[:, :, :2], M[:, :, 2:])
+    assert (want is None) == transverse
+    rank_calls.clear()
+    assert verdict(pts, M[:, :, :2], M[:, :, 2:]) == want
+    assert rank_calls == [(5, 4, 3)]
+
+
+def test_transversality_edges_match_the_svd(rng, rank_calls):
+    """An inactive generator, more columns than rows, entries at 1e+-200 and non-finite entries."""
+    pts = rng.normal(size=(6, 2))
+    J, G = np.split(conditioned(rng, 6, 4, (1.0, 0.6, 0.2)), [2], axis=-1)
+    for name, (J1, G1) in {"certified": (J, G), "1e200": (1e200 * J, 1e200 * G)}.items():
+        rank_calls.clear()
+        assert verdict(pts, J1, G1) is None and rank_calls == [], name
+    at = np.arange(6)[:, None, None]
+    cases = {  # (J, G, transverse)
+        "1e-200": (1e-200 * J, 1e-200 * G, True),  # the generator is below the activity threshold 1e-12
+        "inactive": (J, np.where(at < 3, 1e-13, G), True),
+        "inactive, J singular": (np.concatenate([J[:, :, :1], J[:, :, :1]], axis=-1), 0.0 * G, False),
+        "c > dim": (J[:, :2], G[:, :2], False),
+        "c > dim, G inactive": (J[:, :2], 0.0 * G[:, :2], True),
+        "1e200 beside 1": (1e200 * J, G, False),  # a singular-value ratio near 1e-200
+        "orbit in the slice": (J, J[:, :, :1], False),
+        "non-finite": (np.where(at == 2, np.nan, J), np.where(at == 4, np.inf, J[:, :, :1]), False),
+    }
+    for name, (J1, G1, transverse) in cases.items():
+        rank_calls.clear()
+        want = svd_verdict(pts, J1, G1)
+        assert (want is None) == transverse and verdict(pts, J1, G1) == want, name
+        assert rank_calls, name
+
+
+def test_the_hopf_torus_slice_is_certified_without_an_svd(rank_calls):
+    """hopf(2, (1, 2))'s ``reduce`` at 4096 points, seed 1: every slice point is certified, no ``matrix_rank``."""
+    rep = hopf(2, (1.0, 2.0)).runs["reduce"](4096, 1, 1e-8)
+    assert rep.passed and rank_calls == []
 
 
 def test_reduction_flags_wrong_level(symplectic, shift_action, shift_momentum, sheet, phase):
