@@ -2,7 +2,9 @@
 
 Runs ``lcslab.cli.main`` in this process on every gallery configuration at
 64 and 1024 points, seeds 3 and 4, in JSON and text; on ``list`` and each
-``example <name>`` description; and on the seeded documents of
+``example <name>`` description; on four documents that reach command paths
+the others do not (``cohomology --theta``, a ``momentum`` section,
+``structure_constants``, ``atan2``) and on the seeded documents of
 ``lcsbench/docgen.py`` for seeds 5-7, in JSON and text.  Prints one line per
 invocation: the exit code, the sha256 of stdout and of stderr, and the argv
 (an argument longer than 60 characters, such as a whole JSON document,
@@ -12,8 +14,9 @@ same output when their digests are identical:
     python3 scripts/output_digest.py > digest.txt    # in each checkout
     diff parent/digest.txt change/digest.txt
 
-``--quick`` runs one invocation of each kind.  ``LCSLAB_SEED`` is ignored,
-so an invocation without ``--seed`` uses seed 0 in every environment.
+``--quick`` runs a gallery run, ``list``, a description and a docgen
+document.  ``LCSLAB_SEED`` is ignored, so an invocation without ``--seed``
+uses seed 0 in every environment.
 """
 
 import argparse
@@ -21,6 +24,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import pathlib
 import shlex
@@ -43,6 +47,41 @@ GALLERY_CONFIGS = (
     ("cotangent", "--m", "5"),
     ("coupling-s2", "--weights", "1,1"),
     ("coupling-s2", "--weights", "1,2"),
+)
+# A phase plane with its translation, declared momentum and (zero) structure constants.
+PHASE = {
+    "chart": {"name": "phase", "coords": ["q", "p"], "box": [[-2, 2], [-2, 2]]},
+    "forms": {
+        "omega": {"degree": 2, "coeffs": {"0,1": "-1"}},
+        "eta": {"degree": 1, "coeffs": {"0": "p"}},
+        "zero": {"degree": 1, "coeffs": {}},
+    },
+    "fields": {"push": ["1", "0"]},
+    "lcs": {"omega": "omega", "lee": "zero", "potential": "eta"},
+    "action": {"dim": 1, "rho": ["push"], "structure_constants": [[0, 0, 0, 0]]},
+    "momentum": ["-p"],
+}
+# A sector where omega's coefficient takes atan2 and the Lee form is d(angle).
+SECTOR = {
+    "chart": {"name": "sector", "coords": ["x", "y"], "box": [[0.5, 2], [-1.5, 1.5]]},
+    "forms": {
+        "omega": {"degree": 2, "coeffs": {"0,1": "2 + atan2(y, x)"}},
+        "lee": {"degree": 1, "coeffs": {"0": "-y/(x^2 + y^2)", "1": "x/(x^2 + y^2)"}},
+    },
+    "lcs": {"omega": "omega", "lee": "lee"},
+}
+COUPLING = {
+    "base": {"name": "disk", "coords": ["u", "v"]},
+    "gauge": {"A": [{"0": "v"}], "structure_constants": [[0, 0, 0, 0]]},
+    "fiber": PHASE,
+    "momentum": ["-p"],
+}
+CIRCLE = {"vertices": 3, "simplices": [[0], [1], [2], [0, 1], [1, 2], [0, 2]]}
+COMMANDS = (
+    ["cohomology", json.dumps(CIRCLE), "--theta", "0,1:0.693;1,2:0"],
+    ["verify", json.dumps(PHASE)],
+    ["coupling", json.dumps(COUPLING)],
+    ["verify", json.dumps(SECTOR)],
 )
 POINTS = (64, 1024)
 SEEDS = (3, 4)
@@ -75,10 +114,11 @@ def invocations(quick: bool) -> list:
         for fmt in FORMATS
     ]
     descriptions = [["example", name] for name in sorted(cli.GALLERY)]
+    commands = [argv + ["--format", fmt] for argv in COMMANDS for fmt in FORMATS]
     docs = [argv + ["--format", fmt] for seed in DOCUMENT_SEEDS for argv in documents(seed) for fmt in FORMATS]
     if quick:
         return [runs[0], ["list"], descriptions[0], docs[0]]
-    return [*runs, ["list"], *descriptions, *docs]
+    return [*runs, ["list"], *descriptions, *commands, *docs]
 
 
 def digest(argv) -> str:

@@ -244,7 +244,8 @@ def deck_homothety(
     Sample points whose image leaves the chart are dropped; a point where a
     coefficient of ``gamma* Omega`` or of ``Omega`` is not finite is skipped
     and counted.  Fewer than a quarter of the samples (at least 4) left by
-    either rule raise :class:`DomainError`.
+    either rule raise :class:`DomainError`.  The fit reads the points where
+    ``|Omega|^2`` exceeds 1e-18 of its largest finite value: no scale floor.
     """
     check_same_chart(gamma.source, Omega.chart, "deck transformation and form")
     pts = np.asarray(points, dtype=float)
@@ -266,7 +267,7 @@ def deck_homothety(
         raise DomainError(f"gamma* Omega or Omega is not finite at {skipped} of {len(pts)} samples")
     A, B = A[finite], B[finite]
     norms = np.einsum("ij,ij->i", B, B)
-    ok = norms > 1e-18
+    ok = norms > 1e-18 * norms[np.isfinite(norms)].max(initial=0.0)
     if not np.any(ok):
         raise DomainError("form vanishes on all samples; homothety factor is undetermined")
     ratios = np.einsum("ij,ij->i", A, B)[ok] / norms[ok]

@@ -219,7 +219,11 @@ def horizontal_lift(g: GaugeChart, act: ActionSpec, X: VectorField, total: Chart
 
 @dataclass(frozen=True, eq=False)
 class CouplingChart:
-    """The assembled data on ``U x F``: forms, curvature, and the parts they came from."""
+    """The assembled data on ``U x F``: forms, curvature, and the parts they came from.
+
+    The fiber data carried to ``U x F`` and the lift block are kept with the
+    chart, so a check run again on the same chart builds no node and no tape.
+    """
 
     total: Chart
     base: Chart
@@ -243,6 +247,21 @@ class CouplingChart:
         """The lifts of the base coordinate vectors as nodes, (m + k) rows of m: column j lifts the j-th."""
         lifts = [self.lift(basis_vector(self.base, j)) for j in range(self.base_dim)]
         return [[X.components[i] for X in lifts] for i in range(self.total.dim)]
+
+    @functools.cached_property
+    def fiber_forms(self) -> tuple[DifferentialForm, DifferentialForm]:
+        """The fiber's omega and Lee form on the total chart."""
+        return tuple(embed_fiber_form(self.total, self.base, f) for f in (self.fiber.omega, self.fiber.lee))
+
+    @functools.cached_property
+    def fiber_generators(self) -> tuple[VectorField, ...]:
+        """The fundamental fields, extended vertically to the total chart."""
+        return tuple(embed_fiber_vector(self.total, self.base, rho) for rho in self.action.fields)
+
+    @functools.cached_property
+    def fiber_momenta(self) -> tuple[ScalarField, ...]:
+        """The momentum components, pulled back from the fiber factor."""
+        return tuple(embed_fiber_field(self.total, self.base, f) for f in self.momentum.components)
 
 
 def build_coupling(
@@ -352,7 +371,7 @@ def verify_coupling(c: CouplingChart, points: np.ndarray, seed: int = 0, tol: fl
     pts = np.asarray(points, dtype=float)
     m, n = c.base_dim, len(pts)
     forms = [exterior_derivative(c.Theta), twisted_derivative(c.Theta, c.Omega), c.Omega, c.Theta]
-    forms += [embed_fiber_form(c.total, c.base, f) for f in (c.fiber.omega, c.fiber.lee)]
+    forms += c.fiber_forms
     dtheta, closed3, omega, theta, fiber_omega, fiber_lee, H = batch_values(forms, pts, c.lift_block)
     rep = Report("verify_coupling")
     rep.add(residual_row("theta-closed", "d Theta = 0", scaled_residuals(dtheta, {}, n), tol))

@@ -403,7 +403,7 @@ _OPS = {op: (_UFUNCS[op], f) for op, f in {**_UNARY, **_BINARY}.items()}
 # Scratch bytes per replay of a tape: a batch runs in slices as wide as the
 # tape's scratch registers fit in this budget, so the hundreds of registers a
 # Lie derivative keeps live stay a few megabytes (hopf(4)'s certificate uses
-# 337, in slices of about 1,550 points), and a small tape replays a large
+# 332, in slices of at most 1,579 points), and a small tape replays a large
 # batch in one slice, where a ufunc call costs its arithmetic, not its dispatch.
 _SCRATCH_BYTES = 4 << 20
 

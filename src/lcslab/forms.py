@@ -49,12 +49,15 @@ _DERIVED = dual.Kept()
 def derived(fn):
     """``fn`` memoized on its operands: its value is kept while every operand lives.
 
-    The value must hold no operand, or its entry would keep that operand alive.
+    Operands are keyed by identity, a tuple (a direction) by its ``repr``,
+    which tells 0.0 from -0.0; the value must hold no operand, or its entry
+    would keep that operand alive.
     """
 
     @functools.wraps(fn)
     def kept(*operands):
-        return _DERIVED.keep((fn, *map(id, operands)), operands, fn, *operands)
+        key = (fn, *[repr(x) if type(x) is tuple else id(x) for x in operands])
+        return _DERIVED.keep(key, [x for x in operands if type(x) is not tuple], fn, *operands)
 
     return kept
 
@@ -113,6 +116,7 @@ class ScalarField:
     def __rtruediv__(self, other):
         return self._with(other, operator.truediv, reflected=True)
 
+    @derived  # kept while the field lives, as the forms derived from it are
     def __neg__(self):
         return ScalarField(self.chart, -self.node)
 

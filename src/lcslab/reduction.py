@@ -28,13 +28,14 @@ import numpy as np
 from . import dual
 from .actions import ActionSpec, MomentumMap
 from .charts import Chart, check_same_chart
-from .coupling import CouplingChart, embed_fiber_field, embed_fiber_vector
+from .coupling import CouplingChart
 from .errors import PreconditionError, UsageError
 from .forms import (
     DifferentialForm,
     ScalarField,
     SmoothMap,
     VectorField,
+    derived,
     exterior_derivative,
     interior_product,
     pullback,
@@ -82,13 +83,15 @@ class LevelSlice:
         return LevelSlice(parametrization, (tuple(v),), name)
 
 
-def _combined_generator(act: ActionSpec, v) -> VectorField:
-    out = dual.total((1, float(coef) * rho) for coef, rho in zip(v, act.fields))
+@derived
+def _combined_generator(act: ActionSpec, v: tuple) -> VectorField:
+    out = dual.total((1, coef * rho) for coef, rho in zip(v, act.fields))
     return out or VectorField(act.chart, [0.0] * act.chart.dim)
 
 
-def _combined_momentum(mu: MomentumMap, v) -> ScalarField:
-    return dual.total((1, float(coef) * m) for coef, m in zip(v, mu.components)) or ScalarField(mu.chart, 0.0)
+@derived
+def _combined_momentum(mu: MomentumMap, v: tuple) -> ScalarField:
+    return dual.total((1, coef * m) for coef, m in zip(v, mu.components)) or ScalarField(mu.chart, 0.0)
 
 
 def invariant_hamiltonian_check(act: ActionSpec, mu: MomentumMap, points, tol: float = DEFAULT_TOL) -> Report:
@@ -142,9 +145,8 @@ def bundle_momentum_check(c: CouplingChart, points, tol: float = DEFAULT_TOL) ->
     check_same_chart(mu.chart, c.fiber.chart, "momentum and fiber")
     pts = np.asarray(points, dtype=float)
     m, n, k = c.base_dim, len(pts), c.fiber.chart.dim
-    sides, mu_hat = [], [embed_fiber_field(c.total, c.base, f) for f in mu.components]
-    for rho, f in zip(c.action.fields, mu_hat):
-        rho_hat = embed_fiber_vector(c.total, c.base, rho)
+    sides, mu_hat = [], c.fiber_momenta
+    for rho_hat, f in zip(c.fiber_generators, mu_hat):
         sides += [interior_product(rho_hat, c.Omega), twisted_derivative(c.Theta, DifferentialForm.from_scalar(f))]
     *sides, omega, on_points = batch_values([*sides, c.Omega], pts, [f.node for f in mu_hat])
     jets = [x for g in c.action.elements.values() for x in (g.components, dual.grads(g.components, k))]
@@ -186,7 +188,7 @@ def level_scan(chart: Chart, mu: MomentumMap, direction, points) -> Report:
     sample the residual is inf and the row names no point.
     """
     check_same_chart(chart, mu.chart, "chart and momentum")
-    f = _combined_momentum(mu, direction)
+    f = _combined_momentum(mu, tuple(map(float, direction)))
     pts = np.asarray(points, dtype=float)
     if not len(pts):  # no sample can show that a level is absent
         raise UsageError("a level scan needs at least one sample point")
@@ -325,9 +327,10 @@ def _require_transverse(pts: np.ndarray, J: np.ndarray, G: np.ndarray) -> None:
 
     ``J`` holds the slice Jacobians, shape (n, dim, k), and ``G`` the combined
     generators, shape (n, dim, generators).  A generator is active at a point
-    where it does not vanish; inactive columns are zeroed, so the rank needed
-    is ``k`` plus the number of active generators.  Points with a non-finite
-    entry are left out of the test.
+    where it exceeds 1e-12 of the point's largest ``|entry|`` of ``[J | G]``,
+    a test no common scale changes; inactive columns are zeroed, so the rank
+    needed is ``k`` plus the number of active generators.  Points with a
+    non-finite entry are left out of the test.
 
     The rank is ``matrix_rank(M, rtol=_RANK_TOL)`` of ``M = [J | active G]``
     (n, dim, c) after a certificate: with ``M`` divided by its largest
@@ -338,8 +341,8 @@ def _require_transverse(pts: np.ndarray, J: np.ndarray, G: np.ndarray) -> None:
     _CERTIFIED_ROWS``, a near-threshold or non-finite test.  So the verdicts,
     ranks and error text are the SVD's.
     """
-    finite = finite_points(np.concatenate([J, G], axis=-1))
-    active = np.abs(G).max(axis=1) > 1e-12
+    finite = finite_points(JG := np.concatenate([J, G], axis=-1))
+    active = np.abs(G).max(axis=1) > 1e-12 * np.abs(JG).max(axis=(1, 2))[:, None]
     M = np.concatenate([J, np.where(active[:, None, :], G, 0.0)], axis=-1)
     n, dim, c = M.shape
     undecided = finite.copy()

@@ -1,10 +1,11 @@
-"""Shared fixtures: small charts reused across the suite, and records of the tapes a test builds or replays and the samples it draws."""
+"""Shared fixtures: small charts reused across the suite, and records of the nodes and tapes a test builds, substitutes or replays and the samples it draws."""
 
 import numpy as np
 import pytest
 
 from lcslab import dual
 from lcslab.charts import Chart
+from lcslab.dual import Tape  # the class itself: ``built_tapes`` puts a subclass of it in its place
 from lcslab.forms import ScalarField
 
 
@@ -42,6 +43,34 @@ def built_tapes(monkeypatch) -> list:
 
     monkeypatch.setattr(dual, "Tape", Recorded)
     return built
+
+
+@pytest.fixture
+def built_nodes(monkeypatch) -> list:
+    """The ops of the nodes created during the test, one per interning miss."""
+    built, intern = [], dual._intern
+
+    def recorded(key, op, args, data):
+        ref = dual._NODES.get(key)
+        if ref is None or ref() is None:
+            built.append(op)
+        return intern(key, op, args, data)
+
+    monkeypatch.setattr(dual, "_intern", recorded)
+    return built
+
+
+@pytest.fixture
+def substituted_tapes(monkeypatch) -> list:
+    """The tapes run on nodes (``Tape.run``, a substitution for the coordinates) during the test."""
+    ran, run = [], Tape.run
+
+    def recorded(tape, nodes):
+        ran.append(tape)
+        return run(tape, nodes)
+
+    monkeypatch.setattr(Tape, "run", recorded)
+    return ran
 
 
 @pytest.fixture

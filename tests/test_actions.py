@@ -310,6 +310,12 @@ class TestSolvDecks:
         for name in ("g1", "g2", "g3"):
             assert factors[name] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-10, 1e-13, 1e-150])
+    def test_a_deck_fit_does_not_depend_on_the_form_scale(self, data, scale):
+        """g0 scales the cover form by 1/2 at any scale of the form: no point is dropped by an absolute floor."""
+        deck = deck_homothety(data["deck_maps"]["g0"], scale * data["cover_form"], data["deck_box"].sample(64, 1))
+        assert deck.factor == pytest.approx(0.5, abs=1e-10) and deck.points == 64
+
     def test_factor_multiplies_under_composition(self, data):
         cover = data["cover_form"]
         pts = data["deck_box"].sample(48, seed=5)

@@ -142,7 +142,8 @@ def test_reduction_rejects_slice_containing_orbit(symplectic, shift_action, shif
 def svd_verdict(pts, J, G):
     """The transversality test by ``matrix_rank`` alone: None, or the error text of a slice that is not transverse."""
     finite = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(G).all(axis=(1, 2))
-    active = np.abs(G).max(axis=1) > 1e-12
+    scale = np.maximum(np.abs(J).max(axis=(1, 2)), np.abs(G).max(axis=(1, 2)))
+    active = np.abs(G).max(axis=1) > 1e-12 * scale[:, None]
     M = np.concatenate([J, np.where(active[:, None, :], G, 0.0)], axis=-1)
     needed = J.shape[-1] + active.sum(axis=1)
     for p, ok, m, need in zip(pts, finite, M, needed):
@@ -190,20 +191,25 @@ def test_a_near_threshold_slice_is_decided_by_the_svd(rng, rank_calls, ratio, tr
 
 
 def test_transversality_edges_match_the_svd(rng, rank_calls):
-    """An inactive generator, more columns than rows, entries at 1e+-200 and non-finite entries."""
+    """An inactive generator, more columns than rows, entries at 1e+-200 and non-finite entries.
+
+    A generator is active where it exceeds 1e-12 of the point's largest entry,
+    so a common scale, 1e200 or 1e-200, leaves the certified verdict as it is.
+    """
     pts = rng.normal(size=(6, 2))
     J, G = np.split(conditioned(rng, 6, 4, (1.0, 0.6, 0.2)), [2], axis=-1)
-    for name, (J1, G1) in {"certified": (J, G), "1e200": (1e200 * J, 1e200 * G)}.items():
+    scales = {"certified": 1.0, "1e200": 1e200, "1e-200": 1e-200}
+    for name, s in scales.items():
         rank_calls.clear()
-        assert verdict(pts, J1, G1) is None and rank_calls == [], name
+        assert verdict(pts, s * J, s * G) is None and rank_calls == [], name
     at = np.arange(6)[:, None, None]
     cases = {  # (J, G, transverse)
-        "1e-200": (1e-200 * J, 1e-200 * G, True),  # the generator is below the activity threshold 1e-12
         "inactive": (J, np.where(at < 3, 1e-13, G), True),
         "inactive, J singular": (np.concatenate([J[:, :, :1], J[:, :, :1]], axis=-1), 0.0 * G, False),
         "c > dim": (J[:, :2], G[:, :2], False),
         "c > dim, G inactive": (J[:, :2], 0.0 * G[:, :2], True),
-        "1e200 beside 1": (1e200 * J, G, False),  # a singular-value ratio near 1e-200
+        "1e200 beside 1": (1e200 * J, G, True),  # the generator is 1e-200 of the point's scale: inactive
+        "1e200 beside 1e189": (1e200 * J, 1e189 * G, False),  # active, at a singular-value ratio far below 1e-9
         "orbit in the slice": (J, J[:, :, :1], False),
         "non-finite": (np.where(at == 2, np.nan, J), np.where(at == 4, np.inf, J[:, :, :1]), False),
     }
@@ -212,6 +218,14 @@ def test_transversality_edges_match_the_svd(rng, rank_calls):
         want = svd_verdict(pts, J1, G1)
         assert (want is None) == transverse and verdict(pts, J1, G1) == want, name
         assert rank_calls, name
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-200, 1e200])
+def test_an_orbit_in_the_slice_is_refused_at_every_scale(rng, scale):
+    """A generator along the slice tangent is active at any common scale of ``[J | G]``, so the slice is refused."""
+    J = scale * conditioned(rng, 6, 4, (1.0, 0.6))
+    with pytest.raises(PreconditionError, match="rank 2 of"):
+        _require_transverse(rng.normal(size=(6, 2)), J, J[:, :, :1])
 
 
 def test_the_hopf_torus_slice_is_certified_without_an_svd(rank_calls):
